@@ -487,17 +487,35 @@ func BenchmarkLargeScaleCampaign(b *testing.B) {
 }
 
 // BenchmarkSimulatorForwarding measures the raw packet-forwarding rate
-// of the discrete-event substrate (events per op via engine counters).
+// of the discrete-event substrate (events per op via engine counters),
+// and pins the forward path's allocation contract: a ping-RR costs the
+// prober's fixed per-probe allocations and nothing per hop.
 func BenchmarkSimulatorForwarding(b *testing.B) {
 	in := benchInternet(b)
 	vp := in.MLabVPs()[len(in.MLabVPs())-1]
 	dst := in.Destinations()[0]
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	pingRR := func() {
 		if _, err := in.PingRR(vp, dst); err != nil {
 			b.Fatal(err)
 		}
 	}
+	net := in.st.Topo.Net
+	tx0 := net.Counter("link.tx")
+	pingRR() // warms route memos and the buffer pool
+	hops := net.Counter("link.tx") - tx0
+	// What a probe allocates whatever its path: op, pending entry, timer
+	// and done closures, sequence list, wire buffer, the result's route
+	// copies. A forward path that allocated per hop would add this
+	// probe's hop count on top.
+	const proberAllocs = 12
+	if allocs := testing.AllocsPerRun(20, pingRR); allocs > proberAllocs {
+		b.Fatalf("ping-RR over %d hops allocates %v times, want at most the prober's %d", hops, allocs, proberAllocs)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pingRR()
+	}
+	b.ReportMetric(float64(hops), "hops")
 }
 
 // addrFor derives a distinct test address.

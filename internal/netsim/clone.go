@@ -26,16 +26,14 @@ func (n *Network) Freeze() {
 		switch v := node.(type) {
 		case *Router:
 			v.fibShared = true
-			v.localShared = true
 			// The memoized routes become the shared frozen base — except
 			// on routers with transient withdrawals or epoch churn, whose
 			// lookups depend on the clock (or the fault epoch): a stale
 			// memo must never leak into a replica starting at clock zero
 			// or running under a different epoch.
 			if f := v.faults; f == nil || (f.withdraw.duty == 0 && !f.churnPrefix.IsValid()) {
-				if len(v.routeCache) > 0 {
-					v.routeBase = v.routeCache
-					v.routeCache = nil
+				if v.routeCache.n > 0 {
+					v.routeBase, v.routeCache = v.routeCache, routeMemo{}
 				}
 			}
 		case *Host:
@@ -86,7 +84,7 @@ func (n *Network) Clone() *Network {
 	}
 	shells := make([]Iface, len(n.ifaces))
 	for i, o := range n.ifaces {
-		shells[i] = Iface{Addr: o.Addr, id: o.id, delay: o.delay, loss: o.loss, faults: o.faults, net: c}
+		shells[i] = Iface{Addr: o.Addr, a4: o.a4, id: o.id, delay: o.delay, loss: o.loss, faults: o.faults, net: c}
 		c.ifaces[i] = &shells[i]
 	}
 	for i, o := range n.ifaces {
@@ -124,17 +122,16 @@ func (n *Network) Clone() *Network {
 // observations). r and ifaces are the caller's block-allocated shells.
 func (c *Network) adoptRouter(o *Router, r *Router, ifaces []*Iface) {
 	*r = Router{
-		name:        o.name,
-		net:         c,
-		idx:         o.idx,
-		behavior:    o.behavior,
-		fib:         o.fib,
-		fibShared:   true,
-		routeFn:     o.routeFn,
-		local:       o.local,
-		localShared: true,
-		routeBase:   o.routeBase,
-		ipid:        seedIPID(o.name),
+		name:      o.name,
+		net:       c,
+		idx:       o.idx,
+		behavior:  o.behavior,
+		fib:       o.fib,
+		fibShared: true,
+		routeFn:   o.routeFn,
+		local:     o.local[:len(o.local):len(o.local)], // see ownsAddr
+		routeBase: o.routeBase,
+		ipid:      seedIPID(o.name),
 	}
 	// Policer state is copy-on-write: no bucket is allocated here — the
 	// replica materializes its own from the shared behavior config on
@@ -164,7 +161,6 @@ func (c *Network) adoptHost(o *Host, h *Host) {
 		idx:         o.idx,
 		behavior:    o.behavior,
 		addrs:       o.addrs,
-		local:       o.local,
 		localShared: true,
 		ipid:        seedIPID(o.name),
 	}

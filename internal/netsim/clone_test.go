@@ -106,7 +106,7 @@ func TestCloneHostAliasCopyOnWrite(t *testing.T) {
 	if len(ch.Addrs()) != 2 || ch.Addrs()[1] != alias {
 		t.Fatalf("clone host addrs = %v", ch.Addrs())
 	}
-	if sh.local[alias] {
+	if sh.owns(alias) {
 		t.Fatal("alias leaked into source local set")
 	}
 }

@@ -157,6 +157,22 @@ var (
 	cHostEchoReply  = CounterID("host.echo.reply")
 	cHostUDPUnreach = CounterID("host.udp.unreach")
 
+	// Verdicts a well-formed probe reaches in the ordinary course of a
+	// campaign: TTL-limited probes expire, policers and filters drop,
+	// unresponsive hosts stay silent. CounterID takes a process-global
+	// lock shared by every shard engine and daemon worker, so these are
+	// interned here rather than by name per packet.
+	cRouterTTLExpired     = CounterID("router.ttl.expired")
+	cRouterTimeExceeded   = CounterID("router.icmp.timeexceeded")
+	cRouterDropRatelimit  = CounterID("router.drop.ratelimit")
+	cRouterDropFilter     = CounterID("router.drop.filter")
+	cRouterDropNoRoute    = CounterID("router.drop.noroute")
+	cRouterDropErrlimit   = CounterID("router.drop.errlimit")
+	cHostDropOptions      = CounterID("host.drop.options")
+	cHostDropUnresponsive = CounterID("host.drop.unresponsive")
+	cHostDropUDPSilent    = CounterID("host.drop.udpsilent")
+	cHostDropMisdelivered = CounterID("host.drop.misdelivered")
+
 	// Route-flip observations happen when a router's memoized route
 	// cache notices a withdrawal boundary during a lookup; how many a
 	// given engine notices depends on its own traffic, so the counter

@@ -152,3 +152,104 @@ func BenchmarkEngineScheduleRun(b *testing.B) {
 	}
 	e.Run()
 }
+
+// TestEngineOrderIsAtThenSeq runs a random self-scheduling program —
+// same-instant ties, short deliveries, the fixed two-second timers that
+// ride the FIFO lane, occasional far-future events that block it —
+// through the engine and through a naive scan-for-the-minimum
+// scheduler, and requires the same execution order: (at, seq) with seq
+// assigned at schedule time, whichever queue held each event.
+func TestEngineOrderIsAtThenSeq(t *testing.T) {
+	const total = 30000
+	// children returns the delays event id schedules when it runs.
+	children := func(id int) []time.Duration {
+		x := uint64(id)*0x9e3779b97f4a7c15 + 1
+		var out []time.Duration
+		for k := 0; k < 3; k++ {
+			x ^= x >> 12
+			x ^= x << 25
+			x ^= x >> 27
+			r := x * 0x2545f4914f6cdd1d >> 33
+			switch r % 8 {
+			case 0:
+				out = append(out, 0)
+			case 1, 2:
+				out = append(out, 2*time.Second)
+			case 3:
+				// Far events block the lane (nothing else is due later), so
+				// they come only in the last third: the lane must first run
+				// long enough undisturbed to compact itself.
+				if r%64 == 3 && id > total*2/3 {
+					out = append(out, time.Hour)
+				}
+			case 4, 5:
+				out = append(out, time.Duration(r%20_000_000))
+			case 6:
+				out = append(out, time.Millisecond)
+			}
+		}
+		return out
+	}
+
+	type pending struct {
+		at  time.Duration
+		seq int
+		id  int
+	}
+	var want []int
+	{
+		queue := []pending{{id: 0}}
+		seq, nextID := 0, 1
+		for len(queue) > 0 {
+			m := 0
+			for i, p := range queue {
+				if p.at < queue[m].at || (p.at == queue[m].at && p.seq < queue[m].seq) {
+					m = i
+				}
+			}
+			p := queue[m]
+			queue = append(queue[:m], queue[m+1:]...)
+			want = append(want, p.id)
+			for _, d := range children(p.id) {
+				if nextID < total {
+					seq++
+					queue = append(queue, pending{at: p.at + d, seq: seq, id: nextID})
+					nextID++
+				}
+			}
+		}
+	}
+
+	e := NewEngine()
+	var got []int
+	nextID := 1
+	var run func(id int) func()
+	run = func(id int) func() {
+		return func() {
+			got = append(got, id)
+			for _, d := range children(id) {
+				if nextID < total {
+					e.Schedule(d, run(nextID))
+					nextID++
+				}
+			}
+		}
+	}
+	e.Schedule(0, run(0))
+	// Drive it through RunUntil boundaries as campaigns do, then dry.
+	for i := 1; i <= 50; i++ {
+		e.RunUntil(time.Duration(i) * 400 * time.Millisecond)
+	}
+	e.Run()
+	if len(got) != len(want) || len(got) < total/2 {
+		t.Fatalf("executed %d events, oracle %d (program too small?)", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("event %d: engine ran id %d, (at, seq) order runs id %d", i, got[i], want[i])
+		}
+	}
+	if e.Pending() != 0 {
+		t.Errorf("Pending = %d after Run", e.Pending())
+	}
+}

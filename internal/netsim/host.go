@@ -60,12 +60,11 @@ type Host struct {
 	behavior HostBehavior
 	uplink   *Iface
 	addrs    []netip.Addr
-	local    map[netip.Addr]bool
 	ipid     uint16
 	sniffer  SnifferFunc
 
-	// localShared marks addrs/local as part of a frozen route plane
-	// possibly shared with replica networks; mutation copies first.
+	// localShared marks addrs as part of a frozen route plane possibly
+	// shared with replica networks; mutation copies first.
 	localShared bool
 
 	ip packet.IPv4
@@ -82,7 +81,6 @@ func (n *Network) AddHost(name string, primary netip.Addr, behavior HostBehavior
 		net:      n,
 		behavior: behavior,
 		addrs:    []netip.Addr{primary},
-		local:    map[netip.Addr]bool{primary: true},
 		ipid:     seedIPID(name),
 	}
 	n.register(h)
@@ -107,15 +105,20 @@ func (h *Host) Behavior() HostBehavior { return h.behavior }
 func (h *Host) AddAlias(a netip.Addr) {
 	if h.localShared {
 		h.addrs = append([]netip.Addr(nil), h.addrs...)
-		local := make(map[netip.Addr]bool, len(h.local)+1)
-		for x := range h.local {
-			local[x] = true
-		}
-		h.local = local
 		h.localShared = false
 	}
 	h.addrs = append(h.addrs, a)
-	h.local[a] = true
+}
+
+// owns reports whether a is one of the host's addresses; hosts have one
+// or two, so the scan beats a map.
+func (h *Host) owns(a netip.Addr) bool {
+	for _, x := range h.addrs {
+		if x == a {
+			return true
+		}
+	}
+	return false
 }
 
 // SetSniffer installs a callback observing every packet delivered to the
@@ -151,7 +154,8 @@ func (h *Host) count(id int) {
 	}
 }
 
-// countName is count for cold paths that never pre-interned an ID.
+// countName is count for cold paths that never pre-interned an ID (see
+// Router.countName).
 func (h *Host) countName(name string) { h.count(CounterID(name)) }
 
 // trace emits a packet event for the datagram currently decoded in
@@ -178,8 +182,8 @@ func (h *Host) Receive(pkt []byte, on *Iface) {
 		h.countName("host.drop.parse")
 		return
 	}
-	if !h.local[h.ip.Dst] {
-		h.countName("host.drop.misdelivered")
+	if !h.owns(h.ip.Dst) {
+		h.count(cHostDropMisdelivered)
 		return
 	}
 	if h.sniffer != nil {
@@ -187,7 +191,7 @@ func (h *Host) Receive(pkt []byte, on *Iface) {
 	}
 	hasOpts := len(h.ip.Options) > 0
 	if hasOpts && !h.behavior.RRResponsive {
-		h.countName("host.drop.options")
+		h.count(cHostDropOptions)
 		if h.net.tracer != nil {
 			h.trace("host.drop.options")
 		}
@@ -220,7 +224,7 @@ func (h *Host) receiveICMP(payload []byte) {
 		return
 	}
 	if !h.behavior.PingResponsive {
-		h.countName("host.drop.unresponsive")
+		h.count(cHostDropUnresponsive)
 		if h.net.tracer != nil {
 			h.trace("host.drop.unresponsive")
 		}
@@ -233,40 +237,47 @@ func (h *Host) receiveICMP(payload []byte) {
 		Protocol: packet.ProtocolICMP,
 		Src:      h.ip.Dst, // reply from the probed address
 		Dst:      h.ip.Src,
+		Options:  h.net.replyOpts[:0],
 	}
+	// h.rr and h.ts are scratch copies of the request's options, so the
+	// reply's are recorded and serialized in place.
 	if found, err := h.ip.RecordRouteOption(&h.rr); found && err == nil && h.behavior.CopyRROnReply {
-		cp := h.rr.Clone()
 		if h.behavior.HonorRR {
-			stamp := h.behavior.StampAddr
-			if !stamp.IsValid() {
-				stamp = h.ip.Dst
-			}
-			cp.Record(stamp) // no-op when already full
+			h.rr.Record(h.stampAddr()) // no-op when already full
 		}
-		if err := hdr.SetRecordRoute(cp); err != nil {
+		opt, err := h.rr.AppendOption(h.net.replyOptData[0][:0])
+		if err != nil {
 			h.countName("host.drop.rrencode")
 			return
 		}
+		hdr.Options = append(hdr.Options, opt)
 	}
 	// Timestamp options are copied and completed under the same policy.
 	if found, err := h.ip.TimestampOption(&h.ts); found && err == nil && h.behavior.CopyRROnReply {
 		if h.behavior.HonorRR {
-			stamp := h.behavior.StampAddr
-			if !stamp.IsValid() {
-				stamp = h.ip.Dst
-			}
-			h.ts.Record(stamp, uint32(h.net.Now().Milliseconds()))
+			h.ts.Record(h.stampAddr(), uint32(h.net.Now().Milliseconds()))
 		}
-		if err := hdr.SetTimestamp(&h.ts); err != nil {
+		opt, err := h.ts.AppendOption(h.net.replyOptData[1][:0])
+		if err != nil {
 			h.countName("host.drop.tsencode")
 			return
 		}
+		hdr.Options = append(hdr.Options, opt)
 	}
 	h.count(cHostEchoReply)
 	if h.net.tracer != nil {
 		h.trace("host.echo.reply")
 	}
-	h.send(&hdr, reply.Marshal())
+	h.send(&hdr, reply)
+}
+
+// stampAddr is the address the host records into options of the request
+// in h.ip: the configured alias, or the probed address.
+func (h *Host) stampAddr() netip.Addr {
+	if h.behavior.StampAddr.IsValid() {
+		return h.behavior.StampAddr
+	}
+	return h.ip.Dst
 }
 
 // receiveUDP generates port-unreachable errors for closed ports. The
@@ -280,14 +291,17 @@ func (h *Host) receiveUDP(raw, payload []byte) {
 		return
 	}
 	if !h.behavior.UDPResponsive {
-		h.countName("host.drop.udpsilent")
+		h.count(cHostDropUDPSilent)
 		if h.net.tracer != nil {
 			h.trace("host.drop.udpsilent")
 		}
 		return
 	}
-	hdrLen := int(raw[0]&0xf) * 4
-	e := packet.NewError(packet.ICMPDestUnreach, packet.CodePortUnreachable, raw[:hdrLen], raw[hdrLen:])
+	e := packet.ICMP{
+		Type:    packet.ICMPDestUnreach,
+		Code:    packet.CodePortUnreachable,
+		Payload: packet.ErrorQuote(raw, int(raw[0]&0xf)*4),
+	}
 	hdr := packet.IPv4{
 		TTL:      64,
 		ID:       h.nextID(),
@@ -299,19 +313,20 @@ func (h *Host) receiveUDP(raw, payload []byte) {
 	if h.net.tracer != nil {
 		h.trace("host.udp.unreach")
 	}
-	h.send(&hdr, e.Marshal())
+	h.send(&hdr, &e)
 }
 
-// send serializes and transmits a host-originated packet via the uplink.
-func (h *Host) send(hdr *packet.IPv4, transport []byte) {
+// send serializes a host-originated ICMP message into a pooled buffer
+// and transmits it via the uplink.
+func (h *Host) send(hdr *packet.IPv4, m *packet.ICMP) {
 	if h.uplink == nil {
 		h.countName("host.drop.unconnected")
 		return
 	}
-	out, err := hdr.AppendTo(h.net.getBuf(), transport)
+	out, err := hdr.AppendHeader(h.net.getBuf(), m.Len())
 	if err != nil {
 		h.countName("host.drop.encode")
 		return
 	}
-	h.uplink.Send(out)
+	h.uplink.Send(m.AppendTo(out))
 }

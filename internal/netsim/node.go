@@ -1,10 +1,13 @@
 package netsim
 
 import (
+	"encoding/binary"
 	"fmt"
 	"net/netip"
 	"sort"
 	"time"
+
+	"recordroute/internal/packet"
 )
 
 // Node is anything attachable to the network: a router or a host.
@@ -30,6 +33,7 @@ type Iface struct {
 	// (FIBs, oracle closures) holding source-network interface pointers
 	// resolve to the clone's own interfaces — see Network.localize.
 	id     int32
+	a4     [4]byte // Addr in wire form, what routers stamp into options
 	peer   *Iface
 	delay  time.Duration
 	loss   float64 // per-direction drop probability
@@ -85,6 +89,31 @@ func (i *Iface) Send(pkt []byte) {
 	i.net.engine.scheduleDelivery(delay, pkt, i.peer)
 }
 
+// key4 packs an IPv4 address into the big-endian uint32 that route memos
+// and local-address sets are keyed by — the value the forward path reads
+// straight out of a header; ok is false for anything but IPv4.
+func key4(a netip.Addr) (k uint32, ok bool) {
+	if a = a.Unmap(); !a.Is4() {
+		return 0, false
+	}
+	b := a.As4()
+	return binary.BigEndian.Uint32(b[:]), true
+}
+
+// addrOf inverts key4.
+func addrOf(k uint32) netip.Addr {
+	return netip.AddrFrom4([4]byte{byte(k >> 24), byte(k >> 16), byte(k >> 8), byte(k)})
+}
+
+// wire4 returns a's four wire octets, or 0.0.0.0 for anything but IPv4
+// (which no topology assigns to an interface).
+func wire4(a netip.Addr) (b [4]byte) {
+	if a = a.Unmap(); a.Is4() {
+		b = a.As4()
+	}
+	return b
+}
+
 // seedIPID derives a device's initial IP-ID counter value from its name
 // (FNV-1a), so distinct devices start far apart — as real, long-running
 // devices do. Interfaces of one device share the counter; that shared
@@ -115,8 +144,14 @@ type Network struct {
 	// the frozen route plane or the topology digest.
 	faultEpoch int
 	hook       func(at time.Duration, counter string)
-	bufs     [][]byte // free list of serialization buffers
-	bufSlab  []byte   // arena the free list's buffers are carved from
+	bufs       [][]byte // free list of serialization buffers
+	bufSlab    []byte   // arena the free list's buffers are carved from
+
+	// Scratch for the options of a reply being originated (an echoed
+	// Record Route and Timestamp): one per network because the engine is
+	// single-threaded and a reply is serialized before Receive returns.
+	replyOpts    [2]packet.Option
+	replyOptData [2][packet.MaxOptionsLen]byte
 
 	// Observability hooks (see obs.go); both nil/off by default so the
 	// per-packet paths pay only a nil check.
@@ -330,8 +365,8 @@ func (n *Network) localize(via *Iface) *Iface {
 // addrA and addrB become the interface addresses on each side and delay
 // applies in both directions. It returns the two interfaces.
 func (n *Network) Connect(a, b Node, addrA, addrB netip.Addr, delay time.Duration) (*Iface, *Iface) {
-	ia := &Iface{Addr: addrA, Owner: a, delay: delay, net: n, id: int32(len(n.ifaces))}
-	ib := &Iface{Addr: addrB, Owner: b, delay: delay, net: n, id: int32(len(n.ifaces) + 1)}
+	ia := &Iface{Addr: addrA, a4: wire4(addrA), Owner: a, delay: delay, net: n, id: int32(len(n.ifaces))}
+	ib := &Iface{Addr: addrB, a4: wire4(addrB), Owner: b, delay: delay, net: n, id: int32(len(n.ifaces) + 1)}
 	n.ifaces = append(n.ifaces, ia, ib)
 	ia.peer, ib.peer = ib, ia
 	a.addIface(ia)

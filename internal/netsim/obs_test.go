@@ -135,8 +135,10 @@ func TestNodeCountersDisabledByDefault(t *testing.T) {
 // BenchmarkForwardObservability measures the chain forward path with
 // observability off (the default every campaign pays), with a tracer
 // attached, and with per-node attribution — the allocation guard for
-// the zero-overhead-when-disabled contract: the "off" case must stay
-// allocation-flat relative to the pre-observability forwarding path.
+// the zero-overhead-when-disabled contract, and since the forward path
+// went wire-level a stronger one: a ping-RR round trip (three stamping
+// hops out, the host's stamped echo, three hops back) allocates nothing
+// at all, with or without a tracer or per-node attribution.
 func BenchmarkForwardObservability(b *testing.B) {
 	run := func(b *testing.B, tracer TraceFunc, perNode bool) {
 		c := buildChain(3, nil, DefaultHostBehavior())
@@ -148,14 +150,21 @@ func BenchmarkForwardObservability(b *testing.B) {
 		}
 		c.vp.SetSniffer(nil)
 		hdr := makePingRR(b, a(vpAddrStr), a(destAddrStr), 7, 1, 64, 9)
-		// Warm the serialization pool and route caches.
-		c.vp.Inject(append(c.net.getBuf(), hdr...))
-		c.net.Engine().Run()
+		roundTrip := func() {
+			c.vp.Inject(append(c.net.getBuf(), hdr...))
+			c.net.Engine().Run()
+		}
+		roundTrip() // warms the serialization pool and route memos
+		if allocs := testing.AllocsPerRun(100, roundTrip); allocs != 0 {
+			b.Fatalf("ping-RR round trip allocates %v times, want 0", allocs)
+		}
+		if got := c.net.Counter("router.rr.stamped"); got != 6*102 {
+			b.Fatalf("router.rr.stamped = %d, want %d: the round trips did not stamp", got, 6*102)
+		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			c.vp.Inject(append(c.net.getBuf(), hdr...))
-			c.net.Engine().Run()
+			roundTrip()
 		}
 	}
 	b.Run("off", func(b *testing.B) { run(b, nil, false) })

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"encoding/binary"
 	"net/netip"
 	"time"
 
@@ -57,32 +58,31 @@ type Router struct {
 	fib        *FIB
 	routeFn    func(dst netip.Addr) *Iface
 	ifaces     []*Iface
-	local      map[netip.Addr]bool
+	local      []uint32 // packed interface addresses; see ownsAddr
 	limiter    *TokenBucket
 	errLimiter *TokenBucket
 	ipid       uint16
 	faults     *routerFaults // nil when no fault plan afflicts this router
 
-	// fibShared/localShared mark fib and local as part of a frozen route
-	// plane possibly shared with replica networks (see Network.Freeze):
-	// mutation must copy first. Both clear on the first copy-on-write.
-	fibShared   bool
-	localShared bool
+	// fibShared marks fib as part of a frozen route plane possibly shared
+	// with replica networks (see Network.Freeze): mutation must copy
+	// first. It clears on the first copy-on-write.
+	fibShared bool
 
 	// routeCache memoizes lookupRoute results per destination (including
 	// negative ones): the routing oracle recomputes a policy path on
 	// every packet, and forwarding asks the same question for every probe
 	// of a campaign. Invalidated whenever the FIB or oracle changes.
-	routeCache map[netip.Addr]*Iface
-	// routeBase is the frozen, read-only memoized-route map inherited
-	// from a snapshot (source-network interface pointers, localized on
-	// hit). It is never written; invalidation just drops the reference.
-	routeBase map[netip.Addr]*Iface
+	routeCache routeMemo
+	// routeBase is the frozen, read-only memo inherited from a snapshot.
+	// It is never written; invalidation just drops the reference.
+	routeBase routeMemo
 
-	// scratch decoding state; safe because the engine is single-threaded.
+	// scratch decoding state for packets addressed to the router itself
+	// (forwarded packets are never decoded); safe because the engine is
+	// single-threaded.
 	ip packet.IPv4
 	rr packet.RecordRoute
-	ts packet.Timestamp
 	sr packet.SourceRoute
 }
 
@@ -97,7 +97,6 @@ func (n *Network) AddRouter(name string, behavior RouterBehavior) *Router {
 		net:      n,
 		behavior: behavior,
 		fib:      NewFIB(),
-		local:    make(map[netip.Addr]bool),
 		ipid:     seedIPID(name),
 	}
 	n.register(r)
@@ -143,13 +142,16 @@ func (r *Router) count(id int) {
 	}
 }
 
-// countName is count for cold paths that never pre-interned an ID.
+// countName is count for cold paths that never pre-interned an ID: it
+// takes the process-global registry lock, so nothing a well-formed probe
+// can reach may use it.
 func (r *Router) countName(name string) { r.count(CounterID(name)) }
 
-// trace emits a packet event for the datagram currently decoded in
-// r.ip; callers guard on r.net.tracer != nil.
-func (r *Router) trace(event string) {
-	r.net.tracer(r.net.Now(), r.name, event, r.ip.Src, r.ip.Dst)
+// trace emits a packet event for the serialized datagram pkt (at least
+// its 20 fixed header octets); callers guard on r.net.tracer != nil.
+func (r *Router) trace(event string, pkt []byte) {
+	r.net.tracer(r.net.Now(), r.name, event,
+		netip.AddrFrom4([4]byte(pkt[12:16])), netip.AddrFrom4([4]byte(pkt[16:20])))
 }
 
 // Behavior returns the router's configured behavior.
@@ -184,15 +186,25 @@ func (r *Router) SetRouteFunc(fn func(dst netip.Addr) *Iface) {
 // The shared frozen base (if any) is detached, never mutated: sibling
 // replicas keep reading it.
 func (r *Router) invalidateRoutes() {
-	clear(r.routeCache)
-	r.routeBase = nil
+	r.routeCache.reset()
+	r.routeBase = routeMemo{}
 }
 
 // lookupRoute resolves the egress interface for dst via the oracle or
 // FIB, memoizing the result (nil included: no route stays no route until
 // routing changes). A replica cloned from a snapshot first consults the
-// snapshot's frozen memo (routeBase), localizing its plane pointers.
+// snapshot's frozen memo (routeBase).
 func (r *Router) lookupRoute(dst netip.Addr) *Iface {
+	k, ok := key4(dst)
+	if !ok {
+		return nil // nothing but IPv4 is ever routed
+	}
+	return r.lookupRoute4(k)
+}
+
+// lookupRoute4 is lookupRoute for a packed IPv4 destination, the form
+// the forward path reads off the wire.
+func (r *Router) lookupRoute4(dst uint32) *Iface {
 	if f := r.faults; f != nil && f.withdraw.duty > 0 {
 		// A transient withdrawal boundary invalidates memoized routes —
 		// the same hook a real routing change uses — so cached entries
@@ -203,24 +215,21 @@ func (r *Router) lookupRoute(dst netip.Addr) *Iface {
 			r.count(cChaosRouteFlip)
 		}
 	}
-	if via, ok := r.routeCache[dst]; ok {
-		return via
+	if v := r.routeCache.get(dst); v != 0 {
+		return r.net.memoIface(v)
 	}
-	via, hit := (*Iface)(nil), false
-	if r.routeBase != nil {
-		via, hit = r.routeBase[dst]
-		if hit {
-			via = r.net.localize(via)
+	v := r.routeBase.get(dst)
+	if v == 0 {
+		via := r.net.localize(r.lookupRouteSlow(addrOf(dst)))
+		if v = r.net.memoValue(via); v == 0 {
+			return via
 		}
 	}
-	if !hit {
-		via = r.net.localize(r.lookupRouteSlow(dst))
+	if r.routeCache.n >= routeCacheMax {
+		r.routeCache.reset()
 	}
-	if r.routeCache == nil || len(r.routeCache) >= routeCacheMax {
-		r.routeCache = make(map[netip.Addr]*Iface, 64)
-	}
-	r.routeCache[dst] = via
-	return via
+	r.routeCache.put(dst, v)
+	return r.net.memoIface(v)
 }
 
 // lookupRouteSlow is the uncached resolution path.
@@ -248,20 +257,26 @@ func (r *Router) lookupRouteSlow(dst netip.Addr) *Iface {
 // Interfaces returns the router's interfaces in attachment order.
 func (r *Router) Interfaces() []*Iface { return r.ifaces }
 
-// Addrs reports whether addr is local to the router.
-func (r *Router) ownsAddr(addr netip.Addr) bool { return r.local[addr] }
+// ownsAddr reports whether the packed address is one of the router's
+// interface addresses. Routers have a handful of interfaces (median 3,
+// 99th percentile 15 in generated topologies), so a scan of the packed
+// slice beats hashing. The slice is plane state shared with replica
+// clones, which hold it capped at its length: an append on either side
+// reallocates or lands beyond what the other can see, never in it.
+func (r *Router) ownsAddr(addr uint32) bool {
+	for _, a := range r.local {
+		if a == addr {
+			return true
+		}
+	}
+	return false
+}
 
 func (r *Router) addIface(i *Iface) {
-	if r.localShared {
-		local := make(map[netip.Addr]bool, len(r.local)+1)
-		for a := range r.local {
-			local[a] = true
-		}
-		r.local = local
-		r.localShared = false
-	}
 	r.ifaces = append(r.ifaces, i)
-	r.local[i.Addr] = true
+	if k, ok := key4(i.Addr); ok {
+		r.local = append(r.local, k)
+	}
 }
 
 // nextID returns the next IP identifier from the router's shared
@@ -272,47 +287,59 @@ func (r *Router) nextID() uint16 {
 	return r.ipid
 }
 
-// Receive implements Node. It is the router's forwarding path.
+// Receive implements Node. It is the router's forwarding path, and it
+// works on the datagram in wire form: the header is validated (checksum
+// included) but never decoded into a struct, the received bytes are
+// copied into a pooled buffer, and TTL, option slots and checksum are
+// edited there. Only a packet addressed to the router itself is decoded,
+// because answering it originates a new packet.
 func (r *Router) Receive(pkt []byte, on *Iface) {
 	if f := r.faults; f != nil && f.offline.active(r.net.Now()) {
 		r.count(cChaosOffline)
 		if r.net.tracer != nil {
-			// The header is not decoded yet; the event carries no addresses.
+			// The header is not validated yet; the event carries no addresses.
 			r.net.tracer(r.net.Now(), r.name, "chaos.router.offline", netip.Addr{}, netip.Addr{})
 		}
 		return
 	}
-	payload, err := r.ip.Decode(pkt)
+	w, err := packet.ParseWire(pkt)
 	if err != nil {
 		r.countName("router.drop.parse")
 		return
 	}
-	hasOpts := len(r.ip.Options) > 0
+	hasOpts := w.HasOptions()
 
 	// Options packets traverse the slow path: filtering and policing
 	// happen before any other processing, including local delivery.
 	if hasOpts {
 		if r.behavior.DropOptions {
-			r.countName("router.drop.filter")
+			r.count(cRouterDropFilter)
 			if r.net.tracer != nil {
-				r.trace("router.drop.filter")
+				r.trace("router.drop.filter", pkt)
 			}
 			return
 		}
 		if lim := r.optionsLimiter(); lim != nil && !lim.Allow(r.net.Now()) {
-			r.countName("router.drop.ratelimit")
+			r.count(cRouterDropRatelimit)
 			if r.net.tracer != nil {
-				r.trace("router.drop.ratelimit")
+				r.trace("router.drop.ratelimit", pkt)
 			}
 			return
 		}
 		r.count(cRouterSlowpath)
 		if r.net.tracer != nil {
-			r.trace("router.slowpath")
+			r.trace("router.slowpath", pkt)
 		}
 	}
 
-	if r.ownsAddr(r.ip.Dst) {
+	dst := binary.BigEndian.Uint32(pkt[16:20])
+	if r.ownsAddr(dst) {
+		payload, err := r.ip.Decode(pkt)
+		if err != nil {
+			// Unreachable: ParseWire accepts exactly what Decode accepts.
+			r.countName("router.drop.parse")
+			return
+		}
 		if found, err := r.ip.SourceRouteOption(&r.sr); found && err == nil && !r.sr.Exhausted() {
 			r.forwardSourceRouted(payload)
 			return
@@ -322,66 +349,53 @@ func (r *Router) Receive(pkt []byte, on *Iface) {
 	}
 
 	// TTL handling. An "anonymous" router forwards without decrementing.
-	if !r.behavior.NoTTLDecrement {
-		if r.ip.TTL <= 1 {
-			if !r.behavior.NoTimeExceeded {
-				r.sendTimeExceeded(pkt, on)
-			} else {
-				r.countName("router.drop.ttl.silent")
-			}
-			r.countName("router.ttl.expired")
-			if r.net.tracer != nil {
-				r.trace("router.ttl.expired")
-			}
-			return
+	if !r.behavior.NoTTLDecrement && pkt[8] <= 1 {
+		if !r.behavior.NoTimeExceeded {
+			r.sendTimeExceeded(pkt, on)
+		} else {
+			r.countName("router.drop.ttl.silent")
 		}
-		r.ip.TTL--
-	}
-
-	egress := r.lookupRoute(r.ip.Dst)
-	if egress == nil {
-		r.countName("router.drop.noroute")
+		r.count(cRouterTTLExpired)
 		if r.net.tracer != nil {
-			r.trace("router.drop.noroute")
+			r.trace("router.ttl.expired", pkt)
 		}
 		return
 	}
 
+	egress := r.lookupRoute4(dst)
+	if egress == nil {
+		r.count(cRouterDropNoRoute)
+		if r.net.tracer != nil {
+			r.trace("router.drop.noroute", pkt)
+		}
+		return
+	}
+
+	out, hdrLen := w.AppendTo(r.net.getBuf(), pkt)
+	if !r.behavior.NoTTLDecrement {
+		out[8]--
+	}
 	// Stamp Record Route with the outgoing interface address (RFC 791:
 	// "its own internet address as known in the environment into which
-	// this datagram is being forwarded").
+	// this datagram is being forwarded"). An option that is full or
+	// malformed travels on untouched.
 	if hasOpts && !r.behavior.NoStampRR {
-		if found, err := r.ip.RecordRouteOption(&r.rr); found && err == nil && !r.rr.Full() {
-			r.rr.Record(egress.Addr)
-			if err := r.ip.SetRecordRoute(&r.rr); err != nil {
-				r.countName("router.drop.rrencode")
-				return
-			}
+		if w.RR != 0 && packet.StampRecordRoute(out[w.RR:hdrLen], egress.a4) {
 			r.count(cRouterStamped)
 			if r.net.tracer != nil {
-				r.trace("router.rr.stamped")
+				r.trace("router.rr.stamped", pkt)
 			}
 		}
 		// The Internet Timestamp option is processed on the same slow
 		// path; a full option increments its overflow counter.
-		if found, err := r.ip.TimestampOption(&r.ts); found && err == nil {
-			r.ts.Record(egress.Addr, uint32(r.net.Now().Milliseconds()))
-			if err := r.ip.SetTimestamp(&r.ts); err != nil {
-				r.countName("router.drop.tsencode")
-				return
-			}
+		if w.TS != 0 && packet.StampTimestamp(out[w.TS:hdrLen], egress.a4, uint32(r.net.Now().Milliseconds())) {
 			r.count(cRouterTS)
 			if r.net.tracer != nil {
-				r.trace("router.ts.stamped")
+				r.trace("router.ts.stamped", pkt)
 			}
 		}
 	}
-
-	out, err := r.ip.AppendTo(r.net.getBuf(), payload)
-	if err != nil {
-		r.countName("router.drop.encode")
-		return
-	}
+	packet.SetHeaderChecksum(out[:hdrLen])
 	r.count(cRouterFwd)
 	if hasOpts && r.behavior.SlowPathDelay > 0 {
 		r.net.engine.Schedule(r.behavior.SlowPathDelay, func() { egress.Send(out) })
@@ -403,7 +417,7 @@ func (r *Router) forwardSourceRouted(payload []byte) {
 	next := r.sr.NextHop()
 	egress := r.lookupRoute(next)
 	if egress == nil {
-		r.countName("router.drop.noroute")
+		r.count(cRouterDropNoRoute)
 		return
 	}
 	newDst, ok := r.sr.Advance(egress.Addr)
@@ -451,72 +465,74 @@ func (r *Router) deliverLocal(payload []byte) {
 		Dst:      r.ip.Src,
 	}
 	// Copy the Record Route option into the reply and stamp ourselves,
-	// as a conformant destination does.
+	// as a conformant destination does (r.rr is a scratch copy of the
+	// request's option, recorded and serialized in place).
 	if found, err := r.ip.RecordRouteOption(&r.rr); found && err == nil {
-		cp := r.rr.Clone()
 		if !r.behavior.NoStampRR {
-			cp.Record(r.ip.Dst)
+			r.rr.Record(r.ip.Dst)
 		}
-		if err := hdr.SetRecordRoute(cp); err != nil {
+		opt, err := r.rr.AppendOption(r.net.replyOptData[0][:0])
+		if err != nil {
 			return
 		}
+		hdr.Options = append(r.net.replyOpts[:0], opt)
 	}
 	if r.net.tracer != nil {
-		r.trace("router.echo.reply")
+		r.net.tracer(r.net.Now(), r.name, "router.echo.reply", r.ip.Src, r.ip.Dst)
 	}
-	r.sendLocal(&hdr, reply.Marshal())
+	r.sendLocal(&hdr, reply)
 }
 
 // sendTimeExceeded emits an ICMP Time Exceeded error quoting the expired
-// packet as received (its Record Route option included, which is what
+// packet orig as received (its Record Route option included, which is what
 // lets TTL-limited ping-RR results be read at the source, §4.2).
 // Generation is subject to the router's ICMP error policer.
 func (r *Router) sendTimeExceeded(orig []byte, on *Iface) {
 	if f := r.faults; f != nil && f.suppress.active(r.net.Now()) {
 		r.count(cChaosSuppress)
 		if r.net.tracer != nil {
-			r.trace("chaos.icmp.suppressed")
+			r.trace("chaos.icmp.suppressed", orig)
 		}
 		return
 	}
 	if lim := r.icmpErrLimiter(); lim != nil && !lim.Allow(r.net.Now()) {
-		r.countName("router.drop.errlimit")
+		r.count(cRouterDropErrlimit)
 		if r.net.tracer != nil {
-			r.trace("router.drop.errlimit")
+			r.trace("router.drop.errlimit", orig)
 		}
 		return
 	}
-	hdrLen := int(orig[0]&0xf) * 4
-	if hdrLen > len(orig) {
-		hdrLen = len(orig)
+	e := packet.ICMP{
+		Type:    packet.ICMPTimeExceeded,
+		Code:    packet.CodeTTLExceeded,
+		Payload: packet.ErrorQuote(orig, int(orig[0]&0xf)*4),
 	}
-	src := r.ip.Src // origin header was decoded into r.ip by Receive
-	e := packet.NewError(packet.ICMPTimeExceeded, packet.CodeTTLExceeded, orig[:hdrLen], orig[hdrLen:])
 	hdr := packet.IPv4{
 		TTL:      64,
 		ID:       r.nextID(),
 		Protocol: packet.ProtocolICMP,
 		Src:      on.Addr, // errors originate from the receiving interface
-		Dst:      src,
+		Dst:      netip.AddrFrom4([4]byte(orig[12:16])),
 	}
-	r.countName("router.icmp.timeexceeded")
+	r.count(cRouterTimeExceeded)
 	if r.net.tracer != nil {
-		r.trace("router.icmp.timeexceeded")
+		r.trace("router.icmp.timeexceeded", orig)
 	}
-	r.sendLocal(&hdr, e.Marshal())
+	r.sendLocal(&hdr, &e)
 }
 
-// sendLocal routes and transmits a router-originated packet.
-func (r *Router) sendLocal(hdr *packet.IPv4, transport []byte) {
+// sendLocal routes a router-originated ICMP message, serializes it into
+// a pooled buffer and transmits it.
+func (r *Router) sendLocal(hdr *packet.IPv4, m *packet.ICMP) {
 	egress := r.lookupRoute(hdr.Dst)
 	if egress == nil {
 		r.countName("router.drop.noroute.local")
 		return
 	}
-	out, err := hdr.AppendTo(r.net.getBuf(), transport)
+	out, err := hdr.AppendHeader(r.net.getBuf(), m.Len())
 	if err != nil {
 		r.countName("router.drop.encode")
 		return
 	}
-	egress.Send(out)
+	egress.Send(m.AppendTo(out))
 }

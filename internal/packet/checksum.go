@@ -1,6 +1,9 @@
 package packet
 
-import "net/netip"
+import (
+	"encoding/binary"
+	"net/netip"
+)
 
 // Checksum computes the Internet checksum (RFC 1071) over data: the one's
 // complement of the one's complement sum of the data interpreted as a
@@ -10,17 +13,32 @@ func Checksum(data []byte) uint16 {
 	return foldChecksum(sumWords(0, data))
 }
 
-// sumWords accumulates the 16-bit one's-complement partial sum of data
-// onto acc. The returned value has not been folded.
+// sumWords accumulates the one's-complement partial sum of data onto
+// acc. The returned value has not been folded. Data is summed eight
+// octets at a time as two 32-bit words: 2^16 ≡ 1 (mod 0xffff), so wider
+// words fold to the same 16-bit sum the RFC's 16-bit walk gives, and a
+// 60-octet header takes eight additions instead of thirty.
 func sumWords(acc uint32, data []byte) uint32 {
-	n := len(data)
-	for i := 0; i+1 < n; i += 2 {
-		acc += uint32(data[i])<<8 | uint32(data[i+1])
+	sum := uint64(acc)
+	for len(data) >= 8 {
+		v := binary.BigEndian.Uint64(data)
+		sum += v>>32 + v&0xffffffff
+		data = data[8:]
 	}
-	if n%2 == 1 {
-		acc += uint32(data[n-1]) << 8
+	if len(data) >= 4 {
+		sum += uint64(binary.BigEndian.Uint32(data))
+		data = data[4:]
 	}
-	return acc
+	if len(data) >= 2 {
+		sum += uint64(binary.BigEndian.Uint16(data))
+		data = data[2:]
+	}
+	if len(data) == 1 {
+		sum += uint64(data[0]) << 8
+	}
+	sum = sum>>32 + sum&0xffffffff
+	sum = sum>>32 + sum&0xffffffff
+	return uint32(sum)
 }
 
 // foldChecksum folds the 32-bit partial sum into 16 bits and complements it.

@@ -61,3 +61,40 @@ func TestChecksumOddEvenSplitInvariance(t *testing.T) {
 		t.Errorf("split sum %#04x != whole sum %#04x", split, whole)
 	}
 }
+
+// TestChecksumMatchesSixteenBitWalk holds the wide-word summation to
+// the RFC 1071 definition it shortcuts, over every length and alignment
+// tail, from any starting partial sum.
+func TestChecksumMatchesSixteenBitWalk(t *testing.T) {
+	walk := func(acc uint32, data []byte) uint16 {
+		sum := uint64(acc)
+		for i := 0; i+1 < len(data); i += 2 {
+			sum += uint64(data[i])<<8 | uint64(data[i+1])
+		}
+		if len(data)%2 == 1 {
+			sum += uint64(data[len(data)-1]) << 8
+		}
+		for sum>>16 != 0 {
+			sum = sum&0xffff + sum>>16
+		}
+		return ^uint16(sum)
+	}
+	check := func(acc uint32, data []byte) bool {
+		for n := 0; n <= len(data); n++ {
+			if foldChecksum(sumWords(acc, data[:n])) != walk(acc, data[:n]) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(check, nil); err != nil {
+		t.Error(err)
+	}
+	ones := make([]byte, 4096)
+	for i := range ones {
+		ones[i] = 0xff
+	}
+	if !check(0xffffffff, ones) {
+		t.Error("all-ones buffer diverges from the 16-bit walk")
+	}
+}

@@ -87,9 +87,12 @@ func (m *ICMP) AppendTo(b []byte) []byte {
 	return b
 }
 
+// Len returns the encoded length of the message.
+func (m *ICMP) Len() int { return icmpFixedLen + len(m.Payload) }
+
 // Marshal encodes the message into a fresh buffer.
 func (m *ICMP) Marshal() []byte {
-	return m.AppendTo(make([]byte, 0, icmpFixedLen+len(m.Payload)))
+	return m.AppendTo(make([]byte, 0, m.Len()))
 }
 
 // Decode parses an ICMPv4 message into the receiver, verifying the
@@ -171,11 +174,23 @@ func (m *ICMP) EchoReply() *ICMP {
 // minimum RFC 792 quote, which matches common router behaviour.
 func NewError(t ICMPType, code uint8, quoteHeader, quotePayload []byte) *ICMP {
 	q := quotePayload
-	if len(q) > 8 {
-		q = q[:8]
+	if len(q) > errorQuotePayload {
+		q = q[:errorQuotePayload]
 	}
 	body := make([]byte, 0, len(quoteHeader)+len(q))
 	body = append(body, quoteHeader...)
 	body = append(body, q...)
 	return &ICMP{Type: t, Code: code, Payload: body}
+}
+
+// errorQuotePayload is how much of the offending payload an error
+// quotes after the header: the RFC 792 minimum.
+const errorQuotePayload = 8
+
+// ErrorQuote returns the quote NewError builds — header plus 8 payload
+// bytes — as a sub-slice of the offending datagram itself, for a node
+// that serializes the error before letting go of the datagram. hdrLen
+// is the datagram's header length.
+func ErrorQuote(datagram []byte, hdrLen int) []byte {
+	return datagram[:min(len(datagram), hdrLen+errorQuotePayload)]
 }

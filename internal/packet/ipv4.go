@@ -54,13 +54,27 @@ func (h *IPv4) HeaderLen() int {
 // AppendTo encodes the header followed by payload onto b, computing IHL,
 // TotalLength, and the header checksum. It returns the extended buffer.
 func (h *IPv4) AppendTo(b []byte, payload []byte) ([]byte, error) {
+	b, err := h.AppendHeader(b, len(payload))
+	if err != nil {
+		return nil, err
+	}
+	return append(b, payload...), nil
+}
+
+// AppendHeader encodes just the header onto b, for a payload of
+// payloadLen bytes that the caller appends afterwards — which lets a
+// transport encoder (ICMP.AppendTo, UDP.AppendTo) write straight into
+// the datagram's buffer instead of a staging one.
+func (h *IPv4) AppendHeader(b []byte, payloadLen int) ([]byte, error) {
+	// The errors format Src/Dst through String: boxing the netip.Addr
+	// itself would leak *h and move every caller's header to the heap.
 	src, ok := addr4(h.Src)
 	if !ok {
-		return nil, fmt.Errorf("%w: source %v", ErrNotIPv4, h.Src)
+		return nil, fmt.Errorf("%w: source %s", ErrNotIPv4, h.Src.String())
 	}
 	dst, ok := addr4(h.Dst)
 	if !ok {
-		return nil, fmt.Errorf("%w: destination %v", ErrNotIPv4, h.Dst)
+		return nil, fmt.Errorf("%w: destination %s", ErrNotIPv4, h.Dst.String())
 	}
 	start := len(b)
 	b = append(b,
@@ -82,7 +96,7 @@ func (h *IPv4) AppendTo(b []byte, payload []byte) ([]byte, error) {
 	if hdrLen%4 != 0 || hdrLen > MaxIPv4HeaderLen {
 		return nil, fmt.Errorf("%w: header length %d", ErrBadHeader, hdrLen)
 	}
-	total := hdrLen + len(payload)
+	total := hdrLen + payloadLen
 	if total > 0xffff {
 		return nil, fmt.Errorf("%w: total length %d", ErrBadHeader, total)
 	}
@@ -90,7 +104,7 @@ func (h *IPv4) AppendTo(b []byte, payload []byte) ([]byte, error) {
 	binary.BigEndian.PutUint16(b[start+2:], uint16(total))
 	cs := Checksum(b[start : start+hdrLen])
 	binary.BigEndian.PutUint16(b[start+10:], cs)
-	return append(b, payload...), nil
+	return b, nil
 }
 
 // Marshal encodes the header and payload into a fresh buffer.
@@ -103,21 +117,77 @@ func (h *IPv4) Marshal(payload []byte) ([]byte, error) {
 // Options slice is reused when capacity allows; option data aliases the
 // input. The header checksum is verified.
 func (h *IPv4) Decode(data []byte) (payload []byte, err error) {
+	hdrLen, err := h.decodeHeader(data)
+	if err != nil {
+		return nil, err
+	}
+	total, err := checkTotalLength(data, hdrLen)
+	if err != nil {
+		return nil, err
+	}
+	return data[hdrLen:total], nil
+}
+
+// DecodeHeaderOnly parses and verifies just the IPv4 header, tolerating
+// a buffer shorter than TotalLength: ICMP error messages quote a
+// truncated copy of the offending datagram. A quote that does hold the
+// whole datagram is checked and trimmed as Decode does.
+func (h *IPv4) DecodeHeaderOnly(data []byte) (rest []byte, err error) {
+	hdrLen, err := h.decodeHeader(data)
+	if err != nil {
+		return nil, err
+	}
+	if int(h.TotalLength) > len(data) {
+		return data[hdrLen:], nil
+	}
+	total, err := checkTotalLength(data, hdrLen)
+	if err != nil {
+		return nil, err
+	}
+	return data[hdrLen:total], nil
+}
+
+// checkHeader validates everything about the serialized header that
+// does not depend on its options or on the datagram length — size,
+// version, IHL, checksum — and returns the header length.
+func checkHeader(data []byte) (hdrLen int, err error) {
 	if len(data) < ipv4FixedLen {
-		return nil, fmt.Errorf("%w: %d bytes of IPv4 header", ErrTruncated, len(data))
+		return 0, fmt.Errorf("%w: %d bytes of IPv4 header", ErrTruncated, len(data))
 	}
 	if v := data[0] >> 4; v != 4 {
-		return nil, fmt.Errorf("%w: version %d", ErrNotIPv4, v)
+		return 0, fmt.Errorf("%w: version %d", ErrNotIPv4, v)
 	}
-	hdrLen := int(data[0]&0xf) * 4
+	hdrLen = int(data[0]&0xf) * 4
 	if hdrLen < ipv4FixedLen {
-		return nil, fmt.Errorf("%w: IHL %d", ErrBadHeader, hdrLen/4)
+		return 0, fmt.Errorf("%w: IHL %d", ErrBadHeader, hdrLen/4)
 	}
 	if len(data) < hdrLen {
-		return nil, fmt.Errorf("%w: header claims %d bytes, have %d", ErrTruncated, hdrLen, len(data))
+		return 0, fmt.Errorf("%w: header claims %d bytes, have %d", ErrTruncated, hdrLen, len(data))
 	}
 	if Checksum(data[:hdrLen]) != 0 {
-		return nil, fmt.Errorf("%w: IPv4 header", ErrChecksum)
+		return 0, fmt.Errorf("%w: IPv4 header", ErrChecksum)
+	}
+	return hdrLen, nil
+}
+
+// checkTotalLength validates the TotalLength field against the header
+// length and the bytes at hand, and returns it.
+func checkTotalLength(data []byte, hdrLen int) (total int, err error) {
+	total = int(binary.BigEndian.Uint16(data[2:]))
+	if total < hdrLen {
+		return 0, fmt.Errorf("%w: total length %d < header length %d", ErrBadHeader, total, hdrLen)
+	}
+	if total > len(data) {
+		return 0, fmt.Errorf("%w: total length %d, have %d", ErrTruncated, total, len(data))
+	}
+	return total, nil
+}
+
+// decodeHeader is Decode without the TotalLength check: it verifies and
+// parses the header fields and options and returns the header length.
+func (h *IPv4) decodeHeader(data []byte) (hdrLen int, err error) {
+	if hdrLen, err = checkHeader(data); err != nil {
+		return 0, err
 	}
 	h.TOS = data[1]
 	h.TotalLength = binary.BigEndian.Uint16(data[2:])
@@ -133,53 +203,12 @@ func (h *IPv4) Decode(data []byte) (payload []byte, err error) {
 	if hdrLen > ipv4FixedLen {
 		h.Options, err = parseOptions(h.Options[:0], data[ipv4FixedLen:hdrLen])
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
 	} else {
 		h.Options = h.Options[:0]
 	}
-	total := int(h.TotalLength)
-	if total < hdrLen {
-		return nil, fmt.Errorf("%w: total length %d < header length %d", ErrBadHeader, total, hdrLen)
-	}
-	if total > len(data) {
-		return nil, fmt.Errorf("%w: total length %d, have %d", ErrTruncated, total, len(data))
-	}
-	return data[hdrLen:total], nil
-}
-
-// DecodeHeaderOnly parses and verifies just the IPv4 header, returning
-// whatever bytes follow it without checking them against TotalLength.
-// ICMP error messages quote a truncated copy of the offending datagram,
-// so decoding a quote must tolerate a short buffer.
-func (h *IPv4) DecodeHeaderOnly(data []byte) (rest []byte, err error) {
-	if len(data) < ipv4FixedLen {
-		return nil, fmt.Errorf("%w: %d bytes of IPv4 header", ErrTruncated, len(data))
-	}
-	hdrLen := int(data[0]&0xf) * 4
-	if len(data) < hdrLen {
-		return nil, fmt.Errorf("%w: header claims %d bytes, have %d", ErrTruncated, hdrLen, len(data))
-	}
-	// Temporarily zero-extend the view so Decode's TotalLength check
-	// cannot fail, then restore the true remainder.
-	saveTotal := binary.BigEndian.Uint16(data[2:])
-	if int(saveTotal) > len(data) {
-		// Clone so we can patch TotalLength (and re-checksum) without
-		// touching the caller's buffer.
-		patched := make([]byte, len(data))
-		copy(patched, data)
-		binary.BigEndian.PutUint16(patched[2:], uint16(len(data)))
-		binary.BigEndian.PutUint16(patched[10:], 0)
-		binary.BigEndian.PutUint16(patched[10:], Checksum(patched[:hdrLen]))
-		rest, err = h.Decode(patched)
-		if err != nil {
-			return nil, err
-		}
-		h.TotalLength = saveTotal // expose the original claimed length
-		h.Checksum = binary.BigEndian.Uint16(data[10:])
-		return rest, nil
-	}
-	return h.Decode(data)
+	return hdrLen, nil
 }
 
 // RecordRouteOption finds the header's Record Route option, if any, and

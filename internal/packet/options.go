@@ -154,6 +154,18 @@ func NewRecordRoute(n int) *RecordRoute {
 	return rr
 }
 
+// EmptyRecordRouteOption returns the raw option of NewRecordRoute(n) —
+// n zeroed slots, pointer at the first — with its data appended to buf,
+// so a prober holding a scratch buffer builds its probes without
+// allocating. It panics like NewRecordRoute when n is out of range.
+func EmptyRecordRouteOption(buf []byte, n int) Option {
+	if n < 1 || n > MaxRRSlots {
+		panic(fmt.Sprintf("packet: EmptyRecordRouteOption slot count %d out of range", n))
+	}
+	buf = append(buf, rrFirstPointer)
+	return Option{Type: OptRecordRoute, Data: append(buf, make([]byte, 4*n)...)}
+}
+
 // NumSlots returns the total number of address slots.
 func (r *RecordRoute) NumSlots() int { return len(r.Slots) }
 
@@ -225,19 +237,25 @@ func (r *RecordRoute) Clone() *RecordRoute {
 // Option serializes the Record Route into a raw Option TLV. A zero-slot
 // option (length 3, permanently full) is wire-legal and accepted.
 func (r *RecordRoute) Option() (Option, error) {
+	return r.AppendOption(make([]byte, 0, 1+4*len(r.Slots)))
+}
+
+// AppendOption is Option with the TLV's data appended to buf, so a node
+// answering probes can serialize into scratch it owns.
+func (r *RecordRoute) AppendOption(buf []byte) (Option, error) {
 	if len(r.Slots) > MaxRRSlots {
 		return Option{}, fmt.Errorf("%w: record route with %d slots", ErrBadHeader, len(r.Slots))
 	}
-	data := make([]byte, 1+4*len(r.Slots))
-	data[0] = r.Pointer
+	start := len(buf)
+	buf = append(buf, r.Pointer)
 	for i, a := range r.Slots {
 		b, ok := addr4(a)
 		if !ok {
 			return Option{}, fmt.Errorf("%w: slot %d is %v", ErrNotIPv4, i, a)
 		}
-		copy(data[1+4*i:], b[:])
+		buf = append(buf, b[:]...)
 	}
-	return Option{Type: OptRecordRoute, Data: data}, nil
+	return Option{Type: OptRecordRoute, Data: buf[start:]}, nil
 }
 
 // DecodeRecordRoute parses a raw Option into the receiver, reusing the

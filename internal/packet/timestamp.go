@@ -86,6 +86,17 @@ func NewTimestamp(flag TSFlag, n int) *Timestamp {
 	return ts
 }
 
+// EmptyTimestampOption returns the raw option of NewTimestamp(flag, n)
+// with its data appended to buf (see EmptyRecordRouteOption). It panics
+// like NewTimestamp when the option cannot fit.
+func EmptyTimestampOption(buf []byte, flag TSFlag, n int) Option {
+	if n < 1 || tsFixedLen+n*flag.slotSize() > MaxOptionsLen {
+		panic(fmt.Sprintf("packet: timestamp option with %d %v slots does not fit", n, flag))
+	}
+	buf = append(buf, tsFixedLen+1, byte(flag))
+	return Option{Type: OptTimestamp, Data: append(buf, make([]byte, n*flag.slotSize())...)}
+}
+
 // NewTimestampPrespecified returns a TSPrespecified option asking the
 // named hops for timestamps.
 func NewTimestampPrespecified(addrs []netip.Addr) *Timestamp {
@@ -153,23 +164,28 @@ func (t *Timestamp) Record(addr netip.Addr, millis uint32) bool {
 
 // Option serializes the timestamp option to a raw TLV.
 func (t *Timestamp) Option() (Option, error) {
+	return t.AppendOption(make([]byte, 0, 2+len(t.Entries)*t.Flag.slotSize()))
+}
+
+// AppendOption is Option with the TLV's data appended to buf (see
+// RecordRoute.AppendOption).
+func (t *Timestamp) AppendOption(buf []byte) (Option, error) {
 	if t.Flag != TSOnly && t.Flag != TSAddr && t.Flag != TSPrespecified {
 		return Option{}, fmt.Errorf("%w: timestamp flag %d", ErrBadHeader, t.Flag)
 	}
-	data := make([]byte, 2, 2+len(t.Entries)*t.Flag.slotSize())
-	data[0] = t.Pointer
-	data[1] = t.Overflow<<4 | uint8(t.Flag)
+	start := len(buf)
+	buf = append(buf, t.Pointer, t.Overflow<<4|uint8(t.Flag))
 	for i, e := range t.Entries {
 		if t.Flag != TSOnly {
 			b, ok := addr4(e.Addr)
 			if !ok {
 				return Option{}, fmt.Errorf("%w: slot %d is %v", ErrNotIPv4, i, e.Addr)
 			}
-			data = append(data, b[:]...)
+			buf = append(buf, b[:]...)
 		}
-		data = binary.BigEndian.AppendUint32(data, e.Millis)
+		buf = binary.BigEndian.AppendUint32(buf, e.Millis)
 	}
-	return Option{Type: OptTimestamp, Data: data}, nil
+	return Option{Type: OptTimestamp, Data: buf[start:]}, nil
 }
 
 // DecodeTimestamp parses a raw Option into the receiver, reusing

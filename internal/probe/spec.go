@@ -115,28 +115,35 @@ func (s Spec) udpDstPort() uint16 {
 }
 
 // build serializes the probe packet for the given source, ICMP
-// identifier, and sequence number.
+// identifier, and sequence number: header, options and transport are
+// appended into the one buffer that is returned, the only allocation.
 func (s Spec) build(src netip.Addr, id, seq uint16) ([]byte, error) {
 	hdr := packet.IPv4{
 		TTL: s.ttl(),
 		// The IP ID of the probe is the sequence number: harmless,
 		// useful in captures.
-		ID:  seq,
-		Src: src,
-		Dst: s.Dst,
+		ID:       seq,
+		Protocol: packet.ProtocolICMP,
+		Src:      src,
+		Dst:      s.Dst,
 	}
-	if s.Kind.HasRR() {
-		if err := hdr.SetRecordRoute(packet.NewRecordRoute(s.rrSlots())); err != nil {
-			return nil, err
-		}
-	}
-	if s.Kind == PingTS {
+	// At most one option, assembled in stack scratch (hdr.Set* would
+	// move the header to the heap).
+	var (
+		opts    [1]packet.Option
+		optData [packet.MaxOptionsLen]byte
+	)
+	switch s.Kind {
+	case Ping, TTLPing:
+	case PingRR, TTLPingRR:
+		opts[0] = packet.EmptyRecordRouteOption(optData[:0], s.rrSlots())
+	case PingRRUDP:
+		hdr.Protocol = packet.ProtocolUDP
+		opts[0] = packet.EmptyRecordRouteOption(optData[:0], s.rrSlots())
+	case PingTS:
 		// TSAddr mode fits at most four (address, timestamp) pairs.
-		if err := hdr.SetTimestamp(packet.NewTimestamp(packet.TSAddr, 4)); err != nil {
-			return nil, err
-		}
-	}
-	if s.Kind == PingLSRR {
+		opts[0] = packet.EmptyTimestampOption(optData[:0], packet.TSAddr, 4)
+	case PingLSRR:
 		if len(s.Via) == 0 {
 			return nil, fmt.Errorf("probe: ping-lsrr needs at least one via hop")
 		}
@@ -145,26 +152,29 @@ func (s Spec) build(src netip.Addr, id, seq uint16) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := hdr.SetSourceRoute(sr); err != nil {
+		if opts[0], err = sr.Option(); err != nil {
 			return nil, err
 		}
 		hdr.Dst = s.Via[0]
-	}
-	switch s.Kind {
-	case Ping, PingRR, TTLPing, TTLPingRR, PingTS, PingLSRR:
-		hdr.Protocol = packet.ProtocolICMP
-		return hdr.Marshal(packet.NewEchoRequest(id, seq, nil).Marshal())
-	case PingRRUDP:
-		hdr.Protocol = packet.ProtocolUDP
-		u := packet.UDP{SrcPort: udpSrcPort(seq), DstPort: s.udpDstPort()}
-		transport, err := u.Marshal(src, s.Dst)
-		if err != nil {
-			return nil, err
-		}
-		return hdr.Marshal(transport)
 	default:
 		return nil, fmt.Errorf("probe: unknown kind %v", s.Kind)
 	}
+	if opts[0].Data != nil {
+		hdr.Options = opts[:]
+	}
+	// Both transports are a bare 8-byte header: an echo request without
+	// data, or a UDP datagram without payload.
+	const transportLen = 8
+	b, err := hdr.AppendHeader(make([]byte, 0, hdr.HeaderLen()+transportLen), transportLen)
+	if err != nil {
+		return nil, err
+	}
+	if s.Kind == PingRRUDP {
+		u := packet.UDP{SrcPort: udpSrcPort(seq), DstPort: s.udpDstPort()}
+		return u.AppendTo(b, src, s.Dst)
+	}
+	echo := packet.ICMP{Type: packet.ICMPEchoRequest, ID: id, Seq: seq}
+	return echo.AppendTo(b), nil
 }
 
 // udpSrcPort encodes a probe sequence number as a UDP source port.

@@ -178,3 +178,94 @@ func TestResultHelpers(t *testing.T) {
 		t.Errorf("remaining = %d", r.RRSlotsRemaining())
 	}
 }
+
+// buildReference is build as it was before it appended into one buffer:
+// option structs, Set* on the header, a Marshal per layer. Kept as the
+// oracle for TestSpecBuildMatchesStructEncoders.
+func buildReference(s Spec, src netip.Addr, id, seq uint16) ([]byte, error) {
+	hdr := packet.IPv4{TTL: s.ttl(), ID: seq, Src: src, Dst: s.Dst}
+	if s.Kind.HasRR() {
+		if err := hdr.SetRecordRoute(packet.NewRecordRoute(s.rrSlots())); err != nil {
+			return nil, err
+		}
+	}
+	if s.Kind == PingTS {
+		if err := hdr.SetTimestamp(packet.NewTimestamp(packet.TSAddr, 4)); err != nil {
+			return nil, err
+		}
+	}
+	if s.Kind == PingLSRR {
+		sr, err := packet.NewSourceRoute(false, append(append([]netip.Addr(nil), s.Via[1:]...), s.Dst))
+		if err != nil {
+			return nil, err
+		}
+		if err := hdr.SetSourceRoute(sr); err != nil {
+			return nil, err
+		}
+		hdr.Dst = s.Via[0]
+	}
+	if s.Kind == PingRRUDP {
+		hdr.Protocol = packet.ProtocolUDP
+		u := packet.UDP{SrcPort: udpSrcPort(seq), DstPort: s.udpDstPort()}
+		transport, err := u.Marshal(src, s.Dst)
+		if err != nil {
+			return nil, err
+		}
+		return hdr.Marshal(transport)
+	}
+	hdr.Protocol = packet.ProtocolICMP
+	return hdr.Marshal(packet.NewEchoRequest(id, seq, nil).Marshal())
+}
+
+// Probe wire images are content-keyed by the fault plan and quoted back
+// in ICMP errors, so the single-buffer build must produce exactly the
+// bytes the struct encoders do.
+func TestSpecBuildMatchesStructEncoders(t *testing.T) {
+	src, dst := netip.MustParseAddr("10.0.0.2"), netip.MustParseAddr("100.9.0.7")
+	via := []netip.Addr{netip.MustParseAddr("10.1.0.1"), netip.MustParseAddr("10.2.0.1")}
+	specs := []Spec{
+		{Dst: dst, Kind: Ping},
+		{Dst: dst, Kind: PingRR},
+		{Dst: dst, Kind: PingRR, RRSlots: 1},
+		{Dst: dst, Kind: PingRRUDP, RRSlots: 4, UDPDstPort: 33434},
+		{Dst: dst, Kind: TTLPing, TTL: 3},
+		{Dst: dst, Kind: TTLPingRR, TTL: 255, RRSlots: 8},
+		{Dst: dst, Kind: PingTS},
+		{Dst: dst, Kind: PingLSRR, Via: via},
+	}
+	for _, s := range specs {
+		for _, seq := range []uint16{0, 1, 0xfffe} {
+			got, err := s.build(src, 77, seq)
+			if err != nil {
+				t.Fatalf("%v: %v", s.Kind, err)
+			}
+			want, err := buildReference(s, src, 77, seq)
+			if err != nil {
+				t.Fatalf("%v reference: %v", s.Kind, err)
+			}
+			if string(got) != string(want) {
+				t.Errorf("%v seq %d:\n got %x\nwant %x", s.Kind, seq, got, want)
+			}
+		}
+	}
+}
+
+// BenchmarkSpecBuild times serializing a ping-RR and pins its cost in
+// allocations: the returned buffer and nothing else. (A benchmark, not a
+// test, because -race instrumentation allocates on its own.)
+func BenchmarkSpecBuild(b *testing.B) {
+	src := netip.MustParseAddr("10.0.0.2")
+	s := Spec{Dst: netip.MustParseAddr("100.9.0.7"), Kind: PingRR}
+	build := func() {
+		if _, err := s.build(src, 77, 5); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if n := testing.AllocsPerRun(100, build); n != 1 {
+		b.Fatalf("build allocates %v times, want 1", n)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		build()
+	}
+}
