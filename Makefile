@@ -28,6 +28,7 @@ bench:
 	( $(GO) test -bench 'BenchmarkTable1ResponseRates|BenchmarkFigure1ClosestVPCDF|BenchmarkFigure1StudyShards|BenchmarkOriginPhase|BenchmarkRouteBuild|BenchmarkFigure2Epochs|BenchmarkBuildVsClone$$|BenchmarkFleetSpinup|BenchmarkLargeScaleCampaign|BenchmarkAblationDecode/reused|BenchmarkSimulatorForwarding' \
 		-benchtime 1x -benchmem -run '^$$' . ; \
 	  $(GO) test -bench 'BenchmarkScheduleTick' -benchtime 1x -benchmem -run '^$$' ./internal/server ; \
+	  $(GO) test -bench 'BenchmarkWireEncode|BenchmarkJournalRecord' -benchtime 1x -benchmem -run '^$$' ./internal/results ./internal/measure ; \
 	  n=$$(nproc 2>/dev/null || getconf _NPROCESSORS_ONLN 2>/dev/null || echo 1); \
 	  if [ "$$n" -ge 4 ]; then \
 	    GOMAXPROCS=4 $(GO) test -bench 'BenchmarkFigure1StudyShards|BenchmarkOriginPhase|BenchmarkRouteBuild|BenchmarkFleetSpinup' \
@@ -43,7 +44,8 @@ bench:
 bench-guard:
 	( $(GO) test -bench 'BenchmarkAblationDecode|BenchmarkSimulatorForwarding|BenchmarkBuildVsClone$$|BenchmarkFleetSpinup' \
 		-benchtime 1x -benchmem -run '^$$' . ; \
-	  $(GO) test -bench 'BenchmarkScheduleTick' -benchtime 1x -benchmem -run '^$$' ./internal/server \
+	  $(GO) test -bench 'BenchmarkScheduleTick' -benchtime 1x -benchmem -run '^$$' ./internal/server ; \
+	  $(GO) test -bench 'BenchmarkWireEncode|BenchmarkJournalRecord' -benchtime 1x -benchmem -run '^$$' ./internal/results ./internal/measure \
 	) | $(GO) run ./cmd/benchguard -baseline BENCH_parallel.json
 
 # Parallelism scaling-efficiency gates: run the three parallel families
@@ -121,8 +123,8 @@ TENANT_QUOTA ?= 0
 serve:
 	$(GO) run ./cmd/rrstudyd -workers $(WORKERS) -tenant-quota $(TENANT_QUOTA)
 
-# Short fuzzing passes over the packet decoders, the FIB, and the
-# stop-set codec.
+# Short fuzzing passes over the packet decoders, the forward path, the
+# FIB, the stop-set codec, and the result encoder.
 fuzz:
 	$(GO) test ./internal/packet -fuzz FuzzParsedDecode -fuzztime 30s
 	$(GO) test ./internal/packet -fuzz FuzzRecordRouteDecode -fuzztime 15s
@@ -131,6 +133,7 @@ fuzz:
 	$(GO) test ./internal/netsim -fuzz FuzzForwardEquivalence -fuzztime 30s
 	$(GO) test ./internal/netsim -fuzz FuzzFIBLookup -fuzztime 30s
 	$(GO) test ./internal/trace -fuzz FuzzStopSetCodec -fuzztime 30s
+	$(GO) test ./internal/results -fuzz FuzzWireEncodeEquivalence -fuzztime 30s
 
 # Coverage with per-package floors for the simulator core and the
 # campaign service (matches CI).

@@ -51,9 +51,10 @@ import (
 
 // defaultPin covers the hot paths the repo's perf PRs optimized:
 // packet decode reuse, raw forwarding, snapshot cloning, fleet
-// spin-up, and the scheduler's per-epoch tick. A regression in any of
-// their allocation counts is a structural change, not noise.
-const defaultPin = `^(BenchmarkAblationDecode/reused|BenchmarkSimulatorForwarding|BenchmarkBuildVsClone|BenchmarkFleetSpinup|BenchmarkScheduleTick)`
+// spin-up, the scheduler's per-epoch tick, and the result encoder with
+// the journal record built on it. A regression in any of their
+// allocation counts is a structural change, not noise.
+const defaultPin = `^(BenchmarkAblationDecode/reused|BenchmarkSimulatorForwarding|BenchmarkBuildVsClone|BenchmarkFleetSpinup|BenchmarkScheduleTick|BenchmarkWireEncode|BenchmarkJournalRecord)`
 
 // defaultScalingPin selects the shard-scaling benchmark family; the
 // capture group is the shard count K.

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strconv"
 	"sync"
 	"time"
 
@@ -99,16 +100,17 @@ type Journal struct {
 	mu       sync.Mutex
 	f        *os.File
 	w        io.Writer // f, possibly wrapped by WriteShim
-	enc      *json.Encoder
 	meta     JournalMeta
 	fsync    bool
 	degraded error // first write/sync failure; once set, writes stop
+	written  int64 // bytes this process put into the file
 
 	phase      int // next phase index to hand out
 	phaseKinds map[int]string
 	archived   map[string]*archivedVP // "phase|vp" → completed batch
 	stopsets   map[int][]byte         // phase → codec bytes of the merged stop set
 	sink       func(vp string, rs []probe.Result)
+	streamSink func(vp string, lines []byte)
 }
 
 func vpKey(phase int, vp string) string { return fmt.Sprintf("%d|%s", phase, vp) }
@@ -125,9 +127,10 @@ func CreateJournal(path string, meta JournalMeta) (*Journal, error) {
 	}
 	j := newJournal(nil, meta)
 	j.attach(f, path)
-	if err := j.enc.Encode(journalLine{T: "meta", Meta: &meta}); err != nil {
+	j.encode(journalLine{T: "meta", Meta: &meta})
+	if j.degraded != nil {
 		f.Close()
-		return nil, err
+		return nil, j.degraded
 	}
 	return j, nil
 }
@@ -248,7 +251,6 @@ func (j *Journal) attach(f *os.File, path string) {
 	if WriteShim != nil {
 		j.w = WriteShim(path, f)
 	}
-	j.enc = json.NewEncoder(j.w)
 }
 
 // Meta returns the journal's campaign identity.
@@ -290,14 +292,32 @@ func (j *Journal) Archived() int {
 	return len(j.archived)
 }
 
-// SetSink installs fn as the live streaming observer: it is called
-// once per freshly completed VP batch (archived batches replayed from
-// a previous run are not re-streamed), serialized under the journal
-// lock.
+// SetSink installs fn as the live batch observer: it is called once per
+// freshly completed VP batch (archived batches replayed from a previous
+// run are not re-streamed), serialized under the journal lock.
 func (j *Journal) SetSink(fn func(vp string, rs []probe.Result)) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.sink = fn
+}
+
+// SetStreamSink installs fn as the live streaming consumer: once per
+// freshly completed VP batch, under the journal lock like SetSink's
+// observer, it receives the batch as results.StreamRecord lines — the
+// bytes results.AppendJSONL renders, cut from the encoding the vp
+// record was built from rather than encoded again. fn owns lines.
+func (j *Journal) SetStreamSink(fn func(vp string, lines []byte)) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.streamSink = fn
+}
+
+// Written returns how many bytes this process has put into the journal
+// file (a resumed journal's inherited prefix is not counted).
+func (j *Journal) Written() int64 {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.written
 }
 
 // Close flushes and closes the journal file.
@@ -369,16 +389,12 @@ func (j *Journal) recordResults(phase int, kind, vp string, rs []probe.Result) {
 // while the sink — which speaks real VP names to live consumers —
 // receives the batch as the VP itself.
 func (j *Journal) recordResultsAs(phase int, kind, key, sinkVP string, rs []probe.Result) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	line := journalLine{T: "vp", Phase: phase, Kind: kind, VP: key, Results: make([]results.Wire, len(rs))}
-	for i, r := range rs {
-		line.Results[i] = results.ToWire(r)
+	e := j.beginVP(phase, kind, key, sinkVP)
+	if len(rs) > 0 {
+		e.line = append(e.line, `,"results":`...)
+		e.array(rs)
 	}
-	j.encode(line)
-	if j.sink != nil {
-		j.sink(sinkVP, rs)
-	}
+	j.finishVP(e, sinkVP, rs)
 }
 
 // archivedTraces returns the completed traceroute round for
@@ -431,44 +447,142 @@ func (j *Journal) recordGroups(phase int, kind, vp string, gs [][]probe.Result) 
 // recordGroupsAs is recordGroups with a separate archive key and sink
 // VP name; see recordResultsAs.
 func (j *Journal) recordGroupsAs(phase int, kind, key, sinkVP string, gs [][]probe.Result) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	line := journalLine{T: "vp", Phase: phase, Kind: kind, VP: key, Groups: make([][]results.Wire, len(gs))}
-	var flat []probe.Result
-	for i, g := range gs {
-		ws := make([]results.Wire, len(g))
-		for k, r := range g {
-			ws[k] = results.ToWire(r)
-		}
-		line.Groups[i] = ws
-		flat = append(flat, g...)
+	e := j.beginVP(phase, kind, key, sinkVP)
+	sep := `,"groups":[`
+	for _, g := range gs {
+		e.line = append(e.line, sep...)
+		e.array(g)
+		sep = ","
 	}
-	j.encode(line)
+	if len(gs) > 0 {
+		e.line = append(e.line, ']')
+	}
+	var flat []probe.Result
+	if e.observed {
+		for _, g := range gs {
+			flat = append(flat, g...)
+		}
+	}
+	j.finishVP(e, sinkVP, flat)
+}
+
+// vpEncoder builds one vp record in line and, when a stream sink wants
+// them, the batch's stream lines from the same per-result bytes: each
+// result is encoded once (results.AppendWireFields) into the record and
+// that span is copied behind the stream line's opening. The output is
+// what encoding/json renders for journalLine and results.StreamRecord
+// (TestVPRecordMatchesEncodingJSON).
+type vpEncoder struct {
+	line     []byte
+	streams  bool   // a stream sink is installed
+	open     []byte // what opens each stream line: `{"vp":"<name>",`
+	lines    []byte // the stream lines; scratch, cloned for the sink
+	observed bool   // a SetSink observer is installed
+}
+
+// vpEncoders recycles the encoders' buffers: a VP batch is tens of
+// kilobytes, encoded on shard goroutines outside the journal lock.
+var vpEncoders = sync.Pool{New: func() any { return new(vpEncoder) }}
+
+// beginVP starts the vp record of one completed batch, up to and
+// including its "vp" member.
+func (j *Journal) beginVP(phase int, kind, key, sinkVP string) *vpEncoder {
+	e := vpEncoders.Get().(*vpEncoder)
+	j.mu.Lock()
+	e.streams, e.observed = j.streamSink != nil, j.sink != nil
+	j.mu.Unlock()
+	e.lines = e.lines[:0]
+	if e.streams {
+		e.open = results.AppendStreamOpen(e.open[:0], sinkVP)
+	}
+	e.line = strconv.AppendInt(append(e.line[:0], `{"t":"vp","phase":`...), int64(phase), 10)
+	if kind != "" {
+		e.line = results.AppendString(append(e.line, `,"kind":`...), kind)
+	}
+	if key != "" {
+		e.line = results.AppendString(append(e.line, `,"vp":`...), key)
+	}
+	return e
+}
+
+// array appends rs to the record as a JSON array of Wire objects and,
+// if the batch streams, as one stream line each.
+func (e *vpEncoder) array(rs []probe.Result) {
+	e.line = append(e.line, '[')
+	for i := range rs {
+		if i > 0 {
+			e.line = append(e.line, ',')
+		}
+		e.line = append(e.line, '{')
+		fields := len(e.line)
+		e.line = results.AppendWireFields(e.line, &rs[i])
+		e.line = append(e.line, '}')
+		if e.streams {
+			e.lines = append(e.lines, e.open...)
+			e.lines = append(e.lines, e.line[fields:]...)
+			e.lines = append(e.lines, '\n')
+		}
+	}
+	e.line = append(e.line, ']')
+}
+
+// finishVP closes the record and commits the batch: the journal write
+// and the sinks run under the lock, in that order, so the file and the
+// stream see batches in one order; everything before was encoded
+// outside it.
+func (j *Journal) finishVP(e *vpEncoder, sinkVP string, rs []probe.Result) {
+	e.line = append(e.line, "}\n"...)
+	var lines []byte
+	if e.streams {
+		lines = bytes.Clone(e.lines)
+	}
+	j.mu.Lock()
+	defer vpEncoders.Put(e) // after the unlock below, even if a sink panics
+	defer j.mu.Unlock()
+	j.write(e.line)
 	if j.sink != nil {
-		j.sink(sinkVP, flat)
+		j.sink(sinkVP, rs)
+	}
+	if j.streamSink != nil && e.streams {
+		j.streamSink(sinkVP, lines)
 	}
 }
 
-// encode writes one record (caller holds j.mu). A write or sync
-// failure must not panic — it would kill a worker goroutine over a
-// full disk — so the journal degrades instead: the error is retained,
-// further writes are disabled, and the campaign continues with its
-// streaming sink intact but no checkpoint coverage from here on. The
-// file is left with its valid prefix plus at most one torn line, which
-// ResumeJournal discards.
+// encode writes one cold record — meta, phase, traces, stopset —
+// through encoding/json (caller holds j.mu). Results never come this
+// way: vp records of results are built by vpEncoder.
 func (j *Journal) encode(line journalLine) {
-	if j.enc == nil || j.degraded != nil {
+	if j.w == nil || j.degraded != nil {
 		return
 	}
-	if err := j.enc.Encode(line); err != nil {
+	b, err := json.Marshal(line)
+	if err != nil {
 		j.degraded = fmt.Errorf("measure: journal write: %w", err)
-		j.enc = nil
+		return
+	}
+	j.write(append(b, '\n'))
+}
+
+// write puts one complete record into the file as a single Write
+// (caller holds j.mu). A write or sync failure must not panic — it
+// would kill a worker goroutine over a full disk — so the journal
+// degrades instead: the error is retained, further writes are disabled,
+// and the campaign continues with its sinks intact but no checkpoint
+// coverage from here on. The file is left with its valid prefix plus at
+// most one torn line, which ResumeJournal discards.
+func (j *Journal) write(rec []byte) {
+	if j.w == nil || j.degraded != nil {
+		return
+	}
+	n, err := j.w.Write(rec)
+	j.written += int64(n)
+	if err != nil {
+		j.degraded = fmt.Errorf("measure: journal write: %w", err)
 		return
 	}
 	if j.fsync && j.f != nil {
 		if err := j.f.Sync(); err != nil {
 			j.degraded = fmt.Errorf("measure: journal fsync: %w", err)
-			j.enc = nil
 		}
 	}
 }

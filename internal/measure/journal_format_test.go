@@ -1,0 +1,160 @@
+package measure
+
+import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"net/netip"
+	"os"
+	"path/filepath"
+	"testing"
+	"time"
+
+	"recordroute/internal/packet"
+	"recordroute/internal/probe"
+	"recordroute/internal/results"
+)
+
+// formatBatch is a batch whose results differ in which fields are set,
+// one of them with text that needs escaping.
+func formatBatch() []probe.Result {
+	a := netip.MustParseAddr
+	return []probe.Result{
+		{
+			Spec: probe.Spec{Dst: a("10.9.8.7"), Kind: probe.PingRR, RRSlots: 9},
+			Seq:  65535, SentAt: time.Second, RcvdAt: time.Second + 70*time.Millisecond,
+			Type: probe.EchoReply, From: a("10.9.8.7"), ReplyIPID: 12,
+			HasRR: true, RR: []netip.Addr{a("10.0.0.1"), a("10.0.0.2")}, RRTotalSlots: 9,
+			Attempts: 2, MatchedAttempt: 1,
+		},
+		{Spec: probe.Spec{Dst: a("10.6.6.6"), Kind: probe.Ping}, SentAt: 5 * time.Second, Type: probe.NoResponse, Attempts: 3},
+		{
+			Spec: probe.Spec{Dst: a("10.4.4.4"), Kind: probe.PingTS},
+			Type: probe.SendError, TS: []packet.TSEntry{{Addr: a("10.4.0.1"), Millis: 4001}},
+			Err: errors.New(`send <failed> & "quoted"`),
+		},
+	}
+}
+
+func toWires(rs []probe.Result) []results.Wire {
+	ws := make([]results.Wire, len(rs))
+	for i, r := range rs {
+		ws[i] = results.ToWire(r)
+	}
+	return ws
+}
+
+// TestVPRecordMatchesEncodingJSON pins the journal and stream formats
+// to their contract: the hand-assembled vp record is what encoding/json
+// renders for journalLine — with results, with groups (an empty group
+// among them), with neither, with and without a kind — and the lines
+// the stream sink receives are what it renders for StreamRecord, under
+// the sink's VP name rather than the archive key.
+func TestVPRecordMatchesEncodingJSON(t *testing.T) {
+	rs := formatBatch()
+	gs := [][]probe.Result{rs[:1], {}, rs[1:]}
+	var flat []probe.Result
+	for _, g := range gs {
+		flat = append(flat, g...)
+	}
+
+	path := filepath.Join(t.TempDir(), "fmt.jsonl")
+	j, err := CreateJournal(path, testMeta())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var streamed bytes.Buffer
+	var observed [][]probe.Result
+	j.SetStreamSink(func(vp string, lines []byte) { streamed.Write(lines) })
+	j.SetSink(func(vp string, got []probe.Result) { observed = append(observed, got) })
+
+	var want, wantStream bytes.Buffer
+	enc, streamEnc := json.NewEncoder(&want), json.NewEncoder(&wantStream)
+	meta := testMeta()
+	enc.Encode(journalLine{T: "meta", Meta: &meta})
+	record := func(line journalLine, sinkVP string, batch []probe.Result) {
+		enc.Encode(line)
+		for _, r := range batch {
+			streamEnc.Encode(results.StreamRecord{VP: sinkVP, Wire: results.ToWire(r)})
+		}
+	}
+
+	j.recordResults(0, "ping-rr-all", "mlab-0", rs)
+	record(journalLine{T: "vp", Kind: "ping-rr-all", VP: "mlab-0", Results: toWires(rs)}, "mlab-0", rs)
+
+	j.recordResultsAs(3, "ping-batch-vp", `origin#1 <"&>`, "origin", rs[:1])
+	record(journalLine{T: "vp", Phase: 3, Kind: "ping-batch-vp", VP: `origin#1 <"&>`, Results: toWires(rs[:1])}, "origin", rs[:1])
+
+	j.recordGroupsAs(1, "ping-all", "origin#0", "origin", gs)
+	record(journalLine{T: "vp", Phase: 1, Kind: "ping-all", VP: "origin#0",
+		Groups: [][]results.Wire{toWires(gs[0]), toWires(gs[1]), toWires(gs[2])}}, "origin", flat)
+
+	j.recordResults(2, "", "mlab-1", nil)
+	record(journalLine{T: "vp", Phase: 2, VP: "mlab-1"}, "mlab-1", nil)
+	j.recordGroups(2, "ping-all", "", nil)
+	record(journalLine{T: "vp", Phase: 2, Kind: "ping-all"}, "", nil)
+
+	if got := j.Written(); got != int64(want.Len()) {
+		t.Errorf("Written() = %d, want the file's %d bytes", got, want.Len())
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Errorf("journal differs from encoding/json's rendering:\n got %s\nwant %s", got, want.Bytes())
+	}
+	if !bytes.Equal(streamed.Bytes(), wantStream.Bytes()) {
+		t.Errorf("stream lines differ from encoding/json's rendering:\n got %s\nwant %s", streamed.Bytes(), wantStream.Bytes())
+	}
+	if len(observed) != 5 || len(observed[2]) != len(flat) || observed[2][1].Dst != flat[1].Dst {
+		t.Errorf("batch observer saw %d batches (grouped batch flattened to %d results), want 5 (%d)",
+			len(observed), len(observed[min(2, len(observed)-1)]), len(flat))
+	}
+
+	// And it reads back as what was recorded.
+	r, err := ResumeJournal(path, testMeta())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if back, ok := r.archivedResults(0, "mlab-0"); !ok || len(back) != len(rs) || back[2].Err == nil || back[2].Err.Error() != rs[2].Err.Error() {
+		t.Errorf("archivedResults(0, mlab-0) = %+v, %v", back, ok)
+	}
+	if back, ok := r.archivedGroups(1, "origin#0"); !ok || len(back) != 3 || len(back[1]) != 0 || len(back[2]) != 2 {
+		t.Errorf("archivedGroups(1, origin#0) = %+v, %v", back, ok)
+	}
+}
+
+// BenchmarkJournalRecord times what a daemon job pays per completed VP
+// batch: one 300-result batch encoded once into the vp record and its
+// stream lines, written to the file, handed to the stream sink. The
+// allocations are the stream chunk the sink keeps plus the pool's
+// occasional refill; benchguard pins the count.
+func BenchmarkJournalRecord(b *testing.B) {
+	var batch []probe.Result
+	for i := 0; i < 150; i++ {
+		batch = append(batch, formatBatch()[:2]...) // an answered ping-RR, a timeout
+	}
+	j, err := CreateJournal(filepath.Join(b.TempDir(), "bench.jsonl"), testMeta())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer j.Close()
+	streamed := 0
+	j.SetStreamSink(func(vp string, lines []byte) { streamed += len(lines) })
+	j.recordResults(0, "ping-rr-all", "mlab-0", batch) // sizes the pooled buffers
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j.recordResults(0, "ping-rr-all", "mlab-0", batch)
+	}
+	b.StopTimer()
+	if j.Degraded() != nil || streamed == 0 {
+		b.Fatalf("degraded %v, %d bytes streamed", j.Degraded(), streamed)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(batch)), "ns/result")
+}

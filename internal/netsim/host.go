@@ -165,14 +165,17 @@ func (h *Host) trace(event string) {
 }
 
 // Inject transmits a raw, already-serialized IPv4 datagram out the
-// uplink, exactly as a raw-socket prober would.
+// uplink, exactly as a raw-socket prober would: pkt is copied into a
+// pooled buffer and stays the caller's. (Handing the caller's slice to
+// Send would have the pool adopt one buffer per probe and grow for the
+// life of the network; the copy keeps it sized by what is in flight.)
 func (h *Host) Inject(pkt []byte) {
 	if h.uplink == nil {
 		h.countName("host.drop.unconnected")
 		return
 	}
 	h.count(cHostInject)
-	h.uplink.Send(pkt)
+	h.uplink.Send(append(h.net.getBuf(), pkt...))
 }
 
 // Receive implements Node.

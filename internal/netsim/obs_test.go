@@ -151,7 +151,7 @@ func BenchmarkForwardObservability(b *testing.B) {
 		c.vp.SetSniffer(nil)
 		hdr := makePingRR(b, a(vpAddrStr), a(destAddrStr), 7, 1, 64, 9)
 		roundTrip := func() {
-			c.vp.Inject(append(c.net.getBuf(), hdr...))
+			c.vp.Inject(hdr)
 			c.net.Engine().Run()
 		}
 		roundTrip() // warms the serialization pool and route memos

@@ -561,3 +561,26 @@ func TestDeterministicReplay(t *testing.T) {
 		}
 	}
 }
+
+// TestPacketPoolIsBoundedByPacketsInFlight: the serialization pool
+// holds what one round trip has in flight at once, however many probes
+// the network has carried: Inject copies, so no probe's own buffer ever
+// joins the pool.
+func TestPacketPoolIsBoundedByPacketsInFlight(t *testing.T) {
+	c := buildChain(3, nil, DefaultHostBehavior())
+	c.vp.SetSniffer(nil)
+	pooled := func(trips int) int {
+		for i := 0; i < trips; i++ {
+			c.vp.Inject(makePingRR(t, a(vpAddrStr), a(destAddrStr), 7, uint16(i), 64, 9))
+			c.net.Engine().Run()
+		}
+		return len(c.net.bufs)
+	}
+	first := pooled(1)
+	if got := pooled(1000); got != first {
+		t.Errorf("pool holds %d buffers after 1001 round trips, %d after one: it grows with probes sent", got, first)
+	}
+	if got := c.net.Counter("router.rr.stamped"); got != 6*1001 {
+		t.Fatalf("router.rr.stamped = %d, want %d: the round trips did not complete", got, 6*1001)
+	}
+}

@@ -20,7 +20,10 @@ import (
 // them, and the resume-equals-uninterrupted property compares them
 // field-for-field (DESIGN.md §11). Addresses use netip's text form;
 // times are integer virtual-clock nanoseconds, so the round trip is
-// exact.
+// exact. Wire is the decode side and the format's definition: results
+// are written by AppendWireFields, which renders exactly what
+// encoding/json renders for this struct and must follow any change to
+// it.
 type Wire struct {
 	Dst        netip.Addr   `json:"dst"`
 	Kind       int          `json:"kind"`
@@ -123,16 +126,28 @@ type StreamRecord struct {
 	Wire
 }
 
-// WriteJSONL appends one JSON line per result to w, in slice order.
+// WriteJSONL appends one JSON line per result to w, in slice order. It
+// writes whole lines, some 16 KiB at a time, so a batch of any size
+// costs one small buffer rather than a slice grown to the batch.
 func WriteJSONL(w io.Writer, vp string, rs []probe.Result) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	for _, r := range rs {
-		if err := enc.Encode(StreamRecord{VP: vp, Wire: ToWire(r)}); err != nil {
-			return err
+	const chunk = 16 << 10
+	var scratch [64]byte
+	open := AppendStreamOpen(scratch[:0], vp)
+	buf := make([]byte, 0, chunk+1024)
+	for i := range rs {
+		buf = appendStreamLine(buf, open, &rs[i])
+		if len(buf) >= chunk {
+			if _, err := w.Write(buf); err != nil {
+				return err
+			}
+			buf = buf[:0]
 		}
 	}
-	return bw.Flush()
+	if len(buf) == 0 {
+		return nil
+	}
+	_, err := w.Write(buf)
+	return err
 }
 
 // ReadJSONL parses a JSONL stream back into per-VP result lists,

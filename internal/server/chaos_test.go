@@ -479,7 +479,7 @@ func TestStreamWriteDeadlineDropsStalledReader(t *testing.T) {
 	// Stuff the stream with more than any socket buffer will absorb, so
 	// the handler's write blocks on the stalled reader.
 	job.mu.Lock()
-	job.stream = append(job.stream, bytes.Repeat([]byte("x"), 16<<20)...)
+	job.stream = append(job.stream, bytes.Repeat([]byte("x"), 16<<20))
 	job.mu.Unlock()
 	job.cond.Broadcast()
 

@@ -18,8 +18,6 @@ import (
 	"recordroute/internal/measure"
 	"recordroute/internal/netsim"
 	"recordroute/internal/obs"
-	"recordroute/internal/probe"
-	"recordroute/internal/results"
 	"recordroute/internal/study"
 	"recordroute/internal/topology"
 )
@@ -240,8 +238,9 @@ func classRetryable(class string) bool {
 	return false
 }
 
-// Job is one submitted campaign. Result lines accumulate in stream as
-// the campaign's VP batches complete; render holds the finished table.
+// Job is one submitted campaign. Result lines accumulate in stream, one
+// chunk per VP batch as the campaign completes it; render holds the
+// finished table.
 type Job struct {
 	ID   string
 	Spec JobSpec
@@ -269,9 +268,9 @@ type Job struct {
 	attempts  int    // execution attempts started
 	degraded  bool   // the journal degraded during some attempt
 	cacheHit  bool
-	done      int // completed batch checkpoints (archived + freshly probed)
-	total     int // batch checkpoints the campaign will complete, once known
-	stream    []byte
+	done      int      // completed batch checkpoints (archived + freshly probed)
+	total     int      // batch checkpoints the campaign will complete, once known
+	stream    [][]byte // chunks are immutable once appended; /stream writes them in order
 	render    []byte
 	reachable []netip.Addr // the campaign's RR-reachable set (schedule epoch diffs)
 	finalized bool         // terminal bookkeeping (journal release, eviction) ran
@@ -337,6 +336,8 @@ type Server struct {
 	canceledTotal  atomic.Int64 // jobs finalized by DELETE /jobs/{id}
 	degradedTotal  atomic.Int64 // jobs whose journal degraded (write errors swallowed)
 	streamDropped  atomic.Int64 // /stream clients disconnected by the write deadline
+	streamBytes    atomic.Int64 // result-line bytes handed to job streams
+	journalBytes   atomic.Int64 // bytes written to job journals
 	affinityHits   atomic.Int64 // jobs executed by their plane-affinity worker
 	affinityMisses atomic.Int64 // jobs executed via work stealing
 
@@ -748,8 +749,11 @@ func (s *Server) runOnce(job *Job) (out attemptOutcome) {
 				out = failure(ClassPanic, "panic: %v", r)
 			}
 		}
-		if jn != nil && jn.Degraded() != nil {
-			s.markDegraded(job, jn.Degraded())
+		if jn != nil {
+			s.journalBytes.Add(jn.Written())
+			if jn.Degraded() != nil {
+				s.markDegraded(job, jn.Degraded())
+			}
 		}
 		job.mu.Lock()
 		job.cancelRun = nil
@@ -817,17 +821,14 @@ func (s *Server) runOnce(job *Job) (out attemptOutcome) {
 	}
 	job.done = jn.Archived()
 	job.mu.Unlock()
-	jn.SetSink(func(vp string, rs []probe.Result) {
+	jn.SetStreamSink(func(vp string, lines []byte) {
 		if s.batchHook != nil {
 			s.batchHook(job, vp, attempt)
 		}
-		var line bytes.Buffer
-		if err := results.WriteJSONL(&line, vp, rs); err != nil {
-			return
-		}
+		s.streamBytes.Add(int64(len(lines)))
 		job.mu.Lock()
 		job.done++
-		job.stream = append(job.stream, line.Bytes()...)
+		job.stream = append(job.stream, lines)
 		job.mu.Unlock()
 		job.cond.Broadcast()
 	})
@@ -1129,18 +1130,18 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		}
 	}()
 
-	off := 0
+	next := 0
 	for {
 		job.mu.Lock()
-		for off == len(job.stream) && !job.terminal() && ctx.Err() == nil {
+		for next == len(job.stream) && !job.terminal() && ctx.Err() == nil {
 			job.cond.Wait()
 		}
-		chunk := job.stream[off:]
-		off = len(job.stream)
+		chunks := job.stream[next:]
+		next = len(job.stream)
 		end := job.terminal()
 		job.mu.Unlock()
 
-		if len(chunk) > 0 {
+		for _, chunk := range chunks {
 			if writeTimeout > 0 {
 				rc.SetWriteDeadline(time.Now().Add(writeTimeout))
 			}
@@ -1148,11 +1149,11 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 				s.streamDropped.Add(1)
 				return
 			}
-			if flusher != nil {
-				flusher.Flush()
-			}
 		}
-		if ctx.Err() != nil || (end && len(chunk) == 0) {
+		if len(chunks) > 0 && flusher != nil {
+			flusher.Flush()
+		}
+		if ctx.Err() != nil || (end && len(chunks) == 0) {
 			return
 		}
 	}
@@ -1241,6 +1242,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 			Samples: []obs.PromSample{{Value: float64(s.degradedTotal.Load())}}},
 		{Name: "rrstudyd_stream_clients_dropped_total", Help: "/stream clients disconnected by the write deadline", Type: "counter",
 			Samples: []obs.PromSample{{Value: float64(s.streamDropped.Load())}}},
+		{Name: "rrstudyd_stream_bytes_total", Help: "result-line bytes encoded into job streams", Type: "counter",
+			Samples: []obs.PromSample{{Value: float64(s.streamBytes.Load())}}},
+		{Name: "rrstudyd_journal_bytes_total", Help: "bytes written to job journals by finished attempts", Type: "counter",
+			Samples: []obs.PromSample{{Value: float64(s.journalBytes.Load())}}},
 		{Name: "rrstudyd_affinity_hits_total", Help: "jobs executed by their plane-affinity worker", Type: "counter",
 			Samples: []obs.PromSample{{Value: float64(s.affinityHits.Load())}}},
 		{Name: "rrstudyd_affinity_misses_total", Help: "jobs executed via work stealing off their affinity worker", Type: "counter",

@@ -7,8 +7,10 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -177,6 +179,77 @@ func TestStreamAndStatus(t *testing.T) {
 
 	if code, _ := get(t, ts, "/jobs/nope"); code != http.StatusNotFound {
 		t.Errorf("unknown job status = %d, want 404", code)
+	}
+}
+
+// TestStreamIsReferenceEncodingAcrossRetry pins what /stream carries,
+// byte for byte: the job's journaled batches in journal order, each
+// result rendered as encoding/json renders results.StreamRecord under
+// the batch's VP name — across a worker kill and the retry that resumes
+// the journal, which streams the first attempt's batches once, never
+// the batch whose sink the kill interrupted (journaled, not streamed,
+// archived on the retry), and then the retry's. The byte counters at
+// /metrics account for exactly those bytes.
+func TestStreamIsReferenceEncodingAcrossRetry(t *testing.T) {
+	dir := t.TempDir()
+	s := newTestServer(t, Config{Workers: 1, QueueCap: 4, DataDir: dir,
+		MaxRetries: 2, RetryBackoff: time.Millisecond})
+	const killed = 3 // the batch, in journal order, whose sink dies
+	var batches atomic.Int64
+	s.batchHook = func(job *Job, vp string, attempt int) {
+		if attempt == 1 && batches.Add(1) == killed {
+			panic("kill the worker inside the sink")
+		}
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	spec := smokeSpec()
+	spec.Journal = filepath.Join(dir, "job.jsonl")
+	id := submit(t, ts, spec)
+	if st := waitTerminal(t, ts, id); st.State != StateDone || st.Attempts != 2 {
+		t.Fatalf("job = %+v, want done on the second attempt", st)
+	}
+	_, stream := get(t, ts, "/jobs/"+id+"/stream")
+
+	journal, err := os.ReadFile(spec.Journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	enc := json.NewEncoder(&want)
+	vpRecords := 0
+	for _, line := range bytes.Split(bytes.TrimSpace(journal), []byte("\n")) {
+		var rec struct {
+			T       string
+			VP      string
+			Results []results.Wire
+			Groups  [][]results.Wire
+		}
+		if err := json.Unmarshal(line, &rec); err != nil {
+			t.Fatalf("journal line: %v", err)
+		}
+		if rec.T != "vp" {
+			continue
+		}
+		if vpRecords++; vpRecords == killed {
+			continue
+		}
+		vp, _, _ := strings.Cut(rec.VP, "#") // an origin range is keyed "vp#shard" and streamed as the VP
+		for _, g := range append(rec.Groups, rec.Results) {
+			for _, w := range g {
+				enc.Encode(results.StreamRecord{VP: vp, Wire: w})
+			}
+		}
+	}
+	if !bytes.Equal(stream, want.Bytes()) {
+		t.Errorf("/stream (%d bytes) is not the reference encoding of the journaled batches (%d bytes)", len(stream), want.Len())
+	}
+	if got, want := metricValue(t, ts, "rrstudyd_stream_bytes_total"), strconv.Itoa(len(stream)); got != want {
+		t.Errorf("rrstudyd_stream_bytes_total = %s, want the %s bytes streamed", got, want)
+	}
+	if got, want := metricValue(t, ts, "rrstudyd_journal_bytes_total"), strconv.Itoa(len(journal)); got != want {
+		t.Errorf("rrstudyd_journal_bytes_total = %s, want the journal's %s bytes", got, want)
 	}
 }
 
