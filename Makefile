@@ -28,7 +28,7 @@ bench:
 	( $(GO) test -bench 'BenchmarkTable1ResponseRates|BenchmarkFigure1ClosestVPCDF|BenchmarkFigure1StudyShards|BenchmarkOriginPhase|BenchmarkRouteBuild|BenchmarkFigure2Epochs|BenchmarkBuildVsClone$$|BenchmarkFleetSpinup|BenchmarkLargeScaleCampaign|BenchmarkAblationDecode/reused|BenchmarkSimulatorForwarding' \
 		-benchtime 1x -benchmem -run '^$$' . ; \
 	  $(GO) test -bench 'BenchmarkScheduleTick' -benchtime 1x -benchmem -run '^$$' ./internal/server ; \
-	  $(GO) test -bench 'BenchmarkWireEncode|BenchmarkJournalRecord' -benchtime 1x -benchmem -run '^$$' ./internal/results ./internal/measure ; \
+	  $(GO) test -bench 'BenchmarkWireEncode|BenchmarkJournalRecord|BenchmarkProbeBatch' -benchtime 1x -benchmem -run '^$$' ./internal/results ./internal/measure ./internal/probe ; \
 	  n=$$(nproc 2>/dev/null || getconf _NPROCESSORS_ONLN 2>/dev/null || echo 1); \
 	  if [ "$$n" -ge 4 ]; then \
 	    GOMAXPROCS=4 $(GO) test -bench 'BenchmarkFigure1StudyShards|BenchmarkOriginPhase|BenchmarkRouteBuild|BenchmarkFleetSpinup' \
@@ -45,7 +45,7 @@ bench-guard:
 	( $(GO) test -bench 'BenchmarkAblationDecode|BenchmarkSimulatorForwarding|BenchmarkBuildVsClone$$|BenchmarkFleetSpinup' \
 		-benchtime 1x -benchmem -run '^$$' . ; \
 	  $(GO) test -bench 'BenchmarkScheduleTick' -benchtime 1x -benchmem -run '^$$' ./internal/server ; \
-	  $(GO) test -bench 'BenchmarkWireEncode|BenchmarkJournalRecord' -benchtime 1x -benchmem -run '^$$' ./internal/results ./internal/measure \
+	  $(GO) test -bench 'BenchmarkWireEncode|BenchmarkJournalRecord|BenchmarkProbeBatch' -benchtime 1x -benchmem -run '^$$' ./internal/results ./internal/measure ./internal/probe \
 	) | $(GO) run ./cmd/benchguard -baseline BENCH_parallel.json
 
 # Parallelism scaling-efficiency gates: run the three parallel families

@@ -488,8 +488,8 @@ func BenchmarkLargeScaleCampaign(b *testing.B) {
 
 // BenchmarkSimulatorForwarding measures the raw packet-forwarding rate
 // of the discrete-event substrate (events per op via engine counters),
-// and pins the forward path's allocation contract: a ping-RR costs the
-// prober's fixed per-probe allocations and nothing per hop.
+// and pins the allocation contract of everything under the facade: a
+// ping-RR costs nothing in the prober and nothing per hop.
 func BenchmarkSimulatorForwarding(b *testing.B) {
 	in := benchInternet(b)
 	vp := in.MLabVPs()[len(in.MLabVPs())-1]
@@ -503,11 +503,11 @@ func BenchmarkSimulatorForwarding(b *testing.B) {
 	tx0 := net.Counter("link.tx")
 	pingRR() // warms route memos and the buffer pool
 	hops := net.Counter("link.tx") - tx0
-	// What a probe allocates whatever its path: op, pending entry, timer
-	// and done closures, sequence list, wire buffer, the result's route
-	// copies. A forward path that allocated per hop would add this
-	// probe's hop count on top.
-	const proberAllocs = 12
+	// What this probe allocates whatever its path, none of it the
+	// prober's: the facade's result holder, its done closure and the
+	// reply's route copy. A forward path that allocated per hop would add
+	// this probe's hop count on top.
+	const proberAllocs = 3
 	if allocs := testing.AllocsPerRun(20, pingRR); allocs > proberAllocs {
 		b.Fatalf("ping-RR over %d hops allocates %v times, want at most the prober's %d", hops, allocs, proberAllocs)
 	}

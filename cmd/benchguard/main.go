@@ -51,10 +51,10 @@ import (
 
 // defaultPin covers the hot paths the repo's perf PRs optimized:
 // packet decode reuse, raw forwarding, snapshot cloning, fleet
-// spin-up, the scheduler's per-epoch tick, and the result encoder with
-// the journal record built on it. A regression in any of their
+// spin-up, the scheduler's per-epoch tick, the result encoder with the
+// journal record built on it, and a probe batch's round trip. A regression in any of their
 // allocation counts is a structural change, not noise.
-const defaultPin = `^(BenchmarkAblationDecode/reused|BenchmarkSimulatorForwarding|BenchmarkBuildVsClone|BenchmarkFleetSpinup|BenchmarkScheduleTick|BenchmarkWireEncode|BenchmarkJournalRecord)`
+const defaultPin = `^(BenchmarkAblationDecode/reused|BenchmarkSimulatorForwarding|BenchmarkBuildVsClone|BenchmarkFleetSpinup|BenchmarkScheduleTick|BenchmarkWireEncode|BenchmarkJournalRecord|BenchmarkProbeBatch)`
 
 // defaultScalingPin selects the shard-scaling benchmark family; the
 // capture group is the shard count K.

@@ -46,19 +46,30 @@ func (vp *VantagePoint) PingBatch(dsts []netip.Addr, count int, opts probe.Optio
 	if count < 1 {
 		count = 1
 	}
-	var specs []probe.Spec
+	specs := make([]probe.Spec, 0, count*len(dsts))
 	for r := 0; r < count; r++ {
-		specs = append(specs, specsFor(dsts, probe.Ping)...)
-	}
-	vp.Prober.StartBatch(specs, opts, func(rs []probe.Result) {
-		grouped := make([][]probe.Result, len(dsts))
-		for i := range dsts {
-			for r := 0; r < count; r++ {
-				grouped[i] = append(grouped[i], rs[r*len(dsts)+i])
-			}
+		for _, d := range dsts {
+			specs = append(specs, probe.Spec{Dst: d, Kind: probe.Ping})
 		}
-		done(grouped)
-	})
+	}
+	vp.Prober.StartBatch(specs, opts, func(rs []probe.Result) { done(groupRounds(rs, len(dsts), count)) })
+}
+
+// groupRounds regroups a round-major batch — count rounds over width
+// destinations, result r*width+i being round r of destination i — per
+// destination in send order. The groups are carved out of one array,
+// each with its capacity cut to count so that appending to one cannot
+// reach into the next.
+func groupRounds(rs []probe.Result, width, count int) [][]probe.Result {
+	grouped := make([][]probe.Result, width)
+	flat := make([]probe.Result, 0, width*count)
+	for i := range grouped {
+		for r := 0; r < count; r++ {
+			flat = append(flat, rs[r*width+i])
+		}
+		grouped[i] = flat[i*count : (i+1)*count : (i+1)*count]
+	}
+	return grouped
 }
 
 // PingBatchRange sends the [lo,hi) destination slice of a count-round
@@ -79,15 +90,7 @@ func (vp *VantagePoint) PingBatchRange(dests []netip.Addr, lo, hi, count int, op
 			specs = append(specs, probe.IndexedSpec{Index: r*len(dests) + i, Spec: probe.Spec{Dst: dests[i], Kind: probe.Ping}})
 		}
 	}
-	vp.Prober.StartIndexedBatch(specs, opts, func(rs []probe.Result) {
-		grouped := make([][]probe.Result, width)
-		for i := 0; i < width; i++ {
-			for r := 0; r < count; r++ {
-				grouped[i] = append(grouped[i], rs[r*width+i])
-			}
-		}
-		done(grouped)
-	})
+	vp.Prober.StartIndexedBatch(specs, opts, func(rs []probe.Result) { done(groupRounds(rs, width, count)) })
 }
 
 // PingSeriesSlice sends the selected addresses' slice of a rounds-round

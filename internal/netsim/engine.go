@@ -16,15 +16,21 @@ import (
 	"time"
 )
 
-// event is the payload of a scheduled occurrence: either a callback
-// (fn != nil) or a packet delivery (pkt/dst set). Packet deliveries are
-// a dedicated event kind so the per-packet hot path schedules no closure
-// and the engine can recycle the buffer once the receiver returns.
-// Payloads live in the engine's slab (see Engine), not in the queues.
+// event is the payload of a scheduled occurrence: a callback (fn != nil),
+// a call with an argument (call != nil) or a packet delivery (pkt/dst
+// set). Packet deliveries are a dedicated event kind so the per-packet
+// hot path schedules no closure and the engine can recycle the buffer
+// once the receiver returns; calls are one so that a caller with many
+// timers of one shape — a prober's per-probe timeout — keeps a single
+// func value and packs what differs into arg instead of allocating a
+// closure per timer. Payloads live in the engine's slab (see Engine),
+// not in the queues.
 type event struct {
-	fn  func()
-	pkt []byte
-	dst *Iface
+	fn   func()
+	call func(uint64)
+	arg  uint64
+	pkt  []byte
+	dst  *Iface
 }
 
 // heapEntry is one queued event: the (at, seq) ordering key plus the
@@ -111,6 +117,14 @@ func (e *Engine) Schedule(d time.Duration, fn func()) {
 	e.enqueue(d, event{fn: fn})
 }
 
+// ScheduleCall runs fn(arg) after delay d of virtual time, ordered
+// exactly like Schedule: the two share the (at, seq) sequence, so a
+// caller that replaces Schedule(d, func() { f(x) }) by ScheduleCall(d,
+// f, x) changes nothing about when anything runs.
+func (e *Engine) ScheduleCall(d time.Duration, fn func(uint64), arg uint64) {
+	e.enqueue(d, event{call: fn, arg: arg})
+}
+
 // scheduleDelivery enqueues a packet delivery to dst after delay d,
 // ordered exactly like Schedule. The engine owns pkt until delivery and
 // returns it to the owning network's buffer pool afterwards.
@@ -192,13 +206,16 @@ func (e *Engine) step() {
 	ev := e.slab[top.idx]
 	e.slab[top.idx] = event{} // release buffer/closure references
 	e.free = append(e.free, top.idx)
-	if ev.fn != nil {
+	switch {
+	case ev.dst != nil:
+		dst := ev.dst
+		dst.Owner.Receive(ev.pkt, dst)
+		dst.net.putBuf(ev.pkt)
+	case ev.call != nil:
+		ev.call(ev.arg)
+	default:
 		ev.fn()
-		return
 	}
-	dst := ev.dst
-	dst.Owner.Receive(ev.pkt, dst)
-	dst.net.putBuf(ev.pkt)
 }
 
 // The heap is hand-rolled rather than container/heap: the interface

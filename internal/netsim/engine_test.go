@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"encoding/binary"
 	"testing"
 	"time"
 )
@@ -153,6 +154,13 @@ func BenchmarkEngineScheduleRun(b *testing.B) {
 	e.Run()
 }
 
+// recvFunc is a Node that hands what it receives to a function.
+type recvFunc func(pkt []byte)
+
+func (recvFunc) Name() string                   { return "recv" }
+func (f recvFunc) Receive(pkt []byte, _ *Iface) { f(pkt) }
+func (recvFunc) addIface(*Iface)                {}
+
 // TestEngineOrderIsAtThenSeq runs a random self-scheduling program —
 // same-instant ties, short deliveries, the fixed two-second timers that
 // ride the FIFO lane, occasional far-future events that block it —
@@ -220,22 +228,34 @@ func TestEngineOrderIsAtThenSeq(t *testing.T) {
 		}
 	}
 
-	e := NewEngine()
+	// The engine's three event kinds share the one (at, seq) order: event
+	// id is scheduled as a closure, a call or a packet delivery by id%3,
+	// so same-instant ties mix all three.
+	nw := New()
+	e := nw.engine
 	var got []int
 	nextID := 1
-	var run func(id int) func()
-	run = func(id int) func() {
-		return func() {
-			got = append(got, id)
-			for _, d := range children(id) {
-				if nextID < total {
-					e.Schedule(d, run(nextID))
-					nextID++
-				}
+	var run func(id uint64)
+	sink := &Iface{Owner: recvFunc(func(pkt []byte) { run(binary.BigEndian.Uint64(pkt)) }), net: nw}
+	run = func(id uint64) {
+		got = append(got, int(id))
+		for _, d := range children(int(id)) {
+			if nextID >= total {
+				break
+			}
+			child := uint64(nextID)
+			nextID++
+			switch child % 3 {
+			case 0:
+				e.Schedule(d, func() { run(child) })
+			case 1:
+				e.ScheduleCall(d, run, child)
+			case 2:
+				e.scheduleDelivery(d, binary.BigEndian.AppendUint64(nw.getBuf(), child), sink)
 			}
 		}
 	}
-	e.Schedule(0, run(0))
+	e.Schedule(0, func() { run(0) })
 	// Drive it through RunUntil boundaries as campaigns do, then dry.
 	for i := 1; i <= 50; i++ {
 		e.RunUntil(time.Duration(i) * 400 * time.Millisecond)

@@ -80,12 +80,32 @@ type TraceFunc func(at time.Duration, event string, dst netip.Addr, seq uint16, 
 // Prober sends probes over a Transport and matches responses. A Prober
 // is single-threaded: all callbacks arrive from the transport's event
 // context. Create one Prober per vantage point with a distinct id.
+//
+// A probe's bookkeeping costs no allocation: ops and attempts live in
+// per-prober slabs recycled through free lists, timers are the two func
+// values below scheduled with a packed argument, the wire image is built
+// in one scratch buffer, and recorded hops are carved out of an arena
+// (DESIGN.md §12, "Who owns a probe's state").
 type Prober struct {
 	tr      Transport
 	id      uint16
 	nextSeq uint16
-	pending map[uint16]*pendingProbe
 	tracer  TraceFunc // nil unless observability is attached
+
+	ops      []probeOp      // slab of logical probes, indexed by op slot
+	freeOps  []int32        // recycled op slots
+	atts     []pendingProbe // slab of transmitted attempts
+	freeAtts []int32        // recycled attempt slots
+	pending  seqTable       // sequence number → attempt slot
+	batches  []*batch       // batches in flight, indexed by batch.slot
+	freeBats []int32        // recycled batch slots
+
+	// The prober's two timer callbacks, bound once: Transport.ScheduleCall
+	// takes them with a packed (slot, generation) or (batch, position).
+	onTimeout, onLaunch func(uint64)
+
+	wire    []byte       // scratch for the probe being sent; Inject does not keep it
+	rrArena []netip.Addr // current chunk that Result.RR slices are carved from
 
 	// RTT EWMA state for adaptive timeouts (RFC 6298 estimator). Zero
 	// srtt means no sample yet.
@@ -101,22 +121,29 @@ type Prober struct {
 	ts     packet.Timestamp
 }
 
+// sink is where a probe's result goes: to its own callback, or into
+// position pos of the batch it was launched from.
+type sink struct {
+	done  func(Result)
+	batch *batch
+	pos   int32
+}
+
 // probeOp is one logical probe: up to maxAttempts transmissions, each
 // under its own sequence number, resolved exactly once. Superseded
-// attempts' pending entries stay registered until the op resolves, so a
-// reply outrun by a retransmission still matches; resolution removes
-// every attempt's entry, after which further replies count as ignored
-// duplicates.
+// attempts stay registered until the op resolves, so a reply outrun by
+// a retransmission still matches; resolution releases the op's slot and
+// every attempt's, after which further replies count as ignored
+// duplicates and the attempts' timers find a newer generation.
 type probeOp struct {
-	spec        Spec
-	done        func(Result)
-	maxAttempts int
+	spec Spec
+	sink
 	baseTimeout time.Duration
 	firstSentAt time.Duration
+	maxAttempts int
 	attempts    int
-	seqs        []uint16
-	resolved    bool
-	external    bool // RTT unusable: Expect-registered or indexed (see StartIndexedBatch)
+	last        int32 // newest attempt's slot in Prober.atts; -1 before the first
+	external    bool  // RTT unusable: Expect-registered or indexed (see StartIndexedBatch)
 
 	// indexed ops draw position-derived sequence numbers instead of the
 	// shared counter: attempt k uses indexedBase + (k-1). Destination-
@@ -128,15 +155,18 @@ type probeOp struct {
 
 // pendingProbe is one transmitted attempt awaiting a response.
 type pendingProbe struct {
-	op      *probeOp
-	seq     uint16
-	attempt int // 1-based
 	sentAt  time.Duration
+	op      int32  // the op's slot in Prober.ops
+	prev    int32  // the op's previous attempt; -1 for the first
+	gen     uint32 // bumped each time the slot is released
+	attempt int    // 1-based
+	seq     uint16
 }
 
 // New returns a Prober for the transport using the given ICMP identifier.
 func New(tr Transport, id uint16) *Prober {
-	p := &Prober{tr: tr, id: id, pending: make(map[uint16]*pendingProbe)}
+	p := &Prober{tr: tr, id: id}
+	p.onTimeout, p.onLaunch = p.attemptTimeout, p.launch
 	tr.SetReceiver(p.receive)
 	return p
 }
@@ -208,7 +238,7 @@ func (p *Prober) adaptiveTimeout(o Options) time.Duration {
 }
 
 // Outstanding returns the number of probes awaiting response or timeout.
-func (p *Prober) Outstanding() int { return len(p.pending) }
+func (p *Prober) Outstanding() int { return p.pending.n }
 
 // StartOne sends a single probe now and calls done exactly once, with a
 // response or a timeout result. Used directly by sequential measurements
@@ -218,25 +248,69 @@ func (p *Prober) StartOne(spec Spec, timeout time.Duration, done func(Result)) {
 	if timeout <= 0 {
 		timeout = DefaultTimeout
 	}
-	p.start(spec, 1, timeout, done)
+	oi, _ := p.newOp(spec, sink{done: done}, 1, timeout)
+	p.sendAttempt(oi)
 }
 
-// start launches a probe op with the given retransmission budget and
-// first-attempt timeout.
-func (p *Prober) start(spec Spec, maxAttempts int, timeout time.Duration, done func(Result)) {
-	op := &probeOp{
+// takeSlot pops a recycled slot off a free list, or returns -1.
+func takeSlot(free *[]int32) int32 {
+	n := len(*free)
+	if n == 0 {
+		return -1
+	}
+	i := (*free)[n-1]
+	*free = (*free)[:n-1]
+	return i
+}
+
+// pack32 packs a slot and a word that goes with it into one timer
+// argument; the slot is arg>>32, the word uint32(arg).
+func pack32(slot int32, lo uint32) uint64 { return uint64(slot)<<32 | uint64(lo) }
+
+// newOp starts an op in a free slot: a probe whose result goes to to,
+// with up to maxAttempts attempts of which the first waits timeout. The
+// pointer is for filling in the rest and does not outlive the caller's
+// next call into the prober.
+func (p *Prober) newOp(spec Spec, to sink, maxAttempts int, timeout time.Duration) (int32, *probeOp) {
+	oi := takeSlot(&p.freeOps)
+	if oi < 0 {
+		p.ops = append(p.ops, probeOp{})
+		oi = int32(len(p.ops) - 1)
+	}
+	op := &p.ops[oi]
+	*op = probeOp{
 		spec:        spec,
-		done:        done,
+		sink:        to,
 		maxAttempts: maxAttempts,
 		baseTimeout: timeout,
 		firstSentAt: p.tr.Now(),
+		last:        -1,
 	}
-	p.sendAttempt(op)
+	return oi, op
+}
+
+// addAttempt records the op's next attempt under seq and returns the
+// argument its timeout timer carries: the attempt's slot and the slot's
+// generation, by which attemptTimeout tells whether the slot still
+// holds this attempt.
+func (p *Prober) addAttempt(oi int32, seq uint16) (timer uint64) {
+	ai := takeSlot(&p.freeAtts)
+	if ai < 0 {
+		p.atts = append(p.atts, pendingProbe{})
+		ai = int32(len(p.atts) - 1)
+	}
+	op, pp := &p.ops[oi], &p.atts[ai]
+	op.attempts++
+	*pp = pendingProbe{sentAt: p.tr.Now(), op: oi, prev: op.last, gen: pp.gen, attempt: op.attempts, seq: seq}
+	op.last = ai
+	p.pending.put(seq, ai)
+	return pack32(ai, pp.gen)
 }
 
 // sendAttempt transmits the op's next attempt, or fails the op when no
 // sequence number is available or the spec cannot be serialized.
-func (p *Prober) sendAttempt(op *probeOp) {
+func (p *Prober) sendAttempt(oi int32) {
+	op := &p.ops[oi]
 	var seq uint16
 	if op.indexed {
 		// Attempt k (1-based) always uses indexedBase + (k-1); attempts
@@ -246,28 +320,26 @@ func (p *Prober) sendAttempt(op *probeOp) {
 		// silently mismatching replies would corrupt the determinism
 		// contract, so fail loudly.
 		seq = op.indexedBase + uint16(op.attempts)
-		if _, busy := p.pending[seq]; busy {
+		if p.pending.get(seq) >= 0 {
 			panic("probe: indexed sequence collision (seq space too dense for batch)")
 		}
 	} else {
 		var ok bool
 		seq, ok = p.allocSeq()
 		if !ok {
-			p.failOp(op, 0, ErrTooManyOutstanding)
+			p.failOp(oi, 0, ErrTooManyOutstanding)
 			return
 		}
 	}
-	wire, err := op.spec.build(p.tr.LocalAddr(), p.id, seq)
+	wire, err := op.spec.build(p.wire[:0], p.tr.LocalAddr(), p.id, seq)
 	if err != nil {
 		// Malformed spec (e.g. non-IPv4 destination): fail explicitly
 		// rather than panicking mid-study.
-		p.failOp(op, seq, err)
+		p.failOp(oi, seq, err)
 		return
 	}
-	op.attempts++
-	pp := &pendingProbe{op: op, seq: seq, attempt: op.attempts, sentAt: p.tr.Now()}
-	p.pending[seq] = pp
-	op.seqs = append(op.seqs, seq)
+	p.wire = wire
+	timer := p.addAttempt(oi, seq)
 	p.sent++
 	if op.attempts > 1 {
 		p.retransmits++
@@ -279,56 +351,119 @@ func (p *Prober) sendAttempt(op *probeOp) {
 		}
 		p.tracer(p.tr.Now(), ev, op.spec.Dst, seq, op.attempts)
 	}
-	p.tr.Inject(wire)
 	// Exponential backoff: attempt k waits baseTimeout << (k-1).
-	p.tr.Schedule(op.baseTimeout<<(op.attempts-1), func() { p.attemptTimeout(pp) })
+	timeout := op.baseTimeout << (op.attempts - 1)
+	p.tr.Inject(wire)
+	p.tr.ScheduleCall(timeout, p.onTimeout, timer)
 }
 
 // attemptTimeout handles an attempt's timer expiring: retransmit while
-// budget remains, otherwise resolve the op as unanswered.
-func (p *Prober) attemptTimeout(pp *pendingProbe) {
-	op := pp.op
-	if op.resolved || pp.attempt < op.attempts {
-		return // already matched, or a superseded attempt's timer
+// budget remains, otherwise resolve the op as unanswered. timer is what
+// addAttempt returned.
+func (p *Prober) attemptTimeout(timer uint64) {
+	pp := &p.atts[timer>>32]
+	if pp.gen != uint32(timer) {
+		return // the op resolved; the slot may already hold another probe's attempt
+	}
+	oi := pp.op
+	op := &p.ops[oi]
+	if pp.attempt < op.attempts {
+		return // a superseded attempt's timer
 	}
 	if op.attempts < op.maxAttempts {
-		p.sendAttempt(op)
+		p.sendAttempt(oi)
 		return
 	}
-	p.resolveOp(op)
+	res := Result{Spec: op.spec, Seq: pp.seq, SentAt: op.firstSentAt,
+		Type: NoResponse, Attempts: op.attempts}
+	to := p.release(oi)
 	p.timedOut++
 	if p.tracer != nil {
-		p.tracer(p.tr.Now(), "probe.timeout", op.spec.Dst, pp.seq, op.attempts)
+		p.tracer(p.tr.Now(), "probe.timeout", res.Dst, res.Seq, res.Attempts)
 	}
-	op.done(Result{Spec: op.spec, Seq: pp.seq, SentAt: op.firstSentAt,
-		Type: NoResponse, Attempts: op.attempts})
+	p.deliver(to, &res)
 }
 
 // failOp resolves an op with a SendError result.
-func (p *Prober) failOp(op *probeOp, seq uint16, err error) {
-	p.resolveOp(op)
+func (p *Prober) failOp(oi int32, seq uint16, err error) {
+	op := &p.ops[oi]
+	res := Result{Spec: op.spec, Seq: seq, SentAt: p.tr.Now(),
+		Type: SendError, Err: err, Attempts: op.attempts}
+	to := p.release(oi)
 	if p.tracer != nil {
-		p.tracer(p.tr.Now(), "probe.senderror", op.spec.Dst, seq, op.attempts)
+		p.tracer(p.tr.Now(), "probe.senderror", res.Dst, seq, res.Attempts)
 	}
-	op.done(Result{Spec: op.spec, Seq: seq, SentAt: p.tr.Now(),
-		Type: SendError, Err: err, Attempts: op.attempts})
+	p.deliver(to, &res)
 }
 
-// resolveOp marks the op finished and retires every attempt's pending
-// entry; replies arriving afterwards count as ignored duplicates.
-func (p *Prober) resolveOp(op *probeOp) {
-	op.resolved = true
-	for _, s := range op.seqs {
-		delete(p.pending, s)
+// release retires a resolved op: every attempt's pending entry and slot,
+// then the op's own slot. It returns where the result goes, copied out,
+// because from here on the slots belong to whichever probe starts next —
+// and the callback deliver runs is usually what starts it.
+func (p *Prober) release(oi int32) sink {
+	op := &p.ops[oi]
+	for ai := op.last; ai >= 0; {
+		pp := &p.atts[ai]
+		p.pending.del(pp.seq)
+		pp.gen++
+		p.freeAtts = append(p.freeAtts, ai)
+		ai = pp.prev
 	}
+	to := op.sink
+	*op = probeOp{} // drop the callback, batch and Via references
+	p.freeOps = append(p.freeOps, oi)
+	return to
+}
+
+// deliver hands a released op's result to its callback or its batch,
+// and the batch's results to its callback once the last one is in.
+func (p *Prober) deliver(to sink, res *Result) {
+	b := to.batch
+	if b == nil {
+		to.done(*res)
+		return
+	}
+	b.results[to.pos] = *res
+	b.remaining--
+	if b.remaining > 0 {
+		return
+	}
+	p.batches[b.slot] = nil
+	p.freeBats = append(p.freeBats, b.slot)
+	b.done(b.results)
 }
 
 // SendWindow bounds how many batch send events sit in the event heap at
-// once: launch i enqueues launch i+SendWindow, so StartBatch holds at
-// most SendWindow send closures regardless of batch size — previously
-// the entire batch was enqueued upfront, ~100k heap entries per VP
-// batch at the large scale profile.
+// once: launch i enqueues launch i+SendWindow, so a batch holds at most
+// SendWindow send events regardless of its size — previously the entire
+// batch was enqueued upfront, ~100k heap entries per VP batch at the
+// large scale profile.
 const SendWindow = 64
+
+// batch is one StartBatch or StartIndexedBatch call in flight: what to
+// send, where the results collect, and who to tell. Its ops point back
+// at it through their sink.
+type batch struct {
+	specs     []Spec        // a StartBatch's probes, or
+	indexed   []IndexedSpec // a StartIndexedBatch's; one of the two is nil
+	opts      Options
+	done      func([]Result)
+	results   []Result
+	remaining int // ops not yet resolved
+	interval  time.Duration
+	slot      int32 // position in Prober.batches
+}
+
+func (b *batch) len() int { return len(b.specs) + len(b.indexed) }
+
+// index is spec i's position in the pacing schedule: it leaves at
+// t0 + index*interval.
+func (b *batch) index(i int) int {
+	if b.indexed != nil {
+		return b.indexed[i].Index
+	}
+	return i
+}
 
 // StartBatch paces the probes out in order at opts.Rate and calls done
 // once with results in spec order after every probe has resolved. This
@@ -341,32 +476,7 @@ const SendWindow = 64
 // byte-identical to the upfront schedule, and the adaptive timeout is
 // still evaluated at each probe's send time.
 func (p *Prober) StartBatch(specs []Spec, opts Options, done func([]Result)) {
-	if len(specs) == 0 {
-		p.tr.Schedule(0, func() { done(nil) })
-		return
-	}
-	results := make([]Result, len(specs))
-	remaining := len(specs)
-	interval := time.Duration(float64(time.Second) / opts.rate())
-	var launch func(i int)
-	launch = func(i int) {
-		if next := i + SendWindow; next < len(specs) {
-			p.tr.Schedule(time.Duration(SendWindow)*interval, func() { launch(next) })
-		}
-		// The adaptive timeout is evaluated at send time, so the
-		// estimator warms up over the batch.
-		p.start(specs[i], opts.attempts(), p.adaptiveTimeout(opts), func(r Result) {
-			results[i] = r
-			remaining--
-			if remaining == 0 {
-				done(results)
-			}
-		})
-	}
-	for i := 0; i < SendWindow && i < len(specs); i++ {
-		i := i
-		p.tr.Schedule(time.Duration(i)*interval, func() { launch(i) })
-	}
+	p.startBatch(&batch{specs: specs, opts: opts, done: done})
 }
 
 // IndexedSpec is one entry of an indexed batch: a probe spec pinned to
@@ -396,43 +506,50 @@ type IndexedSpec struct {
 // integer-nanosecond virtual clock lands at exactly t0 + Index*interval
 // even when the index slice is sparse.
 func (p *Prober) StartIndexedBatch(specs []IndexedSpec, opts Options, done func([]Result)) {
-	if len(specs) == 0 {
-		p.tr.Schedule(0, func() { done(nil) })
+	p.startBatch(&batch{indexed: specs, opts: opts, done: done})
+}
+
+// startBatch registers b and schedules its first SendWindow launches.
+func (p *Prober) startBatch(b *batch) {
+	n := b.len()
+	if n == 0 {
+		p.tr.Schedule(0, func() { b.done(nil) })
 		return
 	}
-	results := make([]Result, len(specs))
-	remaining := len(specs)
-	interval := time.Duration(float64(time.Second) / opts.rate())
-	attempts := opts.attempts()
-	timeout := opts.timeout()
-	var launch func(i int)
-	launch = func(i int) {
-		if next := i + SendWindow; next < len(specs) {
-			d := time.Duration(specs[next].Index-specs[i].Index) * interval
-			p.tr.Schedule(d, func() { launch(next) })
-		}
-		op := &probeOp{
-			spec:        specs[i].Spec,
-			maxAttempts: attempts,
-			baseTimeout: timeout,
-			firstSentAt: p.tr.Now(),
-			indexed:     true,
-			indexedBase: uint16(specs[i].Index * attempts),
-			external:    true,
-			done: func(r Result) {
-				results[i] = r
-				remaining--
-				if remaining == 0 {
-					done(results)
-				}
-			},
-		}
-		p.sendAttempt(op)
+	b.results = make([]Result, n)
+	b.remaining = n
+	b.interval = time.Duration(float64(time.Second) / b.opts.rate())
+	if b.slot = takeSlot(&p.freeBats); b.slot < 0 {
+		b.slot = int32(len(p.batches))
+		p.batches = append(p.batches, nil)
 	}
-	for i := 0; i < SendWindow && i < len(specs); i++ {
-		i := i
-		p.tr.Schedule(time.Duration(specs[i].Index)*interval, func() { launch(i) })
+	p.batches[b.slot] = b
+	for i := 0; i < SendWindow && i < n; i++ {
+		p.tr.ScheduleCall(time.Duration(b.index(i))*b.interval, p.onLaunch, pack32(b.slot, uint32(i)))
 	}
+}
+
+// launch sends a batch's spec i — at is the batch's slot and i, packed —
+// after chaining the launch SendWindow specs further on.
+func (p *Prober) launch(at uint64) {
+	b, i := p.batches[at>>32], int(uint32(at))
+	if next := i + SendWindow; next < b.len() {
+		d := time.Duration(b.index(next)-b.index(i)) * b.interval
+		p.tr.ScheduleCall(d, p.onLaunch, pack32(b.slot, uint32(next)))
+	}
+	to, attempts := sink{batch: b, pos: int32(i)}, b.opts.attempts()
+	if b.indexed == nil {
+		// The adaptive timeout is evaluated at send time, so the
+		// estimator warms up over the batch.
+		oi, _ := p.newOp(b.specs[i], to, attempts, p.adaptiveTimeout(b.opts))
+		p.sendAttempt(oi)
+		return
+	}
+	is := &b.indexed[i]
+	oi, op := p.newOp(is.Spec, to, attempts, b.opts.timeout())
+	op.indexed, op.external = true, true
+	op.indexedBase = uint16(is.Index * attempts)
+	p.sendAttempt(oi)
 }
 
 // ID returns the prober's ICMP identifier.
@@ -462,19 +579,9 @@ func (p *Prober) Expect(spec Spec, timeout time.Duration, done func(Result)) (id
 		done(Result{Spec: spec, SentAt: p.tr.Now(), Type: SendError, Err: ErrTooManyOutstanding})
 		return p.id, 0, false
 	}
-	op := &probeOp{
-		spec:        spec,
-		done:        done,
-		maxAttempts: 1,
-		baseTimeout: timeout,
-		firstSentAt: p.tr.Now(),
-		attempts:    1,
-		seqs:        []uint16{seq},
-		external:    true,
-	}
-	pp := &pendingProbe{op: op, seq: seq, attempt: 1, sentAt: p.tr.Now()}
-	p.pending[seq] = pp
-	p.tr.Schedule(timeout, func() { p.attemptTimeout(pp) })
+	oi, op := p.newOp(spec, sink{done: done}, 1, timeout)
+	op.external = true
+	p.tr.ScheduleCall(timeout, p.onTimeout, p.addAttempt(oi, seq))
 	return p.id, seq, true
 }
 
@@ -483,10 +590,11 @@ func (p *Prober) Expect(spec Spec, timeout time.Duration, done func(Result)) (id
 // that expects the reply (via Expect). The spoof reaches the network
 // exactly as a raw socket would send it.
 func (p *Prober) SendSpoofed(spec Spec, spoofedSrc netip.Addr, id, seq uint16) error {
-	wire, err := spec.build(spoofedSrc, id, seq)
+	wire, err := spec.build(p.wire[:0], spoofedSrc, id, seq)
 	if err != nil {
 		return err
 	}
+	p.wire = wire
 	p.sent++
 	p.tr.Inject(wire)
 	return nil
@@ -497,13 +605,13 @@ func (p *Prober) SendSpoofed(spec Spec, spoofedSrc netip.Addr, id, seq uint16) e
 // full the scan below would otherwise degenerate — and with it entirely
 // full, spin forever.
 func (p *Prober) allocSeq() (seq uint16, ok bool) {
-	if len(p.pending) >= MaxOutstanding {
+	if p.pending.n >= MaxOutstanding {
 		return 0, false
 	}
 	for {
 		seq := p.nextSeq
 		p.nextSeq++
-		if _, busy := p.pending[seq]; !busy {
+		if p.pending.get(seq) < 0 {
 			return seq, true
 		}
 	}
@@ -533,13 +641,14 @@ func (p *Prober) matchEchoReply(at time.Duration) {
 		p.ignored++
 		return
 	}
-	pp := p.pending[icmp.Seq]
-	if pp == nil {
-		p.ignored++
+	ai := p.pending.get(icmp.Seq)
+	if ai < 0 {
+		p.ignored++ // unknown, or a duplicate after the op resolved
 		return
 	}
+	pp := &p.atts[ai]
 	res := Result{
-		Spec:      pp.op.spec,
+		Spec:      p.ops[pp.op].spec,
 		Seq:       pp.seq,
 		SentAt:    pp.sentAt,
 		RcvdAt:    at,
@@ -548,7 +657,7 @@ func (p *Prober) matchEchoReply(at time.Duration) {
 		ReplyIPID: p.parsed.IP.ID,
 	}
 	p.extractRR(&p.parsed.IP, &res, false)
-	p.complete(pp, res)
+	p.complete(ai, &res)
 }
 
 // matchError resolves a probe from an ICMP error quoting it.
@@ -560,6 +669,7 @@ func (p *Prober) matchError(at time.Duration) {
 		return
 	}
 	var seq uint16
+	alt := false // seq+udpSrcPorts shares the quoted source port
 	switch p.quoted.Protocol {
 	case packet.ProtocolICMP:
 		t, id, s, ok := packet.QuotedEcho(transport)
@@ -579,18 +689,22 @@ func (p *Prober) matchError(at time.Duration) {
 			p.ignored++
 			return
 		}
-		seq = s
+		seq, alt = s, int(s)+udpSrcPorts <= 0xffff
 	default:
 		p.ignored++
 		return
 	}
-	pp := p.pending[seq]
-	if pp == nil || !quotedDstMatches(pp.op.spec, p.quoted.Dst) {
+	ai := p.pendingQuoted(seq)
+	if ai < 0 && alt {
+		ai = p.pendingQuoted(seq + udpSrcPorts)
+	}
+	if ai < 0 {
 		p.ignored++
 		return
 	}
+	pp := &p.atts[ai]
 	res := Result{
-		Spec:      pp.op.spec,
+		Spec:      p.ops[pp.op].spec,
 		Seq:       pp.seq,
 		SentAt:    pp.sentAt,
 		RcvdAt:    at,
@@ -606,14 +720,24 @@ func (p *Prober) matchError(at time.Duration) {
 		res.Type = OtherResponse
 	}
 	p.extractRR(&p.quoted, &res, true)
-	p.complete(pp, res)
+	p.complete(ai, &res)
+}
+
+// pendingQuoted returns the slot of the attempt in flight under seq whose
+// probe the quoted header in p.quoted can be, or -1.
+func (p *Prober) pendingQuoted(seq uint16) int32 {
+	ai := p.pending.get(seq)
+	if ai >= 0 && !quotedDstMatches(&p.ops[p.atts[ai].op].spec, p.quoted.Dst) {
+		return -1
+	}
+	return ai
 }
 
 // quotedDstMatches reports whether a quoted offending destination is
 // consistent with the probe: normally the probed address, but a
 // source-routed probe travels addressed to its via hops (and, once
 // rewritten, the destination itself).
-func quotedDstMatches(spec Spec, quotedDst netip.Addr) bool {
+func quotedDstMatches(spec *Spec, quotedDst netip.Addr) bool {
 	if quotedDst == spec.Dst {
 		return true
 	}
@@ -631,7 +755,7 @@ func (p *Prober) extractRR(hdr *packet.IPv4, res *Result, quoted bool) {
 	if found, err := hdr.RecordRouteOption(&p.rr); found && err == nil {
 		res.HasRR = true
 		res.QuotedRR = quoted
-		res.RR = append([]netip.Addr(nil), p.rr.Recorded()...)
+		res.RR = p.keepRR(p.rr.Recorded())
 		res.RRTotalSlots = p.rr.NumSlots()
 		res.RRFull = p.rr.Full()
 	}
@@ -641,22 +765,46 @@ func (p *Prober) extractRR(hdr *packet.IPv4, res *Result, quoted bool) {
 	}
 }
 
-// complete finalizes a matched probe op.
-func (p *Prober) complete(pp *pendingProbe, res Result) {
-	if p.pending[pp.seq] != pp {
-		p.ignored++ // duplicate response after the op already resolved
-		return
+// Bounds on the chunks Result.RR slices are carved from: chunks double
+// from the first size to the last, so a prober that sends a handful of
+// probes holds a handful of addresses and one that sends thousands
+// allocates once per hundred results.
+const (
+	rrChunkMin = 64
+	rrChunkMax = 1024
+)
+
+// keepRR copies hops, which alias decode scratch, into the arena and
+// returns the copy with its capacity cut to its length, so appending to
+// one result's RR reallocates instead of running into the next result's.
+// A retained Result keeps its whole chunk alive.
+func (p *Prober) keepRR(hops []netip.Addr) []netip.Addr {
+	n := len(hops)
+	if n == 0 {
+		return nil
 	}
-	op := pp.op
+	if cap(p.rrArena)-len(p.rrArena) < n {
+		p.rrArena = make([]netip.Addr, 0, min(max(2*cap(p.rrArena), rrChunkMin), rrChunkMax))
+	}
+	off := len(p.rrArena)
+	p.rrArena = append(p.rrArena, hops...)
+	return p.rrArena[off : off+n : off+n]
+}
+
+// complete finalizes a matched probe op; ai is the matched attempt.
+func (p *Prober) complete(ai int32, res *Result) {
+	pp := &p.atts[ai]
+	op := &p.ops[pp.op]
 	res.Attempts = op.attempts
 	res.MatchedAttempt = pp.attempt
-	p.resolveOp(op)
+	sentAt, external := pp.sentAt, op.external
+	to := p.release(pp.op)
 	p.matched++
 	if p.tracer != nil {
-		p.tracer(res.RcvdAt, "probe.reply", op.spec.Dst, pp.seq, pp.attempt)
+		p.tracer(res.RcvdAt, "probe.reply", res.Dst, res.Seq, res.MatchedAttempt)
 	}
-	if !op.external {
-		p.observeRTT(res.RcvdAt - pp.sentAt)
+	if !external {
+		p.observeRTT(res.RcvdAt - sentAt)
 	}
-	op.done(res)
+	p.deliver(to, res)
 }

@@ -32,7 +32,10 @@ func (s *scriptedTransport) Inject(pkt []byte) {
 }
 func (s *scriptedTransport) SetReceiver(fn func(at time.Duration, pkt []byte)) { s.recv = fn }
 func (s *scriptedTransport) Schedule(d time.Duration, fn func())               { s.eng.Schedule(d, fn) }
-func (s *scriptedTransport) Now() time.Duration                                { return s.eng.Now() }
+func (s *scriptedTransport) ScheduleCall(d time.Duration, fn func(uint64), arg uint64) {
+	s.eng.ScheduleCall(d, fn, arg)
+}
+func (s *scriptedTransport) Now() time.Duration { return s.eng.Now() }
 
 // deliver feeds a packet to the prober after d of virtual time.
 func (s *scriptedTransport) deliver(d time.Duration, pkt []byte) {

@@ -67,8 +67,10 @@ const (
 	// DefaultUDPPort is the base high destination port for ping-RRudp.
 	DefaultUDPPort = 40967
 	// udpSrcPortBase spreads the probe sequence number over source
-	// ports so quoted UDP headers identify the probe.
+	// ports so quoted UDP headers identify the probe: the port is
+	// udpSrcPortBase + seq mod udpSrcPorts.
 	udpSrcPortBase = 20000
+	udpSrcPorts    = 40000
 )
 
 // Spec describes one probe to send.
@@ -116,8 +118,8 @@ func (s Spec) udpDstPort() uint16 {
 
 // build serializes the probe packet for the given source, ICMP
 // identifier, and sequence number: header, options and transport are
-// appended into the one buffer that is returned, the only allocation.
-func (s Spec) build(src netip.Addr, id, seq uint16) ([]byte, error) {
+// appended onto b, which a prober reuses from probe to probe.
+func (s Spec) build(b []byte, src netip.Addr, id, seq uint16) ([]byte, error) {
 	hdr := packet.IPv4{
 		TTL: s.ttl(),
 		// The IP ID of the probe is the sequence number: harmless,
@@ -165,7 +167,7 @@ func (s Spec) build(src netip.Addr, id, seq uint16) ([]byte, error) {
 	// Both transports are a bare 8-byte header: an echo request without
 	// data, or a UDP datagram without payload.
 	const transportLen = 8
-	b, err := hdr.AppendHeader(make([]byte, 0, hdr.HeaderLen()+transportLen), transportLen)
+	b, err := hdr.AppendHeader(b, transportLen)
 	if err != nil {
 		return nil, err
 	}
@@ -178,12 +180,14 @@ func (s Spec) build(src netip.Addr, id, seq uint16) ([]byte, error) {
 }
 
 // udpSrcPort encodes a probe sequence number as a UDP source port.
-func udpSrcPort(seq uint16) uint16 { return udpSrcPortBase + seq%40000 }
+func udpSrcPort(seq uint16) uint16 { return udpSrcPortBase + seq%udpSrcPorts }
 
-// seqFromUDPSrcPort inverts udpSrcPort; ok is false for ports outside
-// the probe range.
+// seqFromUDPSrcPort inverts udpSrcPort as far as it can be: it returns
+// the smaller of the at most two sequence numbers that share the port —
+// the other is udpSrcPorts higher, where that still fits 16 bits, and is
+// the matcher's to try. ok is false for ports outside the probe range.
 func seqFromUDPSrcPort(port uint16) (uint16, bool) {
-	if port < udpSrcPortBase || port >= udpSrcPortBase+40000 {
+	if port < udpSrcPortBase || port >= udpSrcPortBase+udpSrcPorts {
 		return 0, false
 	}
 	return port - udpSrcPortBase, true

@@ -21,13 +21,19 @@ import (
 type Transport interface {
 	// LocalAddr is the source address probes are sent from.
 	LocalAddr() netip.Addr
-	// Inject transmits a serialized IPv4 datagram.
+	// Inject transmits a serialized IPv4 datagram. It does not keep pkt:
+	// an implementation sends or copies the bytes before returning, and
+	// the prober builds its next probe in the same buffer.
 	Inject(pkt []byte)
 	// SetReceiver registers the packet callback; pkt is valid only for
 	// the duration of the call.
 	SetReceiver(fn func(at time.Duration, pkt []byte))
 	// Schedule runs fn after d.
 	Schedule(d time.Duration, fn func())
+	// ScheduleCall runs fn(arg) after d. It is Schedule for timers that
+	// would otherwise need a closure each — it orders against Schedule
+	// as if it were Schedule(d, func() { fn(arg) }).
+	ScheduleCall(d time.Duration, fn func(uint64), arg uint64)
 	// Now returns the transport's clock.
 	Now() time.Duration
 }
@@ -61,6 +67,11 @@ func (s *SimTransport) SetReceiver(fn func(at time.Duration, pkt []byte)) {
 
 // Schedule implements Transport.
 func (s *SimTransport) Schedule(d time.Duration, fn func()) { s.eng.Schedule(d, fn) }
+
+// ScheduleCall implements Transport.
+func (s *SimTransport) ScheduleCall(d time.Duration, fn func(uint64), arg uint64) {
+	s.eng.ScheduleCall(d, fn, arg)
+}
 
 // Now implements Transport.
 func (s *SimTransport) Now() time.Duration { return s.eng.Now() }

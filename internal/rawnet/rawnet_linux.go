@@ -60,7 +60,8 @@ func (t *Transport) LocalAddr() netip.Addr { return t.local }
 func (t *Transport) Now() time.Duration { return time.Since(t.start) }
 
 // Inject implements probe.Transport: the destination is read from the
-// packet's own IPv4 header.
+// packet's own IPv4 header. Sendto is synchronous, so pkt is the
+// caller's again on return.
 func (t *Transport) Inject(pkt []byte) {
 	if len(pkt) < 20 {
 		return
@@ -92,6 +93,11 @@ func (t *Transport) Schedule(d time.Duration, fn func()) {
 			fn()
 		}
 	})
+}
+
+// ScheduleCall implements probe.Transport.
+func (t *Transport) ScheduleCall(d time.Duration, fn func(uint64), arg uint64) {
+	t.Schedule(d, func() { fn(arg) })
 }
 
 // Do runs fn inside the transport's serialized event context; callers

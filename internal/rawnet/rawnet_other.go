@@ -35,6 +35,9 @@ func (t *Transport) SetReceiver(fn func(at time.Duration, pkt []byte)) {}
 // Schedule is unreachable.
 func (t *Transport) Schedule(d time.Duration, fn func()) {}
 
+// ScheduleCall is unreachable.
+func (t *Transport) ScheduleCall(d time.Duration, fn func(uint64), arg uint64) {}
+
 // Do is unreachable.
 func (t *Transport) Do(fn func()) {}
 

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -142,29 +143,38 @@ func TestTenantTokenBucket(t *testing.T) {
 // shared queue refuses, the charged token is refunded — a 503 storm
 // must not also drain the tenant's budget.
 func TestTenantRefundOnQueueFull(t *testing.T) {
-	now := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
-	obs.SetNow(func() time.Time { return now })
+	// Handler goroutines read the pinned clock while the test advances it.
+	var now atomic.Pointer[time.Time]
+	t0 := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
+	now.Store(&t0)
+	obs.SetNow(func() time.Time { return *now.Load() })
 	defer obs.SetNow(nil)
 
 	s := newTestServer(t, Config{Workers: 1, QueueCap: 1, TenantRate: 1, TenantBurst: 2})
+	started := make(chan struct{}, 2) // both accepted jobs start, the second after release closes
 	release := make(chan struct{})
-	s.startHook = func(*Job) { <-release }
+	s.startHook = func(*Job) { started <- struct{}{}; <-release }
 	defer close(release)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
 	// Two submissions: one runs (parked in the hook), one fills the queue.
-	// Both tokens spent.
+	// Both tokens spent. The second waits until the worker has taken the
+	// first out of the one-slot queue, or it would find the queue full.
 	for i := 0; i < 2; i++ {
 		resp := submitAs(t, ts, "alpha", smokeSpec())
 		if resp.StatusCode != http.StatusAccepted {
 			t.Fatalf("submit %d: status %d", i, resp.StatusCode)
 		}
 		resp.Body.Close()
+		if i == 0 {
+			<-started
+		}
 	}
 	// Refill one token; the queue is still full, so this 503s — and must
 	// give the token back.
-	now = now.Add(time.Second)
+	t1 := t0.Add(time.Second)
+	now.Store(&t1)
 	resp := submitAs(t, ts, "alpha", smokeSpec())
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("queue-full submit: status %d, want 503", resp.StatusCode)

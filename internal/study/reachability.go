@@ -77,13 +77,23 @@ func (s *Study) RunReachability(r *Responsiveness) *Reachability {
 // RR-responsive but unreachable, pairing each with the addresses its own
 // responses recorded, then applies the upgrades.
 func (s *Study) resolveAliases(r *Responsiveness) (*alias.Sets, int) {
-	// Index every RR response by destination once; the naive
-	// per-destination scan over all VP results is quadratic.
-	byDst := make(map[netip.Addr][]probe.Result)
+	// Index the wanted destinations' recorded routes once — the naive
+	// per-destination scan over all VP results is quadratic — and only
+	// theirs: most RR replies come from reachable destinations.
+	routes := make(map[netip.Addr][][]netip.Addr)
+	for _, d := range r.Dests {
+		if st := r.Stats[d]; st != nil && st.RRResponsive() && !st.RRReachable() {
+			routes[d] = nil
+		}
+	}
 	for _, vpRes := range r.PerVP {
-		for _, res := range vpRes {
-			if res.Type == probe.EchoReply && res.HasRR {
-				byDst[res.Dst] = append(byDst[res.Dst], res)
+		for i := range vpRes {
+			res := &vpRes[i]
+			if res.Type != probe.EchoReply || !res.HasRR {
+				continue
+			}
+			if rrs, wanted := routes[res.Dst]; wanted {
+				routes[res.Dst] = append(rrs, res.RR)
 			}
 		}
 	}
@@ -91,12 +101,8 @@ func (s *Study) resolveAliases(r *Responsiveness) (*alias.Sets, int) {
 	pairSeen := make(map[[2]netip.Addr]bool)
 	var pairs [][2]netip.Addr
 	for _, d := range r.Dests {
-		st := r.Stats[d]
-		if st == nil || !st.RRResponsive() || st.RRReachable() {
-			continue
-		}
-		for _, res := range byDst[d] {
-			for _, hop := range res.RR {
+		for _, rr := range routes[d] {
+			for _, hop := range rr {
 				// Only same-origin-AS hops can be host aliases.
 				if hop == d || s.Data.OriginASN(hop) != s.Data.OriginASN(d) {
 					continue

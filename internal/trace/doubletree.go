@@ -162,18 +162,173 @@ func Run(vp string, p *probe.Prober, st *VPState, global *GlobalSet, prefixOf fu
 		p.Schedule(0, func() { done(round) })
 		return
 	}
-	var next func(i int)
-	next = func(i int) {
-		if i >= len(dsts) {
-			done(round)
+	r := &runner{
+		p: p, st: st, global: global, prefixOf: prefixOf, dsts: dsts, opts: opts, done: done,
+		round: round,
+		hops:  make([]Hop, 0, opts.maxTTL()),
+	}
+	r.onForward, r.onBackward = r.forwardReply, r.backwardReply
+	r.traceNext()
+}
+
+// runner is one Run in progress. Traces are sequential and a trace has
+// one probe in flight, so the round needs one of everything: the trace
+// being built, the TTL being probed, a hop buffer, and the two reply
+// callbacks, bound once instead of once per probe.
+type runner struct {
+	p        *probe.Prober
+	st       *VPState
+	global   *GlobalSet
+	prefixOf func(netip.Addr) netip.Prefix
+	dsts     []netip.Addr
+	opts     Options
+	done     func(*VPRound)
+	round    *VPRound
+	next     int // index into dsts of the trace after the current one
+
+	// The trace in progress.
+	res    Result
+	prefix netip.Prefix
+	hops   []Hop // res.Hops while it grows; a trace sends at most maxTTL probes
+	h      uint8 // the forward phase's first TTL
+	ttl    uint8 // the TTL of the probe in flight
+	gaps   int
+
+	onForward, onBackward func(probe.Result)
+}
+
+// traceNext starts one doubletree (or exhaustive) trace toward the next
+// destination, or ends the round.
+func (r *runner) traceNext() {
+	if r.next >= len(r.dsts) {
+		r.done(r.round)
+		return
+	}
+	dst := r.dsts[r.next]
+	r.next++
+	r.res = Result{VP: r.round.VP, Dst: dst}
+	r.prefix = r.prefixOf(dst)
+	r.hops = r.hops[:0]
+	r.gaps = 0
+	r.h = 1
+	if !r.opts.Exhaustive {
+		r.h = r.st.midTTL(r.opts)
+		if max := r.opts.maxTTL(); r.h > max {
+			r.h = max
+		}
+	}
+	r.send(r.h, r.onForward)
+}
+
+// send probes the current destination at ttl.
+func (r *runner) send(ttl uint8, cb func(probe.Result)) {
+	r.ttl = ttl
+	r.p.StartOne(probe.Spec{Dst: r.res.Dst, Kind: r.opts.kind(), TTL: ttl}, r.opts.Timeout, cb)
+}
+
+// hop records the outcome of the probe in flight; silence leaves Addr
+// and RTT zero.
+func (r *runner) hop(pr probe.Result, final bool) {
+	r.hops = append(r.hops, Hop{TTL: r.ttl, Addr: pr.From, RTT: pr.RTT(), Final: final})
+}
+
+// finish folds the completed trace into the round and moves on.
+func (r *runner) finish() {
+	r.res.Hops = append([]Hop(nil), r.hops...)
+	absorb(r.st, r.round, r.res, r.prefixOf, r.opts)
+	r.traceNext()
+}
+
+// endForward closes the forward phase and opens the backward one
+// (exhaustive traces start at TTL 1, so there is nothing behind).
+func (r *runner) endForward() {
+	r.res.FwdProbes = len(r.hops)
+	if r.opts.Exhaustive || r.h <= 1 {
+		r.finish()
+		return
+	}
+	r.gaps = 0
+	r.send(r.h-1, r.onBackward)
+}
+
+func (r *runner) forwardReply(pr probe.Result) {
+	res, t := &r.res, r.ttl
+	switch pr.Type {
+	case probe.EchoReply:
+		r.hop(pr, true)
+		res.Reached = true
+		res.DestTTL = t
+		r.endForward()
+		return
+	case probe.TimeExceeded:
+		r.hop(pr, false)
+		r.gaps = 0
+		if !r.opts.Exhaustive {
+			if rem, ok := r.global.Lookup(pr.From, r.prefix); ok {
+				// The path's tail is known: halt, crediting
+				// the remaining hops, and infer the
+				// destination's distance without probing it.
+				res.GlobalStop = true
+				res.Inferred = true
+				res.DestTTL = t + rem
+				r.endForward()
+				return
+			}
+			res.Misses++
+		}
+	case probe.NoResponse:
+		r.hop(pr, false)
+		r.gaps++
+	default:
+		r.hop(pr, false)
+		res.FwdProbes = len(r.hops)
+		r.finish()
+		return
+	}
+	if t >= r.opts.maxTTL() || r.gaps >= r.opts.gapLimit() {
+		r.endForward()
+		return
+	}
+	r.send(t+1, r.onForward)
+}
+
+func (r *runner) backwardReply(pr probe.Result) {
+	res, t := &r.res, r.ttl
+	switch pr.Type {
+	case probe.EchoReply:
+		r.hop(pr, true)
+		res.Reached = true
+		if res.DestTTL == 0 || t < res.DestTTL {
+			res.DestTTL = t
+			res.Inferred = false
+		}
+		r.gaps = 0
+	case probe.TimeExceeded:
+		r.hop(pr, false)
+		r.gaps = 0
+		if r.st.Local.Has(pr.From) {
+			res.LocalStop = true
+			r.finish()
 			return
 		}
-		traceOne(vp, p, st, global, prefixOf(dsts[i]), dsts[i], opts, func(res Result) {
-			absorb(st, round, res, prefixOf, opts)
-			next(i + 1)
-		})
+	case probe.NoResponse:
+		r.hop(pr, false)
+		r.gaps++
+		if r.gaps >= r.opts.gapLimit() {
+			r.finish()
+			return
+		}
+	default:
+		// Unreachables and send errors end the trace.
+		r.hop(pr, false)
+		r.finish()
+		return
 	}
-	next(0)
+	if t <= 1 {
+		r.finish()
+		return
+	}
+	r.send(t-1, r.onBackward)
 }
 
 // Rebuild reconstructs a VPRound from archived traces by replaying
@@ -187,120 +342,6 @@ func Rebuild(vp string, st *VPState, prefixOf func(netip.Addr) netip.Prefix, tra
 		absorb(st, round, res, prefixOf, opts)
 	}
 	return round
-}
-
-// traceOne runs one doubletree (or exhaustive) trace toward dst.
-func traceOne(vp string, p *probe.Prober, st *VPState, global *GlobalSet, prefix netip.Prefix, dst netip.Addr, opts Options, done func(Result)) {
-	res := Result{VP: vp, Dst: dst}
-	maxTTL, gapLimit := opts.maxTTL(), opts.gapLimit()
-	h := uint8(1)
-	if !opts.Exhaustive {
-		h = st.midTTL(opts)
-		if h > maxTTL {
-			h = maxTTL
-		}
-	}
-	gaps := 0
-	send := func(ttl uint8, cb func(probe.Result)) {
-		p.StartOne(probe.Spec{Dst: dst, Kind: opts.kind(), TTL: ttl}, opts.Timeout, cb)
-	}
-
-	var backward func(t uint8)
-	backward = func(t uint8) {
-		send(t, func(r probe.Result) {
-			switch r.Type {
-			case probe.EchoReply:
-				res.Hops = append(res.Hops, Hop{TTL: t, Addr: r.From, RTT: r.RTT(), Final: true})
-				res.Reached = true
-				if res.DestTTL == 0 || t < res.DestTTL {
-					res.DestTTL = t
-					res.Inferred = false
-				}
-				gaps = 0
-			case probe.TimeExceeded:
-				res.Hops = append(res.Hops, Hop{TTL: t, Addr: r.From, RTT: r.RTT()})
-				gaps = 0
-				if st.Local.Has(r.From) {
-					res.LocalStop = true
-					done(res)
-					return
-				}
-			case probe.NoResponse:
-				res.Hops = append(res.Hops, Hop{TTL: t})
-				gaps++
-				if gaps >= gapLimit {
-					done(res)
-					return
-				}
-			default:
-				// Unreachables and send errors end the trace.
-				res.Hops = append(res.Hops, Hop{TTL: t, Addr: r.From, RTT: r.RTT()})
-				done(res)
-				return
-			}
-			if t <= 1 {
-				done(res)
-				return
-			}
-			backward(t - 1)
-		})
-	}
-
-	// endForward closes the forward phase and opens the backward one
-	// (exhaustive traces start at TTL 1, so there is nothing behind).
-	endForward := func() {
-		res.FwdProbes = len(res.Hops)
-		if opts.Exhaustive || h <= 1 {
-			done(res)
-			return
-		}
-		gaps = 0
-		backward(h - 1)
-	}
-
-	var forward func(t uint8)
-	forward = func(t uint8) {
-		send(t, func(r probe.Result) {
-			switch r.Type {
-			case probe.EchoReply:
-				res.Hops = append(res.Hops, Hop{TTL: t, Addr: r.From, RTT: r.RTT(), Final: true})
-				res.Reached = true
-				res.DestTTL = t
-				endForward()
-				return
-			case probe.TimeExceeded:
-				res.Hops = append(res.Hops, Hop{TTL: t, Addr: r.From, RTT: r.RTT()})
-				gaps = 0
-				if !opts.Exhaustive {
-					if rem, ok := global.Lookup(r.From, prefix); ok {
-						// The path's tail is known: halt, crediting
-						// the remaining hops, and infer the
-						// destination's distance without probing it.
-						res.GlobalStop = true
-						res.Inferred = true
-						res.DestTTL = t + rem
-						endForward()
-						return
-					}
-					res.Misses++
-				}
-			case probe.NoResponse:
-				res.Hops = append(res.Hops, Hop{TTL: t})
-				gaps++
-			default:
-				res.Hops = append(res.Hops, Hop{TTL: t, Addr: r.From, RTT: r.RTT()})
-				res.FwdProbes = len(res.Hops)
-				done(res)
-				return
-			}
-			if t >= maxTTL || gaps >= gapLimit {
-				endForward()
-				return
-			}
-			forward(t + 1)
-		})
-	}
-	forward(h)
 }
 
 // absorb folds one completed trace into the round and the VP's
