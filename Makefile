@@ -16,8 +16,9 @@ test: vet
 	$(GO) test -shuffle=on ./...
 
 # Headline campaign benchmarks (Table 1, Figure 1 sequential and
-# sharded, Figure 2) plus the snapshot/clone scaling suite, archived as
-# machine-readable JSON. The record includes gomaxprocs/numcpu per line
+# sharded, Figure 2), archived as machine-readable JSON. (What a plane
+# and a clone may cost is asserted by tier-1 tests beside the code:
+# internal/topology's *Budget tests.) The record includes gomaxprocs/numcpu per line
 # so shard speedups can be judged against the hardware parallelism the
 # run actually had; the second invocation re-runs the shard-sensitive
 # benchmarks pinned to GOMAXPROCS=4 — but only on hosts with >= 4 CPUs.
@@ -25,13 +26,13 @@ test: vet
 # parallelism, and once poisoned an entire baseline (the "negative
 # scaling" confound this harness check exists to prevent).
 bench:
-	( $(GO) test -bench 'BenchmarkTable1ResponseRates|BenchmarkFigure1ClosestVPCDF|BenchmarkFigure1StudyShards|BenchmarkOriginPhase|BenchmarkRouteBuild|BenchmarkFigure2Epochs|BenchmarkBuildVsClone$$|BenchmarkFleetSpinup|BenchmarkLargeScaleCampaign|BenchmarkAblationDecode/reused|BenchmarkSimulatorForwarding' \
+	( $(GO) test -bench 'BenchmarkTable1ResponseRates|BenchmarkFigure1ClosestVPCDF|BenchmarkFigure1StudyShards|BenchmarkOriginPhase|BenchmarkRouteBuild|BenchmarkFigure2Epochs|BenchmarkLargeScaleCampaign|BenchmarkAblationDecode/reused|BenchmarkSimulatorForwarding' \
 		-benchtime 1x -benchmem -run '^$$' . ; \
 	  $(GO) test -bench 'BenchmarkScheduleTick' -benchtime 1x -benchmem -run '^$$' ./internal/server ; \
 	  $(GO) test -bench 'BenchmarkWireEncode|BenchmarkJournalRecord|BenchmarkProbeBatch' -benchtime 1x -benchmem -run '^$$' ./internal/results ./internal/measure ./internal/probe ; \
 	  n=$$(nproc 2>/dev/null || getconf _NPROCESSORS_ONLN 2>/dev/null || echo 1); \
 	  if [ "$$n" -ge 4 ]; then \
-	    GOMAXPROCS=4 $(GO) test -bench 'BenchmarkFigure1StudyShards|BenchmarkOriginPhase|BenchmarkRouteBuild|BenchmarkFleetSpinup' \
+	    GOMAXPROCS=4 $(GO) test -bench 'BenchmarkFigure1StudyShards|BenchmarkOriginPhase|BenchmarkRouteBuild' \
 		-benchtime 1x -benchmem -run '^$$' . ; \
 	  else \
 	    echo "bench: skipping GOMAXPROCS=4 re-run: host has $$n CPU(s) < 4 (results would be time-slicing noise)" >&2 ; \
@@ -42,7 +43,7 @@ bench:
 # if any allocs/op grew >25% over the checked-in baseline (see
 # cmd/benchguard for why allocation counts gate and timings don't).
 bench-guard:
-	( $(GO) test -bench 'BenchmarkAblationDecode|BenchmarkSimulatorForwarding|BenchmarkBuildVsClone$$|BenchmarkFleetSpinup' \
+	( $(GO) test -bench 'BenchmarkAblationDecode|BenchmarkSimulatorForwarding' \
 		-benchtime 1x -benchmem -run '^$$' . ; \
 	  $(GO) test -bench 'BenchmarkScheduleTick' -benchtime 1x -benchmem -run '^$$' ./internal/server ; \
 	  $(GO) test -bench 'BenchmarkWireEncode|BenchmarkJournalRecord|BenchmarkProbeBatch' -benchtime 1x -benchmem -run '^$$' ./internal/results ./internal/measure ./internal/probe \

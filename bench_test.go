@@ -12,7 +12,6 @@ import (
 	"net/netip"
 	"runtime"
 	"testing"
-	"time"
 
 	"recordroute/internal/analysis"
 	"recordroute/internal/measure"
@@ -383,76 +382,7 @@ func BenchmarkAblationFastPath(b *testing.B) {
 	})
 }
 
-// --- Snapshot/clone scaling ----------------------------------------------
-
-// BenchmarkBuildVsClone compares regenerating a topology from its Config
-// against stamping out a replica from a frozen snapshot. The build runs
-// once outside the timed region; each op is one Clone. The build/clone-x
-// metric is the speedup — the whole point of the route-plane split is
-// that it stays well above 1 as shard fleets grow. Runs at default
-// (unscaled) config: route computation grows superlinearly with the AS
-// graph while cloning is linear in nodes, so benchScale would
-// understate the gap profile-sized campaigns see.
-func BenchmarkBuildVsClone(b *testing.B) {
-	cfg := topology.DefaultConfig(topology.Epoch2016)
-	start := time.Now()
-	src := topology.MustBuild(cfg)
-	buildNs := float64(time.Since(start).Nanoseconds())
-	snap := topology.SnapshotOf(src)
-	snap.Clone() // pay the one-time Freeze outside the loop
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if snap.Clone() == nil {
-			b.Fatal("nil clone")
-		}
-	}
-	cloneNs := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-	b.ReportMetric(buildNs/cloneNs, "build/clone-x")
-}
-
-// BenchmarkFleetSpinup measures wall-clock fleet assembly (snapshot →
-// K clone replicas → VP partition) and the retained heap one fleet
-// costs, per shard count. The source topology and its freeze are shared
-// setup: spin-up here is pure cloning, which is what a study pays when
-// its sequential campaign already built the plane.
-func BenchmarkFleetSpinup(b *testing.B) {
-	cfg := topology.DefaultConfig(topology.Epoch2016).Scale(benchScale)
-	src := topology.MustBuild(cfg)
-	topology.SnapshotOf(src) // freeze once, outside every timed region
-	for _, k := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("shards=%d", k), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				pc, err := measure.NewParallelCampaignFrom(src, k)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(pc.VPNames()) == 0 { // forces replica construction
-					b.Fatal("no VPs")
-				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/1e6, "spinup-ms")
-			b.StopTimer()
-			var before, after runtime.MemStats
-			runtime.GC()
-			runtime.ReadMemStats(&before)
-			pc, err := measure.NewParallelCampaignFrom(src, k)
-			if err != nil {
-				b.Fatal(err)
-			}
-			pc.VPNames()
-			runtime.GC()
-			runtime.ReadMemStats(&after)
-			heap := float64(after.HeapAlloc) - float64(before.HeapAlloc)
-			if heap < 0 {
-				heap = 0 // GC noise can outweigh a small fleet
-			}
-			b.ReportMetric(heap/(1<<20), "replica-heap-MB")
-			runtime.KeepAlive(pc)
-			b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "gomaxprocs")
-			b.ReportMetric(float64(runtime.NumCPU()), "numcpu")
-		})
-	}
-}
+// --- Profile-scale campaigns ----------------------------------------------
 
 // BenchmarkLargeScaleCampaign runs a ping-RR sweep over a destination
 // subset of the large profile (10^5+ prefixes) through a 4-shard fleet:

@@ -4,10 +4,9 @@
 // tolerance. It is the CI bench-regression smoke: timing is too noisy
 // to gate on in shared runners, but allocation counts are deterministic
 // for these paths, so a jump means a real code change — a lost
-// preallocation, a broken copy-on-write share, an accidental per-packet
-// allocation.
+// preallocation, an accidental per-packet allocation.
 //
-//	go test -bench 'BuildVsClone|FleetSpinup' -benchtime 1x -benchmem -run '^$' . |
+//	go test -bench 'AblationDecode|SimulatorForwarding' -benchtime 1x -benchmem -run '^$' . |
 //	    go run ./cmd/benchguard -baseline BENCH_parallel.json
 //
 // Benchmarks present in only one of the two sides are reported but do
@@ -50,11 +49,12 @@ import (
 )
 
 // defaultPin covers the hot paths the repo's perf PRs optimized:
-// packet decode reuse, raw forwarding, snapshot cloning, fleet
-// spin-up, the scheduler's per-epoch tick, the result encoder with the
-// journal record built on it, and a probe batch's round trip. A regression in any of their
-// allocation counts is a structural change, not noise.
-const defaultPin = `^(BenchmarkAblationDecode/reused|BenchmarkSimulatorForwarding|BenchmarkBuildVsClone|BenchmarkFleetSpinup|BenchmarkScheduleTick|BenchmarkWireEncode|BenchmarkJournalRecord|BenchmarkProbeBatch)`
+// packet decode reuse, raw forwarding, the scheduler's per-epoch tick,
+// the result encoder with the journal record built on it, and a probe
+// batch's round trip. A regression in any of their allocation counts is
+// a structural change, not noise. (Plane and clone costs are tier-1
+// assertions now: internal/topology's *Budget tests.)
+const defaultPin = `^(BenchmarkAblationDecode/reused|BenchmarkSimulatorForwarding|BenchmarkScheduleTick|BenchmarkWireEncode|BenchmarkJournalRecord|BenchmarkProbeBatch)`
 
 // defaultScalingPin selects the shard-scaling benchmark family; the
 // capture group is the shard count K.

@@ -82,13 +82,13 @@ type linkFaults struct {
 	dup       float64
 }
 
-// routerFaults is the chaos state attached to one router.
+// routerFaults is the chaos state attached to one router: plane state.
+// What a router has seen of it (withdrawal flips so far) is routerState's.
 type routerFaults struct {
 	offline  faultWindow
 	suppress faultWindow
 	withdraw faultWindow
 	prefix   netip.Prefix
-	wFlips   int // withdraw.flips at the last route lookup
 
 	// Long-horizon churn: each fault epoch (Network.SetFaultEpoch, the
 	// coarse virtual clock of a recurring campaign), the churned prefix
@@ -163,11 +163,10 @@ func chaosDraw(salt, kind uint64, pkt []byte) float64 {
 }
 
 // ifaceSalt derives a per-direction draw salt from the plan seed and
-// the interface address, so the two directions of one link (and every
-// link of the topology) draw independently.
-func ifaceSalt(seed uint64, addr netip.Addr) uint64 {
-	a4 := addr.As4()
-	return chaosMix(chaosMix(seed, chaosBE32(a4[:])), 0x2545f4914f6cdd1d)
+// the packed interface address, so the two directions of one link (and
+// every link of the topology) draw independently.
+func ifaceSalt(seed uint64, addr uint32) uint64 {
+	return chaosMix(chaosMix(seed, uint64(addr)), 0x2545f4914f6cdd1d)
 }
 
 // Chaos counters (cold-path ones use Count directly).
@@ -281,45 +280,50 @@ func (s FaultSummary) String() string {
 }
 
 // FaultPlan compiles a FaultConfig against registered fault targets.
-// Register links, routers, and withdrawal candidates in a deterministic
-// order (topology build order), then Install. Two plans built from the
-// same config over the same registration sequence install identical
-// fault state — which is how shard replicas of one topology all get the
-// same weather.
+// Register routers (with their links) and withdrawal candidates of one
+// network in a deterministic order (topology build order), then Install:
+// the same config over the same registration sequence installs the same
+// fault state, which is how every build of a topology gets one weather.
 type FaultPlan struct {
 	cfg      FaultConfig
-	links    []*Iface // one side per link; the other side reached via peer
-	seen     map[*Iface]bool
-	routers  []*Router
-	pfxOwner []*Router
+	net      *Network
+	links    []IfaceID        // one side per link; the other side reached via peer
+	seen     map[IfaceID]bool // by the lower id of a link's two
+	routers  []int32
+	pfxOwner []int32
 	pfxs     []netip.Prefix
 }
 
 // NewFaultPlan returns an empty plan for cfg.
 func NewFaultPlan(cfg FaultConfig) *FaultPlan {
-	return &FaultPlan{cfg: cfg, seen: make(map[*Iface]bool)}
+	return &FaultPlan{cfg: cfg, seen: make(map[IfaceID]bool)}
 }
 
-// AddLink registers the link i belongs to as a fault candidate. Either
-// side may be passed; the two directions are deduplicated and afflicted
-// together (a flap takes the whole link down).
-func (p *FaultPlan) AddLink(i *Iface) {
-	if i == nil || i.peer == nil || p.seen[i] || p.seen[i.peer] {
-		return
+// addLink registers the link an interface belongs to as a fault
+// candidate. The two directions are deduplicated and afflicted together
+// (a flap takes the whole link down).
+func (p *FaultPlan) addLink(id IfaceID) {
+	if l := min(id, p.net.p.ifaces[id].peer); !p.seen[l] {
+		p.seen[l] = true
+		p.links = append(p.links, id)
 	}
-	p.seen[i] = true
-	p.links = append(p.links, i)
 }
 
-// AddRouter registers r as an outage/suppression candidate.
+// AddRouter registers r as an outage/suppression candidate, and the
+// links of its interfaces in attachment order.
 func (p *FaultPlan) AddRouter(r *Router) {
-	p.routers = append(p.routers, r)
+	p.net = r.net
+	p.routers = append(p.routers, r.idx)
+	for _, id := range r.rec().ifaces {
+		p.addLink(id)
+	}
 }
 
 // AddWithdrawal registers prefix, served by r, as a transient-withdrawal
 // candidate.
 func (p *FaultPlan) AddWithdrawal(r *Router, prefix netip.Prefix) {
-	p.pfxOwner = append(p.pfxOwner, r)
+	p.net = r.net
+	p.pfxOwner = append(p.pfxOwner, r.idx)
 	p.pfxs = append(p.pfxs, prefix)
 }
 
@@ -331,41 +335,40 @@ func (p *FaultPlan) Install() FaultSummary {
 	cfg := p.cfg
 	rng := rand.New(rand.NewPCG(cfg.Seed, cfg.Seed^0xda3e39cb94b95bdb))
 	sum := FaultSummary{Links: len(p.links), Routers: len(p.routers)}
+	if p.net == nil {
+		return sum // nothing was registered
+	}
+	pl := p.net.mutable()
 
+	// hit draws whether a fault class afflicts the next candidate; a class
+	// that is off consumes no draw.
+	hit := func(on bool, frac float64, count *int) bool {
+		if !on || rng.Float64() >= frac {
+			return false
+		}
+		*count++
+		return true
+	}
 	flapPeriod := defDur(cfg.FlapPeriod, 40*time.Second)
-	flapDown := defDur(cfg.FlapDown, 4*time.Second)
 	for _, l := range p.links {
 		var lf linkFaults
-		afflicted := false
-		if cfg.LossProb > 0 && rng.Float64() < defFrac(cfg.LossFrac) {
+		if hit(cfg.LossProb > 0, defFrac(cfg.LossFrac), &sum.LossyLinks) {
 			lf.loss = cfg.LossProb
-			afflicted = true
-			sum.LossyLinks++
 		}
-		if cfg.JitterMax > 0 && rng.Float64() < defFrac(cfg.JitterFrac) {
+		if hit(cfg.JitterMax > 0, defFrac(cfg.JitterFrac), &sum.JitterLinks) {
 			lf.jitterMax = cfg.JitterMax
-			afflicted = true
-			sum.JitterLinks++
 		}
-		if cfg.DupProb > 0 && rng.Float64() < defFrac(cfg.DupFrac) {
+		if hit(cfg.DupProb > 0, defFrac(cfg.DupFrac), &sum.DupLinks) {
 			lf.dup = cfg.DupProb
-			afflicted = true
-			sum.DupLinks++
 		}
-		if cfg.FlapFrac > 0 && rng.Float64() < cfg.FlapFrac {
-			lf.down = faultWindow{
-				offset: randDur(rng, flapPeriod),
-				period: flapPeriod,
-				duty:   flapDown,
+		if hit(cfg.FlapFrac > 0, cfg.FlapFrac, &sum.FlapLinks) {
+			lf.down = faultWindow{offset: randDur(rng, flapPeriod), period: flapPeriod, duty: defDur(cfg.FlapDown, 4*time.Second)}
+		}
+		if lf != (linkFaults{}) {
+			for _, id := range [2]IfaceID{l, pl.ifaces[l].peer} {
+				lf.salt = ifaceSalt(cfg.Seed, pl.ifaces[id].addr)
+				pl.setLinkFaults(id, lf)
 			}
-			afflicted = true
-			sum.FlapLinks++
-		}
-		if afflicted {
-			a, b := lf, lf
-			a.salt = ifaceSalt(cfg.Seed, l.Addr)
-			b.salt = ifaceSalt(cfg.Seed, l.peer.Addr)
-			l.faults, l.peer.faults = &a, &b
 		}
 	}
 
@@ -373,27 +376,21 @@ func (p *FaultPlan) Install() FaultSummary {
 	outFor := defDur(cfg.OutageFor, 15*time.Second)
 	supPeriod := defDur(cfg.SuppressPeriod, 45*time.Second)
 	supFor := defDur(cfg.SuppressFor, 10*time.Second)
-	byRouter := make(map[*Router]*routerFaults)
-	get := func(r *Router) *routerFaults {
-		rf := byRouter[r]
-		if rf == nil {
-			rf = &routerFaults{}
-			byRouter[r] = rf
+	// get returns r's fault record for one write; the next get may move it.
+	get := func(r int32) *routerFaults {
+		rec := &pl.routers[r]
+		if rec.faults < 0 {
+			rec.faults = int32(len(pl.routerFaults))
+			pl.routerFaults = append(pl.routerFaults, routerFaults{})
 		}
-		return rf
+		return &pl.routerFaults[rec.faults]
 	}
 	for _, r := range p.routers {
-		if cfg.OutageFrac > 0 && rng.Float64() < cfg.OutageFrac {
+		if hit(cfg.OutageFrac > 0, cfg.OutageFrac, &sum.OfflineRouters) {
 			get(r).offline = faultWindow{offset: randDur(rng, outSpread), duty: outFor}
-			sum.OfflineRouters++
 		}
-		if cfg.SuppressFrac > 0 && rng.Float64() < cfg.SuppressFrac {
-			get(r).suppress = faultWindow{
-				offset: randDur(rng, supPeriod),
-				period: supPeriod,
-				duty:   supFor,
-			}
-			sum.SuppressRouters++
+		if hit(cfg.SuppressFrac > 0, cfg.SuppressFrac, &sum.SuppressRouters) {
+			get(r).suppress = faultWindow{offset: randDur(rng, supPeriod), period: supPeriod, duty: supFor}
 		}
 	}
 
@@ -436,8 +433,11 @@ func (p *FaultPlan) Install() FaultSummary {
 		}
 	}
 
-	for r, rf := range byRouter {
-		r.faults = rf
-	}
 	return sum
+}
+
+// setLinkFaults attaches lf to one link direction.
+func (p *plane) setLinkFaults(id IfaceID, lf linkFaults) {
+	p.ifaces[id].faults = int32(len(p.linkFaults))
+	p.linkFaults = append(p.linkFaults, lf)
 }

@@ -56,6 +56,17 @@ func TestFaultWindowPeriodic(t *testing.T) {
 	}
 }
 
+// setFaults attaches fault state to one link direction, as
+// FaultPlan.Install does.
+func (i *Iface) setFaults(lf linkFaults) { i.net.mutable().setLinkFaults(i.id, lf) }
+
+// setFaults attaches fault state to a router, as FaultPlan.Install does.
+func (r *Router) setFaults(rf routerFaults) {
+	p := r.net.mutable()
+	p.routers[r.idx].faults = int32(len(p.routerFaults))
+	p.routerFaults = append(p.routerFaults, rf)
+}
+
 // pingAt schedules a plain ping injection at an absolute virtual time.
 func pingAt(t *testing.T, c *chain, at time.Duration, id uint16) {
 	t.Helper()
@@ -80,7 +91,8 @@ func TestChaosLinkFlapDropsDuringWindow(t *testing.T) {
 	lf := linkFaults{down: faultWindow{offset: time.Second, duty: time.Second}}
 	up := c.routers[0].Interfaces()[0] // r0's iface toward the VP
 	fa, fb := lf, lf
-	up.faults, up.peer.faults = &fa, &fb
+	up.setFaults(fa)
+	up.Peer().setFaults(fb)
 
 	pingAt(t, c, 0, 1)
 	pingAt(t, c, 1500*time.Millisecond, 2)
@@ -99,8 +111,8 @@ func TestChaosDuplicationDeliversCopies(t *testing.T) {
 	c := buildChain(1, nil, DefaultHostBehavior())
 	// Duplicate every packet the VP transmits toward r0 (one direction
 	// only, so the copies don't multiply further down the path).
-	up := c.routers[0].Interfaces()[0].peer // the VP's uplink iface
-	up.faults = &linkFaults{salt: 1, dup: 1}
+	up := c.routers[0].Interfaces()[0].Peer() // the VP's uplink iface
+	up.setFaults(linkFaults{salt: 1, dup: 1})
 
 	pingAt(t, c, 0, 7)
 	c.net.Engine().Run()
@@ -115,8 +127,8 @@ func TestChaosDuplicationDeliversCopies(t *testing.T) {
 
 func TestChaosJitterDelaysButDelivers(t *testing.T) {
 	c := buildChain(1, nil, DefaultHostBehavior())
-	up := c.routers[0].Interfaces()[0].peer
-	up.faults = &linkFaults{salt: 99, jitterMax: 50 * time.Millisecond}
+	up := c.routers[0].Interfaces()[0].Peer()
+	up.setFaults(linkFaults{salt: 99, jitterMax: 50 * time.Millisecond})
 
 	pingAt(t, c, 0, 8)
 	c.net.Engine().Run()
@@ -132,7 +144,7 @@ func TestChaosJitterDelaysButDelivers(t *testing.T) {
 
 func TestChaosRouterOutageWindow(t *testing.T) {
 	c := buildChain(2, nil, DefaultHostBehavior())
-	c.routers[1].faults = &routerFaults{offline: faultWindow{offset: time.Second, duty: time.Second}}
+	c.routers[1].setFaults(routerFaults{offline: faultWindow{offset: time.Second, duty: time.Second}})
 
 	pingAt(t, c, 0, 1)
 	pingAt(t, c, 1500*time.Millisecond, 2)
@@ -150,7 +162,7 @@ func TestChaosRouterOutageWindow(t *testing.T) {
 func TestChaosICMPSuppressionWindow(t *testing.T) {
 	c := buildChain(2, nil, DefaultHostBehavior())
 	// r1 suppresses ICMP errors during [0, 1s).
-	c.routers[1].faults = &routerFaults{suppress: faultWindow{duty: time.Second}}
+	c.routers[1].setFaults(routerFaults{suppress: faultWindow{duty: time.Second}})
 
 	// TTL-2 probes expire at r1; the first falls inside the window.
 	w1 := makePingRR(t, a(vpAddrStr), a(destAddrStr), 1, 1, 2, 0)
@@ -173,10 +185,10 @@ func TestChaosICMPSuppressionWindow(t *testing.T) {
 func TestChaosRouteWithdrawalInvalidatesRouteCache(t *testing.T) {
 	c := buildChain(2, nil, DefaultHostBehavior())
 	// r0 transiently withdraws the destination /32 during [1s, 2s).
-	c.routers[0].faults = &routerFaults{
+	c.routers[0].setFaults(routerFaults{
 		withdraw: faultWindow{offset: time.Second, duty: time.Second},
 		prefix:   netip.PrefixFrom(a(destAddrStr), 32),
-	}
+	})
 
 	// Probe 1 populates r0's route cache before the withdrawal; probe 2
 	// must not be forwarded off the stale cached entry; probe 3 must get
@@ -206,9 +218,6 @@ func buildChaosChain(t *testing.T, n int, cfg FaultConfig) (*chain, FaultSummary
 	plan := NewFaultPlan(cfg)
 	for _, r := range c.routers {
 		plan.AddRouter(r)
-		for _, ifc := range r.Interfaces() {
-			plan.AddLink(ifc)
-		}
 	}
 	plan.AddWithdrawal(c.routers[0], netip.PrefixFrom(a(destAddrStr), 32))
 	return c, plan.Install()
@@ -260,11 +269,11 @@ func TestFaultPlanZeroConfigInstallsNothing(t *testing.T) {
 		t.Errorf("zero config installed faults: %v", sum)
 	}
 	for _, r := range c.routers {
-		if r.faults != nil {
+		if r.rec().faults >= 0 {
 			t.Errorf("router %s has fault state", r.Name())
 		}
 		for _, ifc := range r.Interfaces() {
-			if ifc.faults != nil {
+			if ifc.net.p.ifaces[ifc.id].faults >= 0 {
 				t.Errorf("iface %v has fault state", ifc.Addr)
 			}
 		}

@@ -3,6 +3,7 @@ package netsim
 import (
 	"bytes"
 	"net/netip"
+	"sync"
 	"testing"
 	"time"
 )
@@ -73,22 +74,22 @@ func TestCloneSharesFIBUntilWrite(t *testing.T) {
 	sr := src.routers[0]
 	cr := clone.Node(sr.Name()).(*Router)
 
-	if cr.fib != sr.fib {
+	if cr.FIB() != sr.FIB() {
 		t.Fatal("clone router does not share the frozen FIB")
 	}
 	p := netip.MustParsePrefix("203.0.113.0/24")
-	cr.AddRoute(p, cr.ifaces[0])
-	if cr.fib == sr.fib {
+	cr.AddRoute(p, cr.Interfaces()[0])
+	if cr.FIB() == sr.FIB() {
 		t.Fatal("AddRoute on clone mutated the shared FIB in place")
 	}
-	if got := sr.fib.Lookup(netip.MustParseAddr("203.0.113.1")); got != nil {
-		t.Fatalf("clone's route leaked into source FIB: %v", got.Addr)
+	if got := sr.FIB().Lookup(netip.MustParseAddr("203.0.113.1")); got != NoIface {
+		t.Fatalf("clone's route leaked into source FIB: iface %d", got)
 	}
-	if got := cr.fib.Lookup(netip.MustParseAddr("203.0.113.1")); got == nil {
+	if got := cr.FIB().Lookup(netip.MustParseAddr("203.0.113.1")); got == NoIface {
 		t.Fatal("clone lost its own added route")
 	}
-	if cr.fib.Len() != sr.fib.Len()+1 {
-		t.Fatalf("clone FIB len %d, source %d", cr.fib.Len(), sr.fib.Len())
+	if cr.FIB().Len() != sr.FIB().Len()+1 {
+		t.Fatalf("clone FIB len %d, source %d", cr.FIB().Len(), sr.FIB().Len())
 	}
 }
 
@@ -106,7 +107,7 @@ func TestCloneHostAliasCopyOnWrite(t *testing.T) {
 	if len(ch.Addrs()) != 2 || ch.Addrs()[1] != alias {
 		t.Fatalf("clone host addrs = %v", ch.Addrs())
 	}
-	if sh.owns(alias) {
+	if k, _ := key4(alias); src.net.p.owns(sh.rec(), k) {
 		t.Fatal("alias leaked into source local set")
 	}
 }
@@ -140,8 +141,8 @@ func TestFrozenSourceKeepsWorking(t *testing.T) {
 
 	// And post-freeze mutations still work, via the COW path.
 	r := src.routers[0]
-	r.AddRoute(netip.MustParsePrefix("203.0.113.0/24"), r.ifaces[0])
-	if r.fib.Lookup(netip.MustParseAddr("203.0.113.5")) == nil {
+	r.AddRoute(netip.MustParsePrefix("203.0.113.0/24"), r.Interfaces()[0])
+	if r.FIB().Lookup(netip.MustParseAddr("203.0.113.5")) == NoIface {
 		t.Fatal("post-freeze AddRoute did not take effect")
 	}
 }
@@ -214,7 +215,8 @@ func TestClonePolicerEqualsFreshBuildUnderRateLimit(t *testing.T) {
 
 	clone := src.net.Clone()
 	cr := clone.Node("r1").(*Router)
-	if cr.limiter != nil || cr.errLimiter != nil {
+	cs := &clone.rs[cr.idx]
+	if cs.limiter != nil || cs.errLimiter != nil {
 		t.Fatal("clone materialized policer buckets eagerly; want copy-on-write")
 	}
 	got := runPingRRBurst(t, clone, 100, burst)
@@ -224,10 +226,89 @@ func TestClonePolicerEqualsFreshBuildUnderRateLimit(t *testing.T) {
 	}
 
 	sr := src.net.Node("r1").(*Router)
-	if cr.limiter == nil {
+	if cs.limiter == nil {
 		t.Fatal("clone traffic never materialized its policer")
 	}
-	if cr.limiter == sr.limiter {
+	if cs.limiter == src.net.rs[sr.idx].limiter {
 		t.Fatal("clone shares the source's mutable token bucket")
+	}
+}
+
+// TestPlaneWritesNeverReachSiblings is the ownership rule of plane.go
+// under the race detector: every mutator, called on a replica or on the
+// frozen source itself, shows in that network alone — while sibling
+// replicas of the same plane carry traffic on other goroutines.
+func TestPlaneWritesNeverReachSiblings(t *testing.T) {
+	src := buildChain(3, nil, DefaultHostBehavior())
+	want := runPingRR(t, src.net.Clone(), 7)
+	if len(want) != 1 {
+		t.Fatalf("pristine replica produced %d replies, want 1", len(want))
+	}
+	const siblings, rounds = 4, 40
+	nets := make([]*Network, siblings)
+	for i := range nets {
+		nets[i] = src.net.Clone()
+	}
+	written := []*Network{src.net.Clone(), src.net} // a replica, then the frozen source
+
+	var wg sync.WaitGroup
+	for _, n := range nets {
+		wg.Add(1)
+		go func(n *Network) {
+			defer wg.Done()
+			vp := n.Node("vp").(*Host)
+			var got []capturedPacket
+			vp.SetSniffer(func(at time.Duration, pkt []byte) {
+				got = append(got, capturedPacket{at: at, raw: append([]byte(nil), pkt...)})
+			})
+			for round := 0; round < rounds; round++ {
+				vp.Inject(makePingRR(t, a(vpAddrStr), a(destAddrStr), 7, 1, 64, 9))
+				n.Engine().Run()
+			}
+			if len(got) != rounds {
+				t.Errorf("sibling answered %d of %d probes", len(got), rounds)
+			} else if got[0].at != want[0].at || !bytes.Equal(got[0].raw, want[0].raw) {
+				t.Errorf("sibling's first reply differs from a pristine replica's:\n got %x\nwant %x", got[0].raw, want[0].raw)
+			}
+		}(n)
+	}
+	alias := netip.MustParseAddr("198.51.100.9")
+	for _, n := range written {
+		r := n.Node("r1").(*Router)
+		r.AddRoute(netip.MustParsePrefix("203.0.113.0/24"), r.Interfaces()[0])
+		n.Node("dest").(*Host).AddAlias(alias)
+		r.Interfaces()[0].SetLoss(1)
+		n.Connect(r, n.AddHost("extra", a("10.3.0.2"), DefaultHostBehavior()), a("10.3.0.1"), a("10.3.0.2"), time.Millisecond)
+		n.SetFaultEpoch(3)
+	}
+	wg.Wait()
+
+	for _, n := range written {
+		if got := runPingRR(t, n, 9); len(got) != 0 {
+			t.Errorf("written network still answers (%d replies): its own changes did not take", len(got))
+		}
+		if n.NumNodes() != 6 || n.FaultEpoch() != 3 || len(n.Node("dest").(*Host).Addrs()) != 2 {
+			t.Errorf("written network lost a change: %d nodes, epoch %d, dest %v",
+				n.NumNodes(), n.FaultEpoch(), n.Node("dest").(*Host).Addrs())
+		}
+	}
+	if written[0].p == written[1].p {
+		t.Error("the two written networks share a plane")
+	}
+	routes := src.routers[1].FIB().Len() - 2 // the source gained a /24 and extra's connected route
+	for _, n := range nets {
+		r1, dest := n.Node("r1").(*Router), n.Node("dest").(*Host)
+		if n.NumNodes() != 5 || r1.FIB().Len() != routes || len(dest.Addrs()) != 1 || n.FaultEpoch() != 0 || n.Node("extra") != nil {
+			t.Errorf("a sibling saw a write: %d nodes, %d routes at r1, dest %v, epoch %d",
+				n.NumNodes(), r1.FIB().Len(), dest.Addrs(), n.FaultEpoch())
+		}
+		if n.p != nets[0].p {
+			t.Error("siblings no longer share one plane")
+		}
+	}
+	// A replica of the written source, on the other hand, is a replica of
+	// what the source is now.
+	if n := src.net.Clone(); n.NumNodes() != 6 || n.FaultEpoch() != 3 || len(runPingRR(t, n, 9)) != 0 {
+		t.Errorf("replica of the written source: %d nodes, epoch %d", n.NumNodes(), n.FaultEpoch())
 	}
 }

@@ -14,9 +14,9 @@ func TestHostDropsMisdeliveredPacket(t *testing.T) {
 	// adding a bogus /32 route at the last router.
 	bogus := a("10.2.0.99")
 	last := c.routers[len(c.routers)-1]
-	last.AddRoute(netip.PrefixFrom(bogus, 32), last.FIB().Lookup(a(destAddrStr)))
+	last.AddRoute(netip.PrefixFrom(bogus, 32), egressTo(last, a(destAddrStr)))
 	for _, r := range c.routers {
-		r.AddRoute(netip.PrefixFrom(bogus, 32), r.FIB().Lookup(a(destAddrStr)))
+		r.AddRoute(netip.PrefixFrom(bogus, 32), egressTo(r, a(destAddrStr)))
 	}
 	c.vp.Inject(makePingRR(t, a(vpAddrStr), bogus, 1, 1, 64, 0))
 	c.net.Engine().Run()

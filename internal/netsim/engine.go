@@ -17,8 +17,8 @@ import (
 )
 
 // event is the payload of a scheduled occurrence: a callback (fn != nil),
-// a call with an argument (call != nil) or a packet delivery (pkt/dst
-// set). Packet deliveries are a dedicated event kind so the per-packet
+// a call with an argument (call != nil) or a packet delivery (dst != 0:
+// the receiving interface's id plus one). Packet deliveries are a dedicated event kind so the per-packet
 // hot path schedules no closure and the engine can recycle the buffer
 // once the receiver returns; calls are one so that a caller with many
 // timers of one shape — a prober's per-probe timeout — keeps a single
@@ -30,7 +30,7 @@ type event struct {
 	call func(uint64)
 	arg  uint64
 	pkt  []byte
-	dst  *Iface
+	dst  IfaceID
 }
 
 // heapEntry is one queued event: the (at, seq) ordering key plus the
@@ -74,6 +74,7 @@ type Engine struct {
 	now      time.Duration
 	seq      uint64
 	nRun     uint64
+	net      *Network // receives packet deliveries; set by the network that owns the engine
 }
 
 // NewEngine returns an engine with the clock at zero.
@@ -128,8 +129,8 @@ func (e *Engine) ScheduleCall(d time.Duration, fn func(uint64), arg uint64) {
 // scheduleDelivery enqueues a packet delivery to dst after delay d,
 // ordered exactly like Schedule. The engine owns pkt until delivery and
 // returns it to the owning network's buffer pool afterwards.
-func (e *Engine) scheduleDelivery(d time.Duration, pkt []byte, dst *Iface) {
-	e.enqueue(d, event{pkt: pkt, dst: dst})
+func (e *Engine) scheduleDelivery(d time.Duration, pkt []byte, dst IfaceID) {
+	e.enqueue(d, event{pkt: pkt, dst: dst + 1})
 }
 
 // At runs fn at absolute virtual time t (or now, if t is in the past).
@@ -207,10 +208,8 @@ func (e *Engine) step() {
 	e.slab[top.idx] = event{} // release buffer/closure references
 	e.free = append(e.free, top.idx)
 	switch {
-	case ev.dst != nil:
-		dst := ev.dst
-		dst.Owner.Receive(ev.pkt, dst)
-		dst.net.putBuf(ev.pkt)
+	case ev.dst != 0:
+		e.net.deliver(ev.pkt, ev.dst-1)
 	case ev.call != nil:
 		ev.call(ev.arg)
 	default:

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"encoding/binary"
+	"net/netip"
 	"testing"
 	"time"
 )
@@ -236,7 +237,9 @@ func TestEngineOrderIsAtThenSeq(t *testing.T) {
 	var got []int
 	nextID := 1
 	var run func(id uint64)
-	sink := &Iface{Owner: recvFunc(func(pkt []byte) { run(binary.BigEndian.Uint64(pkt)) }), net: nw}
+	recv := recvFunc(func(pkt []byte) { run(binary.BigEndian.Uint64(pkt)) })
+	nw.register(recv)
+	sink, _ := nw.Connect(recv, recv, netip.Addr{}, netip.Addr{}, 0)
 	run = func(id uint64) {
 		got = append(got, int(id))
 		for _, d := range children(int(id)) {
@@ -251,7 +254,7 @@ func TestEngineOrderIsAtThenSeq(t *testing.T) {
 			case 1:
 				e.ScheduleCall(d, run, child)
 			case 2:
-				e.scheduleDelivery(d, binary.BigEndian.AppendUint64(nw.getBuf(), child), sink)
+				e.scheduleDelivery(d, binary.BigEndian.AppendUint64(nw.getBuf(), child), sink.id)
 			}
 		}
 	}

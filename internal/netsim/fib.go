@@ -2,116 +2,68 @@ package netsim
 
 import (
 	"net/netip"
+	"slices"
 )
 
 // FIB is a longest-prefix-match forwarding table mapping destination
-// prefixes to egress interfaces. Host routes (/32), which dominate real
-// tables here because every link installs two, live in a dedicated
-// address-keyed map probed first; shorter prefixes go through per-length
-// maps from most to least specific. Real tables here hold only a handful
-// of distinct lengths, so this stays fast without a trie.
+// prefixes to egress interfaces: one pointer-free slice, scanned. Tables
+// hold connected /32 routes and a handful of installed prefixes behind
+// the router's memo; what matters is that all of a plane's fit one arena.
 type FIB struct {
-	host    map[netip.Addr]*Iface // /32 routes, the common hit
-	byLen   map[int]map[netip.Prefix]*Iface
-	lengths []int // sorted descending, kept in sync with byLen; never 32
-	size    int
+	routes []fibRoute
+}
+
+type fibRoute struct {
+	key  uint32 // masked prefix address, packed as key4
+	via  IfaceID
+	bits uint8
 }
 
 // NewFIB returns an empty forwarding table.
-func NewFIB() *FIB {
-	return &FIB{
-		host:  make(map[netip.Addr]*Iface),
-		byLen: make(map[int]map[netip.Prefix]*Iface),
-	}
-}
+func NewFIB() *FIB { return &FIB{} }
+
+func mask4(bits uint8) uint32 { return ^uint32(0) << (32 - bits) }
 
 // Add installs a route. The prefix is masked to its canonical form; a
-// later Add for the same prefix overwrites the earlier one.
-func (f *FIB) Add(p netip.Prefix, via *Iface) {
-	p = p.Masked()
-	if p.Bits() == 32 {
-		if _, exists := f.host[p.Addr()]; !exists {
-			f.size++
+// later Add for the same prefix overwrites the earlier one. Anything but
+// an IPv4 prefix is ignored: nothing else is ever looked up.
+func (f *FIB) Add(p netip.Prefix, via IfaceID) {
+	if k, ok := key4(p.Addr()); ok && p.Bits() >= 0 {
+		f.add(k, uint8(p.Bits()), via)
+	}
+}
+
+func (f *FIB) add(key uint32, bits uint8, via IfaceID) {
+	key &= mask4(bits)
+	for i, r := range f.routes {
+		if r.key == key && r.bits == bits {
+			// The table may sit in an arena other networks read (plane.clone).
+			f.routes = slices.Clone(f.routes)
+			f.routes[i].via = via
+			return
 		}
-		f.host[p.Addr()] = via
-		return
 	}
-	m := f.byLen[p.Bits()]
-	if m == nil {
-		m = make(map[netip.Prefix]*Iface)
-		f.byLen[p.Bits()] = m
-		f.insertLength(p.Bits())
-	}
-	if _, exists := m[p]; !exists {
-		f.size++
-	}
-	m[p] = via
-}
-
-// insertLength places bits into the descending-sorted lengths slice
-// without re-sorting the whole slice on every new length.
-func (f *FIB) insertLength(bits int) {
-	i := len(f.lengths)
-	for i > 0 && f.lengths[i-1] < bits {
-		i--
-	}
-	f.lengths = append(f.lengths, 0)
-	copy(f.lengths[i+1:], f.lengths[i:])
-	f.lengths[i] = bits
-}
-
-// Grow preallocates the /32 host-route map for about n entries. It only
-// acts on a still-empty table — the topology generator calls it right
-// after creating a router, when the expected connected-route count is
-// known but nothing is installed yet — so no copying ever happens.
-func (f *FIB) Grow(n int) {
-	if f.size == 0 && n > 0 {
-		f.host = make(map[netip.Addr]*Iface, n)
-	}
-}
-
-// clone returns a deep copy of the table structure. The values — egress
-// interface pointers — are shared on purpose: a cloned replica resolves
-// them through Network.localize.
-func (f *FIB) clone() *FIB {
-	c := &FIB{
-		host:    make(map[netip.Addr]*Iface, len(f.host)),
-		byLen:   make(map[int]map[netip.Prefix]*Iface, len(f.byLen)),
-		lengths: append([]int(nil), f.lengths...),
-		size:    f.size,
-	}
-	for a, v := range f.host {
-		c.host[a] = v
-	}
-	for bits, m := range f.byLen {
-		cm := make(map[netip.Prefix]*Iface, len(m))
-		for p, v := range m {
-			cm[p] = v
-		}
-		c.byLen[bits] = cm
-	}
-	return c
+	f.routes = append(f.routes, fibRoute{key: key, via: via, bits: bits})
 }
 
 // Lookup returns the egress interface for dst under longest-prefix
-// match, or nil if no route covers it. The /32 host-route map — the
-// common case on forwarding paths, where connected peers are host
-// routes — is probed before any prefix arithmetic.
-func (f *FIB) Lookup(dst netip.Addr) *Iface {
-	if via, ok := f.host[dst]; ok {
-		return via
+// match, or NoIface if no route covers it.
+func (f *FIB) Lookup(dst netip.Addr) IfaceID {
+	if k, ok := key4(dst); ok {
+		return f.lookup4(k)
 	}
-	for _, bits := range f.lengths {
-		p, err := dst.Prefix(bits)
-		if err != nil {
-			continue
-		}
-		if via, ok := f.byLen[bits][p]; ok {
-			return via
+	return NoIface
+}
+
+func (f *FIB) lookup4(dst uint32) IfaceID {
+	via, best := NoIface, -1
+	for _, r := range f.routes {
+		if int(r.bits) > best && dst&mask4(r.bits) == r.key {
+			via, best = r.via, int(r.bits)
 		}
 	}
-	return nil
+	return via
 }
 
 // Len returns the number of installed routes.
-func (f *FIB) Len() int { return f.size }
+func (f *FIB) Len() int { return len(f.routes) }

@@ -9,16 +9,14 @@ func pfx(s string) netip.Prefix { return netip.MustParsePrefix(s) }
 
 func TestFIBLongestPrefixMatch(t *testing.T) {
 	f := NewFIB()
-	def := &Iface{}
-	agg := &Iface{}
-	spec := &Iface{}
+	const def, agg, spec IfaceID = 0, 1, 2
 	f.Add(pfx("0.0.0.0/0"), def)
 	f.Add(pfx("10.0.0.0/8"), agg)
 	f.Add(pfx("10.1.2.0/24"), spec)
 
 	tests := []struct {
 		dst  string
-		want *Iface
+		want IfaceID
 	}{
 		{"10.1.2.3", spec},
 		{"10.9.9.9", agg},
@@ -26,7 +24,7 @@ func TestFIBLongestPrefixMatch(t *testing.T) {
 	}
 	for _, tc := range tests {
 		if got := f.Lookup(netip.MustParseAddr(tc.dst)); got != tc.want {
-			t.Errorf("Lookup(%s) = %p, want %p", tc.dst, got, tc.want)
+			t.Errorf("Lookup(%s) = %d, want %d", tc.dst, got, tc.want)
 		}
 	}
 	if f.Len() != 3 {
@@ -36,7 +34,7 @@ func TestFIBLongestPrefixMatch(t *testing.T) {
 
 func TestFIBOverwriteSamePrefix(t *testing.T) {
 	f := NewFIB()
-	a, b := &Iface{}, &Iface{}
+	const a, b IfaceID = 0, 1
 	f.Add(pfx("10.0.0.0/8"), a)
 	f.Add(pfx("10.0.0.0/8"), b)
 	if got := f.Lookup(netip.MustParseAddr("10.1.1.1")); got != b {
@@ -49,15 +47,15 @@ func TestFIBOverwriteSamePrefix(t *testing.T) {
 
 func TestFIBNoRoute(t *testing.T) {
 	f := NewFIB()
-	f.Add(pfx("10.0.0.0/8"), &Iface{})
-	if got := f.Lookup(netip.MustParseAddr("192.0.2.1")); got != nil {
+	f.Add(pfx("10.0.0.0/8"), 0)
+	if got := f.Lookup(netip.MustParseAddr("192.0.2.1")); got != NoIface {
 		t.Errorf("Lookup with no covering route = %v", got)
 	}
 }
 
 func TestFIBMasksNonCanonicalPrefix(t *testing.T) {
 	f := NewFIB()
-	via := &Iface{}
+	const via IfaceID = 0
 	// 10.1.2.3/8 must be treated as 10.0.0.0/8.
 	f.Add(netip.PrefixFrom(netip.MustParseAddr("10.1.2.3"), 8), via)
 	if got := f.Lookup(netip.MustParseAddr("10.200.0.1")); got != via {
@@ -67,8 +65,7 @@ func TestFIBMasksNonCanonicalPrefix(t *testing.T) {
 
 func TestFIBHostRoute(t *testing.T) {
 	f := NewFIB()
-	host := &Iface{}
-	agg := &Iface{}
+	const host, agg IfaceID = 0, 1
 	f.Add(pfx("10.0.0.0/8"), agg)
 	f.Add(pfx("10.0.0.7/32"), host)
 	if got := f.Lookup(netip.MustParseAddr("10.0.0.7")); got != host {

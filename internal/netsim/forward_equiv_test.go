@@ -24,21 +24,21 @@ import (
 func (r *Router) receiveReference(pkt []byte, on *Iface) {
 	trace := func(event string) {
 		if r.net.tracer != nil {
-			r.net.tracer(r.net.Now(), r.name, event, r.ip.Src, r.ip.Dst)
+			r.net.tracer(r.net.Now(), r.Name(), event, r.net.ip.Src, r.net.ip.Dst)
 		}
 	}
-	if f := r.faults; f != nil && f.offline.active(r.net.Now()) {
+	if f := r.rec().faults; f >= 0 && r.net.p.routerFaults[f].offline.active(r.net.Now()) {
 		r.count(cChaosOffline)
 		return
 	}
-	payload, err := r.ip.Decode(pkt)
+	payload, err := r.net.ip.Decode(pkt)
 	if err != nil {
 		r.countName("router.drop.parse")
 		return
 	}
-	hasOpts := len(r.ip.Options) > 0
+	hasOpts := len(r.net.ip.Options) > 0
 	if hasOpts {
-		if r.behavior.DropOptions {
+		if r.rec().behavior.DropOptions {
 			r.countName("router.drop.filter")
 			trace("router.drop.filter")
 			return
@@ -51,17 +51,17 @@ func (r *Router) receiveReference(pkt []byte, on *Iface) {
 		r.count(cRouterSlowpath)
 		trace("router.slowpath")
 	}
-	if k, _ := key4(r.ip.Dst); r.ownsAddr(k) {
-		if found, err := r.ip.SourceRouteOption(&r.sr); found && err == nil && !r.sr.Exhausted() {
+	if k, _ := key4(r.net.ip.Dst); r.ownsAddr(k) {
+		if found, err := r.net.ip.SourceRouteOption(&r.net.sr); found && err == nil && !r.net.sr.Exhausted() {
 			r.forwardSourceRouted(payload)
 			return
 		}
 		r.deliverLocal(payload)
 		return
 	}
-	if !r.behavior.NoTTLDecrement {
-		if r.ip.TTL <= 1 {
-			if !r.behavior.NoTimeExceeded {
+	if !r.rec().behavior.NoTTLDecrement {
+		if r.net.ip.TTL <= 1 {
+			if !r.rec().behavior.NoTimeExceeded {
 				r.sendTimeExceeded(pkt, on)
 			} else {
 				r.countName("router.drop.ttl.silent")
@@ -70,18 +70,18 @@ func (r *Router) receiveReference(pkt []byte, on *Iface) {
 			trace("router.ttl.expired")
 			return
 		}
-		r.ip.TTL--
+		r.net.ip.TTL--
 	}
-	egress := r.lookupRoute(r.ip.Dst)
+	egress := r.lookupRoute(r.net.ip.Dst)
 	if egress == nil {
 		r.countName("router.drop.noroute")
 		trace("router.drop.noroute")
 		return
 	}
-	if hasOpts && !r.behavior.NoStampRR {
-		if found, err := r.ip.RecordRouteOption(&r.rr); found && err == nil && !r.rr.Full() {
-			r.rr.Record(egress.Addr)
-			if err := r.ip.SetRecordRoute(&r.rr); err != nil {
+	if hasOpts && !r.rec().behavior.NoStampRR {
+		if found, err := r.net.ip.RecordRouteOption(&r.net.rr); found && err == nil && !r.net.rr.Full() {
+			r.net.rr.Record(egress.Addr)
+			if err := r.net.ip.SetRecordRoute(&r.net.rr); err != nil {
 				r.countName("router.drop.rrencode")
 				return
 			}
@@ -89,9 +89,9 @@ func (r *Router) receiveReference(pkt []byte, on *Iface) {
 			trace("router.rr.stamped")
 		}
 		var ts packet.Timestamp
-		if found, err := r.ip.TimestampOption(&ts); found && err == nil {
+		if found, err := r.net.ip.TimestampOption(&ts); found && err == nil {
 			ts.Record(egress.Addr, uint32(r.net.Now().Milliseconds()))
-			if err := r.ip.SetTimestamp(&ts); err != nil {
+			if err := r.net.ip.SetTimestamp(&ts); err != nil {
 				r.countName("router.drop.tsencode")
 				return
 			}
@@ -99,17 +99,30 @@ func (r *Router) receiveReference(pkt []byte, on *Iface) {
 			trace("router.ts.stamped")
 		}
 	}
-	out, err := r.ip.AppendTo(r.net.getBuf(), payload)
+	out, err := r.net.ip.AppendTo(r.net.getBuf(), payload)
 	if err != nil {
 		r.countName("router.drop.encode")
 		return
 	}
 	r.count(cRouterFwd)
-	if hasOpts && r.behavior.SlowPathDelay > 0 {
-		r.net.engine.Schedule(r.behavior.SlowPathDelay, func() { egress.Send(out) })
+	if hasOpts && r.rec().behavior.SlowPathDelay > 0 {
+		r.net.engine.Schedule(r.rec().behavior.SlowPathDelay, func() { egress.Send(out) })
 		return
 	}
 	egress.Send(out)
+}
+
+// The reference reads like the code it was: these adapters stand where
+// the old Router's fields and methods did.
+func (r *Router) count(id int)                         { r.net.countAt(r.rec().node, id) }
+func (r *Router) countName(name string)                { r.net.countName(r.rec().node, name) }
+func (r *Router) optionsLimiter() *TokenBucket         { return r.net.optionsLimiter(r.idx) }
+func (r *Router) ownsAddr(k uint32) bool               { return r.rec().ownsAddr(k) }
+func (r *Router) forwardSourceRouted(pl []byte)        { r.net.forwardSourceRouted(r.idx, pl) }
+func (r *Router) deliverLocal(pl []byte)               { r.net.deliverLocal(r.idx, pl) }
+func (r *Router) sendTimeExceeded(o []byte, on *Iface) { r.net.sendTimeExceeded(r.idx, o, on.id) }
+func (r *Router) lookupRoute(dst netip.Addr) *Iface {
+	return r.net.iface(r.net.lookupRoute(r.idx, dst))
 }
 
 // tap is a Node that records every datagram delivered to it.

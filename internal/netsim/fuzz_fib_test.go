@@ -8,12 +8,12 @@ import (
 // oracleRoute is one installed route as the reference model sees it.
 type oracleRoute struct {
 	prefix netip.Prefix
-	via    *Iface
+	via    IfaceID
 }
 
 // oracleAdd mirrors FIB.Add: mask to canonical form, last Add for the
 // same masked prefix wins.
-func oracleAdd(routes []oracleRoute, p netip.Prefix, via *Iface) []oracleRoute {
+func oracleAdd(routes []oracleRoute, p netip.Prefix, via IfaceID) []oracleRoute {
 	p = p.Masked()
 	for i := range routes {
 		if routes[i].prefix == p {
@@ -27,8 +27,8 @@ func oracleAdd(routes []oracleRoute, p netip.Prefix, via *Iface) []oracleRoute {
 // oracleLookup is the naive longest-prefix match: scan every route,
 // keep the longest one containing dst. Two distinct prefixes of equal
 // length cannot both contain dst, so the winner is unique.
-func oracleLookup(routes []oracleRoute, dst netip.Addr) *Iface {
-	var best *Iface
+func oracleLookup(routes []oracleRoute, dst netip.Addr) IfaceID {
+	best := NoIface
 	bestBits := -1
 	for _, r := range routes {
 		if r.prefix.Contains(dst) && r.prefix.Bits() > bestBits {
@@ -38,8 +38,8 @@ func oracleLookup(routes []oracleRoute, dst netip.Addr) *Iface {
 	return best
 }
 
-// FuzzFIBLookup drives the layered FIB (host-route map + per-length
-// prefix maps) against the naive oracle. The input encodes a route
+// FuzzFIBLookup drives the sorted FIB (a binary search per distinct
+// prefix length) against the naive oracle. The input encodes a route
 // table and a set of lookups: 6-byte records install routes (4 address
 // bytes, prefix length, interface index) until a record's first byte is
 // 0xFF; every remaining 4-byte group is a lookup address.
@@ -68,11 +68,6 @@ func FuzzFIBLookup(f *testing.F) {
 	})
 	f.Add([]byte{0xFF, 0, 0, 0, 0, 0, 1, 2, 3, 4})
 
-	ifaces := make([]*Iface, 8)
-	for i := range ifaces {
-		ifaces[i] = &Iface{}
-	}
-
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fib := NewFIB()
 		var routes []oracleRoute
@@ -81,7 +76,7 @@ func FuzzFIBLookup(f *testing.F) {
 		for ; i+6 <= len(data) && data[i] != 0xFF && len(routes) < 64; i += 6 {
 			addr := netip.AddrFrom4([4]byte{data[i], data[i+1], data[i+2], data[i+3]})
 			bits := int(data[i+4]) % 33
-			via := ifaces[int(data[i+5])%len(ifaces)]
+			via := IfaceID(data[i+5] % 8)
 			p, err := addr.Prefix(bits)
 			if err != nil {
 				t.Fatalf("Prefix(%d) on v4 addr: %v", bits, err)
@@ -99,7 +94,7 @@ func FuzzFIBLookup(f *testing.F) {
 			dst := netip.AddrFrom4([4]byte{data[i], data[i+1], data[i+2], data[i+3]})
 			got, want := fib.Lookup(dst), oracleLookup(routes, dst)
 			if got != want {
-				t.Fatalf("Lookup(%v): FIB %p, oracle %p (routes: %v)", dst, got, want, routes)
+				t.Fatalf("Lookup(%v): FIB %d, oracle %d (routes: %v)", dst, got, want, routes)
 			}
 		}
 		// Installed routes must resolve to themselves by address.

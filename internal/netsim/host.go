@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"encoding/binary"
 	"net/netip"
 	"time"
 
@@ -49,72 +50,92 @@ func DefaultHostBehavior() HostBehavior {
 // datagram; the callee must not retain or modify it.
 type SnifferFunc func(now time.Duration, pkt []byte)
 
-// Host is an end system with a single uplink interface and one or more
-// local addresses (extra addresses model aliases). Hosts answer probes
-// according to their behaviour and can inject raw packets, which is how
-// vantage points are modelled.
+// Host is the handle of an end system with a single uplink interface and
+// one or more local addresses (extra ones model aliases). Hosts answer
+// probes per their behaviour and can inject raw packets, as VPs do.
 type Host struct {
-	name     string
-	net      *Network
-	idx      int // registration index; replica clones keep it
-	behavior HostBehavior
-	uplink   *Iface
-	addrs    []netip.Addr
-	ipid     uint16
-	sniffer  SnifferFunc
-
-	// localShared marks addrs as part of a frozen route plane possibly
-	// shared with replica networks; mutation copies first.
-	localShared bool
-
-	ip packet.IPv4
-	rr packet.RecordRoute
-	ts packet.Timestamp
+	net *Network
+	idx int32 // index in plane.hosts, AddHost order
 }
+
+// hostBits is HostBehavior without StampAddr, which hostRec keeps packed.
+type hostBits struct{ ping, rr, copyRR, honorRR, udp bool }
 
 // AddHost creates a host with the given primary address and registers it.
 // Connect must be called to attach it before traffic flows; the first
 // connected interface becomes the uplink.
 func (n *Network) AddHost(name string, primary netip.Addr, behavior HostBehavior) *Host {
-	h := &Host{
-		name:     name,
-		net:      n,
-		behavior: behavior,
-		addrs:    []netip.Addr{primary},
-		ipid:     seedIPID(name),
-	}
-	n.register(h)
-	return h
+	return n.Host(n.AddHostNode(name, behavior, primary))
 }
+
+// AddHostNode is AddHost — and AddAlias for every valid further address
+// — returning the node's id and making no handle.
+func (n *Network) AddHostNode(name string, b HostBehavior, primary netip.Addr, aliases ...netip.Addr) NodeID {
+	id := n.addNode(refOf(kindHost, len(n.p.hosts)), name)
+	p := n.p
+	h := hostRec{node: id, uplink: NoIface, addrOff: uint32(len(p.haddrs)), addrN: 1,
+		b: hostBits{b.PingResponsive, b.RRResponsive, b.CopyRROnReply, b.HonorRR, b.UDPResponsive}}
+	h.stamp, _ = key4(b.StampAddr)
+	k, _ := key4(primary)
+	p.haddrs = append(p.haddrs, k)
+	for _, a := range aliases {
+		if k, ok := key4(a); ok {
+			p.haddrs = append(p.haddrs, k)
+			h.addrN++
+		}
+	}
+	p.hosts = append(p.hosts, h)
+	n.snifSlot = append(n.snifSlot, 0)
+	return id
+}
+
+func (h *Host) rec() *hostRec { return &h.net.p.hosts[h.idx] }
 
 // Name returns the host's name.
-func (h *Host) Name() string { return h.name }
+func (h *Host) Name() string { return h.net.p.name(h.rec().node) }
 
 // Addr returns the host's primary address.
-func (h *Host) Addr() netip.Addr { return h.addrs[0] }
+func (h *Host) Addr() netip.Addr { return addrOf(h.net.p.addrs(h.rec())[0]) }
 
 // Addrs returns all local addresses (primary first).
-func (h *Host) Addrs() []netip.Addr { return h.addrs }
-
-// Behavior returns the host's configured behaviour.
-func (h *Host) Behavior() HostBehavior { return h.behavior }
-
-// AddAlias adds an extra local address; probes to it are answered like
-// probes to the primary. On a host whose address set belongs to a
-// frozen, shared route plane the set is copied first (copy-on-write).
-func (h *Host) AddAlias(a netip.Addr) {
-	if h.localShared {
-		h.addrs = append([]netip.Addr(nil), h.addrs...)
-		h.localShared = false
+func (h *Host) Addrs() []netip.Addr {
+	var out []netip.Addr
+	for _, k := range h.net.p.addrs(h.rec()) {
+		out = append(out, addrOf(k))
 	}
-	h.addrs = append(h.addrs, a)
+	return out
 }
 
-// owns reports whether a is one of the host's addresses; hosts have one
-// or two, so the scan beats a map.
-func (h *Host) owns(a netip.Addr) bool {
-	for _, x := range h.addrs {
-		if x == a {
+// Behavior returns the host's configured behaviour.
+func (h *Host) Behavior() HostBehavior {
+	r := h.rec()
+	b := HostBehavior{PingResponsive: r.b.ping, RRResponsive: r.b.rr, CopyRROnReply: r.b.copyRR,
+		HonorRR: r.b.honorRR, UDPResponsive: r.b.udp}
+	if r.stamp != 0 {
+		b.StampAddr = addrOf(r.stamp)
+	}
+	return b
+}
+
+// AddAlias adds an extra local address, answered like the primary. The
+// host's address run moves to the end of the table, if not there, to grow.
+func (h *Host) AddAlias(a netip.Addr) {
+	p := h.net.mutable()
+	r := &p.hosts[h.idx]
+	if run := p.addrs(r); int(r.addrOff)+len(run) != len(p.haddrs) {
+		r.addrOff = uint32(len(p.haddrs))
+		p.haddrs = append(p.haddrs, run...)
+	}
+	k, _ := key4(a)
+	p.haddrs = append(p.haddrs, k)
+	r.addrN++
+}
+
+// owns reports whether the packed address is one of the host's; hosts
+// have one or two, so the scan beats a map.
+func (p *plane) owns(h *hostRec, addr uint32) bool {
+	for _, a := range p.addrs(h) {
+		if a == addr {
 			return true
 		}
 	}
@@ -123,181 +144,155 @@ func (h *Host) owns(a netip.Addr) bool {
 
 // SetSniffer installs a callback observing every packet delivered to the
 // host. Vantage points use this to collect probe responses.
-func (h *Host) SetSniffer(fn SnifferFunc) { h.sniffer = fn }
+func (h *Host) SetSniffer(fn SnifferFunc) {
+	n := h.net
+	if n.snifSlot[h.idx] == 0 {
+		n.sniffers = append(n.sniffers, nil)
+		n.snifSlot[h.idx] = int32(len(n.sniffers))
+	}
+	n.sniffers[n.snifSlot[h.idx]-1] = fn
+}
 
 // Sniffer returns the currently installed sniffer (nil when none), so
 // instrumentation such as pcap capture can chain rather than displace it.
-func (h *Host) Sniffer() SnifferFunc { return h.sniffer }
+func (h *Host) Sniffer() SnifferFunc { return h.net.sniffer(h.idx) }
+
+func (n *Network) sniffer(hi int32) SnifferFunc {
+	if s := n.snifSlot[hi]; s != 0 {
+		return n.sniffers[s-1]
+	}
+	return nil
+}
 
 // Uplink returns the host's uplink interface, or nil if unconnected.
-func (h *Host) Uplink() *Iface { return h.uplink }
+func (h *Host) Uplink() *Iface { return h.net.iface(h.rec().uplink) }
 
-func (h *Host) addIface(i *Iface) {
-	if h.uplink == nil {
-		h.uplink = i
-	}
-}
-
-// nextID returns the next IP identifier from the host's single shared
-// counter (the alias-resolution signal).
-func (h *Host) nextID() uint16 {
-	h.ipid++
-	return h.ipid
-}
-
-// count bumps a network counter and, when per-node attribution is
-// enabled, charges it to this host.
-func (h *Host) count(id int) {
-	h.net.CountID(id, 1)
-	if h.net.nodeCounts != nil {
-		h.net.countNode(h.name, id, 1)
-	}
-}
-
-// countName is count for cold paths that never pre-interned an ID (see
-// Router.countName).
-func (h *Host) countName(name string) { h.count(CounterID(name)) }
-
-// trace emits a packet event for the datagram currently decoded in
-// h.ip; callers guard on h.net.tracer != nil.
-func (h *Host) trace(event string) {
-	h.net.tracer(h.net.Now(), h.name, event, h.ip.Src, h.ip.Dst)
-}
+func (h *Host) addIface(*Iface) {} // Link already told the record
 
 // Inject transmits a raw, already-serialized IPv4 datagram out the
-// uplink, exactly as a raw-socket prober would: pkt is copied into a
-// pooled buffer and stays the caller's. (Handing the caller's slice to
-// Send would have the pool adopt one buffer per probe and grow for the
-// life of the network; the copy keeps it sized by what is in flight.)
+// uplink, as a raw-socket prober would: pkt is copied into a pooled
+// buffer and stays the caller's (adopting the caller's slice would grow
+// the pool by one buffer per probe).
 func (h *Host) Inject(pkt []byte) {
-	if h.uplink == nil {
-		h.countName("host.drop.unconnected")
+	n, r := h.net, h.rec()
+	if r.uplink == NoIface {
+		n.countName(r.node, "host.drop.unconnected")
 		return
 	}
-	h.count(cHostInject)
-	h.uplink.Send(append(h.net.getBuf(), pkt...))
+	n.countAt(r.node, cHostInject)
+	n.send(&n.p.ifaces[r.uplink], append(n.getBuf(), pkt...))
 }
 
 // Receive implements Node.
-func (h *Host) Receive(pkt []byte, on *Iface) {
-	payload, err := h.ip.Decode(pkt)
+func (h *Host) Receive(pkt []byte, on *Iface) { h.net.hostReceive(h.idx, pkt) }
+
+// hostReceive is a host's receive path; the datagram is decoded into
+// n.ip, which the helpers below read.
+func (n *Network) hostReceive(hi int32, pkt []byte) {
+	h := &n.p.hosts[hi]
+	payload, err := n.ip.Decode(pkt)
 	if err != nil {
-		h.countName("host.drop.parse")
+		n.countName(h.node, "host.drop.parse")
 		return
 	}
-	if !h.owns(h.ip.Dst) {
-		h.count(cHostDropMisdelivered)
+	if !n.p.owns(h, binary.BigEndian.Uint32(pkt[16:20])) {
+		n.countAt(h.node, cHostDropMisdelivered)
 		return
 	}
-	if h.sniffer != nil {
-		h.sniffer(h.net.Now(), pkt)
+	if fn := n.sniffer(hi); fn != nil {
+		fn(n.Now(), pkt)
 	}
-	hasOpts := len(h.ip.Options) > 0
-	if hasOpts && !h.behavior.RRResponsive {
-		h.count(cHostDropOptions)
-		if h.net.tracer != nil {
-			h.trace("host.drop.options")
-		}
+	hasOpts := len(n.ip.Options) > 0
+	if hasOpts && !h.b.rr {
+		n.event(h.node, cHostDropOptions, pkt)
 		return
 	}
 	// Hosts never forward: a source route with hops left is undeliverable.
 	var sr packet.SourceRoute
-	if found, err := h.ip.SourceRouteOption(&sr); found && (err != nil || !sr.Exhausted()) {
-		h.countName("host.drop.sourceroute")
+	if found, err := n.ip.SourceRouteOption(&sr); found && (err != nil || !sr.Exhausted()) {
+		n.countName(h.node, "host.drop.sourceroute")
 		return
 	}
-	switch h.ip.Protocol {
+	switch n.ip.Protocol {
 	case packet.ProtocolICMP:
-		h.receiveICMP(payload)
+		n.hostReceiveICMP(h, pkt, payload)
 	case packet.ProtocolUDP:
-		h.receiveUDP(pkt, payload)
+		n.hostReceiveUDP(h, pkt, payload)
 	default:
-		h.countName("host.drop.proto")
+		n.countName(h.node, "host.drop.proto")
 	}
 }
 
-// receiveICMP answers echo requests; other ICMP is sniffer-only.
-func (h *Host) receiveICMP(payload []byte) {
+// hostReceiveICMP answers echo requests; other ICMP is sniffer-only.
+func (n *Network) hostReceiveICMP(h *hostRec, raw, payload []byte) {
 	var icmp packet.ICMP
 	if icmp.Decode(payload) != nil {
-		h.countName("host.drop.icmpparse")
+		n.countName(h.node, "host.drop.icmpparse")
 		return
 	}
 	if icmp.Type != packet.ICMPEchoRequest {
 		return
 	}
-	if !h.behavior.PingResponsive {
-		h.count(cHostDropUnresponsive)
-		if h.net.tracer != nil {
-			h.trace("host.drop.unresponsive")
-		}
+	if !h.b.ping {
+		n.event(h.node, cHostDropUnresponsive, raw)
 		return
 	}
 	reply := icmp.EchoReply()
 	hdr := packet.IPv4{
 		TTL:      64,
-		ID:       h.nextID(),
+		ID:       n.nextID(h.node),
 		Protocol: packet.ProtocolICMP,
-		Src:      h.ip.Dst, // reply from the probed address
-		Dst:      h.ip.Src,
-		Options:  h.net.replyOpts[:0],
+		Src:      n.ip.Dst, // reply from the probed address
+		Dst:      n.ip.Src,
+		Options:  n.replyOpts[:0],
 	}
-	// h.rr and h.ts are scratch copies of the request's options, so the
+	// The address the host records into options: the configured alias, or
+	// the probed address.
+	stamp := n.ip.Dst
+	if h.stamp != 0 {
+		stamp = addrOf(h.stamp)
+	}
+	// n.rr and n.ts are scratch copies of the request's options, so the
 	// reply's are recorded and serialized in place.
-	if found, err := h.ip.RecordRouteOption(&h.rr); found && err == nil && h.behavior.CopyRROnReply {
-		if h.behavior.HonorRR {
-			h.rr.Record(h.stampAddr()) // no-op when already full
+	if found, err := n.ip.RecordRouteOption(&n.rr); found && err == nil && h.b.copyRR {
+		if h.b.honorRR {
+			n.rr.Record(stamp) // no-op when already full
 		}
-		opt, err := h.rr.AppendOption(h.net.replyOptData[0][:0])
+		opt, err := n.rr.AppendOption(n.replyOptData[0][:0])
 		if err != nil {
-			h.countName("host.drop.rrencode")
+			n.countName(h.node, "host.drop.rrencode")
 			return
 		}
 		hdr.Options = append(hdr.Options, opt)
 	}
 	// Timestamp options are copied and completed under the same policy.
-	if found, err := h.ip.TimestampOption(&h.ts); found && err == nil && h.behavior.CopyRROnReply {
-		if h.behavior.HonorRR {
-			h.ts.Record(h.stampAddr(), uint32(h.net.Now().Milliseconds()))
+	if found, err := n.ip.TimestampOption(&n.ts); found && err == nil && h.b.copyRR {
+		if h.b.honorRR {
+			n.ts.Record(stamp, uint32(n.Now().Milliseconds()))
 		}
-		opt, err := h.ts.AppendOption(h.net.replyOptData[1][:0])
+		opt, err := n.ts.AppendOption(n.replyOptData[1][:0])
 		if err != nil {
-			h.countName("host.drop.tsencode")
+			n.countName(h.node, "host.drop.tsencode")
 			return
 		}
 		hdr.Options = append(hdr.Options, opt)
 	}
-	h.count(cHostEchoReply)
-	if h.net.tracer != nil {
-		h.trace("host.echo.reply")
-	}
-	h.send(&hdr, reply)
+	n.event(h.node, cHostEchoReply, raw)
+	n.hostSend(h, &hdr, reply)
 }
 
-// stampAddr is the address the host records into options of the request
-// in h.ip: the configured alias, or the probed address.
-func (h *Host) stampAddr() netip.Addr {
-	if h.behavior.StampAddr.IsValid() {
-		return h.behavior.StampAddr
-	}
-	return h.ip.Dst
-}
-
-// receiveUDP generates port-unreachable errors for closed ports. The
+// hostReceiveUDP generates port-unreachable errors for closed ports. The
 // quote is the datagram exactly as received — options included and
 // unstamped, which is what makes the ping-RRudp reclassification test
 // (§3.3) possible.
-func (h *Host) receiveUDP(raw, payload []byte) {
+func (n *Network) hostReceiveUDP(h *hostRec, raw, payload []byte) {
 	var udp packet.UDP
-	if udp.Decode(payload, h.ip.Src, h.ip.Dst) != nil {
-		h.countName("host.drop.udpparse")
+	if udp.Decode(payload, n.ip.Src, n.ip.Dst) != nil {
+		n.countName(h.node, "host.drop.udpparse")
 		return
 	}
-	if !h.behavior.UDPResponsive {
-		h.count(cHostDropUDPSilent)
-		if h.net.tracer != nil {
-			h.trace("host.drop.udpsilent")
-		}
+	if !h.b.udp {
+		n.event(h.node, cHostDropUDPSilent, raw)
 		return
 	}
 	e := packet.ICMP{
@@ -307,29 +302,26 @@ func (h *Host) receiveUDP(raw, payload []byte) {
 	}
 	hdr := packet.IPv4{
 		TTL:      64,
-		ID:       h.nextID(),
+		ID:       n.nextID(h.node),
 		Protocol: packet.ProtocolICMP,
-		Src:      h.ip.Dst,
-		Dst:      h.ip.Src,
+		Src:      n.ip.Dst,
+		Dst:      n.ip.Src,
 	}
-	h.count(cHostUDPUnreach)
-	if h.net.tracer != nil {
-		h.trace("host.udp.unreach")
-	}
-	h.send(&hdr, &e)
+	n.event(h.node, cHostUDPUnreach, raw)
+	n.hostSend(h, &hdr, &e)
 }
 
-// send serializes a host-originated ICMP message into a pooled buffer
-// and transmits it via the uplink.
-func (h *Host) send(hdr *packet.IPv4, m *packet.ICMP) {
-	if h.uplink == nil {
-		h.countName("host.drop.unconnected")
+// hostSend serializes a host-originated ICMP message into a pooled
+// buffer and transmits it via the uplink.
+func (n *Network) hostSend(h *hostRec, hdr *packet.IPv4, m *packet.ICMP) {
+	if h.uplink == NoIface {
+		n.countName(h.node, "host.drop.unconnected")
 		return
 	}
-	out, err := hdr.AppendHeader(h.net.getBuf(), m.Len())
+	out, err := hdr.AppendHeader(n.getBuf(), m.Len())
 	if err != nil {
-		h.countName("host.drop.encode")
+		n.countName(h.node, "host.drop.encode")
 		return
 	}
-	h.uplink.Send(m.AppendTo(out))
+	n.send(&n.p.ifaces[h.uplink], m.AppendTo(out))
 }

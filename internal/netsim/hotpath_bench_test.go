@@ -21,7 +21,7 @@ func benchAddr(i int) netip.Addr {
 // falls back to.
 func BenchmarkFIBLookup(b *testing.B) {
 	fib := NewFIB()
-	dummy := &Iface{}
+	const dummy IfaceID = 0
 	for i := 0; i < 256; i++ {
 		fib.Add(netip.PrefixFrom(benchAddr(i), 32), dummy)
 	}
@@ -35,7 +35,7 @@ func BenchmarkFIBLookup(b *testing.B) {
 	b.Run("host-route", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if fib.Lookup(hostDst) == nil {
+			if fib.Lookup(hostDst) == NoIface {
 				b.Fatal("missing host route")
 			}
 		}
@@ -43,7 +43,7 @@ func BenchmarkFIBLookup(b *testing.B) {
 	b.Run("lpm-walk", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if fib.Lookup(lpmDst) == nil {
+			if fib.Lookup(lpmDst) == NoIface {
 				b.Fatal("missing lpm route")
 			}
 		}
@@ -61,13 +61,13 @@ func BenchmarkRouterRouteLookup(b *testing.B) {
 		p, _ := netip.AddrFrom4([4]byte{172, 16, byte(bits), 0}).Prefix(bits)
 		r.AddRoute(p, via)
 	}
-	dst := netip.AddrFrom4([4]byte{172, 16, 200, 9})
+	dst, _ := key4(netip.AddrFrom4([4]byte{172, 16, 200, 9}))
 
 	b.Run("cached", func(b *testing.B) {
-		r.lookupRoute(dst) // warm the cache
+		n.lookupRoute4(r.idx, dst) // warm the cache
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if r.lookupRoute(dst) == nil {
+			if n.lookupRoute4(r.idx, dst) == NoIface {
 				b.Fatal("no route")
 			}
 		}
@@ -75,7 +75,7 @@ func BenchmarkRouterRouteLookup(b *testing.B) {
 	b.Run("uncached", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if r.lookupRouteSlow(dst) == nil {
+			if n.lookupRouteSlow(r.idx, dst) == NoIface {
 				b.Fatal("no route")
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"net/netip"
+	"slices"
 	"sort"
 	"time"
 
@@ -11,12 +12,16 @@ import (
 )
 
 // Node is anything attachable to the network: a router or a host.
+// *Router, *Host and *Iface are handles — a network and an id — onto the
+// records of plane.go. A network makes one per node and interface, the
+// first time somebody asks, so handles compare by identity; the packet
+// path never makes or follows one.
 type Node interface {
 	// Name returns the node's unique name within its Network.
 	Name() string
 	// Receive handles a serialized IPv4 datagram arriving on iface.
 	Receive(pkt []byte, on *Iface)
-	// addIface registers a new interface during Connect.
+	// addIface tells a node of a new interface during Connect.
 	addIface(i *Iface)
 }
 
@@ -27,66 +32,69 @@ type Iface struct {
 	// Owner is the node this interface belongs to.
 	Owner Node
 
-	// id is the interface's index in its network's registry, assigned in
-	// Connect creation order. Replica networks cloned from a snapshot
-	// reuse the same ids, which is how shared route-plane structures
-	// (FIBs, oracle closures) holding source-network interface pointers
-	// resolve to the clone's own interfaces — see Network.localize.
-	id     int32
-	a4     [4]byte // Addr in wire form, what routers stamp into options
-	peer   *Iface
-	delay  time.Duration
-	loss   float64 // per-direction drop probability
-	net    *Network
-	faults *linkFaults // nil when no fault plan afflicts this direction
+	net *Network
+	id  IfaceID
 }
 
 // Peer returns the interface at the other end of the link.
-func (i *Iface) Peer() *Iface { return i.peer }
+func (i *Iface) Peer() *Iface { return i.net.iface(i.net.p.ifaces[i.id].peer) }
 
 // SetLoss sets the probability that a packet transmitted from this
 // interface is silently dropped (failure injection). Loss draws come
 // from the network's deterministic RNG.
-func (i *Iface) SetLoss(p float64) { i.loss = p }
+func (i *Iface) SetLoss(p float64) { i.net.mutable().ifaces[i.id].loss = p }
 
 // Send schedules pkt for delivery to the link peer after the link delay.
 // Ownership of the buffer transfers to the network: it must not be
 // modified or retained by the caller afterwards (it is recycled into the
 // serialization pool once the receiver returns).
-func (i *Iface) Send(pkt []byte) {
-	if i.peer == nil {
-		i.net.Count("drop.unconnected", 1)
-		i.net.putBuf(pkt)
-		return
-	}
-	if i.loss > 0 && i.net.lossDraw() < i.loss {
-		i.net.CountID(cLinkLoss, 1)
-		i.net.putBuf(pkt)
+func (i *Iface) Send(pkt []byte) { i.net.send(&i.net.p.ifaces[i.id], pkt) }
+
+// send is Iface.Send on the interface's record.
+func (n *Network) send(i *ifaceRec, pkt []byte) {
+	if i.loss > 0 && n.lossDraw() < i.loss {
+		n.CountID(cLinkLoss, 1)
+		n.putBuf(pkt)
 		return
 	}
 	delay := i.delay
-	if f := i.faults; f != nil {
-		if f.down.active(i.net.Now()) {
-			i.net.CountID(cChaosLinkDown, 1)
-			i.net.putBuf(pkt)
+	if i.faults >= 0 {
+		f := &n.p.linkFaults[i.faults]
+		if f.down.active(n.Now()) {
+			n.CountID(cChaosLinkDown, 1)
+			n.putBuf(pkt)
 			return
 		}
 		if f.loss > 0 && chaosDraw(f.salt, chaosSaltLoss, pkt) < f.loss {
-			i.net.CountID(cChaosLoss, 1)
-			i.net.putBuf(pkt)
+			n.CountID(cChaosLoss, 1)
+			n.putBuf(pkt)
 			return
 		}
 		if f.jitterMax > 0 {
 			delay += time.Duration(chaosDraw(f.salt, chaosSaltJitter, pkt) * float64(f.jitterMax))
 		}
 		if f.dup > 0 && chaosDraw(f.salt, chaosSaltDup, pkt) < f.dup {
-			cp := append(i.net.getBuf(), pkt...)
-			i.net.CountID(cChaosDup, 1)
-			i.net.engine.scheduleDelivery(delay+i.delay/2, cp, i.peer)
+			cp := append(n.getBuf(), pkt...)
+			n.CountID(cChaosDup, 1)
+			n.engine.scheduleDelivery(delay+i.delay/2, cp, i.peer)
 		}
 	}
-	i.net.CountID(cLinkTx, 1)
-	i.net.engine.scheduleDelivery(delay, pkt, i.peer)
+	n.CountID(cLinkTx, 1)
+	n.engine.scheduleDelivery(delay, pkt, i.peer)
+}
+
+// deliver hands a packet that crossed a link to the owner of the
+// interface it arrives on; the engine calls it for every delivery event.
+func (n *Network) deliver(pkt []byte, on IfaceID) {
+	switch o := n.p.ifaces[on].owner; o.kind() {
+	case kindRouter:
+		n.routerReceive(o.idx(), pkt, on)
+	case kindHost:
+		n.hostReceive(o.idx(), pkt)
+	default:
+		n.foreign[o.idx()].Receive(pkt, n.iface(on))
+	}
+	n.putBuf(pkt)
 }
 
 // key4 packs an IPv4 address into the big-endian uint32 that route memos
@@ -105,15 +113,6 @@ func addrOf(k uint32) netip.Addr {
 	return netip.AddrFrom4([4]byte{byte(k >> 24), byte(k >> 16), byte(k >> 8), byte(k)})
 }
 
-// wire4 returns a's four wire octets, or 0.0.0.0 for anything but IPv4
-// (which no topology assigns to an interface).
-func wire4(a netip.Addr) (b [4]byte) {
-	if a = a.Unmap(); a.Is4() {
-		b = a.As4()
-	}
-	return b
-}
-
 // seedIPID derives a device's initial IP-ID counter value from its name
 // (FNV-1a), so distinct devices start far apart — as real, long-running
 // devices do. Interfaces of one device share the counter; that shared
@@ -127,57 +126,82 @@ func seedIPID(name string) uint16 {
 	return uint16(h>>16) ^ uint16(h)
 }
 
-// Network owns the engine, the nodes, and global counters.
+// routerState is a router's overlay: what traffic through it changes.
+type routerState struct {
+	// memo memoizes lookupRoute4 per destination (negative results
+	// included): the oracle recomputes a policy path on every call, and
+	// forwarding asks the same for every probe of a campaign. Emptied
+	// whenever routing changes.
+	memo routeMemo
+	// Policers are made on first use: a fresh bucket starts full and
+	// refills clamp at burst, so one born at virtual time t equals one
+	// born at time 0 and first consulted at t.
+	limiter, errLimiter *TokenBucket
+	wFlips              int // withdraw.flips at the last route lookup
+}
+
+// Network owns the engine, a plane (see plane.go) and the overlay that
+// traffic over that plane mutates.
 type Network struct {
-	engine   *Engine
-	nodes    []Node
-	byName   map[string]Node
-	nameIdx  map[string]int // frozen name → nodes index, shared by clones
-	ifaces   []*Iface       // registry in Connect order; index = Iface.id
-	frozen   bool           // immutable route plane; see Freeze
-	counters []uint64       // indexed by interned counter ID
-	lossRNG  uint64         // xorshift state for deterministic loss draws
-	// faultEpoch is the coarse virtual clock of a recurring campaign:
-	// epoch-churned prefixes (FaultConfig.ChurnProb) are withdrawn or
-	// present as a pure function of this value. It is overlay state —
-	// clones inherit it from their snapshot source, and it never enters
-	// the frozen route plane or the topology digest.
+	engine *Engine
+	p      *plane
+	shared bool // other networks may hold p: copy before writing (Freeze)
+
+	// Overlay, indexed by the plane's ids.
+	ipid     []uint16      // by NodeID: next IP identifier less one
+	rs       []routerState // by router index
+	snifSlot []int32       // by host index: slot+1 in sniffers, 0 for none
+	sniffers []SnifferFunc
+	foreign  []Node // nodes of kindForeign; they carry their own state
+
+	// Handles given out so far, one per record, and the name index Node
+	// builds on its first call (campaigns address nodes by id).
+	routerH []*Router
+	hostH   map[int32]*Host
+	ifaceH  map[IfaceID]*Iface
+	byName  map[string]NodeID
+
+	counters []uint64 // indexed by interned counter ID
+	lossRNG  uint64   // xorshift state for deterministic loss draws
+	// faultEpoch is the coarse clock of a recurring campaign: churned
+	// prefixes (FaultConfig.ChurnProb) are withdrawn or present as a pure
+	// function of it. Clones inherit it; it never enters the plane.
 	faultEpoch int
 	hook       func(at time.Duration, counter string)
 	bufs       [][]byte // free list of serialization buffers
 	bufSlab    []byte   // arena the free list's buffers are carved from
 
-	// Scratch for the options of a reply being originated (an echoed
-	// Record Route and Timestamp): one per network because the engine is
-	// single-threaded and a reply is serialized before Receive returns.
+	// Scratch for the packet being received and the reply to it: a reply
+	// is serialized before Receive returns, and nothing re-enters Receive.
+	ip           packet.IPv4
+	rr           packet.RecordRoute
+	sr           packet.SourceRoute
+	ts           packet.Timestamp
 	replyOpts    [2]packet.Option
 	replyOptData [2][packet.MaxOptionsLen]byte
 
-	// Observability hooks (see obs.go); both nil/off by default so the
-	// per-packet paths pay only a nil check.
+	// Observability (obs.go): off by default, a nil check per packet.
 	tracer     TraceFunc
-	nodeCounts map[string][]uint64 // node name → counters by ID
+	nodeCounts map[NodeID][]uint64 // counters by ID
+	nodeNames  map[NodeID]string   // names handed to the tracer so far
 }
 
 // bufCap is the capacity of pooled packet buffers: 128 bytes covers an
 // IPv4 header, a 40-byte RR/TS option, and every payload the simulator
-// generates. A packet that outgrows it reallocates out of the arena (the
-// append in AppendTo copies to a fresh heap slice) and simply never
-// returns to the pool — putBuf screens on capacity.
+// generates. A packet that outgrows it leaves the arena on its growth
+// append (AppendTo copies to a fresh heap slice).
 const bufCap = 128
 
 // bufSlabSize is the arena growth quantum: 256 buffers (32 KiB) at a
-// time, so the steady-state pool for a whole replica lives in a handful
-// of large pointer-free allocations the GC scans in O(slabs), not
-// O(packets in flight).
+// time, so a replica's steady-state pool is a handful of large
+// pointer-free allocations, not one per packet in flight.
 const bufSlabSize = 256 * bufCap
 
-// getBuf returns an empty buffer for packet serialization, reusing a
-// recycled one when available and carving a fresh one from the buffer
-// arena otherwise. Buffers flow: getBuf → AppendTo → Iface.Send →
-// delivery → putBuf. Receivers must never retain delivered packet bytes
-// beyond Receive (the long-standing Send/sniffer contract), which is
-// what makes the recycling safe.
+// getBuf returns an empty buffer for packet serialization: a recycled
+// one, or a fresh one carved from the arena. Buffers flow getBuf →
+// AppendTo → Iface.Send → delivery → putBuf; receivers must never retain
+// delivered bytes beyond Receive (the Send/sniffer contract), which is
+// what makes the recycling safe (DESIGN.md §12).
 func (n *Network) getBuf() []byte {
 	if len(n.bufs) == 0 {
 		if len(n.bufSlab) < bufCap {
@@ -192,9 +216,8 @@ func (n *Network) getBuf() []byte {
 	return b
 }
 
-// putBuf returns a packet buffer to the free list. Buffers that grew
-// past bufCap escaped the arena on their growth append; recycling them
-// anyway is fine — the pool tracks slices, not arena offsets.
+// putBuf returns a packet buffer to the free list. One that outgrew the
+// arena is recycled all the same: the pool tracks slices, not offsets.
 func (n *Network) putBuf(b []byte) {
 	if cap(b) == 0 {
 		return
@@ -202,22 +225,31 @@ func (n *Network) putBuf(b []byte) {
 	n.bufs = append(n.bufs, b[:0])
 }
 
-// lossSeed is the fixed initial xorshift state for link-loss draws;
-// replicas cloned from a snapshot restart from it, exactly like a fresh
-// build.
+// lossSeed is the fixed initial xorshift state for link-loss draws; a
+// replica restarts from it, exactly like a fresh build.
 const lossSeed = 0x9e3779b97f4a7c15
 
-// New returns an empty network with a fresh engine. Counters are
-// preallocated to the interned-registry size (cache-line padded, see
-// newCounters) so hot-path CountID never grows the slice and parallel
-// shard replicas never share a counter cache line.
-func New() *Network {
-	return &Network{
-		engine:   NewEngine(),
-		byName:   make(map[string]Node),
-		lossRNG:  lossSeed,
-		counters: newCounters(),
+// New returns an empty network with a fresh engine.
+func New() *Network { return newNetwork(&plane{}) }
+
+// newNetwork returns a network over p with an empty overlay. Counters
+// are preallocated to the registry's size and cache-line padded
+// (newCounters): CountID never grows them on a hot path, and shard
+// replicas never share a counter cache line.
+func newNetwork(p *plane) *Network {
+	n := &Network{engine: NewEngine(), p: p, lossRNG: lossSeed, counters: newCounters(),
+		hostH: map[int32]*Host{}, ifaceH: map[IfaceID]*Iface{}, nodeNames: map[NodeID]string{}}
+	n.engine.net = n
+	return n
+}
+
+// mutable returns the plane for writing, first taking a private copy of
+// one that other networks may be reading.
+func (n *Network) mutable() *plane {
+	if n.shared {
+		n.p, n.shared = n.p.clone(), false
 	}
+	return n.p
 }
 
 // lossDraw returns a deterministic uniform draw in [0, 1) for link-loss
@@ -239,19 +271,19 @@ func (n *Network) FaultEpoch() int { return n.faultEpoch }
 
 // SetFaultEpoch advances the long-horizon churn clock: epoch-churned
 // prefixes are withdrawn for the whole of epoch e iff their per-epoch
-// draw fires (routerFaults.churned). Route memos of churn-afflicted
-// routers are invalidated so lookups cached under the previous epoch
-// never leak across the boundary. Campaigns set the epoch once, before
-// any traffic; within an epoch churn is constant, which is what keeps
-// renders byte-identical across shard counts and restarts.
+// draw fires (routerFaults.churned). Memos of churn-afflicted routers
+// are emptied so nothing cached under the previous epoch leaks across.
+// Campaigns set the epoch once, before any traffic; within an epoch
+// churn is constant, which keeps renders byte-identical across shard
+// counts and restarts.
 func (n *Network) SetFaultEpoch(e int) {
 	if e == n.faultEpoch {
 		return
 	}
 	n.faultEpoch = e
-	for _, node := range n.nodes {
-		if r, ok := node.(*Router); ok && r.faults != nil && r.faults.churnPrefix.IsValid() {
-			r.invalidateRoutes()
+	for i := range n.p.routers {
+		if f := n.p.routers[i].faults; f >= 0 && n.p.routerFaults[f].churnPrefix.IsValid() {
+			n.rs[i].memo.reset()
 		}
 	}
 }
@@ -266,8 +298,18 @@ func (n *Network) Count(name string, delta uint64) {
 	n.CountID(CounterID(name), delta)
 }
 
-// CountID adds delta to the counter with the given interned ID.
+// CountID adds delta to the counter with the given interned ID. The
+// unobserved case is all the compiler inlines at the per-packet call
+// sites.
 func (n *Network) CountID(id int, delta uint64) {
+	if id < len(n.counters) && n.hook == nil {
+		n.counters[id] += delta
+	} else {
+		n.countHooked(id, delta)
+	}
+}
+
+func (n *Network) countHooked(id int, delta uint64) {
 	if id >= len(n.counters) {
 		n.counters = append(n.counters, make([]uint64, id+1-len(n.counters))...)
 	}
@@ -305,80 +347,170 @@ func (n *Network) Counters() []string {
 	return out
 }
 
-// Node returns the named node, or nil. Clones resolve through the
-// shared frozen name index instead of carrying their own map.
+// Node returns the named node, or nil. It panics if two nodes share a
+// name: topology construction bugs should fail loudly.
 func (n *Network) Node(name string) Node {
-	if n.byName != nil {
-		return n.byName[name]
+	if n.byName == nil {
+		n.byName = make(map[string]NodeID, len(n.p.nodes))
+		for i := range n.p.nodes {
+			s := n.p.name(NodeID(i))
+			if _, dup := n.byName[s]; dup {
+				panic("netsim: duplicate node name " + s)
+			}
+			n.byName[s] = NodeID(i)
+		}
 	}
-	if i, ok := n.nameIdx[name]; ok {
-		return n.nodes[i]
+	if id, ok := n.byName[name]; ok {
+		return n.node(id)
 	}
 	return nil
 }
 
 // NumNodes returns how many nodes have been added.
-func (n *Network) NumNodes() int { return len(n.nodes) }
+func (n *Network) NumNodes() int { return len(n.p.nodes) }
 
-// register adds a node, panicking on duplicate names: topology
-// construction bugs should fail loudly at build time, not mid-run.
-func (n *Network) register(node Node) {
-	if n.byName == nil {
-		// A clone adding nodes materializes its own name map, seeded from
-		// the shared frozen index it no longer matches.
-		n.byName = make(map[string]Node, len(n.nodes)+1)
-		for _, existing := range n.nodes {
-			n.byName[existing.Name()] = existing
-		}
+// node returns the handle of a node.
+func (n *Network) node(id NodeID) Node { return n.handle(n.p.nodes[id]) }
+
+func (n *Network) handle(r nodeRef) Node {
+	switch r.kind() {
+	case kindRouter:
+		return n.Routers()[r.idx()]
+	case kindHost:
+		return n.host(r.idx())
+	default:
+		return n.foreign[r.idx()]
 	}
-	if _, dup := n.byName[node.Name()]; dup {
-		panic("netsim: duplicate node name " + node.Name())
-	}
-	switch v := node.(type) {
-	case *Router:
-		v.idx = len(n.nodes)
-	case *Host:
-		v.idx = len(n.nodes)
-	}
-	n.nodes = append(n.nodes, node)
-	n.byName[node.Name()] = node
 }
 
-// localize maps an interface of a snapshot source network onto this
-// network's replica of it: identity for nil and for this network's own
-// interfaces, an id-indexed registry lookup for cloned planes. The
-// address check lets hand-built interfaces that never joined a registry
-// pass through untouched.
-func (n *Network) localize(via *Iface) *Iface {
-	if via == nil || via.net == n {
-		return via
-	}
-	if int(via.id) < len(n.ifaces) {
-		if l := n.ifaces[via.id]; l.Addr == via.Addr {
-			return l
+// Host returns the handle of the host with the given id (not a router's).
+func (n *Network) Host(id NodeID) *Host { return n.node(id).(*Host) }
+
+// Routers returns every router's handle, in AddRouter order; the slice
+// is the network's own. Handles not made yet come from one block, so a
+// replica that wants them all pays one allocation.
+func (n *Network) Routers() []*Router {
+	if missing := len(n.p.routers) - len(n.routerH); missing > 0 {
+		block := make([]Router, missing)
+		n.routerH = slices.Grow(n.routerH, missing)
+		for i := range block {
+			block[i] = Router{net: n, idx: int32(len(n.routerH))}
+			n.routerH = append(n.routerH, &block[i])
 		}
 	}
-	return via
+	return n.routerH
+}
+
+func (n *Network) host(idx int32) *Host {
+	h := n.hostH[idx]
+	if h == nil {
+		h = &Host{net: n, idx: idx}
+		n.hostH[idx] = h
+	}
+	return h
+}
+
+// iface returns the handle of an interface, nil for NoIface.
+func (n *Network) iface(id IfaceID) *Iface {
+	if id < 0 {
+		return nil
+	}
+	i := n.ifaceH[id]
+	if i == nil {
+		rec := &n.p.ifaces[id]
+		i = &Iface{Addr: addrOf(rec.addr), Owner: n.handle(rec.owner), net: n, id: id}
+		n.ifaceH[id] = i
+	}
+	return i
+}
+
+// IfaceInfo describes an interface by id, for walking the plane without
+// handles: its address, the other end of its link, and the index (in
+// AddRouter order) of the router it belongs to, -1 for a host's.
+func (n *Network) IfaceInfo(id IfaceID) (addr netip.Addr, peer IfaceID, router int) {
+	rec := &n.p.ifaces[id]
+	if router = -1; rec.owner.kind() == kindRouter {
+		router = int(rec.owner.idx())
+	}
+	return addrOf(rec.addr), rec.peer, router
+}
+
+// addNode registers a node record.
+func (n *Network) addNode(ref nodeRef, name string) NodeID {
+	p := n.mutable()
+	id := NodeID(len(p.nodes))
+	p.nodes = append(p.nodes, ref)
+	p.names = append(p.names, name...)
+	p.nameEnd = append(p.nameEnd, uint32(len(p.names)))
+	p.ipid0 = append(p.ipid0, seedIPID(name))
+	n.ipid = append(n.ipid, p.ipid0[id])
+	n.byName = nil
+	return id
+}
+
+// register adds a node implemented outside this package (tests tap links
+// with one). Such a network cannot be cloned: the node's state is its own.
+func (n *Network) register(node Node) {
+	n.addNode(refOf(kindForeign, len(n.foreign)), node.Name())
+	n.foreign = append(n.foreign, node)
+}
+
+// nodeID returns a node's id, the same in every network over its plane.
+func (n *Network) nodeID(node Node) NodeID {
+	switch v := node.(type) {
+	case *Router:
+		return v.rec().node
+	case *Host:
+		return v.rec().node
+	}
+	if n.Node(node.Name()) == nil {
+		panic("netsim: node " + node.Name() + " is not registered")
+	}
+	return n.byName[node.Name()]
 }
 
 // Connect links two nodes with a bidirectional point-to-point link.
 // addrA and addrB become the interface addresses on each side and delay
 // applies in both directions. It returns the two interfaces.
 func (n *Network) Connect(a, b Node, addrA, addrB netip.Addr, delay time.Duration) (*Iface, *Iface) {
-	ia := &Iface{Addr: addrA, a4: wire4(addrA), Owner: a, delay: delay, net: n, id: int32(len(n.ifaces))}
-	ib := &Iface{Addr: addrB, a4: wire4(addrB), Owner: b, delay: delay, net: n, id: int32(len(n.ifaces) + 1)}
-	n.ifaces = append(n.ifaces, ia, ib)
-	ia.peer, ib.peer = ib, ia
-	a.addIface(ia)
-	b.addIface(ib)
-	// Routers learn connected host routes to their link peers, as real
-	// routers do; everything else is the route computation's job.
-	// AddRoute (not fib.Add) so the router's route cache is invalidated.
-	if r, ok := a.(*Router); ok {
-		r.AddRoute(netip.PrefixFrom(addrB, 32), ia)
-	}
-	if r, ok := b.(*Router); ok {
-		r.AddRoute(netip.PrefixFrom(addrA, 32), ib)
-	}
+	ia, ib := n.Link(n.nodeID(a), n.nodeID(b), addrA, addrB, delay)
+	ha, hb := n.iface(ia), n.iface(ib)
+	a.addIface(ha)
+	b.addIface(hb)
+	return ha, hb
+}
+
+// Link is Connect by id, returning the interfaces' ids: what a generator
+// wiring 10⁵ access links calls, so that no handle is made for them.
+func (n *Network) Link(a, b NodeID, addrA, addrB netip.Addr, delay time.Duration) (IfaceID, IfaceID) {
+	p := n.mutable()
+	ia := IfaceID(len(p.ifaces))
+	ib := ia + 1
+	ka, _ := key4(addrA) // interface addresses are IPv4; anything else reads 0.0.0.0
+	kb, _ := key4(addrB)
+	p.ifaces = append(p.ifaces,
+		ifaceRec{addr: ka, owner: p.nodes[a], peer: ib, faults: -1, delay: delay},
+		ifaceRec{addr: kb, owner: p.nodes[b], peer: ia, faults: -1, delay: delay})
+	n.attach(ia, kb)
+	n.attach(ib, ka)
 	return ia, ib
+}
+
+// attach tells its owner of a new interface. A host's first becomes its
+// uplink; a router adds the address to its local set and learns a
+// connected host route to the link peer, as real routers do.
+func (n *Network) attach(id IfaceID, peer uint32) {
+	rec := &n.p.ifaces[id]
+	switch idx := rec.owner.idx(); rec.owner.kind() {
+	case kindHost:
+		if h := &n.p.hosts[idx]; h.uplink == NoIface {
+			h.uplink = id
+		}
+	case kindRouter:
+		r := &n.p.routers[idx]
+		r.ifaces = append(r.ifaces, id)
+		r.local = append(r.local, rec.addr)
+		r.fib.add(peer, 32, id)
+		n.rs[idx].memo.reset()
+	}
 }

@@ -36,7 +36,7 @@ func (n *Network) SetTracer(fn TraceFunc) { n.tracer = fn }
 // want network-wide totals should not pay.
 func (n *Network) EnableNodeCounters() {
 	if n.nodeCounts == nil {
-		n.nodeCounts = make(map[string][]uint64)
+		n.nodeCounts = make(map[NodeID][]uint64)
 	}
 }
 
@@ -45,13 +45,24 @@ func (n *Network) NodeCountersEnabled() bool { return n.nodeCounts != nil }
 
 // countNode attributes one count to a node; callers guard on
 // n.nodeCounts != nil.
-func (n *Network) countNode(name string, id int, delta uint64) {
-	s := n.nodeCounts[name]
+func (n *Network) countNode(node NodeID, id int, delta uint64) {
+	s := n.nodeCounts[node]
 	if id >= len(s) {
 		s = append(s, make([]uint64, id+1-len(s))...)
 	}
 	s[id] += delta
-	n.nodeCounts[name] = s
+	n.nodeCounts[node] = s
+}
+
+// nodeName is plane.name for the tracing paths, which name the same few
+// nodes over and over: each name is made into a string once per network.
+func (n *Network) nodeName(id NodeID) string {
+	s, ok := n.nodeNames[id]
+	if !ok {
+		s = n.p.name(id)
+		n.nodeNames[id] = s
+	}
+	return s
 }
 
 // CounterMap returns every nonzero network-wide counter keyed by name —
@@ -83,7 +94,7 @@ func (n *Network) NodeCounters() map[string]map[string]uint64 {
 			}
 		}
 		if len(m) > 0 {
-			out[node] = m
+			out[n.p.name(node)] = m
 		}
 	}
 	return out

@@ -4,33 +4,28 @@ import "math/bits"
 
 // routeMemo is a router's memo of resolved routes: an open-addressed
 // table from packed IPv4 destination (key4) to egress interface,
-// negative results included. It stands in for a map[uint32]*Iface
-// because the lookup runs once per forwarded packet — by then the
-// largest single cost of a hop — and because the values are interface
-// ids rather than pointers: the table holds no pointers, so the GC never
-// scans it, and a frozen memo shared with replica networks needs no
-// pointer translation (ids index each network's own registry).
+// negative results included. It stands in for a map because the lookup
+// runs once per forwarded packet — by then the largest single cost of a
+// hop — and because it holds no pointers, so the GC never scans it.
 //
-// The zero value is an empty memo. A memo is copied by value to share it
-// read-only (the frozen routeBase); only its owner may put or reset.
+// The zero value is an empty memo.
 type routeMemo struct {
 	slots []routeSlot // length zero or a power of two, at most half full
 	n     int
 	shift uint8 // 32 - log2(len(slots))
 }
 
-// routeSlot is one table cell. via is 0 for an empty cell, memoNoRoute
-// for a destination known to have no route, and interface id +
-// memoIfaceBase otherwise.
+// routeSlot is one table cell. via is 0 for an empty cell and an IfaceID
+// plus memoBase otherwise, which makes a destination known to have no
+// route (NoIface) a 1.
 type routeSlot struct {
 	dst uint32
 	via int32
 }
 
 const (
-	memoNoRoute   = 1
-	memoIfaceBase = 2
-	memoMinSlots  = 8
+	memoBase     = 2
+	memoMinSlots = 8
 )
 
 // home returns dst's preferred cell (Fibonacci hashing: campaign
@@ -79,28 +74,9 @@ func (m *routeMemo) place(s routeSlot) {
 	m.slots[i] = s
 }
 
-// reset empties the memo, releasing its table.
-func (m *routeMemo) reset() { *m = routeMemo{} }
-
-// memoValue encodes via for a routeMemo of this network: memoNoRoute for
-// nil, the registry id for one of the network's own interfaces, and 0 —
-// not memoizable — for a hand-built interface that never joined the
-// registry.
-func (n *Network) memoValue(via *Iface) int32 {
-	if via == nil {
-		return memoNoRoute
-	}
-	if int(via.id) < len(n.ifaces) && n.ifaces[via.id] == via {
-		return via.id + memoIfaceBase
-	}
-	return 0
-}
-
-// memoIface decodes a nonzero routeMemo value against this network's
-// interface registry.
-func (n *Network) memoIface(v int32) *Iface {
-	if v == memoNoRoute {
-		return nil
-	}
-	return n.ifaces[v-memoIfaceBase]
+// reset empties the memo in place, keeping the table: a router that
+// overflowed routeCacheMax is about to see as many destinations again.
+func (m *routeMemo) reset() {
+	clear(m.slots)
+	m.n = 0
 }

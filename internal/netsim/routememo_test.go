@@ -54,3 +54,53 @@ func TestRouteMemoMatchesMap(t *testing.T) {
 		check(7)
 	}
 }
+
+// TestRouteMemoOverflowKeepsTable drives one router through more distinct
+// destinations than routeCacheMax, twice — what every gateway and core
+// router of a large sweep sees in every phase. Overflow must empty the
+// memo in place: the second pass asks the oracle exactly as often as a
+// bounded cache of that policy has to, and allocates no table.
+func TestRouteMemoOverflowKeepsTable(t *testing.T) {
+	n := New()
+	r := n.AddRouter("r", RouterBehavior{})
+	peer := n.AddRouter("peer", RouterBehavior{})
+	via, _ := n.Connect(r, peer, a("10.0.0.1"), a("10.0.0.2"), 0)
+	calls := 0
+	n.SetRouteFunc(func(int, uint32) IfaceID { calls++; return via.id })
+
+	const dsts = routeCacheMax + 1000
+	// model is the memo's policy on a map: empty everything at the bound.
+	model, misses := map[uint32]bool{}, 0
+	pass := func() {
+		for i := uint32(0); i < dsts; i++ {
+			dst := 100<<24 | i<<8 | 50
+			if got := n.lookupRoute4(r.idx, dst); got != via.id {
+				t.Fatalf("lookup %d = %d, want %d", i, got, via.id)
+			}
+			if !model[dst] {
+				if len(model) >= routeCacheMax {
+					clear(model)
+				}
+				model[dst] = true
+				misses++
+			}
+		}
+	}
+	pass()
+	if calls != misses || calls != dsts {
+		t.Fatalf("first pass: %d oracle calls, model %d, want %d", calls, misses, dsts)
+	}
+	slots := len(n.rs[r.idx].memo.slots)
+
+	calls, misses = 0, 0
+	if allocs := testing.AllocsPerRun(1, pass); allocs != 0 {
+		t.Errorf("second pass allocated %v times, want 0 (table dropped on overflow?)", allocs)
+	}
+	// AllocsPerRun runs its function once to warm up and once measured.
+	if calls != misses || calls == 0 {
+		t.Errorf("second and third pass: %d oracle calls, model %d", calls, misses)
+	}
+	if got := len(n.rs[r.idx].memo.slots); got != slots {
+		t.Errorf("table went from %d to %d slots", slots, got)
+	}
+}

@@ -49,222 +49,176 @@ type RouterBehavior struct {
 	AllowSourceRoute bool
 }
 
-// Router is a packet-forwarding node.
+// Router is the handle of a packet-forwarding node.
 type Router struct {
-	name       string
-	net        *Network
-	idx        int // registration index; replica clones keep it
-	behavior   RouterBehavior
-	fib        *FIB
-	routeFn    func(dst netip.Addr) *Iface
-	ifaces     []*Iface
-	local      []uint32 // packed interface addresses; see ownsAddr
-	limiter    *TokenBucket
-	errLimiter *TokenBucket
-	ipid       uint16
-	faults     *routerFaults // nil when no fault plan afflicts this router
-
-	// fibShared marks fib as part of a frozen route plane possibly shared
-	// with replica networks (see Network.Freeze): mutation must copy
-	// first. It clears on the first copy-on-write.
-	fibShared bool
-
-	// routeCache memoizes lookupRoute results per destination (including
-	// negative ones): the routing oracle recomputes a policy path on
-	// every packet, and forwarding asks the same question for every probe
-	// of a campaign. Invalidated whenever the FIB or oracle changes.
-	routeCache routeMemo
-	// routeBase is the frozen, read-only memo inherited from a snapshot.
-	// It is never written; invalidation just drops the reference.
-	routeBase routeMemo
-
-	// scratch decoding state for packets addressed to the router itself
-	// (forwarded packets are never decoded); safe because the engine is
-	// single-threaded.
-	ip packet.IPv4
-	rr packet.RecordRoute
-	sr packet.SourceRoute
+	net *Network
+	idx int32 // index in plane.routers, AddRouter order
 }
 
-// routeCacheMax bounds the per-router cache; on overflow the cache is
-// reset wholesale, which keeps memory proportional to the working set.
+// routeCacheMax bounds a router's memo; on overflow it is emptied
+// wholesale, which keeps memory proportional to the working set.
 const routeCacheMax = 1 << 14
 
 // AddRouter creates a router and registers it with the network.
 func (n *Network) AddRouter(name string, behavior RouterBehavior) *Router {
-	r := &Router{
-		name:     name,
-		net:      n,
-		behavior: behavior,
-		fib:      NewFIB(),
-		ipid:     seedIPID(name),
-	}
-	n.register(r)
-	return r
+	n.AddRouterNode(name, behavior)
+	return n.Routers()[len(n.p.routers)-1]
 }
 
-// optionsLimiter returns the slow-path policer, materializing it on
-// first use. Policer state is copy-on-write across replica clones: the
-// frozen plane carries only the behavior's rate config, and each
-// network allocates its own mutable bucket the first time a policed
-// packet arrives. Exact because a fresh bucket starts full and Allow's
-// refill clamps at burst — a bucket born at virtual time t is
-// indistinguishable from one born at time 0 and first consulted at t.
-func (r *Router) optionsLimiter() *TokenBucket {
-	if r.limiter == nil && r.behavior.OptionsRateLimit > 0 {
-		burst := r.behavior.OptionsRateBurst
+// AddRouterNode is AddRouter returning the node's id, making no handle.
+func (n *Network) AddRouterNode(name string, behavior RouterBehavior) NodeID {
+	id := n.addNode(refOf(kindRouter, len(n.p.routers)), name)
+	n.p.routers = append(n.p.routers, routerRec{node: id, faults: -1, behavior: behavior})
+	n.rs = append(n.rs, routerState{})
+	return id
+}
+
+func (r *Router) rec() *routerRec { return &r.net.p.routers[r.idx] }
+
+// optionsLimiter returns the router's slow-path policer, nil for none.
+func (n *Network) optionsLimiter(ri int32) *TokenBucket {
+	b := &n.p.routers[ri].behavior
+	return policer(&n.rs[ri].limiter, b.OptionsRateLimit, b.OptionsRateBurst)
+}
+
+// policer returns the bucket in slot, making it on first use when rate is
+// positive (see routerState); a burst of zero means one second's worth.
+func policer(slot **TokenBucket, rate, burst float64) *TokenBucket {
+	if *slot == nil && rate > 0 {
 		if burst <= 0 {
-			burst = r.behavior.OptionsRateLimit
+			burst = rate
 		}
-		r.limiter = NewTokenBucket(r.behavior.OptionsRateLimit, burst)
+		*slot = NewTokenBucket(rate, burst)
 	}
-	return r.limiter
-}
-
-// icmpErrLimiter is optionsLimiter for the ICMP-error policer.
-func (r *Router) icmpErrLimiter() *TokenBucket {
-	if r.errLimiter == nil && r.behavior.ICMPErrorRateLimit > 0 {
-		r.errLimiter = NewTokenBucket(r.behavior.ICMPErrorRateLimit, r.behavior.ICMPErrorRateLimit/2)
-	}
-	return r.errLimiter
+	return *slot
 }
 
 // Name returns the router's name.
-func (r *Router) Name() string { return r.name }
+func (r *Router) Name() string { return r.net.p.name(r.rec().node) }
 
-// count bumps a network counter and, when per-node attribution is
-// enabled, charges it to this router. The extra branch is the whole
-// cost of disabled observability.
-func (r *Router) count(id int) {
-	r.net.CountID(id, 1)
-	if r.net.nodeCounts != nil {
-		r.net.countNode(r.name, id, 1)
+// countAt bumps a network counter and, when per-node attribution is on,
+// charges it to the node: one branch is what disabled observability costs.
+func (n *Network) countAt(node NodeID, id int) {
+	n.CountID(id, 1)
+	if n.nodeCounts != nil {
+		n.countNode(node, id, 1)
 	}
 }
 
-// countName is count for cold paths that never pre-interned an ID: it
+// countName is countAt for cold paths that never pre-interned an ID: it
 // takes the process-global registry lock, so nothing a well-formed probe
 // can reach may use it.
-func (r *Router) countName(name string) { r.count(CounterID(name)) }
+func (n *Network) countName(node NodeID, name string) { n.countAt(node, CounterID(name)) }
 
-// trace emits a packet event for the serialized datagram pkt (at least
-// its 20 fixed header octets); callers guard on r.net.tracer != nil.
-func (r *Router) trace(event string, pkt []byte) {
-	r.net.tracer(r.net.Now(), r.name, event,
-		netip.AddrFrom4([4]byte(pkt[12:16])), netip.AddrFrom4([4]byte(pkt[16:20])))
+// event counts a per-packet verdict at node and, when tracing, emits it
+// under the counter's name for the datagram pkt (20 header octets at least).
+func (n *Network) event(node NodeID, id int, pkt []byte) {
+	n.countAt(node, id)
+	if n.tracer != nil {
+		n.tracer(n.Now(), n.nodeName(node), counterName(id),
+			netip.AddrFrom4([4]byte(pkt[12:16])), netip.AddrFrom4([4]byte(pkt[16:20])))
+	}
 }
 
 // Behavior returns the router's configured behavior.
-func (r *Router) Behavior() RouterBehavior { return r.behavior }
+func (r *Router) Behavior() RouterBehavior { return r.rec().behavior }
 
-// FIB returns the router's forwarding table for route installation.
-func (r *Router) FIB() *FIB { return r.fib }
+// FIB returns the router's forwarding table: plane state, the same table
+// in every replica of a snapshot until one changes its plane. Install
+// routes with AddRoute, which keeps memos honest.
+func (r *Router) FIB() *FIB { return &r.rec().fib }
 
-// AddRoute installs a route for prefix via the given interface. On a
-// router whose FIB belongs to a frozen, shared route plane the table is
-// copied first (copy-on-write), so siblings cloned from the same
-// snapshot never see the change.
+// AddRoute installs a route for prefix via the given interface.
 func (r *Router) AddRoute(prefix netip.Prefix, via *Iface) {
-	if r.fibShared {
-		r.fib = r.fib.clone()
-		r.fibShared = false
+	r.net.mutable().routers[r.idx].fib.Add(prefix, via.id)
+	r.net.rs[r.idx].memo.reset()
+}
+
+// SetRouteFunc installs a routing oracle every router consults before
+// its FIB. Generated topologies use one instead of populating millions
+// of FIB entries; the FIBs still hold connected routes.
+func (n *Network) SetRouteFunc(fn RouteFunc) {
+	n.mutable().oracle = fn
+	for i := range n.rs {
+		n.rs[i].memo.reset()
 	}
-	r.fib.Add(prefix, via)
-	r.invalidateRoutes()
 }
 
-// SetRouteFunc installs a routing oracle consulted before the FIB.
-// Large generated topologies use a shared oracle instead of populating
-// millions of per-router FIB entries; fn returning nil falls back to the
-// FIB (which still holds connected routes).
-func (r *Router) SetRouteFunc(fn func(dst netip.Addr) *Iface) {
-	r.routeFn = fn
-	r.invalidateRoutes()
-}
-
-// invalidateRoutes drops all memoized lookups after a routing change.
-// The shared frozen base (if any) is detached, never mutated: sibling
-// replicas keep reading it.
-func (r *Router) invalidateRoutes() {
-	r.routeCache.reset()
-	r.routeBase = routeMemo{}
-}
-
-// lookupRoute resolves the egress interface for dst via the oracle or
-// FIB, memoizing the result (nil included: no route stays no route until
-// routing changes). A replica cloned from a snapshot first consults the
-// snapshot's frozen memo (routeBase).
-func (r *Router) lookupRoute(dst netip.Addr) *Iface {
+// lookupRoute resolves the egress interface at router ri for dst via the
+// oracle or FIB, memoizing the result (NoIface included: no route stays
+// no route until routing changes).
+func (n *Network) lookupRoute(ri int32, dst netip.Addr) IfaceID {
 	k, ok := key4(dst)
 	if !ok {
-		return nil // nothing but IPv4 is ever routed
+		return NoIface // nothing but IPv4 is ever routed
 	}
-	return r.lookupRoute4(k)
+	return n.lookupRoute4(ri, k)
 }
 
-// lookupRoute4 is lookupRoute for a packed IPv4 destination, the form
-// the forward path reads off the wire.
-func (r *Router) lookupRoute4(dst uint32) *Iface {
-	if f := r.faults; f != nil && f.withdraw.duty > 0 {
-		// A transient withdrawal boundary invalidates memoized routes —
-		// the same hook a real routing change uses — so cached entries
-		// never straddle a withdrawal flip.
-		if n := f.withdraw.flips(r.net.Now()); n != f.wFlips {
-			f.wFlips = n
-			r.invalidateRoutes()
-			r.count(cChaosRouteFlip)
+// lookupRoute4 is lookupRoute for a packed destination, as read off the wire.
+func (n *Network) lookupRoute4(ri int32, dst uint32) IfaceID {
+	rec, st := &n.p.routers[ri], &n.rs[ri]
+	if rec.faults >= 0 {
+		// A transient withdrawal boundary empties the memo — as a real
+		// routing change does — so cached entries never straddle a flip.
+		if w := n.p.routerFaults[rec.faults].withdraw; w.duty > 0 {
+			if flips := w.flips(n.Now()); flips != st.wFlips {
+				st.wFlips = flips
+				st.memo.reset()
+				n.countAt(rec.node, cChaosRouteFlip)
+			}
 		}
 	}
-	if v := r.routeCache.get(dst); v != 0 {
-		return r.net.memoIface(v)
+	if v := st.memo.get(dst); v != 0 {
+		return IfaceID(v - memoBase)
 	}
-	v := r.routeBase.get(dst)
-	if v == 0 {
-		via := r.net.localize(r.lookupRouteSlow(addrOf(dst)))
-		if v = r.net.memoValue(via); v == 0 {
-			return via
-		}
+	via := n.lookupRouteSlow(ri, dst)
+	if st.memo.n >= routeCacheMax {
+		st.memo.reset()
 	}
-	if r.routeCache.n >= routeCacheMax {
-		r.routeCache.reset()
-	}
-	r.routeCache.put(dst, v)
-	return r.net.memoIface(v)
+	st.memo.put(dst, int32(via)+memoBase)
+	return via
 }
 
 // lookupRouteSlow is the uncached resolution path.
-func (r *Router) lookupRouteSlow(dst netip.Addr) *Iface {
-	if f := r.faults; f != nil {
-		if f.prefix.IsValid() && f.prefix.Contains(dst) && f.withdraw.active(r.net.Now()) {
-			return nil
+func (n *Network) lookupRouteSlow(ri int32, dst uint32) IfaceID {
+	rec := &n.p.routers[ri]
+	if rec.faults >= 0 {
+		f := &n.p.routerFaults[rec.faults]
+		if f.prefix.IsValid() && f.prefix.Contains(addrOf(dst)) && f.withdraw.active(n.Now()) {
+			return NoIface
 		}
 		// Epoch churn: the churned prefix is blackholed for the whole of
 		// any epoch whose (seed, epoch) draw fires. Constant within an
 		// epoch, so the memoized result stays valid until SetFaultEpoch.
-		if f.churnPrefix.IsValid() && f.churnPrefix.Contains(dst) && f.churned(r.net.faultEpoch) {
-			r.count(cChaosChurn)
-			return nil
+		if f.churnPrefix.IsValid() && f.churnPrefix.Contains(addrOf(dst)) && f.churned(n.faultEpoch) {
+			n.countAt(rec.node, cChaosChurn)
+			return NoIface
 		}
 	}
-	if r.routeFn != nil {
-		if via := r.routeFn(dst); via != nil {
+	if n.p.oracle != nil {
+		if via := n.p.oracle(int(ri), dst); via != NoIface {
 			return via
 		}
 	}
-	return r.fib.Lookup(dst)
+	return rec.fib.lookup4(dst)
 }
 
 // Interfaces returns the router's interfaces in attachment order.
-func (r *Router) Interfaces() []*Iface { return r.ifaces }
+func (r *Router) Interfaces() []*Iface {
+	ids := r.rec().ifaces
+	out := make([]*Iface, len(ids))
+	for i, id := range ids {
+		out[i] = r.net.iface(id)
+	}
+	return out
+}
 
-// ownsAddr reports whether the packed address is one of the router's
-// interface addresses. Routers have a handful of interfaces (median 3,
-// 99th percentile 15 in generated topologies), so a scan of the packed
-// slice beats hashing. The slice is plane state shared with replica
-// clones, which hold it capped at its length: an append on either side
-// reallocates or lands beyond what the other can see, never in it.
-func (r *Router) ownsAddr(addr uint32) bool {
-	for _, a := range r.local {
+// ownsAddr reports whether the packed address is one of the router's.
+// Routers have a handful of interfaces (median 3, 99th percentile 15 in
+// generated topologies), so a scan of the packed slice beats hashing.
+func (rec *routerRec) ownsAddr(addr uint32) bool {
+	for _, a := range rec.local {
 		if a == addr {
 			return true
 		}
@@ -272,234 +226,210 @@ func (r *Router) ownsAddr(addr uint32) bool {
 	return false
 }
 
-func (r *Router) addIface(i *Iface) {
-	r.ifaces = append(r.ifaces, i)
-	if k, ok := key4(i.Addr); ok {
-		r.local = append(r.local, k)
-	}
-}
+func (r *Router) addIface(*Iface) {} // Link already told the record
 
-// nextID returns the next IP identifier from the router's shared
-// counter. A shared monotonic counter across interfaces is the signal
+// nextID returns the next IP identifier from a node's single counter. A
+// shared monotonic counter across a device's interfaces is the signal
 // MIDAR-style alias resolution relies on.
-func (r *Router) nextID() uint16 {
-	r.ipid++
-	return r.ipid
+func (n *Network) nextID(node NodeID) uint16 {
+	n.ipid[node]++
+	return n.ipid[node]
 }
 
-// Receive implements Node. It is the router's forwarding path, and it
-// works on the datagram in wire form: the header is validated (checksum
-// included) but never decoded into a struct, the received bytes are
-// copied into a pooled buffer, and TTL, option slots and checksum are
-// edited there. Only a packet addressed to the router itself is decoded,
-// because answering it originates a new packet.
-func (r *Router) Receive(pkt []byte, on *Iface) {
-	if f := r.faults; f != nil && f.offline.active(r.net.Now()) {
-		r.count(cChaosOffline)
-		if r.net.tracer != nil {
+// Receive implements Node.
+func (r *Router) Receive(pkt []byte, on *Iface) { r.net.routerReceive(r.idx, pkt, on.id) }
+
+// routerReceive is the router's forwarding path, and it works on the
+// datagram in wire form: the header is validated (checksum included) but
+// never decoded, the bytes are copied into a pooled buffer, and TTL,
+// option slots and checksum are edited there. Only a packet addressed to
+// the router itself is decoded: answering it originates a new packet.
+func (n *Network) routerReceive(ri int32, pkt []byte, on IfaceID) {
+	p := n.p
+	rec := &p.routers[ri]
+	if rec.faults >= 0 && p.routerFaults[rec.faults].offline.active(n.Now()) {
+		n.countAt(rec.node, cChaosOffline)
+		if n.tracer != nil {
 			// The header is not validated yet; the event carries no addresses.
-			r.net.tracer(r.net.Now(), r.name, "chaos.router.offline", netip.Addr{}, netip.Addr{})
+			n.tracer(n.Now(), n.nodeName(rec.node), "chaos.router.offline", netip.Addr{}, netip.Addr{})
 		}
 		return
 	}
 	w, err := packet.ParseWire(pkt)
 	if err != nil {
-		r.countName("router.drop.parse")
+		n.countName(rec.node, "router.drop.parse")
 		return
 	}
 	hasOpts := w.HasOptions()
+	b := &rec.behavior
 
 	// Options packets traverse the slow path: filtering and policing
 	// happen before any other processing, including local delivery.
 	if hasOpts {
-		if r.behavior.DropOptions {
-			r.count(cRouterDropFilter)
-			if r.net.tracer != nil {
-				r.trace("router.drop.filter", pkt)
-			}
+		if b.DropOptions {
+			n.event(rec.node, cRouterDropFilter, pkt)
 			return
 		}
-		if lim := r.optionsLimiter(); lim != nil && !lim.Allow(r.net.Now()) {
-			r.count(cRouterDropRatelimit)
-			if r.net.tracer != nil {
-				r.trace("router.drop.ratelimit", pkt)
-			}
+		if lim := n.optionsLimiter(ri); lim != nil && !lim.Allow(n.Now()) {
+			n.event(rec.node, cRouterDropRatelimit, pkt)
 			return
 		}
-		r.count(cRouterSlowpath)
-		if r.net.tracer != nil {
-			r.trace("router.slowpath", pkt)
-		}
+		n.event(rec.node, cRouterSlowpath, pkt)
 	}
 
 	dst := binary.BigEndian.Uint32(pkt[16:20])
-	if r.ownsAddr(dst) {
-		payload, err := r.ip.Decode(pkt)
+	if rec.ownsAddr(dst) {
+		payload, err := n.ip.Decode(pkt)
 		if err != nil {
 			// Unreachable: ParseWire accepts exactly what Decode accepts.
-			r.countName("router.drop.parse")
+			n.countName(rec.node, "router.drop.parse")
 			return
 		}
-		if found, err := r.ip.SourceRouteOption(&r.sr); found && err == nil && !r.sr.Exhausted() {
-			r.forwardSourceRouted(payload)
+		if found, err := n.ip.SourceRouteOption(&n.sr); found && err == nil && !n.sr.Exhausted() {
+			n.forwardSourceRouted(ri, payload)
 			return
 		}
-		r.deliverLocal(payload)
+		n.deliverLocal(ri, payload)
 		return
 	}
 
 	// TTL handling. An "anonymous" router forwards without decrementing.
-	if !r.behavior.NoTTLDecrement && pkt[8] <= 1 {
-		if !r.behavior.NoTimeExceeded {
-			r.sendTimeExceeded(pkt, on)
+	if !b.NoTTLDecrement && pkt[8] <= 1 {
+		if !b.NoTimeExceeded {
+			n.sendTimeExceeded(ri, pkt, on)
 		} else {
-			r.countName("router.drop.ttl.silent")
+			n.countName(rec.node, "router.drop.ttl.silent")
 		}
-		r.count(cRouterTTLExpired)
-		if r.net.tracer != nil {
-			r.trace("router.ttl.expired", pkt)
-		}
+		n.event(rec.node, cRouterTTLExpired, pkt)
 		return
 	}
 
-	egress := r.lookupRoute4(dst)
-	if egress == nil {
-		r.count(cRouterDropNoRoute)
-		if r.net.tracer != nil {
-			r.trace("router.drop.noroute", pkt)
-		}
+	via := n.lookupRoute4(ri, dst)
+	if via == NoIface {
+		n.event(rec.node, cRouterDropNoRoute, pkt)
 		return
 	}
+	egress := &p.ifaces[via]
 
-	out, hdrLen := w.AppendTo(r.net.getBuf(), pkt)
-	if !r.behavior.NoTTLDecrement {
+	out, hdrLen := w.AppendTo(n.getBuf(), pkt)
+	if !b.NoTTLDecrement {
 		out[8]--
 	}
 	// Stamp Record Route with the outgoing interface address (RFC 791:
 	// "its own internet address as known in the environment into which
 	// this datagram is being forwarded"). An option that is full or
 	// malformed travels on untouched.
-	if hasOpts && !r.behavior.NoStampRR {
-		if w.RR != 0 && packet.StampRecordRoute(out[w.RR:hdrLen], egress.a4) {
-			r.count(cRouterStamped)
-			if r.net.tracer != nil {
-				r.trace("router.rr.stamped", pkt)
-			}
+	if hasOpts && !b.NoStampRR {
+		var a4 [4]byte
+		binary.BigEndian.PutUint32(a4[:], egress.addr)
+		if w.RR != 0 && packet.StampRecordRoute(out[w.RR:hdrLen], a4) {
+			n.event(rec.node, cRouterStamped, pkt)
 		}
 		// The Internet Timestamp option is processed on the same slow
 		// path; a full option increments its overflow counter.
-		if w.TS != 0 && packet.StampTimestamp(out[w.TS:hdrLen], egress.a4, uint32(r.net.Now().Milliseconds())) {
-			r.count(cRouterTS)
-			if r.net.tracer != nil {
-				r.trace("router.ts.stamped", pkt)
-			}
+		if w.TS != 0 && packet.StampTimestamp(out[w.TS:hdrLen], a4, uint32(n.Now().Milliseconds())) {
+			n.event(rec.node, cRouterTS, pkt)
 		}
 	}
 	packet.SetHeaderChecksum(out[:hdrLen])
-	r.count(cRouterFwd)
-	if hasOpts && r.behavior.SlowPathDelay > 0 {
-		r.net.engine.Schedule(r.behavior.SlowPathDelay, func() { egress.Send(out) })
+	n.countAt(rec.node, cRouterFwd)
+	if hasOpts && b.SlowPathDelay > 0 {
+		n.engine.Schedule(b.SlowPathDelay, func() { n.send(egress, out) })
 		return
 	}
-	egress.Send(out)
+	n.send(egress, out)
 }
 
-// forwardSourceRouted handles a source-routed packet whose current
-// destination is this router: if the router honors source routing it
-// swaps in the next listed hop (recording its own outgoing address in
-// the slot, per RFC 791) and forwards; otherwise the packet is dropped,
-// the near-universal stance on today's Internet.
-func (r *Router) forwardSourceRouted(payload []byte) {
-	if !r.behavior.AllowSourceRoute {
-		r.countName("router.drop.sourceroute")
+// forwardSourceRouted handles a source-routed packet (decoded in n.ip and
+// n.sr) whose current destination is this router: if the router honors
+// source routing it swaps in the next listed hop (recording its own
+// outgoing address in the slot, per RFC 791) and forwards; otherwise the
+// packet is dropped, the near-universal stance on today's Internet.
+func (n *Network) forwardSourceRouted(ri int32, payload []byte) {
+	rec := &n.p.routers[ri]
+	if !rec.behavior.AllowSourceRoute {
+		n.countName(rec.node, "router.drop.sourceroute")
 		return
 	}
-	next := r.sr.NextHop()
-	egress := r.lookupRoute(next)
-	if egress == nil {
-		r.count(cRouterDropNoRoute)
+	via := n.lookupRoute(ri, n.sr.NextHop())
+	if via == NoIface {
+		n.countAt(rec.node, cRouterDropNoRoute)
 		return
 	}
-	newDst, ok := r.sr.Advance(egress.Addr)
+	egress := &n.p.ifaces[via]
+	newDst, ok := n.sr.Advance(addrOf(egress.addr))
 	if !ok {
-		r.countName("router.drop.sourceroute")
+		n.countName(rec.node, "router.drop.sourceroute")
 		return
 	}
-	r.ip.Dst = newDst
-	if err := r.ip.SetSourceRoute(&r.sr); err != nil {
-		r.countName("router.drop.encode")
+	n.ip.Dst = newDst
+	if err := n.ip.SetSourceRoute(&n.sr); err != nil {
+		n.countName(rec.node, "router.drop.encode")
 		return
 	}
-	if !r.behavior.NoTTLDecrement && r.ip.TTL > 1 {
-		r.ip.TTL--
+	if !rec.behavior.NoTTLDecrement && n.ip.TTL > 1 {
+		n.ip.TTL--
 	}
-	out, err := r.ip.AppendTo(r.net.getBuf(), payload)
+	out, err := n.ip.AppendTo(n.getBuf(), payload)
 	if err != nil {
-		r.countName("router.drop.encode")
+		n.countName(rec.node, "router.drop.encode")
 		return
 	}
-	r.countName("router.fwd.sourceroute")
-	egress.Send(out)
+	n.countName(rec.node, "router.fwd.sourceroute")
+	n.send(egress, out)
 }
 
-// deliverLocal handles packets addressed to the router itself (r.ip
+// deliverLocal handles packets addressed to the router itself (n.ip
 // holds the already-decoded header). Routers answer ICMP echo (including
 // ping-RR, stamping themselves and copying the option into the reply) so
 // that they can serve as probe targets and alias-resolution subjects.
-func (r *Router) deliverLocal(payload []byte) {
+func (n *Network) deliverLocal(ri int32, payload []byte) {
+	rec := &n.p.routers[ri]
 	var icmp packet.ICMP
-	if r.ip.Protocol != packet.ProtocolICMP || icmp.Decode(payload) != nil {
-		r.countName("router.local.ignored")
-		return
-	}
-	if icmp.Type != packet.ICMPEchoRequest {
-		r.countName("router.local.ignored")
+	if n.ip.Protocol != packet.ProtocolICMP || icmp.Decode(payload) != nil || icmp.Type != packet.ICMPEchoRequest {
+		n.countName(rec.node, "router.local.ignored")
 		return
 	}
 	reply := icmp.EchoReply()
 	hdr := packet.IPv4{
 		TTL:      64,
-		ID:       r.nextID(),
+		ID:       n.nextID(rec.node),
 		Protocol: packet.ProtocolICMP,
-		Src:      r.ip.Dst,
-		Dst:      r.ip.Src,
+		Src:      n.ip.Dst,
+		Dst:      n.ip.Src,
 	}
 	// Copy the Record Route option into the reply and stamp ourselves,
-	// as a conformant destination does (r.rr is a scratch copy of the
+	// as a conformant destination does (n.rr is a scratch copy of the
 	// request's option, recorded and serialized in place).
-	if found, err := r.ip.RecordRouteOption(&r.rr); found && err == nil {
-		if !r.behavior.NoStampRR {
-			r.rr.Record(r.ip.Dst)
+	if found, err := n.ip.RecordRouteOption(&n.rr); found && err == nil {
+		if !rec.behavior.NoStampRR {
+			n.rr.Record(n.ip.Dst)
 		}
-		opt, err := r.rr.AppendOption(r.net.replyOptData[0][:0])
+		opt, err := n.rr.AppendOption(n.replyOptData[0][:0])
 		if err != nil {
 			return
 		}
-		hdr.Options = append(r.net.replyOpts[:0], opt)
+		hdr.Options = append(n.replyOpts[:0], opt)
 	}
-	if r.net.tracer != nil {
-		r.net.tracer(r.net.Now(), r.name, "router.echo.reply", r.ip.Src, r.ip.Dst)
+	if n.tracer != nil {
+		n.tracer(n.Now(), n.nodeName(rec.node), "router.echo.reply", n.ip.Src, n.ip.Dst)
 	}
-	r.sendLocal(&hdr, reply)
+	n.sendLocal(ri, &hdr, reply)
 }
 
 // sendTimeExceeded emits an ICMP Time Exceeded error quoting the expired
 // packet orig as received (its Record Route option included, which is what
 // lets TTL-limited ping-RR results be read at the source, §4.2).
 // Generation is subject to the router's ICMP error policer.
-func (r *Router) sendTimeExceeded(orig []byte, on *Iface) {
-	if f := r.faults; f != nil && f.suppress.active(r.net.Now()) {
-		r.count(cChaosSuppress)
-		if r.net.tracer != nil {
-			r.trace("chaos.icmp.suppressed", orig)
-		}
+func (n *Network) sendTimeExceeded(ri int32, orig []byte, on IfaceID) {
+	rec := &n.p.routers[ri]
+	if rec.faults >= 0 && n.p.routerFaults[rec.faults].suppress.active(n.Now()) {
+		n.event(rec.node, cChaosSuppress, orig)
 		return
 	}
-	if lim := r.icmpErrLimiter(); lim != nil && !lim.Allow(r.net.Now()) {
-		r.count(cRouterDropErrlimit)
-		if r.net.tracer != nil {
-			r.trace("router.drop.errlimit", orig)
-		}
+	rate := rec.behavior.ICMPErrorRateLimit
+	if lim := policer(&n.rs[ri].errLimiter, rate, rate/2); lim != nil && !lim.Allow(n.Now()) {
+		n.event(rec.node, cRouterDropErrlimit, orig)
 		return
 	}
 	e := packet.ICMP{
@@ -509,30 +439,27 @@ func (r *Router) sendTimeExceeded(orig []byte, on *Iface) {
 	}
 	hdr := packet.IPv4{
 		TTL:      64,
-		ID:       r.nextID(),
+		ID:       n.nextID(rec.node),
 		Protocol: packet.ProtocolICMP,
-		Src:      on.Addr, // errors originate from the receiving interface
+		Src:      addrOf(n.p.ifaces[on].addr), // errors originate from the receiving interface
 		Dst:      netip.AddrFrom4([4]byte(orig[12:16])),
 	}
-	r.count(cRouterTimeExceeded)
-	if r.net.tracer != nil {
-		r.trace("router.icmp.timeexceeded", orig)
-	}
-	r.sendLocal(&hdr, &e)
+	n.event(rec.node, cRouterTimeExceeded, orig)
+	n.sendLocal(ri, &hdr, &e)
 }
 
 // sendLocal routes a router-originated ICMP message, serializes it into
 // a pooled buffer and transmits it.
-func (r *Router) sendLocal(hdr *packet.IPv4, m *packet.ICMP) {
-	egress := r.lookupRoute(hdr.Dst)
-	if egress == nil {
-		r.countName("router.drop.noroute.local")
+func (n *Network) sendLocal(ri int32, hdr *packet.IPv4, m *packet.ICMP) {
+	egress := n.lookupRoute(ri, hdr.Dst)
+	if egress == NoIface {
+		n.countName(n.p.routers[ri].node, "router.drop.noroute.local")
 		return
 	}
-	out, err := hdr.AppendHeader(r.net.getBuf(), m.Len())
+	out, err := hdr.AppendHeader(n.getBuf(), m.Len())
 	if err != nil {
-		r.countName("router.drop.encode")
+		n.countName(n.p.routers[ri].node, "router.drop.encode")
 		return
 	}
-	egress.Send(m.AppendTo(out))
+	n.send(&n.p.ifaces[egress], m.AppendTo(out))
 }

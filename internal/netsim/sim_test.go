@@ -92,6 +92,9 @@ func buildChain(n int, behavior func(i int) RouterBehavior, hb HostBehavior) *ch
 	return c
 }
 
+// egressTo returns the interface r's FIB routes dst through.
+func egressTo(r *Router, dst netip.Addr) *Iface { return r.net.iface(r.FIB().Lookup(dst)) }
+
 // makePingRR builds a serialized echo request, with an RR option when
 // slots > 0.
 func makePingRR(t testing.TB, src, dst netip.Addr, id, seq uint16, ttl uint8, slots int) []byte {
@@ -512,7 +515,7 @@ func TestHostIPIDSharedAcrossAliases(t *testing.T) {
 	c.dest.AddAlias(alias)
 	// Route the alias toward the dest as well.
 	for i, r := range c.routers {
-		r.AddRoute(netip.PrefixFrom(alias, 32), r.FIB().Lookup(a(destAddrStr)))
+		r.AddRoute(netip.PrefixFrom(alias, 32), egressTo(r, a(destAddrStr)))
 		_ = i
 	}
 	for i := 0; i < 3; i++ {

@@ -9,8 +9,10 @@ import (
 // it, destination prefixes are /24s from the bottom (x.y.0.0/24,
 // x.y.1.0/24, …), vantage-point hosts use the /24 at vpSlot, and
 // infrastructure (link) addresses are allocated from the top downward.
-// Mapping any address back to its owning AS is a shift, which keeps the
-// routing oracle O(1).
+// Mapping any address back to its owner is therefore arithmetic — the AS
+// is a shift, the destination the third octet, the infrastructure slot
+// 0xfffe less the low 16 bits — so the routing oracle (topology.go) is a
+// few dense arrays.
 const (
 	addrBase     uint32 = 0x64000000 // 100.0.0.0
 	maxASes             = 4096       // keeps supernets inside 100.0.0.0/4-ish space
@@ -31,19 +33,20 @@ func addrU32(a netip.Addr) uint32 {
 	return binary.BigEndian.Uint32(b[:])
 }
 
+// infraTop is the low 16 bits of an AS's first infrastructure address.
+const infraTop = 0xfffe
+
 // asPlan is the per-AS address allocator.
 type asPlan struct {
 	base  uint32 // supernet network address
 	infra uint32 // next infrastructure address offset (counts down)
+	// owner[s] is the router (its index in the AS) that was given
+	// infrastructure slot s, the address at offset infraTop-s.
+	owner []int32
 }
 
-func newASPlan(asIdx int) *asPlan {
-	return &asPlan{base: addrBase + uint32(asIdx)<<16, infra: 0xfffe}
-}
-
-// Supernet returns the AS's /16.
-func (p *asPlan) Supernet() netip.Prefix {
-	return netip.PrefixFrom(u32Addr(p.base), 16)
+func newASPlan(asIdx int) asPlan {
+	return asPlan{base: addrBase + uint32(asIdx)<<16, infra: infraTop}
 }
 
 // DestPrefix returns the AS's j'th advertised /24.
@@ -78,10 +81,12 @@ func (p *asPlan) VPAddr(k int) netip.Addr {
 	return u32Addr(p.base + vpSlot<<8 + uint32(k) + 1)
 }
 
-// NextInfra allocates a fresh infrastructure (link) address from the top
-// of the supernet downward.
-func (p *asPlan) NextInfra() netip.Addr {
+// NextInfra allocates a fresh infrastructure (link) address, for an
+// interface of the AS's given router, from the top of the supernet
+// downward.
+func (p *asPlan) NextInfra(router int) netip.Addr {
 	a := u32Addr(p.base + p.infra)
+	p.owner = append(p.owner, int32(router))
 	p.infra--
 	if p.infra <= uint32(vpSlot)<<8|0xff {
 		panic("topology: infrastructure address space exhausted")
@@ -91,14 +96,12 @@ func (p *asPlan) NextInfra() netip.Addr {
 
 // asOfAddr maps an address back to the owning AS index, or -1 when the
 // address is outside the plan.
-func asOfAddr(a netip.Addr, numASes int) int {
-	v := addrU32(a)
-	if v < addrBase {
-		return -1
+func asOfAddr(a netip.Addr, numASes int) int { return asOfKey(addrU32(a), numASes) }
+
+// asOfKey is asOfAddr for a packed IPv4 address.
+func asOfKey(v uint32, numASes int) int {
+	if idx := int((v - addrBase) >> 16); v >= addrBase && idx < numASes {
+		return idx
 	}
-	idx := int((v - addrBase) >> 16)
-	if idx >= numASes {
-		return -1
-	}
-	return idx
+	return -1
 }

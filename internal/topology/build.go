@@ -3,7 +3,8 @@ package topology
 import (
 	"fmt"
 	"math/rand/v2"
-	"net/netip"
+	"sort"
+	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -21,7 +22,8 @@ func Builds() uint64 { return builds.Load() }
 
 // Build generates the AS graph, computes policy routes, and expands
 // everything into a packet-level netsim network with vantage points,
-// destinations, and behaviour assignments.
+// destinations, and behaviour assignments. The network comes back frozen
+// (netsim.Network.Freeze): compact, and safe to clone.
 func Build(cfg Config) (*Topology, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -30,47 +32,50 @@ func Build(cfg Config) (*Topology, error) {
 
 	ases, graph := generateASLevel(cfg, rng)
 	assignPolicies(cfg, ases, rng)
-	routes := ComputeRoutes(graph)
-
-	// Exact totals are known before any map fills, so size them up front:
-	// at large scale these maps hold 10⁵+ entries and incremental growth
-	// dominates build time otherwise.
-	totalPrefixes, totalRouters, links := 0, 0, 0
-	for i, a := range ases {
-		totalPrefixes += a.NumPrefixes
-		totalRouters += a.NumRouters
-		links += len(graph.Neighbors(i))
-	}
-	links = links/2 + totalRouters - len(ases) // inter-AS + intra-AS tree
-	numVPs := cfg.NumMLab + cfg.NumPlanetLab + len(cfg.CloudNames)
-	hosts := totalPrefixes + totalPrefixes/8 + numVPs // destinations + occasional aliases + VPs
 
 	t := &Topology{
-		Cfg:        cfg,
-		Net:        netsim.New(),
-		Graph:      graph,
-		Routes:     routes,
-		ASes:       ases,
-		hostIface:  make(map[netip.Addr]*netsim.Iface, hosts),
-		hostAttach: make(map[netip.Addr]int, hosts),
-		routerAddr: make(map[netip.Addr]int, 2*links+totalPrefixes+numVPs),
-		destByAddr: make(map[netip.Addr]int32, totalPrefixes),
+		Cfg:    cfg,
+		Net:    netsim.New(),
+		Graph:  graph,
+		Routes: ComputeRoutes(graph),
+		ASes:   ases,
 	}
+	t.oracle = &oracle{numASes: len(ases), routes: t.Routes}
 
-	plans := make([]*asPlan, len(ases))
-	for i := range ases {
+	plans := make([]asPlan, len(ases))
+	for i := range plans {
 		plans[i] = newASPlan(i)
 	}
-
+	t.VPs, t.CloudVPs = planVPs(cfg, ases)
 	t.buildRouters(rng)
 	t.buildIntraLinks(plans, rng)
 	t.buildInterLinks(plans, rng)
 	t.buildDests(plans, rng)
-	t.buildVPs(plans, rng)
-	t.installOracle()
+	t.buildVPs(t.VPs, plans, rng)
+	t.buildVPs(t.CloudVPs, plans, rng)
+	t.indexInfra(plans)
+	t.Net.SetRouteFunc(t.route)
+	t.bindRouters()
 	t.installFaults()
+	t.Net.Freeze()
 	builds.Add(1)
 	return t, nil
+}
+
+// nodeName names AS as's j'th router ("-r") or destination host ("-d");
+// it is fmt.Sprintf("as%d%s%d") at a fifth of the cost, 10⁵ times a build.
+func nodeName(as int, kind string, j int) string {
+	b := strconv.AppendInt(append(make([]byte, 0, 24), "as"...), int64(as), 10)
+	return string(strconv.AppendInt(append(b, kind...), int64(j), 10))
+}
+
+// bindRouters fills Routers with this topology's network's handles.
+func (t *Topology) bindRouters() {
+	all := t.Net.Routers()
+	t.Routers = make([][]*netsim.Router, t.numASes)
+	for a := range t.Routers {
+		t.Routers[a] = all[t.rtrBase[a]:t.rtrBase[a+1]:t.rtrBase[a+1]]
+	}
 }
 
 // installFaults compiles Cfg.Faults into per-interface and per-router
@@ -83,16 +88,11 @@ func (t *Topology) installFaults() {
 		return
 	}
 	plan := netsim.NewFaultPlan(*t.Cfg.Faults)
-	for i := range t.Routers {
-		for _, r := range t.Routers[i] {
-			plan.AddRouter(r)
-			for _, ifc := range r.Interfaces() {
-				plan.AddLink(ifc)
-			}
-		}
+	for _, r := range t.Net.Routers() {
+		plan.AddRouter(r)
 	}
-	for _, d := range t.Dests {
-		plan.AddWithdrawal(t.Routers[d.ASIdx][t.hostAttach[d.Addr]], d.Prefix)
+	for k, d := range t.Dests {
+		plan.AddWithdrawal(t.Routers[d.ASIdx][t.dest[k].attach], d.Prefix)
 	}
 	t.Faults = plan.Install()
 }
@@ -131,26 +131,28 @@ func (t *Topology) routerBehavior(a *AS, rng *rand.Rand) netsim.RouterBehavior {
 }
 
 func (t *Topology) buildRouters(rng *rand.Rand) {
-	t.Routers = make([][]*netsim.Router, len(t.ASes))
-	total := 0
-	for _, a := range t.ASes {
-		total += a.NumRouters
+	t.rtrBase = make([]int32, len(t.ASes)+1)
+	add := func(as int, name string, b netsim.RouterBehavior) {
+		t.rtr = append(t.rtr, routerRow{as: int32(as), parent: -1})
+		if id := t.Net.AddRouterNode(name, b); int(id) != len(t.rtr)-1 {
+			panic("topology: routers must be the network's first nodes")
+		}
 	}
-	t.routerIndex = make(map[*netsim.Router][2]int, total)
 	for i, a := range t.ASes {
-		rs := make([]*netsim.Router, a.NumRouters)
-		// Connected /32 routes per router: tree links plus this AS's share
-		// of destination attachments; border links add a few more.
-		fibHint := 4
-		if a.NumRouters > 0 {
-			fibHint += a.NumPrefixes / a.NumRouters
+		for j := 0; j < a.NumRouters; j++ {
+			add(i, nodeName(i, "-r", j), t.routerBehavior(a, rng))
 		}
-		for j := range rs {
-			rs[j] = t.Net.AddRouter(fmt.Sprintf("as%d-r%d", i, j), t.routerBehavior(a, rng))
-			rs[j].FIB().Grow(fibHint)
-			t.routerIndex[rs[j]] = [2]int{i, j}
+		// Dedicated first-hop gateways, each carrying one rate-limited VP;
+		// buildVPs wires them in.
+		for _, v := range t.VPs {
+			if v.SourceRateLimited && v.ASIdx == i {
+				add(i, fmt.Sprintf("as%d-vpgw-%s", i, v.Name), netsim.RouterBehavior{
+					OptionsRateLimit: t.Cfg.SourceRateLimitPPS,
+					OptionsRateBurst: t.Cfg.SourceRateLimitPPS / 2,
+				})
+			}
 		}
-		t.Routers[i] = rs
+		t.rtrBase[i+1] = int32(len(t.rtr))
 	}
 }
 
@@ -173,21 +175,13 @@ func chainBias(r Role) float64 {
 // buildIntraLinks wires each AS's routers into a random tree rooted at
 // router 0, chain-biased per role, so destinations sit at varying
 // depths — the spread Figure 1's hop CDF measures.
-func (t *Topology) buildIntraLinks(plans []*asPlan, rng *rand.Rand) {
-	t.parent = make([][]int, len(t.ASes))
-	t.upIface = make([][]*netsim.Iface, len(t.ASes))
-	t.downIface = make([][]*netsim.Iface, len(t.ASes))
+func (t *Topology) buildIntraLinks(plans []asPlan, rng *rand.Rand) {
 	for i, a := range t.ASes {
-		n := len(t.Routers[i])
-		t.parent[i] = make([]int, n)
-		t.parent[i][0] = -1
-		t.upIface[i] = make([]*netsim.Iface, n)
-		t.downIface[i] = make([]*netsim.Iface, n)
 		bias := chainBias(a.Role) + t.Cfg.ChainBoost
 		if bias > 0.95 {
 			bias = 0.95
 		}
-		for j := 1; j < n; j++ {
+		for j := 1; j < a.NumRouters; j++ {
 			p := j - 1
 			if rng.Float64() >= bias {
 				p = rng.IntN(j)
@@ -197,19 +191,14 @@ func (t *Topology) buildIntraLinks(plans []*asPlan, rng *rand.Rand) {
 	}
 }
 
-// attachChild links router j of AS i under parent p and registers the
-// interfaces. It also serves routers appended after the initial build
-// (dedicated VP gateways), which must extend parent/upIface/downIface
-// before calling.
-func (t *Topology) attachChild(plans []*asPlan, rng *rand.Rand, i, j, p int) {
-	parentAddr, childAddr := plans[i].NextInfra(), plans[i].NextInfra()
+// attachChild links router j of AS i under parent p. It also serves the
+// dedicated VP gateways, wired in after the initial build.
+func (t *Topology) attachChild(plans []asPlan, rng *rand.Rand, i, j, p int) {
+	parentAddr, childAddr := plans[i].NextInfra(p), plans[i].NextInfra(j)
 	delay := time.Duration(1+rng.IntN(3)) * time.Millisecond
-	pi, ci := t.Net.Connect(t.Routers[i][p], t.Routers[i][j], parentAddr, childAddr, delay)
-	t.parent[i][j] = p
-	t.downIface[i][j] = pi
-	t.upIface[i][j] = ci
-	t.routerAddr[parentAddr] = p
-	t.routerAddr[childAddr] = j
+	r := &t.rtr[t.router(i, j)]
+	r.parent = int32(p)
+	r.down, r.up = t.Net.Link(t.node(i, p), t.node(i, j), parentAddr, childAddr, delay)
 }
 
 // borderCandidates lists an AS's routers eligible to host inter-AS
@@ -221,8 +210,13 @@ func (t *Topology) borderCandidates(i int) []int {
 	if r := t.ASes[i].Role; r == RoleTier1 || r == RoleTransit {
 		maxDepth = 2
 	}
+	return t.routersWithin(i, maxDepth)
+}
+
+// routersWithin lists AS i's routers no deeper than maxDepth in its tree.
+func (t *Topology) routersWithin(i, maxDepth int) []int {
 	var out []int
-	for j := range t.Routers[i] {
+	for j := 0; j < t.ASes[i].NumRouters; j++ {
 		if t.depthOf(i, j) <= maxDepth {
 			out = append(out, j)
 		}
@@ -234,33 +228,17 @@ func (t *Topology) borderCandidates(i int) []int {
 // interconnects: anywhere in the upper two-thirds of the AS tree.
 func (t *Topology) deepBorderCandidates(i int) []int {
 	maxDepth := 0
-	for j := range t.Routers[i] {
+	for j := 0; j < t.ASes[i].NumRouters; j++ {
 		if d := t.depthOf(i, j); d > maxDepth {
 			maxDepth = d
 		}
 	}
-	limit := 2 * maxDepth / 3
-	if limit < 1 {
-		limit = 1
-	}
-	var out []int
-	for j := range t.Routers[i] {
-		if t.depthOf(i, j) <= limit {
-			out = append(out, j)
-		}
-	}
-	return out
+	return t.routersWithin(i, max(1, 2*maxDepth/3))
 }
 
 // buildInterLinks realizes each AS adjacency as one router-level link
 // between randomly chosen border routers.
-func (t *Topology) buildInterLinks(plans []*asPlan, rng *rand.Rand) {
-	t.borderIface = make([]map[int]*netsim.Iface, len(t.ASes))
-	t.borderIdx = make([]map[int]int, len(t.ASes))
-	for i := range t.ASes {
-		t.borderIface[i] = make(map[int]*netsim.Iface)
-		t.borderIdx[i] = make(map[int]int)
-	}
+func (t *Topology) buildInterLinks(plans []asPlan, rng *rand.Rand) {
 	borders := make([][]int, len(t.ASes))
 	deepBorders := make([][]int, len(t.ASes))
 	for i := range t.ASes {
@@ -286,23 +264,26 @@ func (t *Topology) buildInterLinks(plans []*asPlan, rng *rand.Rand) {
 			}
 			ra := pickBorder(a, b)
 			rb := pickBorder(b, a)
-			addrA, addrB := plans[a].NextInfra(), plans[b].NextInfra()
+			addrA, addrB := plans[a].NextInfra(ra), plans[b].NextInfra(rb)
 			delay := time.Duration(3+rng.IntN(13)) * time.Millisecond
-			ia, ib := t.Net.Connect(t.Routers[a][ra], t.Routers[b][rb], addrA, addrB, delay)
-			t.borderIface[a][b] = ia
-			t.borderIdx[a][b] = ra
-			t.borderIface[b][a] = ib
-			t.borderIdx[b][a] = rb
-			t.routerAddr[addrA] = ra
-			t.routerAddr[addrB] = rb
+			ia, ib := t.Net.Link(t.node(a, ra), t.node(b, rb), addrA, addrB, delay)
+			t.border = append(t.border, borderRow{borderKey(a, b), int32(ra), ia}, borderRow{borderKey(b, a), int32(rb), ib})
 		}
 	}
+	sort.Slice(t.border, func(x, y int) bool { return t.border[x].key < t.border[y].key })
 }
 
 // buildDests creates one destination host per advertised prefix, with
 // behaviour drawn from the calibrated rates.
-func (t *Topology) buildDests(plans []*asPlan, rng *rand.Rand) {
+func (t *Topology) buildDests(plans []asPlan, rng *rand.Rand) {
 	cfg := t.Cfg
+	t.destBase = make([]int32, len(t.ASes)+1)
+	for i, a := range t.ASes {
+		t.destBase[i+1] = t.destBase[i] + int32(a.NumPrefixes)
+	}
+	block := make([]Dest, t.destBase[len(t.ASes)])
+	t.Dests = make([]*Dest, len(block))
+	t.dest = make([]hostRow, len(block))
 	for i, a := range t.ASes {
 		typ := a.Type()
 		for j := 0; j < a.NumPrefixes; j++ {
@@ -313,11 +294,10 @@ func (t *Topology) buildDests(plans []*asPlan, rng *rand.Rand) {
 				HonorRR:        true,
 				UDPResponsive:  rng.Float64() < cfg.HostUDPResponsiveRate,
 			}
-			d := &Dest{
-				Addr:   plans[i].DestAddr(j, HostOctets[rng.IntN(len(HostOctets))]),
-				Prefix: plans[i].DestPrefix(j),
-				ASIdx:  i,
-			}
+			k := int(t.destBase[i]) + j
+			octet := HostOctets[rng.IntN(len(HostOctets))]
+			d := &block[k]
+			*d = Dest{Addr: plans[i].DestAddr(j, octet), Prefix: plans[i].DestPrefix(j), ASIdx: i}
 			switch {
 			case rng.Float64() < cfg.HostNoHonorRRRate:
 				hb.HonorRR = false
@@ -329,99 +309,79 @@ func (t *Topology) buildDests(plans []*asPlan, rng *rand.Rand) {
 			d.GTPingResponsive = hb.PingResponsive
 			d.GTRRDrop = !hb.RRResponsive
 			d.GTUDPResponsive = hb.UDPResponsive
+			t.Dests[k] = d
 
-			host := t.Net.AddHost(fmt.Sprintf("as%d-d%d", i, j), d.Addr, hb)
-			if d.GTAlias.IsValid() {
-				host.AddAlias(d.GTAlias)
-			}
-			attach := rng.IntN(len(t.Routers[i]))
-			gwAddr := plans[i].NextInfra()
+			host := t.Net.AddHostNode(nodeName(i, "-d", j), hb, d.Addr, d.GTAlias)
+			attach := rng.IntN(a.NumRouters)
+			gwAddr := plans[i].NextInfra(attach)
 			delay := time.Duration(1+rng.IntN(5)) * time.Millisecond
-			gwIf, _ := t.Net.Connect(t.Routers[i][attach], host, gwAddr, d.Addr, delay)
-			t.routerAddr[gwAddr] = attach
-			t.hostIface[d.Addr] = gwIf
-			t.hostAttach[d.Addr] = attach
-			if d.GTAlias.IsValid() {
-				t.hostIface[d.GTAlias] = gwIf
-				t.hostAttach[d.GTAlias] = attach
-			}
-			d.Host = host
-			t.Dests = append(t.Dests, d)
-			t.destByAddr[d.Addr] = int32(len(t.Dests) - 1)
+			gw, _ := t.Net.Link(t.node(i, attach), host, gwAddr, d.Addr, delay)
+			t.dest[k] = hostRow{gw: gw, attach: uint16(attach), octet: octet, alias: d.GTAlias.IsValid()}
 		}
 	}
 }
 
-// buildVPs places M-Lab VPs in transit ASes (hub-attached, colo-like),
+// planVPs places M-Lab VPs in transit ASes (hub-attached, colo-like),
 // PlanetLab VPs in enterprise ASes, and one measurement host at each
-// cloud's border. Rate-limited VPs get a dedicated, policed gateway
-// router so the policer affects only their own traffic.
-func (t *Topology) buildVPs(plans []*asPlan, rng *rand.Rand) {
-	cfg := t.Cfg
-	vpSlots := make([]int, len(t.ASes)) // next VP host slot per AS
-
+// cloud's border; buildVPs gives them addresses and hosts. Placement
+// draws nothing, so buildRouters can make rate-limited VPs' gateways first.
+func planVPs(cfg Config, ases []*AS) (vps, clouds []*VP) {
 	var transits, ents []int
-	for _, a := range t.ASes {
+	for _, a := range ases {
 		switch a.Role {
 		case RoleTransit:
 			transits = append(transits, a.Index)
 		case RoleEnterprise:
 			ents = append(ents, a.Index)
+		case RoleCloud:
+			clouds = append(clouds, &VP{Name: a.Name, Kind: Cloud, ASIdx: a.Index})
 		}
 	}
-
-	addVP := func(name string, kind VPKind, asIdx, attach int, limited bool) *VP {
-		addr := plans[asIdx].VPAddr(vpSlots[asIdx])
-		vpSlots[asIdx]++
-		host := t.Net.AddHost(name, addr, netsim.DefaultHostBehavior())
-		if limited {
-			// Dedicated first-hop gateway carrying only this VP.
-			gw := t.Net.AddRouter(fmt.Sprintf("as%d-vpgw-%s", asIdx, name), netsim.RouterBehavior{
-				OptionsRateLimit: cfg.SourceRateLimitPPS,
-				OptionsRateBurst: cfg.SourceRateLimitPPS / 2,
-			})
-			j := len(t.Routers[asIdx])
-			t.Routers[asIdx] = append(t.Routers[asIdx], gw)
-			t.routerIndex[gw] = [2]int{asIdx, j}
-			t.parent[asIdx] = append(t.parent[asIdx], 0)
-			t.upIface[asIdx] = append(t.upIface[asIdx], nil)
-			t.downIface[asIdx] = append(t.downIface[asIdx], nil)
-			t.attachChild(plans, rng, asIdx, j, 0)
-			attach = j
-		}
-		gwAddr := plans[asIdx].NextInfra()
-		gwIf, _ := t.Net.Connect(t.Routers[asIdx][attach], host, gwAddr, addr, time.Millisecond)
-		t.routerAddr[gwAddr] = attach
-		t.hostIface[addr] = gwIf
-		t.hostAttach[addr] = attach
-		return &VP{Name: name, Kind: kind, Addr: addr, ASIdx: asIdx, Host: host, SourceRateLimited: limited}
-	}
-
 	for i := 0; i < cfg.NumMLab; i++ {
-		asIdx := transits[i%len(transits)]
-		limited := i < cfg.MLabRateLimited
-		t.VPs = append(t.VPs, addVP(fmt.Sprintf("mlab-%d", i), MLab, asIdx, 0, limited))
+		vps = append(vps, &VP{Name: fmt.Sprintf("mlab-%d", i), Kind: MLab,
+			ASIdx: transits[i%len(transits)], SourceRateLimited: i < cfg.MLabRateLimited})
 	}
 	for i := 0; i < cfg.NumPlanetLab; i++ {
-		asIdx := ents[i%len(ents)]
-		limited := i < cfg.MLabRateLimited/2
-		t.VPs = append(t.VPs, addVP(fmt.Sprintf("pl-%d", i), PlanetLab, asIdx, 0, limited))
+		vps = append(vps, &VP{Name: fmt.Sprintf("pl-%d", i), Kind: PlanetLab,
+			ASIdx: ents[i%len(ents)], SourceRateLimited: i < cfg.MLabRateLimited/2})
 	}
-	for _, a := range t.ASes {
-		if a.Role == RoleCloud {
-			t.CloudVPs = append(t.CloudVPs, addVP(a.Name, Cloud, a.Index, 0, false))
+	return vps, clouds
+}
+
+// buildVPs creates the planned vantage points' hosts at their AS's hub;
+// a rate-limited VP sits behind its own policed gateway router instead.
+func (t *Topology) buildVPs(vps []*VP, plans []asPlan, rng *rand.Rand) {
+	gateways := map[int]int{} // by AS: how many of its gateways are wired in
+	for _, v := range vps {
+		slot := 0 // next VP host slot of the AS
+		for _, row := range t.vps {
+			if asOfKey(row.addr, t.numASes) == v.ASIdx {
+				slot++
+			}
 		}
+		v.Addr = plans[v.ASIdx].VPAddr(slot)
+		host := t.Net.AddHostNode(v.Name, netsim.DefaultHostBehavior(), v.Addr)
+		attach := 0
+		if v.SourceRateLimited {
+			attach = t.ASes[v.ASIdx].NumRouters + gateways[v.ASIdx] // made by buildRouters
+			gateways[v.ASIdx]++
+			t.attachChild(plans, rng, v.ASIdx, attach, 0)
+		}
+		gwAddr := plans[v.ASIdx].NextInfra(attach)
+		gw, _ := t.Net.Link(t.node(v.ASIdx, attach), host, gwAddr, v.Addr, time.Millisecond)
+		t.vps = append(t.vps, vpRow{addrU32(v.Addr), host, hostRow{gw: gw, attach: uint16(attach)}})
+		v.Host = t.Net.Host(host)
 	}
 }
 
-// installOracle wires every router to the shared routing oracle.
-func (t *Topology) installOracle() {
-	for a := range t.Routers {
-		for j, r := range t.Routers[a] {
-			a, j := a, j
-			r.SetRouteFunc(func(dst netip.Addr) *netsim.Iface {
-				return t.route(a, j, dst)
-			})
-		}
+// indexInfra flattens the address plans' slot owners into the oracle.
+func (t *Topology) indexInfra(plans []asPlan) {
+	t.infraBase = make([]int32, len(plans)+1)
+	for i := range plans {
+		t.infraBase[i+1] = t.infraBase[i] + int32(len(plans[i].owner))
+	}
+	t.infraRtr = make([]int32, 0, t.infraBase[len(plans)])
+	for i := range plans {
+		t.infraRtr = append(t.infraRtr, plans[i].owner...)
 	}
 }

@@ -322,7 +322,7 @@ func TestSourceRateLimitedVPHasDedicatedGateway(t *testing.T) {
 	}
 	// No destination host shares that gateway.
 	for _, d := range topo.Dests {
-		if d.Host.Uplink() != nil && d.Host.Uplink().Peer().Owner == gw {
+		if up := destHost(topo, d).Uplink(); up != nil && up.Peer().Owner == gw {
 			t.Error("destination shares the dedicated VP gateway")
 		}
 	}
@@ -339,11 +339,11 @@ func TestCloudInterconnectsLandDeep(t *testing.T) {
 			if topo.ASes[nb.To].Role != RoleAccess {
 				continue
 			}
-			idx, ok := topo.borderIdx[nb.To][ci]
+			b, ok := topo.borderTo(nb.To, ci)
 			if !ok {
 				continue
 			}
-			if topo.depthOf(nb.To, idx) > 1 {
+			if topo.depthOf(nb.To, int(b.router)) > 1 {
 				sawDeep = true
 			}
 		}
@@ -356,12 +356,13 @@ func TestCloudInterconnectsLandDeep(t *testing.T) {
 		if topo.ASes[a].Role != RoleAccess {
 			continue
 		}
-		for nbr, idx := range topo.borderIdx[a] {
-			if topo.ASes[nbr].Role == RoleCloud {
+		for _, nb := range topo.Graph.Neighbors(a) {
+			if topo.ASes[nb.To].Role == RoleCloud {
 				continue
 			}
-			if d := topo.depthOf(a, idx); d > 1 {
-				t.Errorf("access as%d border to %v at depth %d", a, topo.ASes[nbr].Role, d)
+			b, _ := topo.borderTo(a, nb.To)
+			if d := topo.depthOf(a, int(b.router)); d > 1 {
+				t.Errorf("access as%d border to %v at depth %d", a, topo.ASes[nb.To].Role, d)
 			}
 		}
 	}

@@ -3,15 +3,22 @@ package topology
 import (
 	"fmt"
 	"math/rand/v2"
+	"strings"
 )
 
 // generateASLevel builds the AS roster and relationship graph for cfg.
 // Index ranges are contiguous per role in roster order: tier-1, transit,
 // access, enterprise, content, unknown stubs, clouds.
 func generateASLevel(cfg Config, rng *rand.Rand) ([]*AS, *Graph) {
+	// The roster is one block, and (below) its names one string and its
+	// adjacency lists one array: a built topology holds a fixed number of
+	// heap objects, not a few per AS.
+	total := cfg.NumTier1 + cfg.NumTransit + cfg.NumAccess + cfg.NumEnterprise + cfg.NumContent + cfg.NumUnknown + len(cfg.CloudNames)
+	block := make([]AS, total)
 	var ases []*AS
 	add := func(role Role, name string, routers, prefixes int) *AS {
-		a := &AS{
+		a := &block[len(ases)]
+		*a = AS{
 			Index:       len(ases),
 			ASN:         1000 + len(ases),
 			Role:        role,
@@ -66,9 +73,11 @@ func generateASLevel(cfg Config, rng *rand.Rand) ([]*AS, *Graph) {
 	}
 
 	g := NewGraph(len(ases))
+	links := 0
 	link := func(a, b int, rel Rel) {
 		if a != b && !g.HasLink(a, b) {
 			g.AddLink(a, b, rel)
+			links++
 		}
 	}
 	pick := func(pool []int) int { return pool[rng.IntN(len(pool))] }
@@ -150,6 +159,19 @@ func generateASLevel(cfg Config, rng *rand.Rand) ([]*AS, *Graph) {
 				}
 			}
 		}
+	}
+
+	var names strings.Builder
+	for _, a := range ases {
+		names.WriteString(a.Name)
+	}
+	for all, i := names.String(), 0; i < len(ases); i++ {
+		ases[i].Name, all = all[:len(ases[i].Name)], all[len(ases[i].Name):]
+	}
+	flat := make([]Neighbor, 0, 2*links)
+	for i, l := range g.adj {
+		flat = append(flat, l...)
+		g.adj[i] = flat[len(flat)-len(l) : len(flat) : len(flat)] // a later AddLink reallocates
 	}
 	return ases, g
 }

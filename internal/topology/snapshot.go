@@ -1,92 +1,37 @@
 package topology
 
-import (
-	"recordroute/internal/netsim"
-)
-
 // Snapshot is a frozen, built topology that stamps out replicas without
-// regenerating anything. The expensive route plane — AS graph, all-pairs
-// policy routes, FIB contents, addressing, link delays, the oracle's
-// attachment indexes — is computed once by Build and shared read-only by
-// every replica; each Clone gets only a fresh mutable overlay (engine,
-// counters, policers, IP-ID state) via netsim.Network.Clone.
+// regenerating anything. Everything Build computed — AS graph, policy
+// routes, the oracle's tables, destination records, the network's plane —
+// is shared read-only by every replica; each Clone gets a fresh overlay
+// (netsim.Network.Clone) and its own router and vantage-point handles.
 type Snapshot struct {
 	src *Topology
 }
 
 // SnapshotOf freezes a built topology for replication. The source keeps
-// working normally afterwards (mutations copy-on-write); once this
-// returns, concurrent Clone calls are safe.
+// working normally afterwards; once this returns, concurrent Clone calls
+// are safe.
 func SnapshotOf(t *Topology) *Snapshot {
 	t.Net.Freeze()
 	return &Snapshot{src: t}
 }
 
-// Source returns the topology the snapshot was taken from.
-func (s *Snapshot) Source() *Topology { return s.src }
-
-// Clone returns a replica topology: a cloned network plus remapped
-// router/VP/destination handles, sharing everything else with the
-// source. A replica behaves exactly like an independent Build of the
-// same Config — same routes, same behaviour draws, same fault plan —
-// with its clock at zero.
+// Clone returns a replica topology. A replica behaves exactly like an
+// independent Build of the same Config — same routes, same behaviour
+// draws, same fault plan — with its clock at zero, and costs a fixed
+// number of allocations whatever the topology's size.
 func (s *Snapshot) Clone() *Topology {
-	src := s.src
-	net := src.Net.Clone()
-	c := &Topology{
-		Cfg:    src.Cfg,
-		Net:    net,
-		Graph:  src.Graph,
-		Routes: src.Routes,
-		ASes:   src.ASes,
-		Faults: src.Faults,
-
-		// The oracle state is part of the frozen plane. Its interface and
-		// router pointers reference the source network; packet forwarding
-		// localizes them (netsim lookupRoute), and ground-truth helpers
-		// like ForwardStampPath traverse the shared plane directly.
-		hostIface:   src.hostIface,
-		hostAttach:  src.hostAttach,
-		routerAddr:  src.routerAddr,
-		parent:      src.parent,
-		upIface:     src.upIface,
-		downIface:   src.downIface,
-		borderIface: src.borderIface,
-		borderIdx:   src.borderIdx,
-		routerIndex: src.routerIndex,
+	c := *s.src
+	c.Net = s.src.Net.Clone()
+	c.bindRouters()
+	all := make([]VP, len(c.VPs)+len(c.CloudVPs))
+	ptrs := make([]*VP, len(all))
+	for i, v := range append(c.VPs[:len(c.VPs):len(c.VPs)], c.CloudVPs...) {
+		all[i] = *v
+		all[i].Host = c.Net.Host(c.vps[i].node)
+		ptrs[i] = &all[i]
 	}
-
-	c.Routers = make([][]*netsim.Router, len(src.Routers))
-	for i, rs := range src.Routers {
-		crs := make([]*netsim.Router, len(rs))
-		for j, r := range rs {
-			crs[j] = net.Counterpart(r).(*netsim.Router)
-		}
-		c.Routers[i] = crs
-	}
-
-	// destByAddr maps to indexes, so the (large) map itself is part of
-	// the shared plane; only the Dest records are per-replica, allocated
-	// as one block.
-	c.destByAddr = src.destByAddr
-	c.Dests = make([]*Dest, len(src.Dests))
-	block := make([]Dest, len(src.Dests))
-	for i, d := range src.Dests {
-		block[i] = *d
-		block[i].Host = net.Counterpart(d.Host).(*netsim.Host)
-		c.Dests[i] = &block[i]
-	}
-
-	cloneVPs := func(vps []*VP) []*VP {
-		out := make([]*VP, len(vps))
-		for i, v := range vps {
-			cv := *v
-			cv.Host = net.Counterpart(v.Host).(*netsim.Host)
-			out[i] = &cv
-		}
-		return out
-	}
-	c.VPs = cloneVPs(src.VPs)
-	c.CloudVPs = cloneVPs(src.CloudVPs)
-	return c
+	c.VPs, c.CloudVPs = ptrs[:len(c.VPs):len(c.VPs)], ptrs[len(c.VPs):]
+	return &c
 }

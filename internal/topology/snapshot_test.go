@@ -1,10 +1,18 @@
 package topology
 
 import (
+	"runtime"
 	"testing"
 
 	"recordroute/internal/netsim"
 )
+
+// destHost returns t's host for d, one of its Dests: the k'th destination
+// is the k'th node after the routers.
+func destHost(t *Topology, d *Dest) *netsim.Host {
+	k := int(t.destBase[d.ASIdx]) + int(addrU32(d.Addr)>>8&0xff)
+	return t.Net.Host(netsim.NodeID(len(t.rtr) + k))
+}
 
 func snapshotTestConfig() Config {
 	cfg := DefaultConfig(Epoch2016).Scale(0.15)
@@ -53,7 +61,7 @@ func TestSnapshotCloneStructure(t *testing.T) {
 	}
 	for i, d := range src.Dests {
 		cd := clone.Dests[i]
-		if cd.Host == d.Host || cd.Addr != d.Addr || cd.GTRRDrop != d.GTRRDrop {
+		if destHost(clone, cd) == destHost(src, d) || cd.Addr != d.Addr || cd.GTRRDrop != d.GTRRDrop {
 			t.Fatalf("dest %d (%v) misremapped", i, d.Addr)
 		}
 		if clone.DestByAddr(d.Addr) != cd {
@@ -105,5 +113,74 @@ func TestSnapshotCloneWithFaults(t *testing.T) {
 	clone := SnapshotOf(src).Clone()
 	if clone.Faults != src.Faults {
 		t.Fatalf("clone fault summary %+v, want %+v", clone.Faults, src.Faults)
+	}
+}
+
+// profileTopology builds a scale profile's default topology.
+func profileTopology(t *testing.T, p ScaleProfile) *Topology {
+	t.Helper()
+	cfg, err := ProfileConfig(Epoch2016, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return MustBuild(cfg)
+}
+
+// heapDelta runs f and reports what it left on the heap, in bytes and in
+// objects, and how many objects it allocated; keep is what f returns,
+// held live across the measurement.
+func heapDelta[T any](f func() T) (keep T, bytes, objects, mallocs int64) {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	keep = f()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	return keep, int64(after.HeapAlloc) - int64(before.HeapAlloc),
+		int64(after.HeapObjects) - int64(before.HeapObjects), int64(after.Mallocs) - int64(before.Mallocs)
+}
+
+// A clone is an overlay and some handles: its allocation count depends
+// on how many vantage points want a host handle, never on how many nodes
+// the plane has.
+func TestSnapshotCloneAllocBudget(t *testing.T) {
+	for _, p := range []ScaleProfile{ScaleSmall, ScaleMedium} {
+		src := profileTopology(t, p)
+		snap := SnapshotOf(src)
+		budget := float64(24 + 2*(len(src.VPs)+len(src.CloudVPs)))
+		if allocs := testing.AllocsPerRun(10, func() { snap.Clone() }); allocs > budget {
+			t.Errorf("%s (%d nodes): Clone allocates %v objects, budget %v", p, src.Net.NumNodes(), allocs, budget)
+		}
+	}
+}
+
+// A built plane is flat tables: it keeps well under one heap object per
+// ten nodes (it kept seven per node as a pointer graph).
+func TestPlaneObjectBudget(t *testing.T) {
+	topo, _, objects, _ := heapDelta(func() *Topology { return profileTopology(t, ScaleMedium) })
+	if nodes := int64(topo.Net.NumNodes()); objects*10 > nodes {
+		t.Errorf("a %d-node plane holds %d heap objects, budget %d", nodes, objects, nodes/10)
+	}
+}
+
+// The large profile is where the plane's size decides what fits: pin a
+// built plane's heap, and what each replica adds to it.
+func TestLargePlaneBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the large profile")
+	}
+	topo, bytes, objects, _ := heapDelta(func() *Topology { return profileTopology(t, ScaleLarge) })
+	t.Logf("plane: %d nodes, %.1f MB in %d objects", topo.Net.NumNodes(), float64(bytes)/(1<<20), objects)
+	if bytes > 60<<20 || objects > 80_000 {
+		t.Errorf("large plane holds %.1f MB in %d objects, budget 60 MB in 80000", float64(bytes)/(1<<20), objects)
+	}
+	snap := SnapshotOf(topo)
+	clone, bytes, _, mallocs := heapDelta(snap.Clone)
+	t.Logf("clone: %.2f MB, %d allocations", float64(bytes)/(1<<20), mallocs)
+	if budget := int64(24 + 2*(len(topo.VPs)+len(topo.CloudVPs))); bytes > 4<<20 || mallocs > budget {
+		t.Errorf("a large clone keeps %.2f MB from %d allocations, budget 4 MB from %d", float64(bytes)/(1<<20), mallocs, budget)
+	}
+	if len(clone.Dests) != len(topo.Dests) {
+		t.Fatal("clone lost destinations")
 	}
 }

@@ -9,6 +9,7 @@ package topology
 import (
 	"fmt"
 	"net/netip"
+	"sort"
 
 	"recordroute/internal/netsim"
 )
@@ -52,12 +53,13 @@ type VP struct {
 }
 
 // Dest is one probed destination: the representative address of one
-// advertised /24, mirroring the paper's one-per-prefix hitlist.
+// advertised /24, mirroring the paper's one-per-prefix hitlist. Dest
+// records carry nothing of a particular network, so a topology and its
+// clones share them.
 type Dest struct {
 	Addr   netip.Addr
 	Prefix netip.Prefix
 	ASIdx  int
-	Host   *netsim.Host
 
 	// Ground-truth behaviour flags, for white-box validation only;
 	// analyses must work from probe responses.
@@ -88,37 +90,188 @@ type Topology struct {
 	// is nil).
 	Faults netsim.FaultSummary
 
-	// routing oracle state
-	hostIface  map[netip.Addr]*netsim.Iface // router-side iface toward a host
-	hostAttach map[netip.Addr]int           // attach router idx for a host addr
-	routerAddr map[netip.Addr]int           // router idx owning an infra addr
-	// Intra-AS routers form a tree rooted at router 0. parent[a][j] is
-	// router j's parent (-1 for the root); upIface[a][j] the interface
-	// from j toward its parent; downIface[a][j] the interface from
-	// parent[a][j] toward j.
-	parent    [][]int
-	upIface   [][]*netsim.Iface
-	downIface [][]*netsim.Iface
-	// borderIface[a][nbrAS] / borderIdx[a][nbrAS]: the inter-AS link.
-	borderIface []map[int]*netsim.Iface
-	borderIdx   []map[int]int
+	*oracle
+}
 
-	destByAddr  map[netip.Addr]int32      // addr → index in Dests (shared by clones)
-	routerIndex map[*netsim.Router][2]int // router → (AS index, router index)
+// routerRow is a router's place in its AS's tree, rooted at router 0.
+type routerRow struct {
+	as       int32
+	parent   int32          // the parent's index in the AS, -1 for the root
+	up, down netsim.IfaceID // toward the parent; the parent's, toward this router
+}
+
+// hostRow is what the oracle knows of one host: where it attaches and,
+// for a destination (found by prefix), which addresses in its /24 it has.
+type hostRow struct {
+	gw     netsim.IfaceID // attach router's interface toward the host
+	attach uint16         // attach router's index in the AS
+	octet  uint8          // last octet of the host's address
+	alias  bool           // the host also answers at aliasOctet
+}
+
+// vpRow is a vantage-point host, found by its address.
+type vpRow struct {
+	addr uint32
+	node netsim.NodeID
+	hostRow
+}
+
+// borderRow is one inter-AS link seen from one side.
+type borderRow struct {
+	key    uint64         // borderKey of this AS and the neighbouring one
+	router int32          // this AS's border router for it
+	out    netsim.IfaceID // that router's interface on the link
+}
+
+func borderKey(as, nbr int) uint64 { return uint64(as)<<32 | uint64(nbr) }
+
+// oracle is the routing oracle and every address index of a topology:
+// dense, pointer-free arrays addressed by the address plan's arithmetic
+// (addr.go). It is immutable once Build returns, and shared by a
+// topology and its clones: every replica's netsim calls route on it.
+type oracle struct {
+	numASes int
+	routes  *Routes
+
+	// Routers are the network's first nodes, AS by AS, so AS a's router j
+	// has node id and router index rtrBase[a]+j. The dedicated gateways of
+	// rate-limited VPs come last in their AS, after its NumRouters.
+	rtrBase []int32
+	rtr     []routerRow
+
+	// Destinations: AS a's prefix j is row destBase[a]+j, which is also
+	// its index in Dests and, offset by the router count, its host's node.
+	destBase []int32
+	dest     []hostRow
+	vps      []vpRow // VPs then CloudVPs: a few dozen, scanned
+
+	// Infrastructure addresses: slot s of AS a (asPlan.owner) belongs to
+	// the AS's router infraRtr[infraBase[a]+s].
+	infraBase []int32
+	infraRtr  []int32
+
+	border []borderRow // inter-AS links, sorted by key
+}
+
+// router returns AS as's router j's row and netsim index; node, its id.
+func (o *oracle) router(as, j int) int         { return int(o.rtrBase[as]) + j }
+func (o *oracle) node(as, j int) netsim.NodeID { return netsim.NodeID(o.router(as, j)) }
+
+// aliasOctet is the last octet of an alias address (asPlan.AliasAddr).
+const aliasOctet = 129
+
+// hostAt returns the host owning address v of AS as, or nil.
+func (o *oracle) hostAt(as int, v uint32) *hostRow {
+	switch slot := int(v >> 8 & 0xff); {
+	case slot < int(o.destBase[as+1]-o.destBase[as]):
+		d := &o.dest[int(o.destBase[as])+slot]
+		if low := uint8(v); low == d.octet || (d.alias && low == aliasOctet) {
+			return d
+		}
+	case slot == vpSlot:
+		for i := range o.vps {
+			if o.vps[i].addr == v {
+				return &o.vps[i].hostRow
+			}
+		}
+	}
+	return nil
+}
+
+// routerAt returns the index in AS as of the router owning
+// infrastructure address v.
+func (o *oracle) routerAt(as int, v uint32) (int, bool) {
+	if s := infraTop - int(v&0xffff); s >= 0 && s < int(o.infraBase[as+1]-o.infraBase[as]) {
+		return int(o.infraRtr[int(o.infraBase[as])+s]), true
+	}
+	return 0, false
+}
+
+// borderTo returns AS as's side of its link to the neighbouring AS nbr.
+func (o *oracle) borderTo(as, nbr int) (borderRow, bool) {
+	key := borderKey(as, nbr)
+	i := sort.Search(len(o.border), func(i int) bool { return o.border[i].key >= key })
+	if i < len(o.border) && o.border[i].key == key {
+		return o.border[i], true
+	}
+	return borderRow{}, false
+}
+
+// route is the shared routing oracle (a netsim.RouteFunc): the egress
+// interface for a packet at a router toward dst, or NoIface to fall back
+// to the router's FIB.
+func (o *oracle) route(router int, dst uint32) netsim.IfaceID {
+	as := int(o.rtr[router].as)
+	j := router - int(o.rtrBase[as])
+	dstAS := asOfKey(dst, o.numASes)
+	if dstAS < 0 {
+		return netsim.NoIface
+	}
+	if dstAS == as {
+		// Intra-AS delivery: find the target router, then walk the tree.
+		if h := o.hostAt(as, dst); h != nil {
+			if int(h.attach) == j {
+				return h.gw
+			}
+			return o.intraToward(as, j, int(h.attach))
+		}
+		if tgt, ok := o.routerAt(as, dst); ok {
+			return o.intraToward(as, j, tgt) // NoIface when local to this router
+		}
+		return netsim.NoIface
+	}
+	nh := o.routes.NextHop(as, dstAS)
+	if nh < 0 {
+		return netsim.NoIface
+	}
+	// Route toward the border with the next-hop AS. When there is no
+	// direct adjacency (shouldn't happen with consistent routes), drop.
+	b, ok := o.borderTo(as, nh)
+	if !ok {
+		return netsim.NoIface
+	}
+	if int(b.router) == j {
+		return b.out
+	}
+	return o.intraToward(as, j, int(b.router))
+}
+
+// intraToward returns the next interface from router j toward router tgt
+// inside AS as, NoIface when they are the same: if tgt is in j's subtree
+// the packet goes down one child; otherwise it climbs to j's parent.
+func (o *oracle) intraToward(as, j, tgt int) netsim.IfaceID {
+	if j == tgt {
+		return netsim.NoIface
+	}
+	// Climb from tgt toward the root; if we pass through j, tgt is below
+	// us and the crossing child is the next hop downward.
+	rows := o.rtr[o.rtrBase[as]:]
+	for c := tgt; c >= 0; c = int(rows[c].parent) {
+		if int(rows[c].parent) == j {
+			return rows[c].down
+		}
+	}
+	return rows[j].up
+}
+
+// depthOf returns a router's depth in its AS tree (root = 0).
+func (o *oracle) depthOf(as, j int) int {
+	d := 0
+	for p := o.rtr[o.router(as, j)].parent; p >= 0; p = o.rtr[o.router(as, int(p))].parent {
+		d++
+	}
+	return d
 }
 
 // RouterByAddr returns the router owning an infrastructure address, or
 // nil. Tests use it to consult ground-truth router behaviour.
 func (t *Topology) RouterByAddr(a netip.Addr) *netsim.Router {
-	asIdx := t.ASOf(a)
-	if asIdx < 0 {
-		return nil
+	if as := t.ASOf(a); as >= 0 {
+		if j, ok := t.routerAt(as, addrU32(a)); ok {
+			return t.Routers[as][j]
+		}
 	}
-	idx, ok := t.routerAddr[a]
-	if !ok {
-		return nil
-	}
-	return t.Routers[asIdx][idx]
+	return nil
 }
 
 // ForwardStampPath returns the egress interface addresses a packet from
@@ -127,34 +280,30 @@ func (t *Topology) RouterByAddr(a netip.Addr) *netsim.Router {
 // stamp. It is ground truth for validating measurements; nil when either
 // address is unknown or unrouted.
 func (t *Topology) ForwardStampPath(src, dst netip.Addr) []netip.Addr {
-	gw, ok := t.hostIface[src]
-	if !ok {
+	srcAS, dstAS := t.ASOf(src), t.ASOf(dst)
+	if srcAS < 0 || dstAS < 0 {
 		return nil
 	}
-	cur, okr := gw.Owner.(*netsim.Router)
-	if !okr {
+	h := t.hostAt(srcAS, addrU32(src))
+	if h == nil {
 		return nil
 	}
+	_, _, cur := t.Net.IfaceInfo(h.gw)
 	var stamps []netip.Addr
 	for hop := 0; hop < 64; hop++ {
-		pos, ok := t.routerIndex[cur]
-		if !ok {
-			return nil
-		}
-		egress := t.route(pos[0], pos[1], dst)
-		if egress == nil {
+		egress := t.route(cur, addrU32(dst))
+		if egress == netsim.NoIface {
 			// Local delivery to this router itself.
-			if idx, isRouter := t.routerAddr[dst]; isRouter && idx == pos[1] && t.ASOf(dst) == pos[0] {
+			if j, ok := t.routerAt(dstAS, addrU32(dst)); ok && cur == t.router(dstAS, j) {
 				return stamps
 			}
 			return nil
 		}
-		stamps = append(stamps, egress.Addr)
-		next := egress.Peer().Owner
-		if _, isHost := next.(*netsim.Host); isHost {
-			return stamps
+		addr, peer, _ := t.Net.IfaceInfo(egress)
+		stamps = append(stamps, addr)
+		if _, _, cur = t.Net.IfaceInfo(peer); cur < 0 {
+			return stamps // delivered to the host
 		}
-		cur = next.(*netsim.Router)
 	}
 	return nil
 }
@@ -173,89 +322,24 @@ func (t *Topology) ASNOf(a netip.Addr) int {
 
 // DestByAddr returns the destination record probed at a, or nil.
 func (t *Topology) DestByAddr(a netip.Addr) *Dest {
-	if i, ok := t.destByAddr[a]; ok {
-		return t.Dests[i]
+	if as := t.ASOf(a); as >= 0 {
+		if j := int(addrU32(a) >> 8 & 0xff); j < t.ASes[as].NumPrefixes {
+			if d := t.Dests[int(t.destBase[as])+j]; d.Addr == a {
+				return d
+			}
+		}
 	}
 	return nil
 }
 
 // VPByName returns the named vantage point (including clouds), or nil.
 func (t *Topology) VPByName(name string) *VP {
-	for _, v := range t.VPs {
-		if v.Name == name {
-			return v
-		}
-	}
-	for _, v := range t.CloudVPs {
-		if v.Name == name {
-			return v
+	for _, vps := range [2][]*VP{t.VPs, t.CloudVPs} {
+		for _, v := range vps {
+			if v.Name == name {
+				return v
+			}
 		}
 	}
 	return nil
-}
-
-// route is the shared routing oracle: the egress interface for a packet
-// at router (asIdx, rIdx) toward dst, or nil to fall back to the FIB.
-func (t *Topology) route(asIdx, rIdx int, dst netip.Addr) *netsim.Iface {
-	dstAS := t.ASOf(dst)
-	if dstAS < 0 {
-		return nil
-	}
-	if dstAS == asIdx {
-		// Intra-AS delivery: find the target router, then hop the star.
-		if tgt, ok := t.hostAttach[dst]; ok {
-			if tgt == rIdx {
-				return t.hostIface[dst]
-			}
-			return t.intraToward(asIdx, rIdx, tgt)
-		}
-		if tgt, ok := t.routerAddr[dst]; ok {
-			if tgt == rIdx {
-				return nil // local to this router; netsim handles it
-			}
-			return t.intraToward(asIdx, rIdx, tgt)
-		}
-		return nil
-	}
-	nh := t.Routes.NextHop(asIdx, dstAS)
-	if nh < 0 {
-		return nil
-	}
-	// Route toward the border with the next-hop AS. When there is no
-	// direct adjacency (shouldn't happen with consistent routes), drop.
-	b, ok := t.borderIdx[asIdx][nh]
-	if !ok {
-		return nil
-	}
-	if b == rIdx {
-		return t.borderIface[asIdx][nh]
-	}
-	return t.intraToward(asIdx, rIdx, b)
-}
-
-// intraToward returns the next interface from router rIdx toward router
-// tgt inside AS a. The intra-AS topology is a tree rooted at router 0:
-// if tgt is in rIdx's subtree the packet goes down one child; otherwise
-// it climbs to rIdx's parent.
-func (t *Topology) intraToward(a, rIdx, tgt int) *netsim.Iface {
-	if rIdx == tgt {
-		return nil
-	}
-	// Climb from tgt toward the root; if we pass through rIdx, tgt is
-	// below us and the crossing child is the next hop downward.
-	for c := tgt; c >= 0; c = t.parent[a][c] {
-		if t.parent[a][c] == rIdx {
-			return t.downIface[a][c]
-		}
-	}
-	return t.upIface[a][rIdx]
-}
-
-// depthOf returns a router's depth in its AS tree (root = 0).
-func (t *Topology) depthOf(a, rIdx int) int {
-	d := 0
-	for p := t.parent[a][rIdx]; p >= 0; p = t.parent[a][p] {
-		d++
-	}
-	return d
 }
