@@ -138,7 +138,7 @@ func TestAtlasFindsAnonymousRoutersInSim(t *testing.T) {
 		}
 	}
 	var rrResults []probe.Result
-	m.PingRRBatch(dsts, probe.Options{Rate: 500}, func(rs []probe.Result) { rrResults = rs })
+	m.Batch(dsts, probe.PingRR, probe.Options{Rate: 500}, func(rs []probe.Result) { rrResults = rs })
 	topo.Net.Engine().Run()
 	var traces []measure.Trace
 	m.TracerouteBatch(dsts, measure.TraceOptions{StartRate: 200}, func(ts []measure.Trace) { traces = ts })

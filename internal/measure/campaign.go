@@ -128,34 +128,36 @@ func (c *Campaign) Run() {
 // caller instead of being recovered per-shard.
 func (c *Campaign) ShardErrors() []ShardError { return nil }
 
-// PingRRAll sends one ping-RR from every VP to every destination in
-// dests (per-VP order may be permuted via orderFor) and returns results
-// keyed by VP name, in that VP's send order.
-func (c *Campaign) PingRRAll(dests []netip.Addr, opts probe.Options, orderFor func(vp string, dests []netip.Addr) []netip.Addr) map[string][]probe.Result {
+// fan is the shape of every collect-all primitive: start begins one
+// VP's batch, handing it the callback that files the batch's results
+// under the VP's name (a VP start leaves out is absent from the map),
+// and the engine then runs to quiescence.
+func fan[T any](c *Campaign, start func(vp *VantagePoint, done func(T))) map[string]T {
 	checkCanceled(c.ctx)
-	out := make(map[string][]probe.Result, len(c.VPs))
+	out := make(map[string]T, len(c.VPs))
 	for _, vp := range c.VPs {
-		vp := vp
-		ds := dests
-		if orderFor != nil {
-			ds = orderFor(vp.Name, dests)
-		}
-		vp.PingRRBatch(ds, opts, func(rs []probe.Result) { out[vp.Name] = rs })
+		start(vp, func(rs T) { out[vp.Name] = rs })
 	}
 	c.Eng.Run()
 	return out
 }
 
+// PingRRAll sends one ping-RR from every VP to every destination in
+// dests (per-VP order may be permuted via orderFor) and returns results
+// keyed by VP name, in that VP's send order.
+func (c *Campaign) PingRRAll(dests []netip.Addr, opts probe.Options, orderFor func(vp string, dests []netip.Addr) []netip.Addr) map[string][]probe.Result {
+	return fan(c, func(vp *VantagePoint, done func([]probe.Result)) {
+		ds := dests
+		if orderFor != nil {
+			ds = orderFor(vp.Name, dests)
+		}
+		vp.Batch(ds, probe.PingRR, opts, done)
+	})
+}
+
 // PingAll sends count plain pings per destination from every VP.
 func (c *Campaign) PingAll(dests []netip.Addr, count int, opts probe.Options) map[string][][]probe.Result {
-	checkCanceled(c.ctx)
-	out := make(map[string][][]probe.Result, len(c.VPs))
-	for _, vp := range c.VPs {
-		vp := vp
-		vp.PingBatch(dests, count, opts, func(rs [][]probe.Result) { out[vp.Name] = rs })
-	}
-	c.Eng.Run()
-	return out
+	return fan(c, func(vp *VantagePoint, done func([][]probe.Result)) { vp.PingBatch(dests, count, opts, done) })
 }
 
 // PingBatchVP sends count plain pings per destination from the single
@@ -195,62 +197,34 @@ func (c *Campaign) PingSeriesVP(name string, addrs []netip.Addr, group []int, ro
 
 // PingRRUDPAll sends one ping-RRudp from every VP to its listed targets.
 func (c *Campaign) PingRRUDPAll(perVP map[string][]netip.Addr, opts probe.Options) map[string][]probe.Result {
-	checkCanceled(c.ctx)
-	out := make(map[string][]probe.Result, len(c.VPs))
-	for _, vp := range c.VPs {
-		vp := vp
-		ds := perVP[vp.Name]
-		if len(ds) == 0 {
-			continue
+	return fan(c, func(vp *VantagePoint, done func([]probe.Result)) {
+		if ds := perVP[vp.Name]; len(ds) > 0 {
+			vp.Batch(ds, probe.PingRRUDP, opts, done)
 		}
-		vp.PingRRUDPBatch(ds, opts, func(rs []probe.Result) { out[vp.Name] = rs })
-	}
-	c.Eng.Run()
-	return out
+	})
 }
 
 // PingTSAll sends one Internet Timestamp probe from every VP to every
 // destination.
 func (c *Campaign) PingTSAll(dests []netip.Addr, opts probe.Options) map[string][]probe.Result {
-	checkCanceled(c.ctx)
-	out := make(map[string][]probe.Result, len(c.VPs))
-	for _, vp := range c.VPs {
-		vp := vp
-		vp.PingTSBatch(dests, opts, func(rs []probe.Result) { out[vp.Name] = rs })
-	}
-	c.Eng.Run()
-	return out
+	return fan(c, func(vp *VantagePoint, done func([]probe.Result)) { vp.Batch(dests, probe.PingTS, opts, done) })
 }
 
 // TracerouteAll traces each VP's listed targets.
 func (c *Campaign) TracerouteAll(perVP map[string][]netip.Addr, opts TraceOptions) map[string][]Trace {
-	checkCanceled(c.ctx)
-	out := make(map[string][]Trace, len(c.VPs))
-	for _, vp := range c.VPs {
-		vp := vp
-		ds := perVP[vp.Name]
-		if len(ds) == 0 {
-			continue
+	return fan(c, func(vp *VantagePoint, done func([]Trace)) {
+		if ds := perVP[vp.Name]; len(ds) > 0 {
+			vp.TracerouteBatch(ds, opts, done)
 		}
-		vp.TracerouteBatch(ds, opts, func(ts []Trace) { out[vp.Name] = ts })
-	}
-	c.Eng.Run()
-	return out
+	})
 }
 
 // TTLPingRRAll sends TTL-limited ping-RRs: per VP, targets[i] probed
 // with ttls[i].
 func (c *Campaign) TTLPingRRAll(perVP map[string][]netip.Addr, ttls map[string][]uint8, opts probe.Options) map[string][]probe.Result {
-	checkCanceled(c.ctx)
-	out := make(map[string][]probe.Result, len(c.VPs))
-	for _, vp := range c.VPs {
-		vp := vp
-		ds := perVP[vp.Name]
-		if len(ds) == 0 {
-			continue
+	return fan(c, func(vp *VantagePoint, done func([]probe.Result)) {
+		if ds := perVP[vp.Name]; len(ds) > 0 {
+			vp.TTLPingRRBatch(ds, ttls[vp.Name], opts, done)
 		}
-		vp.TTLPingRRBatch(ds, ttls[vp.Name], opts, func(rs []probe.Result) { out[vp.Name] = rs })
-	}
-	c.Eng.Run()
-	return out
+	})
 }

@@ -130,7 +130,7 @@ func TestPingTSBatchDirect(t *testing.T) {
 	}
 	vp := NewVantagePoint("tsvp", raws[0].Host, topo.Net.Engine(), 0x5100)
 	var got []probe.Result
-	vp.PingTSBatch(dests, probe.Options{Rate: 500}, func(rs []probe.Result) { got = rs })
+	vp.Batch(dests, probe.PingTS, probe.Options{Rate: 500}, func(rs []probe.Result) { got = rs })
 	topo.Net.Engine().Run()
 	if len(got) != 3 {
 		t.Fatalf("results = %d", len(got))

@@ -88,7 +88,7 @@ func TestJournalDegradeOnWriteError(t *testing.T) {
 		Type: probe.EchoReply, From: a("10.0.0.1"),
 	}}
 	sank := 0
-	j.SetSink(func(vp string, got []probe.Result) { sank++ })
+	j.SetStreamSink(func(vp string, lines []byte) { sank++ })
 
 	j.beginPhase("ping-rr-all") // torn write: degrades here
 	if err := j.Degraded(); err == nil {
@@ -315,7 +315,7 @@ func TestParallelCancelResume(t *testing.T) {
 	cut := newFleet("cut.jsonl", false)
 	cut.SetContext(ctx)
 	batches := 0
-	cut.Journal().SetSink(func(vp string, rs []probe.Result) {
+	cut.Journal().SetStreamSink(func(vp string, lines []byte) {
 		batches++
 		if batches == 2 {
 			cancel()

@@ -63,7 +63,6 @@ func (c *Campaign) DoubletreeAll(perVP map[string][]netip.Addr, sess *trace.Sess
 		}
 	}
 	for _, vp := range c.VPs {
-		vp := vp
 		ds := perVP[vp.Name]
 		if len(ds) == 0 {
 			continue
@@ -109,7 +108,6 @@ func (pc *ParallelCampaign) DoubletreeAll(perVP map[string][]netip.Addr, sess *t
 	var mu sync.Mutex
 	pc.eachShard(func(rep *replica) {
 		for _, vp := range rep.vps {
-			vp := vp
 			if skip[vp.Name] {
 				continue
 			}
@@ -122,11 +120,7 @@ func (pc *ParallelCampaign) DoubletreeAll(perVP map[string][]netip.Addr, sess *t
 				out[vp.Name] = r
 				mu.Unlock()
 				countRound(rep.topo.Net, r.Stats)
-				pc.checkpoint(func() {
-					if journaled {
-						pc.journal.recordTraces(phase, "doubletree-all", vp.Name, r.Traces)
-					}
-				})
+				pc.checkpoint(func(j *Journal) { j.recordTraces(phase, "doubletree-all", vp.Name, r.Traces) })
 			})
 		}
 		rep.eng.Run()

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -109,8 +110,8 @@ type Journal struct {
 	phaseKinds map[int]string
 	archived   map[string]*archivedVP // "phase|vp" → completed batch
 	stopsets   map[int][]byte         // phase → codec bytes of the merged stop set
-	sink       func(vp string, rs []probe.Result)
 	streamSink func(vp string, lines []byte)
+	encoders   []*vpEncoder // idle encoders; their buffers outlive GC cycles, which a sync.Pool's do not
 }
 
 func vpKey(phase int, vp string) string { return fmt.Sprintf("%d|%s", phase, vp) }
@@ -292,20 +293,13 @@ func (j *Journal) Archived() int {
 	return len(j.archived)
 }
 
-// SetSink installs fn as the live batch observer: it is called once per
-// freshly completed VP batch (archived batches replayed from a previous
-// run are not re-streamed), serialized under the journal lock.
-func (j *Journal) SetSink(fn func(vp string, rs []probe.Result)) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.sink = fn
-}
-
 // SetStreamSink installs fn as the live streaming consumer: once per
-// freshly completed VP batch, under the journal lock like SetSink's
-// observer, it receives the batch as results.StreamRecord lines — the
-// bytes results.AppendJSONL renders, cut from the encoding the vp
-// record was built from rather than encoded again. fn owns lines.
+// freshly completed VP batch (archived batches replayed from a previous
+// run are not re-streamed), serialized under the journal lock and after
+// the batch's journal write, it receives the batch as
+// results.StreamRecord lines — the bytes results.AppendJSONL renders,
+// cut from the encoding the vp record was built from rather than encoded
+// again. lines is the encoder's own buffer, valid during the call only.
 func (j *Journal) SetStreamSink(fn func(vp string, lines []byte)) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -389,12 +383,12 @@ func (j *Journal) recordResults(phase int, kind, vp string, rs []probe.Result) {
 // while the sink — which speaks real VP names to live consumers —
 // receives the batch as the VP itself.
 func (j *Journal) recordResultsAs(phase int, kind, key, sinkVP string, rs []probe.Result) {
-	e := j.beginVP(phase, kind, key, sinkVP)
+	e := j.beginVP(phase, kind, key, sinkVP, len(rs))
 	if len(rs) > 0 {
 		e.line = append(e.line, `,"results":`...)
 		e.array(rs)
 	}
-	j.finishVP(e, sinkVP, rs)
+	j.finishVP(e, sinkVP)
 }
 
 // archivedTraces returns the completed traceroute round for
@@ -447,7 +441,11 @@ func (j *Journal) recordGroups(phase int, kind, vp string, gs [][]probe.Result) 
 // recordGroupsAs is recordGroups with a separate archive key and sink
 // VP name; see recordResultsAs.
 func (j *Journal) recordGroupsAs(phase int, kind, key, sinkVP string, gs [][]probe.Result) {
-	e := j.beginVP(phase, kind, key, sinkVP)
+	n := 0
+	for _, g := range gs {
+		n += len(g)
+	}
+	e := j.beginVP(phase, kind, key, sinkVP, n)
 	sep := `,"groups":[`
 	for _, g := range gs {
 		e.line = append(e.line, sep...)
@@ -457,13 +455,7 @@ func (j *Journal) recordGroupsAs(phase int, kind, key, sinkVP string, gs [][]pro
 	if len(gs) > 0 {
 		e.line = append(e.line, ']')
 	}
-	var flat []probe.Result
-	if e.observed {
-		for _, g := range gs {
-			flat = append(flat, g...)
-		}
-	}
-	j.finishVP(e, sinkVP, flat)
+	j.finishVP(e, sinkVP)
 }
 
 // vpEncoder builds one vp record in line and, when a stream sink wants
@@ -471,31 +463,36 @@ func (j *Journal) recordGroupsAs(phase int, kind, key, sinkVP string, gs [][]pro
 // result is encoded once (results.AppendWireFields) into the record and
 // that span is copied behind the stream line's opening. The output is
 // what encoding/json renders for journalLine and results.StreamRecord
-// (TestVPRecordMatchesEncodingJSON).
+// (TestVPRecordMatchesEncodingJSON). Encoders belong to their journal —
+// a VP batch is tens of kilobytes, encoded on shard goroutines outside
+// the journal lock — and are handed back in finishVP.
 type vpEncoder struct {
-	line     []byte
-	streams  bool   // a stream sink is installed
-	open     []byte // what opens each stream line: `{"vp":"<name>",`
-	lines    []byte // the stream lines; scratch, cloned for the sink
-	observed bool   // a SetSink observer is installed
+	line    []byte
+	streams bool   // a stream sink is installed
+	open    []byte // what opens each stream line: `{"vp":"<name>",`
+	lines   []byte // the stream lines, lent to the sink
 }
 
-// vpEncoders recycles the encoders' buffers: a VP batch is tens of
-// kilobytes, encoded on shard goroutines outside the journal lock.
-var vpEncoders = sync.Pool{New: func() any { return new(vpEncoder) }}
-
-// beginVP starts the vp record of one completed batch, up to and
-// including its "vp" member.
-func (j *Journal) beginVP(phase int, kind, key, sinkVP string) *vpEncoder {
-	e := vpEncoders.Get().(*vpEncoder)
+// beginVP starts the vp record of one completed batch of n results, up
+// to and including its "vp" member. A new encoder's buffers are sized
+// for the batch at once: append would get there a quarter at a time,
+// allocating five times the bytes in all.
+func (j *Journal) beginVP(phase int, kind, key, sinkVP string, n int) *vpEncoder {
 	j.mu.Lock()
-	e.streams, e.observed = j.streamSink != nil, j.sink != nil
+	var e *vpEncoder
+	if idle := len(j.encoders); idle > 0 {
+		e, j.encoders = j.encoders[idle-1], j.encoders[:idle-1]
+	} else {
+		e = new(vpEncoder)
+	}
+	e.streams = j.streamSink != nil
 	j.mu.Unlock()
 	e.lines = e.lines[:0]
 	if e.streams {
 		e.open = results.AppendStreamOpen(e.open[:0], sinkVP)
+		e.lines = slices.Grow(e.lines, n*(256+len(e.open)))
 	}
-	e.line = strconv.AppendInt(append(e.line[:0], `{"t":"vp","phase":`...), int64(phase), 10)
+	e.line = strconv.AppendInt(append(slices.Grow(e.line[:0], 64+n*256), `{"t":"vp","phase":`...), int64(phase), 10)
 	if kind != "" {
 		e.line = results.AppendString(append(e.line, `,"kind":`...), kind)
 	}
@@ -527,24 +524,17 @@ func (e *vpEncoder) array(rs []probe.Result) {
 }
 
 // finishVP closes the record and commits the batch: the journal write
-// and the sinks run under the lock, in that order, so the file and the
+// and the sink run under the lock, in that order, so the file and the
 // stream see batches in one order; everything before was encoded
 // outside it.
-func (j *Journal) finishVP(e *vpEncoder, sinkVP string, rs []probe.Result) {
+func (j *Journal) finishVP(e *vpEncoder, sinkVP string) {
 	e.line = append(e.line, "}\n"...)
-	var lines []byte
-	if e.streams {
-		lines = bytes.Clone(e.lines)
-	}
 	j.mu.Lock()
-	defer vpEncoders.Put(e) // after the unlock below, even if a sink panics
 	defer j.mu.Unlock()
+	defer func() { j.encoders = append(j.encoders, e) }() // even if the sink panics
 	j.write(e.line)
-	if j.sink != nil {
-		j.sink(sinkVP, rs)
-	}
 	if j.streamSink != nil && e.streams {
-		j.streamSink(sinkVP, lines)
+		j.streamSink(sinkVP, e.lines)
 	}
 }
 
@@ -567,9 +557,9 @@ func (j *Journal) encode(line journalLine) {
 // (caller holds j.mu). A write or sync failure must not panic — it
 // would kill a worker goroutine over a full disk — so the journal
 // degrades instead: the error is retained, further writes are disabled,
-// and the campaign continues with its sinks intact but no checkpoint
-// coverage from here on. The file is left with its valid prefix plus at
-// most one torn line, which ResumeJournal discards.
+// and the campaign continues with its stream sink intact but no
+// checkpoint coverage from here on. The file is left with its valid
+// prefix plus at most one torn line, which ResumeJournal discards.
 func (j *Journal) write(rec []byte) {
 	if j.w == nil || j.degraded != nil {
 		return

@@ -30,67 +30,52 @@ func NewVantagePoint(name string, host *netsim.Host, eng *netsim.Engine, id uint
 	}
 }
 
-// specsFor expands destinations into probe specs of one kind.
-func specsFor(dsts []netip.Addr, kind probe.Kind) []probe.Spec {
-	specs := make([]probe.Spec, len(dsts))
-	for i, d := range dsts {
-		specs[i] = probe.Spec{Dst: d, Kind: kind}
-	}
-	return specs
+// Batch sends one probe of the given kind to every destination — ping-RR,
+// ping-RRudp (§3.3's reclassification probe), Internet Timestamp. The
+// specs are generated as they are launched (probe.Batch), not built into
+// a slice per VP per phase.
+func (vp *VantagePoint) Batch(dsts []netip.Addr, kind probe.Kind, opts probe.Options, done func([]probe.Result)) {
+	vp.Prober.Start(probe.Batch{N: len(dsts), Gen: func(i int) probe.IndexedSpec {
+		return probe.IndexedSpec{Index: i, Spec: probe.Spec{Dst: dsts[i], Kind: kind}}
+	}}, opts, done)
 }
 
 // PingBatch sends count plain pings to every destination (the paper's
-// responsiveness study sent three) and reports all results, grouped
-// per destination in send order.
+// responsiveness study sent three), round-major, and reports all
+// results, grouped per destination in send order.
 func (vp *VantagePoint) PingBatch(dsts []netip.Addr, count int, opts probe.Options, done func([][]probe.Result)) {
-	if count < 1 {
-		count = 1
-	}
-	specs := make([]probe.Spec, 0, count*len(dsts))
-	for r := 0; r < count; r++ {
-		for _, d := range dsts {
-			specs = append(specs, probe.Spec{Dst: d, Kind: probe.Ping})
-		}
-	}
-	vp.Prober.StartBatch(specs, opts, func(rs []probe.Result) { done(groupRounds(rs, len(dsts), count)) })
-}
-
-// groupRounds regroups a round-major batch — count rounds over width
-// destinations, result r*width+i being round r of destination i — per
-// destination in send order. The groups are carved out of one array,
-// each with its capacity cut to count so that appending to one cannot
-// reach into the next.
-func groupRounds(rs []probe.Result, width, count int) [][]probe.Result {
-	grouped := make([][]probe.Result, width)
-	flat := make([]probe.Result, 0, width*count)
-	for i := range grouped {
-		for r := 0; r < count; r++ {
-			flat = append(flat, rs[r*width+i])
-		}
-		grouped[i] = flat[i*count : (i+1)*count : (i+1)*count]
-	}
-	return grouped
+	vp.pingRounds(dsts, 0, len(dsts), count, false, opts, done)
 }
 
 // PingBatchRange sends the [lo,hi) destination slice of a count-round
 // indexed ping batch over dests. The global schedule is PingBatch's —
 // count rounds, round-major, index g = round*len(dests) + destIdx — but
-// every probe derives its send time and sequence numbers from g via
-// StartIndexedBatch, so contiguous ranges run on separate engine
+// every probe derives its send time and sequence numbers from g
+// (probe.Batch.Indexed), so contiguous ranges run on separate engine
 // replicas reproduce the unsplit batch per destination. Results come
 // back grouped per destination of the range, in send order.
 func (vp *VantagePoint) PingBatchRange(dests []netip.Addr, lo, hi, count int, opts probe.Options, done func([][]probe.Result)) {
-	if count < 1 {
-		count = 1
-	}
+	vp.pingRounds(dests, lo, hi, count, true, opts, done)
+}
+
+// pingRounds is the round-major ping batch behind the two above. The
+// prober lands each result in destination-major order (Batch.Rounds), so
+// the per-destination groups are slices of its one result array, each
+// with its capacity cut to count so that appending to one cannot reach
+// into the next.
+func (vp *VantagePoint) pingRounds(dests []netip.Addr, lo, hi, count int, indexed bool, opts probe.Options, done func([][]probe.Result)) {
+	count = max(count, 1)
 	width := hi - lo
-	specs := make([]probe.IndexedSpec, 0, width*count)
-	for r := 0; r < count; r++ {
-		for i := lo; i < hi; i++ {
-			specs = append(specs, probe.IndexedSpec{Index: r*len(dests) + i, Spec: probe.Spec{Dst: dests[i], Kind: probe.Ping}})
+	vp.Prober.Start(probe.Batch{N: width * count, Rounds: count, Indexed: indexed, Gen: func(j int) probe.IndexedSpec {
+		r, i := j/width, lo+j%width
+		return probe.IndexedSpec{Index: r*len(dests) + i, Spec: probe.Spec{Dst: dests[i], Kind: probe.Ping}}
+	}}, opts, func(rs []probe.Result) {
+		grouped := make([][]probe.Result, width)
+		for i := range grouped {
+			grouped[i] = rs[i*count : (i+1)*count : (i+1)*count]
 		}
-	}
-	vp.Prober.StartIndexedBatch(specs, opts, func(rs []probe.Result) { done(groupRounds(rs, width, count)) })
+		done(grouped)
+	})
 }
 
 // PingSeriesSlice sends the selected addresses' slice of a rounds-round
@@ -99,29 +84,10 @@ func (vp *VantagePoint) PingBatchRange(dests []netip.Addr, lo, hi, count int, op
 // sel lists this slice's addr indices in increasing order. Results
 // arrive in slice spec order — rounds blocks of len(sel).
 func (vp *VantagePoint) PingSeriesSlice(addrs []netip.Addr, sel []int, rounds int, opts probe.Options, done func([]probe.Result)) {
-	specs := make([]probe.IndexedSpec, 0, len(sel)*rounds)
-	for r := 0; r < rounds; r++ {
-		for _, i := range sel {
-			specs = append(specs, probe.IndexedSpec{Index: r*len(addrs) + i, Spec: probe.Spec{Dst: addrs[i], Kind: probe.Ping}})
-		}
-	}
-	vp.Prober.StartIndexedBatch(specs, opts, done)
-}
-
-// PingRRBatch sends one ping-RR to every destination.
-func (vp *VantagePoint) PingRRBatch(dsts []netip.Addr, opts probe.Options, done func([]probe.Result)) {
-	vp.Prober.StartBatch(specsFor(dsts, probe.PingRR), opts, done)
-}
-
-// PingRRUDPBatch sends one ping-RRudp to every destination (§3.3's
-// reclassification probe).
-func (vp *VantagePoint) PingRRUDPBatch(dsts []netip.Addr, opts probe.Options, done func([]probe.Result)) {
-	vp.Prober.StartBatch(specsFor(dsts, probe.PingRRUDP), opts, done)
-}
-
-// PingTSBatch sends one Internet Timestamp probe to every destination.
-func (vp *VantagePoint) PingTSBatch(dsts []netip.Addr, opts probe.Options, done func([]probe.Result)) {
-	vp.Prober.StartBatch(specsFor(dsts, probe.PingTS), opts, done)
+	vp.Prober.Start(probe.Batch{N: len(sel) * rounds, Indexed: true, Gen: func(j int) probe.IndexedSpec {
+		i := sel[j%len(sel)]
+		return probe.IndexedSpec{Index: j/len(sel)*len(addrs) + i, Spec: probe.Spec{Dst: addrs[i], Kind: probe.Ping}}
+	}}, opts, done)
 }
 
 // TTLPingRRBatch sends ping-RRs with per-destination initial TTLs
@@ -130,9 +96,7 @@ func (vp *VantagePoint) TTLPingRRBatch(dsts []netip.Addr, ttls []uint8, opts pro
 	if len(ttls) != len(dsts) {
 		panic(fmt.Sprintf("measure: %d TTLs for %d destinations", len(ttls), len(dsts)))
 	}
-	specs := make([]probe.Spec, len(dsts))
-	for i, d := range dsts {
-		specs[i] = probe.Spec{Dst: d, Kind: probe.TTLPingRR, TTL: ttls[i]}
-	}
-	vp.Prober.StartBatch(specs, opts, done)
+	vp.Prober.Start(probe.Batch{N: len(dsts), Gen: func(i int) probe.IndexedSpec {
+		return probe.IndexedSpec{Index: i, Spec: probe.Spec{Dst: dsts[i], Kind: probe.TTLPingRR, TTL: ttls[i]}}
+	}}, opts, done)
 }

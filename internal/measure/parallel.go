@@ -424,13 +424,16 @@ func (pc *ParallelCampaign) beginPhase(kind string) (phase int, journaled bool) 
 	return pc.journal.beginPhase(kind), true
 }
 
-// checkpoint records one freshly completed batch (flat or grouped) and
-// then honors cancellation: the completed batch is journaled first, so
-// aborting here loses nothing that was measured — the shard dies as a
-// canceled ShardError at a per-VP checkpoint boundary, and a resumed
-// run re-probes exactly the batches that never completed.
-func (pc *ParallelCampaign) checkpoint(record func()) {
-	record()
+// checkpoint records one freshly completed batch (flat or grouped) on a
+// journaled campaign and then honors cancellation: the completed batch
+// is journaled first, so aborting here loses nothing that was measured —
+// the shard dies as a canceled ShardError at a per-VP checkpoint
+// boundary, and a resumed run re-probes exactly the batches that never
+// completed.
+func (pc *ParallelCampaign) checkpoint(record func(*Journal)) {
+	if pc.journal != nil {
+		record(pc.journal)
+	}
 	checkCanceled(pc.ctx)
 }
 
@@ -536,7 +539,6 @@ func (pc *ParallelCampaign) PingRRAll(dests []netip.Addr, opts probe.Options, or
 	var mu sync.Mutex
 	pc.eachShard(func(rep *replica) {
 		for _, vp := range rep.vps {
-			vp := vp
 			if skip[vp.Name] {
 				continue
 			}
@@ -544,15 +546,11 @@ func (pc *ParallelCampaign) PingRRAll(dests []netip.Addr, opts probe.Options, or
 			if orderFor != nil {
 				ds = orderFor(vp.Name, dests)
 			}
-			vp.PingRRBatch(ds, opts, func(rs []probe.Result) {
+			vp.Batch(ds, probe.PingRR, opts, func(rs []probe.Result) {
 				mu.Lock()
 				out[vp.Name] = rs
 				mu.Unlock()
-				pc.checkpoint(func() {
-					if journaled {
-						pc.journal.recordResults(phase, "ping-rr-all", vp.Name, rs)
-					}
-				})
+				pc.checkpoint(func(j *Journal) { j.recordResults(phase, "ping-rr-all", vp.Name, rs) })
 			})
 		}
 		rep.eng.Run()
@@ -585,7 +583,6 @@ func (pc *ParallelCampaign) PingAll(dests []netip.Addr, count int, opts probe.Op
 	var mu sync.Mutex
 	pc.eachShard(func(rep *replica) {
 		for _, vp := range rep.vps {
-			vp := vp
 			if skip[vp.Name] {
 				continue
 			}
@@ -593,11 +590,7 @@ func (pc *ParallelCampaign) PingAll(dests []netip.Addr, count int, opts probe.Op
 				mu.Lock()
 				out[vp.Name] = rs
 				mu.Unlock()
-				pc.checkpoint(func() {
-					if journaled {
-						pc.journal.recordGroups(phase, "ping-all", vp.Name, rs)
-					}
-				})
+				pc.checkpoint(func(j *Journal) { j.recordGroups(phase, "ping-all", vp.Name, rs) })
 			})
 		}
 		rep.eng.Run()
@@ -616,7 +609,6 @@ func (pc *ParallelCampaign) PingRRUDPAll(perVP map[string][]netip.Addr, opts pro
 	var mu sync.Mutex
 	pc.eachShard(func(rep *replica) {
 		for _, vp := range rep.vps {
-			vp := vp
 			if skip[vp.Name] {
 				continue
 			}
@@ -624,15 +616,11 @@ func (pc *ParallelCampaign) PingRRUDPAll(perVP map[string][]netip.Addr, opts pro
 			if len(ds) == 0 {
 				continue
 			}
-			vp.PingRRUDPBatch(ds, opts, func(rs []probe.Result) {
+			vp.Batch(ds, probe.PingRRUDP, opts, func(rs []probe.Result) {
 				mu.Lock()
 				out[vp.Name] = rs
 				mu.Unlock()
-				pc.checkpoint(func() {
-					if journaled {
-						pc.journal.recordResults(phase, "ping-rr-udp-all", vp.Name, rs)
-					}
-				})
+				pc.checkpoint(func(j *Journal) { j.recordResults(phase, "ping-rr-udp-all", vp.Name, rs) })
 			})
 		}
 		rep.eng.Run()
@@ -723,7 +711,7 @@ func partitionByGroup(n int, group []int, k int) [][]int {
 // replicas: shard s probes destRange(len(dests), K, s) on its own clone
 // through the VP's home prober or a ghost stand-in. Because every
 // probe's send time and sequence numbers derive from its global
-// destination index (StartIndexedBatch), the merged per-destination
+// destination index (probe.Batch.Indexed), the merged per-destination
 // groups are invariant under K mod ReplyIPID — including per-packet
 // fault draws, which are content-keyed on the seq. On a journaled
 // campaign each completed range checkpoints under a range key and
@@ -760,11 +748,7 @@ func (pc *ParallelCampaign) PingBatchVP(name string, dests []netip.Addr, count i
 		}
 		vp.PingBatchRange(dests, lo, hi, count, opts, func(gs [][]probe.Result) {
 			copy(grouped[lo:hi], gs) // disjoint ranges: no two shards share an element
-			pc.checkpoint(func() {
-				if journaled {
-					pc.journal.recordGroupsAs(phase, "ping-batch-vp", rangeKey(name, rep.idx), name, gs)
-				}
-			})
+			pc.checkpoint(func(j *Journal) { j.recordGroupsAs(phase, "ping-batch-vp", rangeKey(name, rep.idx), name, gs) })
 		})
 		rep.eng.Run()
 	})
@@ -816,11 +800,7 @@ func (pc *ParallelCampaign) PingSeriesVP(name string, addrs []netip.Addr, group 
 		}
 		vp.PingSeriesSlice(addrs, idxs, rounds, opts, func(rs []probe.Result) {
 			scatter(idxs, rs) // disjoint index sets: no two shards share an element
-			pc.checkpoint(func() {
-				if journaled {
-					pc.journal.recordResultsAs(phase, "ping-series-vp", rangeKey(name, rep.idx), name, rs)
-				}
-			})
+			pc.checkpoint(func(j *Journal) { j.recordResultsAs(phase, "ping-series-vp", rangeKey(name, rep.idx), name, rs) })
 		})
 		rep.eng.Run()
 	})

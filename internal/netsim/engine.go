@@ -13,18 +13,21 @@ package netsim
 
 import (
 	"math/bits"
+	"slices"
 	"time"
 )
 
-// event is the payload of a scheduled occurrence: a callback (fn != nil),
-// a call with an argument (call != nil) or a packet delivery (dst != 0:
-// the receiving interface's id plus one). Packet deliveries are a dedicated event kind so the per-packet
-// hot path schedules no closure and the engine can recycle the buffer
-// once the receiver returns; calls are one so that a caller with many
-// timers of one shape — a prober's per-probe timeout — keeps a single
-// func value and packs what differs into arg instead of allocating a
-// closure per timer. Payloads live in the engine's slab (see Engine),
-// not in the queues.
+// event is the payload of a scheduled occurrence, told apart in this
+// order: a packet delivery (dst != 0: the receiving interface's id plus
+// one), a call with an argument (call != nil), a callback (fn). The
+// fields a kind does not use hold what the slot's earlier events left
+// there (see enqueue). Packet deliveries are a dedicated event kind so the
+// per-packet hot path schedules no closure and the engine can recycle
+// the buffer once the receiver returns; calls are one so that a caller
+// with many timers of one shape — a prober's per-probe timeout — keeps a
+// single func value and packs what differs into arg instead of
+// allocating a closure per timer. Payloads live in the engine's slab
+// (see Engine), not in the queues.
 type event struct {
 	fn   func()
 	call func(uint64)
@@ -86,10 +89,14 @@ func (e *Engine) Now() time.Duration { return e.now }
 // Processed returns the number of events executed so far.
 func (e *Engine) Processed() uint64 { return e.nRun }
 
-// enqueue schedules ev after delay d (negative means now): into the lane
-// when it is due no earlier than the lane's tail, into the heap
-// otherwise.
-func (e *Engine) enqueue(d time.Duration, ev event) {
+// enqueue queues an event after delay d (negative means now) — into the
+// lane when it is due no earlier than the lane's tail, into the heap
+// otherwise — and returns its payload slot for the caller to fill. A
+// recycled slot keeps what its last event left in it: the hot schedulers
+// store only the fields their kind reads, because copying (and later
+// clearing) a four-pointer event is a bulk write barrier per packet hop
+// whenever the collector is marking.
+func (e *Engine) enqueue(d time.Duration) *event {
 	if d < 0 {
 		d = 0
 	}
@@ -97,25 +104,36 @@ func (e *Engine) enqueue(d time.Duration, ev event) {
 	if n := len(e.free); n > 0 {
 		idx = e.free[n-1]
 		e.free = e.free[:n-1]
-		e.slab[idx] = ev
 	} else {
-		e.slab = append(e.slab, ev)
+		e.slab = append(grown(e.slab), event{})
 		idx = int32(len(e.slab) - 1)
 	}
 	e.seq++
 	ent := heapEntry{at: e.now + d, seq: e.seq, idx: idx}
 	if n := len(e.lane); n == e.laneHead || ent.at >= e.lane[n-1].at {
-		e.lane = append(e.lane, ent)
-		return
+		e.lane = append(grown(e.lane), ent)
+	} else {
+		e.push(ent)
 	}
-	e.push(ent)
+	return &e.slab[idx]
+}
+
+// grown doubles a full arena: append grows a large slice by a quarter,
+// and an engine that starts empty with every job would allocate five
+// times its final arenas on the way up.
+func grown[T any](s []T) []T {
+	if len(s) < cap(s) {
+		return s
+	}
+	return slices.Grow(s, len(s)+64)
 }
 
 // Schedule runs fn after delay d of virtual time. A negative delay is
 // treated as zero. Events scheduled for the same instant run in
-// scheduling order.
+// scheduling order. Closures are the cold kind: the whole-event store
+// is what clears a recycled slot's stale call and dst for step.
 func (e *Engine) Schedule(d time.Duration, fn func()) {
-	e.enqueue(d, event{fn: fn})
+	*e.enqueue(d) = event{fn: fn}
 }
 
 // ScheduleCall runs fn(arg) after delay d of virtual time, ordered
@@ -123,14 +141,16 @@ func (e *Engine) Schedule(d time.Duration, fn func()) {
 // caller that replaces Schedule(d, func() { f(x) }) by ScheduleCall(d,
 // f, x) changes nothing about when anything runs.
 func (e *Engine) ScheduleCall(d time.Duration, fn func(uint64), arg uint64) {
-	e.enqueue(d, event{call: fn, arg: arg})
+	ev := e.enqueue(d)
+	ev.call, ev.arg, ev.dst = fn, arg, 0
 }
 
 // scheduleDelivery enqueues a packet delivery to dst after delay d,
 // ordered exactly like Schedule. The engine owns pkt until delivery and
 // returns it to the owning network's buffer pool afterwards.
 func (e *Engine) scheduleDelivery(d time.Duration, pkt []byte, dst IfaceID) {
-	e.enqueue(d, event{pkt: pkt, dst: dst + 1})
+	ev := e.enqueue(d)
+	ev.pkt, ev.dst = pkt, dst+1
 }
 
 // At runs fn at absolute virtual time t (or now, if t is in the past).
@@ -198,14 +218,17 @@ func (e *Engine) next() heapEntry {
 	return ent
 }
 
+// step runs the next event, its fields read out and its slot freed
+// before the dispatch, which usually schedules into that very slot. Only
+// a closure is dropped: a stale pkt points into the network's buffer
+// pool and a stale call at a prober's bound method, which outlive it.
 func (e *Engine) step() {
 	top := e.next()
 	if top.at > e.now {
 		e.now = top.at
 	}
 	e.nRun++
-	ev := e.slab[top.idx]
-	e.slab[top.idx] = event{} // release buffer/closure references
+	ev := &e.slab[top.idx]
 	e.free = append(e.free, top.idx)
 	switch {
 	case ev.dst != 0:
@@ -213,7 +236,9 @@ func (e *Engine) step() {
 	case ev.call != nil:
 		ev.call(ev.arg)
 	default:
-		ev.fn()
+		fn := ev.fn
+		ev.fn = nil
+		fn()
 	}
 }
 

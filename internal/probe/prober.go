@@ -143,7 +143,7 @@ type probeOp struct {
 	maxAttempts int
 	attempts    int
 	last        int32 // newest attempt's slot in Prober.atts; -1 before the first
-	external    bool  // RTT unusable: Expect-registered or indexed (see StartIndexedBatch)
+	external    bool  // RTT unusable: Expect-registered or indexed (see Batch.Indexed)
 
 	// indexed ops draw position-derived sequence numbers instead of the
 	// shared counter: attempt k uses indexedBase + (k-1). Destination-
@@ -440,12 +440,44 @@ func (p *Prober) deliver(to sink, res *Result) {
 // large scale profile.
 const SendWindow = 64
 
-// batch is one StartBatch or StartIndexedBatch call in flight: what to
-// send, where the results collect, and who to tell. Its ops point back
-// at it through their sink.
+// Batch describes a batch of probes: a slice of specs (StartBatch), or N
+// of them produced by Gen as each is launched, so that a campaign's
+// per-VP batches over one destination list cost no spec array apiece.
+type Batch struct {
+	Specs []Spec // the probes, in send order, N of them; or, when nil:
+	N     int
+	// Gen returns probe i (0 ≤ i < N) with its position in the pacing
+	// schedule, which must not decrease with i. It must be pure: launch
+	// calls it for a probe's spec and again for its successor's position.
+	Gen func(i int) IndexedSpec
+	// Indexed derives everything observable about a probe from its Index
+	// rather than from prober state: it leaves at exactly t0 +
+	// Index*interval and attempt k carries sequence number
+	// Index*opts.attempts() + (k-1). The shared sequence counter is never
+	// consumed, the first-attempt timeout is the fixed opts.Timeout
+	// (Adaptive is ignored), and matched RTTs do not feed the prober's
+	// EWMA. So a batch split into contiguous index ranges across engine
+	// replicas produces, per destination, byte-identical probe traffic to
+	// the unsplit batch — what destination-sharded origin phases are
+	// built on (DESIGN.md §15). Without it Index only paces.
+	Indexed bool
+	// Rounds > 1 declares the batch round-major — Rounds passes over
+	// N/Rounds destinations — and asks for its results destination-major:
+	// probe i's lands at (i mod width)*Rounds + i/width.
+	Rounds int
+}
+
+// IndexedSpec is a spec pinned to its global position in a larger
+// (possibly sharded) destination list.
+type IndexedSpec struct {
+	Index int
+	Spec  Spec
+}
+
+// batch is one Batch in flight: where the results collect, and who to
+// tell. Its ops point back at it through their sink.
 type batch struct {
-	specs     []Spec        // a StartBatch's probes, or
-	indexed   []IndexedSpec // a StartIndexedBatch's; one of the two is nil
+	Batch
 	opts      Options
 	done      func([]Result)
 	results   []Result
@@ -454,98 +486,71 @@ type batch struct {
 	slot      int32 // position in Prober.batches
 }
 
-func (b *batch) len() int { return len(b.specs) + len(b.indexed) }
-
-// index is spec i's position in the pacing schedule: it leaves at
-// t0 + index*interval.
-func (b *batch) index(i int) int {
-	if b.indexed != nil {
-		return b.indexed[i].Index
+// at returns probe i and its position in the pacing schedule: it leaves
+// at t0 + Index*interval.
+func (b *batch) at(i int) IndexedSpec {
+	if b.Specs != nil {
+		return IndexedSpec{Index: i, Spec: b.Specs[i]}
 	}
-	return i
+	return b.Gen(i)
 }
 
 // StartBatch paces the probes out in order at opts.Rate and calls done
 // once with results in spec order after every probe has resolved. This
 // is the path that honors opts.Retries and opts.Adaptive.
+func (p *Prober) StartBatch(specs []Spec, opts Options, done func([]Result)) {
+	p.Start(Batch{Specs: specs, N: len(specs)}, opts, done)
+}
+
+// Start registers the batch and schedules its first SendWindow launches.
 //
 // Sends are windowed, not enqueued upfront: each launch chains its
-// i+SendWindow successor. Because launch i fires at exactly
-// t0 + i*interval on the integer-nanosecond virtual clock, the chained
-// successor lands at exactly t0 + (i+SendWindow)*interval — pacing is
+// i+SendWindow successor after (Index_{i+W} - Index_i) * interval.
+// Because launch i fires at exactly t0 + Index_i*interval on the
+// integer-nanosecond virtual clock, the successor lands at exactly t0 +
+// Index_{i+W}*interval even when the indices are sparse — pacing is
 // byte-identical to the upfront schedule, and the adaptive timeout is
 // still evaluated at each probe's send time.
-func (p *Prober) StartBatch(specs []Spec, opts Options, done func([]Result)) {
-	p.startBatch(&batch{specs: specs, opts: opts, done: done})
-}
-
-// IndexedSpec is one entry of an indexed batch: a probe spec pinned to
-// its global position in a larger (possibly sharded) destination list.
-type IndexedSpec struct {
-	// Index is the spec's position in the full batch. It fixes both the
-	// send time (t0 + Index*interval) and the sequence numbers (attempt
-	// k uses Index*attempts + k - 1, mod 2^16).
-	Index int
-	Spec  Spec
-}
-
-// StartIndexedBatch is StartBatch for a — possibly sparse — slice of a
-// larger logical batch. Everything observable about a probe is derived
-// from its global Index rather than from prober state: launch i fires
-// at exactly t0 + Index*interval, and each attempt's sequence number is
-// Index*opts.attempts() + (attempt-1). The shared sequence counter is
-// never consumed, the first-attempt timeout is the fixed opts.Timeout
-// (Adaptive is ignored), and matched RTTs do not feed the prober's
-// EWMA. Consequently a batch split into contiguous index ranges across
-// engine replicas produces, per destination, byte-identical probe
-// traffic to the unsplit batch — the invariant destination-sharded
-// origin phases are built on (DESIGN.md §15).
-//
-// Sends are windowed exactly like StartBatch: launch i chains launch
-// i+SendWindow after (Index_{i+W} - Index_i) * interval, which on the
-// integer-nanosecond virtual clock lands at exactly t0 + Index*interval
-// even when the index slice is sparse.
-func (p *Prober) StartIndexedBatch(specs []IndexedSpec, opts Options, done func([]Result)) {
-	p.startBatch(&batch{indexed: specs, opts: opts, done: done})
-}
-
-// startBatch registers b and schedules its first SendWindow launches.
-func (p *Prober) startBatch(b *batch) {
-	n := b.len()
-	if n == 0 {
+func (p *Prober) Start(spec Batch, opts Options, done func([]Result)) {
+	b := &batch{Batch: spec, opts: opts, done: done}
+	if b.N == 0 {
 		p.tr.Schedule(0, func() { b.done(nil) })
 		return
 	}
-	b.results = make([]Result, n)
-	b.remaining = n
+	b.results = make([]Result, b.N)
+	b.remaining = b.N
 	b.interval = time.Duration(float64(time.Second) / b.opts.rate())
 	if b.slot = takeSlot(&p.freeBats); b.slot < 0 {
 		b.slot = int32(len(p.batches))
 		p.batches = append(p.batches, nil)
 	}
 	p.batches[b.slot] = b
-	for i := 0; i < SendWindow && i < n; i++ {
-		p.tr.ScheduleCall(time.Duration(b.index(i))*b.interval, p.onLaunch, pack32(b.slot, uint32(i)))
+	for i := 0; i < SendWindow && i < b.N; i++ {
+		p.tr.ScheduleCall(time.Duration(b.at(i).Index)*b.interval, p.onLaunch, pack32(b.slot, uint32(i)))
 	}
 }
 
-// launch sends a batch's spec i — at is the batch's slot and i, packed —
-// after chaining the launch SendWindow specs further on.
+// launch sends a batch's probe i — at is the batch's slot and i, packed —
+// after chaining the launch SendWindow probes further on.
 func (p *Prober) launch(at uint64) {
 	b, i := p.batches[at>>32], int(uint32(at))
-	if next := i + SendWindow; next < b.len() {
-		d := time.Duration(b.index(next)-b.index(i)) * b.interval
+	is := b.at(i)
+	if next := i + SendWindow; next < b.N {
+		d := time.Duration(b.at(next).Index-is.Index) * b.interval
 		p.tr.ScheduleCall(d, p.onLaunch, pack32(b.slot, uint32(next)))
 	}
 	to, attempts := sink{batch: b, pos: int32(i)}, b.opts.attempts()
-	if b.indexed == nil {
+	if b.Rounds > 1 {
+		width := b.N / b.Rounds
+		to.pos = int32(i%width*b.Rounds + i/width)
+	}
+	if !b.Indexed {
 		// The adaptive timeout is evaluated at send time, so the
 		// estimator warms up over the batch.
-		oi, _ := p.newOp(b.specs[i], to, attempts, p.adaptiveTimeout(b.opts))
+		oi, _ := p.newOp(is.Spec, to, attempts, p.adaptiveTimeout(b.opts))
 		p.sendAttempt(oi)
 		return
 	}
-	is := &b.indexed[i]
 	oi, op := p.newOp(is.Spec, to, attempts, b.opts.timeout())
 	op.indexed, op.external = true, true
 	op.indexedBase = uint16(is.Index * attempts)

@@ -338,8 +338,49 @@ func TestEmptyBatchCompletes(t *testing.T) {
 	}
 }
 
+// indexedBatch is specs as an Indexed generated batch.
+func indexedBatch(specs []IndexedSpec) Batch {
+	return Batch{N: len(specs), Indexed: true, Gen: func(i int) IndexedSpec { return specs[i] }}
+}
+
+// TestRoundsBatchLandsDestinationMajor: a generated round-major batch
+// with Rounds set sends exactly what the same specs send as a slice —
+// same seqs, same send times — and hands its results back regrouped per
+// destination: round r of destination d at d*Rounds + r.
+func TestRoundsBatchLandsDestinationMajor(t *testing.T) {
+	const rounds = 3
+	topoA, pa, _ := testbed(t)
+	dests := pickDests(topoA, 7)
+	specs := make([]Spec, 0, rounds*len(dests))
+	for r := 0; r < rounds; r++ {
+		for _, d := range dests {
+			specs = append(specs, Spec{Dst: d.Addr, Kind: Ping})
+		}
+	}
+	var want []Result
+	pa.StartBatch(specs, Options{Rate: 100}, func(rs []Result) { want = rs })
+	topoA.Net.Engine().Run()
+
+	topoB, pb, _ := testbed(t)
+	var got []Result
+	pb.Start(Batch{N: len(specs), Rounds: rounds, Gen: func(i int) IndexedSpec {
+		return IndexedSpec{Index: i, Spec: specs[i]}
+	}}, Options{Rate: 100}, func(rs []Result) { got = rs })
+	topoB.Net.Engine().Run()
+
+	if len(want) != len(specs) || len(got) != len(specs) {
+		t.Fatalf("batches resolved %d and %d of %d probes", len(want), len(got), len(specs))
+	}
+	for i, w := range want {
+		r, d := i/len(dests), i%len(dests)
+		if g := got[d*rounds+r]; g.Dst != w.Dst || g.Seq != w.Seq || g.SentAt != w.SentAt || g.RcvdAt != w.RcvdAt || g.Type != w.Type {
+			t.Errorf("round %d of destination %d: generated %+v != slice %+v", r, d, g, w)
+		}
+	}
+}
+
 // TestIndexedBatchDenseMatchesStartBatch: with dense indices, single
-// attempts, and a fixed timeout, StartIndexedBatch is byte-identical to
+// attempts, and a fixed timeout, an Indexed batch is byte-identical to
 // StartBatch on a fresh prober — same seqs, send times, and outcomes.
 // This is what keeps pre-existing goldens stable when origin phases
 // switch to the indexed path.
@@ -360,7 +401,7 @@ func TestIndexedBatchDenseMatchesStartBatch(t *testing.T) {
 		idx[i] = IndexedSpec{Index: i, Spec: specs[i]}
 	}
 	var got []Result
-	pb.StartIndexedBatch(idx, Options{Rate: 100}, func(rs []Result) { got = rs })
+	pb.Start(indexedBatch(idx), Options{Rate: 100}, func(rs []Result) { got = rs })
 	topoB.Net.Engine().Run()
 
 	if want == nil || got == nil {
@@ -396,7 +437,7 @@ func TestIndexedBatchShardsEqualUnsplit(t *testing.T) {
 			specs = append(specs, IndexedSpec{Index: g, Spec: Spec{Dst: topo.Dests[g].Addr, Kind: Ping}})
 		}
 		var rs []Result
-		p.StartIndexedBatch(specs, opts, func(out []Result) { rs = out })
+		p.Start(indexedBatch(specs), opts, func(out []Result) { rs = out })
 		topo.Net.Engine().Run()
 		if rs == nil {
 			t.Fatalf("indexed batch [%d,%d) never completed", lo, hi)

@@ -317,7 +317,7 @@ func runInterleaving(t *testing.T, seed int64) {
 				specs[i] = IndexedSpec{Index: index, Spec: script(now+time.Duration(index)*interval, timeout, opts.attempts())}
 			}
 			indexedSeq = (index + 1) * opts.attempts()
-			p.StartIndexedBatch(specs, opts, batchDone(n))
+			p.Start(indexedBatch(specs), opts, batchDone(n))
 		}
 	}
 

@@ -75,8 +75,23 @@ func TestChaosWorkerKillMidPhase(t *testing.T) {
 		MaxRetries: 2, RetryBackoff: time.Millisecond})
 	var armed atomic.Bool
 	var batches atomic.Int64
+	const killed = 3 // the batch, in journal order, whose sink dies
 	s.batchHook = func(job *Job, vp string, attempt int) {
-		if armed.Load() && attempt == 1 && batches.Add(1) == 3 {
+		if armed.Load() && attempt == 1 && batches.Add(1) == killed {
+			// Die the worst way: the batch's lines already half in the
+			// spool, its length never published. The retry must write
+			// over this torn tail, not after it.
+			job.mu.Lock()
+			committed := job.spooled
+			job.mu.Unlock()
+			f, err := os.OpenFile(job.spoolPath, os.O_WRONLY, 0)
+			if err == nil {
+				_, err = f.WriteAt([]byte(`{"vp":"torn","dst":"100.`), committed)
+				f.Close()
+			}
+			if err != nil {
+				t.Errorf("tearing the spool: %v", err)
+			}
 			panic(fmt.Sprintf("chaos: killing worker mid-phase (vp %s)", vp))
 		}
 	}
@@ -120,6 +135,11 @@ func TestChaosWorkerKillMidPhase(t *testing.T) {
 	vps := st.Total - smokeShards // origin's range lines collapse into one VP key
 	if len(perVP) < vps-1 || len(perVP) > vps {
 		t.Errorf("cross-attempt stream covers %d VPs, want %d or %d", len(perVP), vps-1, vps)
+	}
+	// Exactly: the journal's batches in file order, less the killed one —
+	// no chunk torn, none twice, the torn tail overwritten.
+	if want := journalStream(t, filepath.Join(dir, id+".jsonl"), killed); !bytes.Equal(stream, want) {
+		t.Errorf("cross-attempt stream is %d bytes, want the journal's batches less the killed one (%d bytes)", len(stream), len(want))
 	}
 
 	if got := metricValue(t, ts, "rrstudyd_jobs_retried_total"); got != "1" {
@@ -461,9 +481,57 @@ func TestWorkerPanicLeavesQueueHealthy(t *testing.T) {
 	}
 }
 
+// stuffSpool commits n bytes of filler to a job's spool, as its sink
+// would: written first, published second. The job must not be running
+// a sink of its own (parked in startHook, say).
+func stuffSpool(t *testing.T, job *Job, n int) {
+	t.Helper()
+	if err := os.WriteFile(job.spoolPath, bytes.Repeat([]byte("x"), n), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	job.mu.Lock()
+	job.spooled = int64(n)
+	job.mu.Unlock()
+	job.cond.Broadcast()
+}
+
+// TestStreamHangupIsNotADrop: rrstudyd_stream_clients_dropped_total
+// counts clients the write deadline disconnected. One that hangs up
+// mid-stream of its own accord ends its handler too, and is not one.
+func TestStreamHangupIsNotADrop(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1, QueueCap: 4})
+	release := make(chan struct{})
+	s.startHook = func(*Job) { <-release }
+	defer close(release)
+	sw := watchStreams(s)
+	ts := httptest.NewServer(sw)
+	defer ts.Close()
+
+	id := submit(t, ts, smokeSpec())
+	stuffSpool(t, s.Job(id), 16<<20) // the handler will be mid-copy when the client goes
+
+	conn, err := net.Dial("tcp", strings.TrimPrefix(ts.URL, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fmt.Fprintf(conn, "GET /jobs/%s/stream HTTP/1.1\r\nHost: x\r\n\r\n", id)
+	if _, err := io.ReadFull(conn, make([]byte, 64<<10)); err != nil {
+		t.Fatalf("first bytes of the stream: %v", err)
+	}
+	conn.Close()
+	await(t, sw.returned, "the hung-up client's handler to return")
+
+	if got := s.streamDropped.Load(); got != 0 {
+		t.Errorf("a client hanging up counted as %d deadline drop(s)", got)
+	}
+	if got := metricValue(t, ts, "rrstudyd_stream_clients_dropped_total"); got != "0" {
+		t.Errorf("rrstudyd_stream_clients_dropped_total = %q, want 0", got)
+	}
+}
+
 // TestStreamWriteDeadlineDropsStalledReader: a /stream client that
 // stops reading must be disconnected by the per-write deadline instead
-// of pinning the handler (and the job's buffers) forever.
+// of pinning the handler (and its spool descriptor) forever.
 func TestStreamWriteDeadlineDropsStalledReader(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1, QueueCap: 4,
 		StreamWriteTimeout: 200 * time.Millisecond})
@@ -476,12 +544,9 @@ func TestStreamWriteDeadlineDropsStalledReader(t *testing.T) {
 
 	id := submit(t, ts, smokeSpec())
 	job := s.Job(id)
-	// Stuff the stream with more than any socket buffer will absorb, so
+	// Stuff the spool with more than any socket buffer will absorb, so
 	// the handler's write blocks on the stalled reader.
-	job.mu.Lock()
-	job.stream = append(job.stream, bytes.Repeat([]byte("x"), 16<<20))
-	job.mu.Unlock()
-	job.cond.Broadcast()
+	stuffSpool(t, job, 16<<20)
 
 	// A raw client that sends the request and then never reads.
 	conn, err := net.Dial("tcp", strings.TrimPrefix(ts.URL, "http://"))

@@ -10,6 +10,8 @@ import (
 	"net/netip"
 	"os"
 	"path/filepath"
+	"runtime/metrics"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -34,14 +36,13 @@ type Config struct {
 	// CacheCap bounds the frozen-plane cache (distinct topology
 	// configs). Default 4.
 	CacheCap int
-	// DataDir is where per-job journals live. Default: a "rrstudyd"
-	// directory under the OS temp dir.
+	// DataDir is where per-job journals (<id>.jsonl, kept) and result
+	// spools (<id>.stream, removed with the job) live. Default: a
+	// "rrstudyd" directory under the OS temp dir.
 	DataDir string
 	// RetainJobs bounds how many finished (done/failed/canceled) jobs
 	// stay queryable; beyond it the oldest are evicted along with their
-	// stream and render buffers, so a long-lived daemon's memory stays
-	// bounded per job, not per lifetime. Journals survive eviction.
-	// Default 64.
+	// render and their spool file. Journals survive eviction. Default 64.
 	RetainJobs int
 	// JobDeadline bounds one execution attempt's wall-clock time; 0
 	// means no deadline. Expiry is observed at the campaign's
@@ -64,7 +65,7 @@ type Config struct {
 	JournalFsync bool
 	// StreamWriteTimeout bounds each write to a /stream client; a
 	// reader stalled longer than this is disconnected instead of
-	// pinning the handler (and the job buffers it retains) forever.
+	// pinning the handler (and its spool descriptor) forever.
 	// 0 means 30s; negative disables.
 	StreamWriteTimeout time.Duration
 
@@ -238,9 +239,9 @@ func classRetryable(class string) bool {
 	return false
 }
 
-// Job is one submitted campaign. Result lines accumulate in stream, one
-// chunk per VP batch as the campaign completes it; render holds the
-// finished table.
+// Job is one submitted campaign. Result lines accumulate in the spool
+// file, one write per VP batch as the campaign completes it; render
+// holds the finished table.
 type Job struct {
 	ID   string
 	Spec JobSpec
@@ -256,6 +257,11 @@ type Job struct {
 	// hashes to (dispatcher affinity).
 	digest    string
 	preferred int
+	// spoolPath is the job's result stream, <DataDir>/<id>.stream: a file
+	// only the running attempt's stream sink appends to and every /stream
+	// reader copies through a descriptor of its own, so the daemon's heap
+	// holds no result bytes of any job (DESIGN.md §11).
+	spoolPath string
 	// onTerminal, when set (schedules), runs exactly once after the job
 	// finalizes, outside all locks. Set before submit, never mutated.
 	onTerminal func(*Job)
@@ -268,11 +274,11 @@ type Job struct {
 	attempts  int    // execution attempts started
 	degraded  bool   // the journal degraded during some attempt
 	cacheHit  bool
-	done      int      // completed batch checkpoints (archived + freshly probed)
-	total     int      // batch checkpoints the campaign will complete, once known
-	stream    [][]byte // chunks are immutable once appended; /stream writes them in order
+	done      int   // completed batch checkpoints (archived + freshly probed)
+	total     int   // batch checkpoints the campaign will complete, once known
+	spooled   int64 // committed spool length: bytes written, then published here
 	render    []byte
-	reachable []netip.Addr // the campaign's RR-reachable set (schedule epoch diffs)
+	reachable []netip.Addr // an epoch job's RR-reachable set (schedule epoch diffs)
 	finalized bool         // terminal bookkeeping (journal release, eviction) ran
 
 	cancelRequested bool               // DELETE arrived; honored at the next checkpoint
@@ -336,7 +342,7 @@ type Server struct {
 	canceledTotal  atomic.Int64 // jobs finalized by DELETE /jobs/{id}
 	degradedTotal  atomic.Int64 // jobs whose journal degraded (write errors swallowed)
 	streamDropped  atomic.Int64 // /stream clients disconnected by the write deadline
-	streamBytes    atomic.Int64 // result-line bytes handed to job streams
+	streamBytes    atomic.Int64 // result-line bytes committed to job spools
 	journalBytes   atomic.Int64 // bytes written to job journals
 	affinityHits   atomic.Int64 // jobs executed by their plane-affinity worker
 	affinityMisses atomic.Int64 // jobs executed via work stealing
@@ -369,6 +375,12 @@ func New(cfg Config) (*Server, error) {
 	}
 	if err := os.MkdirAll(cfg.DataDir, 0o755); err != nil {
 		return nil, err
+	}
+	// No job survives a restart, so a spool a SIGKILL left is an orphan;
+	// journals and schedule checkpoints are what a restart resumes from.
+	orphans, _ := filepath.Glob(filepath.Join(cfg.DataDir, "*.stream"))
+	for _, p := range orphans {
+		os.Remove(p)
 	}
 	s := &Server{
 		cfg:       cfg,
@@ -435,6 +447,12 @@ func (s *Server) Drain() {
 	}
 	s.dispatch.close()
 	s.wg.Wait()
+	// The retained jobs' spools go with the service.
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, job := range s.jobs {
+		os.Remove(job.spoolPath)
+	}
 }
 
 func jobClass(j *Job) string { j.mu.Lock(); defer j.mu.Unlock(); return j.class }
@@ -491,6 +509,7 @@ func (s *Server) submit(tenant string, spec JobSpec, metered bool, onTerminal fu
 	}
 	job := &Job{ID: id, Spec: spec, journal: path, tenant: tenant,
 		digest: digest, preferred: s.dispatch.preferredWorker(digest),
+		spoolPath:  filepath.Join(s.cfg.DataDir, id+".stream"),
 		onTerminal: onTerminal, state: StateQueued}
 	job.cond = sync.NewCond(&job.mu)
 	// The push happens under s.mu, for two reasons: it is ordered
@@ -729,7 +748,7 @@ func failure(class, format string, args ...any) attemptOutcome {
 // runOnce executes one campaign attempt: resolve the world through the
 // frozen-plane cache, attach the job's journal (resuming it on every
 // attempt after the first, so retries continue instead of restarting),
-// stream batches as they complete, render when done. Panics — the
+// spool batches as they complete, render when done. Panics — the
 // worker's own and cooperative cancellation aborts — are absorbed here
 // and classified; the worker goroutine survives every failure mode.
 func (s *Server) runOnce(job *Job) (out attemptOutcome) {
@@ -741,6 +760,7 @@ func (s *Server) runOnce(job *Job) (out attemptOutcome) {
 		ctx, cancel = context.WithCancel(ctx)
 	}
 	var jn *measure.Journal
+	var spoolErr error // the sink's first spool write failure; it cancels the attempt
 	defer func() {
 		if r := recover(); r != nil {
 			if err, ok := measure.CanceledFrom(r); ok {
@@ -748,6 +768,9 @@ func (s *Server) runOnce(job *Job) (out attemptOutcome) {
 			} else {
 				out = failure(ClassPanic, "panic: %v", r)
 			}
+		}
+		if spoolErr != nil {
+			out = failure(ClassJournalIO, "stream spool: %v", spoolErr)
 		}
 		if jn != nil {
 			s.journalBytes.Add(jn.Written())
@@ -806,8 +829,16 @@ func (s *Server) runOnce(job *Job) (out attemptOutcome) {
 	}
 	jn.SetFsync(s.cfg.JournalFsync)
 	defer st.CloseJournal()
+	spool, err := os.OpenFile(job.spoolPath, os.O_CREATE|os.O_WRONLY, 0o644)
+	if err != nil {
+		return failure(ClassJournalIO, "stream spool: %v", err)
+	}
+	defer spool.Close()
 
 	job.mu.Lock()
+	// Every attempt appends at the committed length: whatever a killed
+	// attempt wrote beyond it was never published, and is overwritten.
+	off := job.spooled
 	// One ping-RR batch checkpoint per VP, plus the origin's
 	// destination-sharded ping phase: one range checkpoint per shard
 	// (DESIGN.md §15), each streamed under the origin's name.
@@ -821,14 +852,25 @@ func (s *Server) runOnce(job *Job) (out attemptOutcome) {
 	}
 	job.done = jn.Archived()
 	job.mu.Unlock()
+	// The sink runs under the journal lock, one batch at a time, on the
+	// journal's own buffer: write it out, then publish the new length, so
+	// no reader is told of bytes the file lacks.
 	jn.SetStreamSink(func(vp string, lines []byte) {
 		if s.batchHook != nil {
 			s.batchHook(job, vp, attempt)
 		}
+		if spoolErr != nil {
+			return
+		}
+		if _, spoolErr = spool.WriteAt(lines, off); spoolErr != nil {
+			cancel() // stop at the next checkpoint; the journal keeps what completes until then
+			return
+		}
+		off += int64(len(lines))
 		s.streamBytes.Add(int64(len(lines)))
 		job.mu.Lock()
 		job.done++
-		job.stream = append(job.stream, lines)
+		job.spooled = off
 		job.mu.Unlock()
 		job.cond.Broadcast()
 	})
@@ -853,10 +895,12 @@ func (s *Server) runOnce(job *Job) (out attemptOutcome) {
 	resp.Render(&render)
 	job.mu.Lock()
 	job.render = render.Bytes()
-	// The RR-reachable set is the epoch observation a schedule's
-	// time-series index diffs; captured here so the terminal hook reads
-	// settled data.
-	job.reachable = resp.RRResponsive()
+	if job.onTerminal != nil {
+		// The RR-reachable set is the epoch observation a schedule's
+		// time-series index diffs; captured here so the terminal hook
+		// (which only an epoch job has) reads settled data.
+		job.reachable = resp.RRResponsive()
+	}
 	job.mu.Unlock()
 	return attemptOutcome{ok: true}
 }
@@ -899,14 +943,14 @@ func (j *Job) setState(st string) {
 	j.cond.Broadcast()
 }
 
-// evictTerminal drops the oldest finished jobs beyond RetainJobs,
-// freeing their stream and render buffers. Queued, running, and
-// retrying jobs are never evicted; clients still holding a *Job keep a
-// valid pointer, the job is just no longer addressable over HTTP.
+// evictTerminal drops the oldest finished jobs beyond RetainJobs, their
+// renders and spool files with them. Queued, running, and retrying jobs
+// are never evicted; clients still holding a *Job keep a valid pointer
+// and a /stream reader its descriptor, which reads the unlinked spool to
+// its end: the job is just no longer addressable over HTTP.
 func (s *Server) evictTerminal() {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	var finished []string
+	var finished, spools []string
 	for _, id := range s.order {
 		j := s.jobs[id]
 		j.mu.Lock()
@@ -917,13 +961,13 @@ func (s *Server) evictTerminal() {
 		}
 	}
 	for _, id := range finished[:max(0, len(finished)-s.cfg.RetainJobs)] {
+		spools = append(spools, s.jobs[id].spoolPath)
 		delete(s.jobs, id)
-		for k, oid := range s.order {
-			if oid == id {
-				s.order = append(s.order[:k], s.order[k+1:]...)
-				break
-			}
-		}
+		s.order = slices.DeleteFunc(s.order, func(oid string) bool { return oid == id })
+	}
+	s.mu.Unlock()
+	for _, path := range spools {
+		os.Remove(path) // outside the lock: unlinking a large spool takes a while
 	}
 }
 
@@ -1103,10 +1147,12 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 
 // handleStream replays the job's JSONL results from the beginning and
 // then follows live completions until the job reaches a terminal state
-// (or the client goes away), flushing after every batch. Each write
-// carries a deadline: a reader that stops draining is disconnected
-// after StreamWriteTimeout instead of holding the handler — and the
-// job buffers it pins — for the life of the daemon.
+// (or the client goes away), flushing after every batch: it copies the
+// spool's committed bytes through a descriptor of its own, so a live
+// follower, a late reader and one whose job is evicted under it are one
+// path, and none pins more than a descriptor. Each write carries a
+// deadline: a reader that stops draining is disconnected after
+// StreamWriteTimeout instead of holding the handler forever.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	job := s.Job(r.PathValue("id"))
 	if job == nil {
@@ -1114,48 +1160,54 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	flusher, _ := w.(http.Flusher)
 	rc := http.NewResponseController(w)
 	writeTimeout := s.cfg.streamWriteTimeout()
 
-	// Wake the cond loop when the client disconnects.
+	// Wake the cond loop when the client disconnects; under the lock, or
+	// the wakeup could slip between the loop's check and its Wait.
 	ctx := r.Context()
-	stop := make(chan struct{})
-	defer close(stop)
-	go func() {
-		select {
-		case <-ctx.Done():
-			job.cond.Broadcast()
-		case <-stop:
-		}
-	}()
-
-	next := 0
-	for {
+	defer context.AfterFunc(ctx, func() {
 		job.mu.Lock()
-		for next == len(job.stream) && !job.terminal() && ctx.Err() == nil {
+		defer job.mu.Unlock()
+		job.cond.Broadcast()
+	})()
+
+	var f *os.File
+	buf := make([]byte, 128<<10)
+	for next := int64(0); ; {
+		job.mu.Lock()
+		for next == job.spooled && !job.terminal() && ctx.Err() == nil {
 			job.cond.Wait()
 		}
-		chunks := job.stream[next:]
-		next = len(job.stream)
-		end := job.terminal()
+		committed, end := job.spooled, job.terminal()
 		job.mu.Unlock()
-
-		for _, chunk := range chunks {
+		if ctx.Err() != nil || (end && next == committed) {
+			return
+		}
+		if f == nil {
+			// Opened at the first byte to copy (a queued job has no spool
+			// yet), when nothing has been sent if the job was just evicted.
+			if f, _ = os.Open(job.spoolPath); f == nil {
+				http.NotFound(w, r)
+				return
+			}
+			defer f.Close()
+		}
+		for next < committed {
+			n, err := f.ReadAt(buf[:min(int64(len(buf)), committed-next)], next)
 			if writeTimeout > 0 {
 				rc.SetWriteDeadline(time.Now().Add(writeTimeout))
 			}
-			if _, err := w.Write(chunk); err != nil {
-				s.streamDropped.Add(1)
+			if _, werr := w.Write(buf[:n]); werr != nil || err != nil {
+				// Only the deadline is a drop; a client hanging up is not.
+				if errors.Is(werr, os.ErrDeadlineExceeded) {
+					s.streamDropped.Add(1)
+				}
 				return
 			}
+			next += int64(n)
 		}
-		if len(chunks) > 0 && flusher != nil {
-			flusher.Flush()
-		}
-		if ctx.Err() != nil || (end && len(chunks) == 0) {
-			return
-		}
+		rc.Flush()
 	}
 }
 
@@ -1181,10 +1233,13 @@ func (s *Server) handleRender(w http.ResponseWriter, r *http.Request) {
 
 // handleMetrics exposes the service gauges the acceptance criteria
 // name — queue depth, cache hits, per-job progress — plus worker-pool,
-// build, and failure-handling counters (retries, cancellations,
-// journal degradations), in the Prometheus text format.
+// build, collector and failure-handling counters (retries,
+// cancellations, journal degradations), in the Prometheus text format.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	hits, misses, size := s.cache.Stats()
+	// The collector, read at scrape time only.
+	gc := []metrics.Sample{{Name: "/gc/heap/live:bytes"}, {Name: "/gc/cycles/total:gc-cycles"}}
+	metrics.Read(gc)
 
 	s.mu.Lock()
 	states := make(map[string]float64)
@@ -1265,6 +1320,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 			Samples: []obs.PromSample{{Value: float64(size)}}},
 		{Name: "rrstudyd_topology_builds_total", Help: "process-wide topology builds", Type: "counter",
 			Samples: []obs.PromSample{{Value: float64(topology.Builds())}}},
+		{Name: "rrstudyd_heap_live_bytes", Help: "heap bytes the last garbage collection found live", Type: "gauge",
+			Samples: []obs.PromSample{{Value: float64(gc[0].Value.Uint64())}}},
+		{Name: "rrstudyd_gc_cycles_total", Help: "completed garbage collections", Type: "counter",
+			Samples: []obs.PromSample{{Value: float64(gc[1].Value.Uint64())}}},
 		{Name: "rrstudyd_job_batches_done", Help: "completed VP batches per job (archived + fresh)", Type: "gauge",
 			Samples: progress},
 		{Name: "rrstudyd_job_batches_total", Help: "batch checkpoints the job's campaign completes", Type: "gauge",

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"recordroute/internal/netsim"
-	"recordroute/internal/probe"
 	"recordroute/internal/topology"
 )
 
@@ -39,7 +38,7 @@ func runJournaled(t *testing.T, seed uint64, fc *netsim.FaultConfig, shards int,
 		t.Fatal(err)
 	}
 	run := journaledRun{archived: j.Archived()}
-	j.SetSink(func(string, []probe.Result) { run.streamed++ })
+	j.SetStreamSink(func(string, []byte) { run.streamed++ })
 
 	run.resp = s.RunResponsiveness()
 	var buf bytes.Buffer
