@@ -1,20 +1,20 @@
 package recordroute
 
-// Benchmark harness: one benchmark per table and figure in the paper's
+// Developer benchmarks: one per table and figure in the paper's
 // evaluation, plus ablations for the design choices DESIGN.md calls out.
 // Benchmarks measure the cost of regenerating each result at test scale;
 // their reported custom metrics carry the reproduced headline numbers so
-// `go test -bench` output doubles as a results table.
+// `go test -bench` output doubles as a results table. Speed claims are
+// not made from here but with rrbench (benchmark/, BENCHMARK.json), and
+// allocation contracts are Test…Allocs tests beside the code they pin.
 
 import (
 	"fmt"
 	"io"
 	"net/netip"
-	"runtime"
 	"testing"
 
 	"recordroute/internal/analysis"
-	"recordroute/internal/measure"
 	"recordroute/internal/packet"
 	"recordroute/internal/probe"
 	"recordroute/internal/study"
@@ -24,11 +24,11 @@ import (
 // benchScale keeps benchmark topologies small enough to iterate.
 const benchScale = 0.2
 
-func benchInternet(b *testing.B) *Internet {
-	b.Helper()
+func benchInternet(tb testing.TB) *Internet {
+	tb.Helper()
 	in, err := New(WithScale(benchScale), WithProbeRate(200))
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return in
 }
@@ -53,66 +53,6 @@ func BenchmarkFigure1ClosestVPCDF(b *testing.B) {
 		sum := in.Figure1Reachability(io.Discard)
 		b.ReportMetric(sum.ReachableFrac, "reachable-frac")
 		b.ReportMetric(sum.Within8Frac, "within8-frac")
-	}
-}
-
-// BenchmarkFigure1StudyShards regenerates Figure 1 through the sharded
-// campaign executor at K = 1, 2, 4. Results are identical at every K
-// (the equivalence tests assert it); what varies is wall-clock, which
-// tracks min(K, GOMAXPROCS, NumCPU) — the gomaxprocs and numcpu metrics
-// record how much hardware parallelism the run actually had, so scaling
-// gates (cmd/benchguard -min-speedup) can tell real regressions from
-// undersized hosts.
-func BenchmarkFigure1StudyShards(b *testing.B) {
-	for _, k := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("shards=%d", k), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				in, err := New(WithScale(benchScale), WithProbeRate(200), WithShards(k))
-				if err != nil {
-					b.Fatal(err)
-				}
-				sum := in.Figure1Reachability(io.Discard)
-				b.ReportMetric(sum.ReachableFrac, "reachable-frac")
-			}
-			b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "gomaxprocs")
-			b.ReportMetric(float64(runtime.NumCPU()), "numcpu")
-		})
-	}
-}
-
-// BenchmarkOriginPhase times the single-VP origin ping phase (three
-// pings per destination, the paper's responsiveness phase 1) through
-// the destination-sharded executor at K = 1, 2, 4: the fleet is built
-// and warmed outside the timed region, so the phase's own fan-out —
-// contiguous destination ranges across replicas, indexed scheduling,
-// the ordered merge (DESIGN.md §15) — is what the clock sees. Results
-// are K-invariant (the shard property suite asserts it); wall-clock
-// tracks min(K, GOMAXPROCS, NumCPU), recorded per line for the
-// benchguard scaling gate.
-func BenchmarkOriginPhase(b *testing.B) {
-	for _, k := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("shards=%d", k), func(b *testing.B) {
-			cfg := topology.DefaultConfig(topology.Epoch2016).Scale(benchScale)
-			s, err := study.New(cfg, study.Options{Rate: 200, ShuffleSeed: 7, Shards: k})
-			if err != nil {
-				b.Fatal(err)
-			}
-			dests := s.Data.Addrs()
-			fleet := s.Fleet()
-			if pc, ok := fleet.(*measure.ParallelCampaign); ok {
-				pc.VPNames() // replica cloning is spin-up, not phase time
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				grouped := fleet.PingBatchVP(s.Origin.Name, dests, 3, probe.Options{Rate: 200})
-				if len(grouped) != len(dests) {
-					b.Fatalf("merged %d groups for %d destinations", len(grouped), len(dests))
-				}
-			}
-			b.ReportMetric(float64(len(dests)), "dests")
-			b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "gomaxprocs")
-			b.ReportMetric(float64(runtime.NumCPU()), "numcpu")
-		})
 	}
 }
 
@@ -148,7 +88,7 @@ func benchRouteGraph() *topology.Graph {
 // worker counts 1, 2, 4 via ComputeRoutesParallel. The flat backing
 // array and per-destination row writes make output bit-identical at
 // every width (the routing tests assert it); wall-clock tracks
-// min(workers, GOMAXPROCS, NumCPU), recorded for the scaling gate.
+// min(workers, GOMAXPROCS, NumCPU).
 func BenchmarkRouteBuild(b *testing.B) {
 	g := benchRouteGraph()
 	for _, w := range []int{1, 2, 4} {
@@ -160,8 +100,6 @@ func BenchmarkRouteBuild(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(g.N()), "ases")
-			b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "gomaxprocs")
-			b.ReportMetric(float64(runtime.NumCPU()), "numcpu")
 		})
 	}
 }
@@ -380,72 +318,6 @@ func BenchmarkAblationFastPath(b *testing.B) {
 			}
 		}
 	})
-}
-
-// --- Profile-scale campaigns ----------------------------------------------
-
-// BenchmarkLargeScaleCampaign runs a ping-RR sweep over a destination
-// subset of the large profile (10^5+ prefixes) through a 4-shard fleet:
-// the scaling smoke test for profile-sized campaigns. The prefixes
-// metric records the full destination universe the build carried.
-func BenchmarkLargeScaleCampaign(b *testing.B) {
-	if testing.Short() {
-		b.Skip("large profile in -short mode")
-	}
-	for i := 0; i < b.N; i++ {
-		cfg := topology.DefaultConfig(topology.Epoch2016)
-		s, err := study.New(cfg, study.Options{Rate: 200, ShuffleSeed: 7, Shards: 4, Scale: topology.ScaleLarge})
-		if err != nil {
-			b.Fatal(err)
-		}
-		dests := s.Data.Addrs()
-		if len(dests) > 2000 {
-			dests = dests[:2000]
-		}
-		perVP := s.Fleet().PingRRAll(dests, probe.Options{Rate: 200}, s.Shuffler())
-		replies := 0
-		for _, rs := range perVP {
-			for _, r := range rs {
-				if r.Type == probe.EchoReply {
-					replies++
-				}
-			}
-		}
-		b.ReportMetric(float64(replies), "rr-replies")
-		b.ReportMetric(float64(len(s.Data.Addrs())), "prefixes")
-	}
-}
-
-// BenchmarkSimulatorForwarding measures the raw packet-forwarding rate
-// of the discrete-event substrate (events per op via engine counters),
-// and pins the allocation contract of everything under the facade: a
-// ping-RR costs nothing in the prober and nothing per hop.
-func BenchmarkSimulatorForwarding(b *testing.B) {
-	in := benchInternet(b)
-	vp := in.MLabVPs()[len(in.MLabVPs())-1]
-	dst := in.Destinations()[0]
-	pingRR := func() {
-		if _, err := in.PingRR(vp, dst); err != nil {
-			b.Fatal(err)
-		}
-	}
-	net := in.st.Topo.Net
-	tx0 := net.Counter("link.tx")
-	pingRR() // warms route memos and the buffer pool
-	hops := net.Counter("link.tx") - tx0
-	// What this probe allocates whatever its path, none of it the
-	// prober's: the facade's result holder, its done closure and the
-	// reply's route copy. A forward path that allocated per hop would add
-	// this probe's hop count on top.
-	const proberAllocs = 3
-	if allocs := testing.AllocsPerRun(20, pingRR); allocs > proberAllocs {
-		b.Fatalf("ping-RR over %d hops allocates %v times, want at most the prober's %d", hops, allocs, proberAllocs)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pingRR()
-	}
-	b.ReportMetric(float64(hops), "hops")
 }
 
 // addrFor derives a distinct test address.

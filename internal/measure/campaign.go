@@ -204,12 +204,6 @@ func (c *Campaign) PingRRUDPAll(perVP map[string][]netip.Addr, opts probe.Option
 	})
 }
 
-// PingTSAll sends one Internet Timestamp probe from every VP to every
-// destination.
-func (c *Campaign) PingTSAll(dests []netip.Addr, opts probe.Options) map[string][]probe.Result {
-	return fan(c, func(vp *VantagePoint, done func([]probe.Result)) { vp.Batch(dests, probe.PingTS, opts, done) })
-}
-
 // TracerouteAll traces each VP's listed targets.
 func (c *Campaign) TracerouteAll(perVP map[string][]netip.Addr, opts TraceOptions) map[string][]Trace {
 	return fan(c, func(vp *VantagePoint, done func([]Trace)) {

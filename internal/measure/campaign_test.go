@@ -37,32 +37,6 @@ func TestCampaignPingAll(t *testing.T) {
 	}
 }
 
-func TestCampaignPingTSAll(t *testing.T) {
-	topo := testTopo(t)
-	dests := responsiveDests(topo, 4)
-	vps := rrCapableVPs(t, topo, dests[0], 2)
-	if len(vps) == 0 {
-		t.Skip("no capable VPs")
-	}
-	c := NewCampaign(topo, vps)
-	got := c.PingTSAll(dests, probe.Options{Rate: 500})
-	for _, vp := range vps {
-		rs := got[vp.Name]
-		if len(rs) != len(dests) {
-			t.Fatalf("%s: %d results", vp.Name, len(rs))
-		}
-		sawTS := false
-		for _, r := range rs {
-			if len(r.TS) > 0 {
-				sawTS = true
-			}
-		}
-		if !sawTS {
-			t.Errorf("%s: no timestamp entries in any result", vp.Name)
-		}
-	}
-}
-
 func TestCampaignPingRRUDPAll(t *testing.T) {
 	topo := testTopo(t)
 	var udpDest netip.Addr

@@ -133,16 +133,13 @@ func TestJournalDegradedCampaignCompletes(t *testing.T) {
 	dir := t.TempDir()
 
 	// Baseline: healthy journaled run.
-	base, err := NewParallelCampaign(cfg, meta.Shards)
-	if err != nil {
-		t.Fatal(err)
-	}
+	base := testFleet(t, cfg, meta.Shards)
 	bj, err := CreateJournal(filepath.Join(dir, "base.jsonl"), meta)
 	if err != nil {
 		t.Fatal(err)
 	}
 	base.AttachJournal(bj)
-	base.mustInit()
+	base.init()
 	var ds []netip.Addr
 	for _, d := range base.replicas[0].topo.Dests {
 		ds = append(ds, d.Addr)
@@ -158,10 +155,7 @@ func TestJournalDegradedCampaignCompletes(t *testing.T) {
 	withWriteShim(t, func(path string, f *os.File) io.Writer {
 		return &failAfter{w: f, n: 600}
 	})
-	faulted, err := NewParallelCampaign(cfg, meta.Shards)
-	if err != nil {
-		t.Fatal(err)
-	}
+	faulted := testFleet(t, cfg, meta.Shards)
 	fj, err := CreateJournal(filepath.Join(dir, "faulted.jsonl"), meta)
 	if err != nil {
 		t.Fatal(err)
@@ -280,11 +274,9 @@ func TestParallelCancelResume(t *testing.T) {
 
 	newFleet := func(name string, resume bool) *ParallelCampaign {
 		t.Helper()
-		pc, err := NewParallelCampaign(cfg, meta.Shards)
-		if err != nil {
-			t.Fatal(err)
-		}
+		pc := testFleet(t, cfg, meta.Shards)
 		var j *Journal
+		var err error
 		if resume {
 			j, err = ResumeJournal(filepath.Join(dir, name), meta)
 		} else {
@@ -298,7 +290,7 @@ func TestParallelCancelResume(t *testing.T) {
 	}
 
 	base := newFleet("base.jsonl", false)
-	base.mustInit()
+	base.init()
 	var ds []netip.Addr
 	for _, d := range base.replicas[0].topo.Dests {
 		ds = append(ds, d.Addr)

@@ -83,7 +83,7 @@ func (c *Campaign) DoubletreeAll(perVP map[string][]netip.Addr, sess *trace.Sess
 // is checkpointed as its traces (stop-set effects replay from them via
 // trace.Rebuild) with the merged set's codec bytes sealing the phase.
 func (pc *ParallelCampaign) DoubletreeAll(perVP map[string][]netip.Addr, sess *trace.Session, opts trace.Options) map[string]*trace.VPRound {
-	pc.mustInit()
+	pc.init()
 	phase, journaled := pc.beginPhase("doubletree-all")
 	out := make(map[string]*trace.VPRound, len(perVP))
 	for _, name := range pc.vpNames {

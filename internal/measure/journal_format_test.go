@@ -135,32 +135,59 @@ func TestVPRecordMatchesEncodingJSON(t *testing.T) {
 	}
 }
 
-// BenchmarkJournalRecord times what a daemon job pays per completed VP
-// batch: one 300-result batch encoded once into the vp record and its
-// stream lines, written to the file, lent to the stream sink. The
-// journal keeps its encoders, so a steady-state batch allocates nothing;
-// benchguard pins the count.
-func BenchmarkJournalRecord(b *testing.B) {
+// journalBatchSize is the batch recordingJournal records: 150 answered
+// ping-RRs and 150 timeouts.
+const journalBatchSize = 300
+
+// recordingJournal returns record, which journals one journalBatchSize
+// batch — what a daemon job pays per completed VP batch: encoded once
+// into the vp record and its stream lines, written to the file, lent to
+// the stream sink — on a journal whose encoder buffers one such batch
+// has already sized, and check, which fails tb unless every batch
+// reached the file and the sink.
+func recordingJournal(tb testing.TB) (record, check func()) {
+	tb.Helper()
 	var batch []probe.Result
-	for i := 0; i < 150; i++ {
+	for len(batch) < journalBatchSize {
 		batch = append(batch, formatBatch()[:2]...) // an answered ping-RR, a timeout
 	}
-	j, err := CreateJournal(filepath.Join(b.TempDir(), "bench.jsonl"), testMeta())
+	j, err := CreateJournal(filepath.Join(tb.TempDir(), "record.jsonl"), testMeta())
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	defer j.Close()
+	tb.Cleanup(func() { j.Close() })
 	streamed := 0
 	j.SetStreamSink(func(vp string, lines []byte) { streamed += len(lines) })
-	j.recordResults(0, "ping-rr-all", "mlab-0", batch) // sizes the encoder's buffers
+	record = func() { j.recordResults(0, "ping-rr-all", "mlab-0", batch) }
+	record() // sizes the encoder's buffers
+	return record, func() {
+		tb.Helper()
+		if j.Degraded() != nil || streamed == 0 {
+			tb.Fatalf("degraded %v, %d bytes streamed", j.Degraded(), streamed)
+		}
+	}
+}
+
+// TestJournalRecordAllocs pins the journal's steady state: it keeps its
+// encoders, so recording a batch allocates nothing.
+func TestJournalRecordAllocs(t *testing.T) {
+	record, check := recordingJournal(t)
+	if allocs := testing.AllocsPerRun(20, record); allocs != 0 {
+		t.Errorf("recordResults allocates %v times per %d-result batch, want 0", allocs, journalBatchSize)
+	}
+	check()
+}
+
+// BenchmarkJournalRecord times one steady-state recordResults
+// (TestJournalRecordAllocs pins that it allocates nothing).
+func BenchmarkJournalRecord(b *testing.B) {
+	record, check := recordingJournal(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		j.recordResults(0, "ping-rr-all", "mlab-0", batch)
+		record()
 	}
 	b.StopTimer()
-	if j.Degraded() != nil || streamed == 0 {
-		b.Fatalf("degraded %v, %d bytes streamed", j.Degraded(), streamed)
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(batch)), "ns/result")
+	check()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*journalBatchSize), "ns/result")
 }

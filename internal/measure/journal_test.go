@@ -188,11 +188,9 @@ func TestJournalShardPanicResume(t *testing.T) {
 	dir := t.TempDir()
 	newFleet := func(name string, resume bool) *ParallelCampaign {
 		t.Helper()
-		pc, err := NewParallelCampaign(cfg, meta.Shards)
-		if err != nil {
-			t.Fatal(err)
-		}
+		pc := testFleet(t, cfg, meta.Shards)
 		var j *Journal
+		var err error
 		if resume {
 			j, err = ResumeJournal(filepath.Join(dir, name), meta)
 		} else {
@@ -206,7 +204,7 @@ func TestJournalShardPanicResume(t *testing.T) {
 	}
 
 	dests := func(pc *ParallelCampaign) []netip.Addr {
-		pc.mustInit()
+		pc.init()
 		out := make([]netip.Addr, 0, 10)
 		for _, d := range pc.replicas[0].topo.Dests {
 			out = append(out, d.Addr)

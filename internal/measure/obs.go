@@ -70,7 +70,7 @@ func (pc *ParallelCampaign) observeReplica(rep *replica) {
 // sharding-safe workloads (the determinism contract): every simulated
 // event happens exactly once in exactly one engine regardless of K.
 func (pc *ParallelCampaign) Metrics(label string) *obs.Snapshot {
-	pc.mustInit()
+	pc.init()
 	shards := make([]obs.ShardMetrics, len(pc.replicas))
 	for i, rep := range pc.replicas {
 		shards[i] = obs.Capture(fmt.Sprintf("shard%d", i), rep.topo.Net)

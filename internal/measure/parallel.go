@@ -19,8 +19,8 @@ import (
 )
 
 // ParallelCampaign executes campaign primitives across K shards, each an
-// independent deterministic simulator replica built from the same
-// topology.Config and seed. Vantage points are partitioned round-robin
+// independent deterministic simulator replica cloned from one built
+// topology's frozen snapshot. Vantage points are partitioned round-robin
 // by their campaign index, so each VP's complete probe stream — pacing,
 // source-proximate policer interactions, timeouts — plays out inside
 // exactly one replica, bit-for-bit as it would inside the single shared
@@ -46,12 +46,10 @@ import (
 // shard time, which equals the time the sequential engine would show —
 // so later phases start at the same virtual instant in every replica.
 type ParallelCampaign struct {
-	cfg    topology.Config
-	src    *topology.Topology // snapshot source; nil → build from cfg
+	src    *topology.Topology // the build every replica is cloned from
 	shards int
 
 	buildOnce sync.Once
-	buildErr  error
 	replicas  []*replica
 	vpShard   map[string]int // VP name → replica index
 	vpIndex   map[string]int // VP name → campaign index (prober ID base)
@@ -133,17 +131,17 @@ func effectiveWorkers(n int) int {
 	return n
 }
 
-// forShards runs fn once per replica in reps. With an effective worker
-// bound of one the loop runs inline on the caller's goroutine — no
-// spawn, no synchronization; otherwise a work-stealing group of w
-// goroutines pulls replica indices from a shared atomic counter until
-// the list is drained. Goroutines live only for the dispatch, so
-// campaigns hold no pool to leak and idle fleets cost nothing.
-func forShards(reps []*replica, fn func(*replica)) {
-	w := effectiveWorkers(len(reps))
+// dispatch runs fn(0) … fn(n-1), each index exactly once. With an
+// effective worker bound of one the loop runs inline on the caller's
+// goroutine — no spawn, no synchronization; otherwise a work-stealing
+// group of w goroutines pulls indices from a shared atomic counter until
+// they are drained. Goroutines live only for the dispatch, so campaigns
+// hold no pool to leak and idle fleets cost nothing.
+func dispatch(n int, fn func(i int)) {
+	w := effectiveWorkers(n)
 	if w <= 1 {
-		for _, rep := range reps {
-			rep.run(fn)
+		for i := 0; i < n; i++ {
+			fn(i)
 		}
 		return
 	}
@@ -155,14 +153,20 @@ func forShards(reps []*replica, fn func(*replica)) {
 			defer wg.Done()
 			for {
 				i := int(next.Add(1)) - 1
-				if i >= len(reps) {
+				if i >= n {
 					return
 				}
-				reps[i].run(fn)
+				fn(i)
 			}
 		}()
 	}
 	wg.Wait()
+}
+
+// forShards runs fn once per replica in reps through dispatch, each
+// under the replica's panic containment (replica.run).
+func forShards(reps []*replica, fn func(*replica)) {
+	dispatch(len(reps), func(i int) { reps[i].run(fn) })
 }
 
 // ShardError reports one shard that failed during a primitive: the
@@ -182,29 +186,19 @@ func (e ShardError) Error() string {
 	return fmt.Sprintf("measure: shard %d (VPs %s): %v", e.Shard, strings.Join(e.VPs, ","), e.Err)
 }
 
-// NewParallelCampaign returns a K-shard campaign over cfg's platform
-// VPs. The fleet is assembled lazily — on the first primitive — by one
-// topology.Build whose frozen snapshot stamps out the remaining
-// replicas (see NewParallelCampaignFrom for reusing an existing build).
-// shards below 1 is an error; shards above the VP count is clamped (an
-// empty replica would only waste memory).
-func NewParallelCampaign(cfg topology.Config, shards int) (*ParallelCampaign, error) {
-	if shards < 1 {
-		return nil, fmt.Errorf("measure: %d shards", shards)
-	}
-	return &ParallelCampaign{cfg: cfg, shards: shards}, nil
-}
-
 // NewParallelCampaignFrom returns a K-shard campaign whose replicas are
 // all cloned from an already-built topology's frozen snapshot — no
-// regeneration at all. The source keeps working independently (its
-// engine state never leaks into the pristine clones), so a study can
-// share one Build between its sequential campaign and its fleet.
+// regeneration at all; the fleet is assembled lazily, on the first
+// primitive. The source keeps working independently (its engine state
+// never leaks into the pristine clones), so a study can share one Build
+// between its sequential campaign and its fleet. shards below 1 is an
+// error; shards above the VP count is clamped (an empty replica would
+// only waste memory).
 func NewParallelCampaignFrom(src *topology.Topology, shards int) (*ParallelCampaign, error) {
 	if shards < 1 {
 		return nil, fmt.Errorf("measure: %d shards", shards)
 	}
-	return &ParallelCampaign{cfg: src.Cfg, src: src, shards: shards}, nil
+	return &ParallelCampaign{src: src, shards: shards}, nil
 }
 
 // AttachJournal makes the campaign journaled: every primitive becomes
@@ -240,68 +234,26 @@ func (pc *ParallelCampaign) NumShards() int {
 }
 
 // init assembles the shard fleet on first use: one route plane, K
-// overlays. With no pre-built source, the plane is built once from cfg
-// and doubles as replica 0 — it is pristine, so it equals a clone; the
-// rest are snapshot clones stamped out concurrently. With a source
-// (NewParallelCampaignFrom), every replica is a clone, because the
-// source engine may already have run traffic. Cloning shares the frozen
-// FIBs, routes, and addressing, so fleet spin-up is a small multiple of
-// a single build regardless of K.
-func (pc *ParallelCampaign) init() error {
+// overlays. Every replica is a clone of the source's frozen snapshot,
+// never the source itself, because the source engine may already have
+// run traffic. Cloning shares the frozen FIBs, routes, and addressing,
+// so fleet spin-up is a small multiple of a single build regardless of
+// K.
+func (pc *ParallelCampaign) init() {
 	pc.buildOnce.Do(func() {
 		src := pc.src
-		firstIsSource := false
-		if src == nil {
-			built, err := topology.Build(pc.cfg)
-			if err != nil {
-				pc.buildErr = err
-				return
-			}
-			src = built
-			firstIsSource = true
-		}
 		snap := topology.SnapshotOf(src)
 		k := pc.shards
 		if n := len(src.VPs); k > n && n > 0 {
 			k = n
 		}
+		// Stamp out the clones with the same bounded dispatch primitives
+		// use; distinct indices write distinct replica slots.
 		pc.replicas = make([]*replica, k)
-		start := 0
-		if firstIsSource {
-			pc.replicas[0] = &replica{idx: 0, topo: src, eng: src.Net.Engine()}
-			start = 1
-		}
-		// Stamp out the remaining clones with the same bounded dispatch
-		// primitives use: inline when one worker suffices (single shard,
-		// or a host with one usable CPU), work-stealing goroutines
-		// otherwise. Distinct goroutines write distinct replicas slots.
-		clone := func(s int) {
+		dispatch(k, func(s int) {
 			topo := snap.Clone()
 			pc.replicas[s] = &replica{idx: s, topo: topo, eng: topo.Net.Engine()}
-		}
-		if w := effectiveWorkers(k - start); w <= 1 {
-			for s := start; s < k; s++ {
-				clone(s)
-			}
-		} else {
-			var next atomic.Int64
-			next.Store(int64(start))
-			var wg sync.WaitGroup
-			wg.Add(w)
-			for g := 0; g < w; g++ {
-				go func() {
-					defer wg.Done()
-					for {
-						s := int(next.Add(1)) - 1
-						if s >= k {
-							return
-						}
-						clone(s)
-					}
-				}()
-			}
-			wg.Wait()
-		}
+		})
 		// Partition VPs round-robin by campaign index, keeping the
 		// sequential prober ID assignment (0x4000+i) so wire images and
 		// reply matching are identical to Campaign's.
@@ -320,16 +272,6 @@ func (pc *ParallelCampaign) init() error {
 			pc.observeReplica(rep)
 		}
 	})
-	return pc.buildErr
-}
-
-// mustInit panics on a replica build failure: the same configuration
-// already built once for the sequential study, so a failure here is a
-// programming error, not an input error.
-func (pc *ParallelCampaign) mustInit() {
-	if err := pc.init(); err != nil {
-		panic(fmt.Sprintf("measure: shard replica build failed: %v", err))
-	}
 }
 
 // VP returns the named vantage point's shard replica instance, or nil.
@@ -338,7 +280,7 @@ func (pc *ParallelCampaign) mustInit() {
 // return nil too: their engine will never run again, so probes started
 // there would hang forever.
 func (pc *ParallelCampaign) VP(name string) *VantagePoint {
-	pc.mustInit()
+	pc.init()
 	s, ok := pc.vpShard[name]
 	if !ok || pc.replicas[s].dead {
 		return nil
@@ -353,7 +295,7 @@ func (pc *ParallelCampaign) VP(name string) *VantagePoint {
 
 // VPNames lists the vantage points in campaign (sequential) order.
 func (pc *ParallelCampaign) VPNames() []string {
-	pc.mustInit()
+	pc.init()
 	return pc.vpNames
 }
 
@@ -514,7 +456,7 @@ func (pc *ParallelCampaign) replaySeqs(name string, n int) {
 // the drain is a phase of its own: such single-VP work is cheap and a
 // resumed run deterministically re-executes it rather than archives it.
 func (pc *ParallelCampaign) Run() {
-	pc.mustInit()
+	pc.init()
 	phase, journaled := pc.beginPhase("run")
 	dirty := pc.replicas[:0:0]
 	for _, rep := range pc.replicas {
@@ -532,7 +474,7 @@ func (pc *ParallelCampaign) Run() {
 // map keyed by VP name in that VP's send order — the same shape and
 // content Campaign.PingRRAll produces.
 func (pc *ParallelCampaign) PingRRAll(dests []netip.Addr, opts probe.Options, orderFor func(vp string, dests []netip.Addr) []netip.Addr) map[string][]probe.Result {
-	pc.mustInit()
+	pc.init()
 	phase, journaled := pc.beginPhase("ping-rr-all")
 	out := make(map[string][]probe.Result, len(pc.vpNames))
 	skip := pc.archivedFlat(phase, journaled, out)
@@ -562,7 +504,7 @@ func (pc *ParallelCampaign) PingRRAll(dests []netip.Addr, opts probe.Options, or
 
 // PingAll sends count plain pings per destination from every VP.
 func (pc *ParallelCampaign) PingAll(dests []netip.Addr, count int, opts probe.Options) map[string][][]probe.Result {
-	pc.mustInit()
+	pc.init()
 	phase, journaled := pc.beginPhase("ping-all")
 	out := make(map[string][][]probe.Result, len(pc.vpNames))
 	var skip map[string]bool
@@ -602,7 +544,7 @@ func (pc *ParallelCampaign) PingAll(dests []netip.Addr, count int, opts probe.Op
 
 // PingRRUDPAll sends one ping-RRudp from every VP to its listed targets.
 func (pc *ParallelCampaign) PingRRUDPAll(perVP map[string][]netip.Addr, opts probe.Options) map[string][]probe.Result {
-	pc.mustInit()
+	pc.init()
 	phase, journaled := pc.beginPhase("ping-rr-udp-all")
 	out := make(map[string][]probe.Result, len(perVP))
 	skip := pc.archivedFlat(phase, journaled, out)
@@ -717,7 +659,7 @@ func partitionByGroup(n int, group []int, k int) [][]int {
 // campaign each completed range checkpoints under a range key and
 // streams to the sink as the VP itself.
 func (pc *ParallelCampaign) PingBatchVP(name string, dests []netip.Addr, count int, opts probe.Options) [][]probe.Result {
-	pc.mustInit()
+	pc.init()
 	if count < 1 {
 		count = 1
 	}
@@ -764,7 +706,7 @@ func (pc *ParallelCampaign) PingBatchVP(name string, dests []netip.Addr, count i
 // the same replica's counters. Results merge back into global spec
 // order (round*len(addrs) + addrIdx).
 func (pc *ParallelCampaign) PingSeriesVP(name string, addrs []netip.Addr, group []int, rounds int, opts probe.Options) []probe.Result {
-	pc.mustInit()
+	pc.init()
 	if rounds < 1 {
 		rounds = 1
 	}

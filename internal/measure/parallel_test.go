@@ -15,6 +15,21 @@ func testConfig() topology.Config {
 	return cfg
 }
 
+// testFleet builds cfg's topology and returns a k-shard fleet cloned
+// from it.
+func testFleet(t *testing.T, cfg topology.Config, k int) *ParallelCampaign {
+	t.Helper()
+	topo, err := topology.Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pc, err := NewParallelCampaignFrom(topo, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pc
+}
+
 // normalize strips the one field the determinism contract exempts:
 // destination IP-ID counters observe only shard-local traffic, so the
 // absolute IDs stamped on replies differ across executors.
@@ -66,10 +81,7 @@ func TestParallelCampaignMatchesSequential(t *testing.T) {
 	}
 	seq := NewCampaign(topo, topo.VPs)
 
-	par, err := NewParallelCampaign(cfg, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	par := testFleet(t, cfg, 3)
 
 	dests := make([]netip.Addr, 0, 40)
 	for _, d := range topo.Dests {
@@ -136,10 +148,7 @@ func TestParallelCampaignMatchesSequential(t *testing.T) {
 // through ShardErrors with its lost VPs, and the surviving shards keep
 // returning complete results — in that primitive and in later ones.
 func TestParallelCampaignShardFailureIsolated(t *testing.T) {
-	par, err := NewParallelCampaign(testConfig(), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	par := testFleet(t, testConfig(), 3)
 	names := par.VPNames() // forces replica build
 	if len(names) < 3 {
 		t.Fatalf("only %d VPs at test scale", len(names))
@@ -222,10 +231,7 @@ func TestParallelCampaignShardFailureIsolated(t *testing.T) {
 // TestParallelCampaignShardClamp checks that absurd shard counts clamp
 // to the VP population instead of building empty replicas.
 func TestParallelCampaignShardClamp(t *testing.T) {
-	par, err := NewParallelCampaign(testConfig(), 10000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	par := testFleet(t, testConfig(), 10000)
 	names := par.VPNames()
 	if got := par.NumShards(); got != len(names) {
 		t.Errorf("NumShards = %d, want clamp to %d VPs", got, len(names))

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"net/netip"
+	"runtime/debug"
 	"testing"
 	"time"
 
@@ -568,24 +569,14 @@ func benchChain() (*netsim.Network, *Prober, netip.Addr) {
 	return nw, New(NewSimTransport(vp, nw.Engine()), 0x6b6b), destAddr
 }
 
-// BenchmarkProbeBatch times one 1,000-probe ping-RR batch, sent and
-// answered, on a three-router chain, and pins what a batch allocates: the
-// batch, its results array and the RR arena's chunks — nothing per probe,
-// so a plain-ping batch, which records no route, allocates the same at
-// 100 probes as at 1,000. (A benchmark, not a test, because -race
-// instrumentation allocates on its own.)
-func BenchmarkProbeBatch(b *testing.B) {
+// chainBatches returns batchOf, which makes a function that sends one
+// n-probe batch of a kind down benchChain, hands its results to done and
+// drains the engine. One 1,000-probe ping-RR batch has already run (done
+// saw it): the slabs, the route memos and the packet pool are sized.
+func chainBatches(done func([]Result)) (batchOf func(n int, kind Kind) func()) {
 	nw, p, dst := benchChain()
 	opts := Options{Rate: 10000}
-	answered := 0
-	done := func(rs []Result) {
-		for i := range rs {
-			if rs[i].Type == EchoReply {
-				answered++
-			}
-		}
-	}
-	batchOf := func(n int, kind Kind) func() {
+	batchOf = func(n int, kind Kind) func() {
 		specs := make([]Spec, n)
 		for i := range specs {
 			specs[i] = Spec{Dst: dst, Kind: kind}
@@ -595,23 +586,52 @@ func BenchmarkProbeBatch(b *testing.B) {
 			nw.Engine().Run()
 		}
 	}
-	const size = 1000
-	run := batchOf(size, PingRR)
-	run() // sizes the slabs, the route memos and the packet pool
-	small, large := testing.AllocsPerRun(5, batchOf(size/10, Ping)), testing.AllocsPerRun(5, batchOf(size, Ping))
+	batchOf(probeBatchSize, PingRR)()
+	return batchOf
+}
+
+const probeBatchSize = 1000
+
+// TestProbeBatchAllocs pins what a batch, sent and answered on a
+// three-router chain, allocates: the batch, its results array and the RR
+// arena's chunks — nothing per probe, so a plain-ping batch, which
+// records no route, allocates the same at 100 probes as at 1,000.
+func TestProbeBatchAllocs(t *testing.T) {
+	batchOf := chainBatches(func([]Result) {})
+	// A batch allocates enough bytes for a collection to start inside a
+	// measured run, and the runtime's own allocations during one would be
+	// counted as the batch's.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	small, large := testing.AllocsPerRun(5, batchOf(probeBatchSize/10, Ping)), testing.AllocsPerRun(5, batchOf(probeBatchSize, Ping))
 	if small != large || large > 2 {
-		b.Fatalf("a plain-ping batch allocates %v times at %d probes and %v at %d, want the batch and its results both times",
-			small, size/10, large, size)
+		t.Errorf("a plain-ping batch allocates %v times at %d probes and %v at %d, want the batch and its results both times",
+			small, probeBatchSize/10, large, probeBatchSize)
 	}
-	answered = 0
+	if allocs := testing.AllocsPerRun(5, batchOf(probeBatchSize, PingRR)); allocs > 9 {
+		t.Errorf("a %d-probe ping-RR batch allocates %v times, want at most 9", probeBatchSize, allocs)
+	}
+}
+
+// BenchmarkProbeBatch times one 1,000-probe ping-RR batch, sent and
+// answered (TestProbeBatchAllocs pins what it allocates).
+func BenchmarkProbeBatch(b *testing.B) {
+	answered := 0
+	run := chainBatches(func(rs []Result) {
+		for i := range rs {
+			if rs[i].Type == EchoReply {
+				answered++
+			}
+		}
+	})(probeBatchSize, PingRR)
+	answered = 0 // the sizing batch
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		run()
 	}
 	b.StopTimer()
-	if answered != b.N*size {
-		b.Fatalf("%d of %d probes answered", answered, b.N*size)
+	if answered != b.N*probeBatchSize {
+		b.Fatalf("%d of %d probes answered", answered, b.N*probeBatchSize)
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*size), "ns/probe")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*probeBatchSize), "ns/probe")
 }

@@ -246,15 +246,32 @@ func TestUpdateWireFuzzCorpus(t *testing.T) {
 
 var wireSink []byte
 
-// BenchmarkWireEncode times one VP batch (the seven wireSamples shapes,
-// 700 results) through the append encoder into a reused buffer — the
-// steady state of the journal's pooled line buffer. 0 allocs/op is
-// pinned by benchguard.
-func BenchmarkWireEncode(b *testing.B) {
+// wireBatch is one VP batch of the seven wireSamples shapes, 700 results.
+func wireBatch() []probe.Result {
 	var batch []probe.Result
 	for i := 0; i < 100; i++ {
 		batch = append(batch, wireSamples()...)
 	}
+	return batch
+}
+
+// TestAppendJSONLAllocs pins the append encoder's contract: a batch
+// encoded into a buffer already big enough for it allocates nothing —
+// the steady state of the journal's pooled line buffer.
+func TestAppendJSONLAllocs(t *testing.T) {
+	batch := wireBatch()
+	buf := AppendJSONL(nil, "mlab-01", batch) // size the buffer
+	encode := func() { buf = AppendJSONL(buf[:0], "mlab-01", batch) }
+	if allocs := testing.AllocsPerRun(20, encode); allocs != 0 {
+		t.Errorf("AppendJSONL into a sized buffer allocates %v times per %d-result batch, want 0", allocs, len(batch))
+	}
+}
+
+// BenchmarkWireEncode times one VP batch through the append encoder
+// into a reused buffer (TestAppendJSONLAllocs pins that it allocates
+// nothing).
+func BenchmarkWireEncode(b *testing.B) {
+	batch := wireBatch()
 	buf := AppendJSONL(nil, "mlab-01", batch) // size the buffer before timing
 	b.ReportAllocs()
 	b.SetBytes(int64(len(buf)))

@@ -13,7 +13,10 @@ import (
 // first and steal from the longest other queue when idle — but only
 // from queues whose owner is mid-execution: an idle owner is about to
 // take its own job, and stealing it would turn every quiet-pool pop
-// into a coin flip between workers. Affinity stays a placement
+// into a coin flip between workers. A worker stops counting as
+// mid-execution when its attempt ends (idle), before the job is settled:
+// the next epoch a terminal hook chains onto the worker's own queue is
+// that worker's to pop, not backlog. Affinity stays a placement
 // preference, never a throughput ceiling: a saturated preferred
 // worker's backlog is picked up by whoever is free.
 //
@@ -65,6 +68,14 @@ func (d *dispatcher) push(job *Job) error {
 	return nil
 }
 
+// idle marks worker w as no longer executing, ahead of the pop that
+// follows: whatever lands on its queue from here on waits for w itself.
+func (d *dispatcher) idle(w int) {
+	d.mu.Lock()
+	d.busy[w] = false
+	d.mu.Unlock()
+}
+
 // pop returns the next job for worker w — its own queue first, then a
 // steal from the longest other queue — blocking while everything is
 // empty. nil means closed and fully drained: the worker exits.
@@ -77,6 +88,11 @@ func (d *dispatcher) pop(w int) (job *Job, stolen bool) {
 			job, d.queues[w] = d.queues[w][0], d.queues[w][1:]
 			d.depth--
 			d.busy[w] = true
+			if len(d.queues[w]) > 0 {
+				// What is left behind became backlog this instant; peers
+				// that passed it over while w was idle look again.
+				d.cond.Broadcast()
+			}
 			return job, false
 		}
 		// Steal from the longest backlog whose owner is occupied, so the

@@ -603,13 +603,13 @@ func (s *Server) worker(i int) {
 		} else {
 			s.affinityMisses.Add(1)
 		}
-		s.execute(job)
+		s.execute(i, job)
 	}
 }
 
-// execute runs one attempt of a dequeued job and settles its fate:
-// done, canceled, failed, or re-queued after a class-aware backoff.
-func (s *Server) execute(job *Job) {
+// execute runs one attempt of a dequeued job on worker w and settles its
+// fate: done, canceled, failed, or re-queued after a class-aware backoff.
+func (s *Server) execute(w int, job *Job) {
 	job.mu.Lock()
 	preCanceled := job.cancelRequested
 	attempts := job.attempts
@@ -620,6 +620,11 @@ func (s *Server) execute(job *Job) {
 	}
 
 	out := s.runOnce(job)
+	// The attempt is over; settling it may run a schedule's terminal
+	// hook, which pushes the next epoch onto this worker's own queue.
+	// Going idle first keeps that epoch from being stolen by a peer the
+	// push wakes while this goroutine is still on its way back to pop.
+	s.dispatch.idle(w)
 	switch {
 	case out.ok:
 		s.finalize(job, StateDone, "", "")

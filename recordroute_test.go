@@ -80,6 +80,34 @@ func TestPingAndPingRR(t *testing.T) {
 	}
 }
 
+// TestPingRRAllocs pins the allocation contract of everything under the
+// facade: a ping-RR costs nothing in the prober and nothing per hop.
+func TestPingRRAllocs(t *testing.T) {
+	in := benchInternet(t)
+	vp := in.MLabVPs()[len(in.MLabVPs())-1]
+	dst := in.Destinations()[0]
+	pingRR := func() {
+		if _, err := in.PingRR(vp, dst); err != nil {
+			t.Fatal(err)
+		}
+	}
+	net := in.st.Topo.Net
+	tx0 := net.Counter("link.tx")
+	pingRR() // warms route memos and the buffer pool
+	hops := net.Counter("link.tx") - tx0
+	// What this probe allocates whatever its path, none of it the
+	// prober's: the facade's result holder, its done closure and the
+	// reply's route copy. A forward path that allocated per hop would add
+	// this probe's hop count on top.
+	const facadeAllocs = 3
+	if hops <= facadeAllocs {
+		t.Fatalf("ping-RR crossed %d links: too short a path to tell per-hop allocation from the facade's", hops)
+	}
+	if allocs := testing.AllocsPerRun(20, pingRR); allocs > facadeAllocs {
+		t.Errorf("ping-RR over %d hops allocates %v times, want at most the facade's %d", hops, allocs, facadeAllocs)
+	}
+}
+
 func TestTracerouteFacade(t *testing.T) {
 	in := smallInternet(t)
 	vp := in.MLabVPs()[len(in.MLabVPs())-1]

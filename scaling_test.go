@@ -1,10 +1,9 @@
 package recordroute
 
-// Shard scaling-efficiency smoke test. The CI gate proper lives in
-// cmd/benchguard (-min-speedup, driven by `make bench-scaling`); this
-// test is the in-tree version developers hit with plain `go test` on
-// multi-core machines, so a change that wrecks parallel scaling fails
-// before it ever reaches the benchmark harness.
+// Shard scaling-efficiency smoke test: the one in-tree scaling gate,
+// which developers hit with plain `go test` on multi-core machines, so a
+// change that wrecks parallel scaling fails before it ever reaches the
+// benchmark harness (rrbench's measure.shard_speedup is the number).
 
 import (
 	"io"
