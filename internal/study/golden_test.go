@@ -30,6 +30,9 @@ func TestGoldenRenders(t *testing.T) {
 		{"stamp_audit", func(b *bytes.Buffer) { s.RunStampAudit(r, 50).Render(b) }},
 		{"doubletree_traceroute", func(b *bytes.Buffer) { s.RunDoubletree(120, 3).Render(b) }},
 		{"rr_vs_tr", func(b *bytes.Buffer) { s.RunRRvsTR(r, 50).Render(b) }},
+		{"fig3_clouds", func(b *bytes.Buffer) { s.RunCloudDistance(r, 100).Render(b) }},
+		{"atlas", func(b *bytes.Buffer) { s.RunAtlas(r, 50).Render(b) }},
+		{"lsrr", func(b *bytes.Buffer) { s.RunSourceRouteCheck(r, 40).Render(b) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
