@@ -232,17 +232,17 @@ func BenchmarkAblationProbeOrder(b *testing.B) {
 			cfg := topology.DefaultConfig(topology.Epoch2016).Scale(benchScale)
 			cfg.EdgeRateLimitRate = 0.5 // make limiters common for contrast
 			cfg.EdgeRateLimitPPS = 15
-			s, err := study.New(cfg, study.Options{Rate: 100})
+			// One replica: the limiters see every VP's load on one engine.
+			s, err := study.New(cfg, study.Options{Rate: 100, Shards: 1})
 			if err != nil {
 				b.Fatal(err)
 			}
 			opts := probe.Options{Rate: 100}
-			var perVP map[string][]probe.Result
+			var order func(string, []netip.Addr) []netip.Addr
 			if shuffle {
-				perVP = s.Camp.PingRRAll(s.Data.Addrs(), opts, s.Shuffler())
-			} else {
-				perVP = s.Camp.PingRRAll(s.Data.Addrs(), opts, nil)
+				order = s.Shuffler()
 			}
+			perVP := s.Fleet().PingRRAll(s.Data.Addrs(), opts, order)
 			got := 0
 			for _, rs := range perVP {
 				for _, r := range rs {

@@ -95,7 +95,7 @@ func main() {
 		chaosOutages = flag.Float64("chaos-outages", 0, "chaos: custom scenario fraction of routers suffering a transient outage")
 		chaosRetries = flag.Int("chaos-retries", 2, "chaos: recovery-arm retransmission budget")
 
-		shards     = flag.Int("shards", 0, "campaign shard count for sharding-invariant experiments (0 = GOMAXPROCS, 1 = single shared engine)")
+		shards     = flag.Int("shards", 0, "campaign shard count for sharding-invariant experiments (0 = GOMAXPROCS, 1 = one replica on the study's own engine)")
 		journal    = flag.String("journal", "", "checkpoint the campaign to this JSONL journal: completed per-VP batches stream to it as they finish")
 		resume     = flag.Bool("resume", false, "with -journal: skip the batches the journal already holds and continue a killed run")
 		metricsOut = flag.String("metrics", "", "write a metrics snapshot (per-shard counters + deterministic merge) to this JSON file")

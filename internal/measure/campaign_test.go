@@ -21,7 +21,7 @@ func TestCampaignVPLookup(t *testing.T) {
 func TestCampaignPingAll(t *testing.T) {
 	topo := testTopo(t)
 	vps := unlimitedVPs(topo)[:2]
-	c := NewCampaign(topo, vps)
+	c := NewFleet(NewCampaign(topo, vps), 1)
 	dests := responsiveDests(topo, 4)
 	got := c.PingAll(dests, 2, probe.Options{Rate: 500})
 	for _, vp := range vps {
@@ -53,7 +53,7 @@ func TestCampaignPingRRUDPAll(t *testing.T) {
 	if len(vps) == 0 {
 		t.Skip("no capable VP")
 	}
-	c := NewCampaign(topo, vps)
+	c := NewFleet(NewCampaign(topo, vps), 1)
 	got := c.PingRRUDPAll(map[string][]netip.Addr{vps[0].Name: {udpDest}}, probe.Options{Rate: 100})
 	rs := got[vps[0].Name]
 	if len(rs) != 1 || rs[0].Type != probe.PortUnreachable {
@@ -68,7 +68,7 @@ func TestCampaignTTLPingRRAll(t *testing.T) {
 	if len(vps) == 0 {
 		t.Skip("no capable VP")
 	}
-	c := NewCampaign(topo, vps)
+	c := NewFleet(NewCampaign(topo, vps), 1)
 	perVP := map[string][]netip.Addr{vps[0].Name: dests}
 	ttls := map[string][]uint8{vps[0].Name: {2, 64}}
 	got := c.TTLPingRRAll(perVP, ttls, probe.Options{Rate: 100})
@@ -86,7 +86,7 @@ func TestCampaignTTLPingRRAll(t *testing.T) {
 
 func TestCampaignEmptyPerVPMapsSkip(t *testing.T) {
 	topo := testTopo(t)
-	c := NewCampaign(topo, topo.VPs[:2])
+	c := NewFleet(NewCampaign(topo, topo.VPs[:2]), 1)
 	if got := c.TracerouteAll(nil, TraceOptions{}); len(got) != 0 {
 		t.Errorf("traceroutes from empty map: %d", len(got))
 	}

@@ -8,8 +8,8 @@ import (
 // Cooperative campaign cancellation. A campaign executor armed with a
 // context (SetContext) checks it at the deterministic points of its
 // schedule — the start of every primitive (a journal phase boundary)
-// and, on sharded executors, after each per-VP batch checkpoint is
-// recorded — and aborts by panicking with a Canceled payload. Checking
+// and after each per-VP batch checkpoint is recorded — and aborts by
+// panicking with a Canceled payload. Checking
 // only at those boundaries is what keeps cancellation compatible with
 // the resume-equals-uninterrupted property (DESIGN.md §11): every batch
 // the journal holds when the abort lands is complete and was produced

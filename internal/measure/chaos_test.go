@@ -96,8 +96,8 @@ func TestJournalDegradeOnWriteError(t *testing.T) {
 	} else if !errors.Is(err, errDiskFull) {
 		t.Fatalf("Degraded() = %v, want wrapped disk-full", err)
 	}
-	j.recordResults(0, "ping-rr-all", "mlab-0", rs) // post-degrade: silent no-op on disk...
-	j.recordResults(0, "ping-rr-all", "mlab-1", rs)
+	j.recordResults(0, "ping-rr-all", "mlab-0", "mlab-0", rs) // post-degrade: silent no-op on disk...
+	j.recordResults(0, "ping-rr-all", "mlab-1", "mlab-1", rs)
 	if sank != 2 {
 		t.Fatalf("streaming sink fired %d times after degradation, want 2", sank)
 	}
@@ -185,7 +185,7 @@ func TestJournalFsyncRoundTrip(t *testing.T) {
 	j.SetFsync(true)
 	a := netip.MustParseAddr
 	j.beginPhase("ping-rr-all")
-	j.recordResults(0, "ping-rr-all", "mlab-0", []probe.Result{{
+	j.recordResults(0, "ping-rr-all", "mlab-0", "mlab-0", []probe.Result{{
 		Spec: probe.Spec{Dst: a("10.0.0.1"), Kind: probe.PingRR},
 		Type: probe.EchoReply, From: a("10.0.0.1"),
 	}})
@@ -224,8 +224,8 @@ func TestJournalResumeTruncationEveryOffset(t *testing.T) {
 		Type: probe.EchoReply, From: a("10.0.0.1"),
 	}}
 	j.beginPhase("ping-rr-all")
-	j.recordResults(0, "ping-rr-all", "mlab-0", rs)
-	j.recordResults(0, "ping-rr-all", "mlab-1", rs)
+	j.recordResults(0, "ping-rr-all", "mlab-0", "mlab-0", rs)
+	j.recordResults(0, "ping-rr-all", "mlab-1", "mlab-1", rs)
 	j.Close()
 
 	data, err := os.ReadFile(full)
@@ -352,13 +352,13 @@ func TestParallelCancelResume(t *testing.T) {
 	comparePerVP(t, "resume after cancel", baseRR, resRR)
 }
 
-// TestCampaignCancelAtPrimitiveStart covers the shared-engine Campaign:
-// its primitives check the context only at their start (no per-batch
-// aborts on a shared engine), so a done context refuses the next
-// primitive as a Canceled panic.
+// TestCampaignCancelAtPrimitiveStart covers a one-replica fleet inline
+// on its roster's engine: a live context lets primitives run, and once
+// it is done the next primitive refuses at its start as a Canceled
+// panic, on the caller's goroutine.
 func TestCampaignCancelAtPrimitiveStart(t *testing.T) {
 	topo := testTopo(t)
-	c := NewCampaign(topo, unlimitedVPs(topo)[:2])
+	c := NewFleet(NewCampaign(topo, unlimitedVPs(topo)[:2]), 1)
 	ctx, cancel := context.WithCancel(context.Background())
 	c.SetContext(ctx)
 	ds := responsiveDests(topo, 4)

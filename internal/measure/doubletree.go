@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"net/netip"
 	"sort"
-	"sync"
 
 	"recordroute/internal/netsim"
 	"recordroute/internal/trace"
@@ -50,90 +49,54 @@ func mergeDeltas(sess *trace.Session, out map[string]*trace.VPRound) {
 }
 
 // DoubletreeAll runs one traceroute round: every VP with targets in
-// perVP traces them sequentially under sess's stop sets (or
-// exhaustively when opts.Exhaustive), then the per-VP deltas are
-// unioned into sess.Global — so the next round's forward probing
-// stops on everything this round discovered.
-func (c *Campaign) DoubletreeAll(perVP map[string][]netip.Addr, sess *trace.Session, opts trace.Options) map[string]*trace.VPRound {
-	checkCanceled(c.ctx)
-	out := make(map[string]*trace.VPRound, len(perVP))
-	for _, vp := range c.VPs {
-		if len(perVP[vp.Name]) > 0 {
-			sess.State(vp.Name) // pre-create while single-threaded
-		}
-	}
-	for _, vp := range c.VPs {
-		ds := perVP[vp.Name]
-		if len(ds) == 0 {
-			continue
-		}
-		trace.Run(vp.Name, vp.Prober, sess.State(vp.Name), sess.Global, sess.PrefixOf, ds, opts, func(r *trace.VPRound) {
-			out[vp.Name] = r
-			countRound(c.Net, r.Stats)
-		})
-	}
-	c.Eng.Run()
-	mergeDeltas(sess, out)
-	return out
-}
-
-// DoubletreeAll is the sharded round: each VP traces inside its own
-// replica against the frozen sess.Global, per-VP deltas are merged
-// after every shard drains, and — journaled — each completed VP round
-// is checkpointed as its traces (stop-set effects replay from them via
-// trace.Rebuild) with the merged set's codec bytes sealing the phase.
+// perVP traces them sequentially inside its own replica under sess's
+// stop sets (or exhaustively when opts.Exhaustive), against the frozen
+// sess.Global; after every replica drains, the per-VP deltas are
+// unioned into sess.Global — so the next round's forward probing stops
+// on everything this round discovered. Journaled, each completed VP
+// round is checkpointed as its traces (stop-set effects replay from
+// them via trace.Rebuild) and the merged set's codec bytes seal the
+// phase.
 func (pc *ParallelCampaign) DoubletreeAll(perVP map[string][]netip.Addr, sess *trace.Session, opts trace.Options) map[string]*trace.VPRound {
-	pc.init()
-	phase, journaled := pc.beginPhase("doubletree-all")
-	out := make(map[string]*trace.VPRound, len(perVP))
 	for _, name := range pc.vpNames {
 		if len(perVP[name]) > 0 {
 			sess.State(name) // pre-create while single-threaded
 		}
 	}
-	skip := make(map[string]bool)
-	if journaled {
-		for _, name := range pc.vpNames {
-			if trs, ok := pc.journal.archivedTraces(phase, name); ok {
-				out[name] = trace.Rebuild(name, sess.State(name), sess.PrefixOf, trs, opts)
-				skip[name] = true
-				n := 0
-				for _, t := range trs {
-					n += t.ProbesSent()
-				}
-				pc.replaySeqs(name, n)
+	rounds := &batchCodec[*trace.VPRound]{
+		archived: func(j *Journal, phase int, name string) (*trace.VPRound, bool) {
+			trs, ok := j.archivedTraces(phase, name)
+			if !ok {
+				return nil, false
 			}
-		}
+			return trace.Rebuild(name, sess.State(name), sess.PrefixOf, trs, opts), true
+		},
+		record: func(j *Journal, phase int, kind, name, _ string, r *trace.VPRound) {
+			j.recordTraces(phase, kind, name, r.Traces)
+		},
+		seqs: func(r *trace.VPRound) int {
+			n := 0
+			for _, t := range r.Traces {
+				n += t.ProbesSent()
+			}
+			return n
+		},
 	}
-	var mu sync.Mutex
-	pc.eachShard(func(rep *replica) {
-		for _, vp := range rep.vps {
-			if skip[vp.Name] {
-				continue
-			}
-			ds := perVP[vp.Name]
-			if len(ds) == 0 {
-				continue
-			}
+	return collect(pc, "doubletree-all", rounds, func(rep *replica, vp *VantagePoint, done func(*trace.VPRound)) {
+		if ds := perVP[vp.Name]; len(ds) > 0 {
 			trace.Run(vp.Name, vp.Prober, sess.State(vp.Name), sess.Global, sess.PrefixOf, ds, opts, func(r *trace.VPRound) {
-				mu.Lock()
-				out[vp.Name] = r
-				mu.Unlock()
-				countRound(rep.topo.Net, r.Stats)
-				pc.checkpoint(func(j *Journal) { j.recordTraces(phase, "doubletree-all", vp.Name, r.Traces) })
+				countRound(rep.Net, r.Stats)
+				done(r)
 			})
 		}
-		rep.eng.Run()
-	})
-	pc.syncClocks()
-	mergeDeltas(sess, out)
-	if journaled {
-		data, err := sess.Global.MarshalBinary()
-		if err != nil {
-			panic(fmt.Sprintf("measure: stop-set checkpoint: %v", err))
+	}, func(out map[string]*trace.VPRound, phase int, journaled bool) {
+		mergeDeltas(sess, out)
+		if journaled {
+			data, err := sess.Global.MarshalBinary()
+			if err != nil {
+				panic(fmt.Sprintf("measure: stop-set checkpoint: %v", err))
+			}
+			pc.journal.checkStopSet(phase, data)
 		}
-		pc.journal.checkStopSet(phase, data)
-	}
-	pc.endPhase(phase, journaled)
-	return out
+	})
 }

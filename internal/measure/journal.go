@@ -359,7 +359,7 @@ func (j *Journal) archivedResults(phase int, vp string) ([]probe.Result, bool) {
 	return a.results, true
 }
 
-// archivedGroups is archivedResults for grouped (PingAll) batches.
+// archivedGroups is archivedResults for grouped batches.
 func (j *Journal) archivedGroups(phase int, vp string) ([][]probe.Result, bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -370,19 +370,13 @@ func (j *Journal) archivedGroups(phase int, vp string) ([][]probe.Result, bool) 
 	return a.groups, true
 }
 
-// recordResults journals one freshly completed flat VP batch and feeds
-// the streaming sink.
-func (j *Journal) recordResults(phase int, kind, vp string, rs []probe.Result) {
-	j.recordResultsAs(phase, kind, vp, vp, rs)
-}
-
-// recordResultsAs journals a flat batch under an archive key that may
-// differ from the VP name the streaming sink sees. Destination-sharded
-// single-VP phases checkpoint each shard's range separately (key
-// "vp#shard", so resume restores exactly the ranges that completed)
-// while the sink — which speaks real VP names to live consumers —
-// receives the batch as the VP itself.
-func (j *Journal) recordResultsAs(phase int, kind, key, sinkVP string, rs []probe.Result) {
+// recordResults journals one freshly completed flat batch under an
+// archive key and feeds the streaming sink, which sees it as sinkVP. The
+// two differ for destination-sharded single-VP phases: they checkpoint
+// each shard's range separately (key "vp#shard", so resume restores
+// exactly the ranges that completed) while the sink — which speaks real
+// VP names to live consumers — receives the batch as the VP itself.
+func (j *Journal) recordResults(phase int, kind, key, sinkVP string, rs []probe.Result) {
 	e := j.beginVP(phase, kind, key, sinkVP, len(rs))
 	if len(rs) > 0 {
 		e.line = append(e.line, `,"results":`...)
@@ -433,14 +427,9 @@ func (j *Journal) checkStopSet(phase int, data []byte) {
 	j.encode(journalLine{T: "stopset", Phase: phase, Data: data})
 }
 
-// recordGroups journals one freshly completed grouped VP batch.
-func (j *Journal) recordGroups(phase int, kind, vp string, gs [][]probe.Result) {
-	j.recordGroupsAs(phase, kind, vp, vp, gs)
-}
-
-// recordGroupsAs is recordGroups with a separate archive key and sink
-// VP name; see recordResultsAs.
-func (j *Journal) recordGroupsAs(phase int, kind, key, sinkVP string, gs [][]probe.Result) {
+// recordGroups journals one freshly completed grouped batch; see
+// recordResults.
+func (j *Journal) recordGroups(phase int, kind, key, sinkVP string, gs [][]probe.Result) {
 	n := 0
 	for _, g := range gs {
 		n += len(g)

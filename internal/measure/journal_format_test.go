@@ -82,19 +82,19 @@ func TestVPRecordMatchesEncodingJSON(t *testing.T) {
 		}
 	}
 
-	j.recordResults(0, "ping-rr-all", "mlab-0", rs)
+	j.recordResults(0, "ping-rr-all", "mlab-0", "mlab-0", rs)
 	record(journalLine{T: "vp", Kind: "ping-rr-all", VP: "mlab-0", Results: toWires(rs)}, "mlab-0", rs)
 
-	j.recordResultsAs(3, "ping-batch-vp", `origin#1 <"&>`, "origin", rs[:1])
+	j.recordResults(3, "ping-batch-vp", `origin#1 <"&>`, "origin", rs[:1])
 	record(journalLine{T: "vp", Phase: 3, Kind: "ping-batch-vp", VP: `origin#1 <"&>`, Results: toWires(rs[:1])}, "origin", rs[:1])
 
-	j.recordGroupsAs(1, "ping-all", "origin#0", "origin", gs)
+	j.recordGroups(1, "ping-all", "origin#0", "origin", gs)
 	record(journalLine{T: "vp", Phase: 1, Kind: "ping-all", VP: "origin#0",
 		Groups: [][]results.Wire{toWires(gs[0]), toWires(gs[1]), toWires(gs[2])}}, "origin", flat)
 
-	j.recordResults(2, "", "mlab-1", nil)
+	j.recordResults(2, "", "mlab-1", "mlab-1", nil)
 	record(journalLine{T: "vp", Phase: 2, VP: "mlab-1"}, "mlab-1", nil)
-	j.recordGroups(2, "ping-all", "", nil)
+	j.recordGroups(2, "ping-all", "", "", nil)
 	record(journalLine{T: "vp", Phase: 2, Kind: "ping-all"}, "", nil)
 
 	if got := j.Written(); got != int64(want.Len()) {
@@ -158,7 +158,7 @@ func recordingJournal(tb testing.TB) (record, check func()) {
 	tb.Cleanup(func() { j.Close() })
 	streamed := 0
 	j.SetStreamSink(func(vp string, lines []byte) { streamed += len(lines) })
-	record = func() { j.recordResults(0, "ping-rr-all", "mlab-0", batch) }
+	record = func() { j.recordResults(0, "ping-rr-all", "mlab-0", "mlab-0", batch) }
 	record() // sizes the encoder's buffers
 	return record, func() {
 		tb.Helper()

@@ -46,11 +46,11 @@ func TestJournalResumeRoundTrip(t *testing.T) {
 	if p := j.beginPhase("ping-rr-all"); p != 0 {
 		t.Fatalf("first phase = %d, want 0", p)
 	}
-	j.recordResults(0, "ping-rr-all", "mlab-0", rs)
+	j.recordResults(0, "ping-rr-all", "mlab-0", "mlab-0", rs)
 	if p := j.beginPhase("ping-all"); p != 1 {
 		t.Fatalf("second phase = %d, want 1", p)
 	}
-	j.recordGroups(1, "ping-all", "mlab-1", gs)
+	j.recordGroups(1, "ping-all", "mlab-1", "mlab-1", gs)
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestJournalResumeTruncatedTail(t *testing.T) {
 	}
 	j.beginPhase("ping-rr-all")
 	a := netip.MustParseAddr
-	j.recordResults(0, "ping-rr-all", "mlab-0", []probe.Result{{
+	j.recordResults(0, "ping-rr-all", "mlab-0", "mlab-0", []probe.Result{{
 		Spec: probe.Spec{Dst: a("10.0.0.1"), Kind: probe.PingRR},
 		Type: probe.EchoReply, From: a("10.0.0.1"),
 	}})
@@ -226,7 +226,7 @@ func TestJournalShardPanicResume(t *testing.T) {
 	// 1, losing its ping groups but keeping its journaled phase-0 batch.
 	crash := newFleet("crash.jsonl", false)
 	crashRR := crash.PingRRAll(ds, opts, nil)
-	crash.replicas[1].eng.Schedule(0, func() { panic("injected shard fault") })
+	crash.replicas[1].Eng.Schedule(0, func() { panic("injected shard fault") })
 	crash.PingAll(ds[:4], 2, opts)
 	if errs := crash.ShardErrors(); len(errs) != 1 || errs[0].Shard != 1 {
 		t.Fatalf("ShardErrors = %v, want exactly shard 1", errs)

@@ -69,7 +69,7 @@ func TestCampaignPingRRAllCollectsEveryVP(t *testing.T) {
 	if len(vps) < 2 {
 		t.Fatalf("only %d RR-capable VPs", len(vps))
 	}
-	c := NewCampaign(topo, vps)
+	c := NewFleet(NewCampaign(topo, vps), 1)
 	got := c.PingRRAll(dests, probe.Options{Rate: 200}, nil)
 	if len(got) != len(vps) {
 		t.Fatalf("results for %d VPs, want %d", len(got), len(vps))
@@ -92,7 +92,7 @@ func TestCampaignPingRRAllCollectsEveryVP(t *testing.T) {
 func TestCampaignOrderPermutation(t *testing.T) {
 	topo := testTopo(t)
 	vps := unlimitedVPs(topo)[:1]
-	c := NewCampaign(topo, vps)
+	c := NewFleet(NewCampaign(topo, vps), 1)
 	dests := responsiveDests(topo, 6)
 	reversed := func(vp string, ds []netip.Addr) []netip.Addr {
 		out := make([]netip.Addr, len(ds))

@@ -6,74 +6,38 @@ import (
 	"recordroute/internal/obs"
 )
 
-// Observe attaches an observability configuration to the campaign's
-// shared engine and every VP prober. A nil or inactive observer is a
-// no-op, leaving the hot paths with their bare nil checks. Attaching
-// never perturbs the run: all hooks record synchronously and schedule
-// nothing (see package obs).
-func (c *Campaign) Observe(o *obs.Observer) {
-	if !o.Active() {
-		return
-	}
-	if o.PerNode {
-		c.Net.EnableNodeCounters()
-	}
-	if o.Trace != nil {
-		c.Net.SetTracer(o.Trace.NetworkTracer())
-		for _, vp := range c.VPs {
-			vp.Prober.SetTracer(o.Trace.ProberTracer(vp.Name))
-		}
-	}
-}
-
-// Metrics captures the campaign's counters as a single-shard snapshot.
-func (c *Campaign) Metrics(label string) *obs.Snapshot {
-	return obs.NewSnapshot(label, obs.Capture("shard0", c.Net))
-}
-
-// Observe attaches an observability configuration to every shard
-// replica — existing ones immediately, lazily built ones at init. Each
-// replica's network and probers report into the same observer; the
-// trace ring is mutex-guarded, so concurrent shards may interleave
-// their (shard-local-clock-stamped) events.
+// Observe attaches an observability configuration to every replica the
+// fleet cloned — existing ones immediately, lazily built ones at init.
+// Each replica's network and probers report into the same observer; the
+// trace ring is mutex-guarded, so concurrent replicas may interleave
+// their (replica-local-clock-stamped) events. An inline replica is its
+// roster's owner's to observe (Campaign.Observe), so an inline fleet
+// ignores the call.
 func (pc *ParallelCampaign) Observe(o *obs.Observer) {
-	if !o.Active() {
+	if !o.Active() || pc.inline != nil {
 		return
 	}
 	pc.observer = o
 	for _, rep := range pc.replicas {
-		pc.observeReplica(rep)
+		rep.Observe(o)
 	}
 }
 
-// observeReplica applies the stored observer to one replica.
-func (pc *ParallelCampaign) observeReplica(rep *replica) {
-	o := pc.observer
-	if !o.Active() {
-		return
-	}
-	if o.PerNode {
-		rep.topo.Net.EnableNodeCounters()
-	}
-	if o.Trace != nil {
-		rep.topo.Net.SetTracer(o.Trace.NetworkTracer())
-		for _, vp := range rep.vps {
-			vp.Prober.SetTracer(o.Trace.ProberTracer(vp.Name))
-		}
-	}
-}
-
-// Metrics captures every shard replica's counters ("shard0".."shardN")
-// into a labeled snapshot. Dead shards are captured too — their
-// counters reflect the work done before the failure, and ShardErrors
-// already marks them. The merged totals are shard-count-invariant for
-// sharding-safe workloads (the determinism contract): every simulated
-// event happens exactly once in exactly one engine regardless of K.
+// Metrics captures every replica the fleet cloned ("shard0".."shardN")
+// into a labeled snapshot; an inline fleet's one replica is its roster's
+// owner's to capture, so its snapshot has no shards. Dead replicas are
+// captured too — their counters reflect the work done before the
+// failure, and ShardErrors already marks them. The merged totals are
+// replica-count-invariant for sharding-safe workloads (the determinism
+// contract): every simulated event happens exactly once in exactly one
+// engine regardless of K.
 func (pc *ParallelCampaign) Metrics(label string) *obs.Snapshot {
-	pc.init()
-	shards := make([]obs.ShardMetrics, len(pc.replicas))
-	for i, rep := range pc.replicas {
-		shards[i] = obs.Capture(fmt.Sprintf("shard%d", i), rep.topo.Net)
+	var shards []obs.ShardMetrics
+	if pc.inline == nil {
+		pc.init()
+		for i, rep := range pc.replicas {
+			shards = append(shards, obs.Capture(fmt.Sprintf("shard%d", i), rep.Net))
+		}
 	}
 	return obs.NewSnapshot(label, shards...)
 }

@@ -12,82 +12,124 @@ import (
 	"sync/atomic"
 	"time"
 
-	"recordroute/internal/netsim"
 	"recordroute/internal/obs"
 	"recordroute/internal/probe"
 	"recordroute/internal/topology"
+	"recordroute/internal/trace"
 )
 
-// ParallelCampaign executes campaign primitives across K shards, each an
-// independent deterministic simulator replica cloned from one built
-// topology's frozen snapshot. Vantage points are partitioned round-robin
-// by their campaign index, so each VP's complete probe stream — pacing,
-// source-proximate policer interactions, timeouts — plays out inside
-// exactly one replica, bit-for-bit as it would inside the single shared
-// engine. Each primitive dispatches the live shards over a work-stealing
-// group of at most min(shards, GOMAXPROCS, NumCPU) goroutines — or
-// inline on the caller's goroutine when that bound is one, so a
-// single-shard fleet (or a single-CPU host) pays zero scheduling
-// overhead — and the per-shard result maps merge back into the exact
-// per-VP ordering the sequential Campaign produces.
+// Fleet is the campaign surface the study layer measures through.
+// ParallelCampaign is its only implementation; it stays an interface
+// only because the benchmark harness (benchmark/ladder.go, a module of
+// its own) type-asserts Study.Fleet's result to *ParallelCampaign.
+//
+// Partial-results contract: when a replica fails mid-primitive (a panic
+// while its engine drains), the failure is contained to that replica.
+// The primitive still returns, merging the surviving replicas' results as
+// usual; the failed replica's VPs are missing (or, if the failure struck
+// between batch completions, partial) in the returned maps and are
+// excluded from every later primitive. ShardErrors reports exactly which
+// VPs were lost and why — callers that need completeness must check it
+// after each primitive.
+type Fleet interface {
+	// NumShards returns the replica count.
+	NumShards() int
+	// PingRRAll sends one ping-RR from every VP to every destination.
+	PingRRAll(dests []netip.Addr, opts probe.Options, orderFor func(vp string, dests []netip.Addr) []netip.Addr) map[string][]probe.Result
+	// PingRRUDPAll sends one ping-RRudp from every VP to its targets.
+	PingRRUDPAll(perVP map[string][]netip.Addr, opts probe.Options) map[string][]probe.Result
+	// PingBatchVP sends count plain pings per destination from the
+	// single named VP — the origin phases the paper runs from one
+	// vantage point — fanning contiguous destination ranges across the
+	// replicas. Send times and sequence numbers derive from each
+	// destination's global index, so the merge is invariant under the
+	// replica count mod ReplyIPID (DESIGN.md §15). Results are grouped
+	// per destination in send order.
+	PingBatchVP(vp string, dests []netip.Addr, count int, opts probe.Options) [][]probe.Result
+	// PingSeriesVP probes every address rounds times from the named VP,
+	// round-major interleaved (the alias IP-ID sampling schedule), and
+	// returns flat results in global spec order (round*len(addrs)+i).
+	// Addresses are partitioned across replicas keeping all addresses
+	// that share group[i] on one replica, so IP-ID series compared
+	// pairwise stay co-located with their shared counters; group may be
+	// nil when no such constraint exists.
+	PingSeriesVP(vp string, addrs []netip.Addr, group []int, rounds int, opts probe.Options) []probe.Result
+	// DoubletreeAll runs one Doubletree traceroute round: each VP
+	// traces its listed targets sequentially under the session's stop
+	// sets (exhaustively when opts.Exhaustive), and the per-VP deltas
+	// are merged into the session's global set afterwards.
+	DoubletreeAll(perVP map[string][]netip.Addr, sess *trace.Session, opts trace.Options) map[string]*trace.VPRound
+	// ShardErrors reports replicas that failed during earlier
+	// primitives, in replica order; empty while every replica is
+	// healthy. See the partial-results contract above.
+	ShardErrors() []ShardError
+}
+
+// ParallelCampaign is the campaign executor: it runs collect-all
+// primitives over a roster of vantage points placed on K replicas, each
+// an independent deterministic simulator engine. VPs are placed
+// round-robin by their campaign index, so each VP's complete probe
+// stream — pacing, source-proximate policer interactions, timeouts —
+// plays out inside exactly one engine. With one replica (NewFleet at
+// K=1) that engine is the roster's own and every primitive runs inline
+// on the caller's goroutine; with more, each replica is a clone of one
+// built topology's frozen snapshot, each primitive dispatches the live
+// replicas over a work-stealing group of at most min(K, GOMAXPROCS,
+// NumCPU) goroutines, and the per-replica results merge back into the
+// per-VP ordering one engine produces.
 //
 // Determinism contract: for workloads whose only cross-VP coupling is
 // through destination-side state that stays inactive (edge policers
 // below their rate, IP-ID counters no analysis reads), every Result
-// field except ReplyIPID is byte-identical to the sequential path, and
-// experiment summaries built from them are byte-identical. ReplyIPID is
-// exempt because destination IP-ID counters observe only shard-local
-// traffic. Rate-limiting experiments that deliberately saturate shared
-// destination-side policers (Figure 4) must keep using Campaign: there
-// the aggregate cross-VP arrival process is the measured effect, and
-// sharding it away would change the drops.
+// field except ReplyIPID is byte-identical at any K, and experiment
+// summaries built from them are byte-identical. ReplyIPID is exempt
+// because destination IP-ID counters observe only replica-local
+// traffic. Experiments that deliberately saturate shared
+// destination-side policers (Figure 4) place every VP on one engine —
+// a one-replica executor over a pristine clone — because there the
+// aggregate cross-VP arrival process is the measured effect, and
+// spreading VPs over replicas would change the drops.
 //
-// After each primitive, every shard clock is advanced to the maximum
-// shard time, which equals the time the sequential engine would show —
-// so later phases start at the same virtual instant in every replica.
+// After each primitive, every replica clock is advanced to the maximum
+// replica time, which equals the time one engine would show — so later
+// phases start at the same virtual instant in every replica.
 type ParallelCampaign struct {
-	src    *topology.Topology // the build every replica is cloned from
-	shards int
+	src     *topology.Topology // the build every cloned replica is cloned from
+	vpNames []string           // the roster in campaign order; index i has prober ID 0x4000+i
+	shards  int
+	inline  *Campaign // the one replica when it is the roster itself (NewFleet at K=1)
 
 	buildOnce sync.Once
 	replicas  []*replica
 	vpShard   map[string]int // VP name → replica index
 	vpIndex   map[string]int // VP name → campaign index (prober ID base)
-	vpNames   []string       // campaign order, as the sequential path sees it
 
-	observer *obs.Observer   // applied to each replica at init; nil observes nothing
+	observer *obs.Observer   // applied to each cloned replica at init; nil observes nothing
 	journal  *Journal        // nil unless the campaign is journaled
 	ctx      context.Context // nil unless cancellation is armed (SetContext)
 }
 
-// Both executors satisfy the Fleet surface.
-var (
-	_ Fleet = (*Campaign)(nil)
-	_ Fleet = (*ParallelCampaign)(nil)
-)
+var _ Fleet = (*ParallelCampaign)(nil)
 
-// replica is one shard: a full topology replica plus the VantagePoints
-// (with their original campaign prober IDs) assigned to it. A replica
-// that panics during a primitive is marked dead and carries the
-// recovered failure; dead replicas are excluded from every later
-// primitive and clock sync. During a dispatch exactly one goroutine
-// runs a given replica (work-stealing hands each index out once), so
-// only that goroutine writes dead/err, and readers run after the
-// dispatch joins — no lock.
+// replica is one engine of the fleet: the roster of the VPs assigned to
+// it (with their campaign prober IDs). A replica that panics during a
+// primitive is marked dead and carries the recovered failure; dead
+// replicas are excluded from every later primitive and clock sync.
+// During a dispatch exactly one goroutine runs a given replica
+// (work-stealing hands each index out once), so only that goroutine
+// writes dead/err, and readers run after the dispatch joins — no lock.
 type replica struct {
-	idx  int // shard index within the fleet
-	topo *topology.Topology
-	eng  *netsim.Engine
-	vps  []*VantagePoint
+	*Campaign
+	idx int // replica index within the fleet
 
-	// ghosts are lazily created stand-ins for VPs homed on other shards,
-	// used by destination-sharded single-VP phases (PingBatchVP,
-	// PingSeriesVP): the same named host on this replica, driven by a
-	// prober with the VP's campaign ID so wire images match the
-	// sequential run's byte-for-byte. Safe because the VP's home prober
-	// lives in a different replica engine — IDs never clash within one
-	// engine — and this replica's host had no sniffer before. Created
-	// and used only from this replica's dispatch goroutine.
+	// ghosts are lazily created stand-ins for VPs homed on other
+	// replicas, used by the destination-sharded single-VP phases
+	// (PingBatchVP, PingSeriesVP): the same named host on this replica,
+	// driven by a prober with the VP's campaign ID so wire images match
+	// one engine's byte-for-byte. Safe because the VP's home prober lives
+	// in a different replica engine — IDs never clash within one engine —
+	// and this replica's host had no sniffer before. Created and used
+	// only from this replica's dispatch goroutine.
 	ghosts map[string]*VantagePoint
 
 	dead bool
@@ -95,21 +137,21 @@ type replica struct {
 }
 
 // run executes fn against the replica with panic containment: a panic
-// kills only this shard — it is recovered, the replica is marked dead,
-// and later primitives and clock syncs skip it, so the surviving shards
-// keep producing results (the Fleet partial-results contract). A
-// cooperative cancellation abort (Canceled) is an expected shutdown,
+// kills only this replica — it is recovered, the replica is marked dead,
+// and later primitives and clock syncs skip it, so the surviving
+// replicas keep producing results (the Fleet partial-results contract).
+// A cooperative cancellation abort (Canceled) is an expected shutdown,
 // not a crash, so it is recorded without the stack-trace noise.
 func (rep *replica) run(fn func(*replica)) {
 	defer func() {
 		if r := recover(); r != nil {
 			rep.dead = true
 			if err, ok := CanceledFrom(r); ok {
-				rep.err = fmt.Errorf("shard %d canceled at t=%v: %w", rep.idx, rep.eng.Now(), err)
+				rep.err = fmt.Errorf("shard %d canceled at t=%v: %w", rep.idx, rep.Eng.Now(), err)
 				return
 			}
 			rep.err = fmt.Errorf("shard %d panicked at t=%v: %v\n%s",
-				rep.idx, rep.eng.Now(), r, debug.Stack())
+				rep.idx, rep.Eng.Now(), r, debug.Stack())
 		}
 	}()
 	fn(rep)
@@ -169,13 +211,13 @@ func forShards(reps []*replica, fn func(*replica)) {
 	dispatch(len(reps), func(i int) { reps[i].run(fn) })
 }
 
-// ShardError reports one shard that failed during a primitive: the
+// ShardError reports one replica that failed during a primitive: the
 // replica index, the vantage points whose results are missing or
 // partial because of it, and the recovered failure.
 type ShardError struct {
 	// Shard is the replica index within the fleet.
 	Shard int
-	// VPs names the vantage points assigned to the failed shard.
+	// VPs names the vantage points assigned to the failed replica.
 	VPs []string
 	// Err is the recovered failure, including the panic stack.
 	Err error
@@ -186,19 +228,39 @@ func (e ShardError) Error() string {
 	return fmt.Sprintf("measure: shard %d (VPs %s): %v", e.Shard, strings.Join(e.VPs, ","), e.Err)
 }
 
-// NewParallelCampaignFrom returns a K-shard campaign whose replicas are
-// all cloned from an already-built topology's frozen snapshot — no
-// regeneration at all; the fleet is assembled lazily, on the first
-// primitive. The source keeps working independently (its engine state
-// never leaks into the pristine clones), so a study can share one Build
-// between its sequential campaign and its fleet. shards below 1 is an
+// NewParallelCampaignFrom returns a K-replica executor over src's
+// platform VPs whose replicas are all cloned from src's frozen snapshot
+// — no regeneration at all; the replicas are stamped out lazily, on the
+// first primitive. The source keeps working independently (its engine
+// state never leaks into the pristine clones). shards below 1 is an
 // error; shards above the VP count is clamped (an empty replica would
 // only waste memory).
 func NewParallelCampaignFrom(src *topology.Topology, shards int) (*ParallelCampaign, error) {
 	if shards < 1 {
 		return nil, fmt.Errorf("measure: %d shards", shards)
 	}
-	return &ParallelCampaign{src: src, shards: shards}, nil
+	names := make([]string, len(src.VPs))
+	for i, v := range src.VPs {
+		names[i] = v.Name
+	}
+	return &ParallelCampaign{src: src, vpNames: names, shards: min(shards, max(len(names), 1))}, nil
+}
+
+// NewFleet returns the executor over roster c on shards replicas,
+// clamped to the VP count. With one, the replica is c itself, run inline
+// on c's own engine with no clone, and c stays its owner's to observe
+// and capture (Observe and Metrics leave it alone); with more, each is a
+// clone of c's topology carrying its share of c's VPs, as
+// NewParallelCampaignFrom builds them.
+func NewFleet(c *Campaign, shards int) *ParallelCampaign {
+	pc := &ParallelCampaign{src: c.topo, shards: min(max(shards, 1), max(len(c.VPs), 1))}
+	for _, vp := range c.VPs {
+		pc.vpNames = append(pc.vpNames, vp.Name)
+	}
+	if pc.shards == 1 {
+		pc.inline = c
+	}
+	return pc
 }
 
 // AttachJournal makes the campaign journaled: every primitive becomes
@@ -216,92 +278,71 @@ func (pc *ParallelCampaign) Journal() *Journal { return pc.journal }
 // classifies via CanceledFrom — at its next deterministic boundary.
 // Boundaries are the start of every primitive (a journal phase
 // boundary, caught on the caller's goroutine) and each per-VP batch
-// checkpoint inside a journaled primitive (caught per shard: the batch
-// that just completed is recorded first, then the shard dies as a
-// canceled ShardError, so every journaled batch stays complete and
-// resume-safe). Mid-drain engine work between checkpoints is never
-// interrupted — that is what keeps cancellation deterministic
-// (DESIGN.md §13).
+// checkpoint (caught per replica: the batch that just completed is
+// recorded first, then the replica dies as a canceled ShardError, so
+// every journaled batch stays complete and resume-safe). Mid-drain
+// engine work between checkpoints is never interrupted — that is what
+// keeps cancellation deterministic (DESIGN.md §13).
 func (pc *ParallelCampaign) SetContext(ctx context.Context) { pc.ctx = ctx }
 
-// NumShards returns the shard count the campaign will use (clamped to
-// the VP count once built).
-func (pc *ParallelCampaign) NumShards() int {
-	if pc.replicas != nil {
-		return len(pc.replicas)
-	}
-	return pc.shards
-}
+// NumShards returns the replica count, already clamped to the VP count.
+func (pc *ParallelCampaign) NumShards() int { return pc.shards }
 
-// init assembles the shard fleet on first use: one route plane, K
-// overlays. Every replica is a clone of the source's frozen snapshot,
-// never the source itself, because the source engine may already have
-// run traffic. Cloning shares the frozen FIBs, routes, and addressing,
-// so fleet spin-up is a small multiple of a single build regardless of
-// K.
+// init assembles the replicas on first use. A cloned replica is a clone
+// of the source's frozen snapshot, never the source itself, because the
+// source engine may already have run traffic; cloning shares the frozen
+// FIBs, routes, and addressing, so spin-up is a small multiple of a
+// single build regardless of K. An inline replica is the roster itself.
 func (pc *ParallelCampaign) init() {
 	pc.buildOnce.Do(func() {
-		src := pc.src
-		snap := topology.SnapshotOf(src)
 		k := pc.shards
-		if n := len(src.VPs); k > n && n > 0 {
-			k = n
-		}
-		// Stamp out the clones with the same bounded dispatch primitives
-		// use; distinct indices write distinct replica slots.
 		pc.replicas = make([]*replica, k)
-		dispatch(k, func(s int) {
-			topo := snap.Clone()
-			pc.replicas[s] = &replica{idx: s, topo: topo, eng: topo.Net.Engine()}
-		})
-		// Partition VPs round-robin by campaign index, keeping the
-		// sequential prober ID assignment (0x4000+i) so wire images and
-		// reply matching are identical to Campaign's.
-		pc.vpShard = make(map[string]int, len(src.VPs))
-		pc.vpIndex = make(map[string]int, len(src.VPs))
-		for i, v := range src.VPs {
-			shard := i % k
-			rep := pc.replicas[shard]
-			rv := rep.topo.VPByName(v.Name)
-			rep.vps = append(rep.vps, NewVantagePoint(rv.Name, rv.Host, rep.eng, uint16(0x4000+i)))
-			pc.vpShard[v.Name] = shard
-			pc.vpIndex[v.Name] = i
-			pc.vpNames = append(pc.vpNames, v.Name)
+		if pc.inline != nil {
+			pc.replicas[0] = &replica{Campaign: pc.inline}
+		} else {
+			snap := topology.SnapshotOf(pc.src)
+			// Distinct indices write distinct replica slots.
+			dispatch(k, func(s int) { pc.replicas[s] = &replica{idx: s, Campaign: newRoster(snap.Clone())} })
+		}
+		pc.vpShard = make(map[string]int, len(pc.vpNames))
+		pc.vpIndex = make(map[string]int, len(pc.vpNames))
+		for i, name := range pc.vpNames {
+			rep := pc.replicas[i%k]
+			if pc.inline == nil {
+				rep.add(rep.topo.VPByName(name), i)
+			}
+			pc.vpShard[name] = i % k
+			pc.vpIndex[name] = i
 		}
 		for _, rep := range pc.replicas {
-			pc.observeReplica(rep)
+			rep.Observe(pc.observer)
 		}
 	})
 }
 
-// VP returns the named vantage point's shard replica instance, or nil.
-// Probes started on it run inside that VP's shard engine; follow with
-// Run to drain and re-synchronize the fleet. VPs on a dead shard
-// return nil too: their engine will never run again, so probes started
-// there would hang forever.
+// VP returns the named vantage point's replica instance, or nil.
+// Probes started on it run inside that VP's replica engine. VPs on a
+// dead replica return nil too: their engine will never run again, so
+// probes started there would hang forever.
 func (pc *ParallelCampaign) VP(name string) *VantagePoint {
 	pc.init()
 	s, ok := pc.vpShard[name]
 	if !ok || pc.replicas[s].dead {
 		return nil
 	}
-	for _, vp := range pc.replicas[s].vps {
-		if vp.Name == name {
-			return vp
-		}
-	}
-	return nil
+	return pc.replicas[s].VP(name)
 }
 
-// VPNames lists the vantage points in campaign (sequential) order.
+// VPNames lists the vantage points in campaign order, assembling the
+// replicas if they are not yet.
 func (pc *ParallelCampaign) VPNames() []string {
 	pc.init()
 	return pc.vpNames
 }
 
 // eachShard runs fn once per live replica via forShards (inline or
-// work-stealing, see there); fn owns its replica's engine for the
-// duration, and shard panics are contained per-replica (replica.run).
+// work-stealing, see dispatch); fn owns its replica's engine for the
+// duration, and panics are contained per replica (replica.run).
 // ShardErrors reports any losses afterwards.
 func (pc *ParallelCampaign) eachShard(fn func(*replica)) {
 	live := pc.replicas[:0:0]
@@ -313,18 +354,18 @@ func (pc *ParallelCampaign) eachShard(fn func(*replica)) {
 	forShards(live, fn)
 }
 
-// ShardErrors reports the shards that died during earlier primitives,
-// in shard order; empty while every replica is healthy. The named VPs
+// ShardErrors reports the replicas that died during earlier primitives,
+// in replica order; empty while every replica is healthy. The named VPs
 // are the ones whose results are missing or partial in primitives run
-// since (and including) the one that killed the shard.
+// since (and including) the one that killed the replica.
 func (pc *ParallelCampaign) ShardErrors() []ShardError {
 	var errs []ShardError
 	for i, rep := range pc.replicas {
-		if rep == nil || !rep.dead {
+		if !rep.dead {
 			continue
 		}
-		names := make([]string, 0, len(rep.vps))
-		for _, vp := range rep.vps {
+		names := make([]string, 0, len(rep.VPs))
+		for _, vp := range rep.VPs {
 			names = append(names, vp.Name)
 		}
 		errs = append(errs, ShardError{Shard: i, VPs: names, Err: rep.err})
@@ -332,24 +373,20 @@ func (pc *ParallelCampaign) ShardErrors() []ShardError {
 	return errs
 }
 
-// syncClocks advances every shard clock to the fleet-wide maximum —
-// exactly the time a single shared engine would have reached, since the
-// sequential end time is the maximum over the same event set.
+// syncClocks advances every replica clock to the fleet-wide maximum —
+// exactly the time one engine would have reached, since its end time is
+// the maximum over the same event set.
 func (pc *ParallelCampaign) syncClocks() {
 	var max time.Duration
 	for _, rep := range pc.replicas {
-		if rep.dead {
-			continue
-		}
-		if now := rep.eng.Now(); now > max {
+		if now := rep.Eng.Now(); !rep.dead && now > max {
 			max = now
 		}
 	}
 	for _, rep := range pc.replicas {
-		if rep.dead {
-			continue
+		if !rep.dead {
+			rep.Eng.RunUntil(max)
 		}
-		rep.eng.RunUntil(max)
 	}
 }
 
@@ -359,6 +396,7 @@ func (pc *ParallelCampaign) syncClocks() {
 // cancellation check: an armed, expired context aborts before the
 // phase record is written or any probe is started.
 func (pc *ParallelCampaign) beginPhase(kind string) (phase int, journaled bool) {
+	pc.init()
 	checkCanceled(pc.ctx)
 	if pc.journal == nil {
 		return 0, false
@@ -366,10 +404,10 @@ func (pc *ParallelCampaign) beginPhase(kind string) (phase int, journaled bool) 
 	return pc.journal.beginPhase(kind), true
 }
 
-// checkpoint records one freshly completed batch (flat or grouped) on a
-// journaled campaign and then honors cancellation: the completed batch
-// is journaled first, so aborting here loses nothing that was measured —
-// the shard dies as a canceled ShardError at a per-VP checkpoint
+// checkpoint records one freshly completed batch on a journaled
+// campaign and then honors cancellation: the completed batch is
+// journaled first, so aborting here loses nothing that was measured —
+// the replica dies as a canceled ShardError at a per-VP checkpoint
 // boundary, and a resumed run re-probes exactly the batches that never
 // completed.
 func (pc *ParallelCampaign) checkpoint(record func(*Journal)) {
@@ -379,53 +417,55 @@ func (pc *ParallelCampaign) checkpoint(record func(*Journal)) {
 	checkCanceled(pc.ctx)
 }
 
-// endPhase quantizes a journaled phase's end: every live shard clock is
-// advanced to the next quantum boundary, so the following phase starts
-// at exactly (phase+1)·Quantum in this run and in any resumed replay of
-// it — the alignment the resume-equals-uninterrupted property rests on
-// (clock-derived fault draws see identical times both ways). A phase
-// draining past its boundary means the quantum is too small for the
-// workload; that corrupts the alignment silently, so it panics instead.
+// endPhase quantizes a journaled phase's end: every live replica clock
+// is advanced to the next quantum boundary, so the following phase
+// starts at exactly (phase+1)·Quantum in this run and in any resumed
+// replay of it — the alignment the resume-equals-uninterrupted property
+// rests on (clock-derived fault draws see identical times both ways). A
+// phase draining past its boundary means the quantum is too small for
+// the workload; that corrupts the alignment silently, so it panics
+// instead.
 func (pc *ParallelCampaign) endPhase(phase int, journaled bool) {
 	if !journaled {
 		return
 	}
 	boundary := time.Duration(phase+1) * pc.journal.Quantum()
 	for i, rep := range pc.replicas {
-		if rep.dead {
-			continue
-		}
-		if now := rep.eng.Now(); now > boundary {
+		if now := rep.Eng.Now(); !rep.dead && now > boundary {
 			panic(fmt.Sprintf("measure: journal quantum %v too small: shard %d drained phase %d at t=%v",
 				pc.journal.Quantum(), i, phase, now))
 		}
 	}
 	for _, rep := range pc.replicas {
-		if rep.dead {
-			continue
+		if !rep.dead {
+			rep.Eng.RunUntil(boundary)
 		}
-		rep.eng.RunUntil(boundary)
 	}
 }
 
-// archivedFlat pre-fills out with the batches the journal already
-// carries for this phase and returns the VP names to skip. Dead-shard
-// VPs benefit too: their archived batches are restored even though
-// their replica will never run again.
-func (pc *ParallelCampaign) archivedFlat(phase int, journaled bool, out map[string][]probe.Result) map[string]bool {
-	if !journaled {
-		return nil
-	}
-	skip := make(map[string]bool)
-	for _, name := range pc.vpNames {
-		if rs, ok := pc.journal.archivedResults(phase, name); ok {
-			out[name] = rs
-			skip[name] = true
-			pc.replaySeqs(name, consumedSeqs(rs))
-		}
-	}
-	return skip
+// batchCodec journals one primitive's batches: archived restores a batch
+// a resumed journal holds under key, record journals a fresh one under
+// key (streaming it as sinkVP), and seqs counts the probe sequence
+// numbers a batch consumed. A primitive with no codec is re-executed on
+// resume.
+type batchCodec[T any] struct {
+	archived func(j *Journal, phase int, key string) (T, bool)
+	record   func(j *Journal, phase int, kind, key, sinkVP string, v T)
+	seqs     func(v T) int
 }
+
+// flatBatches and groupedBatches are the codecs of flat result lists and
+// of per-destination result groups.
+var (
+	flatBatches    = &batchCodec[[]probe.Result]{(*Journal).archivedResults, (*Journal).recordResults, consumedSeqs}
+	groupedBatches = &batchCodec[[][]probe.Result]{(*Journal).archivedGroups, (*Journal).recordGroups, func(gs [][]probe.Result) int {
+		n := 0
+		for _, g := range gs {
+			n += consumedSeqs(g)
+		}
+		return n
+	}}
+)
 
 // consumedSeqs counts the sequence numbers a completed batch allocated:
 // one per attempt actually sent (retransmissions get fresh seqs).
@@ -435,6 +475,53 @@ func consumedSeqs(rs []probe.Result) int {
 		n += r.Attempts
 	}
 	return n
+}
+
+// collect is the shape of every per-VP primitive: one phase in which
+// each live VP runs at most one batch inside its own replica. start
+// begins vp's batch on rep and hands it done; a VP start leaves out is
+// absent from the result map. On a journaled campaign the batches the
+// journal already holds are restored instead of re-probed — advancing
+// the VP's sequence counter past them (replaySeqs) — each fresh batch is
+// checkpointed as it completes, and seal, when set, closes the phase
+// over the merged map before its clocks are quantized.
+func collect[T any](pc *ParallelCampaign, kind string, codec *batchCodec[T], start func(rep *replica, vp *VantagePoint, done func(T)), seal func(out map[string]T, phase int, journaled bool)) map[string]T {
+	phase, journaled := pc.beginPhase(kind)
+	out := make(map[string]T, len(pc.vpNames))
+	skip := make(map[string]bool)
+	if journaled && codec != nil {
+		for _, name := range pc.vpNames {
+			if v, ok := codec.archived(pc.journal, phase, name); ok {
+				out[name], skip[name] = v, true
+				pc.replaySeqs(name, codec.seqs(v))
+			}
+		}
+	}
+	var mu sync.Mutex
+	pc.eachShard(func(rep *replica) {
+		for _, vp := range rep.VPs {
+			if skip[vp.Name] {
+				continue
+			}
+			start(rep, vp, func(v T) {
+				mu.Lock()
+				out[vp.Name] = v
+				mu.Unlock()
+				pc.checkpoint(func(j *Journal) {
+					if codec != nil {
+						codec.record(j, phase, kind, vp.Name, vp.Name, v)
+					}
+				})
+			})
+		}
+		rep.Eng.Run()
+	})
+	pc.syncClocks()
+	if seal != nil {
+		seal(out, phase, journaled)
+	}
+	pc.endPhase(phase, journaled)
+	return out
 }
 
 // replaySeqs advances a VP's prober sequence counter past an archived
@@ -448,140 +535,61 @@ func (pc *ParallelCampaign) replaySeqs(name string, n int) {
 	}
 }
 
-// Run drains every shard engine with pending events and re-synchronizes
-// the fleet clocks. Only dirty shards are dispatched: probes started
-// directly on VPs (origin batches, alias collects) usually touch one
-// shard, and draining the other K-1 idle engines — even inline — is
-// wasted work between every phase of a study. On a journaled campaign
-// the drain is a phase of its own: such single-VP work is cheap and a
-// resumed run deterministically re-executes it rather than archives it.
-func (pc *ParallelCampaign) Run() {
-	pc.init()
-	phase, journaled := pc.beginPhase("run")
-	dirty := pc.replicas[:0:0]
-	for _, rep := range pc.replicas {
-		if !rep.dead && rep.eng.Pending() > 0 {
-			dirty = append(dirty, rep)
-		}
-	}
-	forShards(dirty, func(rep *replica) { rep.eng.Run() })
-	pc.syncClocks()
-	pc.endPhase(phase, journaled)
-}
-
-// PingRRAll sends one ping-RR from every VP to every destination, each
-// VP inside its own shard, and merges the per-shard results into one
-// map keyed by VP name in that VP's send order — the same shape and
-// content Campaign.PingRRAll produces.
+// PingRRAll sends one ping-RR from every VP to every destination (per-VP
+// order permuted via orderFor when set), and returns the results keyed
+// by VP name, in that VP's send order.
 func (pc *ParallelCampaign) PingRRAll(dests []netip.Addr, opts probe.Options, orderFor func(vp string, dests []netip.Addr) []netip.Addr) map[string][]probe.Result {
-	pc.init()
-	phase, journaled := pc.beginPhase("ping-rr-all")
-	out := make(map[string][]probe.Result, len(pc.vpNames))
-	skip := pc.archivedFlat(phase, journaled, out)
-	var mu sync.Mutex
-	pc.eachShard(func(rep *replica) {
-		for _, vp := range rep.vps {
-			if skip[vp.Name] {
-				continue
-			}
-			ds := dests
-			if orderFor != nil {
-				ds = orderFor(vp.Name, dests)
-			}
-			vp.Batch(ds, probe.PingRR, opts, func(rs []probe.Result) {
-				mu.Lock()
-				out[vp.Name] = rs
-				mu.Unlock()
-				pc.checkpoint(func(j *Journal) { j.recordResults(phase, "ping-rr-all", vp.Name, rs) })
-			})
+	return collect(pc, "ping-rr-all", flatBatches, func(_ *replica, vp *VantagePoint, done func([]probe.Result)) {
+		ds := dests
+		if orderFor != nil {
+			ds = orderFor(vp.Name, dests)
 		}
-		rep.eng.Run()
-	})
-	pc.syncClocks()
-	pc.endPhase(phase, journaled)
-	return out
+		vp.Batch(ds, probe.PingRR, opts, done)
+	}, nil)
 }
 
 // PingAll sends count plain pings per destination from every VP.
 func (pc *ParallelCampaign) PingAll(dests []netip.Addr, count int, opts probe.Options) map[string][][]probe.Result {
-	pc.init()
-	phase, journaled := pc.beginPhase("ping-all")
-	out := make(map[string][][]probe.Result, len(pc.vpNames))
-	var skip map[string]bool
-	if journaled {
-		skip = make(map[string]bool)
-		for _, name := range pc.vpNames {
-			if gs, ok := pc.journal.archivedGroups(phase, name); ok {
-				out[name] = gs
-				skip[name] = true
-				n := 0
-				for _, g := range gs {
-					n += consumedSeqs(g)
-				}
-				pc.replaySeqs(name, n)
-			}
-		}
-	}
-	var mu sync.Mutex
-	pc.eachShard(func(rep *replica) {
-		for _, vp := range rep.vps {
-			if skip[vp.Name] {
-				continue
-			}
-			vp.PingBatch(dests, count, opts, func(rs [][]probe.Result) {
-				mu.Lock()
-				out[vp.Name] = rs
-				mu.Unlock()
-				pc.checkpoint(func(j *Journal) { j.recordGroups(phase, "ping-all", vp.Name, rs) })
-			})
-		}
-		rep.eng.Run()
-	})
-	pc.syncClocks()
-	pc.endPhase(phase, journaled)
-	return out
+	return collect(pc, "ping-all", groupedBatches, func(_ *replica, vp *VantagePoint, done func([][]probe.Result)) {
+		vp.PingBatch(dests, count, opts, done)
+	}, nil)
 }
 
 // PingRRUDPAll sends one ping-RRudp from every VP to its listed targets.
 func (pc *ParallelCampaign) PingRRUDPAll(perVP map[string][]netip.Addr, opts probe.Options) map[string][]probe.Result {
-	pc.init()
-	phase, journaled := pc.beginPhase("ping-rr-udp-all")
-	out := make(map[string][]probe.Result, len(perVP))
-	skip := pc.archivedFlat(phase, journaled, out)
-	var mu sync.Mutex
-	pc.eachShard(func(rep *replica) {
-		for _, vp := range rep.vps {
-			if skip[vp.Name] {
-				continue
-			}
-			ds := perVP[vp.Name]
-			if len(ds) == 0 {
-				continue
-			}
-			vp.Batch(ds, probe.PingRRUDP, opts, func(rs []probe.Result) {
-				mu.Lock()
-				out[vp.Name] = rs
-				mu.Unlock()
-				pc.checkpoint(func(j *Journal) { j.recordResults(phase, "ping-rr-udp-all", vp.Name, rs) })
-			})
+	return collect(pc, "ping-rr-udp-all", flatBatches, func(_ *replica, vp *VantagePoint, done func([]probe.Result)) {
+		if ds := perVP[vp.Name]; len(ds) > 0 {
+			vp.Batch(ds, probe.PingRRUDP, opts, done)
 		}
-		rep.eng.Run()
-	})
-	pc.syncClocks()
-	pc.endPhase(phase, journaled)
-	return out
+	}, nil)
+}
+
+// TTLPingRRAll sends TTL-limited ping-RRs: per VP, targets[i] probed
+// with ttls[i].
+func (pc *ParallelCampaign) TTLPingRRAll(perVP map[string][]netip.Addr, ttls map[string][]uint8, opts probe.Options) map[string][]probe.Result {
+	return collect(pc, "ttl-ping-rr-all", flatBatches, func(_ *replica, vp *VantagePoint, done func([]probe.Result)) {
+		if ds := perVP[vp.Name]; len(ds) > 0 {
+			vp.TTLPingRRBatch(ds, ttls[vp.Name], opts, done)
+		}
+	}, nil)
+}
+
+// TracerouteAll traces each VP's listed targets. Traces have no journal
+// codec, so a resumed campaign re-executes the phase.
+func (pc *ParallelCampaign) TracerouteAll(perVP map[string][]netip.Addr, opts TraceOptions) map[string][]Trace {
+	return collect(pc, "traceroute-all", nil, func(_ *replica, vp *VantagePoint, done func([]Trace)) {
+		if ds := perVP[vp.Name]; len(ds) > 0 {
+			vp.TracerouteBatch(ds, opts, done)
+		}
+	}, nil)
 }
 
 // shardVP returns the named VP's prober instance on rep — the assigned
-// VantagePoint on its home shard, a lazily created ghost elsewhere (see
-// replica.ghosts). Must be called from rep's dispatch goroutine.
+// VantagePoint on its home replica, a lazily created ghost elsewhere
+// (see replica.ghosts). Must be called from rep's dispatch goroutine.
 func (pc *ParallelCampaign) shardVP(rep *replica, name string) *VantagePoint {
-	if pc.vpShard[name] == rep.idx {
-		for _, vp := range rep.vps {
-			if vp.Name == name {
-				return vp
-			}
-		}
+	if vp := rep.VP(name); vp != nil {
+		return vp
 	}
 	if vp := rep.ghosts[name]; vp != nil {
 		return vp
@@ -590,7 +598,7 @@ func (pc *ParallelCampaign) shardVP(rep *replica, name string) *VantagePoint {
 	if rv == nil {
 		return nil
 	}
-	vp := NewVantagePoint(rv.Name, rv.Host, rep.eng, uint16(0x4000+pc.vpIndex[name]))
+	vp := NewVantagePoint(rv.Name, rv.Host, rep.Eng, uint16(0x4000+pc.vpIndex[name]))
 	if o := pc.observer; o.Active() && o.Trace != nil {
 		vp.Prober.SetTracer(o.Trace.ProberTracer(vp.Name))
 	}
@@ -648,54 +656,58 @@ func partitionByGroup(n int, group []int, k int) [][]int {
 	return bins
 }
 
-// PingBatchVP sends count plain pings per destination from the single
-// named VP, fanning contiguous destination ranges across the fleet's
-// replicas: shard s probes destRange(len(dests), K, s) on its own clone
-// through the VP's home prober or a ghost stand-in. Because every
-// probe's send time and sequence numbers derive from its global
-// destination index (probe.Batch.Indexed), the merged per-destination
-// groups are invariant under K mod ReplyIPID — including per-packet
-// fault draws, which are content-keyed on the seq. On a journaled
-// campaign each completed range checkpoints under a range key and
-// streams to the sink as the VP itself.
-func (pc *ParallelCampaign) PingBatchVP(name string, dests []netip.Addr, count int, opts probe.Options) [][]probe.Result {
-	pc.init()
-	if count < 1 {
-		count = 1
-	}
-	phase, journaled := pc.beginPhase("ping-batch-vp")
-	k := len(pc.replicas)
-	grouped := make([][]probe.Result, len(dests))
+// spread is the shape of the destination-sharded single-VP primitives:
+// one phase in which every replica s with work (has) probes slice s of
+// the named VP's work through the VP's home prober or a ghost (shardVP),
+// and place files each slice's batch. On a journaled campaign the
+// slices the journal already holds are restored, and each fresh one is
+// checkpointed under its range key and streamed as the VP itself.
+func spread[T any](pc *ParallelCampaign, kind, name string, codec *batchCodec[T], has func(s int) bool, start func(s int, vp *VantagePoint, done func(T)), place func(s int, v T)) {
+	phase, journaled := pc.beginPhase(kind)
 	skip := make(map[int]bool)
 	if journaled {
-		for s := 0; s < k; s++ {
-			lo, hi := destRange(len(dests), k, s)
-			if lo == hi {
-				continue
-			}
-			if gs, ok := pc.journal.archivedGroups(phase, rangeKey(name, s)); ok {
-				copy(grouped[lo:hi], gs)
+		for s := range pc.replicas {
+			if v, ok := codec.archived(pc.journal, phase, rangeKey(name, s)); ok {
+				place(s, v)
 				skip[s] = true
 			}
 		}
 	}
 	pc.eachShard(func(rep *replica) {
-		lo, hi := destRange(len(dests), k, rep.idx)
-		if lo == hi || skip[rep.idx] {
+		if !has(rep.idx) || skip[rep.idx] {
 			return
 		}
 		vp := pc.shardVP(rep, name)
 		if vp == nil {
 			return
 		}
-		vp.PingBatchRange(dests, lo, hi, count, opts, func(gs [][]probe.Result) {
-			copy(grouped[lo:hi], gs) // disjoint ranges: no two shards share an element
-			pc.checkpoint(func(j *Journal) { j.recordGroupsAs(phase, "ping-batch-vp", rangeKey(name, rep.idx), name, gs) })
+		start(rep.idx, vp, func(v T) {
+			place(rep.idx, v) // disjoint slices: no two replicas share an element
+			pc.checkpoint(func(j *Journal) { codec.record(j, phase, kind, rangeKey(name, rep.idx), name, v) })
 		})
-		rep.eng.Run()
+		rep.Eng.Run()
 	})
 	pc.syncClocks()
 	pc.endPhase(phase, journaled)
+}
+
+// PingBatchVP sends count plain pings per destination from the single
+// named VP, fanning contiguous destination ranges across the replicas:
+// replica s probes destRange(len(dests), K, s). Because every probe's
+// send time and sequence numbers derive from its global destination
+// index (probe.Batch.Indexed), the merged per-destination groups are
+// invariant under K mod ReplyIPID — including per-packet fault draws,
+// which are content-keyed on the seq.
+func (pc *ParallelCampaign) PingBatchVP(name string, dests []netip.Addr, count int, opts probe.Options) [][]probe.Result {
+	grouped := make([][]probe.Result, len(dests))
+	k := pc.shards
+	spread(pc, "ping-batch-vp", name, groupedBatches,
+		func(s int) bool { lo, hi := destRange(len(dests), k, s); return lo < hi },
+		func(s int, vp *VantagePoint, done func([][]probe.Result)) {
+			lo, hi := destRange(len(dests), k, s)
+			vp.PingBatchRange(dests, lo, hi, count, opts, done)
+		},
+		func(s int, gs [][]probe.Result) { lo, _ := destRange(len(dests), k, s); copy(grouped[lo:], gs) })
 	return grouped
 }
 
@@ -706,47 +718,18 @@ func (pc *ParallelCampaign) PingBatchVP(name string, dests []netip.Addr, count i
 // the same replica's counters. Results merge back into global spec
 // order (round*len(addrs) + addrIdx).
 func (pc *ParallelCampaign) PingSeriesVP(name string, addrs []netip.Addr, group []int, rounds int, opts probe.Options) []probe.Result {
-	pc.init()
-	if rounds < 1 {
-		rounds = 1
-	}
-	phase, journaled := pc.beginPhase("ping-series-vp")
-	k := len(pc.replicas)
-	sel := partitionByGroup(len(addrs), group, k)
+	rounds = max(rounds, 1)
+	sel := partitionByGroup(len(addrs), group, pc.shards)
 	out := make([]probe.Result, rounds*len(addrs))
-	scatter := func(idxs []int, rs []probe.Result) {
-		for j, r := range rs {
-			out[(j/len(idxs))*len(addrs)+idxs[j%len(idxs)]] = r
-		}
-	}
-	skip := make(map[int]bool)
-	if journaled {
-		for s := 0; s < k; s++ {
-			if len(sel[s]) == 0 {
-				continue
+	spread(pc, "ping-series-vp", name, flatBatches,
+		func(s int) bool { return len(sel[s]) > 0 },
+		func(s int, vp *VantagePoint, done func([]probe.Result)) {
+			vp.PingSeriesSlice(addrs, sel[s], rounds, opts, done)
+		},
+		func(s int, rs []probe.Result) {
+			for j, r := range rs {
+				out[(j/len(sel[s]))*len(addrs)+sel[s][j%len(sel[s])]] = r
 			}
-			if rs, ok := pc.journal.archivedResults(phase, rangeKey(name, s)); ok {
-				scatter(sel[s], rs)
-				skip[s] = true
-			}
-		}
-	}
-	pc.eachShard(func(rep *replica) {
-		idxs := sel[rep.idx]
-		if len(idxs) == 0 || skip[rep.idx] {
-			return
-		}
-		vp := pc.shardVP(rep, name)
-		if vp == nil {
-			return
-		}
-		vp.PingSeriesSlice(addrs, idxs, rounds, opts, func(rs []probe.Result) {
-			scatter(idxs, rs) // disjoint index sets: no two shards share an element
-			pc.checkpoint(func(j *Journal) { j.recordResultsAs(phase, "ping-series-vp", rangeKey(name, rep.idx), name, rs) })
 		})
-		rep.eng.Run()
-	})
-	pc.syncClocks()
-	pc.endPhase(phase, journaled)
 	return out
 }

@@ -1,12 +1,21 @@
 package measure
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
 	"net/netip"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
+	"recordroute/internal/netsim"
+	"recordroute/internal/obs"
 	"recordroute/internal/probe"
+	"recordroute/internal/results"
 	"recordroute/internal/topology"
+	"recordroute/internal/trace"
 )
 
 func testConfig() topology.Config {
@@ -15,24 +24,21 @@ func testConfig() topology.Config {
 	return cfg
 }
 
-// testFleet builds cfg's topology and returns a k-shard fleet cloned
-// from it.
+// testFleet builds cfg's topology and returns the k-replica executor
+// over its platform roster — at k=1 one replica inline on the build's
+// own engine, above that clones of it.
 func testFleet(t *testing.T, cfg topology.Config, k int) *ParallelCampaign {
 	t.Helper()
 	topo, err := topology.Build(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pc, err := NewParallelCampaignFrom(topo, k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return pc
+	return NewFleet(NewCampaign(topo, topo.VPs), k)
 }
 
 // normalize strips the one field the determinism contract exempts:
-// destination IP-ID counters observe only shard-local traffic, so the
-// absolute IDs stamped on replies differ across executors.
+// destination IP-ID counters observe only replica-local traffic, so the
+// absolute IDs stamped on replies differ across replica counts.
 func normalize(rs []probe.Result) []probe.Result {
 	out := append([]probe.Result(nil), rs...)
 	for i := range out {
@@ -67,85 +73,382 @@ func comparePerVP(t *testing.T, label string, seq, par map[string][]probe.Result
 	}
 }
 
-// TestParallelCampaignMatchesSequential is the measure-level determinism
-// contract: every campaign primitive returns identical results (modulo
-// ReplyIPID) whether VPs share one engine or split across shard
-// replicas. Running it under -race also exercises the shard worker pool.
-func TestParallelCampaignMatchesSequential(t *testing.T) {
-	cfg := testConfig()
-	opts := probe.Options{Rate: 100}
-
-	topo, err := topology.Build(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq := NewCampaign(topo, topo.VPs)
-
-	par := testFleet(t, cfg, 3)
-
-	dests := make([]netip.Addr, 0, 40)
-	for _, d := range topo.Dests {
-		dests = append(dests, d.Addr)
-		if len(dests) == 40 {
-			break
+// wire is the comparison form of result batches: each result in its
+// wire encoding with ReplyIPID zeroed, one per line, a blank line
+// closing each batch.
+func wire(batches ...[]probe.Result) []byte {
+	var b []byte
+	for _, rs := range batches {
+		for _, r := range rs {
+			r.ReplyIPID = 0
+			b = append(results.AppendWireFields(append(b, '{'), &r), "}\n"...)
 		}
+		b = append(b, '\n')
 	}
-	if len(dests) < 10 {
-		t.Fatalf("only %d destinations at test scale", len(dests))
-	}
+	return b
+}
 
-	// Shuffle per VP like the study does, so orderings are VP-specific.
-	orderFor := func(vp string, ds []netip.Addr) []netip.Addr {
+// wireMap encodes a primitive's per-VP results with enc.
+func wireMap[T any](m map[string]T, enc func(T) []byte) map[string][]byte {
+	out := make(map[string][]byte, len(m))
+	for vp, v := range m {
+		out[vp] = enc(v)
+	}
+	return out
+}
+
+// jsonOf encodes what has no wire form (traces) as JSON.
+func jsonOf(v any) []byte {
+	b, err := json.Marshal(v)
+	if err != nil {
+		panic(err)
+	}
+	return b
+}
+
+// fleetCase is one row of the executor contract: run drives a primitive
+// through a fleet, ref starts the same probes on one engine through
+// VantagePoint calls (drain runs that engine to quiescence); both return
+// per-VP encodings.
+type fleetCase struct {
+	name string
+	run  func(pc *ParallelCampaign) map[string][]byte
+	ref  func(vps []*VantagePoint, drain func()) map[string][]byte
+}
+
+// fleetCases builds the table over one world's destinations and VP
+// names: every collect-all primitive, the two destination-sharded origin
+// phases included, and two Doubletree waves.
+func fleetCases(dests []netip.Addr, names []string) []fleetCase {
+	opts := probe.Options{Rate: 100}
+	rotate := func(vp string, ds []netip.Addr) []netip.Addr {
 		out := append([]netip.Addr(nil), ds...)
 		rot := len(vp) % len(out)
 		return append(out[rot:], out[:rot]...)
 	}
-
-	comparePerVP(t, "PingRRAll",
-		seq.PingRRAll(dests, opts, orderFor),
-		par.PingRRAll(dests, opts, orderFor))
-
-	// Grouped plain pings.
-	seqPing := seq.PingAll(dests[:10], 2, opts)
-	parPing := par.PingAll(dests[:10], 2, opts)
-	if len(seqPing) != len(parPing) {
-		t.Fatalf("PingAll: VP count %d vs %d", len(seqPing), len(parPing))
-	}
-	for vp, gs := range seqPing {
-		gp := parPing[vp]
-		if len(gs) != len(gp) {
-			t.Errorf("PingAll: VP %s group count %d vs %d", vp, len(gs), len(gp))
-			continue
+	perVP, ttls := make(map[string][]netip.Addr), make(map[string][]uint8)
+	for i, name := range names {
+		lo := 3 * i % len(dests)
+		perVP[name] = dests[lo:min(lo+5, len(dests))]
+		for j := range perVP[name] {
+			ttls[name] = append(ttls[name], uint8(2+(i+j)%12))
 		}
-		for i := range gs {
-			if !reflect.DeepEqual(normalize(gs[i]), normalize(gp[i])) {
-				t.Errorf("PingAll: VP %s dest %d differs", vp, i)
-				break
+	}
+	traced := map[string][]netip.Addr{names[0]: dests[:3], names[len(names)-1]: dests[3:6]}
+	tropts := TraceOptions{StartRate: 50}
+	origin, series := names[1], dests[:24]
+	groups := make([]int, len(series))
+	for i := range groups {
+		groups[i] = i / 3
+	}
+	waves := make([]map[string][]netip.Addr, 2)
+	for i, name := range names {
+		if waves[i%2] == nil {
+			waves[i%2] = make(map[string][]netip.Addr)
+		}
+		waves[i%2][name] = rotate(name, dests[:20])
+	}
+	encodeRounds := func(out map[string][]byte, rounds map[string]*trace.VPRound) {
+		for vp, r := range rounds {
+			out[vp] = append(jsonOf(r.Traces), jsonOf(r.Stats)...)
+		}
+	}
+	encodeGlobal := func(out map[string][]byte, sess *trace.Session) map[string][]byte {
+		data, err := sess.Global.MarshalBinary()
+		if err != nil {
+			panic(err)
+		}
+		out["#global"] = data
+		return out
+	}
+	flat := func(rs []probe.Result) []byte { return wire(rs) }
+	// each starts one batch per VP on one engine, filing its encoding.
+	each := func(vps []*VantagePoint, drain func(), start func(vp *VantagePoint, done func([]byte))) map[string][]byte {
+		out := make(map[string][]byte)
+		for _, vp := range vps {
+			start(vp, func(b []byte) { out[vp.Name] = b })
+		}
+		drain()
+		return out
+	}
+	return []fleetCase{
+		{"ping-rr-all",
+			func(pc *ParallelCampaign) map[string][]byte {
+				return wireMap(pc.PingRRAll(dests, opts, rotate), flat)
+			},
+			func(vps []*VantagePoint, drain func()) map[string][]byte {
+				return each(vps, drain, func(vp *VantagePoint, done func([]byte)) {
+					vp.Batch(rotate(vp.Name, dests), probe.PingRR, opts, func(rs []probe.Result) { done(wire(rs)) })
+				})
+			}},
+		{"ping-all",
+			func(pc *ParallelCampaign) map[string][]byte {
+				return wireMap(pc.PingAll(dests[:10], 2, opts), func(gs [][]probe.Result) []byte { return wire(gs...) })
+			},
+			func(vps []*VantagePoint, drain func()) map[string][]byte {
+				return each(vps, drain, func(vp *VantagePoint, done func([]byte)) {
+					vp.PingBatch(dests[:10], 2, opts, func(gs [][]probe.Result) { done(wire(gs...)) })
+				})
+			}},
+		{"ping-rr-udp-all",
+			func(pc *ParallelCampaign) map[string][]byte {
+				return wireMap(pc.PingRRUDPAll(perVP, opts), flat)
+			},
+			func(vps []*VantagePoint, drain func()) map[string][]byte {
+				return each(vps, drain, func(vp *VantagePoint, done func([]byte)) {
+					vp.Batch(perVP[vp.Name], probe.PingRRUDP, opts, func(rs []probe.Result) { done(wire(rs)) })
+				})
+			}},
+		{"ttl-ping-rr-all",
+			func(pc *ParallelCampaign) map[string][]byte {
+				return wireMap(pc.TTLPingRRAll(perVP, ttls, opts), flat)
+			},
+			func(vps []*VantagePoint, drain func()) map[string][]byte {
+				return each(vps, drain, func(vp *VantagePoint, done func([]byte)) {
+					vp.TTLPingRRBatch(perVP[vp.Name], ttls[vp.Name], opts, func(rs []probe.Result) { done(wire(rs)) })
+				})
+			}},
+		{"traceroute-all",
+			func(pc *ParallelCampaign) map[string][]byte {
+				return wireMap(pc.TracerouteAll(traced, tropts), func(ts []Trace) []byte { return jsonOf(ts) })
+			},
+			func(vps []*VantagePoint, drain func()) map[string][]byte {
+				return each(vps, drain, func(vp *VantagePoint, done func([]byte)) {
+					if ds := traced[vp.Name]; len(ds) > 0 {
+						vp.TracerouteBatch(ds, tropts, func(ts []Trace) { done(jsonOf(ts)) })
+					}
+				})
+			}},
+		{"ping-batch-vp",
+			func(pc *ParallelCampaign) map[string][]byte {
+				return map[string][]byte{origin: wire(pc.PingBatchVP(origin, dests, 3, opts)...)}
+			},
+			func(vps []*VantagePoint, drain func()) map[string][]byte {
+				return each(vps[1:2], drain, func(vp *VantagePoint, done func([]byte)) {
+					vp.PingBatchRange(dests, 0, len(dests), 3, opts, func(gs [][]probe.Result) { done(wire(gs...)) })
+				})
+			}},
+		{"ping-series-vp",
+			func(pc *ParallelCampaign) map[string][]byte {
+				return map[string][]byte{origin: wire(pc.PingSeriesVP(origin, series, groups, 5, opts))}
+			},
+			func(vps []*VantagePoint, drain func()) map[string][]byte {
+				all := make([]int, len(series))
+				for i := range all {
+					all[i] = i
+				}
+				return each(vps[1:2], drain, func(vp *VantagePoint, done func([]byte)) {
+					vp.PingSeriesSlice(series, all, 5, opts, func(rs []probe.Result) { done(wire(rs)) })
+				})
+			}},
+		{"doubletree-all",
+			func(pc *ParallelCampaign) map[string][]byte {
+				out := make(map[string][]byte)
+				sess := trace.NewSession(nil)
+				for _, wave := range waves {
+					encodeRounds(out, pc.DoubletreeAll(wave, sess, trace.Options{}))
+				}
+				return encodeGlobal(out, sess)
+			},
+			func(vps []*VantagePoint, drain func()) map[string][]byte {
+				out := make(map[string][]byte)
+				sess := trace.NewSession(nil)
+				for _, wave := range waves {
+					rounds := make(map[string]*trace.VPRound)
+					for _, vp := range vps {
+						if ds := wave[vp.Name]; len(ds) > 0 {
+							name := vp.Name
+							trace.Run(name, vp.Prober, sess.State(name), sess.Global, sess.PrefixOf, ds, trace.Options{},
+								func(r *trace.VPRound) { rounds[name] = r })
+						}
+					}
+					drain()
+					// A wave's deltas join the global set only once every
+					// VP of the wave has finished tracing.
+					for _, r := range rounds {
+						if err := sess.Merge(r.Delta); err != nil {
+							panic(err)
+						}
+					}
+					encodeRounds(out, rounds)
+				}
+				return encodeGlobal(out, sess)
+			}},
+	}
+}
+
+// injected counts the probes an engine's hosts sent.
+func injected(n *netsim.Network) uint64 { return n.CounterMap()["host.inject"] }
+
+// TestParallelCampaignMatchesSequential is the executor's contract,
+// table-driven: every primitive, run through a fleet of K = 1 (inline),
+// 2 and 4 replicas with and without a fault plan, returns per VP the
+// bytes one engine produces from the same VantagePoint calls, mod
+// ReplyIPID — and sends exactly as many probes, leaves no replica dead
+// and every replica clock where that engine's stopped. The merged
+// Doubletree stop set must match too, which holds only if each wave's
+// deltas are merged after the wave ends.
+func TestParallelCampaignMatchesSequential(t *testing.T) {
+	faults := []struct {
+		name string
+		fc   *netsim.FaultConfig
+	}{
+		{"no-faults", nil},
+		{"fault-plan", &netsim.FaultConfig{LossProb: 0.05, LossFrac: 0.25, OutageFrac: 0.02, WithdrawFrac: 0.05}},
+	}
+	for _, f := range faults {
+		cfg := testConfig()
+		cfg.Faults = f.fc
+		world, err := topology.Build(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var dests []netip.Addr
+		for _, d := range world.Dests[:40] {
+			dests = append(dests, d.Addr)
+		}
+		var names []string
+		for _, v := range world.VPs {
+			names = append(names, v.Name)
+		}
+		for _, c := range fleetCases(dests, names) {
+			// The reference: one engine, the roster's prober IDs.
+			ref, err := topology.Build(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng := ref.Net.Engine()
+			var vps []*VantagePoint
+			for i, v := range ref.VPs {
+				vps = append(vps, NewVantagePoint(v.Name, v.Host, eng, uint16(0x4000+i)))
+			}
+			want := c.ref(vps, eng.Run)
+			for _, k := range []int{1, 2, 4} {
+				t.Run(fmt.Sprintf("%s/%s/K=%d", f.name, c.name, k), func(t *testing.T) {
+					pc := testFleet(t, cfg, k)
+					pc.Observe(&obs.Observer{PerNode: true, Trace: obs.NewTrace(64, obs.Filter{})})
+					got := c.run(pc)
+					if errs := pc.ShardErrors(); len(errs) > 0 {
+						t.Fatalf("shard errors: %v", errs)
+					}
+					if len(got) != len(want) {
+						t.Errorf("%d VPs returned, want %d", len(got), len(want))
+					}
+					for vp, w := range want {
+						if g := got[vp]; !bytes.Equal(g, w) {
+							i := 0
+							for i < len(g) && i < len(w) && g[i] == w[i] {
+								i++
+							}
+							t.Errorf("VP %s differs from one engine at byte %d:\n got: %.160q\nwant: %.160q", vp, i, g[i:], w[i:])
+						}
+					}
+					var sent uint64
+					for _, rep := range pc.replicas {
+						sent += injected(rep.Net)
+						if rep.Eng.Now() != eng.Now() {
+							t.Errorf("replica %d clock %v, one engine's %v", rep.idx, rep.Eng.Now(), eng.Now())
+						}
+					}
+					if sent != injected(ref.Net) {
+						t.Errorf("fleet sent %d probes, one engine %d", sent, injected(ref.Net))
+					}
+					// The fleet captures the replicas it cloned; an inline
+					// replica is its roster's owner's.
+					want := k
+					if k == 1 {
+						want = 0
+					}
+					if got := len(pc.Metrics("m").Shards); got != want {
+						t.Errorf("Metrics captured %d replicas at K=%d, want %d", got, k, want)
+					}
+				})
 			}
 		}
 	}
+}
 
-	// Per-VP target lists.
-	perVP := make(map[string][]netip.Addr)
-	for i, name := range par.VPNames() {
-		perVP[name] = dests[i%len(dests) : min(i%len(dests)+5, len(dests))]
+// TestDoubletreeJournalCutResumes cuts a journaled campaign — an origin
+// phase, then two Doubletree waves — at every record boundary and
+// resumes each cut into a fresh fleet: every resume must reconverge on
+// the uninterrupted run's origin results and final stop set (a resumed
+// wave replays its archived traces through trace.Rebuild, and each
+// sealed wave's stop set is re-verified against the journal).
+func TestDoubletreeJournalCutResumes(t *testing.T) {
+	cfg := testConfig()
+	meta := testMeta()
+	meta.Shards = 2
+	dir := t.TempDir()
+	opts := probe.Options{Rate: 100}
+	run := func(path string, resume bool) (origin, stopSet []byte, archived int) {
+		t.Helper()
+		pc := testFleet(t, cfg, meta.Shards)
+		var j *Journal
+		var err error
+		if resume {
+			j, err = ResumeJournal(path, meta)
+		} else {
+			j, err = CreateJournal(path, meta)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer j.Close()
+		pc.AttachJournal(j)
+		names := pc.VPNames()
+		var dests []netip.Addr
+		for _, d := range pc.replicas[0].topo.Dests[:16] {
+			dests = append(dests, d.Addr)
+		}
+		origin = wire(pc.PingBatchVP(names[1], dests, 2, opts)...)
+		sess := trace.NewSession(nil)
+		for w := 0; w < 2; w++ {
+			wave := make(map[string][]netip.Addr)
+			for i, name := range names {
+				if i%2 == w {
+					wave[name] = dests
+				}
+			}
+			pc.DoubletreeAll(wave, sess, trace.Options{})
+		}
+		if errs := pc.ShardErrors(); len(errs) > 0 {
+			t.Fatalf("shard errors: %v", errs)
+		}
+		stopSet, err = sess.Global.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return origin, stopSet, j.Archived()
 	}
-	comparePerVP(t, "PingRRUDPAll",
-		seq.PingRRUDPAll(perVP, opts),
-		par.PingRRUDPAll(perVP, opts))
-
-	// Clocks must agree across shards and with the sequential engine
-	// after every primitive (phases start at the same virtual instant).
-	for i, rep := range par.replicas {
-		if rep.eng.Now() != seq.Eng.Now() {
-			t.Errorf("shard %d clock %v != sequential clock %v", i, rep.eng.Now(), seq.Eng.Now())
+	full := filepath.Join(dir, "full.jsonl")
+	wantOrigin, wantStops, _ := run(full, false)
+	data, err := os.ReadFile(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.SplitAfter(data, []byte("\n"))
+	cut := filepath.Join(dir, "cut.jsonl")
+	for n := 1; n < len(lines); n++ {
+		prefix := bytes.Join(lines[:n], nil)
+		if err := os.WriteFile(cut, prefix, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		origin, stops, archived := run(cut, true)
+		if !bytes.Equal(origin, wantOrigin) {
+			t.Errorf("cut after %d records: origin results differ from the uninterrupted run", n)
+		}
+		if !bytes.Equal(stops, wantStops) {
+			t.Errorf("cut after %d records: stop set of %d bytes, uninterrupted %d", n, len(stops), len(wantStops))
+		}
+		if want := bytes.Count(prefix, []byte(`"t":"vp"`)); archived != want {
+			t.Errorf("cut after %d records: %d batches archived, want %d", n, archived, want)
 		}
 	}
 }
 
 // TestParallelCampaignShardFailureIsolated is the partial-results
-// contract: a shard that panics mid-primitive is recovered, reported
-// through ShardErrors with its lost VPs, and the surviving shards keep
+// contract: a replica that panics mid-primitive is recovered, reported
+// through ShardErrors with its lost VPs, and the surviving replicas keep
 // returning complete results — in that primitive and in later ones.
 func TestParallelCampaignShardFailureIsolated(t *testing.T) {
 	par := testFleet(t, testConfig(), 3)
@@ -162,9 +465,9 @@ func TestParallelCampaignShardFailureIsolated(t *testing.T) {
 		}
 	}
 
-	// Kill shard 1 mid-primitive: the injected event panics while the
-	// shard engine drains its probe batches, before any batch completes.
-	par.replicas[1].eng.Schedule(0, func() { panic("injected shard fault") })
+	// Kill replica 1 mid-primitive: the injected event panics while its
+	// engine drains its probe batches, before any batch completes.
+	par.replicas[1].Eng.Schedule(0, func() { panic("injected shard fault") })
 
 	dead := make(map[string]bool)
 	for i, n := range names {
@@ -229,21 +532,30 @@ func TestParallelCampaignShardFailureIsolated(t *testing.T) {
 }
 
 // TestParallelCampaignShardClamp checks that absurd shard counts clamp
-// to the VP population instead of building empty replicas.
+// to the VP population in the constructor — NumShards is right before
+// any replica exists — instead of building empty replicas.
 func TestParallelCampaignShardClamp(t *testing.T) {
-	par := testFleet(t, testConfig(), 10000)
-	names := par.VPNames()
-	if got := par.NumShards(); got != len(names) {
-		t.Errorf("NumShards = %d, want clamp to %d VPs", got, len(names))
+	topo, err := topology.Build(testConfig())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if par.VP(names[0]) == nil {
-		t.Errorf("VP(%q) = nil after clamp", names[0])
+	from, err := NewParallelCampaignFrom(topo, 10000)
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
+	for _, par := range []*ParallelCampaign{from, NewFleet(NewCampaign(topo, topo.VPs), 10000)} {
+		if got := par.NumShards(); got != len(topo.VPs) {
+			t.Errorf("NumShards before init = %d, want clamp to %d VPs", got, len(topo.VPs))
+		}
+		names := par.VPNames()
+		if got := len(par.replicas); got != len(names) {
+			t.Errorf("%d replicas built, want clamp to %d VPs", got, len(names))
+		}
+		if par.VP(names[0]) == nil {
+			t.Errorf("VP(%q) = nil after clamp", names[0])
+		}
 	}
-	return b
+	if _, err := NewParallelCampaignFrom(topo, 0); err == nil {
+		t.Error("zero shards accepted")
+	}
 }

@@ -845,16 +845,9 @@ func (s *Server) runOnce(job *Job) (out attemptOutcome) {
 	// attempt wrote beyond it was never published, and is overwritten.
 	off := job.spooled
 	// One ping-RR batch checkpoint per VP, plus the origin's
-	// destination-sharded ping phase: one range checkpoint per shard
+	// destination-sharded ping phase: one range checkpoint per replica
 	// (DESIGN.md §15), each streamed under the origin's name.
-	job.total = len(st.Topo.VPs)
-	if pc, ok := st.Fleet().(*measure.ParallelCampaign); ok {
-		ranges := pc.NumShards()
-		if n := len(st.Topo.VPs); ranges > n {
-			ranges = n // init clamps shards to the VP count
-		}
-		job.total += ranges
-	}
+	job.total = len(st.Topo.VPs) + st.Fleet().NumShards()
 	job.done = jn.Archived()
 	job.mu.Unlock()
 	// The sink runs under the journal lock, one batch at a time, on the

@@ -57,7 +57,7 @@ func (s *Study) RunAtlas(r *Responsiveness, perVPCap int) *AtlasResult {
 		perVP[name] = mine
 		traced += len(mine)
 	}
-	traces := s.Camp.TracerouteAll(perVP, measure.TraceOptions{
+	traces := s.one().fleet.TracerouteAll(perVP, measure.TraceOptions{
 		StartRate: s.Opts.rate(), Timeout: s.Opts.timeout(),
 	})
 	for _, ts := range traces {

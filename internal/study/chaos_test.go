@@ -73,7 +73,7 @@ func TestChaosSweepDeterministic(t *testing.T) {
 // TestChaosShardEquivalence extends the DESIGN.md §6 determinism
 // contract to fault-enabled workloads: with a fault plan installed and
 // retries on, the rendered study output must be byte-identical between
-// the single shared engine and a three-shard fleet. Content-keyed
+// one replica on the study's own engine and three cloned ones. Content-keyed
 // chaos draws are what make this hold — each packet's fate depends on
 // the packet, not on unrelated traffic sharing an RNG stream.
 func TestChaosShardEquivalence(t *testing.T) {

@@ -60,7 +60,7 @@ func (s *Study) RunCloudDistance(r *Responsiveness, sampleCap int) *CloudResult 
 	for _, vp := range s.CloudCamp.VPs {
 		perCloud[vp.Name] = append(append([]netip.Addr(nil), reachable...), responsiveOnly...)
 	}
-	cloudTraces := s.CloudCamp.TracerouteAll(perCloud, topts)
+	cloudTraces := s.one().cloudFleet.TracerouteAll(perCloud, topts)
 
 	// M-Lab traceroutes to the reachable set: each destination traced
 	// from its closest M-Lab VP (matching the paper's per-VP usage).
@@ -84,7 +84,7 @@ func (s *Study) RunCloudDistance(r *Responsiveness, sampleCap int) *CloudResult 
 			perMLab[best] = append(perMLab[best], d)
 		}
 	}
-	mlabTraces := s.Camp.TracerouteAll(perMLab, topts)
+	mlabTraces := s.one().fleet.TracerouteAll(perMLab, topts)
 
 	res := &CloudResult{
 		Figure3: &analysis.Figure{

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"testing"
 
-	"recordroute/internal/measure"
 	"recordroute/internal/netsim"
 	"recordroute/internal/topology"
 )
@@ -33,10 +32,8 @@ func runDoubletreeSharded(t *testing.T, seed uint64, fc *netsim.FaultConfig, sha
 	var buf bytes.Buffer
 	run.result.Render(&buf)
 	run.render = buf.Bytes()
-	if pc, ok := s.Fleet().(*measure.ParallelCampaign); ok {
-		for _, e := range pc.ShardErrors() {
-			run.errs = append(run.errs, fmt.Sprint(e))
-		}
+	for _, e := range s.Fleet().ShardErrors() {
+		run.errs = append(run.errs, fmt.Sprint(e))
 	}
 	return run
 }

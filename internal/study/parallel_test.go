@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
+	"path/filepath"
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -17,10 +20,10 @@ import (
 // shardRun is one cell of the determinism property: a study built from
 // identical config, run to completion on K shards.
 type shardRun struct {
-	shards int
-	resp   *Responsiveness
-	render []byte
-	merged []byte // canonical JSON of the merged metrics counters
+	shards  int
+	resp    *Responsiveness
+	render  []byte
+	merged  []byte // canonical JSON of the merged metrics counters
 	aliases string // alias partition from reachability's sharded collection
 	errs    []string
 }
@@ -53,10 +56,8 @@ func runSharded(t *testing.T, seed uint64, fc *netsim.FaultConfig, shards int) s
 	}
 	run.merged = merged
 
-	if pc, ok := s.Fleet().(*measure.ParallelCampaign); ok {
-		for _, e := range pc.ShardErrors() {
-			run.errs = append(run.errs, fmt.Sprint(e))
-		}
+	for _, e := range s.Fleet().ShardErrors() {
+		run.errs = append(run.errs, fmt.Sprint(e))
 	}
 	return run
 }
@@ -149,8 +150,8 @@ func comparePerVP(t *testing.T, k int, seq, par *Responsiveness) {
 // TestCloneEquivalenceProperty is the snapshot/clone contract (DESIGN.md
 // §10) at the campaign-primitive level, across all three scale profiles:
 // a fleet of replicas cloned from the study's own topology — after that
-// topology has already carried the sequential campaign's traffic — must
-// reproduce the sequential per-VP ping-RR streams exactly, modulo
+// topology has already carried a one-replica fleet's traffic — must
+// reproduce that reference's per-VP ping-RR streams exactly, modulo
 // ReplyIPID, with and without a fault plan. Destination lists are capped
 // on the bigger profiles to keep the cell bounded; the small profile
 // additionally runs at K=2 (the large ones use K=4, the heavier
@@ -194,17 +195,14 @@ func TestCloneEquivalenceProperty(t *testing.T) {
 					if len(dests) > cell.dests {
 						dests = dests[:cell.dests]
 					}
-					// Sequential first: the fleet snapshot is taken only
-					// afterwards, off an engine that has already run — the
-					// clones must come out pristine regardless.
-					seq := s.Camp.PingRRAll(dests, opts.probeOpts(), s.Shuffler())
+					// The one-replica reference first, on the study's own
+					// engine: the clones are stamped out only afterwards,
+					// off an engine that has already run, and must come
+					// out pristine regardless.
+					seq := measure.NewFleet(s.Camp, 1).PingRRAll(dests, opts.probeOpts(), s.Shuffler())
 					par := s.Fleet().PingRRAll(dests, opts.probeOpts(), s.Shuffler())
-					if pc, ok := s.Fleet().(*measure.ParallelCampaign); ok {
-						if errs := pc.ShardErrors(); len(errs) > 0 {
-							t.Fatalf("shard errors: %v", errs)
-						}
-					} else {
-						t.Fatalf("Shards=%d did not resolve to a ParallelCampaign", k)
+					if errs := s.Fleet().ShardErrors(); len(errs) > 0 {
+						t.Fatalf("shard errors: %v", errs)
 					}
 					comparePerVPResults(t, k, seq, par)
 				})
@@ -241,27 +239,119 @@ func comparePerVPResults(t *testing.T, k int, seq, par map[string][]probe.Result
 	}
 }
 
-// TestStudyShardsOptionResolution pins the executor-selection rules:
-// Shards=1 must hand back the shared-engine Campaign itself, Shards>1 a
-// ParallelCampaign, and the resolved fleet is cached.
+// TestStudyShardsOptionResolution pins the placement rules: Shards is a
+// replica count, never an executor choice. Shards=1 is one replica on
+// the study's own engine — its VPs are the study's roster, journaled or
+// not — Shards=2 two cloned replicas, Shards=0 one per GOMAXPROCS up to
+// the VP count, and the fleet is made once.
 func TestStudyShardsOptionResolution(t *testing.T) {
 	cfg := topology.DefaultConfig(topology.Epoch2016).Scale(0.15)
-	seq, err := New(cfg, Options{Shards: 1})
-	if err != nil {
-		t.Fatal(err)
+	for _, c := range []struct {
+		shards  int
+		journal bool
+		want    int
+		inline  bool
+	}{
+		{1, false, 1, true},
+		{1, true, 1, true},
+		{2, false, 2, false},
+		{0, false, runtime.GOMAXPROCS(0), runtime.GOMAXPROCS(0) == 1},
+	} {
+		s, err := New(cfg, Options{Shards: c.shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.journal {
+			if _, err := s.AttachJournal(filepath.Join(t.TempDir(), "j.jsonl"), false); err != nil {
+				t.Fatal(err)
+			}
+			defer s.CloseJournal()
+		}
+		fl := s.Fleet()
+		pc, ok := fl.(*measure.ParallelCampaign)
+		if !ok {
+			t.Fatalf("Shards=%d: Fleet() is %T", c.shards, fl)
+		}
+		if want := min(c.want, len(s.Topo.VPs)); pc.NumShards() != want {
+			t.Errorf("Shards=%d: %d replicas, want %d", c.shards, pc.NumShards(), want)
+		}
+		if inline := pc.VP(s.Origin.Name) == s.Origin; inline != c.inline {
+			t.Errorf("Shards=%d journaled=%v: replica is the study's own engine = %v, want %v",
+				c.shards, c.journal, inline, c.inline)
+		}
+		if fl != s.Fleet() {
+			t.Errorf("Shards=%d: Fleet() not cached across calls", c.shards)
+		}
 	}
-	if seq.Fleet() != interface{}(seq.Camp) {
-		t.Errorf("Shards=1: Fleet() is not the shared-engine Campaign")
+}
+
+// TestSingleEngineShardInvariance is the K-invariance of the experiments
+// that probe on one engine (Figures 3–5, the §3.5 audit, atlas, LSRR):
+// after Table 1, each renders the same bytes whether Table 1 ran on one
+// replica on the study's own engine, journaled or not, or on two or four
+// cloned replicas. The fault plan is what makes it bite: its drops are
+// drawn from the virtual clock, so an experiment probing an engine
+// Table 1 had already run would see different weather. Every run feeds
+// the experiments the K=1 run's Table 1, because a journaled Table 1
+// differs from an unjournaled one under faults (its phases are
+// quantized); Table 1 itself, and the merged metrics of every engine the
+// study ran, are compared across the unjournaled runs.
+func TestSingleEngineShardInvariance(t *testing.T) {
+	names := []string{"table1", "merged metrics", "fig3", "fig4", "fig5", "audit", "atlas", "lsrr"}
+	var ref *Responsiveness
+	render := func(t *testing.T, shards int, journal bool) [][]byte {
+		t.Helper()
+		cfg := topology.DefaultConfig(topology.Epoch2016).Scale(0.15)
+		cfg.Seed = 11
+		cfg.Faults = &netsim.FaultConfig{LossProb: 0.05, LossFrac: 0.25, OutageFrac: 0.02, WithdrawFrac: 0.05}
+		s, err := New(cfg, Options{Rate: 200, ShuffleSeed: 7, Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if journal {
+			if _, err := s.AttachJournal(filepath.Join(t.TempDir(), "j.jsonl"), false); err != nil {
+				t.Fatal(err)
+			}
+			defer s.CloseJournal()
+		}
+		r := s.RunResponsiveness()
+		if ref == nil {
+			ref = r
+		}
+		var out [][]byte
+		for _, res := range []interface{ Render(io.Writer) }{
+			r,
+			s.RunCloudDistance(ref, 100),
+			s.RunRateLimit(ref, 300),
+			s.RunTTLStudy(ref, 100),
+			s.RunStampAudit(ref, 50),
+			s.RunAtlas(ref, 50),
+			s.RunSourceRouteCheck(ref, 40),
+		} {
+			var b bytes.Buffer
+			res.Render(&b)
+			out = append(out, b.Bytes())
+		}
+		merged, err := json.Marshal(s.Metrics("k").Merged)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return append(out[:1], append([][]byte{merged}, out[1:]...)...)
 	}
-	par, err := New(cfg, Options{Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fl := par.Fleet()
-	if fl == interface{}(par.Camp) {
-		t.Errorf("Shards=2: Fleet() fell back to the shared-engine Campaign")
-	}
-	if fl != par.Fleet() {
-		t.Errorf("Fleet() not cached across calls")
+	base := render(t, 1, false)
+	for _, c := range []struct {
+		shards  int
+		journal bool
+	}{{2, false}, {4, false}, {1, true}} {
+		got := render(t, c.shards, c.journal)
+		for i, name := range names {
+			if i < 2 && c.journal {
+				continue
+			}
+			if !bytes.Equal(got[i], base[i]) {
+				t.Errorf("K=%d journaled=%v: %s differs from K=1:\n--- K=1 ---\n%s\n--- K=%d ---\n%s",
+					c.shards, c.journal, name, base[i], c.shards, got[i])
+			}
+		}
 	}
 }

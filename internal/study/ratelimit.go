@@ -71,7 +71,7 @@ func (s *Study) RunRateLimit(r *Responsiveness, sampleCap int) *RateLimitResult 
 	}
 	for _, rate := range []float64{10, 100} {
 		opts := probe.Options{Rate: rate, Timeout: s.Opts.timeout()}
-		perVP := s.Camp.PingRRAll(targets, opts, s.Shuffler())
+		perVP := s.one().fleet.PingRRAll(targets, opts, s.Shuffler())
 		for vp, rs := range perVP {
 			v := res.PerVP[vp]
 			if v == nil {

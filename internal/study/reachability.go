@@ -126,7 +126,7 @@ func (s *Study) resolveAliases(r *Responsiveness) (*alias.Sets, int) {
 	sort.Slice(cands, func(i, j int) bool { return cands[i].Less(cands[j]) })
 
 	fleet := s.Fleet()
-	// Candidate probing fans across a sharded fleet's replicas; grouping
+	// Candidate probing fans across the fleet's replicas; grouping
 	// by origin AS keeps both halves of every candidate pair — always
 	// same-AS by the filter above — sampling one replica's IP-ID
 	// counters, so the pairwise MIDAR comparisons stay meaningful.

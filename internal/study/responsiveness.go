@@ -40,14 +40,14 @@ func (s *Study) RunResponsiveness() *Responsiveness {
 		NumVPs: len(s.Camp.VPs),
 	}
 
-	// The experiment is sharding-invariant (each VP's probe stream is
-	// independent), so it probes through the configured fleet executor.
+	// The experiment is shard-invariant (each VP's probe stream is
+	// independent), so it probes through the fleet.
 	fleet := s.Fleet()
 
 	// Phase 1: three plain pings per destination from the origin host
 	// (the paper's USC machine). Routed through the fleet's single-VP
-	// batch primitive: on a sharded executor the destination list fans
-	// across the engine replicas in contiguous ranges (DESIGN.md §15).
+	// batch primitive: the destination list fans across the replicas in
+	// contiguous ranges (DESIGN.md §15).
 	grouped := fleet.PingBatchVP(s.Origin.Name, r.Dests, 3, s.Opts.probeOpts())
 	r.PingResp = analysis.PingResponsive(r.Dests, grouped)
 

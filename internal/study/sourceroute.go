@@ -51,8 +51,8 @@ func (s *Study) RunSourceRouteCheck(r *Responsiveness, perVPCap int) *SourceRout
 		perVP[vp] = mine
 	}
 
-	for _, vp := range s.Camp.VPs {
-		vp := vp
+	roster := s.one().vps
+	for _, vp := range roster.VPs {
 		targets := perVP[vp.Name]
 		if len(targets) == 0 {
 			continue
@@ -74,7 +74,7 @@ func (s *Study) RunSourceRouteCheck(r *Responsiveness, perVPCap int) *SourceRout
 		vp.Prober.StartBatch(rrSpecs, s.Opts.probeOpts(), func(rs []probe.Result) { count(rs, &res.RRResponses) })
 		vp.Prober.StartBatch(lsrrSpecs, s.Opts.probeOpts(), func(rs []probe.Result) { count(rs, &res.LSRRResponses) })
 	}
-	s.Camp.Eng.Run()
+	roster.Eng.Run()
 	return res
 }
 

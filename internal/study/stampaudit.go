@@ -62,7 +62,7 @@ func (s *Study) RunStampAudit(r *Responsiveness, perVPCap int) *StampAuditResult
 		perVP[name] = mine
 	}
 
-	traces := s.Camp.TracerouteAll(perVP, measure.TraceOptions{
+	traces := s.one().fleet.TracerouteAll(perVP, measure.TraceOptions{
 		StartRate: s.Opts.rate(),
 		Timeout:   s.Opts.timeout(),
 	})

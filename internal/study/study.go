@@ -26,6 +26,7 @@ import (
 
 	"recordroute/internal/dataset"
 	"recordroute/internal/measure"
+	"recordroute/internal/obs"
 	"recordroute/internal/probe"
 	"recordroute/internal/topology"
 )
@@ -48,13 +49,12 @@ type Options struct {
 	// 6298-style EWMA, clamped to Timeout), so retransmissions fire as
 	// soon as the path's own RTT history says the attempt is lost.
 	Adaptive bool
-	// Shards selects the campaign executor for the experiments whose
-	// results are invariant under VP sharding (responsiveness,
-	// reachability, epoch comparison): 0 picks runtime.GOMAXPROCS
-	// shards, 1 forces the single shared engine, >1 forces that many
-	// shards. Rate-limiting experiments (Figure 4) ignore it — they
-	// measure cross-VP contention at shared policers and always run on
-	// the single engine.
+	// Shards is the replica count Table 1, Figure 1, Figure 2 and the
+	// traceroute experiments spread their VPs over: 0 picks
+	// runtime.GOMAXPROCS, 1 = one replica on the study's own engine, >1
+	// that many cloned replicas. Their renders are the same at any
+	// count. The experiments that measure on one engine (Figures 3–5,
+	// the §3.5 audit, atlas, LSRR) ignore it.
 	Shards int
 	// Scale replaces the roster/prefix/VP sizing of the passed Config
 	// with a named profile's (topology.ProfileConfig) while keeping its
@@ -100,8 +100,9 @@ type Study struct {
 	Data *dataset.Dataset
 	Opts Options
 
-	// Camp probes from the platform VPs (M-Lab + PlanetLab); CloudCamp
-	// from the cloud measurement hosts.
+	// Camp and CloudCamp are the platform (M-Lab + PlanetLab) and cloud
+	// VP rosters on the study's own engine: what direct probes use, and
+	// at one shard Table 1's replica.
 	Camp      *measure.Campaign
 	CloudCamp *measure.Campaign
 
@@ -110,9 +111,19 @@ type Study struct {
 	// behind a source-proximate policer.
 	Origin *measure.VantagePoint
 
-	fleet   measure.Fleet
-	journal *measure.Journal
-	ctx     context.Context
+	fleet    *measure.ParallelCampaign
+	single   *singleEngine
+	observer *obs.Observer
+	journal  *measure.Journal
+	ctx      context.Context
+}
+
+// singleEngine is the engine the single-engine experiments probe on:
+// one pristine replica of the study's plane, its platform and cloud
+// rosters, and a one-replica executor over each.
+type singleEngine struct {
+	vps, clouds       *measure.Campaign
+	fleet, cloudFleet *measure.ParallelCampaign
 }
 
 // New builds the simulated Internet for cfg and wires up the campaign.
@@ -147,8 +158,8 @@ func NewFromTopology(topo *topology.Topology, opts Options) (*Study, error) {
 		Data: dataset.FromTopology(topo),
 		Opts: opts,
 	}
-	// The epoch is overlay state on this study's private network; shard
-	// replicas cloned from it (Fleet) inherit the same epoch.
+	// The epoch is overlay state on this study's private network; the
+	// replicas cloned from it inherit the same epoch.
 	topo.Net.SetFaultEpoch(opts.FaultEpoch)
 	s.Camp = measure.NewCampaign(topo, topo.VPs)
 	s.CloudCamp = measure.NewCampaign(topo, topo.CloudVPs)
@@ -164,47 +175,56 @@ func NewFromTopology(topo *topology.Topology, opts Options) (*Study, error) {
 	return s, nil
 }
 
-// Fleet returns the campaign executor sharding-invariant experiments
-// probe through: the shared-engine Campaign when Opts resolves to one
-// shard, otherwise a lazily built ParallelCampaign whose replicas are
-// cloned from this study's own topology snapshot — the Build New
-// already paid is never repeated. A journaled study always gets a
-// ParallelCampaign, even at one shard: the journal's quantized phases
-// and per-VP skip live in that executor. Experiments that measure
-// cross-VP contention (Figure 4) must keep using s.Camp directly — see
-// measure.ParallelCampaign's determinism contract.
+// Fleet returns the executor the shard-invariant experiments probe
+// through: the study's platform roster on Opts' replica count, made on
+// first use. One replica is the study's own engine, run inline with no
+// clone, journaled or not; more are clones of this study's topology
+// snapshot, so the Build New already paid is never repeated.
 func (s *Study) Fleet() measure.Fleet {
 	if s.fleet == nil {
-		if k := s.Opts.shards(); k <= 1 && s.journal == nil {
-			s.fleet = s.Camp
-		} else {
-			pc, err := measure.NewParallelCampaignFrom(s.Topo, k)
-			if err != nil {
-				panic(err) // k >= 1 here; NewParallelCampaignFrom rejects only k < 1
-			}
-			if s.journal != nil {
-				pc.AttachJournal(s.journal)
-			}
-			pc.SetContext(s.ctx)
-			s.fleet = pc
-		}
+		s.fleet = measure.NewFleet(s.Camp, s.Opts.shards())
+		s.fleet.AttachJournal(s.journal)
+		s.fleet.SetContext(s.ctx)
+		s.fleet.Observe(s.observer)
 	}
 	return s.fleet
 }
 
-// SetContext arms cooperative cancellation on every campaign executor
-// the study probes through: once ctx is done, the next deterministic
-// boundary — a primitive start, or a per-VP checkpoint on a journaled
-// fleet — aborts the campaign with a measure.Canceled panic the caller
-// classifies via measure.CanceledFrom. The campaign-service daemon uses
-// this for job deadlines and DELETE /jobs/{id}; aborting only at those
-// boundaries keeps every journaled batch resume-safe (DESIGN.md §13).
+// one returns the engine the single-engine experiments probe on,
+// cloning it from the study's plane on first use. It is never an engine
+// a fleet has run — neither a clone nor, at one shard, the study's own —
+// so those experiments measure the same world at any shard count. That
+// matters for the ones measuring cross-VP contention at shared policers
+// (Figure 4), which need every VP on one engine, and for all of them
+// under a fault plan, whose drops are drawn from the virtual clock.
+func (s *Study) one() *singleEngine {
+	if s.single == nil {
+		topo := topology.SnapshotOf(s.Topo).Clone()
+		e := &singleEngine{vps: measure.NewCampaign(topo, topo.VPs), clouds: measure.NewCampaign(topo, topo.CloudVPs)}
+		e.fleet, e.cloudFleet = measure.NewFleet(e.vps, 1), measure.NewFleet(e.clouds, 1)
+		e.vps.Observe(s.observer)
+		e.clouds.Observe(s.observer)
+		s.single = e
+		s.SetContext(s.ctx) // arms the new executors
+	}
+	return s.single
+}
+
+// SetContext arms cooperative cancellation on every executor the study
+// probes through: once ctx is done, the next deterministic boundary — a
+// primitive start or a per-VP checkpoint — aborts the campaign with a
+// measure.Canceled panic the caller classifies via
+// measure.CanceledFrom. The campaign-service daemon uses this for job
+// deadlines and DELETE /jobs/{id}; aborting only at those boundaries
+// keeps every journaled batch resume-safe (DESIGN.md §13).
 func (s *Study) SetContext(ctx context.Context) {
 	s.ctx = ctx
-	s.Camp.SetContext(ctx)
-	s.CloudCamp.SetContext(ctx)
-	if pc, ok := s.fleet.(*measure.ParallelCampaign); ok {
-		pc.SetContext(ctx)
+	if s.fleet != nil {
+		s.fleet.SetContext(ctx)
+	}
+	if s.single != nil {
+		s.single.fleet.SetContext(ctx)
+		s.single.cloudFleet.SetContext(ctx)
 	}
 }
 

@@ -142,16 +142,17 @@ func WithProbeRate(pps float64) Option { return func(o *options) { o.rate = pps 
 // WithTimeout sets the per-probe timeout (default 2s of virtual time).
 func WithTimeout(d time.Duration) Option { return func(o *options) { o.timeout = d } }
 
-// WithShards sets the campaign executor parallelism for the
-// sharding-invariant experiments (Table 1, Figure 1, Figure 2): 0
-// (default) uses one shard per runtime.GOMAXPROCS, 1 forces the single
-// shared-engine path, k > 1 runs k simulator replicas on a worker pool.
-// Sharding applies to the per-VP fan-out and to the single-VP origin
-// phases (responsiveness pings, alias IP-ID series), whose destination
-// lists fan across the replicas in contiguous ranges. Results are
-// identical either way; see DESIGN.md "Parallel execution model" and
-// "Destination-sharded origin phases". Figure 4 always runs
-// single-engine regardless.
+// WithShards sets how many simulator replicas the shard-invariant
+// experiments (Table 1, Figure 1, Figure 2, the traceroute experiments)
+// spread their vantage points over: 0 (default) uses one per
+// runtime.GOMAXPROCS, 1 = one replica on the study's own engine, k > 1
+// runs k cloned replicas on a worker pool. Sharding applies to the
+// per-VP fan-out and to the single-VP origin phases (responsiveness
+// pings, alias IP-ID series), whose destination lists fan across the
+// replicas in contiguous ranges. Results are identical either way; see
+// DESIGN.md "Parallel execution model" and "Destination-sharded origin
+// phases". The single-engine experiments (Figures 3–5, the stamping
+// audit, atlas, LSRR) always run on one pristine replica, whatever k.
 func WithShards(k int) Option { return func(o *options) { o.shards = k } }
 
 // WithFaults installs a deterministic fault-injection plan over the
