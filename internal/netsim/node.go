@@ -448,6 +448,21 @@ func (n *Network) addNode(ref nodeRef, name string) NodeID {
 	return id
 }
 
+// Reserve presizes the build tables for a network of nodes nodes, hosts
+// of them hosts, whose names total nameBytes bytes, joined by links
+// links: a generator that knows its size calls it first, and adding
+// those nodes and links then regrows no table. A host is reserved one
+// address; its aliases may grow the address table.
+func (n *Network) Reserve(nodes, hosts, links, nameBytes int) {
+	p := n.mutable()
+	p.nodes, p.nameEnd = slices.Grow(p.nodes, nodes), slices.Grow(p.nameEnd, nodes)
+	p.ipid0, n.ipid = slices.Grow(p.ipid0, nodes), slices.Grow(n.ipid, nodes)
+	p.names = slices.Grow(p.names, nameBytes)
+	p.routers, n.rs = slices.Grow(p.routers, nodes-hosts), slices.Grow(n.rs, nodes-hosts)
+	p.hosts, p.haddrs, n.snifSlot = slices.Grow(p.hosts, hosts), slices.Grow(p.haddrs, hosts), slices.Grow(n.snifSlot, hosts)
+	p.ifaces = slices.Grow(p.ifaces, 2*links)
+}
+
 // register adds a node implemented outside this package (tests tap links
 // with one). Such a network cannot be cloned: the node's state is its own.
 func (n *Network) register(node Node) {

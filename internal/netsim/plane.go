@@ -109,22 +109,27 @@ func (p *plane) name(id NodeID) string {
 }
 
 // compact moves every router's slices into three arenas, so that a
-// plane holds a fixed number of heap objects however many routers.
+// plane holds a fixed number of heap objects however many routers. Each
+// arena is allocated once, at its final size.
 func (p *plane) compact() {
-	var ifaces []IfaceID
-	var local []uint32
-	var routes []fibRoute
+	ni, nr := 0, 0
+	for i := range p.routers {
+		ni, nr = ni+len(p.routers[i].ifaces), nr+len(p.routers[i].fib.routes)
+	}
+	ifaces, local, routes := make([]IfaceID, 0, ni), make([]uint32, 0, ni), make([]fibRoute, 0, nr)
 	for i := range p.routers {
 		r := &p.routers[i]
-		ifaces, local, routes = append(ifaces, r.ifaces...), append(local, r.local...), append(routes, r.fib.routes...)
+		r.ifaces, r.local, r.fib.routes = carve(&ifaces, r.ifaces), carve(&local, r.local), carve(&routes, r.fib.routes)
 	}
-	for i := range p.routers { // the arenas have stopped moving: cut them up
-		r := &p.routers[i]
-		ni, nr := len(r.ifaces), len(r.fib.routes)
-		r.ifaces, ifaces = ifaces[:ni:ni], ifaces[ni:]
-		r.local, local = local[:ni:ni], local[ni:]
-		r.fib.routes, routes = routes[:nr:nr], routes[nr:]
-	}
+}
+
+// carve appends s to an arena with room for it and returns the copy,
+// capped at its length: an append to it reallocates instead of writing
+// over its neighbour in the arena.
+func carve[T any](arena *[]T, s []T) []T {
+	a := append(*arena, s...)
+	*arena = a
+	return a[len(a)-len(s) : len(a) : len(a)]
 }
 
 // clone returns a private copy of a shared plane. The routers' slices

@@ -3,6 +3,7 @@ package topology
 import (
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"sort"
 	"strconv"
 	"sync/atomic"
@@ -47,6 +48,7 @@ func Build(cfg Config) (*Topology, error) {
 		plans[i] = newASPlan(i)
 	}
 	t.VPs, t.CloudVPs = planVPs(cfg, ases)
+	t.reserve()
 	t.buildRouters(rng)
 	t.buildIntraLinks(plans, rng)
 	t.buildInterLinks(plans, rng)
@@ -67,6 +69,29 @@ func Build(cfg Config) (*Topology, error) {
 func nodeName(as int, kind string, j int) string {
 	b := strconv.AppendInt(append(make([]byte, 0, 24), "as"...), int64(as), 10)
 	return string(strconv.AppendInt(append(b, kind...), int64(j), 10))
+}
+
+// gatewayName names a rate-limited VP's dedicated gateway router.
+func gatewayName(v *VP) string { return fmt.Sprintf("as%d-vpgw-%s", v.ASIdx, v.Name) }
+
+// reserve presizes the network for what the roster builds: each AS's
+// routers and a host per prefix, each VP's host and policed gateway; a
+// tree link per router but an AS's first (gateways included), a link
+// per AS adjacency and an access link per host. An AS's names are
+// counted at the length of the longest.
+func (t *Topology) reserve() {
+	routers, hosts, names, adjs := 0, 0, 0, 0
+	for i, a := range t.ASes {
+		routers, hosts, adjs = routers+a.NumRouters, hosts+a.NumPrefixes, adjs+len(t.Graph.Neighbors(i))
+		names += a.NumRouters*len(nodeName(i, "-r", a.NumRouters)) + a.NumPrefixes*len(nodeName(i, "-d", a.NumPrefixes))
+	}
+	for _, v := range slices.Concat(t.VPs, t.CloudVPs) {
+		hosts, names = hosts+1, names+len(v.Name)
+		if v.SourceRateLimited {
+			routers, names = routers+1, names+len(gatewayName(v))
+		}
+	}
+	t.Net.Reserve(routers+hosts, hosts, routers-len(t.ASes)+adjs/2+hosts, names)
 }
 
 // bindRouters fills Routers with this topology's network's handles.
@@ -146,7 +171,7 @@ func (t *Topology) buildRouters(rng *rand.Rand) {
 		// buildVPs wires them in.
 		for _, v := range t.VPs {
 			if v.SourceRateLimited && v.ASIdx == i {
-				add(i, fmt.Sprintf("as%d-vpgw-%s", i, v.Name), netsim.RouterBehavior{
+				add(i, gatewayName(v), netsim.RouterBehavior{
 					OptionsRateLimit: t.Cfg.SourceRateLimitPPS,
 					OptionsRateBurst: t.Cfg.SourceRateLimitPPS / 2,
 				})

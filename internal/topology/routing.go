@@ -100,159 +100,134 @@ const (
 	classNone     int8 = 4
 )
 
-// NextHops computes, for every AS, the next-hop AS on its best
-// policy-compliant route toward dst. nh[dst] = dst; unreachable ASes get
-// -1. The companion class and dist slices describe the selected route.
-func (g *Graph) NextHops(dst int) (nh []int32, class []int8, dist []int32) {
-	nh = make([]int32, g.n)
-	class = make([]int8, g.n)
-	dist = make([]int32, g.n)
-	g.nextHopsInto(dst, nh, class, dist)
-	return nh, class, dist
+// relAdj is a graph's adjacency split by relationship into flat runs:
+// AS a's customers are to[off[3a]:off[3a+1]], its peers
+// to[off[3a+1]:off[3a+2]] and its providers to[off[3a+2]:off[3a+3]].
+// Each stage of the route kernel walks one relationship only.
+type relAdj struct {
+	off []int32
+	to  []int32
 }
 
-// nextHopsInto is NextHops writing into caller-provided slices of length
-// g.n, so all-pairs computations can reuse scratch across destinations.
-func (g *Graph) nextHopsInto(dst int, nh []int32, class []int8, dist []int32) {
-	n := g.n
-	for i := range nh {
-		nh[i] = -1
-		class[i] = classNone
-		dist[i] = 1 << 30
+func splitByRel(g *Graph) *relAdj {
+	s := &relAdj{off: make([]int32, 1, 3*g.n+1)}
+	for _, l := range g.adj {
+		for r := RelCustomer; r <= RelProvider; r++ {
+			for _, nb := range l {
+				if nb.Rel == r {
+					s.to = append(s.to, int32(nb.To))
+				}
+			}
+			s.off = append(s.off, int32(len(s.to)))
+		}
 	}
-	nh[dst] = int32(dst)
-	class[dst] = 0
-	dist[dst] = 0
+	return s
+}
 
-	// Stage 1: customer routes climb provider edges from dst. An AS
-	// whose customer has a customer route (or is dst) learns a customer
-	// route. Level-order BFS gives shortest paths; the lowest next-hop
-	// index wins ties within a level.
-	level := []int{dst}
-	d := int32(0)
-	for len(level) > 0 {
-		d++
-		var next []int
-		for _, a := range level {
-			for _, nb := range g.adj[a] {
-				if nb.Rel != RelProvider {
-					continue // only a's providers learn this as a customer route
-				}
-				p := nb.To
-				if class[p] == classCustomer {
-					// Already reached at an earlier or equal level; a
-					// same-level lower-index hop wins the tie.
-					if dist[p] == d && int32(a) < nh[p] {
-						nh[p] = int32(a)
-					}
-					continue
-				}
-				if class[p] == classNone {
-					class[p] = classCustomer
-					dist[p] = d
-					nh[p] = int32(a)
-					next = append(next, p)
-				}
-				// class[p] == 0 is dst itself: nothing to do.
-			}
-		}
-		level = dedupInts(next)
-	}
+// of returns a's neighbours of relationship r.
+func (s *relAdj) of(a int32, r Rel) []int32 {
+	k := 3*int(a) + int(r)
+	return s.to[s.off[k]:s.off[k+1]]
+}
 
-	// Stage 2: peer routes: one peer edge from an AS holding a customer
-	// route (or dst itself).
-	for a := 0; a < n; a++ {
-		if class[a] <= classCustomer {
-			continue
-		}
-		best := int32(1 << 30)
-		bestHop := int32(-1)
-		for _, nb := range g.adj[a] {
-			if nb.Rel != RelPeer {
-				continue
-			}
-			b := nb.To
-			if class[b] > classCustomer && b != dst {
-				continue
-			}
-			if cand := dist[b] + 1; cand < best || (cand == best && int32(b) < bestHop) {
-				best = cand
-				bestHop = int32(b)
-			}
-		}
-		if bestHop >= 0 {
-			class[a] = classPeer
-			dist[a] = best
-			nh[a] = bestHop
-		}
-	}
+// routeKernel computes next-hop rows one destination at a time. A worker
+// owns one and reuses its scratch across rows; class, and dist where
+// class is not classNone, describe the route each AS selected toward
+// the last row's destination.
+type routeKernel struct {
+	adj     *relAdj
+	class   []int8
+	dist    []int32
+	routed  []int32   // dst, the customer-routed ASes, then the peer-routed
+	buckets [][]int32 // stage 3's frontier, by distance
+}
 
-	// Stage 3: provider routes descend customer edges from any routed
-	// AS, chaining downward. Level-order BFS over candidate distances.
-	// Seeds: every AS with a route so far, offering dist+1 to customers.
-	// Because seed distances vary, bucket by distance.
-	maxD := int32(0)
-	for a := 0; a < n; a++ {
-		if class[a] != classNone && dist[a] > maxD && dist[a] < 1<<29 {
-			maxD = dist[a]
-		}
+func newRouteKernel(adj *relAdj, n int) *routeKernel {
+	return &routeKernel{adj: adj, class: make([]int8, n), dist: make([]int32, n)}
+}
+
+// row writes into nh every AS's next hop on its best policy-compliant
+// route toward dst: nh[dst] = dst, and -1 for an AS with no route.
+func (k *routeKernel) row(dst int32, nh []int32) {
+	class, dist := k.class, k.dist
+	for a := range nh {
+		nh[a], class[a] = -1, classNone
 	}
-	buckets := make([][]int, maxD+2)
-	for a := 0; a < n; a++ {
-		if class[a] != classNone {
-			buckets[dist[a]] = append(buckets[dist[a]], a)
-		}
-	}
-	for d := int32(0); int(d) < len(buckets); d++ {
-		for _, a := range buckets[d] {
-			if dist[a] != d {
-				continue // superseded before processing
-			}
-			for _, nb := range g.adj[a] {
-				if nb.Rel != RelCustomer {
-					continue // only a's customers learn this downward
-				}
-				c := nb.To
-				cand := d + 1
+	nh[dst], class[dst], dist[dst] = dst, 0, 0
+
+	// Stage 1: customer routes climb provider edges from dst, level by
+	// level, so the first route an AS learns is a shortest one; within a
+	// level the lowest next-hop index wins. An AS is listed once, when it
+	// is first reached.
+	routed := append(k.routed[:0], dst)
+	for lo, d := 0, int32(1); lo < len(routed); d++ {
+		hi := len(routed)
+		for _, a := range routed[lo:hi] {
+			for _, p := range k.adj.of(a, RelProvider) {
 				switch {
-				case class[c] < classProvider:
-					// customer/peer routes always beat provider routes.
-				case class[c] == classProvider && dist[c] < cand:
-				case class[c] == classProvider && dist[c] == cand:
-					if int32(a) < nh[c] {
-						nh[c] = int32(a)
-					}
-				default:
-					class[c] = classProvider
-					dist[c] = cand
-					nh[c] = int32(a)
-					for int(cand) >= len(buckets) {
-						buckets = append(buckets, nil)
-					}
-					buckets[cand] = append(buckets[cand], c)
+				case class[p] == classNone:
+					class[p], dist[p], nh[p] = classCustomer, d, a
+					routed = append(routed, p)
+				case class[p] == classCustomer && dist[p] == d && a < nh[p]:
+					nh[p] = a
+				}
+			}
+		}
+		lo = hi
+	}
+
+	// Stage 2: peer routes, one peer edge from dst or an AS holding a
+	// customer route. Each such AS pushes its route to its peers rather
+	// than every AS pulling from all of its own: the same candidates,
+	// and the least (distance, next hop) wins either way. The range is
+	// stage 1's list; the peer-routed ASes appended here are not in it.
+	for _, b := range routed {
+		cand := dist[b] + 1
+		for _, a := range k.adj.of(b, RelPeer) {
+			switch {
+			case class[a] == classNone:
+				class[a], dist[a], nh[a] = classPeer, cand, b
+				routed = append(routed, a)
+			case class[a] == classPeer && (cand < dist[a] || cand == dist[a] && b < nh[a]):
+				dist[a], nh[a] = cand, b
+			}
+		}
+	}
+	k.routed = routed
+
+	// Stage 3: provider routes descend customer edges from every routed
+	// AS, chaining downward: a BFS whose seeds start at different
+	// distances, so its frontier is bucketed by distance. An AS enters
+	// one bucket, on its first route; within a bucket the lowest next hop
+	// wins whatever the order.
+	for d := range k.buckets {
+		k.buckets[d] = k.buckets[d][:0]
+	}
+	for _, a := range routed {
+		k.push(dist[a], a)
+	}
+	for d := int32(0); int(d) < len(k.buckets); d++ {
+		cand := d + 1
+		for _, a := range k.buckets[d] {
+			for _, c := range k.adj.of(a, RelCustomer) {
+				switch {
+				case class[c] == classNone:
+					class[c], dist[c], nh[c] = classProvider, cand, a
+					k.push(cand, c)
+				case class[c] == classProvider && dist[c] == cand && a < nh[c]:
+					nh[c] = a
 				}
 			}
 		}
 	}
-
-	for a := 0; a < n; a++ {
-		if class[a] == classNone {
-			dist[a] = -1
-		}
-	}
 }
 
-// dedupInts removes duplicates preserving first occurrence order.
-func dedupInts(xs []int) []int {
-	seen := make(map[int]bool, len(xs))
-	out := xs[:0]
-	for _, x := range xs {
-		if !seen[x] {
-			seen[x] = true
-			out = append(out, x)
-		}
+// push adds a to stage 3's bucket d.
+func (k *routeKernel) push(d, a int32) {
+	for int(d) >= len(k.buckets) {
+		k.buckets = append(k.buckets, nil)
 	}
-	return out
+	k.buckets[d] = append(k.buckets[d], a)
 }
 
 // Routes is the all-pairs next-hop matrix: Next[d][a] is a's next hop
@@ -272,48 +247,28 @@ func ComputeRoutes(g *Graph) *Routes {
 
 // ComputeRoutesParallel is ComputeRoutes with an explicit worker count
 // (workers <= 0 selects min(GOMAXPROCS, NumCPU)). Per-destination rows
-// are independent — each worker owns its own class/dist scratch and
-// writes only row d of the shared flat backing array, so the result is
-// bit-identical to the serial build regardless of worker count or
-// scheduling.
+// are independent — each worker owns a kernel and writes only the rows
+// it takes from a shared counter — so the result is bit-identical to the
+// serial build regardless of worker count or scheduling.
 func ComputeRoutesParallel(g *Graph, workers int) *Routes {
 	r := &Routes{g: g, Next: make([][]int32, g.n)}
 	flat := make([]int32, g.n*g.n)
+	for d := range r.Next {
+		r.Next[d] = flat[d*g.n : (d+1)*g.n : (d+1)*g.n]
+	}
 	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-		if nc := runtime.NumCPU(); nc < workers {
-			workers = nc
-		}
+		workers = min(runtime.GOMAXPROCS(0), runtime.NumCPU())
 	}
-	if workers > g.n {
-		workers = g.n
-	}
-	if workers <= 1 {
-		class := make([]int8, g.n)
-		dist := make([]int32, g.n)
-		for d := 0; d < g.n; d++ {
-			row := flat[d*g.n : (d+1)*g.n : (d+1)*g.n]
-			g.nextHopsInto(d, row, class, dist)
-			r.Next[d] = row
-		}
-		return r
-	}
+	adj := splitByRel(g)
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 0; w < min(workers, g.n); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			class := make([]int8, g.n)
-			dist := make([]int32, g.n)
-			for {
-				d := int(next.Add(1)) - 1
-				if d >= g.n {
-					return
-				}
-				row := flat[d*g.n : (d+1)*g.n : (d+1)*g.n]
-				g.nextHopsInto(d, row, class, dist)
-				r.Next[d] = row
+			k := newRouteKernel(adj, g.n)
+			for d := int(next.Add(1)) - 1; d < g.n; d = int(next.Add(1)) - 1 {
+				k.row(int32(d), r.Next[d])
 			}
 		}()
 	}

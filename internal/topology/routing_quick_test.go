@@ -104,8 +104,11 @@ func TestQuickRoutesValleyFree(t *testing.T) {
 func TestQuickRoutesPreferCustomer(t *testing.T) {
 	f := func(seed int64) bool {
 		g := randomHierarchy(seed)
+		k := newRouteKernel(splitByRel(g), g.N())
+		nh := make([]int32, g.N())
 		for d := 0; d < g.N(); d++ {
-			nh, cls, _ := g.NextHops(d)
+			k.row(int32(d), nh)
+			cls := k.class
 			for s := 0; s < g.N(); s++ {
 				if s == d {
 					continue

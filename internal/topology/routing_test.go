@@ -183,7 +183,10 @@ func TestGraphHasLink(t *testing.T) {
 
 func TestNextHopsClassAndDist(t *testing.T) {
 	g := buildTestGraph()
-	nh, class, dist := g.NextHops(7) // dst = E3
+	k := newRouteKernel(splitByRel(g), g.N())
+	nh := make([]int32, g.N())
+	k.row(7, nh) // dst = E3
+	class, dist := k.class, k.dist
 	// E2 reaches E3 via peer: class peer, dist 1.
 	if class[6] != classPeer || dist[6] != 1 || nh[6] != 7 {
 		t.Errorf("E2: class=%d dist=%d nh=%d", class[6], dist[6], nh[6])

@@ -184,3 +184,22 @@ func TestLargePlaneBudget(t *testing.T) {
 		t.Fatal("clone lost destinations")
 	}
 }
+
+// What building a large plane allocates in all, garbage included: the
+// route kernel's scratch and the network's build tables, which Build
+// reserves at their final size so that none is copied as it grows.
+func TestLargeBuildAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the large profile")
+	}
+	profileTopology(t, ScaleLarge) // warm: what a second build allocates
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	profileTopology(t, ScaleLarge)
+	runtime.ReadMemStats(&after)
+	total := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20)
+	t.Logf("large build: %.1f MB in %d allocations", total, after.Mallocs-before.Mallocs)
+	if total > 70 {
+		t.Errorf("a large build allocates %.1f MB, budget 70 MB", total)
+	}
+}
