@@ -33,12 +33,24 @@ func benchInternet(tb testing.TB) *Internet {
 	return in
 }
 
+// benchRun builds a fresh benchmark Internet, runs the named
+// experiments on it at p, and returns its report.
+func benchRun(b *testing.B, p Params, names ...string) Report {
+	b.Helper()
+	in := benchInternet(b)
+	for _, name := range names {
+		if err := in.Run(name, io.Discard, p); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return in.Report()
+}
+
 // BenchmarkTable1ResponseRates regenerates Table 1: ping and ping-RR
 // response rates by IP and AS type.
 func BenchmarkTable1ResponseRates(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		in := benchInternet(b)
-		sum := in.Table1(io.Discard)
+		sum := benchRun(b, Params{}, "table1").Table1
 		b.ReportMetric(sum.RRRatioByIP, "rr/ping-byIP")
 		b.ReportMetric(sum.RRRatioByAS, "rr/ping-byAS")
 	}
@@ -49,8 +61,7 @@ func BenchmarkTable1ResponseRates(b *testing.B) {
 // recovery).
 func BenchmarkFigure1ClosestVPCDF(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		in := benchInternet(b)
-		sum := in.Figure1Reachability(io.Discard)
+		sum := benchRun(b, Params{}, "fig1").Reachability
 		b.ReportMetric(sum.ReachableFrac, "reachable-frac")
 		b.ReportMetric(sum.Within8Frac, "within8-frac")
 	}
@@ -109,9 +120,7 @@ func BenchmarkRouteBuild(b *testing.B) {
 // responsiveness run.
 func BenchmarkReachabilityRecovery(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		in := benchInternet(b)
-		in.Table1(nil) // populate the cache outside the interesting part
-		sum := in.Figure1Reachability(nil)
+		sum := benchRun(b, Params{}, "table1", "fig1").Reachability
 		b.ReportMetric(float64(sum.AliasReclassified), "alias-reclass")
 		b.ReportMetric(float64(sum.RRUDPReclassified), "rrudp-reclass")
 	}
@@ -120,9 +129,7 @@ func BenchmarkReachabilityRecovery(b *testing.B) {
 // BenchmarkVPResponseDistribution regenerates the §3.2 distribution.
 func BenchmarkVPResponseDistribution(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		in := benchInternet(b)
-		d := in.VPResponseDistribution()
-		b.ReportMetric(d.AboveTwoThirds, "above-2/3-frac")
+		b.ReportMetric(benchRun(b, Params{}, "vpdist").VPResponse.AboveTwoThirds, "above-2/3-frac")
 	}
 }
 
@@ -130,11 +137,7 @@ func BenchmarkVPResponseDistribution(b *testing.B) {
 // full Internets, two full measurement campaigns).
 func BenchmarkFigure2Epochs(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		in := benchInternet(b)
-		sum, err := in.Figure2Epochs(io.Discard)
-		if err != nil {
-			b.Fatal(err)
-		}
+		sum := benchRun(b, Params{}, "fig2").Epochs
 		b.ReportMetric(sum.Reachable2016, "reachable-2016")
 		b.ReportMetric(sum.Reachable2011, "reachable-2011")
 	}
@@ -143,8 +146,7 @@ func BenchmarkFigure2Epochs(b *testing.B) {
 // BenchmarkStampAudit regenerates the §3.5 traceroute/RR AS audit.
 func BenchmarkStampAudit(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		in := benchInternet(b)
-		sum := in.StampAudit(io.Discard, 50)
+		sum := benchRun(b, Params{Cap: 50}, "audit").StampAudit
 		b.ReportMetric(float64(sum.Always), "always-stamp")
 		b.ReportMetric(float64(sum.Never), "never-stamp")
 	}
@@ -154,9 +156,7 @@ func BenchmarkStampAudit(b *testing.B) {
 // comparison.
 func BenchmarkFigure3CloudDistance(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		in := benchInternet(b)
-		sum := in.Figure3Clouds(io.Discard, 150)
-		for _, f := range sum.Within8 {
+		for _, f := range benchRun(b, Params{Cap: 150}, "fig3").Clouds.Within8 {
 			b.ReportMetric(f, "cloud-within8-frac")
 			break
 		}
@@ -167,8 +167,7 @@ func BenchmarkFigure3CloudDistance(b *testing.B) {
 // response counts.
 func BenchmarkFigure4RateLimiting(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		in := benchInternet(b)
-		sum := in.Figure4RateLimit(io.Discard, 300)
+		sum := benchRun(b, Params{Cap: 300}, "fig4").RateLimit
 		b.ReportMetric(float64(len(sum.DrasticDrop)), "drastic-drop-vps")
 	}
 }
@@ -176,8 +175,7 @@ func BenchmarkFigure4RateLimiting(b *testing.B) {
 // BenchmarkFigure5TTLTradeoff regenerates the TTL sweep.
 func BenchmarkFigure5TTLTradeoff(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		in := benchInternet(b)
-		sum := in.Figure5TTL(io.Discard, 100)
+		sum := benchRun(b, Params{Cap: 100}, "fig5").TTL
 		b.ReportMetric(sum.ReachableRate[10], "reach-rate@ttl10")
 		b.ReportMetric(sum.UnreachableRate[10], "unreach-rate@ttl10")
 	}

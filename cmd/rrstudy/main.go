@@ -4,11 +4,13 @@
 // Usage:
 //
 //	rrstudy [-scale 1.0|small|medium|large] [-seed N] [-rate PPS]
-//	        [-experiment all] [-shards K] [-metrics out.json]
+//	        [-experiment all|NAME] [-shards K] [-metrics out.json]
 //	        [-trace dst=IP] [-progress]
 //
-// Experiments: all, table1, fig1, fig2, audit, fig3, fig4, fig5, vpdist,
-// atlas, lsrr, traceroute, rr-vs-tr, chaos.
+// -experiment names one experiment of the study's registry, or all (the
+// paper's tables and figures, in paper order); an unknown name is
+// refused with the registered ones. -json and -outdir apply to whatever
+// it selects: -outdir writes each experiment to <dir>/<name>.txt.
 //
 // -experiment traceroute runs the Doubletree engine (per-VP local stop
 // sets plus a shared global (iface, dst-prefix) stop set, merged
@@ -85,11 +87,11 @@ func main() {
 		scale      = flag.String("scale", "1.0", "topology size: a numeric factor (1.0 ≈ 1/100 of the paper) or a profile name small|medium|large (large ≈ the paper's 10⁵-prefix hitlist)")
 		seed       = flag.Uint64("seed", 0, "random seed (0 = built-in default)")
 		rate       = flag.Float64("rate", 20, "per-VP probing rate in packets per second")
-		experiment = flag.String("experiment", "all", "experiment to run: all|table1|fig1|fig2|audit|fig3|fig4|fig5|vpdist|atlas|lsrr|traceroute|rr-vs-tr|chaos|epochs-live")
+		experiment = flag.String("experiment", "all", "experiment to run: all (the paper's tables and figures) or one registered name (an unknown name lists them)")
 		liveEpochs = flag.Int("live-epochs", 3, "epochs-live: number of consecutive fault epochs to measure")
-		jsonOut    = flag.String("json", "", "also write the combined machine-readable report to this file (all experiments only)")
+		jsonOut    = flag.String("json", "", "also write the machine-readable report of the selected experiments to this file")
 		dump       = flag.String("dump", "", "archive the raw per-VP ping-RR results to this file")
-		outdir     = flag.String("outdir", "", "also write each experiment's rendering to its own file in this directory (all experiments only)")
+		outdir     = flag.String("outdir", "", "write each selected experiment's rendering to <outdir>/<name>.txt instead of stdout")
 
 		chaosLoss    = flag.Float64("chaos-loss", 0, "chaos: custom scenario per-direction loss probability on a quarter of links (0 = default sweep)")
 		chaosOutages = flag.Float64("chaos-outages", 0, "chaos: custom scenario fraction of routers suffering a transient outage")
@@ -110,6 +112,13 @@ func main() {
 		blockProfile = flag.String("blockprofile", "", "write a goroutine-blocking profile taken at exit to this file")
 	)
 	flag.Parse()
+	if *resume && *journal == "" {
+		log.Fatal("-resume needs -journal: it continues the run that journal recorded")
+	}
+	names, err := recordroute.Experiments(*experiment)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -186,81 +195,43 @@ func main() {
 		time.Since(start).Round(time.Millisecond))
 
 	w := os.Stdout
-	var chaosSum *recordroute.ChaosSummary
-	switch *experiment {
-	case "all":
-		step("all", func() error {
-			var rep recordroute.Report
-			var err error
-			if *outdir != "" {
-				rep, err = runAllToDir(inet, w, *outdir)
-			} else {
-				rep, err = inet.RunAll(w)
+	params := recordroute.Params{Epochs: *liveEpochs,
+		ChaosLoss: *chaosLoss, ChaosOutages: *chaosOutages, ChaosRetries: *chaosRetries}
+	if *outdir != "" {
+		if err := os.MkdirAll(*outdir, 0o755); err != nil {
+			log.Fatal(err)
+		}
+	}
+	for i, name := range names {
+		step(name, func() error {
+			if *outdir == "" {
+				if i > 0 {
+					fmt.Fprintln(w)
+				}
+				return inet.Run(name, w, params)
 			}
-			if err != nil {
+			path := filepath.Join(*outdir, name+".txt")
+			if err := writeFileAtomic(path, func(f io.Writer) error { return inet.Run(name, f, params) }); err != nil {
 				return err
 			}
-			if *jsonOut != "" {
-				err := writeFileAtomic(*jsonOut, func(f io.Writer) error {
-					enc := json.NewEncoder(f)
-					enc.SetIndent("", "  ")
-					return enc.Encode(rep)
-				})
-				if err != nil {
-					return err
-				}
-				fmt.Fprintf(os.Stderr, "# report written to %s\n", *jsonOut)
-			}
+			fmt.Fprintf(os.Stderr, "# wrote %s\n", path)
 			return nil
 		})
-	case "table1":
-		step("table1", func() error { inet.Table1(w); return nil })
-	case "fig1":
-		step("fig1", func() error { inet.Figure1Reachability(w); return nil })
-	case "fig2":
-		step("fig2", func() error { _, err := inet.Figure2Epochs(w); return err })
-	case "audit":
-		step("audit", func() error { inet.StampAudit(w, 0); return nil })
-	case "fig3":
-		step("fig3", func() error { inet.Figure3Clouds(w, 0); return nil })
-	case "fig4":
-		step("fig4", func() error { inet.Figure4RateLimit(w, 1000); return nil })
-	case "fig5":
-		step("fig5", func() error { inet.Figure5TTL(w, 0); return nil })
-	case "atlas":
-		step("atlas", func() error { inet.TopologyAtlas(w, 0); return nil })
-	case "lsrr":
-		step("lsrr", func() error { inet.SourceRouteCheck(w, 0); return nil })
-	case "traceroute":
-		step("traceroute", func() error { inet.Doubletree(w, 0, 0); return nil })
-	case "rr-vs-tr":
-		step("rr-vs-tr", func() error { inet.RRvsTraceroute(w, 0); return nil })
-	case "chaos":
-		var scenarios []recordroute.ChaosScenario
-		if *chaosLoss > 0 || *chaosOutages > 0 {
-			scenarios = append(scenarios, recordroute.ChaosScenario{
-				Label: "custom",
-				Faults: recordroute.FaultProfile{
-					LossProb: *chaosLoss, LossFrac: 0.25,
-					OutageFrac: *chaosOutages,
-				},
-			})
+	}
+	if *outdir != "" {
+		fmt.Fprintln(w, "# per-experiment outputs written; see -outdir")
+	}
+	rep := inet.Report()
+	if *jsonOut != "" {
+		err := writeFileAtomic(*jsonOut, func(f io.Writer) error {
+			enc := json.NewEncoder(f)
+			enc.SetIndent("", "  ")
+			return enc.Encode(rep)
+		})
+		if err != nil {
+			log.Fatal(err)
 		}
-		step("chaos", func() error {
-			s, err := inet.ChaosReport(w, *chaosRetries, scenarios...)
-			chaosSum = &s
-			return err
-		})
-	case "epochs-live":
-		step("epochs-live", func() error { _, err := inet.EpochsLive(w, *liveEpochs); return err })
-	case "vpdist":
-		step("vpdist", func() error {
-			d := inet.VPResponseDistribution()
-			fmt.Printf("RR-responsive destinations answering >2/3 of VPs: %.2f (paper: ~0.80)\n", d.AboveTwoThirds)
-			return nil
-		})
-	default:
-		log.Fatalf("unknown experiment %q", *experiment)
+		fmt.Fprintf(os.Stderr, "# report written to %s\n", *jsonOut)
 	}
 	if *metricsOut != "" {
 		err := writeFileAtomic(*metricsOut, func(f io.Writer) error {
@@ -270,8 +241,8 @@ func main() {
 			// so its snapshots (captured inside each arm) are the
 			// meaningful ones; every other experiment probes through
 			// this Internet's own engines.
-			if chaosSum != nil {
-				return enc.Encode(chaosSum.Snapshots)
+			if rep.ChaosMetrics != nil {
+				return enc.Encode(rep.ChaosMetrics)
 			}
 			return enc.Encode(inet.Metrics("campaign"))
 		})
@@ -348,47 +319,4 @@ func writeFileAtomic(path string, write func(io.Writer) error) error {
 		return err
 	}
 	return os.Rename(f.Name(), path)
-}
-
-// runAllToDir mirrors RunAll but tees each experiment into its own
-// file, each written atomically.
-func runAllToDir(inet *recordroute.Internet, w *os.File, dir string) (recordroute.Report, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return recordroute.Report{}, err
-	}
-	var rep recordroute.Report
-	run := func(name string, fn func(out io.Writer) error) error {
-		path := filepath.Join(dir, name+".txt")
-		if err := writeFileAtomic(path, fn); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "# wrote %s\n", path)
-		return nil
-	}
-	steps := []struct {
-		name string
-		fn   func(out io.Writer) error
-	}{
-		{"table1", func(out io.Writer) error { rep.Table1 = inet.Table1(out); return nil }},
-		{"figure1", func(out io.Writer) error { rep.Reachability = inet.Figure1Reachability(out); return nil }},
-		{"figure2", func(out io.Writer) error {
-			var err error
-			rep.Epochs, err = inet.Figure2Epochs(out)
-			return err
-		}},
-		{"audit", func(out io.Writer) error { rep.StampAudit = inet.StampAudit(out, 0); return nil }},
-		{"figure3", func(out io.Writer) error { rep.Clouds = inet.Figure3Clouds(out, 0); return nil }},
-		{"figure4", func(out io.Writer) error { rep.RateLimit = inet.Figure4RateLimit(out, 1000); return nil }},
-		{"figure5", func(out io.Writer) error { rep.TTL = inet.Figure5TTL(out, 0); return nil }},
-		{"atlas", func(out io.Writer) error { rep.Atlas = inet.TopologyAtlas(out, 0); return nil }},
-		{"lsrr", func(out io.Writer) error { rep.SourceRoute = inet.SourceRouteCheck(out, 0); return nil }},
-	}
-	for _, st := range steps {
-		if err := run(st.name, st.fn); err != nil {
-			return rep, err
-		}
-	}
-	rep.VPResponse = inet.VPResponseDistribution()
-	fmt.Fprintln(w, "# per-experiment outputs written; see -outdir")
-	return rep, nil
 }

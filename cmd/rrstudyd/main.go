@@ -1,5 +1,6 @@
 // Command rrstudyd is the campaign service daemon: it accepts study
-// jobs over HTTP, executes them on a bounded worker pool against a
+// jobs — any experiment rrstudy -experiment names, run at its defaults —
+// over HTTP, executes them on a bounded worker pool against a
 // frozen-plane topology cache, streams per-VP results as JSON lines
 // while campaigns run, and checkpoints every job to a journal so a
 // killed campaign resumes instead of restarting.
@@ -13,12 +14,12 @@
 //
 // Endpoints:
 //
-//	POST   /jobs                 submit {"experiment":"table1","scale":0.25,...}
+//	POST   /jobs                 submit {"experiment":"fig5","scale":0.25,...} (an unknown name lists the registered ones)
 //	GET    /jobs/{id}            status + progress
 //	DELETE /jobs/{id}            cancel (honored at the next checkpoint)
 //	GET    /jobs/{id}/stream     live JSONL result stream
 //	GET    /jobs/{id}/render     the finished table
-//	POST   /schedules            recurring campaign {"job":{...},"epochs":3}
+//	POST   /schedules            recurring table1 campaign {"job":{...},"epochs":3}
 //	GET    /schedules            list schedules
 //	GET    /schedules/{id}       schedule status + cursor
 //	DELETE /schedules/{id}       cancel the schedule and its in-flight epoch

@@ -115,10 +115,8 @@ func (s *Server) CreateSchedule(tenant string, spec ScheduleSpec) (*Schedule, er
 	if spec.Job.Journal != "" || spec.Job.Resume {
 		return nil, fmt.Errorf("schedule job must not set journal/resume: epoch journals are derived from the schedule ID")
 	}
-	switch spec.Job.Experiment {
-	case "table1", "responsiveness":
-	default:
-		return nil, fmt.Errorf("unknown experiment %q (want table1)", spec.Job.Experiment)
+	if spec.Job.Experiment != "table1" {
+		return nil, fmt.Errorf("schedule experiment %q: schedules run table1 only, because an epoch diff is Table 1's RR-reachable set", spec.Job.Experiment)
 	}
 	if _, err := spec.Job.config(); err != nil {
 		return nil, err

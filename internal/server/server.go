@@ -132,8 +132,8 @@ func (c Config) backoffFor(retry int) time.Duration {
 // with which campaign options. The zero value of each field means its
 // study default.
 type JobSpec struct {
-	// Experiment selects the campaign; "table1" (the Table 1
-	// responsiveness study) is the one the service runs.
+	// Experiment names a registered experiment (study.Lookup; the names
+	// rrstudy -experiment takes), run at its default parameters.
 	Experiment string `json:"experiment"`
 	// Scale multiplies the default topology sizing (1.0 ≈ 1/100 of the
 	// paper's probing volume). Mutually exclusive with Profile.
@@ -275,7 +275,7 @@ type Job struct {
 	degraded  bool   // the journal degraded during some attempt
 	cacheHit  bool
 	done      int   // completed batch checkpoints (archived + freshly probed)
-	total     int   // batch checkpoints the campaign will complete, once known
+	total     int   // batch checkpoints the campaign will complete; 0 = unknown
 	spooled   int64 // committed spool length: bytes written, then published here
 	render    []byte
 	reachable []netip.Addr // an epoch job's RR-reachable set (schedule epoch diffs)
@@ -288,13 +288,16 @@ type Job struct {
 
 // Status is the job-status JSON.
 type Status struct {
-	ID       string  `json:"id"`
-	State    string  `json:"state"`
-	Error    string  `json:"error,omitempty"`
-	Class    string  `json:"class,omitempty"`
-	Attempts int     `json:"attempts,omitempty"`
-	Degraded bool    `json:"degraded,omitempty"`
-	CacheHit bool    `json:"cache_hit"`
+	ID       string `json:"id"`
+	State    string `json:"state"`
+	Error    string `json:"error,omitempty"`
+	Class    string `json:"class,omitempty"`
+	Attempts int    `json:"attempts,omitempty"`
+	Degraded bool   `json:"degraded,omitempty"`
+	CacheHit bool   `json:"cache_hit"`
+	// Done counts completed batch checkpoints; Total is how many the
+	// job completes in all, when its experiment knows that exactly, and
+	// 0 (unknown) otherwise.
 	Done     int     `json:"done"`
 	Total    int     `json:"total"`
 	Progress float64 `json:"progress"`
@@ -479,10 +482,8 @@ func (s *Server) submit(tenant string, spec JobSpec, metered bool, onTerminal fu
 	if tenant == "" {
 		tenant = "default"
 	}
-	switch spec.Experiment {
-	case "table1", "responsiveness":
-	default:
-		return nil, fmt.Errorf("unknown experiment %q (want table1)", spec.Experiment)
+	if _, err := study.Lookup(spec.Experiment); err != nil {
+		return nil, err
 	}
 	cfg, err := spec.config()
 	if err != nil {
@@ -805,6 +806,10 @@ func (s *Server) runOnce(job *Job) (out attemptOutcome) {
 		s.startHook(job)
 	}
 
+	exp, err := study.Lookup(job.Spec.Experiment)
+	if err != nil {
+		return failure(ClassSpec, "%v", err)
+	}
 	cfg, err := job.Spec.config()
 	if err != nil {
 		return failure(ClassSpec, "%v", err)
@@ -844,10 +849,12 @@ func (s *Server) runOnce(job *Job) (out attemptOutcome) {
 	// Every attempt appends at the committed length: whatever a killed
 	// attempt wrote beyond it was never published, and is overwritten.
 	off := job.spooled
-	// One ping-RR batch checkpoint per VP, plus the origin's
-	// destination-sharded ping phase: one range checkpoint per replica
-	// (DESIGN.md §15), each streamed under the origin's name.
-	job.total = len(st.Topo.VPs) + st.Fleet().NumShards()
+	// The experiment's checkpoint count when the registry knows it
+	// exactly; 0 reports it unknown.
+	job.total = 0
+	if exp.Batches != nil {
+		job.total = exp.Batches(st)
+	}
 	job.done = jn.Archived()
 	job.mu.Unlock()
 	// The sink runs under the journal lock, one batch at a time, on the
@@ -873,7 +880,12 @@ func (s *Server) runOnce(job *Job) (out attemptOutcome) {
 		job.cond.Broadcast()
 	})
 
-	resp := st.RunResponsiveness()
+	res, err := exp.Run(st, study.Params{})
+	if err != nil {
+		// Only the experiments that build worlds of their own fail
+		// here, and only when a build does: deterministic, terminal.
+		return failure(ClassTopology, "%v", err)
+	}
 	if errs := st.Fleet().ShardErrors(); len(errs) > 0 {
 		// Cancellation/deadline aborts surface as canceled shards when
 		// they land at a per-VP checkpoint rather than a phase boundary;
@@ -890,14 +902,15 @@ func (s *Server) runOnce(job *Job) (out attemptOutcome) {
 	}
 
 	var render bytes.Buffer
-	resp.Render(&render)
+	res.Render(&render)
 	job.mu.Lock()
 	job.render = render.Bytes()
 	if job.onTerminal != nil {
 		// The RR-reachable set is the epoch observation a schedule's
 		// time-series index diffs; captured here so the terminal hook
-		// (which only an epoch job has) reads settled data.
-		job.reachable = resp.RRResponsive()
+		// (which only an epoch job, always table1, has) reads settled
+		// data.
+		job.reachable = st.Table1().RRResponsive()
 	}
 	job.mu.Unlock()
 	return attemptOutcome{ok: true}

@@ -18,11 +18,14 @@ type EpochComparison struct {
 	ReachableFrac2016, ReachableFrac2011 float64
 	// CommonFrac are the same restricted to VPs present in both years.
 	CommonFrac2016, CommonFrac2011 float64
+	// Dests2016 and Dests2011 count each epoch's probed destinations.
+	Dests2016, Dests2011 int
 }
 
 // RunEpochComparison builds and measures both epochs. cfg2016 seeds the
 // roster; the 2011 topology shares it but re-derives the peering and VP
-// populations of that era.
+// populations of that era. opts.Scale must be empty: pass an already
+// resolved config, such as a built study's Topo.Cfg.
 func RunEpochComparison(cfg2016 topology.Config, opts Options) (*EpochComparison, error) {
 	cfg2011 := topology.DefaultConfig(topology.Epoch2011)
 	cfg2011.Seed = cfg2016.Seed
@@ -71,6 +74,8 @@ func RunEpochComparison(cfg2016 topology.Config, opts Options) (*EpochComparison
 	}
 
 	ec := &EpochComparison{
+		Dests2016: len(r16.Dests),
+		Dests2011: len(r11.Dests),
 		Figure2: &analysis.Figure{
 			Title:  "Figure 2: RR hops from closest VP, 2011 vs 2016 (CDF over RR-responsive destinations)",
 			XLabel: "rr-hops",

@@ -43,15 +43,6 @@ func RunEpochsLive(cfg topology.Config, opts Options, epochs int) (*EpochsLive, 
 	if epochs < 1 {
 		epochs = 3
 	}
-	if opts.Scale != "" {
-		pcfg, err := topology.ProfileConfig(cfg.Epoch, opts.Scale)
-		if err != nil {
-			return nil, err
-		}
-		pcfg.Seed, pcfg.Faults = cfg.Seed, cfg.Faults
-		cfg = pcfg
-		opts.Scale = ""
-	}
 	if cfg.Faults == nil {
 		cfg.Faults = DefaultChurnFaults(cfg.Seed)
 	}

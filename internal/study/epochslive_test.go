@@ -1,7 +1,6 @@
 package study
 
 import (
-	"bytes"
 	"testing"
 
 	"recordroute/internal/topology"
@@ -9,31 +8,6 @@ import (
 
 func epochsLiveConfig() topology.Config {
 	return topology.DefaultConfig(topology.Epoch2016).Scale(0.25)
-}
-
-// TestEpochsLiveShardInvariance extends the determinism contract
-// (DESIGN.md §6) to the virtual-epoch cadence: the same 3-epoch
-// churn series rendered at shard widths 1, 2, and 4 must come out
-// byte-identical — churn is a pure function of (seed, epoch), never of
-// execution interleaving.
-func TestEpochsLiveShardInvariance(t *testing.T) {
-	var renders [][]byte
-	for _, shards := range []int{1, 2, 4} {
-		el, err := RunEpochsLive(epochsLiveConfig(),
-			Options{Rate: 200, ShuffleSeed: 7, Shards: shards}, 3)
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		var buf bytes.Buffer
-		el.Render(&buf)
-		renders = append(renders, buf.Bytes())
-	}
-	for i := 1; i < len(renders); i++ {
-		if !bytes.Equal(renders[0], renders[i]) {
-			t.Errorf("epochs-live render differs across shard widths:\n--- shards=1 ---\n%s--- other ---\n%s",
-				renders[0], renders[i])
-		}
-	}
 }
 
 // TestEpochsLiveChurnMovesReachability: with the default churn plan,
@@ -76,18 +50,4 @@ func TestEpochsLiveChurn(t *testing.T) {
 			t.Errorf("churn-free epochs %d->%d moved: +%d -%d", d.From, d.To, len(d.Gained), len(d.Lost))
 		}
 	}
-}
-
-// TestGoldenEpochsLive pins the epochs-live render byte-for-byte at
-// the standard golden scale and seeds — the single-process twin of the
-// daemon's schedule path, so a diff here means the scheduler's epoch
-// derivation changed.
-func TestGoldenEpochsLive(t *testing.T) {
-	el, err := RunEpochsLive(epochsLiveConfig(), Options{Rate: 200, ShuffleSeed: 7}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	el.Render(&buf)
-	compareGolden(t, "epochs_live", buf.Bytes())
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"path/filepath"
 	"reflect"
 	"runtime"
@@ -281,77 +280,6 @@ func TestStudyShardsOptionResolution(t *testing.T) {
 		}
 		if fl != s.Fleet() {
 			t.Errorf("Shards=%d: Fleet() not cached across calls", c.shards)
-		}
-	}
-}
-
-// TestSingleEngineShardInvariance is the K-invariance of the experiments
-// that probe on one engine (Figures 3–5, the §3.5 audit, atlas, LSRR):
-// after Table 1, each renders the same bytes whether Table 1 ran on one
-// replica on the study's own engine, journaled or not, or on two or four
-// cloned replicas. The fault plan is what makes it bite: its drops are
-// drawn from the virtual clock, so an experiment probing an engine
-// Table 1 had already run would see different weather. Every run feeds
-// the experiments the K=1 run's Table 1, because a journaled Table 1
-// differs from an unjournaled one under faults (its phases are
-// quantized); Table 1 itself, and the merged metrics of every engine the
-// study ran, are compared across the unjournaled runs.
-func TestSingleEngineShardInvariance(t *testing.T) {
-	names := []string{"table1", "merged metrics", "fig3", "fig4", "fig5", "audit", "atlas", "lsrr"}
-	var ref *Responsiveness
-	render := func(t *testing.T, shards int, journal bool) [][]byte {
-		t.Helper()
-		cfg := topology.DefaultConfig(topology.Epoch2016).Scale(0.15)
-		cfg.Seed = 11
-		cfg.Faults = &netsim.FaultConfig{LossProb: 0.05, LossFrac: 0.25, OutageFrac: 0.02, WithdrawFrac: 0.05}
-		s, err := New(cfg, Options{Rate: 200, ShuffleSeed: 7, Shards: shards})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if journal {
-			if _, err := s.AttachJournal(filepath.Join(t.TempDir(), "j.jsonl"), false); err != nil {
-				t.Fatal(err)
-			}
-			defer s.CloseJournal()
-		}
-		r := s.RunResponsiveness()
-		if ref == nil {
-			ref = r
-		}
-		var out [][]byte
-		for _, res := range []interface{ Render(io.Writer) }{
-			r,
-			s.RunCloudDistance(ref, 100),
-			s.RunRateLimit(ref, 300),
-			s.RunTTLStudy(ref, 100),
-			s.RunStampAudit(ref, 50),
-			s.RunAtlas(ref, 50),
-			s.RunSourceRouteCheck(ref, 40),
-		} {
-			var b bytes.Buffer
-			res.Render(&b)
-			out = append(out, b.Bytes())
-		}
-		merged, err := json.Marshal(s.Metrics("k").Merged)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return append(out[:1], append([][]byte{merged}, out[1:]...)...)
-	}
-	base := render(t, 1, false)
-	for _, c := range []struct {
-		shards  int
-		journal bool
-	}{{2, false}, {4, false}, {1, true}} {
-		got := render(t, c.shards, c.journal)
-		for i, name := range names {
-			if i < 2 && c.journal {
-				continue
-			}
-			if !bytes.Equal(got[i], base[i]) {
-				t.Errorf("K=%d journaled=%v: %s differs from K=1:\n--- K=1 ---\n%s\n--- K=%d ---\n%s",
-					c.shards, c.journal, name, base[i], c.shards, got[i])
-			}
 		}
 	}
 }

@@ -140,6 +140,11 @@ func (r *Responsiveness) VPResponseDist() *VPResponseDistribution {
 	return d
 }
 
+// Render prints the §3.2 headline.
+func (d *VPResponseDistribution) Render(w io.Writer) {
+	fmt.Fprintf(w, "RR-responsive destinations answering >2/3 of VPs: %.2f (paper: ~0.80)\n", d.AboveTwoThirds)
+}
+
 // Render prints Table 1 plus the headline ratios.
 func (r *Responsiveness) Render(w io.Writer) {
 	fmt.Fprintln(w, "== Table 1: response rates for pings with/without RR ==")

@@ -2,8 +2,8 @@
 // Option is an Option!" (IMC 2017) against the simulated Internet:
 //
 //	Table 1   — ping vs ping-RR response rates, by IP and by AS type
-//	Figure 1  — RR hops to the closest vantage point, by VP subset
 //	§3.2      — per-destination VP response distribution
+//	Figure 1  — RR hops to the closest vantage point, by VP subset
 //	§3.3      — reachability, greedy site selection, alias and
 //	            ping-RRudp reclassification
 //	Figure 2  — 2011 vs 2016 reachability
@@ -12,8 +12,11 @@
 //	Figure 4  — per-VP response counts at 10 vs 100 pps
 //	Figure 5  — response rate vs initial TTL
 //
-// Each experiment returns a result struct with a Render method that
-// prints the same rows/series the paper reports.
+// plus the extensions (atlas, LSRR, Doubletree, RR vs traceroute,
+// chaos, epochs-live). Each experiment returns a result with a Render
+// method that prints the same rows/series the paper reports, and the
+// registry (Experiments, Lookup, Select) is the one list every front
+// door dispatches from.
 package study
 
 import (
@@ -111,6 +114,7 @@ type Study struct {
 	// behind a source-proximate policer.
 	Origin *measure.VantagePoint
 
+	table1   *Responsiveness // Table1's memo
 	fleet    *measure.ParallelCampaign
 	single   *singleEngine
 	observer *obs.Observer
@@ -189,6 +193,19 @@ func (s *Study) Fleet() measure.Fleet {
 	}
 	return s.fleet
 }
+
+// Table1 returns the study's Table 1 measurement, running the campaign
+// on first use: the one measurement every later experiment on this
+// study reads. RunResponsiveness is the campaign itself, uncached.
+func (s *Study) Table1() *Responsiveness {
+	if s.table1 == nil {
+		s.table1 = s.RunResponsiveness()
+	}
+	return s.table1
+}
+
+// Table1Memo returns Table1's measurement if it has run, else nil.
+func (s *Study) Table1Memo() *Responsiveness { return s.table1 }
 
 // one returns the engine the single-engine experiments probe on,
 // cloning it from the study's plane on first use. It is never an engine

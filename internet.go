@@ -22,8 +22,8 @@ type Internet struct {
 	st   *study.Study
 	opts options
 
-	resp   *study.Responsiveness // cached Table 1 measurement
-	obsCfg obs.Observer          // accumulated observability config (see obs.go)
+	rep    Report       // summaries of the experiments run so far
+	obsCfg obs.Observer // accumulated observability config (see obs.go)
 }
 
 // New builds a simulated Internet.
@@ -306,13 +306,14 @@ func (in *Internet) ReversePath(vpName string, dst netip.Addr) (ReversePathResul
 }
 
 // revtrRanker orders candidate spoofers closest-first using cached
-// reachability stats when a responsiveness run exists; otherwise it
-// keeps the configured order.
+// reachability stats when Table 1 has been measured; otherwise it keeps
+// the configured order.
 func (in *Internet) revtrRanker() func(netip.Addr, []*measure.VantagePoint) []*measure.VantagePoint {
-	if in.resp == nil {
+	t1 := in.st.Table1Memo()
+	if t1 == nil {
 		return nil
 	}
-	stats := in.resp.Stats
+	stats := t1.Stats
 	return func(target netip.Addr, vps []*measure.VantagePoint) []*measure.VantagePoint {
 		st := stats[target]
 		out := append([]*measure.VantagePoint(nil), vps...)

@@ -17,10 +17,9 @@
 //	reply, err := inet.PingRR(vp, inet.Destinations()[0])
 //	fmt.Println(reply.RecordedRoute)
 //
-// The paper's tables and figures are reproduced by the experiment
-// methods (Table1, Figure1Reachability, Figure2Epochs, StampAudit,
-// Figure3Clouds, Figure4RateLimit, Figure5TTL), each of which renders
-// the corresponding rows/series and returns a machine-readable summary.
+// The paper's tables and figures are reproduced by Run, which runs one
+// registered experiment (Experiments lists them), renders its
+// rows/series, and folds its machine-readable summary into Report.
 package recordroute
 
 import (

@@ -2,10 +2,13 @@ package recordroute
 
 import (
 	"encoding/json"
+	"io"
 	"net/netip"
 	"strings"
 	"testing"
 	"time"
+
+	"recordroute/internal/study"
 )
 
 // smallInternet builds a fast test Internet.
@@ -180,7 +183,10 @@ func TestReversePathFacade(t *testing.T) {
 func TestTable1Facade(t *testing.T) {
 	in := smallInternet(t)
 	var sb strings.Builder
-	sum := in.Table1(&sb)
+	if err := in.Run("table1", &sb, Params{}); err != nil {
+		t.Fatal(err)
+	}
+	sum := in.Report().Table1
 	if sum.Probed == 0 || sum.PingResponsive == 0 || sum.RRResponsive == 0 {
 		t.Fatalf("summary = %+v", sum)
 	}
@@ -190,11 +196,32 @@ func TestTable1Facade(t *testing.T) {
 	if !strings.Contains(sb.String(), "Table 1") {
 		t.Error("render missing header")
 	}
-	// Cached: a second call is instant and identical.
-	again := in.Table1(nil)
-	if again != sum {
+	// Cached: a second run is instant and identical.
+	if err := in.Run("table1", nil, Params{}); err != nil {
+		t.Fatal(err)
+	}
+	if again := in.Report().Table1; again != sum {
 		t.Error("cached responsiveness differs")
 	}
+}
+
+// runAll runs the "all" selection the way rrstudy does, a blank line
+// between renders.
+func runAll(t *testing.T, in *Internet, w io.Writer) Report {
+	t.Helper()
+	names, err := Experiments("all")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, name := range names {
+		if i > 0 && w != nil {
+			io.WriteString(w, "\n")
+		}
+		if err := in.Run(name, w, Params{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return in.Report()
 }
 
 func TestRunAllRendersEverything(t *testing.T) {
@@ -203,10 +230,7 @@ func TestRunAllRendersEverything(t *testing.T) {
 	}
 	in := smallInternet(t)
 	var sb strings.Builder
-	rep, err := in.RunAll(&sb)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := runAll(t, in, &sb)
 	if rep.Table1.Probed == 0 || rep.Reachability.ReachableFrac <= 0 {
 		t.Errorf("report incomplete: %+v", rep)
 	}
@@ -215,8 +239,52 @@ func TestRunAllRendersEverything(t *testing.T) {
 		"Table 1", "Figure 1", "Figure 2", "§3.5", "Figure 3", "Figure 4", "Figure 5",
 	} {
 		if !strings.Contains(out, want) {
-			t.Errorf("RunAll output missing %q", want)
+			t.Errorf("the all selection's output is missing %q", want)
 		}
+	}
+}
+
+func TestExperimentSelection(t *testing.T) {
+	_, err := Experiments("fig9")
+	if err == nil || !strings.Contains(err.Error(), "table1") || !strings.Contains(err.Error(), "epochs-live") {
+		t.Errorf("unknown selector: err = %v, want the registered names listed", err)
+	}
+	if names, err := Experiments("fig5"); err != nil || len(names) != 1 || names[0] != "fig5" {
+		t.Errorf(`Experiments("fig5") = %v, %v`, names, err)
+	}
+	if err := smallInternet(t).Run("all", nil, Params{}); err == nil {
+		t.Error(`Run accepted the "all" selector; it runs one registered name`)
+	}
+}
+
+// TestFigure2HonoursScaleProfile: Figure 2 measures the Internet's own
+// world, so under a scale profile its 2016 epoch probes that profile's
+// destinations, and its render is not the default scale's.
+func TestFigure2HonoursScaleProfile(t *testing.T) {
+	fig2 := func(in *Internet) (*study.EpochComparison, string) {
+		e, err := study.Lookup("fig2")
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := e.Run(in.st, Params{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sb strings.Builder
+		res.Render(&sb)
+		return res.(*study.EpochComparison), sb.String()
+	}
+	small := MustNew(WithScaleProfile("small"), WithProbeRate(200))
+	ec, smallRender := fig2(small)
+	if ec.Dests2016 != len(small.Destinations()) {
+		t.Errorf("Figure 2's 2016 world probed %d destinations, the small profile has %d",
+			ec.Dests2016, len(small.Destinations()))
+	}
+	if testing.Short() {
+		return
+	}
+	if _, render := fig2(MustNew(WithScale(1), WithProbeRate(200))); render == smallRender {
+		t.Error("Figure 2 renders the same under the small profile as at scale 1.0")
 	}
 }
 
@@ -303,11 +371,7 @@ func TestReportMarshalsToJSON(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full pipeline in -short mode")
 	}
-	in := smallInternet(t)
-	rep, err := in.RunAll(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := runAll(t, smallInternet(t), nil)
 	data, err := json.Marshal(rep)
 	if err != nil {
 		t.Fatal(err)

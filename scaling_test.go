@@ -20,7 +20,9 @@ func figure1Duration(t *testing.T, k int) time.Duration {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	in.Figure1Reachability(io.Discard)
+	if err := in.Run("fig1", io.Discard, Params{}); err != nil {
+		t.Fatal(err)
+	}
 	return time.Since(start)
 }
 
