@@ -65,7 +65,7 @@ serve:
 	$(GO) run ./cmd/rrstudyd -workers $(WORKERS) -tenant-quota $(TENANT_QUOTA)
 
 # Short fuzzing passes over the packet decoders, the forward path, the
-# FIB, the stop-set codec, and the result encoder.
+# FIB, the event order, the stop-set codec, and the result encoder.
 fuzz:
 	$(GO) test ./internal/packet -fuzz FuzzParsedDecode -fuzztime 30s
 	$(GO) test ./internal/packet -fuzz FuzzRecordRouteDecode -fuzztime 15s
@@ -73,6 +73,7 @@ fuzz:
 	$(GO) test ./internal/packet -fuzz FuzzDecodeICMPQuoted -fuzztime 30s
 	$(GO) test ./internal/netsim -fuzz FuzzForwardEquivalence -fuzztime 30s
 	$(GO) test ./internal/netsim -fuzz FuzzFIBLookup -fuzztime 30s
+	$(GO) test ./internal/netsim -fuzz FuzzEngineOrder -fuzztime 30s
 	$(GO) test ./internal/trace -fuzz FuzzStopSetCodec -fuzztime 30s
 	$(GO) test ./internal/results -fuzz FuzzWireEncodeEquivalence -fuzztime 30s
 

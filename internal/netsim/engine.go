@@ -12,7 +12,6 @@
 package netsim
 
 import (
-	"math/bits"
 	"slices"
 	"time"
 )
@@ -34,18 +33,29 @@ type event struct {
 	arg  uint64
 	pkt  []byte
 	dst  IfaceID
+	next int32 // the next event of its run: that slot plus one, 0 ending the run
 }
 
-// heapEntry is one queued event: the (at, seq) ordering key plus the
-// slab index of the event payload. Splitting key from payload matters
-// twice over on shard fleets: sifts move 24-byte pointer-free entries
-// instead of 56-byte events, and because heapEntry contains no pointers
-// the GC never scans the queues at all — with K replica engines alive,
-// K queues' worth of scan work used to multiply into every GC cycle.
+// heapEntry names a run — the events due at one instant, chained in
+// scheduling order through event.next — by its first event's (at, seq)
+// key and the slab slot of its next event. Splitting key from payload
+// matters twice over on shard fleets: sifts move 24-byte pointer-free
+// entries instead of 56-byte events, and because heapEntry contains no
+// pointers the GC never scans the queues at all — with K replica engines
+// alive, K queues' worth of scan work used to multiply into every GC
+// cycle.
 type heapEntry struct {
 	at  time.Duration
-	seq uint64 // FIFO tie-break for equal timestamps: determinism
+	seq uint64 // FIFO tie-break between runs of one instant: determinism
 	idx int32  // payload slot in Engine.slab
+}
+
+// openRunBits sizes the open-run table: 1,024 slots, 16 KB an engine.
+const openRunBits = 10
+
+// openRunSlot hashes an instant to its open-run table slot.
+func openRunSlot(at time.Duration) uint64 {
+	return uint64(at) * 0x9e3779b97f4a7c15 >> (64 - openRunBits)
 }
 
 // Engine is the discrete-event scheduler. It is not safe for concurrent
@@ -53,7 +63,12 @@ type heapEntry struct {
 //
 // Events execute in exactly (at, seq) order, seq being assigned at
 // schedule time: same-instant events run in the order they were
-// scheduled, whichever of the two queues below holds them.
+// scheduled. Every prober paces on one grid from one start, so pending
+// events crowd onto few instants, and the queues order runs of them,
+// not events: an event joins the open run for its instant, found
+// through a direct-mapped table, or starts a run with the next seq. A
+// collision only closes the older run early, so every event of a run
+// precedes every event of a later run for its instant (DESIGN.md §12).
 //
 // Event payloads are arena-backed: they live in a per-engine slab whose
 // slots are recycled through a free list, so scheduling allocates no
@@ -61,15 +76,15 @@ type heapEntry struct {
 // of large, mostly-stable heap objects — instead of K growing
 // populations of small ones for the GC to trace.
 type Engine struct {
-	pq []heapEntry // d-ary min-heap ordered by (at, seq); pointer-free
-	// lane is a FIFO of entries that were each due no earlier than the
-	// one scheduled before it, so it is sorted by construction and costs
+	pq []heapEntry // d-ary min-heap of runs ordered by (at, seq); pointer-free
+	// lane is a FIFO of runs that were each due no earlier than the one
+	// started before it, so it is sorted by construction and costs
 	// nothing to keep sorted. Every probe parks a timeout a fixed two
 	// seconds ahead of a clock that only moves forward — exactly that
 	// shape — and those timers, which almost never fire before their
-	// probe resolves, would otherwise make up five sixths of the heap
-	// and deepen every delivery's sift. step merges the two queues by
-	// comparing their heads.
+	// probe resolves, would otherwise fill the heap and deepen every
+	// delivery's sift. step merges the two queues by comparing their
+	// heads.
 	lane     []heapEntry
 	laneHead int     // lane[:laneHead] has been consumed
 	slab     []event // event payload arena, indexed by heapEntry.idx
@@ -77,7 +92,15 @@ type Engine struct {
 	now      time.Duration
 	seq      uint64
 	nRun     uint64
+	pending  int
 	net      *Network // receives packet deliveries; set by the network that owns the engine
+	// open holds, at openRunSlot(at), the instant of a run still taking
+	// events and its last event's slot plus one (0: no open run). It is
+	// the last field so the collector's scan of an engine ends before it.
+	open [1 << openRunBits]struct {
+		at   time.Duration
+		tail int32
+	}
 }
 
 // NewEngine returns an engine with the clock at zero.
@@ -89,13 +112,14 @@ func (e *Engine) Now() time.Duration { return e.now }
 // Processed returns the number of events executed so far.
 func (e *Engine) Processed() uint64 { return e.nRun }
 
-// enqueue queues an event after delay d (negative means now) — into the
-// lane when it is due no earlier than the lane's tail, into the heap
-// otherwise — and returns its payload slot for the caller to fill. A
-// recycled slot keeps what its last event left in it: the hot schedulers
-// store only the fields their kind reads, because copying (and later
-// clearing) a four-pointer event is a bulk write barrier per packet hop
-// whenever the collector is marking.
+// enqueue queues an event after delay d (negative means now) and returns
+// its payload slot for the caller to fill. The event joins the open run
+// for its instant, or starts a new one — queued in the lane when it is
+// due no earlier than the lane's tail, in the heap otherwise. A recycled
+// slot keeps what its last event left in it: the hot schedulers store
+// only the fields their kind reads, because copying (and later clearing)
+// a four-pointer event is a bulk write barrier per packet hop whenever
+// the collector is marking.
 func (e *Engine) enqueue(d time.Duration) *event {
 	if d < 0 {
 		d = 0
@@ -108,13 +132,22 @@ func (e *Engine) enqueue(d time.Duration) *event {
 		e.slab = append(grown(e.slab), event{})
 		idx = int32(len(e.slab) - 1)
 	}
-	e.seq++
-	ent := heapEntry{at: e.now + d, seq: e.seq, idx: idx}
-	if n := len(e.lane); n == e.laneHead || ent.at >= e.lane[n-1].at {
-		e.lane = append(grown(e.lane), ent)
+	e.pending++
+	at := e.now + d
+	r := &e.open[openRunSlot(at)]
+	if r.tail != 0 && r.at == at {
+		e.slab[r.tail-1].next = idx + 1
 	} else {
-		e.push(ent)
+		r.at = at
+		e.seq++
+		ent := heapEntry{at: at, seq: e.seq, idx: idx}
+		if n := len(e.lane); n == e.laneHead || at >= e.lane[n-1].at {
+			e.lane = append(grown(e.lane), ent)
+		} else {
+			e.push(ent)
+		}
 	}
+	r.tail = idx + 1
 	return &e.slab[idx]
 }
 
@@ -160,7 +193,7 @@ func (e *Engine) At(t time.Duration, fn func()) {
 
 // Run executes events until the queue is empty.
 func (e *Engine) Run() {
-	for e.Pending() > 0 {
+	for e.pending > 0 {
 		e.step()
 	}
 }
@@ -168,7 +201,10 @@ func (e *Engine) Run() {
 // RunUntil executes events with timestamps <= t, then advances the clock
 // to t. Events scheduled beyond t remain queued.
 func (e *Engine) RunUntil(t time.Duration) {
-	for e.Pending() > 0 && e.head().at <= t {
+	for e.pending > 0 {
+		if ent, _ := e.head(); ent.at > t {
+			break
+		}
 		e.step()
 	}
 	if e.now < t {
@@ -176,24 +212,15 @@ func (e *Engine) RunUntil(t time.Duration) {
 	}
 }
 
-// RunFor executes events for d more of virtual time.
-func (e *Engine) RunFor(d time.Duration) { e.RunUntil(e.now + d) }
-
 // Pending returns the number of queued events.
-func (e *Engine) Pending() int { return len(e.pq) + len(e.lane) - e.laneHead }
+func (e *Engine) Pending() int { return e.pending }
 
-// laneFirst reports whether the next event in (at, seq) order is the
-// lane's head rather than the heap's top; at least one must exist.
-func (e *Engine) laneFirst() bool {
-	return e.laneHead < len(e.lane) && (len(e.pq) == 0 || e.lane[e.laneHead].before(e.pq[0]))
-}
-
-// head returns the next event's entry without removing it.
-func (e *Engine) head() heapEntry {
-	if e.laneFirst() {
-		return e.lane[e.laneHead]
+// head returns the next queued run's entry and whether the lane holds it.
+func (e *Engine) head() (*heapEntry, bool) {
+	if e.laneHead < len(e.lane) && (len(e.pq) == 0 || e.lane[e.laneHead].before(e.pq[0])) {
+		return &e.lane[e.laneHead], true
 	}
-	return e.pq[0]
+	return &e.pq[0], false
 }
 
 // laneCompact is the consumed-prefix length beyond which the lane slides
@@ -201,35 +228,41 @@ func (e *Engine) head() heapEntry {
 // so a lane that never drains stays proportional to what is queued.
 const laneCompact = 1024
 
-// next removes and returns the next event's entry.
-func (e *Engine) next() heapEntry {
-	if !e.laneFirst() {
-		return e.pop()
-	}
-	ent := e.lane[e.laneHead]
-	e.laneHead++
-	switch live := len(e.lane) - e.laneHead; {
-	case live == 0:
-		e.lane, e.laneHead = e.lane[:0], 0
-	case e.laneHead >= laneCompact && live <= e.laneHead:
-		e.lane = e.lane[:copy(e.lane, e.lane[e.laneHead:])]
-		e.laneHead = 0
-	}
-	return ent
-}
-
 // step runs the next event, its fields read out and its slot freed
 // before the dispatch, which usually schedules into that very slot. Only
-// a closure is dropped: a stale pkt points into the network's buffer
-// pool and a stale call at a prober's bound method, which outlive it.
+// the event that drains its run removes the run's entry — a sift, or a
+// lane step — and closes the run in the open-run table if the table
+// still names it, before the event may schedule into its instant again.
+// Of the payload, a closure alone is dropped: a stale pkt points into the
+// network's buffer pool and a stale call at a prober's bound method,
+// which outlive it.
 func (e *Engine) step() {
-	top := e.next()
-	if top.at > e.now {
-		e.now = top.at
-	}
+	ent, fromLane := e.head()
+	idx := ent.idx
+	e.now = ent.at // never earlier than now: nothing is queued in the past
 	e.nRun++
-	ev := &e.slab[top.idx]
-	e.free = append(e.free, top.idx)
+	e.pending--
+	ev := &e.slab[idx]
+	e.free = append(e.free, idx)
+	if ev.next != 0 {
+		ent.idx, ev.next = ev.next-1, 0
+	} else {
+		if r := &e.open[openRunSlot(e.now)]; r.tail == idx+1 {
+			r.tail = 0
+		}
+		if !fromLane {
+			e.pop()
+		} else {
+			e.laneHead++
+			switch live := len(e.lane) - e.laneHead; {
+			case live == 0:
+				e.lane, e.laneHead = e.lane[:0], 0
+			case e.laneHead >= laneCompact && live <= e.laneHead:
+				e.lane = e.lane[:copy(e.lane, e.lane[e.laneHead:])]
+				e.laneHead = 0
+			}
+		}
+	}
 	switch {
 	case ev.dst != 0:
 		e.net.deliver(ev.pkt, ev.dst-1)
@@ -249,9 +282,9 @@ func (e *Engine) step() {
 // Entries carry only (at, seq, slab index), so comparisons never chase a
 // pointer. Both sifts carry the moving entry in a local and shift
 // entries into the hole it leaves, one store per level instead of a
-// swap's two, and compare local copies rather than re-indexing the
-// slice: the sift's branches are data-dependent and mispredict, so what
-// sits between them has to be short.
+// swap's two. The heap holds instants, not events — about seventy on a
+// campaign, two on a Doubletree run — so it is shallow and sifts only
+// when a run drains.
 
 // before is the (at, seq) ordering.
 func (a heapEntry) before(b heapEntry) bool {
@@ -274,54 +307,25 @@ func (e *Engine) push(ent heapEntry) {
 	pq[i] = ent
 }
 
-func (e *Engine) pop() heapEntry {
+// pop removes the heap's top entry.
+func (e *Engine) pop() {
 	pq := e.pq
-	top := pq[0]
 	n := len(pq) - 1
 	moving := pq[n]
-	pq = pq[:n]
-	e.pq = pq
-	if n == 0 {
-		return top
-	}
+	e.pq = pq[:n]
 	i := 0
-	for {
-		first := 4*i + 1
-		var at int
-		if first+4 <= n {
-			// Full brood: a two-round tournament on borrow bits, no
-			// branches for the predictor to lose.
-			c := pq[first : first+4 : first+4]
-			l := int(c[1].borrow(c[0]))     // 1 if c1 < c0
-			r := 2 + int(c[3].borrow(c[2])) // 3 if c3 < c2
-			at = l + (r-l)*int(c[r].borrow(c[l]))
-			at += first
-		} else if first < n {
-			at = first
-			for c := first + 1; c < n; c++ {
-				if pq[c].before(pq[at]) {
-					at = c
-				}
+	for first := 1; first < n; first = 4*i + 1 {
+		least := first
+		for c := first + 1; c < min(first+4, n); c++ {
+			if pq[c].before(pq[least]) {
+				least = c
 			}
-		} else {
+		}
+		if !pq[least].before(moving) {
 			break
 		}
-		least := pq[at]
-		if !least.before(moving) {
-			break
-		}
-		pq[i] = least
-		i = at
+		pq[i] = pq[least]
+		i = least
 	}
 	pq[i] = moving
-	return top
-}
-
-// borrow returns 1 when a orders before b and 0 otherwise, computed as
-// the borrow out of the 128-bit subtraction (a.at:a.seq) - (b.at:b.seq)
-// — times are never negative — so callers can select without branching.
-func (a heapEntry) borrow(b heapEntry) uint64 {
-	_, br := bits.Sub64(a.seq, b.seq, 0)
-	_, br = bits.Sub64(uint64(a.at), uint64(b.at), br)
-	return br
 }

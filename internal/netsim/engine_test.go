@@ -276,3 +276,231 @@ func TestEngineOrderIsAtThenSeq(t *testing.T) {
 		t.Errorf("Pending = %d after Run", e.Pending())
 	}
 }
+
+// The campaign-shaped order check. A campaign paces every source on one
+// grid from one start, so the engine sees many events per instant and
+// coalesces them into runs; these programs aim at the ways runs can go
+// wrong: events joining the instant that is draining, more pending
+// instants than the open-run table has slots (so a run is evicted and
+// its instant starts a second one), and RunUntil cuts at busy instants
+// with events injected between cuts.
+
+// Roles of the events in a campaign-shaped program.
+const (
+	roleSource  = iota // a prober launch: paces itself on the grid
+	roleHop            // a packet hop: zero-delay or short children
+	roleTimeout        // a fixed two-second timer: a leaf
+	roleSpray          // queues leaves at more instants than the table holds, twice
+	roleLeaf
+)
+
+const (
+	campaignGrid  = 5 * time.Millisecond
+	sprayInstants = 1100 // > 1 << openRunBits
+)
+
+// campaignProgram is one execution of a campaign-shaped program: add
+// numbers events in scheduling order and hands them to sched, fire is
+// what an event does when it runs. Both schedulers run their own copy,
+// so each numbers children in its own execution order.
+type campaignProgram struct {
+	seed          uint64
+	sources       int
+	ticks         int32
+	budget        int
+	role          []uint8
+	left          []int32 // a source's remaining launches
+	order         []int   // event ids in execution order
+	maxInstants   int     // most distinct instants pending after a spray (oracle only)
+	sched         func(d time.Duration, id int)
+	pendingDigest func() int
+}
+
+func (p *campaignProgram) add(d time.Duration, role uint8, left int32) {
+	if len(p.role) >= p.budget {
+		return
+	}
+	id := len(p.role)
+	p.role = append(p.role, role)
+	p.left = append(p.left, left)
+	p.sched(d, id)
+}
+
+func (p *campaignProgram) fire(id int) {
+	p.order = append(p.order, id)
+	x := uint64(id)*0x9e3779b97f4a7c15 ^ p.seed
+	x ^= x >> 29
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 32
+	switch p.role[id] {
+	case roleSource:
+		if p.left[id] > 0 {
+			p.add(campaignGrid, roleSource, p.left[id]-1)
+		}
+		p.add(0, roleHop, 0) // into the run that is draining
+		p.add(2*time.Second, roleTimeout, 0)
+		if x%128 == 0 {
+			p.add(0, roleSpray, 0)
+		}
+	case roleHop:
+		switch x % 8 {
+		case 0, 1:
+			p.add(0, roleHop, 0)
+		case 2, 3, 4:
+			p.add(time.Duration(x>>8%3000)*time.Microsecond, roleHop, 0)
+		case 5:
+			p.add(campaignGrid, roleLeaf, 0)
+		}
+	case roleSpray:
+		// The same instants twice: by the second pass most of the first
+		// pass's runs have been evicted, so their instants start second runs.
+		off := time.Duration(x % 1000)
+		for pass := 0; pass < 2; pass++ {
+			for k := 0; k < sprayInstants; k++ {
+				p.add(off+time.Duration(k)*3*time.Microsecond, roleLeaf, 0)
+			}
+		}
+		if p.pendingDigest != nil {
+			p.maxInstants = max(p.maxInstants, p.pendingDigest())
+		}
+	}
+}
+
+// drive runs the program: every source launches at zero, then the
+// clock is cut with RunUntil — mostly at grid instants, where a whole
+// run executes, every third time between them — and after each cut one
+// event is injected into the instant just reached and one onto the next
+// grid instant, whose run is open.
+func (p *campaignProgram) drive(runUntil func(time.Duration), run func(), cuts int) {
+	for i := 0; i < p.sources; i++ {
+		p.add(0, roleSource, p.ticks)
+	}
+	for k := 1; k <= cuts; k++ {
+		t := time.Duration(k) * campaignGrid
+		if k%3 == 0 {
+			t += campaignGrid / 2
+		}
+		runUntil(t)
+		p.add(0, roleHop, 0)
+		p.add(campaignGrid-t%campaignGrid, roleHop, 0)
+	}
+	run()
+}
+
+// naiveRun runs p on a scan-for-the-minimum scheduler in (at, seq)
+// order, seq assigned at schedule time: the order the engine must
+// reproduce. It returns the number of distinct instants executed.
+func naiveRun(p *campaignProgram, cuts int) int {
+	type pending struct {
+		at  time.Duration
+		seq int
+		id  int
+	}
+	var q []pending
+	var now time.Duration
+	seq := 0
+	p.sched = func(d time.Duration, id int) {
+		seq++
+		q = append(q, pending{at: now + d, seq: seq, id: id})
+	}
+	p.pendingDigest = func() int {
+		at := make(map[time.Duration]bool)
+		for _, e := range q {
+			at[e.at] = true
+		}
+		return len(at)
+	}
+	instants := make(map[time.Duration]bool)
+	runUntil := func(t time.Duration) {
+		for len(q) > 0 {
+			m := 0
+			for i, e := range q {
+				if e.at < q[m].at || (e.at == q[m].at && e.seq < q[m].seq) {
+					m = i
+				}
+			}
+			e := q[m]
+			if e.at > t {
+				break
+			}
+			q = append(q[:m], q[m+1:]...)
+			now = e.at
+			instants[now] = true
+			p.fire(e.id)
+		}
+		now = max(now, t)
+	}
+	p.drive(runUntil, func() { runUntil(1<<63 - 1) }, cuts)
+	return len(instants)
+}
+
+// engineRun runs p on the engine, event id scheduled as a closure, a
+// call or a packet delivery by id%3, and returns the engine.
+func engineRun(p *campaignProgram, cuts int) *Engine {
+	nw := New()
+	e := nw.engine
+	recv := recvFunc(func(pkt []byte) { p.fire(int(binary.BigEndian.Uint64(pkt))) })
+	nw.register(recv)
+	sink, _ := nw.Connect(recv, recv, netip.Addr{}, netip.Addr{}, 0)
+	fire := func(id uint64) { p.fire(int(id)) }
+	p.sched = func(d time.Duration, id int) {
+		switch id % 3 {
+		case 0:
+			e.Schedule(d, func() { p.fire(id) })
+		case 1:
+			e.ScheduleCall(d, fire, uint64(id))
+		case 2:
+			e.scheduleDelivery(d, binary.BigEndian.AppendUint64(nw.getBuf(), uint64(id)), sink.id)
+		}
+	}
+	p.drive(e.RunUntil, e.Run, cuts)
+	return e
+}
+
+// checkCampaignOrder runs one campaign-shaped program on the engine and
+// on the oracle and requires the same execution order.
+func checkCampaignOrder(t *testing.T, seed uint64, sources, ticks, cuts uint8) (want *campaignProgram, instants int, e *Engine) {
+	mk := func() *campaignProgram {
+		return &campaignProgram{seed: seed, sources: int(sources%64) + 1, ticks: int32(ticks % 32), budget: 30000}
+	}
+	want, got := mk(), mk()
+	instants = naiveRun(want, int(cuts%40))
+	e = engineRun(got, int(cuts%40))
+	for i := range min(len(got.order), len(want.order)) {
+		if got.order[i] != want.order[i] {
+			t.Fatalf("event %d: engine ran id %d, (at, seq) order runs id %d", i, got.order[i], want.order[i])
+		}
+	}
+	if len(got.order) != len(want.order) {
+		t.Fatalf("engine ran %d events, (at, seq) order runs %d", len(got.order), len(want.order))
+	}
+	if e.Pending() != 0 {
+		t.Fatalf("Pending = %d after Run", e.Pending())
+	}
+	return want, instants, e
+}
+
+// TestEngineOrderCampaignShape pins that the canonical campaign-shaped
+// program reaches what FuzzEngineOrder is for: more pending instants
+// than the open-run table has slots, and instants whose events were
+// split over more than one run.
+func TestEngineOrderCampaignShape(t *testing.T) {
+	p, instants, e := checkCampaignOrder(t, 1, 47, 20, 30)
+	if p.maxInstants <= 1<<openRunBits {
+		t.Errorf("at most %d distinct instants pending, want > %d", p.maxInstants, 1<<openRunBits)
+	}
+	if runs := int(e.seq); runs <= instants {
+		t.Errorf("%d runs over %d instants: no instant was split over two runs", runs, instants)
+	}
+}
+
+// FuzzEngineOrder holds the engine to the (at, seq) oracle on
+// campaign-shaped programs: a seed, the number of sources sharing the
+// grid, the launches each makes, and the number of RunUntil cuts.
+func FuzzEngineOrder(f *testing.F) {
+	f.Add(uint64(1), uint8(47), uint8(20), uint8(30))
+	f.Add(uint64(7), uint8(3), uint8(31), uint8(0))
+	f.Fuzz(func(t *testing.T, seed uint64, sources, ticks, cuts uint8) {
+		checkCampaignOrder(t, seed, sources, ticks, cuts)
+	})
+}

@@ -414,6 +414,56 @@ func TestCancelQueuedJob(t *testing.T) {
 	}
 }
 
+// TestCancelReachesOwnWorlds: fig2 and chaos measure worlds they build
+// for themselves, and probe them under the job's context, so a DELETE
+// lands at their next checkpoint instead of after every world has been
+// measured. A job deleted while running must settle as canceled in less
+// than half the time an uncanceled run of the same spec takes.
+func TestCancelReachesOwnWorlds(t *testing.T) {
+	for _, spec := range []JobSpec{
+		{Experiment: "fig2", Scale: 0.5, Rate: 200, ShuffleSeed: 7, Shards: 1},
+		{Experiment: "chaos", Scale: 0.25, Rate: 200, ShuffleSeed: 7, Shards: 1},
+	} {
+		t.Run(spec.Experiment, func(t *testing.T) {
+			s := newTestServer(t, Config{Workers: 1, QueueCap: 4})
+			started, release := make(chan struct{}), make(chan struct{})
+			var hold atomic.Bool
+			hold.Store(true)
+			s.startHook = func(*Job) {
+				if hold.Load() {
+					started <- struct{}{}
+					<-release
+				}
+			}
+			ts := httptest.NewServer(s.Handler())
+			defer ts.Close()
+
+			// Deleted while parked at the start of its attempt: the job's
+			// context is done before the experiment builds a world.
+			victim := submit(t, ts, spec)
+			<-started
+			if code, body := del(t, ts, "/jobs/"+victim); code != http.StatusAccepted {
+				t.Fatalf("cancel running job: status %d, body %s", code, body)
+			}
+			hold.Store(false)
+			t0 := time.Now()
+			close(release)
+			if st := waitTerminal(t, ts, victim); st.State != StateCanceled {
+				t.Fatalf("deleted job settled as %+v", st)
+			}
+			canceled := time.Since(t0)
+
+			t0 = time.Now()
+			if st := waitTerminal(t, ts, submit(t, ts, spec)); st.State != StateDone {
+				t.Fatalf("uncanceled job settled as %+v", st)
+			}
+			if full := time.Since(t0); canceled > full/2 {
+				t.Errorf("deleted job settled after %v, an uncanceled run took %v: the cancel waited for the experiment's worlds", canceled, full)
+			}
+		})
+	}
+}
+
 func del(t *testing.T, ts *httptest.Server, path string) (int, []byte) {
 	t.Helper()
 	req, err := http.NewRequest(http.MethodDelete, ts.URL+path, nil)

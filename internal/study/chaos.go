@@ -1,6 +1,7 @@
 package study
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"net/netip"
@@ -83,7 +84,7 @@ type Chaos struct {
 // responsiveness only. retries > 0 is the recovery arm: retransmission
 // with adaptive timeouts plus the full §3.3 rescue pipeline, whose
 // reclassifications land in the returned reachable set.
-func chaosArm(cfg topology.Config, opts Options, fc *netsim.FaultConfig, retries int, armLabel string) (ChaosArm, map[netip.Addr]bool, netsim.FaultSummary, *obs.Snapshot, error) {
+func chaosArm(ctx context.Context, cfg topology.Config, opts Options, fc *netsim.FaultConfig, retries int, armLabel string) (ChaosArm, map[netip.Addr]bool, netsim.FaultSummary, *obs.Snapshot, error) {
 	cfg.Faults = fc
 	opts.Retries = retries
 	opts.Adaptive = retries > 0
@@ -91,6 +92,7 @@ func chaosArm(cfg topology.Config, opts Options, fc *netsim.FaultConfig, retries
 	if err != nil {
 		return ChaosArm{}, nil, netsim.FaultSummary{}, nil, err
 	}
+	s.SetContext(ctx)
 	r := s.RunResponsiveness()
 	if retries > 0 {
 		s.RunReachability(r) // applies the alias and ping-RRudp upgrades to r.Stats
@@ -119,8 +121,8 @@ func chaosArm(cfg topology.Config, opts Options, fc *netsim.FaultConfig, retries
 // fault-free baseline. opts.Retries sets the recovery budget (default
 // 2); every arm rebuilds the topology from cfg, so arms never observe
 // each other's engine state and the whole sweep is a pure function of
-// the seeds.
-func RunChaos(cfg topology.Config, opts Options, levels []ChaosLevel) (*Chaos, error) {
+// the seeds. Every arm probes under ctx (Study.SetContext).
+func RunChaos(ctx context.Context, cfg topology.Config, opts Options, levels []ChaosLevel) (*Chaos, error) {
 	if levels == nil {
 		levels = DefaultChaosLevels(cfg.Seed)
 	}
@@ -131,7 +133,7 @@ func RunChaos(cfg topology.Config, opts Options, levels []ChaosLevel) (*Chaos, e
 	c := &Chaos{Retries: retries, Snapshots: make(map[string]*obs.Snapshot)}
 	var err error
 	var baseReach map[netip.Addr]bool
-	if c.Baseline, baseReach, _, c.Snapshots["baseline"], err = chaosArm(cfg, opts, nil, 0, "baseline"); err != nil {
+	if c.Baseline, baseReach, _, c.Snapshots["baseline"], err = chaosArm(ctx, cfg, opts, nil, 0, "baseline"); err != nil {
 		return nil, err
 	}
 	for _, lv := range levels {
@@ -142,10 +144,10 @@ func RunChaos(cfg topology.Config, opts Options, levels []ChaosLevel) (*Chaos, e
 		step := ChaosStep{Label: lv.Label}
 		var noReach, reReach map[netip.Addr]bool
 		single, retry := lv.Label+"/single-shot", lv.Label+"/retry"
-		if step.NoRetry, noReach, step.Faults, c.Snapshots[single], err = chaosArm(cfg, opts, &fc, 0, single); err != nil {
+		if step.NoRetry, noReach, step.Faults, c.Snapshots[single], err = chaosArm(ctx, cfg, opts, &fc, 0, single); err != nil {
 			return nil, err
 		}
-		if step.Retry, reReach, _, c.Snapshots[retry], err = chaosArm(cfg, opts, &fc, retries, retry); err != nil {
+		if step.Retry, reReach, _, c.Snapshots[retry], err = chaosArm(ctx, cfg, opts, &fc, retries, retry); err != nil {
 			return nil, err
 		}
 		for d := range baseReach {

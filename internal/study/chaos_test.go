@@ -2,6 +2,7 @@ package study
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"recordroute/internal/netsim"
@@ -23,7 +24,7 @@ func TestChaosRetriesRecoverLostReachability(t *testing.T) {
 	levels := []ChaosLevel{
 		{"loss-10", netsim.FaultConfig{LossProb: 0.10, LossFrac: 0.25}},
 	}
-	c, err := RunChaos(cfg, Options{Rate: 200, ShuffleSeed: 7}, levels)
+	c, err := RunChaos(context.Background(), cfg, Options{Rate: 200, ShuffleSeed: 7}, levels)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +57,7 @@ func TestChaosSweepDeterministic(t *testing.T) {
 			OutageFrac: 0.1, SuppressFrac: 0.2, WithdrawFrac: 0.2}},
 	}
 	run := func() []byte {
-		c, err := RunChaos(chaosTestConfig(), Options{Rate: 200, ShuffleSeed: 7, Retries: 1}, levels)
+		c, err := RunChaos(context.Background(), chaosTestConfig(), Options{Rate: 200, ShuffleSeed: 7, Retries: 1}, levels)
 		if err != nil {
 			t.Fatal(err)
 		}

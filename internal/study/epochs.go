@@ -1,6 +1,7 @@
 package study
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -25,8 +26,9 @@ type EpochComparison struct {
 // RunEpochComparison builds and measures both epochs. cfg2016 seeds the
 // roster; the 2011 topology shares it but re-derives the peering and VP
 // populations of that era. opts.Scale must be empty: pass an already
-// resolved config, such as a built study's Topo.Cfg.
-func RunEpochComparison(cfg2016 topology.Config, opts Options) (*EpochComparison, error) {
+// resolved config, such as a built study's Topo.Cfg. Both epochs probe
+// under ctx (Study.SetContext), and abort on the caller's goroutine.
+func RunEpochComparison(ctx context.Context, cfg2016 topology.Config, opts Options) (*EpochComparison, error) {
 	cfg2011 := topology.DefaultConfig(topology.Epoch2011)
 	cfg2011.Seed = cfg2016.Seed
 	// Carry any scaling of the roster over to the 2011 config.
@@ -48,17 +50,25 @@ func RunEpochComparison(cfg2016 topology.Config, opts Options) (*EpochComparison
 	if err != nil {
 		return nil, err
 	}
+	s16.SetContext(ctx)
+	s11.SetContext(ctx)
 
 	// The two epochs are independent simulations with independent
-	// engines; measure them in parallel.
+	// engines; measure them in parallel. A panic on either side waits
+	// for the 2011 goroutine, whose own panic is raised again here.
 	var r16, r11 *Responsiveness
+	var panic11 any
 	done := make(chan struct{})
 	go func() {
+		defer func() { panic11 = recover(); close(done) }()
 		r11 = s11.RunResponsiveness()
-		close(done)
 	}()
+	defer func() { <-done }()
 	r16 = s16.RunResponsiveness()
 	<-done
+	if panic11 != nil {
+		panic(panic11)
+	}
 
 	// Common VPs: names present in both years (the generator names VPs
 	// stably per platform).

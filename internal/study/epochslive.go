@@ -1,6 +1,7 @@
 package study
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -38,8 +39,8 @@ func DefaultChurnFaults(seed uint64) *netsim.FaultConfig {
 // epoch's derived shuffle seed (EpochSeed) and churn clock. The route
 // plane is built exactly once — the property the service's plane-cache
 // affinity relies on — and each epoch's render is byte-reproducible at
-// any shard count.
-func RunEpochsLive(cfg topology.Config, opts Options, epochs int) (*EpochsLive, error) {
+// any shard count. Every epoch probes under ctx (Study.SetContext).
+func RunEpochsLive(ctx context.Context, cfg topology.Config, opts Options, epochs int) (*EpochsLive, error) {
 	if epochs < 1 {
 		epochs = 3
 	}
@@ -61,6 +62,7 @@ func RunEpochsLive(cfg topology.Config, opts Options, epochs int) (*EpochsLive, 
 		if err != nil {
 			return nil, err
 		}
+		st.SetContext(ctx)
 		r := st.RunResponsiveness()
 		el.Index.Add(e, r.RRResponsive())
 	}

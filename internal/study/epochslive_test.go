@@ -1,6 +1,7 @@
 package study
 
 import (
+	"context"
 	"testing"
 
 	"recordroute/internal/topology"
@@ -16,7 +17,7 @@ func epochsLiveConfig() topology.Config {
 // reachability differences come from the churn clock, not from any
 // nondeterminism in the probing itself.
 func TestEpochsLiveChurn(t *testing.T) {
-	el, err := RunEpochsLive(epochsLiveConfig(), Options{Rate: 200, ShuffleSeed: 7}, 3)
+	el, err := RunEpochsLive(context.Background(), epochsLiveConfig(), Options{Rate: 200, ShuffleSeed: 7}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +42,7 @@ func TestEpochsLiveChurn(t *testing.T) {
 	cfg := epochsLiveConfig()
 	cfg.Faults = DefaultChurnFaults(cfg.Seed)
 	cfg.Faults.ChurnProb = 0
-	still, err := RunEpochsLive(cfg, Options{Rate: 200, ShuffleSeed: 7}, 2)
+	still, err := RunEpochsLive(context.Background(), cfg, Options{Rate: 200, ShuffleSeed: 7}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

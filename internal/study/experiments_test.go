@@ -1,6 +1,7 @@
 package study
 
 import (
+	"context"
 	"os"
 	"testing"
 
@@ -9,7 +10,7 @@ import (
 
 func TestEpochComparisonShape(t *testing.T) {
 	cfg := topology.DefaultConfig(topology.Epoch2016).Scale(0.3)
-	ec, err := RunEpochComparison(cfg, Options{Rate: 200, ShuffleSeed: 7})
+	ec, err := RunEpochComparison(context.Background(), cfg, Options{Rate: 200, ShuffleSeed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}

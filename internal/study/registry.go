@@ -45,7 +45,7 @@ type Experiment struct {
 	// Run measures the experiment on s. Entries after Table 1 read the
 	// study's one Table 1 measurement (Study.Table1); Figure 2, chaos
 	// and epochs-live build worlds of their own from s.Topo.Cfg and
-	// s.Opts.
+	// s.Opts and probe them under the study's context.
 	Run func(s *Study, p Params) (Result, error)
 	// Batches, when set, is how many journal batch checkpoints Run
 	// completes on a fresh study: a service's progress total. Nil means
@@ -63,7 +63,7 @@ var registry = []Experiment{
 	{Name: "fig1", All: true,
 		Run: func(s *Study, _ Params) (Result, error) { return s.RunReachability(s.Table1()), nil }},
 	{Name: "fig2", All: true,
-		Run: func(s *Study, _ Params) (Result, error) { return result(RunEpochComparison(s.Topo.Cfg, s.Opts)) }},
+		Run: func(s *Study, _ Params) (Result, error) { return result(RunEpochComparison(s.ctx, s.Topo.Cfg, s.Opts)) }},
 	{Name: "audit", All: true,
 		Run: func(s *Study, p Params) (Result, error) { return s.RunStampAudit(s.Table1(), p.Cap), nil }},
 	{Name: "fig3", All: true,
@@ -87,7 +87,9 @@ var registry = []Experiment{
 		Run: func(s *Study, p Params) (Result, error) { return s.RunRRvsTR(s.Table1(), p.Cap), nil }},
 	{Name: "chaos", Run: runChaos},
 	{Name: "epochs-live",
-		Run: func(s *Study, p Params) (Result, error) { return result(RunEpochsLive(s.Topo.Cfg, s.Opts, p.Epochs)) }},
+		Run: func(s *Study, p Params) (Result, error) {
+			return result(RunEpochsLive(s.ctx, s.Topo.Cfg, s.Opts, p.Epochs))
+		}},
 }
 
 // table1Batches counts Table 1's checkpoints: one ping-RR batch per VP
@@ -105,7 +107,7 @@ func runChaos(s *Study, p Params) (Result, error) {
 	}
 	opts := s.Opts
 	opts.Retries = p.ChaosRetries
-	return result(RunChaos(s.Topo.Cfg, opts, levels))
+	return result(RunChaos(s.ctx, s.Topo.Cfg, opts, levels))
 }
 
 // result adapts a typed (result, error) pair, keeping a failed run's
