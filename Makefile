@@ -65,7 +65,8 @@ serve:
 	$(GO) run ./cmd/rrstudyd -workers $(WORKERS) -tenant-quota $(TENANT_QUOTA)
 
 # Short fuzzing passes over the packet decoders, the forward path, the
-# FIB, the event order, the stop-set codec, and the result encoder.
+# FIB, the event order, the stop-set codec, the result encoder, and the
+# service's job lifecycle.
 fuzz:
 	$(GO) test ./internal/packet -fuzz FuzzParsedDecode -fuzztime 30s
 	$(GO) test ./internal/packet -fuzz FuzzRecordRouteDecode -fuzztime 15s
@@ -76,6 +77,7 @@ fuzz:
 	$(GO) test ./internal/netsim -fuzz FuzzEngineOrder -fuzztime 30s
 	$(GO) test ./internal/trace -fuzz FuzzStopSetCodec -fuzztime 30s
 	$(GO) test ./internal/results -fuzz FuzzWireEncodeEquivalence -fuzztime 30s
+	$(GO) test ./internal/server -fuzz FuzzLifecycle -fuzztime 30s
 
 # Coverage with per-package floors for the simulator core and the
 # campaign service (matches CI).

@@ -81,9 +81,9 @@ func TestChaosWorkerKillMidPhase(t *testing.T) {
 			// Die the worst way: the batch's lines already half in the
 			// spool, its length never published. The retry must write
 			// over this torn tail, not after it.
-			job.mu.Lock()
+			s.mu.Lock()
 			committed := job.spooled
-			job.mu.Unlock()
+			s.mu.Unlock()
 			f, err := os.OpenFile(job.spoolPath, os.O_WRONLY, 0)
 			if err == nil {
 				_, err = f.WriteAt([]byte(`{"vp":"torn","dst":"100.`), committed)
@@ -414,6 +414,88 @@ func TestCancelQueuedJob(t *testing.T) {
 	}
 }
 
+// TestCancelQueuedJobFreesItsSlots: a DELETEd queued job leaves its
+// queue at once. Its queue slot and its tenant's quota slot are free
+// before the 202 is written, and the 202 already reads canceled — a
+// canceled job must not keep other tenants at 503 and its own at 429
+// until a worker happens to reach it.
+func TestCancelQueuedJobFreesItsSlots(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1, QueueCap: 1, TenantQuota: 2})
+	started, release := make(chan struct{}), make(chan struct{})
+	s.startHook = func(job *Job) {
+		if job.ID == "job-1" {
+			close(started)
+			<-release
+		}
+	}
+	defer close(release)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	accept := func(tenant string) string {
+		t.Helper()
+		resp := submitAs(t, ts, tenant, smokeSpec())
+		defer resp.Body.Close()
+		var out map[string]string
+		json.NewDecoder(resp.Body).Decode(&out)
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("tenant %s: status %d, want 202", tenant, resp.StatusCode)
+		}
+		return out["id"]
+	}
+	cancel := func(id string) Status {
+		t.Helper()
+		code, body := del(t, ts, "/jobs/"+id)
+		var st Status
+		json.Unmarshal(body, &st)
+		if code != http.StatusAccepted {
+			t.Fatalf("cancel %s: status %d", id, code)
+		}
+		return st
+	}
+
+	blocker := accept("alpha") // pins the only worker
+	<-started
+	queued := accept("alpha") // fills the queue and alpha's quota
+	if st := cancel(queued); st.State != StateCanceled || st.Attempts != 0 {
+		t.Fatalf("202 for a canceled queued job reads %+v, want canceled with 0 attempts", st)
+	}
+	cancel(accept("beta"))  // the queue slot came back
+	cancel(accept("alpha")) // and alpha's quota slot
+	cancel(blocker)
+}
+
+// TestCancelWinsOverRetry: a job DELETEd while running whose attempt
+// then fails retryably settles canceled at once — no backoff, no retry
+// counted.
+func TestCancelWinsOverRetry(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1, QueueCap: 4, MaxRetries: 2, RetryBackoff: 2 * time.Second})
+	started, release := make(chan struct{}), make(chan struct{})
+	s.startHook = func(*Job) {
+		close(started)
+		<-release
+		panic("chaos: worker killed after the DELETE")
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	id := submit(t, ts, smokeSpec())
+	<-started
+	if code, _ := del(t, ts, "/jobs/"+id); code != http.StatusAccepted {
+		t.Fatalf("cancel running job: status %d", code)
+	}
+	close(release)
+	if st := waitTerminal(t, ts, id); st.State != StateCanceled || st.Class != ClassCanceled || st.Attempts != 1 {
+		t.Fatalf("deleted job settled as %+v, want canceled after its one attempt", st)
+	}
+	if got := metricValue(t, ts, "rrstudyd_jobs_retried_total"); got != "0" {
+		t.Errorf("rrstudyd_jobs_retried_total = %q, want 0", got)
+	}
+	if got := metricValue(t, ts, "rrstudyd_jobs_canceled_total"); got != "1" {
+		t.Errorf("rrstudyd_jobs_canceled_total = %q, want 1", got)
+	}
+}
+
 // TestCancelReachesOwnWorlds: fig2 and chaos measure worlds they build
 // for themselves, and probe them under the job's context, so a DELETE
 // lands at their next checkpoint instead of after every world has been
@@ -539,10 +621,10 @@ func stuffSpool(t *testing.T, job *Job, n int) {
 	if err := os.WriteFile(job.spoolPath, bytes.Repeat([]byte("x"), n), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	job.mu.Lock()
+	job.cond.L.Lock()
 	job.spooled = int64(n)
-	job.mu.Unlock()
 	job.cond.Broadcast()
+	job.cond.L.Unlock()
 }
 
 // TestStreamHangupIsNotADrop: rrstudyd_stream_clients_dropped_total

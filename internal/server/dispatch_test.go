@@ -1,93 +1,84 @@
 package server
 
 import (
+	"fmt"
 	"testing"
-	"time"
 )
 
-// popAsync runs pop(w) on its own goroutine and delivers what it got.
-func popAsync(d *dispatcher, w int) <-chan *Job {
-	got := make(chan *Job, 1)
-	go func() {
-		job, _ := d.pop(w)
-		got <- job
-	}()
-	return got
+// digestFor returns a plane digest whose affinity worker is w.
+func digestFor(t *testing.T, m *lifecycle, w int) string {
+	t.Helper()
+	for i := 0; i < 1000; i++ {
+		if d := fmt.Sprintf("plane-%d", i); m.preferredWorker(d) == w {
+			return d
+		}
+	}
+	t.Fatalf("no digest hashes to worker %d", w)
+	return ""
+}
+
+// mustPop pops worker w and requires want (nil: nothing to pop).
+func mustPop(t *testing.T, m *lifecycle, w int, want *Job) {
+	t.Helper()
+	job, _ := m.pop(w)
+	if job != want {
+		t.Fatalf("worker %d popped %v, want %v", w, job, want)
+	}
 }
 
 // TestDispatchChainedJobStaysWithOwner scripts a schedule's epoch
-// cadence: worker 0 finishes an attempt, goes idle, and its terminal
-// hook pushes the next epoch onto its own queue while worker 1 waits in
-// pop with nothing to do. The push wakes worker 1, which must leave the
-// job for its owner however long the owner takes to get back to pop.
+// cadence: worker 0 ends epoch 0's attempt, and settling it chains
+// epoch 1 onto worker 0's own queue. The owner is idle from the moment
+// its attempt ended, so a peer popping before the owner gets back to pop
+// must leave the epoch alone.
 func TestDispatchChainedJobStaysWithOwner(t *testing.T) {
-	d := newDispatcher(2, 8)
-	epoch0, epoch1 := &Job{ID: "epoch-0"}, &Job{ID: "epoch-1"}
-	if err := d.push(epoch0); err != nil {
+	m := newLifecycle(Config{Workers: 2, QueueCap: 8, RetainJobs: 8})
+	sc, _, err := m.createSchedule("default", ScheduleSpec{Job: smokeSpec(), Epochs: 2}, digestFor(t, m, 0))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if job, stolen := d.pop(0); job != epoch0 || stolen {
-		t.Fatalf("owner popped %v (stolen=%v), want epoch-0 from its own queue", job, stolen)
-	}
-	peer := popAsync(d, 1)
+	epoch0 := m.jobs[sc.currentJob]
+	mustPop(t, m, 1, nil) // an idle owner's queue is not backlog
+	mustPop(t, m, 0, epoch0)
 
-	// The attempt ends, and the terminal hook chains the next epoch.
-	d.idle(0)
-	if err := d.push(epoch1); err != nil {
-		t.Fatal(err)
+	m.attemptEnded(0, epoch0, attemptOutcome{ok: true})
+	epoch1 := m.jobs[sc.currentJob]
+	if epoch1 == nil || epoch1.epoch != 1 {
+		t.Fatalf("settling epoch 0 chained %v, want epoch 1", epoch1)
 	}
-	select {
-	case job := <-peer:
-		t.Fatalf("idle peer stole %s from a worker that was on its way back to pop", job.ID)
-	case <-time.After(50 * time.Millisecond):
-	}
-	if job, stolen := d.pop(0); job != epoch1 || stolen {
-		t.Fatalf("owner popped %v (stolen=%v), want epoch-1 from its own queue", job, stolen)
-	}
-
-	d.close()
-	if job := <-peer; job != nil {
-		t.Fatalf("peer got %s from a drained dispatcher", job.ID)
-	}
+	mustPop(t, m, 1, nil)
+	mustPop(t, m, 0, epoch1)
 }
 
 // TestDispatchStealsBusyOwnersBacklog is the other half of the steal
 // rule: a job queued behind an owner that is executing a different job
 // is backlog, and an idle peer takes it.
 func TestDispatchStealsBusyOwnersBacklog(t *testing.T) {
-	d := newDispatcher(2, 8)
-	running, backlog := &Job{ID: "running"}, &Job{ID: "backlog"}
-	d.push(running)
-	if job, _ := d.pop(0); job != running {
-		t.Fatalf("owner popped %v, want its own job", job)
+	m := newLifecycle(Config{Workers: 2, QueueCap: 8, RetainJobs: 8})
+	plane := digestFor(t, m, 0)
+	submit := func() *Job {
+		t.Helper()
+		job, err := m.submit("default", smokeSpec(), plane)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return job
 	}
-	peer := popAsync(d, 1)
-	d.push(backlog) // owner still executing: no idle
-	expectSteal(t, peer, backlog)
+	running := submit()
+	mustPop(t, m, 0, running)
+	backlog := submit() // the owner is busy: backlog
+	mustPop(t, m, 1, backlog)
+	m.attemptEnded(1, backlog, attemptOutcome{ok: true})
 
 	// Two jobs land while the owner is between attempts: it takes the
 	// first, and the second turns into backlog for the peer that had
 	// passed both over.
-	first, second := &Job{ID: "first"}, &Job{ID: "second"}
-	d.idle(0)
-	peer = popAsync(d, 1)
-	d.push(first)
-	d.push(second)
-	if job, _ := d.pop(0); job != first {
-		t.Fatalf("owner popped %v, want the head of its own queue", job)
-	}
-	expectSteal(t, peer, second)
-	d.close()
-}
-
-func expectSteal(t *testing.T, peer <-chan *Job, want *Job) {
-	t.Helper()
-	select {
-	case job := <-peer:
-		if job != want {
-			t.Fatalf("peer got %v, want %s", job, want.ID)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatalf("idle peer never stole %s from a busy owner", want.ID)
+	m.attemptEnded(0, running, attemptOutcome{ok: true})
+	first, second := submit(), submit()
+	mustPop(t, m, 1, nil)
+	mustPop(t, m, 0, first)
+	mustPop(t, m, 1, second)
+	if m.depth != 0 {
+		t.Errorf("depth %d after every job was popped", m.depth)
 	}
 }

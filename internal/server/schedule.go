@@ -8,7 +8,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 
 	"recordroute/internal/results"
 	"recordroute/internal/study"
@@ -50,12 +49,14 @@ type ScheduleSpec struct {
 	Epochs int `json:"epochs"`
 }
 
-// Schedule is one recurring campaign. All fields are guarded by
-// Server.mu; Index has its own lock and is safe to render concurrently.
+// Schedule is one recurring campaign. Its fields are written by the
+// lifecycle under its mutex; Index has its own lock and is safe to
+// render concurrently.
 type Schedule struct {
 	ID     string
 	Tenant string
 	Spec   ScheduleSpec
+	digest string // every epoch's plane digest: the spec's topology never varies
 
 	state      string
 	nextEpoch  int    // first epoch not yet completed
@@ -118,35 +119,13 @@ func (s *Server) CreateSchedule(tenant string, spec ScheduleSpec) (*Schedule, er
 	if spec.Job.Experiment != "table1" {
 		return nil, fmt.Errorf("schedule experiment %q: schedules run table1 only, because an epoch diff is Table 1's RR-reachable set", spec.Job.Experiment)
 	}
-	if _, err := spec.Job.config(); err != nil {
+	cfg, err := spec.Job.config()
+	if err != nil {
 		return nil, err
 	}
-
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		return nil, errDraining
-	}
-	ts := s.tenant(tenant)
-	if err := ts.admit(s.cfg, true); err != nil {
-		s.mu.Unlock()
-		return nil, err
-	}
-	s.nextSched++
-	sc := &Schedule{
-		ID:     fmt.Sprintf("sched-%d", s.nextSched),
-		Tenant: tenant,
-		Spec:   spec,
-		state:  SchedActive,
-		Index:  &results.EpochIndex{},
-	}
-	s.schedules[sc.ID] = sc
-	s.schedIDs = append(s.schedIDs, sc.ID)
-	s.mu.Unlock()
-
-	s.persistSchedule(sc)
-	s.fireEpoch(sc)
-	return sc, nil
+	sc, fx, err := s.lifecycle.createSchedule(tenant, spec, cfg.Digest())
+	s.apply(fx)
+	return sc, err
 }
 
 // Schedule returns a registered schedule by ID.
@@ -171,24 +150,9 @@ func (s *Server) Schedules() []*Schedule {
 // in-flight epoch job (if any) is canceled. Terminal schedules are
 // left as they are.
 func (s *Server) CancelSchedule(id string) (*Schedule, bool) {
-	s.mu.Lock()
-	sc := s.schedules[id]
-	if sc == nil {
-		s.mu.Unlock()
-		return nil, false
-	}
-	if sc.state != SchedActive {
-		s.mu.Unlock()
-		return sc, true
-	}
-	sc.state = SchedCanceled
-	current := sc.currentJob
-	s.mu.Unlock()
-	if current != "" {
-		s.Cancel(current)
-	}
-	s.persistSchedule(sc)
-	return sc, false
+	sc, terminal, fx := s.lifecycle.cancelSchedule(id)
+	s.apply(fx)
+	return sc, terminal
 }
 
 // epochSpec derives epoch e's job spec from the schedule's base: a
@@ -204,92 +168,15 @@ func (sc *Schedule) epochSpec(dataDir string, e int) JobSpec {
 	return spec
 }
 
-// fireEpoch submits the schedule's next epoch job. Refusals that mean
-// "later" (queue full, tenant quota) arm a retry timer; draining means
-// the epoch fires on the next start (the schedule record has the
-// cursor); anything else fails the schedule.
-func (s *Server) fireEpoch(sc *Schedule) {
-	s.mu.Lock()
-	if sc.state != SchedActive || sc.currentJob != "" {
-		s.mu.Unlock()
-		return
-	}
-	e := sc.nextEpoch
-	spec := sc.epochSpec(s.cfg.DataDir, e)
-	s.mu.Unlock()
-
-	job, err := s.submit(sc.Tenant, spec, false, func(j *Job) { s.epochDone(sc, e, j) })
-	switch {
-	case err == nil:
-		s.mu.Lock()
-		// The job can finalize — and epochDone clear the slot — before
-		// submit returns; only record it as current while its epoch is
-		// still the cursor.
-		if sc.state == SchedActive && sc.nextEpoch == e {
-			sc.currentJob = job.ID
-		}
-		s.mu.Unlock()
-	case err == errDraining:
-		// Resume at next start: loadSchedules fires the cursor epoch.
-	case err == errQueueFull || asQuotaError(err) != nil:
-		time.AfterFunc(s.cfg.retryBackoff(), func() { s.fireEpoch(sc) })
-	default:
-		s.mu.Lock()
-		sc.state = SchedFailed
-		sc.errMsg = fmt.Sprintf("epoch %d submit: %v", e, err)
-		s.mu.Unlock()
-		s.persistSchedule(sc)
-	}
-}
-
-// epochDone is the terminal hook of an epoch job: record the epoch's
-// reachable set, advance the cursor, checkpoint, and fire the next
-// epoch (or finish). Runs outside all locks.
-func (s *Server) epochDone(sc *Schedule, e int, job *Job) {
-	job.mu.Lock()
-	state, errMsg := job.state, job.err
-	reachable := job.reachable
-	job.mu.Unlock()
-
-	s.mu.Lock()
-	sc.currentJob = ""
-	switch {
-	case sc.state != SchedActive:
-		// Canceled (or failed) while the epoch ran; keep the record as is.
-	case state == StateDone:
-		sc.Index.Add(e, reachable)
-		if sc.nextEpoch == e {
-			sc.nextEpoch = e + 1
-		}
-		if sc.nextEpoch >= sc.Spec.Epochs {
-			sc.state = SchedDone
-		}
-	case state == StateCanceled:
-		sc.state = SchedCanceled
-		sc.errMsg = fmt.Sprintf("epoch %d canceled: %s", e, errMsg)
-	default:
-		sc.state = SchedFailed
-		sc.errMsg = fmt.Sprintf("epoch %d failed: %s", e, errMsg)
-	}
-	active := sc.state == SchedActive
-	s.mu.Unlock()
-
-	s.persistSchedule(sc)
-	if active {
-		s.fireEpoch(sc)
-	}
-}
-
-// persistSchedule checkpoints the schedule record to
-// DataDir/<id>.json, atomically (write-temp, rename): a kill between
-// epochs or mid-write leaves either the previous checkpoint or the new
-// one, never a torn file.
-func (s *Server) persistSchedule(sc *Schedule) {
-	s.mu.Lock()
-	rec := schedRecord{ID: sc.ID, Tenant: sc.Tenant, Spec: sc.Spec,
-		State: sc.state, NextEpoch: sc.nextEpoch, Error: sc.errMsg, Index: sc.Index}
-	data, err := json.Marshal(rec)
-	s.mu.Unlock()
+// persist checkpoints the schedule record to DataDir/<id>.json,
+// atomically (write-temp, rename): a kill mid-write leaves either the
+// previous checkpoint or the new one, never a torn file. Writes are
+// serialized and each snapshots the record as it writes, so the last
+// write on disk is the newest state whichever transition asked first.
+func (s *Server) persist(sc *Schedule) {
+	s.persistMu.Lock()
+	defer s.persistMu.Unlock()
+	data, err := json.Marshal(s.lifecycle.record(sc))
 	if err != nil {
 		return
 	}
@@ -301,17 +188,22 @@ func (s *Server) persistSchedule(sc *Schedule) {
 	os.Rename(tmp, path)
 }
 
-// loadSchedules restores persisted schedules at startup and fires the
-// cursor epoch of every active one — the resume half of the schedule
-// lifecycle. A mid-epoch kill left that epoch's journal with its
-// completed batches; the refired epoch job resumes from it.
+// loadSchedules restores persisted schedules at startup, in creation
+// order, and fires the cursor epoch of every active one — the resume
+// half of the schedule lifecycle. A mid-epoch kill left that epoch's
+// journal with its completed batches; the refired epoch job resumes
+// from it.
 func (s *Server) loadSchedules() error {
 	paths, err := filepath.Glob(filepath.Join(s.cfg.DataDir, "sched-*.json"))
 	if err != nil {
 		return err
 	}
-	sort.Strings(paths)
-	var resumed []*Schedule
+	type restored struct {
+		rec    schedRecord
+		n      int
+		digest string
+	}
+	var recs []restored
 	for _, path := range paths {
 		data, err := os.ReadFile(path)
 		if err != nil {
@@ -321,40 +213,19 @@ func (s *Server) loadSchedules() error {
 		if err := json.Unmarshal(data, &rec); err != nil {
 			return fmt.Errorf("schedule restore %s: %w", path, err)
 		}
-		if rec.Index == nil {
-			rec.Index = &results.EpochIndex{}
-		}
-		sc := &Schedule{ID: rec.ID, Tenant: rec.Tenant, Spec: rec.Spec,
-			state: rec.State, nextEpoch: rec.NextEpoch, errMsg: rec.Error,
-			Index: rec.Index}
 		n, ok := schedNum(rec.ID)
 		if !ok {
 			continue
 		}
-		s.mu.Lock()
-		s.schedules[sc.ID] = sc
-		s.schedIDs = append(s.schedIDs, sc.ID)
-		if n > s.nextSched {
-			s.nextSched = n
+		cfg, err := rec.Spec.Job.config()
+		if err != nil {
+			return fmt.Errorf("schedule restore %s: %w", path, err)
 		}
-		// A restored active tenant holds no token: it paid at creation,
-		// in the previous process life.
-		s.tenant(sc.Tenant)
-		active := sc.state == SchedActive
-		s.mu.Unlock()
-		if active {
-			resumed = append(resumed, sc)
-		}
+		recs = append(recs, restored{rec, n, cfg.Digest()})
 	}
-	s.mu.Lock()
-	sort.Slice(s.schedIDs, func(i, j int) bool {
-		a, _ := schedNum(s.schedIDs[i])
-		b, _ := schedNum(s.schedIDs[j])
-		return a < b
-	})
-	s.mu.Unlock()
-	for _, sc := range resumed {
-		s.fireEpoch(sc)
+	sort.Slice(recs, func(i, j int) bool { return recs[i].n < recs[j].n })
+	for _, r := range recs {
+		s.apply(s.lifecycle.restore(r.rec, r.digest))
 	}
 	return nil
 }

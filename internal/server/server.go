@@ -11,7 +11,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime/metrics"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -69,9 +68,9 @@ type Config struct {
 	// 0 means 30s; negative disables.
 	StreamWriteTimeout time.Duration
 
-	// TenantQuota caps each tenant's in-flight jobs (queued + running,
-	// schedule epochs included); submissions beyond it get 429 with
-	// Retry-After — per-tenant QoS, distinct from the global 503
+	// TenantQuota caps each tenant's in-flight jobs (queued, running or
+	// retrying, schedule epochs included); submissions beyond it get 429
+	// with Retry-After — per-tenant QoS, distinct from the global 503
 	// backpressure. 0 means unlimited.
 	TenantQuota int
 	// TenantRate/TenantBurst add token-bucket admission per tenant:
@@ -247,10 +246,10 @@ type Job struct {
 	Spec JobSpec
 	// journal is the resolved journal path, fixed at submit time so the
 	// server can refuse a second job writing the same file. It stays
-	// reserved across retries and is released when the job finalizes.
+	// reserved across retries and is released when the job settles.
 	journal string
 	// tenant is the submitting tenant ("default" when anonymous); its
-	// quota slot is released when the job finalizes.
+	// quota slot is released when the job settles.
 	tenant string
 	// digest is the topology digest resolved at submit time — the
 	// plane-cache key, reused by runOnce; preferred is the worker it
@@ -262,28 +261,31 @@ type Job struct {
 	// reader copies through a descriptor of its own, so the daemon's heap
 	// holds no result bytes of any job (DESIGN.md §11).
 	spoolPath string
-	// onTerminal, when set (schedules), runs exactly once after the job
-	// finalizes, outside all locks. Set before submit, never mutated.
-	onTerminal func(*Job)
+	// sched and epoch name the schedule epoch an epoch job runs; sched is
+	// nil for a submitted job.
+	sched *Schedule
+	epoch int
 
-	mu        sync.Mutex
-	cond      *sync.Cond
-	state     string
-	err       string
-	class     string // failure class of the most recent failed attempt
-	attempts  int    // execution attempts started
-	degraded  bool   // the journal degraded during some attempt
+	// cond wakes the job's waiters — /stream followers, status pollers.
+	// Its locker is the lifecycle's mutex, which guards every field below:
+	// the lifecycle writes the state, class, error and attempt fields, the
+	// running attempt its progress.
+	cond            *sync.Cond
+	state           string
+	err             string
+	class           string             // failure class of the most recent failed attempt
+	attempts        int                // execution attempts started
+	gen             uint64             // retry generation; a timer armed for an older one is stale
+	cancelRequested bool               // DELETE arrived while running; honored at the next checkpoint
+	cancelRun       context.CancelFunc // cancels the in-flight attempt; nil between attempts
+
+	degraded  bool // the journal degraded during some attempt
 	cacheHit  bool
 	done      int   // completed batch checkpoints (archived + freshly probed)
 	total     int   // batch checkpoints the campaign will complete; 0 = unknown
 	spooled   int64 // committed spool length: bytes written, then published here
 	render    []byte
 	reachable []netip.Addr // an epoch job's RR-reachable set (schedule epoch diffs)
-	finalized bool         // terminal bookkeeping (journal release, eviction) ran
-
-	cancelRequested bool               // DELETE arrived; honored at the next checkpoint
-	cancelRun       context.CancelFunc // cancels the in-flight attempt; nil between attempts
-	retryTimer      *time.Timer        // pending backoff re-queue; nil otherwise
 }
 
 // Status is the job-status JSON.
@@ -304,8 +306,12 @@ type Status struct {
 }
 
 func (j *Job) status() Status {
-	j.mu.Lock()
-	defer j.mu.Unlock()
+	j.cond.L.Lock()
+	defer j.cond.L.Unlock()
+	return j.statusLocked()
+}
+
+func (j *Job) statusLocked() Status {
 	s := Status{ID: j.ID, State: j.state, Error: j.err, Class: j.class,
 		Attempts: j.attempts, Degraded: j.degraded,
 		CacheHit: j.cacheHit, Done: j.done, Total: j.total}
@@ -319,7 +325,9 @@ func (j *Job) status() Status {
 // results, cancel, scrape metrics. Create with New, serve via Handler,
 // stop with Drain.
 type Server struct {
-	cfg   Config
+	// The job and schedule lifecycle: every state change goes through its
+	// events, and its mutex guards jobs, tenants and schedules.
+	*lifecycle
 	cache *planeCache
 
 	// buildSeconds is the plane-build latency histogram behind the
@@ -327,22 +335,9 @@ type Server struct {
 	// frozen-plane cache miss (build + snapshot wall-clock).
 	buildSeconds *obs.PromHistogram
 
-	mu        sync.Mutex
-	jobs      map[string]*Job
-	order     []string          // submission order, for /metrics
-	journals  map[string]string // reserved journal path -> job ID
-	tenants   map[string]*tenantState
-	schedules map[string]*Schedule
-	schedIDs  []string // creation order, for /schedules and /metrics
-	nextID    int
-	nextSched int
-	draining  bool
+	wg        sync.WaitGroup
+	persistMu sync.Mutex // serializes schedule checkpoint writes
 
-	dispatch *dispatcher
-	wg       sync.WaitGroup
-
-	retriedTotal   atomic.Int64 // attempts re-queued after a retryable failure
-	canceledTotal  atomic.Int64 // jobs finalized by DELETE /jobs/{id}
 	degradedTotal  atomic.Int64 // jobs whose journal degraded (write errors swallowed)
 	streamDropped  atomic.Int64 // /stream clients disconnected by the write deadline
 	streamBytes    atomic.Int64 // result-line bytes committed to job spools
@@ -379,20 +374,10 @@ func New(cfg Config) (*Server, error) {
 	if err := os.MkdirAll(cfg.DataDir, 0o755); err != nil {
 		return nil, err
 	}
-	// No job survives a restart, so a spool a SIGKILL left is an orphan;
-	// journals and schedule checkpoints are what a restart resumes from.
-	orphans, _ := filepath.Glob(filepath.Join(cfg.DataDir, "*.stream"))
-	for _, p := range orphans {
-		os.Remove(p)
-	}
+	sweepSpools(cfg.DataDir)
 	s := &Server{
-		cfg:       cfg,
+		lifecycle: newLifecycle(cfg),
 		cache:     newPlaneCache(cfg.CacheCap),
-		jobs:      make(map[string]*Job),
-		journals:  make(map[string]string),
-		tenants:   make(map[string]*tenantState),
-		schedules: make(map[string]*Schedule),
-		dispatch:  newDispatcher(cfg.Workers, cfg.QueueCap),
 		// Bounds straddle the profiles the service actually builds:
 		// small smoke planes land in the millisecond buckets, full-scale
 		// plane builds in the seconds range.
@@ -412,54 +397,16 @@ func New(cfg Config) (*Server, error) {
 // Drain stops accepting jobs, lets queued and running campaigns finish,
 // and returns when the pool is idle — the graceful-shutdown half of the
 // daemon's SIGTERM handling. Jobs waiting out a retry backoff are not
-// granted their next attempt: they finalize as failed with the original
+// granted their next attempt: they settle as failed with the original
 // failure preserved, and their journals keep the completed batches for
 // a manual resume. Journals make even an ungraceful kill recoverable;
 // drain just finishes the cheap way.
 func (s *Server) Drain() {
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		s.wg.Wait()
-		return
-	}
-	s.draining = true
-	var waiting []*Job
-	for _, id := range s.order {
-		job := s.jobs[id]
-		job.mu.Lock()
-		if job.retryTimer != nil {
-			waiting = append(waiting, job)
-		}
-		job.mu.Unlock()
-	}
-	s.mu.Unlock()
-	// Any retry scheduled after draining flipped fails at scheduling
-	// time; any timer that fires from here on sees draining and
-	// finalizes instead of enqueueing. Stopping a timer first wins the
-	// race to finalize; losing it (Stop returns false) means the timer
-	// callback is already running and will finalize itself.
-	for _, job := range waiting {
-		job.mu.Lock()
-		timer := job.retryTimer
-		job.retryTimer = nil
-		job.mu.Unlock()
-		if timer != nil && timer.Stop() {
-			s.finalize(job, StateFailed, jobClass(job), jobErr(job)+" (retry abandoned: service draining; journal keeps completed batches)")
-		}
-	}
-	s.dispatch.close()
+	s.apply(s.lifecycle.drain())
 	s.wg.Wait()
-	// The retained jobs' spools go with the service.
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, job := range s.jobs {
-		os.Remove(job.spoolPath)
-	}
+	// Nothing is live now: draining again unlinks the retained spools.
+	s.apply(s.lifecycle.drain())
 }
-
-func jobClass(j *Job) string { j.mu.Lock(); defer j.mu.Unlock(); return j.class }
-func jobErr(j *Job) string   { j.mu.Lock(); defer j.mu.Unlock(); return j.err }
 
 // Submit enqueues a job for the anonymous tenant, refusing with an
 // error when the service is draining, the queue is full, or the job's
@@ -471,14 +418,6 @@ func (s *Server) Submit(spec JobSpec) (*Job, error) { return s.SubmitAs("", spec
 // before the global queue, so one tenant flooding the service gets 429s
 // while the others' jobs still run.
 func (s *Server) SubmitAs(tenant string, spec JobSpec) (*Job, error) {
-	return s.submit(tenant, spec, true, nil)
-}
-
-// submit is the shared submission path. metered submissions pay the
-// tenant token bucket; schedule epochs (metered=false) only hold a
-// quota slot — the schedule paid its token at creation. onTerminal, if
-// set, fires once when the job finalizes.
-func (s *Server) submit(tenant string, spec JobSpec, metered bool, onTerminal func(*Job)) (*Job, error) {
 	if tenant == "" {
 		tenant = "default"
 	}
@@ -489,45 +428,7 @@ func (s *Server) submit(tenant string, spec JobSpec, metered bool, onTerminal fu
 	if err != nil {
 		return nil, err
 	}
-	digest := cfg.Digest()
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.draining {
-		return nil, errDraining
-	}
-	ts := s.tenant(tenant)
-	if err := ts.admit(s.cfg, metered); err != nil {
-		return nil, err
-	}
-	id := fmt.Sprintf("job-%d", s.nextID+1)
-	path := spec.Journal
-	if path == "" {
-		path = filepath.Join(s.cfg.DataDir, id+".jsonl")
-	}
-	if owner, busy := s.journals[path]; busy {
-		return nil, fmt.Errorf("journal %s is in use by %s", path, owner)
-	}
-	job := &Job{ID: id, Spec: spec, journal: path, tenant: tenant,
-		digest: digest, preferred: s.dispatch.preferredWorker(digest),
-		spoolPath:  filepath.Join(s.cfg.DataDir, id+".stream"),
-		onTerminal: onTerminal, state: StateQueued}
-	job.cond = sync.NewCond(&job.mu)
-	// The push happens under s.mu, for two reasons: it is ordered
-	// against Drain (which flips draining under s.mu before closing the
-	// dispatcher, so a push can never land after close), and the job is
-	// registered only after the dispatcher accepts it, so a full queue
-	// needs no rollback that could race with other submissions.
-	if err := s.dispatch.push(job); err != nil {
-		ts.refund(s.cfg, metered)
-		return nil, err
-	}
-	ts.active++
-	s.nextID++
-	s.jobs[job.ID] = job
-	s.order = append(s.order, job.ID)
-	s.journals[path] = job.ID
-	return job, nil
+	return s.lifecycle.submit(tenant, spec, cfg.Digest())
 }
 
 var (
@@ -543,40 +444,22 @@ func (s *Server) Job(id string) *Job {
 }
 
 // QueueDepth returns the number of jobs accepted but not yet running.
-func (s *Server) QueueDepth() int { return s.dispatch.queued() }
+func (s *Server) QueueDepth() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.depth
+}
 
 // Cancel requests cancellation of a job. A queued or backoff-waiting
-// job finalizes as canceled without (further) execution; a running job
-// has its attempt's context canceled and finalizes at the campaign's
-// next deterministic checkpoint. Terminal jobs are left as they are
-// (reported via the returned already-terminal flag). Canceled jobs are
-// never retried.
+// job settles as canceled at once, its queue and quota slots freed; a
+// running job has its attempt's context canceled and settles at the
+// campaign's next deterministic checkpoint. Terminal jobs are left as
+// they are (reported via the returned already-terminal flag). Canceled
+// jobs are never retried.
 func (s *Server) Cancel(id string) (job *Job, terminal bool) {
-	job = s.Job(id)
-	if job == nil {
-		return nil, false
-	}
-	job.mu.Lock()
-	if terminalState(job.state) {
-		job.mu.Unlock()
-		return job, true
-	}
-	job.cancelRequested = true
-	cancel := job.cancelRun
-	timer := job.retryTimer
-	job.retryTimer = nil
-	job.mu.Unlock()
-	if cancel != nil {
-		cancel()
-	}
-	// A backoff-waiting job has no attempt to cancel and is not in the
-	// queue; whoever stops the timer finalizes it. Losing the Stop race
-	// means the timer callback is re-queueing — the worker that dequeues
-	// it will observe cancelRequested and finalize.
-	if timer != nil && timer.Stop() {
-		s.finalizeCanceled(job, "canceled while waiting for retry")
-	}
-	return job, false
+	job, terminal, fx := s.lifecycle.cancel(id)
+	s.apply(fx)
+	return job, terminal
 }
 
 func terminalState(st string) bool {
@@ -588,10 +471,10 @@ func (j *Job) terminal() bool {
 	return terminalState(j.state)
 }
 
-func (s *Server) worker(i int) {
+func (s *Server) worker(w int) {
 	defer s.wg.Done()
 	for {
-		job, _ := s.dispatch.pop(i)
+		job, ctx := s.lifecycle.take(w)
 		if job == nil {
 			return
 		}
@@ -599,152 +482,13 @@ func (s *Server) worker(i int) {
 		// digest hashes to will find (or leave) that plane hot in the
 		// shared cache and keep the epoch cadence of a schedule landing
 		// on one goroutine; a steal is a miss.
-		if i == job.preferred {
+		if w == job.preferred {
 			s.affinityHits.Add(1)
 		} else {
 			s.affinityMisses.Add(1)
 		}
-		s.execute(i, job)
+		s.apply(s.lifecycle.attemptEnded(w, job, s.runOnce(ctx, job)))
 	}
-}
-
-// execute runs one attempt of a dequeued job on worker w and settles its
-// fate: done, canceled, failed, or re-queued after a class-aware backoff.
-func (s *Server) execute(w int, job *Job) {
-	job.mu.Lock()
-	preCanceled := job.cancelRequested
-	attempts := job.attempts
-	job.mu.Unlock()
-	if preCanceled {
-		s.finalizeCanceled(job, "canceled while queued")
-		return
-	}
-
-	out := s.runOnce(job)
-	// The attempt is over; settling it may run a schedule's terminal
-	// hook, which pushes the next epoch onto this worker's own queue.
-	// Going idle first keeps that epoch from being stolen by a peer the
-	// push wakes while this goroutine is still on its way back to pop.
-	s.dispatch.idle(w)
-	switch {
-	case out.ok:
-		s.finalize(job, StateDone, "", "")
-	case out.class == ClassCanceled:
-		s.finalizeCanceled(job, out.msg)
-	case classRetryable(out.class) && attempts < s.cfg.maxRetries():
-		s.scheduleRetry(job, out.class, out.msg)
-	default:
-		s.finalize(job, StateFailed, out.class, out.msg)
-	}
-}
-
-// finalize settles a job's terminal state exactly once: state/class/
-// error recorded, any armed retry timer disarmed (a late requeue of a
-// finalized job would resurrect it as an unevictable ghost), waiters
-// woken, the journal path released and the tenant's quota slot freed,
-// old terminal jobs evicted, and the terminal hook fired.
-func (s *Server) finalize(job *Job, state, class, msg string) {
-	job.mu.Lock()
-	if job.finalized {
-		job.mu.Unlock()
-		return
-	}
-	job.finalized = true
-	job.state = state
-	job.class = class
-	job.err = msg
-	timer := job.retryTimer
-	job.retryTimer = nil
-	job.mu.Unlock()
-	if timer != nil {
-		timer.Stop()
-	}
-	job.cond.Broadcast()
-	s.mu.Lock()
-	delete(s.journals, job.journal)
-	if ts := s.tenants[job.tenant]; ts != nil && ts.active > 0 {
-		ts.active--
-	}
-	s.mu.Unlock()
-	s.evictTerminal()
-	if job.onTerminal != nil {
-		job.onTerminal(job)
-	}
-}
-
-func (s *Server) finalizeCanceled(job *Job, msg string) {
-	s.canceledTotal.Add(1)
-	s.finalize(job, StateCanceled, ClassCanceled, msg)
-}
-
-// scheduleRetry parks a retryably failed job in StateRetrying and arms
-// the backoff timer that re-queues it. Under drain there is no next
-// attempt: the job fails now, keeping the failure it would have
-// retried.
-func (s *Server) scheduleRetry(job *Job, class, msg string) {
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		s.finalize(job, StateFailed, class, msg+" (retry abandoned: service draining; journal keeps completed batches)")
-		return
-	}
-	job.mu.Lock()
-	retry := job.attempts // retry N follows attempt N
-	delay := s.cfg.backoffFor(retry)
-	job.state = StateRetrying
-	job.class = class
-	job.err = fmt.Sprintf("%s (attempt %d/%d; retrying in %v)", msg, retry, s.cfg.maxRetries()+1, delay)
-	job.retryTimer = time.AfterFunc(delay, func() { s.requeue(job) })
-	job.mu.Unlock()
-	s.mu.Unlock()
-	s.retriedTotal.Add(1)
-	job.cond.Broadcast()
-}
-
-// requeue moves a backoff-expired job back into the worker queue. The
-// journal stayed reserved the whole time, so nothing can have claimed
-// the path in between; the next attempt resumes from it.
-func (s *Server) requeue(job *Job) {
-	job.mu.Lock()
-	job.retryTimer = nil
-	canceled := job.cancelRequested
-	job.mu.Unlock()
-	if canceled {
-		s.finalizeCanceled(job, "canceled while waiting for retry")
-		return
-	}
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		s.finalize(job, StateFailed, jobClass(job), jobErr(job)+" (retry abandoned: service draining; journal keeps completed batches)")
-		return
-	}
-	// The state flips to queued BEFORE the dispatcher push: once the
-	// dispatcher holds the job, a worker can pop and run it immediately
-	// (or even finish it), and a setState after the push would stomp
-	// running/terminal state — a finalized job stuck looking "queued" is
-	// never evicted and haunts /metrics forever.
-	job.setState(StateQueued)
-	if err := s.dispatch.push(job); err != nil {
-		// Queue full: back out to retrying and wait another backoff
-		// round rather than block a goroutine. Nobody holds the job (the
-		// push failed), so the state transition is ours alone.
-		job.mu.Lock()
-		if !job.finalized {
-			job.state = StateRetrying
-			job.retryTimer = time.AfterFunc(s.cfg.retryBackoff(), func() { s.requeue(job) })
-		}
-		job.mu.Unlock()
-		job.cond.Broadcast()
-	}
-	s.mu.Unlock()
-}
-
-// attemptOutcome is runOnce's verdict on one execution attempt.
-type attemptOutcome struct {
-	ok    bool
-	class string
-	msg   string
 }
 
 func failure(class, format string, args ...any) attemptOutcome {
@@ -756,15 +500,11 @@ func failure(class, format string, args ...any) attemptOutcome {
 // attempt after the first, so retries continue instead of restarting),
 // spool batches as they complete, render when done. Panics — the
 // worker's own and cooperative cancellation aborts — are absorbed here
-// and classified; the worker goroutine survives every failure mode.
-func (s *Server) runOnce(job *Job) (out attemptOutcome) {
-	ctx := context.Background()
-	var cancel context.CancelFunc
-	if s.cfg.JobDeadline > 0 {
-		ctx, cancel = context.WithTimeout(ctx, s.cfg.JobDeadline)
-	} else {
-		ctx, cancel = context.WithCancel(ctx)
-	}
+// and classified; the worker goroutine survives every failure mode. ctx
+// is the attempt's context, which a DELETE or the job deadline ends.
+func (s *Server) runOnce(ctx context.Context, job *Job) (out attemptOutcome) {
+	ctx, cancel := context.WithCancel(ctx)
+	attempt := job.attempts // the worker's own pop set it
 	var jn *measure.Journal
 	var spoolErr error // the sink's first spool write failure; it cancels the attempt
 	defer func() {
@@ -781,27 +521,12 @@ func (s *Server) runOnce(job *Job) (out attemptOutcome) {
 		if jn != nil {
 			s.journalBytes.Add(jn.Written())
 			if jn.Degraded() != nil {
-				s.markDegraded(job, jn.Degraded())
+				s.markDegraded(job)
 			}
 		}
-		job.mu.Lock()
-		job.cancelRun = nil
-		job.mu.Unlock()
 		cancel()
 	}()
 
-	job.mu.Lock()
-	job.attempts++
-	attempt := job.attempts
-	job.state = StateRunning
-	job.cancelRun = cancel
-	preCanceled := job.cancelRequested
-	job.mu.Unlock()
-	job.cond.Broadcast()
-	if preCanceled {
-		// The DELETE raced the dequeue; don't start probing.
-		cancel()
-	}
 	if s.startHook != nil {
 		s.startHook(job)
 	}
@@ -818,9 +543,9 @@ func (s *Server) runOnce(job *Job) (out attemptOutcome) {
 	if err != nil {
 		return failure(ClassTopology, "topology build: %v", err)
 	}
-	job.mu.Lock()
+	s.mu.Lock()
 	job.cacheHit = hit
-	job.mu.Unlock()
+	s.mu.Unlock()
 
 	st, err := study.NewFromTopology(topo, study.Options{
 		Rate:        job.Spec.Rate,
@@ -845,18 +570,19 @@ func (s *Server) runOnce(job *Job) (out attemptOutcome) {
 	}
 	defer spool.Close()
 
-	job.mu.Lock()
+	// The experiment's checkpoint count when the registry knows it
+	// exactly; 0 reports it unknown.
+	total := 0
+	if exp.Batches != nil {
+		total = exp.Batches(st)
+	}
+	s.mu.Lock()
 	// Every attempt appends at the committed length: whatever a killed
 	// attempt wrote beyond it was never published, and is overwritten.
 	off := job.spooled
-	// The experiment's checkpoint count when the registry knows it
-	// exactly; 0 reports it unknown.
-	job.total = 0
-	if exp.Batches != nil {
-		job.total = exp.Batches(st)
-	}
+	job.total = total
 	job.done = jn.Archived()
-	job.mu.Unlock()
+	s.mu.Unlock()
 	// The sink runs under the journal lock, one batch at a time, on the
 	// journal's own buffer: write it out, then publish the new length, so
 	// no reader is told of bytes the file lacks.
@@ -873,11 +599,11 @@ func (s *Server) runOnce(job *Job) (out attemptOutcome) {
 		}
 		off += int64(len(lines))
 		s.streamBytes.Add(int64(len(lines)))
-		job.mu.Lock()
+		s.mu.Lock()
 		job.done++
 		job.spooled = off
-		job.mu.Unlock()
 		job.cond.Broadcast()
+		s.mu.Unlock()
 	})
 
 	res, err := exp.Run(st, study.Params{})
@@ -903,16 +629,16 @@ func (s *Server) runOnce(job *Job) (out attemptOutcome) {
 
 	var render bytes.Buffer
 	res.Render(&render)
-	job.mu.Lock()
-	job.render = render.Bytes()
-	if job.onTerminal != nil {
+	var reachable []netip.Addr
+	if job.sched != nil {
 		// The RR-reachable set is the epoch observation a schedule's
-		// time-series index diffs; captured here so the terminal hook
-		// (which only an epoch job, always table1, has) reads settled
-		// data.
-		job.reachable = st.Table1().RRResponsive()
+		// time-series index diffs (an epoch job is always table1).
+		reachable = st.Table1().RRResponsive()
 	}
-	job.mu.Unlock()
+	s.mu.Lock()
+	job.render = render.Bytes()
+	job.reachable = reachable
+	s.mu.Unlock()
 	return attemptOutcome{ok: true}
 }
 
@@ -930,55 +656,13 @@ func (s *Server) classifyCancel(ctxErr error, detail any) attemptOutcome {
 // markDegraded records that the job's journal stopped recording
 // checkpoints (a write/sync failure was swallowed so the campaign
 // could keep running). Counted once per job.
-func (s *Server) markDegraded(job *Job, err error) {
-	job.mu.Lock()
+func (s *Server) markDegraded(job *Job) {
+	s.mu.Lock()
 	first := !job.degraded
 	job.degraded = true
-	job.mu.Unlock()
+	s.mu.Unlock()
 	if first {
 		s.degradedTotal.Add(1)
-	}
-}
-
-// setState transitions a non-finalized job; on a finalized job it is a
-// no-op — terminal states are settled exactly once by finalize, and no
-// late transition may resurrect an evicted job.
-func (j *Job) setState(st string) {
-	j.mu.Lock()
-	if j.finalized {
-		j.mu.Unlock()
-		return
-	}
-	j.state = st
-	j.mu.Unlock()
-	j.cond.Broadcast()
-}
-
-// evictTerminal drops the oldest finished jobs beyond RetainJobs, their
-// renders and spool files with them. Queued, running, and retrying jobs
-// are never evicted; clients still holding a *Job keep a valid pointer
-// and a /stream reader its descriptor, which reads the unlinked spool to
-// its end: the job is just no longer addressable over HTTP.
-func (s *Server) evictTerminal() {
-	s.mu.Lock()
-	var finished, spools []string
-	for _, id := range s.order {
-		j := s.jobs[id]
-		j.mu.Lock()
-		done := j.terminal()
-		j.mu.Unlock()
-		if done {
-			finished = append(finished, id)
-		}
-	}
-	for _, id := range finished[:max(0, len(finished)-s.cfg.RetainJobs)] {
-		spools = append(spools, s.jobs[id].spoolPath)
-		delete(s.jobs, id)
-		s.order = slices.DeleteFunc(s.order, func(oid string) bool { return oid == id })
-	}
-	s.mu.Unlock()
-	for _, path := range spools {
-		os.Remove(path) // outside the lock: unlinking a large spool takes a while
 	}
 }
 
@@ -1178,20 +862,20 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	// the wakeup could slip between the loop's check and its Wait.
 	ctx := r.Context()
 	defer context.AfterFunc(ctx, func() {
-		job.mu.Lock()
-		defer job.mu.Unlock()
+		s.mu.Lock()
+		defer s.mu.Unlock()
 		job.cond.Broadcast()
 	})()
 
 	var f *os.File
 	buf := make([]byte, 128<<10)
 	for next := int64(0); ; {
-		job.mu.Lock()
+		s.mu.Lock()
 		for next == job.spooled && !job.terminal() && ctx.Err() == nil {
 			job.cond.Wait()
 		}
 		committed, end := job.spooled, job.terminal()
-		job.mu.Unlock()
+		s.mu.Unlock()
 		if ctx.Err() != nil || (end && next == committed) {
 			return
 		}
@@ -1228,9 +912,9 @@ func (s *Server) handleRender(w http.ResponseWriter, r *http.Request) {
 		http.NotFound(w, r)
 		return
 	}
-	job.mu.Lock()
+	s.mu.Lock()
 	state, render, errMsg := job.state, job.render, job.err
-	job.mu.Unlock()
+	s.mu.Unlock()
 	switch state {
 	case StateDone:
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -1256,8 +940,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	states := make(map[string]float64)
 	var progress, totals []obs.PromSample
 	for _, id := range s.order {
-		job := s.jobs[id]
-		st := job.status()
+		st := s.jobs[id].statusLocked()
 		states[st.State]++
 		progress = append(progress, obs.PromSample{
 			Labels: map[string]string{"job": st.ID}, Value: float64(st.Done)})
@@ -1281,6 +964,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	for _, id := range s.schedIDs {
 		schedStates[s.schedules[id].state]++
 	}
+	depth, retried, canceled := s.depth, s.retried, s.canceled
 	s.mu.Unlock()
 
 	var stateSamples []obs.PromSample
@@ -1296,14 +980,14 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 
 	fams := []obs.PromFamily{
 		{Name: "rrstudyd_queue_depth", Help: "jobs accepted but not yet running", Type: "gauge",
-			Samples: []obs.PromSample{{Value: float64(s.QueueDepth())}}},
+			Samples: []obs.PromSample{{Value: float64(depth)}}},
 		{Name: "rrstudyd_workers", Help: "worker pool width", Type: "gauge",
 			Samples: []obs.PromSample{{Value: float64(s.cfg.Workers)}}},
 		{Name: "rrstudyd_jobs", Help: "jobs by state", Type: "gauge", Samples: stateSamples},
 		{Name: "rrstudyd_jobs_retried_total", Help: "job attempts re-queued after a retryable failure", Type: "counter",
-			Samples: []obs.PromSample{{Value: float64(s.retriedTotal.Load())}}},
+			Samples: []obs.PromSample{{Value: float64(retried)}}},
 		{Name: "rrstudyd_jobs_canceled_total", Help: "jobs finalized by DELETE /jobs/{id}", Type: "counter",
-			Samples: []obs.PromSample{{Value: float64(s.canceledTotal.Load())}}},
+			Samples: []obs.PromSample{{Value: float64(canceled)}}},
 		{Name: "rrstudyd_journal_degraded_total", Help: "jobs whose journal degraded (checkpoint writes failing, job continued)", Type: "counter",
 			Samples: []obs.PromSample{{Value: float64(s.degradedTotal.Load())}}},
 		{Name: "rrstudyd_stream_clients_dropped_total", Help: "/stream clients disconnected by the write deadline", Type: "counter",
@@ -1317,7 +1001,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		{Name: "rrstudyd_affinity_misses_total", Help: "jobs executed via work stealing off their affinity worker", Type: "counter",
 			Samples: []obs.PromSample{{Value: float64(s.affinityMisses.Load())}}},
 		{Name: "rrstudyd_schedules", Help: "recurring campaigns by state", Type: "gauge", Samples: schedSamples},
-		{Name: "rrstudyd_tenant_active_jobs", Help: "in-flight jobs per tenant (queued + running)", Type: "gauge",
+		{Name: "rrstudyd_tenant_active_jobs", Help: "in-flight jobs per tenant (queued, running or retrying)", Type: "gauge",
 			Samples: tenantActive},
 		{Name: "rrstudyd_tenant_admitted_total", Help: "submissions accepted per tenant", Type: "counter",
 			Samples: tenantAdmitted},

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -385,9 +386,11 @@ func TestQueueBackpressure(t *testing.T) {
 }
 
 // TestSubmitFloodKeepsMetricsConsistent is the regression for the
-// queue-full rollback race: a flood of concurrent submissions against a
-// tiny queue must never leave a ghost ID in the metrics order (which
-// used to panic /metrics), and every accepted job must finish.
+// queue-full rollback race: a flood of concurrent submissions and
+// cancels against a tiny queue, with status polls and /metrics scrapes
+// reading throughout, must never leave a ghost ID in the metrics order
+// (which used to panic /metrics). Under -race it is also what runs the
+// lifecycle's readers beside its writers.
 func TestSubmitFloodKeepsMetricsConsistent(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1, QueueCap: 1})
 	release := make(chan struct{})
@@ -396,9 +399,31 @@ func TestSubmitFloodKeepsMetricsConsistent(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	var wg sync.WaitGroup
+	var wg, readers sync.WaitGroup
 	var mu sync.Mutex
 	var accepted []string
+	stop := make(chan struct{})
+	for i := 0; i < 2; i++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				for i := 1; i <= 16; i++ {
+					if job := s.Job(fmt.Sprintf("job-%d", i)); job != nil {
+						job.status()
+					}
+				}
+				if resp, err := http.Get(ts.URL + "/metrics"); err == nil {
+					resp.Body.Close()
+				}
+			}
+		}()
+	}
 	for i := 0; i < 16; i++ {
 		wg.Add(1)
 		go func() {
@@ -413,9 +438,14 @@ func TestSubmitFloodKeepsMetricsConsistent(t *testing.T) {
 			mu.Lock()
 			accepted = append(accepted, job.ID)
 			mu.Unlock()
+			if i%2 == 0 {
+				s.Cancel(job.ID)
+			}
 		}()
 	}
 	wg.Wait()
+	close(stop)
+	readers.Wait()
 
 	// Every ID in the metrics order must resolve to a live job.
 	s.mu.Lock()

@@ -217,9 +217,9 @@ func TestStreamReaderOutlivesEviction(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reading on after eviction: %v", err)
 	}
-	job.mu.Lock()
+	s.mu.Lock()
 	committed := job.spooled
-	job.mu.Unlock()
+	s.mu.Unlock()
 	if got := int64(4096 + len(rest)); got != committed {
 		t.Fatalf("reader got %d bytes across the eviction, want the %d committed", got, committed)
 	}
@@ -243,9 +243,9 @@ func TestSpoolWriteFailureIsJournalIO(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1, QueueCap: 4, DataDir: dir,
 		MaxRetries: 1, RetryBackoff: time.Millisecond})
 	s.startHook = func(job *Job) {
-		job.mu.Lock()
+		s.mu.Lock()
 		attempt := job.attempts
-		job.mu.Unlock()
+		s.mu.Unlock()
 		var err error
 		if attempt == 1 {
 			err = os.Symlink("/dev/full", job.spoolPath)
@@ -371,12 +371,12 @@ func TestDaemonHeapIndependentOfHistory(t *testing.T) {
 						t.Error(err)
 						return
 					}
-					job.mu.Lock()
+					s.mu.Lock()
 					for !job.terminal() {
 						job.cond.Wait()
 					}
 					state := job.state
-					job.mu.Unlock()
+					s.mu.Unlock()
 					if state != StateDone {
 						t.Errorf("%s: %+v", job.ID, job.status())
 					}

@@ -4,41 +4,29 @@ import (
 	"errors"
 	"fmt"
 	"time"
-
-	"recordroute/internal/obs"
 )
 
 // Per-tenant admission: quotas and QoS layered on the global 503
 // backpressure. Every submission names a tenant (X-Tenant header;
 // "default" when absent) and passes two gates before it can compete
-// for the shared queue: a max-in-flight quota (queued + running jobs,
-// schedule epochs included) and a token bucket (rate + burst). Both
-// refuse with a 429-mapped error carrying a Retry-After hint — a
-// tenant over its own budget is not the service being full, and must
-// never read as the 503 that tells a healthy tenant to back off.
+// for the shared queue: a max-in-flight quota (queued, running and
+// retrying jobs, schedule epochs included) and a token bucket (rate +
+// burst). Both refuse with a 429-mapped error carrying a Retry-After
+// hint — a tenant over its own budget is not the service being full,
+// and must never read as the 503 that tells a healthy tenant to back
+// off.
 
-// tenantState is one tenant's admission and accounting state, guarded
-// by Server.mu.
+// tenantState is one tenant's admission and accounting state, written
+// only by the lifecycle, under its mutex.
 type tenantState struct {
 	name   string
-	active int // in-flight jobs (queued + running); quota gate
+	active int // in-flight jobs (queued, running or retrying); quota gate
 
 	tokens float64   // token bucket level
 	last   time.Time // last refill, obs clock
 
 	admitted int64 // submissions accepted
 	rejected int64 // submissions refused by quota or bucket
-}
-
-// tenant returns (creating on first use) the named tenant's state.
-// Caller holds s.mu.
-func (s *Server) tenant(name string) *tenantState {
-	ts := s.tenants[name]
-	if ts == nil {
-		ts = &tenantState{name: name, tokens: s.cfg.tenantBurst(), last: obs.Now()}
-		s.tenants[name] = ts
-	}
-	return ts
 }
 
 func (c Config) tenantBurst() float64 {
@@ -69,39 +57,4 @@ func asQuotaError(err error) *quotaError {
 		return qe
 	}
 	return nil
-}
-
-// admit charges one submission against the tenant's gates: the
-// max-in-flight quota always, the token bucket only when metered
-// (schedule epochs are exempt — the schedule paid at creation). Caller
-// holds s.mu. On refusal the rejection is counted and a quotaError
-// carrying the Retry-After hint is returned; on success one token is
-// consumed (refund undoes it if the global queue then refuses).
-func (ts *tenantState) admit(cfg Config, metered bool) error {
-	if cfg.TenantQuota > 0 && ts.active >= cfg.TenantQuota {
-		ts.rejected++
-		return &quotaError{tenant: ts.name, reason: fmt.Sprintf("max-concurrent-jobs quota (%d in flight)", ts.active), retryAfter: time.Second}
-	}
-	if metered && cfg.TenantRate > 0 {
-		now := obs.Now()
-		ts.tokens = min(cfg.tenantBurst(), ts.tokens+now.Sub(ts.last).Seconds()*cfg.TenantRate)
-		ts.last = now
-		if ts.tokens < 1 {
-			ts.rejected++
-			wait := time.Duration((1 - ts.tokens) / cfg.TenantRate * float64(time.Second))
-			return &quotaError{tenant: ts.name, reason: "submission rate", retryAfter: max(wait, time.Second)}
-		}
-		ts.tokens--
-	}
-	ts.admitted++
-	return nil
-}
-
-// refund returns the token admit consumed when the submission was
-// subsequently refused by the global queue. Caller holds s.mu.
-func (ts *tenantState) refund(cfg Config, metered bool) {
-	ts.admitted--
-	if metered && cfg.TenantRate > 0 {
-		ts.tokens = min(cfg.tenantBurst(), ts.tokens+1)
-	}
 }
