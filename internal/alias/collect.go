@@ -28,7 +28,7 @@ func Collect(p *probe.Prober, addrs []netip.Addr, rounds int, opts probe.Options
 // SeriesFrom folds raw ping results into per-address IP-ID series, in
 // result order. It is the collection half of Collect for callers that
 // schedule the interleaved rounds themselves (e.g. a destination-sharded
-// fleet probing disjoint candidate subsets on separate replicas).
+// fleet probing contiguous candidate ranges on separate replicas).
 // Unanswered probes contribute no samples.
 func SeriesFrom(rs []probe.Result) map[netip.Addr]Series {
 	series := make(map[netip.Addr]Series)

@@ -14,8 +14,8 @@ import (
 // the resume-equals-uninterrupted property (DESIGN.md §11): every batch
 // the journal holds when the abort lands is complete and was produced
 // at exactly the virtual time an uninterrupted run produces it, so a
-// resumed campaign reproduces the whole run byte-identically mod
-// ReplyIPID no matter where the wall clock cut it off.
+// resumed campaign reproduces the whole run byte-identically no matter
+// where the wall clock cut it off.
 //
 // The panic is deliberate: campaign primitives return result maps, not
 // errors, and the abort must cross the same recover seams a shard

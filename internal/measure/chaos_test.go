@@ -265,7 +265,7 @@ func TestJournalResumeTruncationEveryOffset(t *testing.T) {
 // each shard at its next per-VP checkpoint (after the batch is
 // journaled), the canceled run's journal resumes into a fresh fleet,
 // and the resumed campaign reproduces the uninterrupted baseline
-// byte-identically mod ReplyIPID — a deadline is a pause, not a loss.
+// byte-identically — a deadline is a pause, not a loss.
 func TestParallelCancelResume(t *testing.T) {
 	cfg := testConfig()
 	meta := testMeta()

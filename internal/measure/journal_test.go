@@ -1,9 +1,12 @@
 package measure
 
 import (
+	"bytes"
+	"fmt"
 	"net/netip"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -179,7 +182,9 @@ func TestJournalResumeMissingFile(t *testing.T) {
 // layer where the fault can be injected precisely: a shard that dies
 // mid-campaign loses its current-phase batches, and a fresh fleet
 // resumed from the journal re-probes exactly those, reproducing the
-// uninterrupted journaled run field-for-field modulo ReplyIPID.
+// uninterrupted journaled run field for field, and its journal file
+// ends up holding the uninterrupted one's record lines (in another
+// order: replicas interleave their checkpoints).
 func TestJournalShardPanicResume(t *testing.T) {
 	cfg := testConfig()
 	meta := testMeta()
@@ -247,6 +252,9 @@ func TestJournalShardPanicResume(t *testing.T) {
 		t.Fatalf("resumed fleet reported shard errors: %v", errs)
 	}
 	res.Journal().Close()
+	if want, got := sortedLines(t, filepath.Join(dir, "base.jsonl")), sortedLines(t, filepath.Join(dir, "crash.jsonl")); !bytes.Equal(got, want) {
+		t.Errorf("resumed journal's records differ from the uninterrupted one's (%d vs %d bytes)", len(got), len(want))
+	}
 
 	comparePerVP(t, "resumed ping-rr-all", baseRR, resRR)
 	if len(resPing) != len(basePing) {
@@ -261,6 +269,92 @@ func TestJournalShardPanicResume(t *testing.T) {
 		for i := range want {
 			comparePerVP(t, "resumed ping-all "+vp, map[string][]probe.Result{vp: want[i]},
 				map[string][]probe.Result{vp: got[i]})
+		}
+	}
+}
+
+// sortedLines returns a journal file's lines in sorted order.
+func sortedLines(t *testing.T, path string) []byte {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.SplitAfter(b, []byte("\n"))
+	slices.SortFunc(lines, bytes.Compare)
+	return bytes.Join(lines, nil)
+}
+
+// TestJournalSeriesPhaseRefused: a journal written before alias
+// collection went through PingBatchVP holds that phase as
+// "ping-series-vp", its range-keyed records being each shard's slice of
+// a round-major series over addresses grouped by origin AS — not the
+// contiguous destination ranges PingBatchVP keys the same way. Resuming
+// one must stop at that phase with a resume mismatch, never restore its
+// slices into destination ranges.
+func TestJournalSeriesPhaseRefused(t *testing.T) {
+	const kind = "ping-series-vp"
+	cfg, meta := testConfig(), testMeta()
+	meta.Shards = 2
+	opts := probe.Options{Rate: 100}
+	path := filepath.Join(t.TempDir(), "old.jsonl")
+
+	// The old journal: an origin phase as both versions write it, then
+	// the alias phase as the old one did, through the Journal API.
+	old := testFleet(t, cfg, 2)
+	j, err := CreateJournal(path, meta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old.AttachJournal(j)
+	origin := old.vpNames[1]
+	var dests []netip.Addr
+	for _, d := range old.src.Dests[:8] {
+		dests = append(dests, d.Addr)
+	}
+	old.PingBatchVP(origin, dests, 2, opts)
+	phase := j.beginPhase(kind)
+	for s := 0; s < 2; s++ { // shard s sampled every other address
+		var rs []probe.Result
+		for round := 0; round < 5; round++ {
+			for i := s; i < len(dests); i += 2 {
+				rs = append(rs, probe.Result{Spec: probe.Spec{Dst: dests[i], Kind: probe.Ping}, Type: probe.EchoReply, From: dests[i]})
+			}
+		}
+		j.recordResults(phase, kind, rangeKey(origin, s), origin, rs)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	pc := testFleet(t, cfg, 2)
+	r, err := ResumeJournal(path, meta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	pc.AttachJournal(r)
+	pc.PingBatchVP(origin, dests, 2, opts) // restored from the archive
+	for _, rep := range pc.replicas {
+		if n := injected(rep.Net); n != 0 {
+			t.Fatalf("the archived origin phase re-sent %d probes on shard %d", n, rep.idx)
+		}
+	}
+	var grouped [][]probe.Result
+	func() {
+		defer func() {
+			if msg := fmt.Sprint(recover()); !strings.Contains(msg, "journal resume mismatch") {
+				t.Errorf("resuming the old alias phase: recovered %q, want a journal resume mismatch", msg)
+			}
+		}()
+		grouped = pc.PingBatchVP(origin, dests, 5, opts)
+	}()
+	if grouped != nil {
+		t.Errorf("the old alias phase came back as %d destination groups", len(grouped))
+	}
+	for _, rep := range pc.replicas {
+		if n := injected(rep.Net); n != 0 {
+			t.Errorf("the refused phase sent %d probes on shard %d", n, rep.idx)
 		}
 	}
 }

@@ -78,18 +78,6 @@ func (vp *VantagePoint) pingRounds(dests []netip.Addr, lo, hi, count int, indexe
 	})
 }
 
-// PingSeriesSlice sends the selected addresses' slice of a rounds-round
-// interleaved ping series over addrs (alias collection's IP-ID sampling
-// schedule): round-major, global index g = round*len(addrs) + addrIdx.
-// sel lists this slice's addr indices in increasing order. Results
-// arrive in slice spec order — rounds blocks of len(sel).
-func (vp *VantagePoint) PingSeriesSlice(addrs []netip.Addr, sel []int, rounds int, opts probe.Options, done func([]probe.Result)) {
-	vp.Prober.Start(probe.Batch{N: len(sel) * rounds, Indexed: true, Gen: func(j int) probe.IndexedSpec {
-		i := sel[j%len(sel)]
-		return probe.IndexedSpec{Index: j/len(sel)*len(addrs) + i, Spec: probe.Spec{Dst: addrs[i], Kind: probe.Ping}}
-	}}, opts, done)
-}
-
 // TTLPingRRBatch sends ping-RRs with per-destination initial TTLs
 // (§4.2's low-impact probing). ttls[i] applies to dsts[i].
 func (vp *VantagePoint) TTLPingRRBatch(dsts []netip.Addr, ttls []uint8, opts probe.Options, done func([]probe.Result)) {

@@ -6,7 +6,6 @@ import (
 	"net/netip"
 	"runtime"
 	"runtime/debug"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -43,17 +42,9 @@ type Fleet interface {
 	// vantage point — fanning contiguous destination ranges across the
 	// replicas. Send times and sequence numbers derive from each
 	// destination's global index, so the merge is invariant under the
-	// replica count mod ReplyIPID (DESIGN.md §15). Results are grouped
-	// per destination in send order.
+	// replica count (DESIGN.md §15). Results are grouped per destination
+	// in send order.
 	PingBatchVP(vp string, dests []netip.Addr, count int, opts probe.Options) [][]probe.Result
-	// PingSeriesVP probes every address rounds times from the named VP,
-	// round-major interleaved (the alias IP-ID sampling schedule), and
-	// returns flat results in global spec order (round*len(addrs)+i).
-	// Addresses are partitioned across replicas keeping all addresses
-	// that share group[i] on one replica, so IP-ID series compared
-	// pairwise stay co-located with their shared counters; group may be
-	// nil when no such constraint exists.
-	PingSeriesVP(vp string, addrs []netip.Addr, group []int, rounds int, opts probe.Options) []probe.Result
 	// DoubletreeAll runs one Doubletree traceroute round: each VP
 	// traces its listed targets sequentially under the session's stop
 	// sets (exhaustively when opts.Exhaustive), and the per-VP deltas
@@ -80,11 +71,10 @@ type Fleet interface {
 //
 // Determinism contract: for workloads whose only cross-VP coupling is
 // through destination-side state that stays inactive (edge policers
-// below their rate, IP-ID counters no analysis reads), every Result
-// field except ReplyIPID is byte-identical at any K, and experiment
-// summaries built from them are byte-identical. ReplyIPID is exempt
-// because destination IP-ID counters observe only replica-local
-// traffic. Experiments that deliberately saturate shared
+// below their rate), every Result field — the reply's IP-ID included, a
+// function of the replying device and the virtual time it answers — is
+// byte-identical at any K, and experiment summaries built from them are
+// byte-identical. Experiments that deliberately saturate shared
 // destination-side policers (Figure 4) place every VP on one engine —
 // a one-replica executor over a pristine clone — because there the
 // aggregate cross-VP arrival process is the measured effect, and
@@ -123,8 +113,8 @@ type replica struct {
 	idx int // replica index within the fleet
 
 	// ghosts are lazily created stand-ins for VPs homed on other
-	// replicas, used by the destination-sharded single-VP phases
-	// (PingBatchVP, PingSeriesVP): the same named host on this replica,
+	// replicas, used by the destination-sharded single-VP phase
+	// (PingBatchVP): the same named host on this replica,
 	// driven by a prober with the VP's campaign ID so wire images match
 	// one engine's byte-for-byte. Safe because the VP's home prober lives
 	// in a different replica engine — IDs never clash within one engine —
@@ -620,116 +610,47 @@ func destRange(n, k, s int) (lo, hi int) {
 // records stream to the live sink under the VP's real name.
 func rangeKey(vp string, shard int) string { return fmt.Sprintf("%s#%d", vp, shard) }
 
-// partitionByGroup assigns addr indices 0..n-1 to k bins such that all
-// indices sharing a group value land in one bin, greedily balancing bin
-// sizes over groups in first-appearance order. Deterministic in its
-// inputs; each bin comes back sorted ascending. A nil group slice makes
-// every index its own group.
-func partitionByGroup(n int, group []int, k int) [][]int {
-	var order []int
-	members := make(map[int][]int)
-	for i := 0; i < n; i++ {
-		g := i
-		if group != nil {
-			g = group[i]
-		}
-		if _, ok := members[g]; !ok {
-			order = append(order, g)
-		}
-		members[g] = append(members[g], i)
-	}
-	bins := make([][]int, k)
-	load := make([]int, k)
-	for _, g := range order {
-		best := 0
-		for s := 1; s < k; s++ {
-			if load[s] < load[best] {
-				best = s
-			}
-		}
-		bins[best] = append(bins[best], members[g]...)
-		load[best] += len(members[g])
-	}
-	for s := range bins {
-		sort.Ints(bins[s])
-	}
-	return bins
-}
-
-// spread is the shape of the destination-sharded single-VP primitives:
-// one phase in which every replica s with work (has) probes slice s of
-// the named VP's work through the VP's home prober or a ghost (shardVP),
-// and place files each slice's batch. On a journaled campaign the
-// slices the journal already holds are restored, and each fresh one is
-// checkpointed under its range key and streamed as the VP itself.
-func spread[T any](pc *ParallelCampaign, kind, name string, codec *batchCodec[T], has func(s int) bool, start func(s int, vp *VantagePoint, done func(T)), place func(s int, v T)) {
+// PingBatchVP sends count plain pings per destination from the single
+// named VP, fanning contiguous destination ranges across the replicas:
+// replica s probes destRange(len(dests), K, s) through the VP's home
+// prober or a ghost (shardVP). Because every probe's send time and
+// sequence numbers derive from its global destination index
+// (probe.Batch.Indexed), the merged per-destination groups are invariant
+// under K — including per-packet fault draws, which are content-keyed on
+// the seq. On a journaled campaign the ranges the journal already holds
+// are restored, and each fresh one is checkpointed under its range key
+// and streamed as the VP itself.
+func (pc *ParallelCampaign) PingBatchVP(name string, dests []netip.Addr, count int, opts probe.Options) [][]probe.Result {
+	const kind = "ping-batch-vp"
+	grouped := make([][]probe.Result, len(dests))
+	k := pc.shards
 	phase, journaled := pc.beginPhase(kind)
-	skip := make(map[int]bool)
+	restored := make([]bool, len(pc.replicas))
 	if journaled {
 		for s := range pc.replicas {
-			if v, ok := codec.archived(pc.journal, phase, rangeKey(name, s)); ok {
-				place(s, v)
-				skip[s] = true
+			if gs, ok := groupedBatches.archived(pc.journal, phase, rangeKey(name, s)); ok {
+				lo, _ := destRange(len(dests), k, s)
+				copy(grouped[lo:], gs)
+				restored[s] = true
 			}
 		}
 	}
 	pc.eachShard(func(rep *replica) {
-		if !has(rep.idx) || skip[rep.idx] {
+		lo, hi := destRange(len(dests), k, rep.idx)
+		if lo == hi || restored[rep.idx] {
 			return
 		}
 		vp := pc.shardVP(rep, name)
 		if vp == nil {
 			return
 		}
-		start(rep.idx, vp, func(v T) {
-			place(rep.idx, v) // disjoint slices: no two replicas share an element
-			pc.checkpoint(func(j *Journal) { codec.record(j, phase, kind, rangeKey(name, rep.idx), name, v) })
+		vp.PingBatchRange(dests, lo, hi, count, opts, func(gs [][]probe.Result) {
+			copy(grouped[lo:], gs) // disjoint ranges: no two replicas share an element
+			pc.checkpoint(func(j *Journal) { groupedBatches.record(j, phase, kind, rangeKey(name, rep.idx), name, gs) })
 		})
 		rep.Eng.Run()
 	})
 	pc.syncClocks()
 	pc.endPhase(phase, journaled)
-}
-
-// PingBatchVP sends count plain pings per destination from the single
-// named VP, fanning contiguous destination ranges across the replicas:
-// replica s probes destRange(len(dests), K, s). Because every probe's
-// send time and sequence numbers derive from its global destination
-// index (probe.Batch.Indexed), the merged per-destination groups are
-// invariant under K mod ReplyIPID — including per-packet fault draws,
-// which are content-keyed on the seq.
-func (pc *ParallelCampaign) PingBatchVP(name string, dests []netip.Addr, count int, opts probe.Options) [][]probe.Result {
-	grouped := make([][]probe.Result, len(dests))
-	k := pc.shards
-	spread(pc, "ping-batch-vp", name, groupedBatches,
-		func(s int) bool { lo, hi := destRange(len(dests), k, s); return lo < hi },
-		func(s int, vp *VantagePoint, done func([][]probe.Result)) {
-			lo, hi := destRange(len(dests), k, s)
-			vp.PingBatchRange(dests, lo, hi, count, opts, done)
-		},
-		func(s int, gs [][]probe.Result) { lo, _ := destRange(len(dests), k, s); copy(grouped[lo:], gs) })
 	return grouped
-}
-
-// PingSeriesVP probes every address rounds times from the named VP in
-// round-major interleaved order, partitioning addresses across replicas
-// with partitionByGroup so that addresses sharing group[i] — alias
-// candidates whose IP-ID counters must stay co-located — always sample
-// the same replica's counters. Results merge back into global spec
-// order (round*len(addrs) + addrIdx).
-func (pc *ParallelCampaign) PingSeriesVP(name string, addrs []netip.Addr, group []int, rounds int, opts probe.Options) []probe.Result {
-	rounds = max(rounds, 1)
-	sel := partitionByGroup(len(addrs), group, pc.shards)
-	out := make([]probe.Result, rounds*len(addrs))
-	spread(pc, "ping-series-vp", name, flatBatches,
-		func(s int) bool { return len(sel[s]) > 0 },
-		func(s int, vp *VantagePoint, done func([]probe.Result)) {
-			vp.PingSeriesSlice(addrs, sel[s], rounds, opts, done)
-		},
-		func(s int, rs []probe.Result) {
-			for j, r := range rs {
-				out[(j/len(sel[s]))*len(addrs)+sel[s][j%len(sel[s])]] = r
-			}
-		})
-	return out
 }

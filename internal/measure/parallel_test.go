@@ -36,17 +36,6 @@ func testFleet(t *testing.T, cfg topology.Config, k int) *ParallelCampaign {
 	return NewFleet(NewCampaign(topo, topo.VPs), k)
 }
 
-// normalize strips the one field the determinism contract exempts:
-// destination IP-ID counters observe only replica-local traffic, so the
-// absolute IDs stamped on replies differ across replica counts.
-func normalize(rs []probe.Result) []probe.Result {
-	out := append([]probe.Result(nil), rs...)
-	for i := range out {
-		out[i].ReplyIPID = 0
-	}
-	return out
-}
-
 func comparePerVP(t *testing.T, label string, seq, par map[string][]probe.Result) {
 	t.Helper()
 	if len(seq) != len(par) {
@@ -62,11 +51,10 @@ func comparePerVP(t *testing.T, label string, seq, par map[string][]probe.Result
 			t.Errorf("%s: VP %s has %d sequential vs %d parallel results", label, vp, len(srs), len(prs))
 			continue
 		}
-		ns, np := normalize(srs), normalize(prs)
-		for i := range ns {
-			if !reflect.DeepEqual(ns[i], np[i]) {
+		for i := range srs {
+			if !reflect.DeepEqual(srs[i], prs[i]) {
 				t.Errorf("%s: VP %s result %d differs:\nsequential: %+v\nparallel:   %+v",
-					label, vp, i, ns[i], np[i])
+					label, vp, i, srs[i], prs[i])
 				break
 			}
 		}
@@ -74,14 +62,12 @@ func comparePerVP(t *testing.T, label string, seq, par map[string][]probe.Result
 }
 
 // wire is the comparison form of result batches: each result in its
-// wire encoding with ReplyIPID zeroed, one per line, a blank line
-// closing each batch.
+// wire encoding, one per line, a blank line closing each batch.
 func wire(batches ...[]probe.Result) []byte {
 	var b []byte
 	for _, rs := range batches {
-		for _, r := range rs {
-			r.ReplyIPID = 0
-			b = append(results.AppendWireFields(append(b, '{'), &r), "}\n"...)
+		for i := range rs {
+			b = append(results.AppendWireFields(append(b, '{'), &rs[i]), "}\n"...)
 		}
 		b = append(b, '\n')
 	}
@@ -117,8 +103,9 @@ type fleetCase struct {
 }
 
 // fleetCases builds the table over one world's destinations and VP
-// names: every collect-all primitive, the two destination-sharded origin
-// phases included, and two Doubletree waves.
+// names: every collect-all primitive, the destination-sharded origin
+// phase as Table 1 and as alias resolution run it, and two Doubletree
+// waves.
 func fleetCases(dests []netip.Addr, names []string) []fleetCase {
 	opts := probe.Options{Rate: 100}
 	rotate := func(vp string, ds []netip.Addr) []netip.Addr {
@@ -137,10 +124,6 @@ func fleetCases(dests []netip.Addr, names []string) []fleetCase {
 	traced := map[string][]netip.Addr{names[0]: dests[:3], names[len(names)-1]: dests[3:6]}
 	tropts := TraceOptions{StartRate: 50}
 	origin, series := names[1], dests[:24]
-	groups := make([]int, len(series))
-	for i := range groups {
-		groups[i] = i / 3
-	}
 	waves := make([]map[string][]netip.Addr, 2)
 	for i, name := range names {
 		if waves[i%2] == nil {
@@ -228,17 +211,15 @@ func fleetCases(dests []netip.Addr, names []string) []fleetCase {
 					vp.PingBatchRange(dests, 0, len(dests), 3, opts, func(gs [][]probe.Result) { done(wire(gs...)) })
 				})
 			}},
+		// The alias phase's IP-ID sampling: five interleaved rounds over
+		// its candidates, a different split of the list at every K.
 		{"ping-series-vp",
 			func(pc *ParallelCampaign) map[string][]byte {
-				return map[string][]byte{origin: wire(pc.PingSeriesVP(origin, series, groups, 5, opts))}
+				return map[string][]byte{origin: wire(pc.PingBatchVP(origin, series, 5, opts)...)}
 			},
 			func(vps []*VantagePoint, drain func()) map[string][]byte {
-				all := make([]int, len(series))
-				for i := range all {
-					all[i] = i
-				}
 				return each(vps[1:2], drain, func(vp *VantagePoint, done func([]byte)) {
-					vp.PingSeriesSlice(series, all, 5, opts, func(rs []probe.Result) { done(wire(rs)) })
+					vp.PingBatchRange(series, 0, len(series), 5, opts, func(gs [][]probe.Result) { done(wire(gs...)) })
 				})
 			}},
 		{"doubletree-all",
@@ -283,9 +264,9 @@ func injected(n *netsim.Network) uint64 { return n.CounterMap()["host.inject"] }
 // TestParallelCampaignMatchesSequential is the executor's contract,
 // table-driven: every primitive, run through a fleet of K = 1 (inline),
 // 2 and 4 replicas with and without a fault plan, returns per VP the
-// bytes one engine produces from the same VantagePoint calls, mod
-// ReplyIPID — and sends exactly as many probes, leaves no replica dead
-// and every replica clock where that engine's stopped. The merged
+// bytes one engine produces from the same VantagePoint calls — and sends
+// exactly as many probes, leaves no replica dead and every replica clock
+// where that engine's stopped. The merged
 // Doubletree stop set must match too, which holds only if each wave's
 // deltas are merged after the wave ends.
 func TestParallelCampaignMatchesSequential(t *testing.T) {

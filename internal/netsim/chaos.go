@@ -134,9 +134,10 @@ func chaosBE32(b []byte) uint64 {
 // the packet's shard-invariant identity: TTL, protocol, source,
 // destination, and the transport payload (which carries the ICMP id/seq
 // or UDP ports distinguishing probe attempts). The IPv4 header beyond
-// the fixed fields is deliberately excluded — the IP ID of
-// router/host-originated replies is the contract's ReplyIPID exemption
-// and must not influence packet fates.
+// the fixed fields is deliberately excluded: leaving the IP ID of
+// router/host-originated replies out of the key keeps every packet's
+// fault fate independent of the IP-ID model (ipidAt), so a change to
+// that model changes no fault plan's outcome.
 func chaosDraw(salt, kind uint64, pkt []byte) float64 {
 	h := chaosMix(salt, kind*0x9e3779b97f4a7c15)
 	if len(pkt) >= 20 {

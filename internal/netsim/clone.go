@@ -14,9 +14,9 @@ func (n *Network) Freeze() {
 
 // Clone returns a new Network over this network's plane with a pristine
 // overlay: clock at zero, empty queue, counters, policers and memos,
-// IP-IDs at their seeds, the loss RNG restarted, no sniffers, tracers or
-// handles. It behaves like a fresh build however much traffic the source
-// has carried, and costs a few allocations sized by node count. The
+// the loss RNG restarted, no sniffers, tracers or handles. It behaves
+// like a fresh build however much traffic the source has carried, and
+// costs a few allocations sized by router and host count. The
 // first call freezes the source; then concurrent Clone calls are safe.
 func (n *Network) Clone() *Network {
 	if len(n.foreign) > 0 {
@@ -25,7 +25,6 @@ func (n *Network) Clone() *Network {
 	n.Freeze()
 	c := newNetwork(n.p)
 	c.shared = true
-	c.ipid = append(c.ipid, n.p.ipid0...)
 	c.rs = make([]routerState, len(n.p.routers))
 	c.snifSlot = make([]int32, len(n.p.hosts))
 	// Replicas start in the source's epoch: one churn weather for all shards.

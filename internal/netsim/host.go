@@ -240,7 +240,7 @@ func (n *Network) hostReceiveICMP(h *hostRec, raw, payload []byte) {
 	reply := icmp.EchoReply()
 	hdr := packet.IPv4{
 		TTL:      64,
-		ID:       n.nextID(h.node),
+		ID:       n.ipid(h.node),
 		Protocol: packet.ProtocolICMP,
 		Src:      n.ip.Dst, // reply from the probed address
 		Dst:      n.ip.Src,
@@ -302,7 +302,7 @@ func (n *Network) hostReceiveUDP(h *hostRec, raw, payload []byte) {
 	}
 	hdr := packet.IPv4{
 		TTL:      64,
-		ID:       n.nextID(h.node),
+		ID:       n.ipid(h.node),
 		Protocol: packet.ProtocolICMP,
 		Src:      n.ip.Dst,
 		Dst:      n.ip.Src,

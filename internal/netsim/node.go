@@ -113,17 +113,29 @@ func addrOf(k uint32) netip.Addr {
 	return netip.AddrFrom4([4]byte{byte(k >> 24), byte(k >> 16), byte(k >> 8), byte(k)})
 }
 
-// seedIPID derives a device's initial IP-ID counter value from its name
-// (FNV-1a), so distinct devices start far apart — as real, long-running
-// devices do. Interfaces of one device share the counter; that shared
-// monotonic sequence is what MIDAR-style alias resolution detects.
-func seedIPID(name string) uint16 {
+// ipidVelFloor and ipidVelCeil bound a device's IP-ID velocity, in IDs
+// per virtual second (see ipidAt). The floor is above the fastest probe
+// rate anything sends at (200 pps), so two replies one probe interval
+// apart always carry different IDs; the ceiling is under the velocity
+// bound alias.Config assumes by default (2,000 IDs/s).
+const ipidVelFloor, ipidVelCeil = 250, 1750
+
+// ipidAt is the IP identifier the device named name stamps on a packet
+// it originates at virtual time t: seed + ⌊v·t⌋ mod 2^16, with seed and
+// velocity v derived from the name (FNV-1a), so distinct devices start
+// far apart and move at their own pace — as real, long-running counters
+// driven by background traffic do. Interfaces of one device share the
+// counter; that shared monotonic sequence is what MIDAR-style alias
+// resolution detects. Being a pure function of (device, time), it is the
+// same whichever replica of a network sends the packet.
+func ipidAt(name []byte, t time.Duration) uint16 {
 	var h uint32 = 2166136261
-	for i := 0; i < len(name); i++ {
-		h ^= uint32(name[i])
+	for _, c := range name {
+		h ^= uint32(c)
 		h *= 16777619
 	}
-	return uint16(h>>16) ^ uint16(h)
+	v := ipidVelFloor + uint64(h%(ipidVelCeil-ipidVelFloor))
+	return (uint16(h>>16) ^ uint16(h)) + uint16(v*uint64(t)/uint64(time.Second))
 }
 
 // routerState is a router's overlay: what traffic through it changes.
@@ -148,7 +160,6 @@ type Network struct {
 	shared bool // other networks may hold p: copy before writing (Freeze)
 
 	// Overlay, indexed by the plane's ids.
-	ipid     []uint16      // by NodeID: next IP identifier less one
 	rs       []routerState // by router index
 	snifSlot []int32       // by host index: slot+1 in sniffers, 0 for none
 	sniffers []SnifferFunc
@@ -442,8 +453,6 @@ func (n *Network) addNode(ref nodeRef, name string) NodeID {
 	p.nodes = append(p.nodes, ref)
 	p.names = append(p.names, name...)
 	p.nameEnd = append(p.nameEnd, uint32(len(p.names)))
-	p.ipid0 = append(p.ipid0, seedIPID(name))
-	n.ipid = append(n.ipid, p.ipid0[id])
 	n.byName = nil
 	return id
 }
@@ -456,7 +465,6 @@ func (n *Network) addNode(ref nodeRef, name string) NodeID {
 func (n *Network) Reserve(nodes, hosts, links, nameBytes int) {
 	p := n.mutable()
 	p.nodes, p.nameEnd = slices.Grow(p.nodes, nodes), slices.Grow(p.nameEnd, nodes)
-	p.ipid0, n.ipid = slices.Grow(p.ipid0, nodes), slices.Grow(n.ipid, nodes)
 	p.names = slices.Grow(p.names, nameBytes)
 	p.routers, n.rs = slices.Grow(p.routers, nodes-hosts), slices.Grow(n.rs, nodes-hosts)
 	p.hosts, p.haddrs, n.snifSlot = slices.Grow(p.hosts, hosts), slices.Grow(p.haddrs, hosts), slices.Grow(n.snifSlot, hosts)

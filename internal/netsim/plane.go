@@ -81,7 +81,6 @@ type plane struct {
 	hosts   []hostRec
 	ifaces  []ifaceRec // by IfaceID
 	haddrs  []uint32   // host address runs
-	ipid0   []uint16   // by NodeID: the IP-ID a pristine overlay starts from
 
 	linkFaults   []linkFaults
 	routerFaults []routerFaults
@@ -100,12 +99,15 @@ func (p *plane) addrs(h *hostRec) []uint32 {
 }
 
 // name returns a node's name.
-func (p *plane) name(id NodeID) string {
+func (p *plane) name(id NodeID) string { return string(p.nameBytes(id)) }
+
+// nameBytes returns a node's name as it lies in the arena.
+func (p *plane) nameBytes(id NodeID) []byte {
 	start := uint32(0)
 	if id > 0 {
 		start = p.nameEnd[id-1]
 	}
-	return string(p.names[start:p.nameEnd[id]])
+	return p.names[start:p.nameEnd[id]]
 }
 
 // compact moves every router's slices into three arenas, so that a
@@ -142,7 +144,6 @@ func (p *plane) clone() *plane {
 		hosts:        slices.Clone(p.hosts),
 		ifaces:       slices.Clone(p.ifaces),
 		haddrs:       slices.Clone(p.haddrs),
-		ipid0:        slices.Clone(p.ipid0),
 		linkFaults:   slices.Clone(p.linkFaults),
 		routerFaults: slices.Clone(p.routerFaults),
 		oracle:       p.oracle,

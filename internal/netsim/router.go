@@ -228,13 +228,9 @@ func (rec *routerRec) ownsAddr(addr uint32) bool {
 
 func (r *Router) addIface(*Iface) {} // Link already told the record
 
-// nextID returns the next IP identifier from a node's single counter. A
-// shared monotonic counter across a device's interfaces is the signal
-// MIDAR-style alias resolution relies on.
-func (n *Network) nextID(node NodeID) uint16 {
-	n.ipid[node]++
-	return n.ipid[node]
-}
+// ipid returns the IP identifier node stamps on a packet it originates
+// now (ipidAt).
+func (n *Network) ipid(node NodeID) uint16 { return ipidAt(n.p.nameBytes(node), n.Now()) }
 
 // Receive implements Node.
 func (r *Router) Receive(pkt []byte, on *Iface) { r.net.routerReceive(r.idx, pkt, on.id) }
@@ -393,7 +389,7 @@ func (n *Network) deliverLocal(ri int32, payload []byte) {
 	reply := icmp.EchoReply()
 	hdr := packet.IPv4{
 		TTL:      64,
-		ID:       n.nextID(rec.node),
+		ID:       n.ipid(rec.node),
 		Protocol: packet.ProtocolICMP,
 		Src:      n.ip.Dst,
 		Dst:      n.ip.Src,
@@ -439,7 +435,7 @@ func (n *Network) sendTimeExceeded(ri int32, orig []byte, on IfaceID) {
 	}
 	hdr := packet.IPv4{
 		TTL:      64,
-		ID:       n.nextID(rec.node),
+		ID:       n.ipid(rec.node),
 		Protocol: packet.ProtocolICMP,
 		Src:      addrOf(n.p.ifaces[on].addr), // errors originate from the receiving interface
 		Dst:      netip.AddrFrom4([4]byte(orig[12:16])),

@@ -518,9 +518,15 @@ func TestHostIPIDSharedAcrossAliases(t *testing.T) {
 		r.AddRoute(netip.PrefixFrom(alias, 32), egressTo(r, a(destAddrStr)))
 		_ = i
 	}
-	for i := 0; i < 3; i++ {
-		c.vp.Inject(makePingRR(t, a(vpAddrStr), a(destAddrStr), uint16(20+i), 1, 64, 0))
-		c.vp.Inject(makePingRR(t, a(vpAddrStr), alias, uint16(30+i), 1, 64, 0))
+	// Alternate the two addresses at the fastest probe rate anything
+	// sends at, 200 pps: one probe every 5 ms.
+	for i := 0; i < 6; i++ {
+		dst := a(destAddrStr)
+		if i%2 == 1 {
+			dst = alias
+		}
+		pkt := makePingRR(t, a(vpAddrStr), dst, uint16(20+i), 1, 64, 0)
+		c.net.Engine().Schedule(time.Duration(i)*5*time.Millisecond, func() { c.vp.Inject(pkt) })
 	}
 	c.net.Engine().Run()
 	if len(c.replies) != 6 {
@@ -532,9 +538,10 @@ func TestHostIPIDSharedAcrossAliases(t *testing.T) {
 		ids = append(ids, ip.ID)
 	}
 	// One shared counter: the six IDs are strictly increasing regardless
-	// of which address was probed.
+	// of which address was probed, and no faster than the velocity
+	// ceiling allows.
 	for i := 1; i < len(ids); i++ {
-		if ids[i] <= ids[i-1] {
+		if d := ids[i] - ids[i-1]; d == 0 || d > ipidVelCeil*5/1000+1 {
 			t.Fatalf("IPIDs not from one shared counter: %v", ids)
 		}
 	}

@@ -27,10 +27,9 @@ type shardRun struct {
 	errs    []string
 }
 
-// runSharded builds and runs one study cell: responsiveness (whose
-// phase 1 exercises the destination-sharded PingBatchVP) and
-// reachability (whose alias resolution exercises the group-partitioned
-// PingSeriesVP).
+// runSharded builds and runs one study cell: responsiveness and
+// reachability, whose origin ping phase and alias collection both
+// exercise the destination-sharded PingBatchVP.
 func runSharded(t *testing.T, seed uint64, fc *netsim.FaultConfig, shards int) shardRun {
 	t.Helper()
 	cfg := topology.DefaultConfig(topology.Epoch2016).Scale(0.15)
@@ -66,10 +65,9 @@ func runSharded(t *testing.T, seed uint64, fc *netsim.FaultConfig, shards int) s
 // fault plan, running the campaign on K=2 and K=4 shards must
 // reproduce the K=1 run exactly — byte-identical Table 1 and
 // reachability renders (covering the destination-sharded origin ping
-// phase and the group-partitioned alias collection), identical alias
-// partitions, per-VP result streams equal field-for-field apart from
-// ReplyIPID, byte-identical merged metrics counters, and no shard
-// failures.
+// phase and alias collection), identical alias partitions, identical
+// per-VP result streams, byte-identical merged metrics counters, and no
+// shard failures.
 func TestShardDeterminismProperty(t *testing.T) {
 	seeds := []uint64{3, 11, 29}
 	faults := []struct {
@@ -104,44 +102,9 @@ func TestShardDeterminismProperty(t *testing.T) {
 						t.Errorf("K=%d: alias partition differs from sequential:\nK=1: %s\nK=%d: %s",
 							k, base.aliases, k, got.aliases)
 					}
-					comparePerVP(t, k, base.resp, got.resp)
+					comparePerVP(t, k, base.resp.PerVP, got.resp.PerVP)
 				}
 			})
-		}
-	}
-}
-
-// comparePerVP checks the merge discipline below the summaries: same
-// VP set, and per VP the same destinations in the same send order with
-// identical probe outcomes, modulo ReplyIPID (destination IP-ID
-// counters see only shard-local traffic; no summary reads them).
-func comparePerVP(t *testing.T, k int, seq, par *Responsiveness) {
-	t.Helper()
-	var seqVPs, parVPs []string
-	for vp := range seq.PerVP {
-		seqVPs = append(seqVPs, vp)
-	}
-	for vp := range par.PerVP {
-		parVPs = append(parVPs, vp)
-	}
-	sort.Strings(seqVPs)
-	sort.Strings(parVPs)
-	if !reflect.DeepEqual(seqVPs, parVPs) {
-		t.Fatalf("K=%d: VP sets differ: %v vs %v", k, seqVPs, parVPs)
-	}
-	for _, vp := range seqVPs {
-		srs, prs := seq.PerVP[vp], par.PerVP[vp]
-		if len(srs) != len(prs) {
-			t.Errorf("K=%d VP %s: %d results sequential vs %d sharded", k, vp, len(srs), len(prs))
-			continue
-		}
-		for i := range srs {
-			a, b := srs[i], prs[i]
-			a.ReplyIPID, b.ReplyIPID = 0, 0
-			if !reflect.DeepEqual(a, b) {
-				t.Errorf("K=%d VP %s result %d differs:\nsequential: %+v\nsharded:    %+v", k, vp, i, a, b)
-				break
-			}
 		}
 	}
 }
@@ -150,8 +113,8 @@ func comparePerVP(t *testing.T, k int, seq, par *Responsiveness) {
 // §10) at the campaign-primitive level, across all three scale profiles:
 // a fleet of replicas cloned from the study's own topology — after that
 // topology has already carried a one-replica fleet's traffic — must
-// reproduce that reference's per-VP ping-RR streams exactly, modulo
-// ReplyIPID, with and without a fault plan. Destination lists are capped
+// reproduce that reference's per-VP ping-RR streams exactly, with and
+// without a fault plan. Destination lists are capped
 // on the bigger profiles to keep the cell bounded; the small profile
 // additionally runs at K=2 (the large ones use K=4, the heavier
 // partition). The large cell is skipped in -short and -race runs: it
@@ -203,35 +166,39 @@ func TestCloneEquivalenceProperty(t *testing.T) {
 					if errs := s.Fleet().ShardErrors(); len(errs) > 0 {
 						t.Fatalf("shard errors: %v", errs)
 					}
-					comparePerVPResults(t, k, seq, par)
+					comparePerVP(t, k, seq, par)
 				})
 			}
 		}
 	}
 }
 
-// comparePerVPResults is comparePerVP for raw primitive result maps.
-func comparePerVPResults(t *testing.T, k int, seq, par map[string][]probe.Result) {
+// comparePerVP checks the merge discipline below the summaries: the
+// same VP set, and per VP the same results, every field included, in
+// the same send order.
+func comparePerVP(t *testing.T, k int, seq, par map[string][]probe.Result) {
 	t.Helper()
-	if len(seq) != len(par) {
-		t.Fatalf("K=%d: %d VPs sequential vs %d sharded", k, len(seq), len(par))
-	}
-	var vps []string
+	var seqVPs, parVPs []string
 	for vp := range seq {
-		vps = append(vps, vp)
+		seqVPs = append(seqVPs, vp)
 	}
-	sort.Strings(vps)
-	for _, vp := range vps {
+	for vp := range par {
+		parVPs = append(parVPs, vp)
+	}
+	sort.Strings(seqVPs)
+	sort.Strings(parVPs)
+	if !reflect.DeepEqual(seqVPs, parVPs) {
+		t.Fatalf("K=%d: VP sets differ: %v vs %v", k, seqVPs, parVPs)
+	}
+	for _, vp := range seqVPs {
 		srs, prs := seq[vp], par[vp]
 		if len(srs) != len(prs) {
 			t.Errorf("K=%d VP %s: %d results sequential vs %d sharded", k, vp, len(srs), len(prs))
 			continue
 		}
 		for i := range srs {
-			a, b := srs[i], prs[i]
-			a.ReplyIPID, b.ReplyIPID = 0, 0
-			if !reflect.DeepEqual(a, b) {
-				t.Errorf("K=%d VP %s result %d differs:\nsequential: %+v\nsharded:    %+v", k, vp, i, a, b)
+			if !reflect.DeepEqual(srs[i], prs[i]) {
+				t.Errorf("K=%d VP %s result %d differs:\nsequential: %+v\nsharded:    %+v", k, vp, i, srs[i], prs[i])
 				break
 			}
 		}

@@ -125,16 +125,13 @@ func (s *Study) resolveAliases(r *Responsiveness) (*alias.Sets, int) {
 	}
 	sort.Slice(cands, func(i, j int) bool { return cands[i].Less(cands[j]) })
 
-	fleet := s.Fleet()
-	// Candidate probing fans across the fleet's replicas; grouping
-	// by origin AS keeps both halves of every candidate pair — always
-	// same-AS by the filter above — sampling one replica's IP-ID
-	// counters, so the pairwise MIDAR comparisons stay meaningful.
-	groups := make([]int, len(cands))
-	for i, a := range cands {
-		groups[i] = s.Data.OriginASN(a)
+	// Five interleaved rounds over the candidates, fanned across the
+	// fleet's replicas: an IP-ID is a function of the device and the
+	// time it answers, so it does not matter which replica samples it.
+	var rs []probe.Result
+	for _, g := range s.Fleet().PingBatchVP(s.Origin.Name, cands, 5, s.Opts.probeOpts()) {
+		rs = append(rs, g...)
 	}
-	rs := fleet.PingSeriesVP(s.Origin.Name, cands, groups, 5, s.Opts.probeOpts())
 	sets := alias.Resolve(alias.SeriesFrom(rs), pairs, alias.Config{})
 	n := analysis.ApplyAliases(r.Stats, r.PerVP, sets.Canonical)
 	return sets, n

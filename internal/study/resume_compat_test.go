@@ -77,8 +77,10 @@ func TestResumeJournalWrittenBeforeAppendEncoder(t *testing.T) {
 	if !bytes.HasPrefix(resumed, kept) {
 		t.Error("resume rewrote the old journal's complete records")
 	}
-	// Record for record the uninterrupted journal (whose bytes differ
-	// only in ReplyIPID, the resume contract's one carve-out).
+	// Record for record the uninterrupted journal. The bytes of the
+	// fixture's records differ in ReplyIPID: they hold the IP-IDs of the
+	// counter model the fixture was written under, which counted packets
+	// rather than deriving IDs from virtual time.
 	if got, want := bytes.Count(resumed, []byte("\n")), bytes.Count(full, []byte("\n")); got != want {
 		t.Errorf("continued journal holds %d records, the uninterrupted one %d", got, want)
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"recordroute/internal/netsim"
@@ -51,54 +52,6 @@ func runJournaled(t *testing.T, seed uint64, fc *netsim.FaultConfig, shards int,
 	return run
 }
 
-// truncateJournal simulates a kill mid-campaign: it keeps the journal's
-// meta and phase records plus the first half of the completed VP
-// batches, then appends half of the next line — the torn write a dead
-// process leaves behind.
-func truncateJournal(t *testing.T, src, dst string) {
-	t.Helper()
-	data, err := os.ReadFile(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := bytes.SplitAfter(data, []byte("\n"))
-	var head, vps [][]byte
-	for _, l := range lines {
-		if len(bytes.TrimSpace(l)) == 0 {
-			continue
-		}
-		if bytes.Contains(l, []byte(`"t":"vp"`)) {
-			vps = append(vps, l)
-		} else {
-			head = append(head, l)
-		}
-	}
-	if len(vps) < 2 {
-		t.Fatalf("journal %s holds only %d VP batches; cannot cut mid-run", src, len(vps))
-	}
-	keep := len(vps) / 2
-	var out bytes.Buffer
-	for _, l := range head {
-		out.Write(l)
-	}
-	for _, l := range vps[:keep] {
-		out.Write(l)
-	}
-	out.Write(vps[keep][:len(vps[keep])/2]) // the torn final write
-	if err := os.WriteFile(dst, out.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestResumeEqualsUninterrupted is the checkpoint/resume property
-// (DESIGN.md §11): a campaign killed mid-run and resumed from its
-// journal reproduces the uninterrupted journaled run — byte-identical
-// Table 1 render and per-VP result streams equal field-for-field apart
-// from ReplyIPID — across shard counts, with and without a fault plan.
-// The kill is simulated the way it actually wounds a journal: the file
-// is cut after half the completed batches, mid-line. (The shard-panic
-// variant of the same property lives in measure's journal tests, where
-// the fault can be injected into a specific replica.)
 // runDoubletreeJournaled mirrors runJournaled for the doubletree
 // experiment.
 func runDoubletreeJournaled(t *testing.T, seed uint64, shards int, path string, resume bool) (*DoubletreeResult, []byte, int) {
@@ -187,6 +140,15 @@ func TestDoubletreeResumeEqualsUninterrupted(t *testing.T) {
 	}
 }
 
+// TestResumeEqualsUninterrupted is the checkpoint/resume property
+// (DESIGN.md §11): a campaign killed mid-run and resumed from its
+// journal reproduces the uninterrupted journaled run — byte-identical
+// Table 1 render, identical per-VP result streams, and a journal file
+// holding the uninterrupted one's records — across shard counts, with
+// and without a fault plan. The kill is simulated the way it actually
+// wounds a journal: the file is cut to half its lines, mid-line. (The
+// shard-panic variant of the same property lives in measure's journal
+// tests, where the fault can be injected into a specific replica.)
 func TestResumeEqualsUninterrupted(t *testing.T) {
 	const seed = 11
 	faults := []struct {
@@ -212,7 +174,7 @@ func TestResumeEqualsUninterrupted(t *testing.T) {
 					t.Fatalf("fresh journal replayed %d archived batches", base.archived)
 				}
 
-				truncateJournal(t, full, cut)
+				cutJournalPrefix(t, full, cut, 0.5)
 				resumed := runJournaled(t, seed, f.fc, k, cut, true)
 				if resumed.errs > 0 {
 					t.Fatalf("resumed run reported %d shard errors", resumed.errs)
@@ -232,8 +194,39 @@ func TestResumeEqualsUninterrupted(t *testing.T) {
 					t.Errorf("resumed Table 1 render differs from uninterrupted:\n--- uninterrupted ---\n%s\n--- resumed ---\n%s",
 						base.render, resumed.render)
 				}
-				comparePerVP(t, k, base.resp, resumed.resp)
+				comparePerVP(t, k, base.resp.PerVP, resumed.resp.PerVP)
+				sameJournal(t, k, full, cut)
 			})
 		}
 	}
+}
+
+// sameJournal checks a resumed journal file against the uninterrupted
+// one, the torn tail resume dropped and all: at K=1, where one replica
+// writes every record in order, the files are equal byte for byte; above
+// it replicas interleave their checkpoints, so the two must hold the
+// same record lines in some order.
+func sameJournal(t *testing.T, k int, want, got string) {
+	t.Helper()
+	w, err := os.ReadFile(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := os.ReadFile(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if k > 1 {
+		w, g = sortedLines(w), sortedLines(g)
+	}
+	if !bytes.Equal(w, g) {
+		t.Errorf("K=%d: resumed journal (%d bytes) differs from the uninterrupted one (%d bytes)", k, len(g), len(w))
+	}
+}
+
+// sortedLines returns a JSONL file's lines in sorted order.
+func sortedLines(b []byte) []byte {
+	lines := bytes.SplitAfter(b, []byte("\n"))
+	slices.SortFunc(lines, bytes.Compare)
+	return bytes.Join(lines, nil)
 }

@@ -249,8 +249,8 @@ func (s *Study) SetContext(ctx context.Context) {
 // batches stream to the JSONL journal at path as they finish, and —
 // when resume is true and path holds a compatible journal — already
 // completed batches are skipped, so a killed campaign picks up where it
-// stopped and reproduces the uninterrupted run byte-identically mod
-// ReplyIPID (DESIGN.md §11). The journal meta binds the topology digest
+// stopped and reproduces the uninterrupted run byte-identically
+// (DESIGN.md §11). The journal meta binds the topology digest
 // and every RNG-relevant option, so resuming with a different world or
 // different options is refused. Must be called before the first Fleet
 // use; the returned journal is owned by the study (CloseJournal).

@@ -177,8 +177,8 @@ func TestLargePlaneBudget(t *testing.T) {
 	snap := SnapshotOf(topo)
 	clone, bytes, _, mallocs := heapDelta(snap.Clone)
 	t.Logf("clone: %.2f MB, %d allocations", float64(bytes)/(1<<20), mallocs)
-	if budget := int64(24 + 2*(len(topo.VPs)+len(topo.CloudVPs))); bytes > 4<<20 || mallocs > budget {
-		t.Errorf("a large clone keeps %.2f MB from %d allocations, budget 4 MB from %d", float64(bytes)/(1<<20), mallocs, budget)
+	if budget := int64(24 + 2*(len(topo.VPs)+len(topo.CloudVPs))); bytes > 13<<20/10 || mallocs > budget {
+		t.Errorf("a large clone keeps %.2f MB from %d allocations, budget 1.3 MB from %d", float64(bytes)/(1<<20), mallocs, budget)
 	}
 	if len(clone.Dests) != len(topo.Dests) {
 		t.Fatal("clone lost destinations")

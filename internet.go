@@ -65,7 +65,7 @@ func MustNew(opts ...Option) *Internet {
 // to the JSONL journal at path as the campaign runs, and — with resume
 // set and a compatible journal at path — batches a previous (killed)
 // run already completed are skipped, reproducing the uninterrupted run
-// byte-identically modulo ReplyIPID (DESIGN.md §11). Must be called
+// byte-identically (DESIGN.md §11). Must be called
 // before the first experiment. Resuming against a journal written for
 // a different world or different options is refused.
 func (in *Internet) AttachJournal(path string, resume bool) error {
