@@ -5,7 +5,7 @@ import (
 	"io"
 	"net/netip"
 
-	"recordroute/internal/core"
+	"recordroute/internal/analysis"
 	"recordroute/internal/probe"
 	"recordroute/internal/study"
 )
@@ -292,24 +292,39 @@ type Classification struct {
 // point, plus a ping-RRudp when the first pass shows the false-negative
 // signature, all folded through the §3.1 decision rules.
 func (in *Internet) ClassifyDestination(dst netip.Addr) Classification {
-	var results []probe.Result
-	collect := func(kind probe.Kind) {
+	probeAll := func(kind probe.Kind) map[string][]probe.Result {
+		perVP := make(map[string][]probe.Result)
 		for _, vp := range in.st.Camp.VPs {
-			vp := vp
 			vp.Prober.StartOne(probe.Spec{Dst: dst, Kind: kind}, in.opts.timeout, func(r probe.Result) {
-				results = append(results, r)
+				perVP[vp.Name] = append(perVP[vp.Name], r)
 			})
 		}
 		in.st.Camp.Eng.Run()
+		return perVP
 	}
-	collect(probe.Ping)
-	collect(probe.PingRR)
-	v := core.Classify(dst, results, nil)
-	if v.FalseNegativeSignal && v.BestSlot == 0 {
-		collect(probe.PingRRUDP)
-		v = core.Classify(dst, results, nil)
+	pings := probeAll(probe.Ping)
+	st := analysis.AggregateRR(probeAll(probe.PingRR))[dst]
+	if st == nil { // no ping-RR was answered
+		for _, rs := range pings {
+			if rs[0].Type == probe.EchoReply {
+				return Classification{Class: "ping-responsive"}
+			}
+		}
+		return Classification{Class: "unresponsive"}
 	}
-	return Classification{Class: v.Class.String(), BestSlot: v.BestSlot, FalseNegativeSignal: v.FalseNegativeSignal}
+	if st.SawFreeSlots && !st.RRReachable() {
+		analysis.ApplyRRUDP(map[netip.Addr]*analysis.RRDestStat{dst: st}, probeAll(probe.PingRRUDP))
+	}
+	c := Classification{Class: "ping-responsive", BestSlot: st.MinDestSlot, FalseNegativeSignal: st.SawFreeSlots}
+	switch {
+	case st.WithinHops(8):
+		c.Class = "reverse-measurable"
+	case st.RRReachable():
+		c.Class = "rr-reachable"
+	case st.RRResponsive():
+		c.Class = "rr-responsive"
+	}
+	return c
 }
 
 // RawPingRRResults exposes the per-VP ping-RR results of the Table 1

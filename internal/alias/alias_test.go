@@ -146,8 +146,14 @@ func TestEndToEndAliasResolutionInSim(t *testing.T) {
 	}
 	p := probe.New(probe.NewSimTransport(vpHost.Host, topo.Net.Engine()), 0x6001)
 	cands := []netip.Addr{aliased.Addr, aliased.GTAlias, other.Addr}
+	var specs []probe.Spec
+	for r := 0; r < 5; r++ {
+		for _, a := range cands {
+			specs = append(specs, probe.Spec{Dst: a, Kind: probe.Ping})
+		}
+	}
 	var series map[netip.Addr]Series
-	Collect(p, cands, 5, probe.Options{Rate: 50}, func(s map[netip.Addr]Series) { series = s })
+	p.StartBatch(specs, probe.Options{Rate: 50}, func(rs []probe.Result) { series = SeriesFrom(rs) })
 	topo.Net.Engine().Run()
 	if series == nil {
 		t.Fatal("collection never completed")

@@ -76,6 +76,32 @@ func TestAggregateRRClassifications(t *testing.T) {
 	}
 }
 
+// TestAggregateRRSlotLimits pins the option's edges: a full option
+// without the destination is RR-responsive but carries no false-negative
+// signature (no room was left to stamp), and a stamp in the ninth slot
+// is reachable but beyond the eight-slot reverse-path criterion.
+func TestAggregateRRSlotLimits(t *testing.T) {
+	full, ninth := a("20.0.0.4"), a("20.0.0.5")
+	var hops []netip.Addr
+	for i := 1; i <= 8; i++ {
+		hops = append(hops, netip.AddrFrom4([4]byte{9, 0, 0, byte(i)}))
+	}
+	stats := AggregateRR(map[string][]probe.Result{"vp": {
+		mkRR(full, []netip.Addr{a("9.0.0.1"), a("9.0.0.2")}, 2),
+		mkRR(ninth, append(hops, ninth), 9),
+	}})
+	t.Run("rr responsive, option full, unstamped", func(t *testing.T) {
+		if s := stats[full]; !s.RRResponsive() || s.RRReachable() || s.SawFreeSlots {
+			t.Errorf("full unstamped option: %+v, want RR-responsive, unreachable, no free-slot signature", s)
+		}
+	})
+	t.Run("reachable at slot 9", func(t *testing.T) {
+		if s := stats[ninth]; s.MinDestSlot != 9 || !s.RRReachable() || s.WithinHops(8) {
+			t.Errorf("ninth-slot stamp: %+v, want reachable at slot 9, not within 8", s)
+		}
+	})
+}
+
 func TestAggregateRRRepliesWithoutOption(t *testing.T) {
 	d := a("20.0.0.9")
 	perVP := map[string][]probe.Result{

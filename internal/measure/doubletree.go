@@ -74,13 +74,6 @@ func (pc *ParallelCampaign) DoubletreeAll(perVP map[string][]netip.Addr, sess *t
 		record: func(j *Journal, phase int, kind, name, _ string, r *trace.VPRound) {
 			j.recordTraces(phase, kind, name, r.Traces)
 		},
-		seqs: func(r *trace.VPRound) int {
-			n := 0
-			for _, t := range r.Traces {
-				n += t.ProbesSent()
-			}
-			return n
-		},
 	}
 	return collect(pc, "doubletree-all", rounds, func(rep *replica, vp *VantagePoint, done func(*trace.VPRound)) {
 		if ds := perVP[vp.Name]; len(ds) > 0 {

@@ -40,33 +40,20 @@ func (vp *VantagePoint) Batch(dsts []netip.Addr, kind probe.Kind, opts probe.Opt
 	}}, opts, done)
 }
 
-// PingBatch sends count plain pings to every destination (the paper's
-// responsiveness study sent three), round-major, and reports all
-// results, grouped per destination in send order.
-func (vp *VantagePoint) PingBatch(dsts []netip.Addr, count int, opts probe.Options, done func([][]probe.Result)) {
-	vp.pingRounds(dsts, 0, len(dsts), count, false, opts, done)
-}
-
-// PingBatchRange sends the [lo,hi) destination slice of a count-round
-// indexed ping batch over dests. The global schedule is PingBatch's —
-// count rounds, round-major, index g = round*len(dests) + destIdx — but
-// every probe derives its send time and sequence numbers from g
-// (probe.Batch.Indexed), so contiguous ranges run on separate engine
-// replicas reproduce the unsplit batch per destination. Results come
-// back grouped per destination of the range, in send order.
-func (vp *VantagePoint) PingBatchRange(dests []netip.Addr, lo, hi, count int, opts probe.Options, done func([][]probe.Result)) {
-	vp.pingRounds(dests, lo, hi, count, true, opts, done)
-}
-
-// pingRounds is the round-major ping batch behind the two above. The
-// prober lands each result in destination-major order (Batch.Rounds), so
-// the per-destination groups are slices of its one result array, each
-// with its capacity cut to count so that appending to one cannot reach
-// into the next.
-func (vp *VantagePoint) pingRounds(dests []netip.Addr, lo, hi, count int, indexed bool, opts probe.Options, done func([][]probe.Result)) {
+// PingBatch sends count plain pings to each destination of the [lo,hi)
+// slice of dests (the paper's responsiveness study sent three), in
+// count rounds over all of dests: probe index g = round*len(dests) + i,
+// from which the prober derives each probe's send time and sequence
+// numbers (probe.Batch), so contiguous ranges run on separate engine
+// replicas reproduce the whole batch per destination. The prober lands
+// each result in destination-major order (Batch.Rounds), so the results
+// come back grouped per destination of the range, in send order: slices
+// of one result array, each with its capacity cut to count so that
+// appending to one cannot reach into the next.
+func (vp *VantagePoint) PingBatch(dests []netip.Addr, lo, hi, count int, opts probe.Options, done func([][]probe.Result)) {
 	count = max(count, 1)
 	width := hi - lo
-	vp.Prober.Start(probe.Batch{N: width * count, Rounds: count, Indexed: indexed, Gen: func(j int) probe.IndexedSpec {
+	vp.Prober.Start(probe.Batch{N: width * count, Rounds: count, Gen: func(j int) probe.IndexedSpec {
 		r, i := j/width, lo+j%width
 		return probe.IndexedSpec{Index: r*len(dests) + i, Spec: probe.Spec{Dst: dests[i], Kind: probe.Ping}}
 	}}, opts, func(rs []probe.Result) {

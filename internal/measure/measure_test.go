@@ -115,7 +115,7 @@ func TestPingBatchGroupsRepeats(t *testing.T) {
 	vp := NewVantagePoint("x", unlimitedVPs(topo)[0].Host, topo.Net.Engine(), 0x5001)
 	dests := responsiveDests(topo, 5)
 	var grouped [][]probe.Result
-	vp.PingBatch(dests, 3, probe.Options{Rate: 500}, func(g [][]probe.Result) { grouped = g })
+	vp.PingBatch(dests, 0, len(dests), 3, probe.Options{Rate: 500}, func(g [][]probe.Result) { grouped = g })
 	topo.Net.Engine().Run()
 	if len(grouped) != 5 {
 		t.Fatalf("groups = %d", len(grouped))

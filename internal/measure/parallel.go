@@ -97,6 +97,10 @@ type ParallelCampaign struct {
 	observer *obs.Observer   // applied to each cloned replica at init; nil observes nothing
 	journal  *Journal        // nil unless the campaign is journaled
 	ctx      context.Context // nil unless cancellation is armed (SetContext)
+	// seqBase is the sequence number every prober starts the current
+	// phase at (rebase): phase·seqStride mod 2^16, phases counted
+	// whether journaled or not.
+	seqBase uint16
 }
 
 var _ Fleet = (*ParallelCampaign)(nil)
@@ -380,18 +384,38 @@ func (pc *ParallelCampaign) syncClocks() {
 	}
 }
 
-// beginPhase opens a journal phase for one primitive; journaled
-// reports whether the campaign is journaled at all. Every primitive
-// passes through here, so it doubles as the phase-boundary
-// cancellation check: an armed, expired context aborts before the
-// phase record is written or any probe is started.
+// beginPhase opens a phase for one primitive — and a journal phase on a
+// journaled campaign, which journaled reports — with every prober
+// rebased (rebase). Every primitive passes through here, so it doubles
+// as the phase-boundary cancellation check: an armed, expired context
+// aborts before the phase record is written or any probe is started.
 func (pc *ParallelCampaign) beginPhase(kind string) (phase int, journaled bool) {
 	pc.init()
 	checkCanceled(pc.ctx)
+	pc.rebase()
 	if pc.journal == nil {
 		return 0, false
 	}
 	return pc.journal.beginPhase(kind), true
+}
+
+// seqStride spaces the phases' sequence bases: odd, so the bases of
+// 2^16 consecutive phases are all distinct.
+const seqStride = 0x9e37
+
+// rebase restarts every prober of the fleet, home VPs and ghosts, at the
+// phase's sequence base with no RTT estimate (probe.Prober.Rebase). A
+// phase then sends the same probes whether the phases before it were
+// probed or restored from a journal, and on whichever replica it runs.
+func (pc *ParallelCampaign) rebase() {
+	for _, rep := range pc.replicas {
+		for _, vp := range rep.VPs {
+			vp.Prober.Rebase(pc.seqBase)
+		}
+		for _, vp := range rep.ghosts {
+			vp.Prober.Rebase(pc.seqBase)
+		}
+	}
 }
 
 // checkpoint records one freshly completed batch on a journaled
@@ -407,15 +431,19 @@ func (pc *ParallelCampaign) checkpoint(record func(*Journal)) {
 	checkCanceled(pc.ctx)
 }
 
-// endPhase quantizes a journaled phase's end: every live replica clock
-// is advanced to the next quantum boundary, so the following phase
-// starts at exactly (phase+1)·Quantum in this run and in any resumed
-// replay of it — the alignment the resume-equals-uninterrupted property
-// rests on (clock-derived fault draws see identical times both ways). A
-// phase draining past its boundary means the quantum is too small for
-// the workload; that corrupts the alignment silently, so it panics
-// instead.
+// endPhase closes a phase and rebases every prober to the next one's
+// base, so what is probed between phases, directly on the roster, does
+// not depend on whether the phase was probed or restored. A journaled
+// phase's end is then quantized: every live replica clock is advanced to the next
+// quantum boundary, so the following phase starts at exactly
+// (phase+1)·Quantum in this run and in any resumed replay of it — the
+// alignment the resume-equals-uninterrupted property rests on
+// (clock-derived fault draws see identical times both ways). A phase
+// draining past its boundary means the quantum is too small for the
+// workload; that corrupts the alignment silently, so it panics instead.
 func (pc *ParallelCampaign) endPhase(phase int, journaled bool) {
+	pc.seqBase += seqStride
+	pc.rebase()
 	if !journaled {
 		return
 	}
@@ -434,47 +462,28 @@ func (pc *ParallelCampaign) endPhase(phase int, journaled bool) {
 }
 
 // batchCodec journals one primitive's batches: archived restores a batch
-// a resumed journal holds under key, record journals a fresh one under
-// key (streaming it as sinkVP), and seqs counts the probe sequence
-// numbers a batch consumed. A primitive with no codec is re-executed on
-// resume.
+// a resumed journal holds under key, and record journals a fresh one
+// under key (streaming it as sinkVP). A primitive with no codec is
+// re-executed on resume.
 type batchCodec[T any] struct {
 	archived func(j *Journal, phase int, key string) (T, bool)
 	record   func(j *Journal, phase int, kind, key, sinkVP string, v T)
-	seqs     func(v T) int
 }
 
 // flatBatches and groupedBatches are the codecs of flat result lists and
 // of per-destination result groups.
 var (
-	flatBatches    = &batchCodec[[]probe.Result]{(*Journal).archivedResults, (*Journal).recordResults, consumedSeqs}
-	groupedBatches = &batchCodec[[][]probe.Result]{(*Journal).archivedGroups, (*Journal).recordGroups, func(gs [][]probe.Result) int {
-		n := 0
-		for _, g := range gs {
-			n += consumedSeqs(g)
-		}
-		return n
-	}}
+	flatBatches    = &batchCodec[[]probe.Result]{(*Journal).archivedResults, (*Journal).recordResults}
+	groupedBatches = &batchCodec[[][]probe.Result]{(*Journal).archivedGroups, (*Journal).recordGroups}
 )
-
-// consumedSeqs counts the sequence numbers a completed batch allocated:
-// one per attempt actually sent (retransmissions get fresh seqs).
-func consumedSeqs(rs []probe.Result) int {
-	n := 0
-	for _, r := range rs {
-		n += r.Attempts
-	}
-	return n
-}
 
 // collect is the shape of every per-VP primitive: one phase in which
 // each live VP runs at most one batch inside its own replica. start
 // begins vp's batch on rep and hands it done; a VP start leaves out is
 // absent from the result map. On a journaled campaign the batches the
-// journal already holds are restored instead of re-probed — advancing
-// the VP's sequence counter past them (replaySeqs) — each fresh batch is
-// checkpointed as it completes, and seal, when set, closes the phase
-// over the merged map before its clocks are quantized.
+// journal already holds are restored instead of re-probed, each fresh
+// batch is checkpointed as it completes, and seal, when set, closes the
+// phase over the merged map before its clocks are quantized.
 func collect[T any](pc *ParallelCampaign, kind string, codec *batchCodec[T], start func(rep *replica, vp *VantagePoint, done func(T)), seal func(out map[string]T, phase int, journaled bool)) map[string]T {
 	phase, journaled := pc.beginPhase(kind)
 	out := make(map[string]T, len(pc.vpNames))
@@ -483,7 +492,6 @@ func collect[T any](pc *ParallelCampaign, kind string, codec *batchCodec[T], sta
 		for _, name := range pc.vpNames {
 			if v, ok := codec.archived(pc.journal, phase, name); ok {
 				out[name], skip[name] = v, true
-				pc.replaySeqs(name, codec.seqs(v))
 			}
 		}
 	}
@@ -514,17 +522,6 @@ func collect[T any](pc *ParallelCampaign, kind string, codec *batchCodec[T], sta
 	return out
 }
 
-// replaySeqs advances a VP's prober sequence counter past an archived
-// batch. Probe wire images carry the seq and per-packet fault draws are
-// content-keyed on them, so every VP must enter a re-executed phase
-// with the counter position the original run had there — otherwise a
-// fault plan would draw different packet fates on resume.
-func (pc *ParallelCampaign) replaySeqs(name string, n int) {
-	if vp := pc.VP(name); vp != nil {
-		vp.Prober.SkipSeqs(n)
-	}
-}
-
 // PingRRAll sends one ping-RR from every VP to every destination (per-VP
 // order permuted via orderFor when set), and returns the results keyed
 // by VP name, in that VP's send order.
@@ -541,7 +538,7 @@ func (pc *ParallelCampaign) PingRRAll(dests []netip.Addr, opts probe.Options, or
 // PingAll sends count plain pings per destination from every VP.
 func (pc *ParallelCampaign) PingAll(dests []netip.Addr, count int, opts probe.Options) map[string][][]probe.Result {
 	return collect(pc, "ping-all", groupedBatches, func(_ *replica, vp *VantagePoint, done func([][]probe.Result)) {
-		vp.PingBatch(dests, count, opts, done)
+		vp.PingBatch(dests, 0, len(dests), count, opts, done)
 	}, nil)
 }
 
@@ -589,6 +586,7 @@ func (pc *ParallelCampaign) shardVP(rep *replica, name string) *VantagePoint {
 		return nil
 	}
 	vp := NewVantagePoint(rv.Name, rv.Host, rep.Eng, uint16(0x4000+pc.vpIndex[name]))
+	vp.Prober.Rebase(pc.seqBase)
 	if o := pc.observer; o.Active() && o.Trace != nil {
 		vp.Prober.SetTracer(o.Trace.ProberTracer(vp.Name))
 	}
@@ -615,13 +613,16 @@ func rangeKey(vp string, shard int) string { return fmt.Sprintf("%s#%d", vp, sha
 // replica s probes destRange(len(dests), K, s) through the VP's home
 // prober or a ghost (shardVP). Because every probe's send time and
 // sequence numbers derive from its global destination index
-// (probe.Batch.Indexed), the merged per-destination groups are invariant
-// under K — including per-packet fault draws, which are content-keyed on
-// the seq. On a journaled campaign the ranges the journal already holds
-// are restored, and each fresh one is checkpointed under its range key
-// and streamed as the VP itself.
+// (probe.Batch), the merged per-destination groups are invariant under K
+// — including per-packet fault draws, which are content-keyed on the seq.
+// That holds only with fixed timeouts, so the phase turns opts.Adaptive
+// off: a range's RTT estimate would see only its own replies. On a
+// journaled campaign the ranges the journal already holds are restored,
+// and each fresh one is checkpointed under its range key and streamed as
+// the VP itself.
 func (pc *ParallelCampaign) PingBatchVP(name string, dests []netip.Addr, count int, opts probe.Options) [][]probe.Result {
 	const kind = "ping-batch-vp"
+	opts.Adaptive = false
 	grouped := make([][]probe.Result, len(dests))
 	k := pc.shards
 	phase, journaled := pc.beginPhase(kind)
@@ -644,7 +645,7 @@ func (pc *ParallelCampaign) PingBatchVP(name string, dests []netip.Addr, count i
 		if vp == nil {
 			return
 		}
-		vp.PingBatchRange(dests, lo, hi, count, opts, func(gs [][]probe.Result) {
+		vp.PingBatch(dests, lo, hi, count, opts, func(gs [][]probe.Result) {
 			copy(grouped[lo:], gs) // disjoint ranges: no two replicas share an element
 			pc.checkpoint(func(j *Journal) { groupedBatches.record(j, phase, kind, rangeKey(name, rep.idx), name, gs) })
 		})

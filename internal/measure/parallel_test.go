@@ -170,7 +170,7 @@ func fleetCases(dests []netip.Addr, names []string) []fleetCase {
 			},
 			func(vps []*VantagePoint, drain func()) map[string][]byte {
 				return each(vps, drain, func(vp *VantagePoint, done func([]byte)) {
-					vp.PingBatch(dests[:10], 2, opts, func(gs [][]probe.Result) { done(wire(gs...)) })
+					vp.PingBatch(dests[:10], 0, 10, 2, opts, func(gs [][]probe.Result) { done(wire(gs...)) })
 				})
 			}},
 		{"ping-rr-udp-all",
@@ -208,7 +208,7 @@ func fleetCases(dests []netip.Addr, names []string) []fleetCase {
 			},
 			func(vps []*VantagePoint, drain func()) map[string][]byte {
 				return each(vps[1:2], drain, func(vp *VantagePoint, done func([]byte)) {
-					vp.PingBatchRange(dests, 0, len(dests), 3, opts, func(gs [][]probe.Result) { done(wire(gs...)) })
+					vp.PingBatch(dests, 0, len(dests), 3, opts, func(gs [][]probe.Result) { done(wire(gs...)) })
 				})
 			}},
 		// The alias phase's IP-ID sampling: five interleaved rounds over
@@ -219,7 +219,7 @@ func fleetCases(dests []netip.Addr, names []string) []fleetCase {
 			},
 			func(vps []*VantagePoint, drain func()) map[string][]byte {
 				return each(vps[1:2], drain, func(vp *VantagePoint, done func([]byte)) {
-					vp.PingBatchRange(series, 0, len(series), 5, opts, func(gs [][]probe.Result) { done(wire(gs...)) })
+					vp.PingBatch(series, 0, len(series), 5, opts, func(gs [][]probe.Result) { done(wire(gs...)) })
 				})
 			}},
 		{"doubletree-all",
@@ -234,8 +234,13 @@ func fleetCases(dests []netip.Addr, names []string) []fleetCase {
 			func(vps []*VantagePoint, drain func()) map[string][]byte {
 				out := make(map[string][]byte)
 				sess := trace.NewSession(nil)
-				for _, wave := range waves {
+				for w, wave := range waves {
+					// Each wave is a phase of its own, so its probers
+					// start where the fleet rebases them.
 					rounds := make(map[string]*trace.VPRound)
+					for _, vp := range vps {
+						vp.Prober.Rebase(uint16(w) * seqStride)
+					}
 					for _, vp := range vps {
 						if ds := wave[vp.Name]; len(ds) > 0 {
 							name := vp.Name

@@ -39,9 +39,10 @@ const (
 	MinAdaptiveTimeout = 100 * time.Millisecond
 )
 
-// MaxOutstanding caps concurrently pending probes. The 16-bit sequence
-// space is the hard limit for matching replies to probes; the margin
-// below it keeps allocSeq's linear scan for a free number cheap.
+// MaxOutstanding caps concurrently pending probes when a one-shot or an
+// expectation draws a number from the counter. The 16-bit sequence space
+// is the hard limit for matching replies to probes; the margin below it
+// keeps allocSeq's linear scan for a free number cheap.
 const MaxOutstanding = 1<<16 - 1024
 
 // ErrTooManyOutstanding is the Result.Err of a probe refused because
@@ -142,15 +143,9 @@ type probeOp struct {
 	firstSentAt time.Duration
 	maxAttempts int
 	attempts    int
-	last        int32 // newest attempt's slot in Prober.atts; -1 before the first
-	external    bool  // RTT unusable: Expect-registered or indexed (see Batch.Indexed)
-
-	// indexed ops draw position-derived sequence numbers instead of the
-	// shared counter: attempt k uses indexedBase + (k-1). Destination-
-	// sharded campaign phases rely on this to keep seqs — and therefore
-	// content-keyed fault draws — invariant under shard count.
-	indexed     bool
-	indexedBase uint16
+	last        int32  // newest attempt's slot in Prober.atts; -1 before the first
+	external    bool   // RTT unusable: registered by Expect, sent by another prober
+	seq         uint16 // a batch probe's first seq; attempt k carries seq + (k-1)
 }
 
 // pendingProbe is one transmitted attempt awaiting a response.
@@ -311,25 +306,24 @@ func (p *Prober) addAttempt(oi int32, seq uint16) (timer uint64) {
 // sequence number is available or the spec cannot be serialized.
 func (p *Prober) sendAttempt(oi int32) {
 	op := &p.ops[oi]
-	var seq uint16
-	if op.indexed {
-		// Attempt k (1-based) always uses indexedBase + (k-1); attempts
-		// has not been incremented yet, so it equals k-1 here. A busy
-		// entry means two live indexed ops landed on the same 16-bit
-		// value — a programming error in the caller's index spacing, and
-		// silently mismatching replies would corrupt the determinism
-		// contract, so fail loudly.
-		seq = op.indexedBase + uint16(op.attempts)
-		if p.pending.get(seq) >= 0 {
-			panic("probe: indexed sequence collision (seq space too dense for batch)")
-		}
+	var (
+		seq uint16
+		ok  bool
+	)
+	if op.batch != nil {
+		// Attempt k (1-based) of a batch probe carries op.seq + (k-1);
+		// attempts still counts the k-1 before it. The number is busy only
+		// when the sequence space has wrapped onto a probe still in
+		// flight: it is exhausted, and the probe fails rather than steal
+		// the other's replies.
+		seq = op.seq + uint16(op.attempts)
+		ok = p.pending.get(seq) < 0
 	} else {
-		var ok bool
 		seq, ok = p.allocSeq()
-		if !ok {
-			p.failOp(oi, 0, ErrTooManyOutstanding)
-			return
-		}
+	}
+	if !ok {
+		p.failOp(oi, 0, ErrTooManyOutstanding)
+		return
 	}
 	wire, err := op.spec.build(p.wire[:0], p.tr.LocalAddr(), p.id, seq)
 	if err != nil {
@@ -443,24 +437,23 @@ const SendWindow = 64
 // Batch describes a batch of probes: a slice of specs (StartBatch), or N
 // of them produced by Gen as each is launched, so that a campaign's
 // per-VP batches over one destination list cost no spec array apiece.
+//
+// A probe's wire image and send time derive from its Index: it leaves at
+// t0 + Index*interval, and attempt k carries sequence number base +
+// Index*attempts + (k-1), where base is the prober's counter when the
+// batch starts and Start advances the counter past the whole block. So a
+// batch split into contiguous index ranges, each started on a prober at
+// the same counter, sends per destination what the unsplit batch sends —
+// what destination-sharded origin phases are built on (DESIGN.md §15) —
+// provided opts.Adaptive is off, since each range's RTT estimate sees
+// only its own replies.
 type Batch struct {
 	Specs []Spec // the probes, in send order, N of them; or, when nil:
 	N     int
-	// Gen returns probe i (0 ≤ i < N) with its position in the pacing
-	// schedule, which must not decrease with i. It must be pure: launch
-	// calls it for a probe's spec and again for its successor's position.
+	// Gen returns probe i (0 ≤ i < N) with its Index, which must not
+	// decrease with i. It must be pure: Start calls it for the last
+	// Index, launch for a probe's spec and again for its successor's.
 	Gen func(i int) IndexedSpec
-	// Indexed derives everything observable about a probe from its Index
-	// rather than from prober state: it leaves at exactly t0 +
-	// Index*interval and attempt k carries sequence number
-	// Index*opts.attempts() + (k-1). The shared sequence counter is never
-	// consumed, the first-attempt timeout is the fixed opts.Timeout
-	// (Adaptive is ignored), and matched RTTs do not feed the prober's
-	// EWMA. So a batch split into contiguous index ranges across engine
-	// replicas produces, per destination, byte-identical probe traffic to
-	// the unsplit batch — what destination-sharded origin phases are
-	// built on (DESIGN.md §15). Without it Index only paces.
-	Indexed bool
 	// Rounds > 1 declares the batch round-major — Rounds passes over
 	// N/Rounds destinations — and asks for its results destination-major:
 	// probe i's lands at (i mod width)*Rounds + i/width.
@@ -483,7 +476,8 @@ type batch struct {
 	results   []Result
 	remaining int // ops not yet resolved
 	interval  time.Duration
-	slot      int32 // position in Prober.batches
+	seq       uint16 // the first of the batch's block of sequence numbers
+	slot      int32  // position in Prober.batches
 }
 
 // at returns probe i and its position in the pacing schedule: it leaves
@@ -496,13 +490,13 @@ func (b *batch) at(i int) IndexedSpec {
 }
 
 // StartBatch paces the probes out in order at opts.Rate and calls done
-// once with results in spec order after every probe has resolved. This
-// is the path that honors opts.Retries and opts.Adaptive.
+// once with results in spec order after every probe has resolved.
 func (p *Prober) StartBatch(specs []Spec, opts Options, done func([]Result)) {
 	p.Start(Batch{Specs: specs, N: len(specs)}, opts, done)
 }
 
-// Start registers the batch and schedules its first SendWindow launches.
+// Start registers the batch, reserves its block of sequence numbers, and
+// schedules its first SendWindow launches.
 //
 // Sends are windowed, not enqueued upfront: each launch chains its
 // i+SendWindow successor after (Index_{i+W} - Index_i) * interval.
@@ -520,6 +514,8 @@ func (p *Prober) Start(spec Batch, opts Options, done func([]Result)) {
 	b.results = make([]Result, b.N)
 	b.remaining = b.N
 	b.interval = time.Duration(float64(time.Second) / b.opts.rate())
+	b.seq = p.nextSeq
+	p.nextSeq += uint16((b.at(b.N-1).Index + 1) * b.opts.attempts())
 	if b.slot = takeSlot(&p.freeBats); b.slot < 0 {
 		b.slot = int32(len(p.batches))
 		p.batches = append(p.batches, nil)
@@ -544,29 +540,22 @@ func (p *Prober) launch(at uint64) {
 		width := b.N / b.Rounds
 		to.pos = int32(i%width*b.Rounds + i/width)
 	}
-	if !b.Indexed {
-		// The adaptive timeout is evaluated at send time, so the
-		// estimator warms up over the batch.
-		oi, _ := p.newOp(is.Spec, to, attempts, p.adaptiveTimeout(b.opts))
-		p.sendAttempt(oi)
-		return
-	}
-	oi, op := p.newOp(is.Spec, to, attempts, b.opts.timeout())
-	op.indexed, op.external = true, true
-	op.indexedBase = uint16(is.Index * attempts)
+	// The adaptive timeout is evaluated at send time, so the estimator
+	// warms up over the batch.
+	oi, op := p.newOp(is.Spec, to, attempts, p.adaptiveTimeout(b.opts))
+	op.seq = b.seq + uint16(is.Index*attempts)
 	p.sendAttempt(oi)
 }
 
 // ID returns the prober's ICMP identifier.
 func (p *Prober) ID() uint16 { return p.id }
 
-// SkipSeqs advances the sequence counter by n without sending, as if n
-// attempts had been allocated and already retired. Campaign resume uses
-// it to replay the consumption of archived batches: probe wire images
-// carry the seq, and per-packet fault draws are content-keyed on them,
-// so a resumed VP must enter each phase with the same counter position
-// it had in the original run for the replay to stay byte-identical.
-func (p *Prober) SkipSeqs(n int) { p.nextSeq += uint16(n) }
+// Rebase restarts the sequence counter at base and forgets the RTT
+// estimate. A campaign rebases every prober at each phase boundary, so
+// what a phase sends depends on the phase alone, not on what the prober
+// sent before it — which a resumed run restores from its journal rather
+// than sends again (DESIGN.md §15). Call it with nothing outstanding.
+func (p *Prober) Rebase(base uint16) { p.nextSeq, p.srtt, p.rttvar = base, 0, 0 }
 
 // Expect registers an externally-transmitted probe for matching: the
 // reverse-traceroute system sends source-spoofed probes from one vantage

@@ -338,9 +338,9 @@ func TestEmptyBatchCompletes(t *testing.T) {
 	}
 }
 
-// indexedBatch is specs as an Indexed generated batch.
+// indexedBatch is specs as a generated batch.
 func indexedBatch(specs []IndexedSpec) Batch {
-	return Batch{N: len(specs), Indexed: true, Gen: func(i int) IndexedSpec { return specs[i] }}
+	return Batch{N: len(specs), Gen: func(i int) IndexedSpec { return specs[i] }}
 }
 
 // TestRoundsBatchLandsDestinationMajor: a generated round-major batch
@@ -379,51 +379,14 @@ func TestRoundsBatchLandsDestinationMajor(t *testing.T) {
 	}
 }
 
-// TestIndexedBatchDenseMatchesStartBatch: with dense indices, single
-// attempts, and a fixed timeout, an Indexed batch is byte-identical to
-// StartBatch on a fresh prober — same seqs, send times, and outcomes.
-// This is what keeps pre-existing goldens stable when origin phases
-// switch to the indexed path.
-func TestIndexedBatchDenseMatchesStartBatch(t *testing.T) {
-	topoA, pa, _ := testbed(t)
-	dests := pickDests(topoA, 20)
-	specs := make([]Spec, len(dests))
-	for i, d := range dests {
-		specs[i] = Spec{Dst: d.Addr, Kind: PingRR}
-	}
-	var want []Result
-	pa.StartBatch(specs, Options{Rate: 100}, func(rs []Result) { want = rs })
-	topoA.Net.Engine().Run()
-
-	topoB, pb, _ := testbed(t)
-	idx := make([]IndexedSpec, len(specs))
-	for i := range specs {
-		idx[i] = IndexedSpec{Index: i, Spec: specs[i]}
-	}
-	var got []Result
-	pb.Start(indexedBatch(idx), Options{Rate: 100}, func(rs []Result) { got = rs })
-	topoB.Net.Engine().Run()
-
-	if want == nil || got == nil {
-		t.Fatal("a batch never completed")
-	}
-	for i := range want {
-		w, g := want[i], got[i]
-		if g.Seq != w.Seq || g.SentAt != w.SentAt || g.RcvdAt != w.RcvdAt ||
-			g.Type != w.Type || g.From != w.From || g.ReplyIPID != w.ReplyIPID {
-			t.Errorf("probe %d: indexed %+v != batch %+v", i, g, w)
-		}
-	}
-}
-
-// TestIndexedBatchShardsEqualUnsplit: splitting an indexed batch into
-// contiguous ranges run on separate (identically built) networks yields
+// TestIndexedBatchShardsEqualUnsplit: splitting a batch into contiguous
+// index ranges run on separate (identically built) networks yields
 // per-destination results identical to the unsplit batch — send times
 // and sequence numbers derive from the global index, retransmissions
-// included — and never consumes the prober's shared sequence counter.
+// included.
 func TestIndexedBatchShardsEqualUnsplit(t *testing.T) {
 	opts := Options{Rate: 200, Retries: 1}
-	build := func(lo, hi int) (*topology.Topology, *Prober, []Result) {
+	build := func(lo, hi int) []Result {
 		topo, p, _ := testbed(t)
 		n := 150
 		if len(topo.Dests) < n {
@@ -442,14 +405,13 @@ func TestIndexedBatchShardsEqualUnsplit(t *testing.T) {
 		if rs == nil {
 			t.Fatalf("indexed batch [%d,%d) never completed", lo, hi)
 		}
-		return topo, p, rs
+		return rs
 	}
 
-	topo, _, full := build(0, 1<<30)
+	full := build(0, 1<<30)
 	n := len(full)
 	cut := n / 2
-	_, pLow, low := build(0, cut)
-	_, _, high := build(cut, n)
+	low, high := build(0, cut), build(cut, n)
 	merged := append(append([]Result(nil), low...), high...)
 
 	sawTimeout := false
@@ -468,14 +430,5 @@ func TestIndexedBatchShardsEqualUnsplit(t *testing.T) {
 	}
 	if !sawTimeout {
 		t.Error("no unresponsive destination exercised the retransmit path")
-	}
-	_ = topo
-
-	// Indexed batches must not consume the shared counter: the next
-	// counter-allocated probe still draws seq 0.
-	var one Result
-	pLow.StartOne(Spec{Dst: topo.Dests[0].Addr, Kind: Ping}, 0, func(r Result) { one = r })
-	if one.Seq != 0 && one.Type == NoResponse {
-		t.Errorf("counter-allocated probe after indexed batch drew seq %d, want 0", one.Seq)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"recordroute/internal/netsim"
+	"recordroute/internal/probe"
 	"recordroute/internal/topology"
 )
 
@@ -21,16 +22,29 @@ type journaledRun struct {
 	archived int // batches replayed from the journal
 	streamed int // fresh batches seen by the live sink
 	errs     int
+	after    []uint16 // seqs of one ping per roster VP sent after the campaign
+}
+
+// resumeCell is what one resume row varies: the fault plan, the probe
+// retry policy, and whether Figure 1 runs after Table 1 — which puts
+// flat per-VP phases (ping-RRudp) after the archived destination-sharded
+// ones (alias pings).
+type resumeCell struct {
+	fc       *netsim.FaultConfig
+	retries  int
+	adaptive bool
+	reach    bool
 }
 
 // runJournaled builds a study identical to runSharded's cells, attaches
-// a journal at path, and runs the Table 1 experiment to completion.
-func runJournaled(t *testing.T, seed uint64, fc *netsim.FaultConfig, shards int, path string, resume bool) journaledRun {
+// a journal at path, and runs the Table 1 experiment — and Figure 1
+// when c.reach — to completion.
+func runJournaled(t *testing.T, seed uint64, c resumeCell, shards int, path string, resume bool) journaledRun {
 	t.Helper()
 	cfg := topology.DefaultConfig(topology.Epoch2016).Scale(0.15)
 	cfg.Seed = seed
-	cfg.Faults = fc
-	s, err := New(cfg, Options{Rate: 200, ShuffleSeed: 7, Shards: shards})
+	cfg.Faults = c.fc
+	s, err := New(cfg, Options{Rate: 200, ShuffleSeed: 7, Shards: shards, Retries: c.retries, Adaptive: c.adaptive})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,11 +58,22 @@ func runJournaled(t *testing.T, seed uint64, fc *netsim.FaultConfig, shards int,
 	run.resp = s.RunResponsiveness()
 	var buf bytes.Buffer
 	run.resp.Render(&buf)
+	if c.reach {
+		s.RunReachability(run.resp).Render(&buf)
+	}
 	run.render = buf.Bytes()
 	run.errs = len(s.Fleet().ShardErrors())
 	if err := s.CloseJournal(); err != nil {
 		t.Fatal(err)
 	}
+	// Probing the roster directly after the campaign (the facade does)
+	// must not depend on which of its batches were restored.
+	for _, vp := range s.Camp.VPs {
+		vp.Prober.StartOne(probe.Spec{Dst: s.Topo.Dests[0].Addr, Kind: probe.Ping}, 0, func(r probe.Result) {
+			run.after = append(run.after, r.Seq)
+		})
+	}
+	s.Camp.Eng.Run()
 	return run
 }
 
@@ -143,60 +168,78 @@ func TestDoubletreeResumeEqualsUninterrupted(t *testing.T) {
 // TestResumeEqualsUninterrupted is the checkpoint/resume property
 // (DESIGN.md §11): a campaign killed mid-run and resumed from its
 // journal reproduces the uninterrupted journaled run — byte-identical
-// Table 1 render, identical per-VP result streams, and a journal file
-// holding the uninterrupted one's records — across shard counts, with
-// and without a fault plan. The kill is simulated the way it actually
-// wounds a journal: the file is cut to half its lines, mid-line. (The
+// render, identical per-VP result streams, and a journal file holding
+// the uninterrupted one's records — across shard counts, with and
+// without a fault plan, and with retries and adaptive timeouts under
+// loss. The kill is simulated the way it actually wounds a journal: the
+// file is cut to a prefix of its lines, mid-line. (The
 // shard-panic variant of the same property lives in measure's journal
 // tests, where the fault can be injected into a specific replica.)
 func TestResumeEqualsUninterrupted(t *testing.T) {
 	const seed = 11
-	faults := []struct {
+	plan := &netsim.FaultConfig{LossProb: 0.05, LossFrac: 0.25, OutageFrac: 0.02, WithdrawFrac: 0.05}
+	// Retries with adaptive timeouts under heavy loss, through Table 1
+	// and Figure 1: what chaos and the facade's WithRetries turn on. A
+	// prober entering a fresh phase after archived ones must hold the
+	// same sequence counter and RTT estimate as in the uninterrupted run.
+	lossy := resumeCell{fc: &netsim.FaultConfig{LossProb: 0.2, LossFrac: 0.5}, retries: 2, adaptive: true, reach: true}
+	rows := []struct {
 		name string
-		fc   *netsim.FaultConfig
+		c    resumeCell
+		ks   []int
+		cuts []float64
 	}{
-		{"no-faults", nil},
-		{"fault-plan", &netsim.FaultConfig{LossProb: 0.05, LossFrac: 0.25,
-			OutageFrac: 0.02, WithdrawFrac: 0.05}},
+		{"no-faults", resumeCell{}, []int{1, 2, 4}, []float64{0.5}},
+		{"fault-plan", resumeCell{fc: plan}, []int{1, 2, 4}, []float64{0.5}},
+		{"retries-adaptive", lossy, []int{1, 2}, []float64{0.5, 0.8}},
 	}
-	for _, f := range faults {
-		for _, k := range []int{1, 2, 4} {
-			t.Run(fmt.Sprintf("K%d/%s", k, f.name), func(t *testing.T) {
-				dir := t.TempDir()
-				full := filepath.Join(dir, "full.jsonl")
-				cut := filepath.Join(dir, "cut.jsonl")
+	for _, row := range rows {
+		for _, k := range row.ks {
+			for _, cutAt := range row.cuts {
+				name := fmt.Sprintf("K%d/%s", k, row.name)
+				if len(row.cuts) > 1 {
+					name += fmt.Sprintf("/cut%.1f", cutAt)
+				}
+				t.Run(name, func(t *testing.T) {
+					dir := t.TempDir()
+					full := filepath.Join(dir, "full.jsonl")
+					cut := filepath.Join(dir, "cut.jsonl")
 
-				base := runJournaled(t, seed, f.fc, k, full, false)
-				if base.errs > 0 {
-					t.Fatalf("uninterrupted run reported %d shard errors", base.errs)
-				}
-				if base.archived != 0 {
-					t.Fatalf("fresh journal replayed %d archived batches", base.archived)
-				}
+					base := runJournaled(t, seed, row.c, k, full, false)
+					if base.errs > 0 {
+						t.Fatalf("uninterrupted run reported %d shard errors", base.errs)
+					}
+					if base.archived != 0 {
+						t.Fatalf("fresh journal replayed %d archived batches", base.archived)
+					}
 
-				cutJournalPrefix(t, full, cut, 0.5)
-				resumed := runJournaled(t, seed, f.fc, k, cut, true)
-				if resumed.errs > 0 {
-					t.Fatalf("resumed run reported %d shard errors", resumed.errs)
-				}
-				if resumed.archived == 0 {
-					t.Fatal("resume replayed nothing: the journal cut left no archive")
-				}
+					cutJournalPrefix(t, full, cut, cutAt)
+					resumed := runJournaled(t, seed, row.c, k, cut, true)
+					if resumed.errs > 0 {
+						t.Fatalf("resumed run reported %d shard errors", resumed.errs)
+					}
+					if resumed.archived == 0 {
+						t.Fatal("resume replayed nothing: the journal cut left no archive")
+					}
 
-				// The resume must actually skip: fresh (streamed) batches
-				// plus archived ones cover the VP set exactly once.
-				if total := resumed.archived + resumed.streamed; total != base.streamed {
-					t.Errorf("archived %d + streamed %d = %d batches, want %d",
-						resumed.archived, resumed.streamed, total, base.streamed)
-				}
+					// The resume must actually skip: fresh (streamed) batches
+					// plus archived ones cover the VP set exactly once.
+					if total := resumed.archived + resumed.streamed; total != base.streamed {
+						t.Errorf("archived %d + streamed %d = %d batches, want %d",
+							resumed.archived, resumed.streamed, total, base.streamed)
+					}
 
-				if !bytes.Equal(resumed.render, base.render) {
-					t.Errorf("resumed Table 1 render differs from uninterrupted:\n--- uninterrupted ---\n%s\n--- resumed ---\n%s",
-						base.render, resumed.render)
-				}
-				comparePerVP(t, k, base.resp.PerVP, resumed.resp.PerVP)
-				sameJournal(t, k, full, cut)
-			})
+					if !bytes.Equal(resumed.render, base.render) {
+						t.Errorf("resumed render differs from uninterrupted:\n--- uninterrupted ---\n%s\n--- resumed ---\n%s",
+							base.render, resumed.render)
+					}
+					comparePerVP(t, k, base.resp.PerVP, resumed.resp.PerVP)
+					sameJournal(t, k, full, cut)
+					if !slices.Equal(resumed.after, base.after) {
+						t.Errorf("seqs of pings sent after the campaign: resumed %v, uninterrupted %v", resumed.after, base.after)
+					}
+				})
+			}
 		}
 	}
 }

@@ -99,9 +99,6 @@ type Result struct {
 	Misses     int  `json:"misses,omitempty"`
 }
 
-// ProbesSent is the number of probes this trace cost.
-func (r Result) ProbesSent() int { return len(r.Hops) }
-
 // HopAddrs returns the responding hop addresses in probe order,
 // excluding silence and the destination's own replies.
 func (r Result) HopAddrs() []netip.Addr {
