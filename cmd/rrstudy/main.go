@@ -53,7 +53,6 @@ import (
 	"time"
 
 	"recordroute"
-	"recordroute/internal/results"
 )
 
 // parseTraceSpec parses "dst=<ip or prefix>" or "vp=<name>" into a
@@ -90,7 +89,6 @@ func main() {
 		experiment = flag.String("experiment", "all", "experiment to run: all (the paper's tables and figures) or one registered name (an unknown name lists them)")
 		liveEpochs = flag.Int("live-epochs", 3, "epochs-live: number of consecutive fault epochs to measure")
 		jsonOut    = flag.String("json", "", "also write the machine-readable report of the selected experiments to this file")
-		dump       = flag.String("dump", "", "archive the raw per-VP ping-RR results to this file")
 		outdir     = flag.String("outdir", "", "write each selected experiment's rendering to <outdir>/<name>.txt instead of stdout")
 
 		chaosLoss    = flag.Float64("chaos-loss", 0, "chaos: custom scenario per-direction loss probability on a quarter of links (0 = default sweep)")
@@ -260,15 +258,6 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "# %d trace events written to %s (%d evicted)\n",
 			trace.Len(), *traceOut, trace.Dropped())
-	}
-	if *dump != "" {
-		err := writeFileAtomic(*dump, func(f io.Writer) error {
-			return results.Write(f, inet.RawPingRRResults())
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "# raw results archived to %s\n", *dump)
 	}
 	fmt.Fprintf(os.Stderr, "\n# total wall time %v\n", time.Since(start).Round(time.Millisecond))
 }

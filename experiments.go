@@ -327,14 +327,6 @@ func (in *Internet) ClassifyDestination(dst netip.Addr) Classification {
 	return c
 }
 
-// RawPingRRResults exposes the per-VP ping-RR results of the Table 1
-// measurement (running it if no experiment has yet), for archiving
-// with internal/results (the paper released its raw datasets the same
-// way).
-func (in *Internet) RawPingRRResults() map[string][]probe.Result {
-	return in.st.Table1().PerVP
-}
-
 // InstalledFaults describes the fault plan WithFaults installed on
 // this Internet ("links=… lossy=… …"); all zeros without WithFaults.
 func (in *Internet) InstalledFaults() string { return in.st.Topo.Faults.String() }

@@ -1,20 +1,14 @@
-// Package dataset provides the study's input datasets in exportable,
-// re-parseable text formats mirroring the originals: an advertised-
-// prefix table with origin ASes (RouteViews RIB-derived), a one-address-
-// per-prefix hitlist (Fan & Heidemann style), and an AS classification
-// (CAIDA as2types style). The analysis layer consumes these datasets —
-// not topology internals — exactly as the paper's pipeline consumed
-// RouteViews and CAIDA files.
+// Package dataset provides the study's input datasets, shaped like the
+// originals: an advertised-prefix table with origin ASes (RouteViews
+// RIB-derived), a one-address-per-prefix hitlist (Fan & Heidemann
+// style), and an AS classification (CAIDA as2types style). The analysis
+// layer consumes these datasets — not topology internals — exactly as
+// the paper's pipeline consumed RouteViews and CAIDA files.
 package dataset
 
 import (
-	"bufio"
-	"fmt"
-	"io"
 	"net/netip"
 	"sort"
-	"strconv"
-	"strings"
 
 	"recordroute/internal/analysis"
 	"recordroute/internal/topology"
@@ -57,17 +51,13 @@ func FromTopology(t *topology.Topology) *Dataset {
 	for _, as := range t.ASes {
 		d.ASType[as.ASN] = as.Type().String()
 	}
-	sortDataset(d)
-	return d
-}
-
-func sortDataset(d *Dataset) {
 	sort.Slice(d.Prefixes, func(i, j int) bool {
 		return d.Prefixes[i].Prefix.Addr().Less(d.Prefixes[j].Prefix.Addr())
 	})
 	sort.Slice(d.Hitlist, func(i, j int) bool {
 		return d.Hitlist[i].Addr.Less(d.Hitlist[j].Addr)
 	})
+	return d
 }
 
 // OriginASN returns the origin AS for an address using longest known
@@ -139,108 +129,4 @@ func (d *Dataset) Addrs() []netip.Addr {
 		out[i] = h.Addr
 	}
 	return out
-}
-
-// WritePrefixes emits the prefix table, one "prefix|asn" per line.
-func (d *Dataset) WritePrefixes(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintln(bw, "# format: prefix|origin_asn")
-	for _, p := range d.Prefixes {
-		fmt.Fprintf(bw, "%s|%d\n", p.Prefix, p.ASN)
-	}
-	return bw.Flush()
-}
-
-// WriteHitlist emits "prefix|addr" lines.
-func (d *Dataset) WriteHitlist(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintln(bw, "# format: prefix|representative_addr")
-	for _, h := range d.Hitlist {
-		fmt.Fprintf(bw, "%s|%s\n", h.Prefix, h.Addr)
-	}
-	return bw.Flush()
-}
-
-// WriteASTypes emits CAIDA as2types-style "asn|source|type" lines.
-func (d *Dataset) WriteASTypes(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintln(bw, "# format: as|source|type")
-	asns := make([]int, 0, len(d.ASType))
-	for asn := range d.ASType {
-		asns = append(asns, asn)
-	}
-	sort.Ints(asns)
-	for _, asn := range asns {
-		fmt.Fprintf(bw, "%d|sim_class|%s\n", asn, d.ASType[asn])
-	}
-	return bw.Flush()
-}
-
-// Read parses all three tables back from their respective readers.
-func Read(prefixes, hitlist, astypes io.Reader) (*Dataset, error) {
-	d := &Dataset{ASType: make(map[int]string)}
-	if err := eachLine(prefixes, func(fields []string) error {
-		if len(fields) != 2 {
-			return fmt.Errorf("dataset: prefix row has %d fields", len(fields))
-		}
-		p, err := netip.ParsePrefix(fields[0])
-		if err != nil {
-			return fmt.Errorf("dataset: %w", err)
-		}
-		asn, err := strconv.Atoi(fields[1])
-		if err != nil {
-			return fmt.Errorf("dataset: bad asn %q", fields[1])
-		}
-		d.Prefixes = append(d.Prefixes, PrefixEntry{Prefix: p, ASN: asn})
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	if err := eachLine(hitlist, func(fields []string) error {
-		if len(fields) != 2 {
-			return fmt.Errorf("dataset: hitlist row has %d fields", len(fields))
-		}
-		p, err := netip.ParsePrefix(fields[0])
-		if err != nil {
-			return fmt.Errorf("dataset: %w", err)
-		}
-		a, err := netip.ParseAddr(fields[1])
-		if err != nil {
-			return fmt.Errorf("dataset: %w", err)
-		}
-		d.Hitlist = append(d.Hitlist, HitlistEntry{Prefix: p, Addr: a})
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	if err := eachLine(astypes, func(fields []string) error {
-		if len(fields) != 3 {
-			return fmt.Errorf("dataset: astype row has %d fields", len(fields))
-		}
-		asn, err := strconv.Atoi(fields[0])
-		if err != nil {
-			return fmt.Errorf("dataset: bad asn %q", fields[0])
-		}
-		d.ASType[asn] = fields[2]
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	sortDataset(d)
-	return d, nil
-}
-
-// eachLine feeds non-comment, non-blank pipe-separated rows to fn.
-func eachLine(r io.Reader, fn func(fields []string) error) error {
-	sc := bufio.NewScanner(r)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		if err := fn(strings.Split(line, "|")); err != nil {
-			return err
-		}
-	}
-	return sc.Err()
 }

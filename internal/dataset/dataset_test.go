@@ -1,9 +1,7 @@
 package dataset
 
 import (
-	"bytes"
 	"net/netip"
-	"strings"
 	"testing"
 
 	"recordroute/internal/topology"
@@ -47,63 +45,5 @@ func TestDestInfosTypesMatchTopology(t *testing.T) {
 		if byAddr[info.Addr] != info.Type {
 			t.Errorf("%v typed %q, want %q", info.Addr, info.Type, byAddr[info.Addr])
 		}
-	}
-}
-
-func TestRoundTripThroughTextFormats(t *testing.T) {
-	_, d := build(t)
-	var pfx, hit, ast bytes.Buffer
-	if err := d.WritePrefixes(&pfx); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.WriteHitlist(&hit); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.WriteASTypes(&ast); err != nil {
-		t.Fatal(err)
-	}
-	back, err := Read(&pfx, &hit, &ast)
-	if err != nil {
-		t.Fatalf("Read: %v", err)
-	}
-	if len(back.Prefixes) != len(d.Prefixes) || len(back.Hitlist) != len(d.Hitlist) {
-		t.Fatalf("round trip sizes: %d/%d vs %d/%d",
-			len(back.Prefixes), len(back.Hitlist), len(d.Prefixes), len(d.Hitlist))
-	}
-	for i := range d.Prefixes {
-		if back.Prefixes[i] != d.Prefixes[i] {
-			t.Fatalf("prefix %d: %v vs %v", i, back.Prefixes[i], d.Prefixes[i])
-		}
-	}
-	for asn, typ := range d.ASType {
-		if back.ASType[asn] != typ {
-			t.Errorf("asn %d type %q vs %q", asn, back.ASType[asn], typ)
-		}
-	}
-}
-
-func TestReadRejectsMalformed(t *testing.T) {
-	good := strings.NewReader("")
-	if _, err := Read(strings.NewReader("10.0.0.0/8"), good, good); err == nil {
-		t.Error("accepted prefix row without asn")
-	}
-	if _, err := Read(strings.NewReader("not-a-prefix|5"), strings.NewReader(""), strings.NewReader("")); err == nil {
-		t.Error("accepted bad prefix")
-	}
-	if _, err := Read(strings.NewReader(""), strings.NewReader(""), strings.NewReader("x|y")); err == nil {
-		t.Error("accepted bad astype row")
-	}
-}
-
-func TestReadSkipsCommentsAndBlanks(t *testing.T) {
-	pfx := strings.NewReader("# comment\n\n10.0.0.0/24|7\n")
-	hit := strings.NewReader("10.0.0.0/24|10.0.0.1\n")
-	ast := strings.NewReader("7|sim_class|Content\n")
-	d, err := Read(pfx, hit, ast)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(d.Prefixes) != 1 || d.ASType[7] != "Content" {
-		t.Errorf("parsed %+v", d)
 	}
 }

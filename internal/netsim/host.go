@@ -153,10 +153,6 @@ func (h *Host) SetSniffer(fn SnifferFunc) {
 	n.sniffers[n.snifSlot[h.idx]-1] = fn
 }
 
-// Sniffer returns the currently installed sniffer (nil when none), so
-// instrumentation such as pcap capture can chain rather than displace it.
-func (h *Host) Sniffer() SnifferFunc { return h.net.sniffer(h.idx) }
-
 func (n *Network) sniffer(hi int32) SnifferFunc {
 	if s := n.snifSlot[hi]; s != 0 {
 		return n.sniffers[s-1]

@@ -4,10 +4,11 @@
 // headers) back to outstanding probes, extracts Record Route contents,
 // and reports per-probe results.
 //
-// The engine is transport-agnostic: the same Prober drives a simulated
-// vantage point (internal/netsim) or a raw socket (internal/rawnet).
-// Transports must deliver packets and timer callbacks from a single
-// goroutine at a time.
+// The prober reaches the network through the Transport interface.
+// SimTransport, a simulated vantage point (internal/netsim), is the one
+// production implementation; the interface stays so tests can drive a
+// Prober from a scripted fake. Transports must deliver packets and
+// timer callbacks from a single goroutine at a time.
 package probe
 
 import (

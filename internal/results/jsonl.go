@@ -1,3 +1,9 @@
+// Package results serializes probe results as JSON lines and parses
+// them back — the equivalent of the measurement datasets the paper
+// released alongside its tools. One format serves every consumer: the
+// campaign journal, the daemon's /stream and the benchmark all carry
+// Wire lines, so a journal is also the archive an analysis can be
+// re-run from without re-probing.
 package results
 
 import (
@@ -13,17 +19,15 @@ import (
 	"recordroute/internal/probe"
 )
 
-// Wire is the full-fidelity JSON mirror of probe.Result. Unlike the
-// pipe format above — which archives only what the paper's analyses
-// read — Wire preserves every field, so a stream of Wire lines can
-// stand in for the in-memory results of a campaign: checkpoints replay
-// them, and the resume-equals-uninterrupted property compares them
-// field-for-field (DESIGN.md §11). Addresses use netip's text form;
-// times are integer virtual-clock nanoseconds, so the round trip is
-// exact. Wire is the decode side and the format's definition: results
-// are written by AppendWireFields, which renders exactly what
-// encoding/json renders for this struct and must follow any change to
-// it.
+// Wire is the full-fidelity JSON mirror of probe.Result. It preserves
+// every field, so a stream of Wire lines can stand in for the in-memory
+// results of a campaign: checkpoints replay them, and the
+// resume-equals-uninterrupted property compares them field-for-field
+// (DESIGN.md §11). Addresses use netip's text form; times are integer
+// virtual-clock nanoseconds, so the round trip is exact. Wire is the
+// decode side and the format's definition: results are written by
+// AppendWireFields, which renders exactly what encoding/json renders
+// for this struct and must follow any change to it.
 type Wire struct {
 	Dst        netip.Addr   `json:"dst"`
 	Kind       int          `json:"kind"`

@@ -335,8 +335,8 @@ func TestScheduleValidation(t *testing.T) {
 	defer ts.Close()
 
 	cases := []ScheduleSpec{
-		{Job: smokeSpec(), Epochs: 0},                 // no epochs
-		{Job: JobSpec{Experiment: "nope"}, Epochs: 3}, // unknown experiment
+		{Job: smokeSpec(), Epochs: 0},                                                           // no epochs
+		{Job: JobSpec{Experiment: "nope"}, Epochs: 3},                                           // unknown experiment
 		{Job: func() JobSpec { j := smokeSpec(); j.Journal = "/tmp/x"; return j }(), Epochs: 3}, // journal is schedule-owned
 		{Job: func() JobSpec { j := smokeSpec(); j.Scale = 999; return j }(), Epochs: 3},        // bad config
 	}

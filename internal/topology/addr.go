@@ -57,11 +57,10 @@ func (p *asPlan) DestPrefix(j int) netip.Prefix {
 	return netip.PrefixFrom(u32Addr(p.base+uint32(j)<<8), 24)
 }
 
-// HostOctets are the last octets destination hosts may live at; hitlist
-// discovery (internal/hitlist) sweeps these candidates the way Fan &
-// Heidemann's history-based selection narrowed real prefixes. 129 is
-// reserved for aliases.
-var HostOctets = []uint8{1, 2, 10, 33, 50, 100, 200, 254}
+// hostOctets are the last octets destination hosts may live at, the
+// candidates Fan & Heidemann's history-based hitlist selection narrowed
+// real prefixes to. 129 is reserved for aliases.
+var hostOctets = []uint8{1, 2, 10, 33, 50, 100, 200, 254}
 
 // DestAddr returns the destination host address in prefix j at the
 // given last octet.

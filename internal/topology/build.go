@@ -320,7 +320,7 @@ func (t *Topology) buildDests(plans []asPlan, rng *rand.Rand) {
 				UDPResponsive:  rng.Float64() < cfg.HostUDPResponsiveRate,
 			}
 			k := int(t.destBase[i]) + j
-			octet := HostOctets[rng.IntN(len(HostOctets))]
+			octet := hostOctets[rng.IntN(len(hostOctets))]
 			d := &block[k]
 			*d = Dest{Addr: plans[i].DestAddr(j, octet), Prefix: plans[i].DestPrefix(j), ASIdx: i}
 			switch {

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"recordroute/internal/measure"
-	"recordroute/internal/netsim"
 	"recordroute/internal/obs"
 	"recordroute/internal/probe"
 	"recordroute/internal/revtr"
@@ -329,15 +328,6 @@ func (in *Internet) revtrRanker() func(netip.Addr, []*measure.VantagePoint) []*m
 		sort.SliceStable(out, func(i, j int) bool { return slotOf(out[i]) < slotOf(out[j]) })
 		return out
 	}
-}
-
-// HostOf returns the simulated host behind a vantage point (platform or
-// cloud), for capture attachments and advanced instrumentation.
-func (in *Internet) HostOf(vpName string) (*netsim.Host, error) {
-	if vp := in.st.Topo.VPByName(vpName); vp != nil {
-		return vp.Host, nil
-	}
-	return nil, fmt.Errorf("recordroute: unknown vantage point %q", vpName)
 }
 
 // SourceRateLimitedVPs lists VPs behind source-proximate options
