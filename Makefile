@@ -48,7 +48,7 @@ race:
 # order, so lifecycle invariants hold regardless of scheduling.
 chaos:
 	$(GO) test -race -shuffle=on -skip 'Allocs$$' \
-		-run 'TestChaos|TestCancel|TestJobDeadline|TestWorkerPanic|TestStreamWriteDeadline|TestDrain|TestJournal|TestParallelCancel|TestCampaignCancel' \
+		-run 'TestChaos|TestCancel|TestJobDeadline|TestWorkerPanic|TestStreamWriteDeadline|TestDrain|TestJournal|TestParallelCancel|TestCampaignCancel|TestDoubletreeCancelMidPhaseResumes|TestChaosDoubletreeKillResumes' \
 		./internal/server ./internal/measure
 
 # Reproduce every table and figure at full default scale (~30 s).

@@ -35,9 +35,6 @@ const (
 	// FromRRReverse marks RR slots recorded after the destination's
 	// stamp — reverse-path hops traceroute cannot see.
 	FromRRReverse
-	// FromTimestamp marks hops recorded by the Internet Timestamp
-	// option.
-	FromTimestamp
 )
 
 // Has reports whether s includes all bits of q.
@@ -57,7 +54,6 @@ func (s Source) String() string {
 	add(FromTraceroute, "trace")
 	add(FromRRForward, "rr-fwd")
 	add(FromRRReverse, "rr-rev")
-	add(FromTimestamp, "ts")
 	if out == "" {
 		return "none"
 	}
@@ -155,17 +151,6 @@ func (a *Atlas) AddRR(r probe.Result) {
 			a.observeLink(prev, c, src)
 		}
 		prev, havePrev = c, true
-	}
-}
-
-// AddTimestamps merges an Internet Timestamp result's recorded hops.
-func (a *Atlas) AddTimestamps(r probe.Result) {
-	destCanon := a.canon(r.Dst)
-	for _, e := range r.TS {
-		if a.canon(e.Addr) == destCanon {
-			continue
-		}
-		a.observe(e.Addr, FromTimestamp)
 	}
 }
 

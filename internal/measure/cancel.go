@@ -18,9 +18,11 @@ import (
 // where the wall clock cut it off.
 //
 // The panic is deliberate: campaign primitives return result maps, not
-// errors, and the abort must cross the same recover seams a shard
-// failure does. Callers that arm a context must recover at the
-// granularity they care about and classify with CanceledFrom.
+// errors. An abort at a per-VP checkpoint stops its replica; the
+// primitive raises it on the caller's goroutine once the other replicas
+// stop, as a replica's crash is raised (a ShardError). Callers that arm
+// a context must recover at the granularity they care about and
+// classify with CanceledFrom.
 
 // Canceled is the panic payload of a cooperative campaign abort. Err is
 // the context's error: context.Canceled for an explicit cancel,

@@ -1,17 +1,19 @@
 package measure
 
 import (
+	"bytes"
 	"context"
 	"errors"
-	"fmt"
 	"io"
 	"net/netip"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"recordroute/internal/probe"
+	"recordroute/internal/trace"
 )
 
 // errDiskFull stands in for ENOSPC in the fault-injected writers.
@@ -162,9 +164,6 @@ func TestJournalDegradedCampaignCompletes(t *testing.T) {
 	}
 	faulted.AttachJournal(fj)
 	faultRR := faulted.PingRRAll(ds, opts, nil)
-	if errs := faulted.ShardErrors(); len(errs) != 0 {
-		t.Fatalf("disk-full killed shards: %v", errs)
-	}
 	if fj.Degraded() == nil {
 		t.Fatal("journal did not degrade (shim never tripped? raise the campaign size)")
 	}
@@ -261,9 +260,10 @@ func TestJournalResumeTruncationEveryOffset(t *testing.T) {
 }
 
 // TestParallelCancelResume is the measure-layer half of job
-// cancellation and deadlines: a context canceled mid-campaign aborts
+// cancellation and deadlines: a context canceled mid-campaign stops
 // each shard at its next per-VP checkpoint (after the batch is
-// journaled), the canceled run's journal resumes into a fresh fleet,
+// journaled) and the primitive raises the abort, the canceled run's
+// journal resumes into a fresh fleet,
 // and the resumed campaign reproduces the uninterrupted baseline
 // byte-identically — a deadline is a pause, not a loss.
 func TestParallelCancelResume(t *testing.T) {
@@ -313,29 +313,21 @@ func TestParallelCancelResume(t *testing.T) {
 			cancel()
 		}
 	})
-	cut.PingRRAll(ds, opts, nil)
-	errs := cut.ShardErrors()
-	if len(errs) == 0 {
-		t.Fatal("canceled campaign reported no shard errors")
-	}
-	for _, e := range errs {
-		if want, got := context.Canceled.Error(), e.Err.Error(); !strings.Contains(got, want) {
-			t.Fatalf("shard error %v does not carry the cancellation cause", e)
-		}
-		if strings.Contains(fmt.Sprint(e.Err), "goroutine") {
-			t.Fatalf("cooperative abort rendered with a panic stack: %v", e)
-		}
-	}
-	// A later primitive on the same canceled fleet must refuse at the
-	// phase boundary, on the caller's goroutine, as a Canceled panic.
-	func() {
-		defer func() {
-			if err, ok := CanceledFrom(recover()); !ok || !errors.Is(err, context.Canceled) {
-				t.Errorf("primitive after cancel: recover = %v, want Canceled{context.Canceled}", err)
-			}
+	// The primitive the abort struck, and any later one on the same
+	// fleet, raise the Canceled payload itself on the caller's goroutine.
+	for _, primitive := range []func(){
+		func() { cut.PingRRAll(ds, opts, nil) },
+		func() { cut.PingAll(ds[:4], 2, opts) },
+	} {
+		func() {
+			defer func() {
+				if err, ok := CanceledFrom(recover()); !ok || !errors.Is(err, context.Canceled) {
+					t.Errorf("recover = %v, want Canceled{context.Canceled}", err)
+				}
+			}()
+			primitive()
 		}()
-		cut.PingAll(ds[:4], 2, opts)
-	}()
+	}
 	cut.Journal().Close()
 
 	// Resume into an un-canceled fleet: the journaled batches are
@@ -345,11 +337,96 @@ func TestParallelCancelResume(t *testing.T) {
 		t.Fatal("canceled run journaled nothing before aborting")
 	}
 	resRR := res.PingRRAll(ds, opts, nil)
-	if errs := res.ShardErrors(); len(errs) != 0 {
-		t.Fatalf("resumed fleet reported shard errors: %v", errs)
-	}
 	res.Journal().Close()
 	comparePerVP(t, "resume after cancel", baseRR, resRR)
+}
+
+// writerFunc adapts a function to io.Writer.
+type writerFunc func(p []byte) (int, error)
+
+func (fn writerFunc) Write(p []byte) (int, error) { return fn(p) }
+
+// TestDoubletreeCancelMidPhaseResumes cancels a journaled two-replica
+// Doubletree campaign as its first traces record is written, mid-phase:
+// the phase must raise the abort before sealing its stop set over the
+// rounds that completed, so the resumed journal replays every round and
+// reconverges on the uninterrupted run's stop set.
+func TestDoubletreeCancelMidPhaseResumes(t *testing.T) {
+	cfg, meta := testConfig(), testMeta()
+	meta.Shards = 2
+	dir := t.TempDir()
+	run := func(name string, ctx context.Context, resume bool) []byte {
+		t.Helper()
+		pc := testFleet(t, cfg, meta.Shards)
+		open := CreateJournal
+		if resume {
+			open = ResumeJournal
+		}
+		j, err := open(filepath.Join(dir, name), meta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer j.Close()
+		pc.AttachJournal(j)
+		pc.SetContext(ctx)
+		names := pc.VPNames()
+		var dests []netip.Addr
+		for _, d := range pc.replicas[0].topo.Dests[:16] {
+			dests = append(dests, d.Addr)
+		}
+		sess := trace.NewSession(nil)
+		for w := 0; w < 2; w++ {
+			wave := make(map[string][]netip.Addr)
+			for i, name := range names {
+				if i%2 == w {
+					wave[name] = dests
+				}
+			}
+			pc.DoubletreeAll(wave, sess, trace.Options{})
+		}
+		stops, err := sess.Global.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return stops
+	}
+	want := run("base.jsonl", context.Background(), false)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	var once sync.Once
+	withWriteShim(t, func(_ string, f *os.File) io.Writer {
+		return writerFunc(func(p []byte) (int, error) {
+			if bytes.Contains(p, []byte(`"traces"`)) {
+				once.Do(cancel) // before the write: the record itself is journaled
+			}
+			return f.Write(p)
+		})
+	})
+	func() {
+		defer func() {
+			if err, ok := CanceledFrom(recover()); !ok || !errors.Is(err, context.Canceled) {
+				t.Fatalf("canceled campaign raised %v, want Canceled{context.Canceled}", err)
+			}
+		}()
+		run("cut.jsonl", ctx, false)
+	}()
+	_, batches, err := ReadJournal(filepath.Join(dir, "cut.jsonl"))
+	if err != nil || len(batches) == 0 {
+		t.Fatalf("canceled run journaled %d batches (%v), want its completed rounds", len(batches), err)
+	}
+
+	var got []byte
+	func() {
+		defer func() {
+			if r := recover(); r != nil {
+				t.Fatalf("resume failed: %v", r)
+			}
+		}()
+		got = run("cut.jsonl", context.Background(), true)
+	}()
+	if !bytes.Equal(got, want) {
+		t.Errorf("resumed stop set of %d bytes, uninterrupted %d", len(got), len(want))
+	}
 }
 
 // TestCampaignCancelAtPrimitiveStart covers a one-replica fleet inline

@@ -3,7 +3,6 @@ package measure
 import (
 	"fmt"
 	"net/netip"
-	"sort"
 
 	"recordroute/internal/netsim"
 	"recordroute/internal/trace"
@@ -28,24 +27,6 @@ func countRound(net *netsim.Network, st trace.Stats) {
 	net.Count(counterLocalHit, uint64(st.LocalStops))
 	net.Count(counterStopMiss, uint64(st.Misses))
 	net.Count(counterProbesSaved, uint64(st.Saved))
-}
-
-// mergeDeltas unions a round's per-VP deltas into the session's
-// global set, walking VPs in sorted name order (the order is
-// immaterial — min-merge union commutes, which is the whole point —
-// but a deterministic walk keeps failures reproducible). Each delta
-// passes through the canonical codec inside Session.Merge.
-func mergeDeltas(sess *trace.Session, out map[string]*trace.VPRound) {
-	names := make([]string, 0, len(out))
-	for name := range out {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		if err := sess.Merge(out[name].Delta); err != nil {
-			panic(fmt.Sprintf("measure: stop-set merge: %v", err))
-		}
-	}
 }
 
 // DoubletreeAll runs one traceroute round: every VP with targets in
@@ -83,7 +64,9 @@ func (pc *ParallelCampaign) DoubletreeAll(perVP map[string][]netip.Addr, sess *t
 			})
 		}
 	}, func(out map[string]*trace.VPRound, phase int, journaled bool) {
-		mergeDeltas(sess, out)
+		for _, r := range out { // min-merge union commutes: any order
+			sess.Merge(r.Delta)
+		}
 		if journaled {
 			data, err := sess.Global.MarshalBinary()
 			if err != nil {

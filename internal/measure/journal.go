@@ -70,12 +70,18 @@ type journalLine struct {
 	Data    []byte           `json:"data,omitempty"`
 }
 
-// archivedVP is one completed VP batch loaded from a resumed journal.
-type archivedVP struct {
-	kind    string
-	results []probe.Result
-	groups  [][]probe.Result
-	traces  []trace.Result
+// JournalBatch is one completed batch of a campaign journal: the phase
+// and primitive kind it belongs to, its archive key — a VP name, or
+// "vp#shard" for one replica's range of a destination-sharded phase —
+// and its contents: flat results, per-destination groups, or a
+// Doubletree round's traces.
+type JournalBatch struct {
+	Phase   int
+	Kind    string
+	Key     string
+	Results []probe.Result
+	Groups  [][]probe.Result
+	Traces  []trace.Result
 }
 
 // WriteShim, when non-nil, wraps the writer behind every journal
@@ -108,8 +114,8 @@ type Journal struct {
 
 	phase      int // next phase index to hand out
 	phaseKinds map[int]string
-	archived   map[string]*archivedVP // "phase|vp" → completed batch
-	stopsets   map[int][]byte         // phase → codec bytes of the merged stop set
+	archived   map[string]*JournalBatch // "phase|vp" → completed batch
+	stopsets   map[int][]byte           // phase → codec bytes of the merged stop set
 	streamSink func(vp string, lines []byte)
 	encoders   []*vpEncoder // idle encoders; their buffers outlive GC cycles, which a sync.Pool's do not
 }
@@ -155,75 +161,35 @@ func ResumeJournal(path string, meta JournalMeta) (*Journal, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	j := newJournal(nil, meta)
-	sawMeta := false
-	valid := 0 // byte offset after the last fully-parsed line
-	for off := 0; off < len(data); {
-		nl := -1
-		for i := off; i < len(data); i++ {
-			if data[i] == '\n' {
-				nl = i
-				break
-			}
-		}
-		if nl < 0 {
-			break // trailing partial line: discard
-		}
-		line := data[off:nl]
-		off = nl + 1
-		if len(line) == 0 {
-			valid = off
-			continue
-		}
-		var rec journalLine
-		if err := json.Unmarshal(line, &rec); err != nil {
-			break // corrupt line: keep only the prefix before it
-		}
-		switch rec.T {
-		case "meta":
-			if rec.Meta == nil || *rec.Meta != meta {
-				return nil, fmt.Errorf("measure: journal %s belongs to a different campaign (meta %+v, want %+v)",
-					path, rec.Meta, meta)
-			}
-			sawMeta = true
-		case "phase":
-			j.phaseKinds[rec.Phase] = rec.Kind
-		case "vp":
-			a := &archivedVP{kind: rec.Kind, traces: rec.Traces}
-			for _, w := range rec.Results {
-				a.results = append(a.results, w.Result())
-			}
-			for _, g := range rec.Groups {
-				var rs []probe.Result
-				for _, w := range g {
-					rs = append(rs, w.Result())
-				}
-				a.groups = append(a.groups, rs)
-			}
-			j.archived[vpKey(rec.Phase, rec.VP)] = a
-		case "stopset":
-			j.stopsets[rec.Phase] = rec.Data
-		default:
-			return nil, fmt.Errorf("measure: journal %s: unknown record type %q", path, rec.T)
-		}
-		valid = off
+	jf, err := parseJournal(data)
+	if err != nil {
+		return nil, fmt.Errorf("measure: journal %s: %w", path, err)
 	}
-	if !sawMeta {
+	if jf.meta == nil {
 		// Nothing usable (empty file or a cut within the meta line):
 		// start over.
 		return CreateJournal(path, meta)
 	}
+	if *jf.meta != meta {
+		return nil, fmt.Errorf("measure: journal %s belongs to a different campaign (meta %+v, want %+v)",
+			path, *jf.meta, meta)
+	}
 
+	j := newJournal(nil, meta)
+	j.phaseKinds, j.stopsets = jf.phaseKinds, jf.stopsets
+	for i := range jf.batches {
+		b := &jf.batches[i]
+		j.archived[vpKey(b.Phase, b.Key)] = b
+	}
 	f, err := os.OpenFile(path, os.O_WRONLY, 0o644)
 	if err != nil {
 		return nil, err
 	}
-	if err := f.Truncate(int64(valid)); err != nil {
+	if err := f.Truncate(int64(jf.valid)); err != nil {
 		f.Close()
 		return nil, err
 	}
-	if _, err := f.Seek(int64(valid), io.SeekStart); err != nil {
+	if _, err := f.Seek(int64(jf.valid), io.SeekStart); err != nil {
 		f.Close()
 		return nil, err
 	}
@@ -231,11 +197,91 @@ func ResumeJournal(path string, meta JournalMeta) (*Journal, error) {
 	return j, nil
 }
 
+// ReadJournal reads the campaign journal at path without opening it
+// for writing: its meta and its completed batches in file order, up to
+// the torn tail a kill may leave. It is how an archived campaign's raw
+// results are analyzed again.
+func ReadJournal(path string) (JournalMeta, []JournalBatch, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return JournalMeta{}, nil, err
+	}
+	jf, err := parseJournal(data)
+	if err == nil && jf.meta == nil {
+		err = fmt.Errorf("no meta record")
+	}
+	if err != nil {
+		return JournalMeta{}, nil, fmt.Errorf("measure: journal %s: %w", path, err)
+	}
+	return *jf.meta, jf.batches, nil
+}
+
+// journalFile is a parsed journal: every record before its first
+// incomplete or corrupt line.
+type journalFile struct {
+	meta       *JournalMeta // nil when no meta record is complete
+	phaseKinds map[int]string
+	batches    []JournalBatch
+	stopsets   map[int][]byte // phase → codec bytes of the merged stop set
+	valid      int            // byte offset after the last complete record
+}
+
+// parseJournal parses journal bytes. A trailing partial line (the usual
+// wound of a kill) or a corrupt line ends the parse, keeping the prefix
+// before it; an unknown record type is an error.
+func parseJournal(data []byte) (journalFile, error) {
+	jf := journalFile{phaseKinds: make(map[int]string), stopsets: make(map[int][]byte)}
+	for off := 0; off < len(data); {
+		nl := bytes.IndexByte(data[off:], '\n')
+		if nl < 0 {
+			break
+		}
+		line := data[off : off+nl]
+		off += nl + 1
+		if len(line) == 0 {
+			jf.valid = off
+			continue
+		}
+		var rec journalLine
+		if err := json.Unmarshal(line, &rec); err != nil {
+			break
+		}
+		switch rec.T {
+		case "meta":
+			if rec.Meta == nil {
+				return jf, fmt.Errorf("meta record without meta")
+			}
+			jf.meta = rec.Meta
+		case "phase":
+			jf.phaseKinds[rec.Phase] = rec.Kind
+		case "vp":
+			b := JournalBatch{Phase: rec.Phase, Kind: rec.Kind, Key: rec.VP, Traces: rec.Traces}
+			for _, w := range rec.Results {
+				b.Results = append(b.Results, w.Result())
+			}
+			for _, g := range rec.Groups {
+				var rs []probe.Result
+				for _, w := range g {
+					rs = append(rs, w.Result())
+				}
+				b.Groups = append(b.Groups, rs)
+			}
+			jf.batches = append(jf.batches, b)
+		case "stopset":
+			jf.stopsets[rec.Phase] = rec.Data
+		default:
+			return jf, fmt.Errorf("unknown record type %q", rec.T)
+		}
+		jf.valid = off
+	}
+	return jf, nil
+}
+
 func newJournal(f *os.File, meta JournalMeta) *Journal {
 	j := &Journal{
 		meta:       meta,
 		phaseKinds: make(map[int]string),
-		archived:   make(map[string]*archivedVP),
+		archived:   make(map[string]*JournalBatch),
 		stopsets:   make(map[int][]byte),
 	}
 	if f != nil {
@@ -353,10 +399,10 @@ func (j *Journal) archivedResults(phase int, vp string) ([]probe.Result, bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	a := j.archived[vpKey(phase, vp)]
-	if a == nil || a.groups != nil || a.traces != nil {
+	if a == nil || a.Groups != nil || a.Traces != nil {
 		return nil, false
 	}
-	return a.results, true
+	return a.Results, true
 }
 
 // archivedGroups is archivedResults for grouped batches.
@@ -364,10 +410,10 @@ func (j *Journal) archivedGroups(phase int, vp string) ([][]probe.Result, bool) 
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	a := j.archived[vpKey(phase, vp)]
-	if a == nil || a.groups == nil {
+	if a == nil || a.Groups == nil {
 		return nil, false
 	}
-	return a.groups, true
+	return a.Groups, true
 }
 
 // recordResults journals one freshly completed flat batch under an
@@ -391,10 +437,10 @@ func (j *Journal) archivedTraces(phase int, vp string) ([]trace.Result, bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	a := j.archived[vpKey(phase, vp)]
-	if a == nil || a.traces == nil {
+	if a == nil || a.Traces == nil {
 		return nil, false
 	}
-	return a.traces, true
+	return a.Traces, true
 }
 
 // recordTraces journals one freshly completed per-VP traceroute

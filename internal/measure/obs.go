@@ -25,9 +25,9 @@ func (pc *ParallelCampaign) Observe(o *obs.Observer) {
 
 // Metrics captures every replica the fleet cloned ("shard0".."shardN")
 // into a labeled snapshot; an inline fleet's one replica is its roster's
-// owner's to capture, so its snapshot has no shards. Dead replicas are
-// captured too — their counters reflect the work done before the
-// failure, and ShardErrors already marks them. The merged totals are
+// owner's to capture, so its snapshot has no shards. A fleet a replica
+// failure aborted is captured as the failed primitive left it;
+// ShardErrors names the failed replica. The merged totals are
 // replica-count-invariant for sharding-safe workloads (the determinism
 // contract): every simulated event happens exactly once in exactly one
 // engine regardless of K.

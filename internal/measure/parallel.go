@@ -22,14 +22,13 @@ import (
 // only because the benchmark harness (benchmark/ladder.go, a module of
 // its own) type-asserts Study.Fleet's result to *ParallelCampaign.
 //
-// Partial-results contract: when a replica fails mid-primitive (a panic
-// while its engine drains), the failure is contained to that replica.
-// The primitive still returns, merging the surviving replicas' results as
-// usual; the failed replica's VPs are missing (or, if the failure struck
-// between batch completions, partial) in the returned maps and are
-// excluded from every later primitive. ShardErrors reports exactly which
-// VPs were lost and why — callers that need completeness must check it
-// after each primitive.
+// A primitive completes on every replica or fails: when a replica
+// panics mid-primitive, the others finish it (so their batches are
+// journaled), and then the primitive panics on the caller's goroutine —
+// with the Canceled payload itself for a cooperative abort, with a
+// ShardError carrying the stack for anything else — before its clocks
+// sync or its phase is sealed. Every later primitive raises the same
+// failure again. No primitive returns a partial per-VP map.
 type Fleet interface {
 	// NumShards returns the replica count.
 	NumShards() int
@@ -50,9 +49,8 @@ type Fleet interface {
 	// sets (exhaustively when opts.Exhaustive), and the per-VP deltas
 	// are merged into the session's global set afterwards.
 	DoubletreeAll(perVP map[string][]netip.Addr, sess *trace.Session, opts trace.Options) map[string]*trace.VPRound
-	// ShardErrors reports replicas that failed during earlier
-	// primitives, in replica order; empty while every replica is
-	// healthy. See the partial-results contract above.
+	// ShardErrors reports the failure that aborted the fleet; empty
+	// while every primitive has completed.
 	ShardErrors() []ShardError
 }
 
@@ -97,6 +95,7 @@ type ParallelCampaign struct {
 	observer *obs.Observer   // applied to each cloned replica at init; nil observes nothing
 	journal  *Journal        // nil unless the campaign is journaled
 	ctx      context.Context // nil unless cancellation is armed (SetContext)
+	failure  *ShardError     // the replica failure that aborted the fleet; nil while healthy
 	// seqBase is the sequence number every prober starts the current
 	// phase at (rebase): phase·seqStride mod 2^16, phases counted
 	// whether journaled or not.
@@ -106,12 +105,9 @@ type ParallelCampaign struct {
 var _ Fleet = (*ParallelCampaign)(nil)
 
 // replica is one engine of the fleet: the roster of the VPs assigned to
-// it (with their campaign prober IDs). A replica that panics during a
-// primitive is marked dead and carries the recovered failure; dead
-// replicas are excluded from every later primitive and clock sync.
-// During a dispatch exactly one goroutine runs a given replica
-// (work-stealing hands each index out once), so only that goroutine
-// writes dead/err, and readers run after the dispatch joins — no lock.
+// it (with their campaign prober IDs). During a dispatch exactly one
+// goroutine runs a given replica (work-stealing hands each index out
+// once).
 type replica struct {
 	*Campaign
 	idx int // replica index within the fleet
@@ -125,30 +121,25 @@ type replica struct {
 	// and this replica's host had no sniffer before. Created and used
 	// only from this replica's dispatch goroutine.
 	ghosts map[string]*VantagePoint
-
-	dead bool
-	err  error
 }
 
-// run executes fn against the replica with panic containment: a panic
-// kills only this replica — it is recovered, the replica is marked dead,
-// and later primitives and clock syncs skip it, so the surviving
-// replicas keep producing results (the Fleet partial-results contract).
-// A cooperative cancellation abort (Canceled) is an expected shutdown,
-// not a crash, so it is recorded without the stack-trace noise.
-func (rep *replica) run(fn func(*replica)) {
+// run executes fn against the replica and returns what a panic on the
+// replica's goroutine raised, nil when fn returned: a cooperative abort
+// as its Canceled payload, an expected shutdown that needs no stack;
+// any other panic with its stack.
+func (rep *replica) run(fn func(*replica)) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			rep.dead = true
-			if err, ok := CanceledFrom(r); ok {
-				rep.err = fmt.Errorf("shard %d canceled at t=%v: %w", rep.idx, rep.Eng.Now(), err)
+			if c, ok := r.(Canceled); ok {
+				err = c
 				return
 			}
-			rep.err = fmt.Errorf("shard %d panicked at t=%v: %v\n%s",
+			err = fmt.Errorf("shard %d panicked at t=%v: %v\n%s",
 				rep.idx, rep.Eng.Now(), r, debug.Stack())
 		}
 	}()
 	fn(rep)
+	return nil
 }
 
 // effectiveWorkers bounds a dispatch's goroutine count: no more than
@@ -199,21 +190,16 @@ func dispatch(n int, fn func(i int)) {
 	wg.Wait()
 }
 
-// forShards runs fn once per replica in reps through dispatch, each
-// under the replica's panic containment (replica.run).
-func forShards(reps []*replica, fn func(*replica)) {
-	dispatch(len(reps), func(i int) { reps[i].run(fn) })
-}
-
-// ShardError reports one replica that failed during a primitive: the
-// replica index, the vantage points whose results are missing or
-// partial because of it, and the recovered failure.
+// ShardError reports the replica failure that aborted a fleet: the
+// replica index, the vantage points assigned to it, and the recovered
+// failure. A primitive raises it as its panic value.
 type ShardError struct {
 	// Shard is the replica index within the fleet.
 	Shard int
 	// VPs names the vantage points assigned to the failed replica.
 	VPs []string
-	// Err is the recovered failure, including the panic stack.
+	// Err is the recovered failure: the Canceled payload of a
+	// cooperative abort, otherwise the panic with its stack.
 	Err error
 }
 
@@ -271,12 +257,12 @@ func (pc *ParallelCampaign) Journal() *Journal { return pc.journal }
 // campaign aborts — with a Canceled panic the caller recovers and
 // classifies via CanceledFrom — at its next deterministic boundary.
 // Boundaries are the start of every primitive (a journal phase
-// boundary, caught on the caller's goroutine) and each per-VP batch
-// checkpoint (caught per replica: the batch that just completed is
-// recorded first, then the replica dies as a canceled ShardError, so
-// every journaled batch stays complete and resume-safe). Mid-drain
-// engine work between checkpoints is never interrupted — that is what
-// keeps cancellation deterministic (DESIGN.md §13).
+// boundary) and each per-VP batch checkpoint (the batch that just
+// completed is recorded first, so every journaled batch stays complete
+// and resume-safe; the primitive raises the abort once its replicas
+// stop). Mid-drain engine work between checkpoints is never
+// interrupted — that is what keeps cancellation deterministic
+// (DESIGN.md §13).
 func (pc *ParallelCampaign) SetContext(ctx context.Context) { pc.ctx = ctx }
 
 // NumShards returns the replica count, already clamped to the VP count.
@@ -315,13 +301,11 @@ func (pc *ParallelCampaign) init() {
 }
 
 // VP returns the named vantage point's replica instance, or nil.
-// Probes started on it run inside that VP's replica engine. VPs on a
-// dead replica return nil too: their engine will never run again, so
-// probes started there would hang forever.
+// Probes started on it run inside that VP's replica engine.
 func (pc *ParallelCampaign) VP(name string) *VantagePoint {
 	pc.init()
 	s, ok := pc.vpShard[name]
-	if !ok || pc.replicas[s].dead {
+	if !ok {
 		return nil
 	}
 	return pc.replicas[s].VP(name)
@@ -334,63 +318,69 @@ func (pc *ParallelCampaign) VPNames() []string {
 	return pc.vpNames
 }
 
-// eachShard runs fn once per live replica via forShards (inline or
-// work-stealing, see dispatch); fn owns its replica's engine for the
-// duration, and panics are contained per replica (replica.run).
-// ShardErrors reports any losses afterwards.
+// eachShard runs fn once per replica through dispatch (inline or
+// work-stealing); fn owns its replica's engine for the duration. A
+// replica that panics stops, the others run fn to its end, and then the
+// first failure in replica order aborts the fleet (raise).
 func (pc *ParallelCampaign) eachShard(fn func(*replica)) {
-	live := pc.replicas[:0:0]
-	for _, rep := range pc.replicas {
-		if !rep.dead {
-			live = append(live, rep)
+	errs := make([]error, len(pc.replicas))
+	dispatch(len(pc.replicas), func(i int) { errs[i] = pc.replicas[i].run(fn) })
+	for i, err := range errs {
+		if err != nil {
+			names := make([]string, 0, len(pc.replicas[i].VPs))
+			for _, vp := range pc.replicas[i].VPs {
+				names = append(names, vp.Name)
+			}
+			pc.failure = &ShardError{Shard: i, VPs: names, Err: err}
+			pc.raise()
 		}
 	}
-	forShards(live, fn)
 }
 
-// ShardErrors reports the replicas that died during earlier primitives,
-// in replica order; empty while every replica is healthy. The named VPs
-// are the ones whose results are missing or partial in primitives run
-// since (and including) the one that killed the replica.
-func (pc *ParallelCampaign) ShardErrors() []ShardError {
-	var errs []ShardError
-	for i, rep := range pc.replicas {
-		if !rep.dead {
-			continue
-		}
-		names := make([]string, 0, len(rep.VPs))
-		for _, vp := range rep.VPs {
-			names = append(names, vp.Name)
-		}
-		errs = append(errs, ShardError{Shard: i, VPs: names, Err: rep.err})
+// raise panics with the failure that aborted the fleet, if any: a
+// cooperative abort as its Canceled payload, anything else as the
+// ShardError.
+func (pc *ParallelCampaign) raise() {
+	if pc.failure == nil {
+		return
 	}
-	return errs
+	if c, ok := pc.failure.Err.(Canceled); ok {
+		panic(c)
+	}
+	panic(*pc.failure)
+}
+
+// ShardErrors reports the replica failure that aborted the fleet; empty
+// while every primitive has completed.
+func (pc *ParallelCampaign) ShardErrors() []ShardError {
+	if pc.failure == nil {
+		return nil
+	}
+	return []ShardError{*pc.failure}
 }
 
 // syncClocks advances every replica clock to the fleet-wide maximum —
 // exactly the time one engine would have reached, since its end time is
 // the maximum over the same event set.
 func (pc *ParallelCampaign) syncClocks() {
-	var max time.Duration
+	var end time.Duration
 	for _, rep := range pc.replicas {
-		if now := rep.Eng.Now(); !rep.dead && now > max {
-			max = now
-		}
+		end = max(end, rep.Eng.Now())
 	}
 	for _, rep := range pc.replicas {
-		if !rep.dead {
-			rep.Eng.RunUntil(max)
-		}
+		rep.Eng.RunUntil(end)
 	}
 }
 
 // beginPhase opens a phase for one primitive — and a journal phase on a
 // journaled campaign, which journaled reports — with every prober
 // rebased (rebase). Every primitive passes through here, so it doubles
-// as the phase-boundary cancellation check: an armed, expired context
-// aborts before the phase record is written or any probe is started.
+// as the phase-boundary check: a fleet a failure aborted raises it
+// again, and an armed, expired context aborts, before the phase record
+// is written or any probe is started.
 func (pc *ParallelCampaign) beginPhase(kind string) (phase int, journaled bool) {
 	pc.init()
+	pc.raise()
 	checkCanceled(pc.ctx)
 	pc.rebase()
 	if pc.journal == nil {
@@ -420,9 +410,8 @@ func (pc *ParallelCampaign) rebase() {
 
 // checkpoint records one freshly completed batch on a journaled
 // campaign and then honors cancellation: the completed batch is
-// journaled first, so aborting here loses nothing that was measured —
-// the replica dies as a canceled ShardError at a per-VP checkpoint
-// boundary, and a resumed run re-probes exactly the batches that never
+// journaled first, so aborting here loses nothing that was measured,
+// and a resumed run re-probes exactly the batches that never
 // completed.
 func (pc *ParallelCampaign) checkpoint(record func(*Journal)) {
 	if pc.journal != nil {
@@ -434,7 +423,7 @@ func (pc *ParallelCampaign) checkpoint(record func(*Journal)) {
 // endPhase closes a phase and rebases every prober to the next one's
 // base, so what is probed between phases, directly on the roster, does
 // not depend on whether the phase was probed or restored. A journaled
-// phase's end is then quantized: every live replica clock is advanced to the next
+// phase's end is then quantized: every replica clock is advanced to the next
 // quantum boundary, so the following phase starts at exactly
 // (phase+1)·Quantum in this run and in any resumed replay of it — the
 // alignment the resume-equals-uninterrupted property rests on
@@ -449,15 +438,11 @@ func (pc *ParallelCampaign) endPhase(phase int, journaled bool) {
 	}
 	boundary := time.Duration(phase+1) * pc.journal.Quantum()
 	for i, rep := range pc.replicas {
-		if now := rep.Eng.Now(); !rep.dead && now > boundary {
+		if now := rep.Eng.Now(); now > boundary {
 			panic(fmt.Sprintf("measure: journal quantum %v too small: shard %d drained phase %d at t=%v",
 				pc.journal.Quantum(), i, phase, now))
 		}
-	}
-	for _, rep := range pc.replicas {
-		if !rep.dead {
-			rep.Eng.RunUntil(boundary)
-		}
+		rep.Eng.RunUntil(boundary)
 	}
 }
 
@@ -478,7 +463,7 @@ var (
 )
 
 // collect is the shape of every per-VP primitive: one phase in which
-// each live VP runs at most one batch inside its own replica. start
+// each VP runs at most one batch inside its own replica. start
 // begins vp's batch on rep and hands it done; a VP start leaves out is
 // absent from the result map. On a journaled campaign the batches the
 // journal already holds are restored instead of re-probed, each fresh

@@ -8,6 +8,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"recordroute/internal/netsim"
@@ -252,9 +254,7 @@ func fleetCases(dests []netip.Addr, names []string) []fleetCase {
 					// A wave's deltas join the global set only once every
 					// VP of the wave has finished tracing.
 					for _, r := range rounds {
-						if err := sess.Merge(r.Delta); err != nil {
-							panic(err)
-						}
+						sess.Merge(r.Delta)
 					}
 					encodeRounds(out, rounds)
 				}
@@ -270,8 +270,8 @@ func injected(n *netsim.Network) uint64 { return n.CounterMap()["host.inject"] }
 // table-driven: every primitive, run through a fleet of K = 1 (inline),
 // 2 and 4 replicas with and without a fault plan, returns per VP the
 // bytes one engine produces from the same VantagePoint calls — and sends
-// exactly as many probes, leaves no replica dead and every replica clock
-// where that engine's stopped. The merged
+// exactly as many probes and leaves every replica clock where that
+// engine's stopped. The merged
 // Doubletree stop set must match too, which holds only if each wave's
 // deltas are merged after the wave ends.
 func TestParallelCampaignMatchesSequential(t *testing.T) {
@@ -314,9 +314,6 @@ func TestParallelCampaignMatchesSequential(t *testing.T) {
 					pc := testFleet(t, cfg, k)
 					pc.Observe(&obs.Observer{PerNode: true, Trace: obs.NewTrace(64, obs.Filter{})})
 					got := c.run(pc)
-					if errs := pc.ShardErrors(); len(errs) > 0 {
-						t.Fatalf("shard errors: %v", errs)
-					}
 					if len(got) != len(want) {
 						t.Errorf("%d VPs returned, want %d", len(got), len(want))
 					}
@@ -397,9 +394,6 @@ func TestDoubletreeJournalCutResumes(t *testing.T) {
 			}
 			pc.DoubletreeAll(wave, sess, trace.Options{})
 		}
-		if errs := pc.ShardErrors(); len(errs) > 0 {
-			t.Fatalf("shard errors: %v", errs)
-		}
 		stopSet, err = sess.Global.MarshalBinary()
 		if err != nil {
 			t.Fatal(err)
@@ -432,88 +426,86 @@ func TestDoubletreeJournalCutResumes(t *testing.T) {
 	}
 }
 
-// TestParallelCampaignShardFailureIsolated is the partial-results
-// contract: a replica that panics mid-primitive is recovered, reported
-// through ShardErrors with its lost VPs, and the surviving replicas keep
-// returning complete results — in that primitive and in later ones.
-func TestParallelCampaignShardFailureIsolated(t *testing.T) {
-	par := testFleet(t, testConfig(), 3)
-	names := par.VPNames() // forces replica build
-	if len(names) < 3 {
-		t.Fatalf("only %d VPs at test scale", len(names))
-	}
-
-	dests := make([]netip.Addr, 0, 10)
-	for _, d := range par.replicas[0].topo.Dests {
-		dests = append(dests, d.Addr)
-		if len(dests) == 10 {
-			break
-		}
-	}
-
-	// Kill replica 1 mid-primitive: the injected event panics while its
-	// engine drains its probe batches, before any batch completes.
-	par.replicas[1].Eng.Schedule(0, func() { panic("injected shard fault") })
-
-	dead := make(map[string]bool)
-	for i, n := range names {
-		if i%3 == 1 {
-			dead[n] = true
-		}
-	}
-
-	opts := probe.Options{Rate: 100}
-	got := par.PingRRAll(dests, opts, nil)
-
-	errs := par.ShardErrors()
-	if len(errs) != 1 {
-		t.Fatalf("ShardErrors = %v, want exactly the killed shard", errs)
-	}
-	se := errs[0]
-	if se.Shard != 1 || se.Err == nil {
-		t.Errorf("ShardError = shard %d err %v, want shard 1 with an error", se.Shard, se.Err)
-	}
-	if len(se.VPs) != len(dead) {
-		t.Errorf("ShardError names %d VPs, want %d", len(se.VPs), len(dead))
-	}
-	for _, n := range se.VPs {
-		if !dead[n] {
-			t.Errorf("ShardError names VP %s, which lives on another shard", n)
-		}
-	}
-
-	for _, n := range names {
-		rs, ok := got[n]
-		if dead[n] {
-			if ok {
-				t.Errorf("dead-shard VP %s returned %d results", n, len(rs))
+// TestParallelCampaignShardFailureAborts is the fail-fast contract, at
+// K=1 inline and at K=3: a replica that panics mid-primitive makes the
+// primitive panic on the caller's goroutine with a ShardError naming it
+// and its VPs, after the other replicas finished — their batches are
+// journaled — and every later primitive raises the same failure again.
+func TestParallelCampaignShardFailureAborts(t *testing.T) {
+	for _, k := range []int{1, 3} {
+		t.Run(fmt.Sprintf("K=%d", k), func(t *testing.T) {
+			par := testFleet(t, testConfig(), k)
+			path := filepath.Join(t.TempDir(), "j.jsonl")
+			j, err := CreateJournal(path, testMeta())
+			if err != nil {
+				t.Fatal(err)
 			}
-			if par.VP(n) != nil {
-				t.Errorf("VP(%q) on a dead shard is non-nil", n)
+			defer j.Close()
+			par.AttachJournal(j)
+			names := par.VPNames() // forces replica build
+			dests := make([]netip.Addr, 0, 10)
+			for _, d := range par.replicas[0].topo.Dests[:10] {
+				dests = append(dests, d.Addr)
 			}
-			continue
-		}
-		if !ok || len(rs) != len(dests) {
-			t.Errorf("surviving VP %s: %d results, want %d", n, len(rs), len(dests))
-		}
-	}
 
-	// A later primitive still runs on the survivors without re-reporting
-	// new failures.
-	again := par.PingAll(dests[:3], 1, opts)
-	for _, n := range names {
-		if dead[n] {
-			if _, ok := again[n]; ok {
-				t.Errorf("dead-shard VP %s resurfaced in a later primitive", n)
+			// Kill replica 1 (at K=1 the one replica) mid-primitive: the
+			// injected event panics while its engine drains, before any
+			// batch completes.
+			victim := min(1, k-1)
+			par.replicas[victim].Eng.Schedule(0, func() { panic("injected shard fault") })
+			var dead, survivors []string
+			for i, n := range names {
+				if i%k == victim {
+					dead = append(dead, n)
+				} else {
+					survivors = append(survivors, n)
+				}
 			}
-			continue
-		}
-		if len(again[n]) != 3 {
-			t.Errorf("surviving VP %s: %d ping groups, want 3", n, len(again[n]))
-		}
-	}
-	if got := par.ShardErrors(); len(got) != 1 {
-		t.Errorf("ShardErrors grew to %d after a healthy primitive", len(got))
+
+			opts := probe.Options{Rate: 100}
+			raised := func(primitive func()) (se ShardError) {
+				t.Helper()
+				defer func() {
+					r := recover()
+					var ok bool
+					if se, ok = r.(ShardError); !ok {
+						t.Fatalf("primitive raised %v, want a ShardError", r)
+					}
+				}()
+				primitive()
+				return
+			}
+			se := raised(func() { par.PingRRAll(dests, opts, nil) })
+			if se.Shard != victim || !slices.Equal(se.VPs, dead) || !strings.Contains(fmt.Sprint(se.Err), "injected shard fault") {
+				t.Errorf("raised shard %d VPs %v err %v, want shard %d VPs %v and the injected fault", se.Shard, se.VPs, se.Err, victim, dead)
+			}
+			if got := par.ShardErrors(); len(got) != 1 || got[0].Shard != victim {
+				t.Errorf("ShardErrors = %v, want the raised failure", got)
+			}
+
+			// The survivors finished the primitive: each journaled its batch.
+			_, batches, err := ReadJournal(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var journaled []string
+			for _, b := range batches {
+				if len(b.Results) != len(dests) {
+					t.Errorf("journaled %s: %d results, want %d", b.Key, len(b.Results), len(dests))
+				}
+				journaled = append(journaled, b.Key)
+			}
+			slices.Sort(journaled)
+			slices.Sort(survivors)
+			if !slices.Equal(journaled, survivors) {
+				t.Errorf("journaled batches %v, want the survivors' %v", journaled, survivors)
+			}
+
+			// A later primitive refuses with the same failure.
+			if again := raised(func() { par.PingAll(dests[:3], 1, opts) }); again.Shard != se.Shard || again.Err != se.Err {
+				t.Errorf("later primitive raised %v, want the first failure again", again)
+			}
+		})
 	}
 }
 

@@ -1,36 +1,47 @@
 package results_test
 
 import (
-	"bytes"
+	"path/filepath"
 	"testing"
 
 	"recordroute/internal/analysis"
-	"recordroute/internal/results"
+	"recordroute/internal/measure"
+	"recordroute/internal/probe"
 	"recordroute/internal/study"
 	"recordroute/internal/topology"
 )
 
 // TestArchivedResultsReanalyze demonstrates the archive's purpose: run
-// a study, archive its raw ping-RR results as the journal's JSONL, read
-// them back, and verify the re-derived classification matches the live
-// one.
+// a journaled study, read its journal back with measure.ReadJournal,
+// and verify the classification re-derived from the archived ping-RR
+// batches matches the live one.
 func TestArchivedResultsReanalyze(t *testing.T) {
 	cfg := topology.DefaultConfig(topology.Epoch2016).Scale(0.15)
 	s, err := study.New(cfg, study.Options{Rate: 200})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := s.RunResponsiveness()
-
-	var buf bytes.Buffer
-	for vp, rs := range r.PerVP {
-		if err := results.WriteJSONL(&buf, vp, rs); err != nil {
-			t.Fatal(err)
-		}
+	path := filepath.Join(t.TempDir(), "campaign.jsonl")
+	if _, err := s.AttachJournal(path, false); err != nil {
+		t.Fatal(err)
 	}
-	back, err := results.ReadJSONL(&buf)
+	r := s.RunResponsiveness()
+	if err := s.CloseJournal(); err != nil {
+		t.Fatal(err)
+	}
+
+	_, batches, err := measure.ReadJournal(path)
 	if err != nil {
 		t.Fatal(err)
+	}
+	back := make(map[string][]probe.Result)
+	for _, b := range batches {
+		if b.Kind == "ping-rr-all" {
+			back[b.Key] = b.Results
+		}
+	}
+	if len(back) != len(r.PerVP) {
+		t.Fatalf("journal archives %d VPs' ping-RR batches, the live run measured %d", len(back), len(r.PerVP))
 	}
 	liveStats := analysis.AggregateRR(r.PerVP)
 	archStats := analysis.AggregateRR(back)

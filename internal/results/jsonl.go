@@ -3,7 +3,7 @@
 // released alongside its tools. One format serves every consumer: the
 // campaign journal, the daemon's /stream and the benchmark all carry
 // Wire lines, so a journal is also the archive an analysis can be
-// re-run from without re-probing.
+// re-run from without re-probing (measure.ReadJournal reads one back).
 package results
 
 import (

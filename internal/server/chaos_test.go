@@ -147,6 +147,59 @@ func TestChaosWorkerKillMidPhase(t *testing.T) {
 	}
 }
 
+// TestChaosDoubletreeKillResumes: a shard replica of a traceroute job
+// dies as its first Doubletree round reaches the journal. The phase
+// must fail before sealing a stop set over the rounds that completed,
+// so the retry resumes the journal, replays every round, and renders
+// what an unfaulted run renders; with no retry, the job fails as a
+// shard panic.
+func TestChaosDoubletreeKillResumes(t *testing.T) {
+	var armed atomic.Bool
+	prev := measure.WriteShim
+	measure.WriteShim = func(_ string, f *os.File) io.Writer {
+		return writerFunc(func(p []byte) (int, error) {
+			if bytes.Contains(p, []byte(`"traces"`)) && armed.CompareAndSwap(true, false) {
+				panic("chaos: killing a shard at its first traceroute round")
+			}
+			return f.Write(p)
+		})
+	}
+	t.Cleanup(func() { measure.WriteShim = prev })
+
+	run := func(maxRetries int) (Status, []byte) {
+		s := newTestServer(t, Config{Workers: 1, QueueCap: 4, MaxRetries: maxRetries, RetryBackoff: time.Millisecond})
+		ts := httptest.NewServer(s.Handler())
+		defer ts.Close()
+		id := submit(t, ts, JobSpec{Experiment: "traceroute", Scale: 0.1, Rate: 200, ShuffleSeed: 7, Shards: 2})
+		st := waitTerminal(t, ts, id)
+		_, render := get(t, ts, "/jobs/"+id+"/render")
+		return st, render
+	}
+	base, baseline := run(2)
+	if base.State != StateDone {
+		t.Fatalf("baseline failed: %s", base.Error)
+	}
+
+	armed.Store(true)
+	st, render := run(2)
+	if st.State != StateDone || st.Attempts != 2 {
+		t.Fatalf("job settled as %+v, want done on attempt 2", st)
+	}
+	if !bytes.Equal(render, baseline) {
+		t.Errorf("retried render differs from unfaulted run:\n--- retried ---\n%s--- baseline ---\n%s", render, baseline)
+	}
+
+	armed.Store(true)
+	if st, _ := run(-1); st.State != StateFailed || st.Class != ClassShard {
+		t.Errorf("unretried job settled as %+v, want failed/%s", st, ClassShard)
+	}
+}
+
+// writerFunc adapts a function to io.Writer.
+type writerFunc func(p []byte) (int, error)
+
+func (fn writerFunc) Write(p []byte) (int, error) { return fn(p) }
+
 // TestChaosJournalWriteFailure: chaos scenario 2. The disk under the
 // journal fills up mid-campaign (every write past byte N fails). The
 // job must complete anyway — journaling degrades, results don't — with

@@ -499,7 +499,8 @@ func failure(class, format string, args ...any) attemptOutcome {
 // frozen-plane cache, attach the job's journal (resuming it on every
 // attempt after the first, so retries continue instead of restarting),
 // spool batches as they complete, render when done. Panics — the
-// worker's own and cooperative cancellation aborts — are absorbed here
+// worker's own, a shard replica's (measure.ShardError) and cooperative
+// cancellation aborts — are absorbed here
 // and classified; the worker goroutine survives every failure mode. ctx
 // is the attempt's context, which a DELETE or the job deadline ends.
 func (s *Server) runOnce(ctx context.Context, job *Job) (out attemptOutcome) {
@@ -511,6 +512,8 @@ func (s *Server) runOnce(ctx context.Context, job *Job) (out attemptOutcome) {
 		if r := recover(); r != nil {
 			if err, ok := measure.CanceledFrom(r); ok {
 				out = s.classifyCancel(err, r)
+			} else if se, ok := r.(measure.ShardError); ok {
+				out = failure(ClassShard, "%v (journal %s keeps completed batches)", se, job.journal)
 			} else {
 				out = failure(ClassPanic, "panic: %v", r)
 			}
@@ -611,15 +614,6 @@ func (s *Server) runOnce(ctx context.Context, job *Job) (out attemptOutcome) {
 		// Only the experiments that build worlds of their own fail
 		// here, and only when a build does: deterministic, terminal.
 		return failure(ClassTopology, "%v", err)
-	}
-	if errs := st.Fleet().ShardErrors(); len(errs) > 0 {
-		// Cancellation/deadline aborts surface as canceled shards when
-		// they land at a per-VP checkpoint rather than a phase boundary;
-		// the job's own context says which fate this was.
-		if err := ctx.Err(); err != nil {
-			return s.classifyCancel(err, errs[0])
-		}
-		return failure(ClassShard, "%d shard(s) failed: %v (journal %s keeps completed batches)", len(errs), errs[0], job.journal)
 	}
 	if err := ctx.Err(); err != nil {
 		// The abort landed after the campaign's last checkpoint; honor

@@ -37,20 +37,6 @@ func (t ASType) String() string {
 	}
 }
 
-// ParseASType inverts String; unknown labels map to TypeUnknown.
-func ParseASType(s string) ASType {
-	switch s {
-	case "Transit/Access":
-		return TypeTransitAccess
-	case "Enterprise":
-		return TypeEnterprise
-	case "Content":
-		return TypeContent
-	default:
-		return TypeUnknown
-	}
-}
-
 // Role is the structural role an AS plays in the generated graph. Role
 // determines connectivity; ASType is the (coarser) classification the
 // analysis sees.

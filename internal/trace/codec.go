@@ -6,13 +6,11 @@ import (
 	"net/netip"
 )
 
-// The global stop set crosses two serialization boundaries: shard
-// deltas are handed to the merge step as codec bytes (so the merge
-// only ever consumes canonical data, whatever engine produced it),
-// and journaled campaigns checkpoint the merged set after each round
-// so a resumed run can verify it reconverged byte-for-byte. The
-// format is deliberately rigid — sorted entries, exact length, no
-// varints — so that equal sets always serialize to equal bytes.
+// The global stop set crosses one serialization boundary: journaled
+// campaigns checkpoint the merged set after each round so a resumed
+// run can verify it reconverged byte-for-byte. The format is
+// deliberately rigid — sorted entries, exact length, no varints — so
+// that equal sets always serialize to equal bytes.
 //
 //	magic "rrSS" | version 1 | count uint32 | count × entry
 //	entry: prefixAddr [4]byte | prefixBits byte | iface [4]byte | rem byte

@@ -111,26 +111,11 @@ func (s *Session) State(vp string) *VPState {
 	return st
 }
 
-// Merge unions a round's per-VP deltas into the global set through
-// the canonical codec: each delta is serialized and re-parsed before
-// the union, so the merge consumes exactly the bytes a shard
-// hand-off or journal checkpoint would carry. Min-merge union is
-// order-independent, so the caller may pass deltas in any order and
-// still converge on the same set (DESIGN.md §14).
-func (s *Session) Merge(deltas ...*GlobalSet) error {
+// Merge unions a round's per-VP deltas into the global set. Min-merge
+// union is order-independent, so the caller may pass deltas in any
+// order and still converge on the same set (DESIGN.md §14).
+func (s *Session) Merge(deltas ...*GlobalSet) {
 	for _, d := range deltas {
-		if d == nil || d.Len() == 0 {
-			continue
-		}
-		b, err := d.MarshalBinary()
-		if err != nil {
-			return err
-		}
-		parsed, err := UnmarshalGlobalSet(b)
-		if err != nil {
-			return err
-		}
-		s.Global.Union(parsed)
+		s.Global.Union(d)
 	}
-	return nil
 }
