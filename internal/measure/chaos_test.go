@@ -435,7 +435,7 @@ func TestDoubletreeCancelMidPhaseResumes(t *testing.T) {
 // panic, on the caller's goroutine.
 func TestCampaignCancelAtPrimitiveStart(t *testing.T) {
 	topo := testTopo(t)
-	c := NewFleet(NewCampaign(topo, unlimitedVPs(topo)[:2]), 1)
+	c := NewFleet(NewCampaign(topo, unlimitedVPs(topo)[:2]), NewCampaign(topo, nil), 1)
 	ctx, cancel := context.WithCancel(context.Background())
 	c.SetContext(ctx)
 	ds := responsiveDests(topo, 4)

@@ -56,7 +56,7 @@ func (pc *ParallelCampaign) DoubletreeAll(perVP map[string][]netip.Addr, sess *t
 			j.recordTraces(phase, kind, name, r.Traces)
 		},
 	}
-	return collect(pc, "doubletree-all", rounds, func(rep *replica, vp *VantagePoint, done func(*trace.VPRound)) {
+	return collect(pc, "doubletree-all", home, rounds, func(rep *replica, vp *VantagePoint, done func(*trace.VPRound)) {
 		if ds := perVP[vp.Name]; len(ds) > 0 {
 			trace.Run(vp.Name, vp.Prober, sess.State(vp.Name), sess.Global, sess.PrefixOf, ds, opts, func(r *trace.VPRound) {
 				countRound(rep.Net, r.Stats)

@@ -11,7 +11,7 @@ import (
 // Each replica's network and probers report into the same observer; the
 // trace ring is mutex-guarded, so concurrent replicas may interleave
 // their (replica-local-clock-stamped) events. An inline replica is its
-// roster's owner's to observe (Campaign.Observe), so an inline fleet
+// rosters' owner's to observe (Campaign.Observe), so an inline fleet
 // ignores the call.
 func (pc *ParallelCampaign) Observe(o *obs.Observer) {
 	if !o.Active() || pc.inline != nil {
@@ -20,6 +20,7 @@ func (pc *ParallelCampaign) Observe(o *obs.Observer) {
 	pc.observer = o
 	for _, rep := range pc.replicas {
 		rep.Observe(o)
+		rep.clouds.Observe(o)
 	}
 }
 

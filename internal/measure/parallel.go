@@ -14,13 +14,13 @@ import (
 	"recordroute/internal/obs"
 	"recordroute/internal/probe"
 	"recordroute/internal/topology"
-	"recordroute/internal/trace"
 )
 
-// Fleet is the campaign surface the study layer measures through.
-// ParallelCampaign is its only implementation; it stays an interface
-// only because the benchmark harness (benchmark/ladder.go, a module of
-// its own) type-asserts Study.Fleet's result to *ParallelCampaign.
+// Fleet is the executor as callers outside the study layer see it
+// (Study.Fleet). ParallelCampaign is its only implementation; it stays
+// an interface only because the benchmark harness (benchmark/ladder.go,
+// a module of its own) type-asserts Study.Fleet's result to
+// *ParallelCampaign.
 //
 // A primitive completes on every replica or fails: when a replica
 // panics mid-primitive, the others finish it (so their batches are
@@ -34,21 +34,9 @@ type Fleet interface {
 	NumShards() int
 	// PingRRAll sends one ping-RR from every VP to every destination.
 	PingRRAll(dests []netip.Addr, opts probe.Options, orderFor func(vp string, dests []netip.Addr) []netip.Addr) map[string][]probe.Result
-	// PingRRUDPAll sends one ping-RRudp from every VP to its targets.
-	PingRRUDPAll(perVP map[string][]netip.Addr, opts probe.Options) map[string][]probe.Result
 	// PingBatchVP sends count plain pings per destination from the
-	// single named VP — the origin phases the paper runs from one
-	// vantage point — fanning contiguous destination ranges across the
-	// replicas. Send times and sequence numbers derive from each
-	// destination's global index, so the merge is invariant under the
-	// replica count (DESIGN.md §15). Results are grouped per destination
-	// in send order.
+	// single named VP.
 	PingBatchVP(vp string, dests []netip.Addr, count int, opts probe.Options) [][]probe.Result
-	// DoubletreeAll runs one Doubletree traceroute round: each VP
-	// traces its listed targets sequentially under the session's stop
-	// sets (exhaustively when opts.Exhaustive), and the per-VP deltas
-	// are merged into the session's global set afterwards.
-	DoubletreeAll(perVP map[string][]netip.Addr, sess *trace.Session, opts trace.Options) map[string]*trace.VPRound
 	// ShardErrors reports the failure that aborted the fleet; empty
 	// while every primitive has completed.
 	ShardErrors() []ShardError
@@ -73,24 +61,26 @@ type Fleet interface {
 // function of the replying device and the virtual time it answers — is
 // byte-identical at any K, and experiment summaries built from them are
 // byte-identical. Experiments that deliberately saturate shared
-// destination-side policers (Figure 4) place every VP on one engine —
-// a one-replica executor over a pristine clone — because there the
-// aggregate cross-VP arrival process is the measured effect, and
-// spreading VPs over replicas would change the drops.
+// destination-side policers (Figure 4) place every VP on replica 0
+// (PingRROneEngine), because there the aggregate cross-VP arrival
+// process is the measured effect, and spreading VPs over replicas would
+// change the drops. The cloud roster is placed like the platform one,
+// on the same prober IDs (its VPs are other hosts).
 //
 // After each primitive, every replica clock is advanced to the maximum
 // replica time, which equals the time one engine would show — so later
 // phases start at the same virtual instant in every replica.
 type ParallelCampaign struct {
-	src     *topology.Topology // the build every cloned replica is cloned from
-	vpNames []string           // the roster in campaign order; index i has prober ID 0x4000+i
-	shards  int
-	inline  *Campaign // the one replica when it is the roster itself (NewFleet at K=1)
+	src        *topology.Topology // the build every cloned replica is cloned from
+	vpNames    []string           // the platform roster in campaign order; index i has prober ID 0x4000+i
+	cloudNames []string           // the cloud roster likewise
+	shards     int
+	// the one replica's rosters when they are the fleet's own (NewFleet at K=1)
+	inline, inlineClouds *Campaign
 
 	buildOnce sync.Once
 	replicas  []*replica
-	vpShard   map[string]int // VP name → replica index
-	vpIndex   map[string]int // VP name → campaign index (prober ID base)
+	vpIndex   map[string]int // platform VP name → campaign index (prober ID base)
 
 	observer *obs.Observer   // applied to each cloned replica at init; nil observes nothing
 	journal  *Journal        // nil unless the campaign is journaled
@@ -110,11 +100,12 @@ var _ Fleet = (*ParallelCampaign)(nil)
 // once).
 type replica struct {
 	*Campaign
-	idx int // replica index within the fleet
+	clouds *Campaign // the replica's share of the cloud roster, on the same engine
+	idx    int       // replica index within the fleet
 
 	// ghosts are lazily created stand-ins for VPs homed on other
 	// replicas, used by the destination-sharded single-VP phase
-	// (PingBatchVP): the same named host on this replica,
+	// (PingBatchVP) and the pooled placement: the same named host on this replica,
 	// driven by a prober with the VP's campaign ID so wire images match
 	// one engine's byte-for-byte. Safe because the VP's home prober lives
 	// in a different replica engine — IDs never clash within one engine —
@@ -209,7 +200,7 @@ func (e ShardError) Error() string {
 }
 
 // NewParallelCampaignFrom returns a K-replica executor over src's
-// platform VPs whose replicas are all cloned from src's frozen snapshot
+// platform and cloud VPs whose replicas are all cloned from src's frozen snapshot
 // — no regeneration at all; the replicas are stamped out lazily, on the
 // first primitive. The source keeps working independently (its engine
 // state never leaks into the pristine clones). shards below 1 is an
@@ -219,26 +210,33 @@ func NewParallelCampaignFrom(src *topology.Topology, shards int) (*ParallelCampa
 	if shards < 1 {
 		return nil, fmt.Errorf("measure: %d shards", shards)
 	}
-	names := make([]string, len(src.VPs))
-	for i, v := range src.VPs {
-		names[i] = v.Name
+	pc := &ParallelCampaign{src: src, shards: min(shards, max(len(src.VPs), 1))}
+	for _, v := range src.VPs {
+		pc.vpNames = append(pc.vpNames, v.Name)
 	}
-	return &ParallelCampaign{src: src, vpNames: names, shards: min(shards, max(len(names), 1))}, nil
+	for _, v := range src.CloudVPs {
+		pc.cloudNames = append(pc.cloudNames, v.Name)
+	}
+	return pc, nil
 }
 
-// NewFleet returns the executor over roster c on shards replicas,
-// clamped to the VP count. With one, the replica is c itself, run inline
-// on c's own engine with no clone, and c stays its owner's to observe
-// and capture (Observe and Metrics leave it alone); with more, each is a
-// clone of c's topology carrying its share of c's VPs, as
-// NewParallelCampaignFrom builds them.
-func NewFleet(c *Campaign, shards int) *ParallelCampaign {
+// NewFleet returns the executor over platform roster c and cloud roster
+// clouds (on c's engine) on shards replicas, clamped to c's VP count.
+// With one, the replica is the two rosters, run inline on c's engine
+// with no clone, and they stay their owner's to observe and capture
+// (Observe and Metrics leave them alone); with more, each is a clone of
+// c's topology carrying its share of both, as NewParallelCampaignFrom
+// builds them.
+func NewFleet(c, clouds *Campaign, shards int) *ParallelCampaign {
 	pc := &ParallelCampaign{src: c.topo, shards: min(max(shards, 1), max(len(c.VPs), 1))}
 	for _, vp := range c.VPs {
 		pc.vpNames = append(pc.vpNames, vp.Name)
 	}
+	for _, vp := range clouds.VPs {
+		pc.cloudNames = append(pc.cloudNames, vp.Name)
+	}
 	if pc.shards == 1 {
-		pc.inline = c
+		pc.inline, pc.inlineClouds = c, clouds
 	}
 	return pc
 }
@@ -272,30 +270,37 @@ func (pc *ParallelCampaign) NumShards() int { return pc.shards }
 // of the source's frozen snapshot, never the source itself, because the
 // source engine may already have run traffic; cloning shares the frozen
 // FIBs, routes, and addressing, so spin-up is a small multiple of a
-// single build regardless of K. An inline replica is the roster itself.
+// single build regardless of K. An inline replica is the rosters
+// themselves.
 func (pc *ParallelCampaign) init() {
 	pc.buildOnce.Do(func() {
 		k := pc.shards
 		pc.replicas = make([]*replica, k)
 		if pc.inline != nil {
-			pc.replicas[0] = &replica{Campaign: pc.inline}
+			pc.replicas[0] = &replica{Campaign: pc.inline, clouds: pc.inlineClouds}
 		} else {
 			snap := topology.SnapshotOf(pc.src)
 			// Distinct indices write distinct replica slots.
-			dispatch(k, func(s int) { pc.replicas[s] = &replica{idx: s, Campaign: newRoster(snap.Clone())} })
-		}
-		pc.vpShard = make(map[string]int, len(pc.vpNames))
-		pc.vpIndex = make(map[string]int, len(pc.vpNames))
-		for i, name := range pc.vpNames {
-			rep := pc.replicas[i%k]
-			if pc.inline == nil {
+			dispatch(k, func(s int) {
+				topo := snap.Clone()
+				pc.replicas[s] = &replica{idx: s, Campaign: newRoster(topo), clouds: newRoster(topo)}
+			})
+			for i, name := range pc.vpNames {
+				rep := pc.replicas[i%k]
 				rep.add(rep.topo.VPByName(name), i)
 			}
-			pc.vpShard[name] = i % k
+			for i, name := range pc.cloudNames {
+				rep := pc.replicas[i%k]
+				rep.clouds.add(rep.topo.VPByName(name), i)
+			}
+		}
+		pc.vpIndex = make(map[string]int, len(pc.vpNames))
+		for i, name := range pc.vpNames {
 			pc.vpIndex[name] = i
 		}
 		for _, rep := range pc.replicas {
 			rep.Observe(pc.observer)
+			rep.clouds.Observe(pc.observer)
 		}
 	})
 }
@@ -304,11 +309,11 @@ func (pc *ParallelCampaign) init() {
 // Probes started on it run inside that VP's replica engine.
 func (pc *ParallelCampaign) VP(name string) *VantagePoint {
 	pc.init()
-	s, ok := pc.vpShard[name]
+	i, ok := pc.vpIndex[name]
 	if !ok {
 		return nil
 	}
-	return pc.replicas[s].VP(name)
+	return pc.replicas[i%pc.shards].VP(name)
 }
 
 // VPNames lists the vantage points in campaign order, assembling the
@@ -321,14 +326,15 @@ func (pc *ParallelCampaign) VPNames() []string {
 // eachShard runs fn once per replica through dispatch (inline or
 // work-stealing); fn owns its replica's engine for the duration. A
 // replica that panics stops, the others run fn to its end, and then the
-// first failure in replica order aborts the fleet (raise).
-func (pc *ParallelCampaign) eachShard(fn func(*replica)) {
+// first failure in replica order aborts the fleet (raise), naming the
+// VPs placed returns for that replica.
+func (pc *ParallelCampaign) eachShard(placed func(*replica) []*VantagePoint, fn func(*replica)) {
 	errs := make([]error, len(pc.replicas))
 	dispatch(len(pc.replicas), func(i int) { errs[i] = pc.replicas[i].run(fn) })
 	for i, err := range errs {
 		if err != nil {
-			names := make([]string, 0, len(pc.replicas[i].VPs))
-			for _, vp := range pc.replicas[i].VPs {
+			var names []string
+			for _, vp := range placed(pc.replicas[i]) {
 				names = append(names, vp.Name)
 			}
 			pc.failure = &ShardError{Shard: i, VPs: names, Err: err}
@@ -393,13 +399,16 @@ func (pc *ParallelCampaign) beginPhase(kind string) (phase int, journaled bool) 
 // 2^16 consecutive phases are all distinct.
 const seqStride = 0x9e37
 
-// rebase restarts every prober of the fleet, home VPs and ghosts, at the
+// rebase restarts every prober of the fleet, home VPs, clouds and ghosts, at the
 // phase's sequence base with no RTT estimate (probe.Prober.Rebase). A
 // phase then sends the same probes whether the phases before it were
 // probed or restored from a journal, and on whichever replica it runs.
 func (pc *ParallelCampaign) rebase() {
 	for _, rep := range pc.replicas {
 		for _, vp := range rep.VPs {
+			vp.Prober.Rebase(pc.seqBase)
+		}
+		for _, vp := range rep.clouds.VPs {
 			vp.Prober.Rebase(pc.seqBase)
 		}
 		for _, vp := range rep.ghosts {
@@ -462,28 +471,63 @@ var (
 	groupedBatches = &batchCodec[[][]probe.Result]{(*Journal).archivedGroups, (*Journal).recordGroups}
 )
 
-// collect is the shape of every per-VP primitive: one phase in which
-// each VP runs at most one batch inside its own replica. start
-// begins vp's batch on rep and hands it done; a VP start leaves out is
-// absent from the result map. On a journaled campaign the batches the
-// journal already holds are restored instead of re-probed, each fresh
-// batch is checkpointed as it completes, and seal, when set, closes the
-// phase over the merged map before its clocks are quantized.
-func collect[T any](pc *ParallelCampaign, kind string, codec *batchCodec[T], start func(rep *replica, vp *VantagePoint, done func(T)), seal func(out map[string]T, phase int, journaled bool)) map[string]T {
-	phase, journaled := pc.beginPhase(kind)
-	out := make(map[string]T, len(pc.vpNames))
-	skip := make(map[string]bool)
-	if journaled && codec != nil {
+// placement is where a phase's VPs run: home puts each platform VP on
+// its home replica, clouds each cloud VP on its own, and pooled every
+// platform VP on replica 0, as a ghost (shardVP) where it is not home.
+type placement uint8
+
+const (
+	home placement = iota
+	clouds
+	pooled
+)
+
+// placed returns the VPs rep runs in a phase placed at, in campaign order.
+func (pc *ParallelCampaign) placed(rep *replica, at placement) (vps []*VantagePoint) {
+	switch {
+	case at == home:
+		return rep.VPs
+	case at == clouds:
+		return rep.clouds.VPs
+	case rep.idx == 0:
 		for _, name := range pc.vpNames {
+			vps = append(vps, pc.shardVP(rep, name))
+		}
+	}
+	return vps
+}
+
+// collect is the shape of every per-VP primitive: one phase in which
+// each VP runs at most one batch inside the replica at places it on.
+// start begins vp's batch on rep and hands it done; a VP start leaves
+// out is absent from the result map. On a journaled campaign the
+// batches the journal already holds are restored instead of re-probed,
+// each fresh batch is checkpointed as it completes, and seal, when set,
+// closes the phase over the merged map before its clocks are quantized.
+// A pooled phase is restored whole or not at all: its VPs contend at
+// shared policers, so a VP re-probed without the archived VPs' traffic
+// would see other drops. Re-probed whole, it journals only the batches
+// the journal lacks.
+func collect[T any](pc *ParallelCampaign, kind string, at placement, codec *batchCodec[T], start func(rep *replica, vp *VantagePoint, done func(T)), seal func(out map[string]T, phase int, journaled bool)) map[string]T {
+	phase, journaled := pc.beginPhase(kind)
+	names := pc.vpNames
+	if at == clouds {
+		names = pc.cloudNames
+	}
+	out := make(map[string]T, len(names))
+	archived := make(map[string]bool)
+	if journaled && codec != nil {
+		for _, name := range names {
 			if v, ok := codec.archived(pc.journal, phase, name); ok {
-				out[name], skip[name] = v, true
+				out[name], archived[name] = v, true
 			}
 		}
 	}
+	restore := at != pooled || len(archived) == len(names)
 	var mu sync.Mutex
-	pc.eachShard(func(rep *replica) {
-		for _, vp := range rep.VPs {
-			if skip[vp.Name] {
+	pc.eachShard(func(rep *replica) []*VantagePoint { return pc.placed(rep, at) }, func(rep *replica) {
+		for _, vp := range pc.placed(rep, at) {
+			if restore && archived[vp.Name] {
 				continue
 			}
 			start(rep, vp, func(v T) {
@@ -491,7 +535,7 @@ func collect[T any](pc *ParallelCampaign, kind string, codec *batchCodec[T], sta
 				out[vp.Name] = v
 				mu.Unlock()
 				pc.checkpoint(func(j *Journal) {
-					if codec != nil {
+					if codec != nil && !archived[vp.Name] {
 						codec.record(j, phase, kind, vp.Name, vp.Name, v)
 					}
 				})
@@ -511,7 +555,18 @@ func collect[T any](pc *ParallelCampaign, kind string, codec *batchCodec[T], sta
 // order permuted via orderFor when set), and returns the results keyed
 // by VP name, in that VP's send order.
 func (pc *ParallelCampaign) PingRRAll(dests []netip.Addr, opts probe.Options, orderFor func(vp string, dests []netip.Addr) []netip.Addr) map[string][]probe.Result {
-	return collect(pc, "ping-rr-all", flatBatches, func(_ *replica, vp *VantagePoint, done func([]probe.Result)) {
+	return pc.pingRR("ping-rr-all", home, dests, opts, orderFor)
+}
+
+// PingRROneEngine is PingRRAll with every VP on replica 0: their probe
+// streams contend at shared policers as on one engine, the effect
+// Figure 4 measures.
+func (pc *ParallelCampaign) PingRROneEngine(dests []netip.Addr, opts probe.Options, orderFor func(vp string, dests []netip.Addr) []netip.Addr) map[string][]probe.Result {
+	return pc.pingRR("ping-rr-one-engine", pooled, dests, opts, orderFor)
+}
+
+func (pc *ParallelCampaign) pingRR(kind string, at placement, dests []netip.Addr, opts probe.Options, orderFor func(vp string, dests []netip.Addr) []netip.Addr) map[string][]probe.Result {
+	return collect(pc, kind, at, flatBatches, func(_ *replica, vp *VantagePoint, done func([]probe.Result)) {
 		ds := dests
 		if orderFor != nil {
 			ds = orderFor(vp.Name, dests)
@@ -522,14 +577,14 @@ func (pc *ParallelCampaign) PingRRAll(dests []netip.Addr, opts probe.Options, or
 
 // PingAll sends count plain pings per destination from every VP.
 func (pc *ParallelCampaign) PingAll(dests []netip.Addr, count int, opts probe.Options) map[string][][]probe.Result {
-	return collect(pc, "ping-all", groupedBatches, func(_ *replica, vp *VantagePoint, done func([][]probe.Result)) {
+	return collect(pc, "ping-all", home, groupedBatches, func(_ *replica, vp *VantagePoint, done func([][]probe.Result)) {
 		vp.PingBatch(dests, 0, len(dests), count, opts, done)
 	}, nil)
 }
 
 // PingRRUDPAll sends one ping-RRudp from every VP to its listed targets.
 func (pc *ParallelCampaign) PingRRUDPAll(perVP map[string][]netip.Addr, opts probe.Options) map[string][]probe.Result {
-	return collect(pc, "ping-rr-udp-all", flatBatches, func(_ *replica, vp *VantagePoint, done func([]probe.Result)) {
+	return collect(pc, "ping-rr-udp-all", home, flatBatches, func(_ *replica, vp *VantagePoint, done func([]probe.Result)) {
 		if ds := perVP[vp.Name]; len(ds) > 0 {
 			vp.Batch(ds, probe.PingRRUDP, opts, done)
 		}
@@ -539,19 +594,47 @@ func (pc *ParallelCampaign) PingRRUDPAll(perVP map[string][]netip.Addr, opts pro
 // TTLPingRRAll sends TTL-limited ping-RRs: per VP, targets[i] probed
 // with ttls[i].
 func (pc *ParallelCampaign) TTLPingRRAll(perVP map[string][]netip.Addr, ttls map[string][]uint8, opts probe.Options) map[string][]probe.Result {
-	return collect(pc, "ttl-ping-rr-all", flatBatches, func(_ *replica, vp *VantagePoint, done func([]probe.Result)) {
+	return collect(pc, "ttl-ping-rr-all", home, flatBatches, func(_ *replica, vp *VantagePoint, done func([]probe.Result)) {
 		if ds := perVP[vp.Name]; len(ds) > 0 {
 			vp.TTLPingRRBatch(ds, ttls[vp.Name], opts, done)
 		}
 	}, nil)
 }
 
-// TracerouteAll traces each VP's listed targets. Traces have no journal
-// codec, so a resumed campaign re-executes the phase.
+// TracerouteAll traces each platform VP's listed targets. Traces have
+// no journal codec, so a resumed campaign re-executes the phase.
 func (pc *ParallelCampaign) TracerouteAll(perVP map[string][]netip.Addr, opts TraceOptions) map[string][]Trace {
-	return collect(pc, "traceroute-all", nil, func(_ *replica, vp *VantagePoint, done func([]Trace)) {
+	return pc.traceroute("traceroute-all", home, perVP, opts)
+}
+
+// CloudTracerouteAll is TracerouteAll from the cloud roster.
+func (pc *ParallelCampaign) CloudTracerouteAll(perCloud map[string][]netip.Addr, opts TraceOptions) map[string][]Trace {
+	return pc.traceroute("cloud-traceroute-all", clouds, perCloud, opts)
+}
+
+func (pc *ParallelCampaign) traceroute(kind string, at placement, perVP map[string][]netip.Addr, opts TraceOptions) map[string][]Trace {
+	return collect(pc, kind, at, nil, func(_ *replica, vp *VantagePoint, done func([]Trace)) {
 		if ds := perVP[vp.Name]; len(ds) > 0 {
 			vp.TracerouteBatch(ds, opts, done)
+		}
+	}, nil)
+}
+
+// SpecBatchesAll starts all of each VP's listed spec batches at once and
+// returns its results one group per batch, journaled as one record.
+func (pc *ParallelCampaign) SpecBatchesAll(perVP map[string][][]probe.Spec, opts probe.Options) map[string][][]probe.Result {
+	return collect(pc, "spec-batches-all", home, groupedBatches, func(_ *replica, vp *VantagePoint, done func([][]probe.Result)) {
+		batches := perVP[vp.Name]
+		if len(batches) == 0 {
+			return
+		}
+		groups, left := make([][]probe.Result, len(batches)), len(batches)
+		for i, specs := range batches {
+			vp.Prober.StartBatch(specs, opts, func(rs []probe.Result) {
+				if groups[i], left = rs, left-1; left == 0 {
+					done(groups)
+				}
+			})
 		}
 	}, nil)
 }
@@ -598,13 +681,13 @@ func rangeKey(vp string, shard int) string { return fmt.Sprintf("%s#%d", vp, sha
 // replica s probes destRange(len(dests), K, s) through the VP's home
 // prober or a ghost (shardVP). Because every probe's send time and
 // sequence numbers derive from its global destination index
-// (probe.Batch), the merged per-destination groups are invariant under K
-// — including per-packet fault draws, which are content-keyed on the seq.
-// That holds only with fixed timeouts, so the phase turns opts.Adaptive
-// off: a range's RTT estimate would see only its own replies. On a
-// journaled campaign the ranges the journal already holds are restored,
-// and each fresh one is checkpointed under its range key and streamed as
-// the VP itself.
+// (probe.Batch; DESIGN.md §15), the merged per-destination groups are
+// invariant under K — including per-packet fault draws, which are
+// content-keyed on the seq. That holds only with fixed timeouts, so the
+// phase turns opts.Adaptive off: a range's RTT estimate would see only
+// its own replies. On a journaled campaign the ranges the journal
+// already holds are restored, and each fresh one is checkpointed under
+// its range key and streamed as the VP itself.
 func (pc *ParallelCampaign) PingBatchVP(name string, dests []netip.Addr, count int, opts probe.Options) [][]probe.Result {
 	const kind = "ping-batch-vp"
 	opts.Adaptive = false
@@ -621,7 +704,7 @@ func (pc *ParallelCampaign) PingBatchVP(name string, dests []netip.Addr, count i
 			}
 		}
 	}
-	pc.eachShard(func(rep *replica) {
+	pc.eachShard(func(rep *replica) []*VantagePoint { return []*VantagePoint{pc.shardVP(rep, name)} }, func(rep *replica) {
 		lo, hi := destRange(len(dests), k, rep.idx)
 		if lo == hi || restored[rep.idx] {
 			return

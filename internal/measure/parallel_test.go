@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"net/netip"
 	"os"
 	"path/filepath"
@@ -35,7 +36,7 @@ func testFleet(t *testing.T, cfg topology.Config, k int) *ParallelCampaign {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewFleet(NewCampaign(topo, topo.VPs), k)
+	return NewFleet(NewCampaign(topo, topo.VPs), NewCampaign(topo, topo.CloudVPs), k)
 }
 
 func comparePerVP(t *testing.T, label string, seq, par map[string][]probe.Result) {
@@ -96,19 +97,42 @@ func jsonOf(v any) []byte {
 
 // fleetCase is one row of the executor contract: run drives a primitive
 // through a fleet, ref starts the same probes on one engine through
-// VantagePoint calls (drain runs that engine to quiescence); both return
-// per-VP encodings.
+// VantagePoint calls on its platform and cloud VPs (drain runs that
+// engine to quiescence); both return per-VP encodings.
 type fleetCase struct {
 	name string
 	run  func(pc *ParallelCampaign) map[string][]byte
-	ref  func(vps []*VantagePoint, drain func()) map[string][]byte
+	ref  func(vps, clouds []*VantagePoint, drain func()) map[string][]byte
 }
 
-// fleetCases builds the table over one world's destinations and VP
-// names: every collect-all primitive, the destination-sharded origin
-// phase as Table 1 and as alias resolution run it, and two Doubletree
-// waves.
-func fleetCases(dests []netip.Addr, names []string) []fleetCase {
+// fleetCases builds the table over one world's destinations and
+// platform and cloud VPs: every collect-all primitive, Figure 4's
+// one-engine placement, the cloud roster's traceroute, the
+// destination-sharded origin phase as Table 1 and as alias resolution
+// run it, and two Doubletree waves.
+func fleetCases(world *topology.Topology) []fleetCase {
+	var dests, crowd []netip.Addr
+	for _, d := range world.Dests[:40] {
+		dests = append(dests, d.Addr)
+	}
+	// Destinations behind an edge options policer on the first VP's
+	// path, each four times: at the burst rate every VP's probes drain
+	// one bucket, so only one engine reproduces which of them pass.
+	for _, d := range world.Dests {
+		for _, hop := range world.ForwardStampPath(world.VPs[0].Addr, d.Addr) {
+			if r := world.RouterByAddr(hop); r != nil && r.Behavior().OptionsRateLimit == world.Cfg.EdgeRateLimitPPS {
+				crowd = append(crowd, d.Addr, d.Addr, d.Addr, d.Addr)
+				break
+			}
+		}
+	}
+	var names, cloudNames []string
+	for _, v := range world.VPs {
+		names = append(names, v.Name)
+	}
+	for _, v := range world.CloudVPs {
+		cloudNames = append(cloudNames, v.Name)
+	}
 	opts := probe.Options{Rate: 100}
 	rotate := func(vp string, ds []netip.Addr) []netip.Addr {
 		out := append([]netip.Addr(nil), ds...)
@@ -124,6 +148,20 @@ func fleetCases(dests []netip.Addr, names []string) []fleetCase {
 		}
 	}
 	traced := map[string][]netip.Addr{names[0]: dests[:3], names[len(names)-1]: dests[3:6]}
+	cloudTraced := make(map[string][]netip.Addr)
+	for i, name := range cloudNames {
+		cloudTraced[name] = dests[i : i+3]
+	}
+	burst := probe.Options{Rate: 1000}
+	specs := make(map[string][][]probe.Spec)
+	for name, ds := range perVP {
+		var rr, lsrr []probe.Spec
+		for _, d := range ds {
+			rr = append(rr, probe.Spec{Dst: d, Kind: probe.PingRR})
+			lsrr = append(lsrr, probe.Spec{Dst: d, Kind: probe.PingLSRR, Via: []netip.Addr{dests[0]}})
+		}
+		specs[name] = [][]probe.Spec{rr, lsrr}
+	}
 	tropts := TraceOptions{StartRate: 50}
 	origin, series := names[1], dests[:24]
 	waves := make([]map[string][]netip.Addr, 2)
@@ -161,7 +199,7 @@ func fleetCases(dests []netip.Addr, names []string) []fleetCase {
 			func(pc *ParallelCampaign) map[string][]byte {
 				return wireMap(pc.PingRRAll(dests, opts, rotate), flat)
 			},
-			func(vps []*VantagePoint, drain func()) map[string][]byte {
+			func(vps, _ []*VantagePoint, drain func()) map[string][]byte {
 				return each(vps, drain, func(vp *VantagePoint, done func([]byte)) {
 					vp.Batch(rotate(vp.Name, dests), probe.PingRR, opts, func(rs []probe.Result) { done(wire(rs)) })
 				})
@@ -170,7 +208,7 @@ func fleetCases(dests []netip.Addr, names []string) []fleetCase {
 			func(pc *ParallelCampaign) map[string][]byte {
 				return wireMap(pc.PingAll(dests[:10], 2, opts), func(gs [][]probe.Result) []byte { return wire(gs...) })
 			},
-			func(vps []*VantagePoint, drain func()) map[string][]byte {
+			func(vps, _ []*VantagePoint, drain func()) map[string][]byte {
 				return each(vps, drain, func(vp *VantagePoint, done func([]byte)) {
 					vp.PingBatch(dests[:10], 0, 10, 2, opts, func(gs [][]probe.Result) { done(wire(gs...)) })
 				})
@@ -179,7 +217,7 @@ func fleetCases(dests []netip.Addr, names []string) []fleetCase {
 			func(pc *ParallelCampaign) map[string][]byte {
 				return wireMap(pc.PingRRUDPAll(perVP, opts), flat)
 			},
-			func(vps []*VantagePoint, drain func()) map[string][]byte {
+			func(vps, _ []*VantagePoint, drain func()) map[string][]byte {
 				return each(vps, drain, func(vp *VantagePoint, done func([]byte)) {
 					vp.Batch(perVP[vp.Name], probe.PingRRUDP, opts, func(rs []probe.Result) { done(wire(rs)) })
 				})
@@ -188,7 +226,7 @@ func fleetCases(dests []netip.Addr, names []string) []fleetCase {
 			func(pc *ParallelCampaign) map[string][]byte {
 				return wireMap(pc.TTLPingRRAll(perVP, ttls, opts), flat)
 			},
-			func(vps []*VantagePoint, drain func()) map[string][]byte {
+			func(vps, _ []*VantagePoint, drain func()) map[string][]byte {
 				return each(vps, drain, func(vp *VantagePoint, done func([]byte)) {
 					vp.TTLPingRRBatch(perVP[vp.Name], ttls[vp.Name], opts, func(rs []probe.Result) { done(wire(rs)) })
 				})
@@ -197,10 +235,44 @@ func fleetCases(dests []netip.Addr, names []string) []fleetCase {
 			func(pc *ParallelCampaign) map[string][]byte {
 				return wireMap(pc.TracerouteAll(traced, tropts), func(ts []Trace) []byte { return jsonOf(ts) })
 			},
-			func(vps []*VantagePoint, drain func()) map[string][]byte {
+			func(vps, _ []*VantagePoint, drain func()) map[string][]byte {
 				return each(vps, drain, func(vp *VantagePoint, done func([]byte)) {
 					if ds := traced[vp.Name]; len(ds) > 0 {
 						vp.TracerouteBatch(ds, tropts, func(ts []Trace) { done(jsonOf(ts)) })
+					}
+				})
+			}},
+		{"ping-rr-one-engine",
+			func(pc *ParallelCampaign) map[string][]byte {
+				return wireMap(pc.PingRROneEngine(crowd, burst, nil), flat)
+			},
+			func(vps, _ []*VantagePoint, drain func()) map[string][]byte {
+				return each(vps, drain, func(vp *VantagePoint, done func([]byte)) {
+					vp.Batch(crowd, probe.PingRR, burst, func(rs []probe.Result) { done(wire(rs)) })
+				})
+			}},
+		{"cloud-traceroute-all",
+			func(pc *ParallelCampaign) map[string][]byte {
+				return wireMap(pc.CloudTracerouteAll(cloudTraced, tropts), func(ts []Trace) []byte { return jsonOf(ts) })
+			},
+			func(_, clouds []*VantagePoint, drain func()) map[string][]byte {
+				return each(clouds, drain, func(vp *VantagePoint, done func([]byte)) {
+					vp.TracerouteBatch(cloudTraced[vp.Name], tropts, func(ts []Trace) { done(jsonOf(ts)) })
+				})
+			}},
+		{"spec-batches-all",
+			func(pc *ParallelCampaign) map[string][]byte {
+				return wireMap(pc.SpecBatchesAll(specs, opts), func(gs [][]probe.Result) []byte { return wire(gs...) })
+			},
+			func(vps, _ []*VantagePoint, drain func()) map[string][]byte {
+				return each(vps, drain, func(vp *VantagePoint, done func([]byte)) {
+					gs, left := make([][]probe.Result, 2), 2
+					for i, batch := range specs[vp.Name] {
+						vp.Prober.StartBatch(batch, opts, func(rs []probe.Result) {
+							if gs[i], left = rs, left-1; left == 0 {
+								done(wire(gs...))
+							}
+						})
 					}
 				})
 			}},
@@ -208,7 +280,7 @@ func fleetCases(dests []netip.Addr, names []string) []fleetCase {
 			func(pc *ParallelCampaign) map[string][]byte {
 				return map[string][]byte{origin: wire(pc.PingBatchVP(origin, dests, 3, opts)...)}
 			},
-			func(vps []*VantagePoint, drain func()) map[string][]byte {
+			func(vps, _ []*VantagePoint, drain func()) map[string][]byte {
 				return each(vps[1:2], drain, func(vp *VantagePoint, done func([]byte)) {
 					vp.PingBatch(dests, 0, len(dests), 3, opts, func(gs [][]probe.Result) { done(wire(gs...)) })
 				})
@@ -219,7 +291,7 @@ func fleetCases(dests []netip.Addr, names []string) []fleetCase {
 			func(pc *ParallelCampaign) map[string][]byte {
 				return map[string][]byte{origin: wire(pc.PingBatchVP(origin, series, 5, opts)...)}
 			},
-			func(vps []*VantagePoint, drain func()) map[string][]byte {
+			func(vps, _ []*VantagePoint, drain func()) map[string][]byte {
 				return each(vps[1:2], drain, func(vp *VantagePoint, done func([]byte)) {
 					vp.PingBatch(series, 0, len(series), 5, opts, func(gs [][]probe.Result) { done(wire(gs...)) })
 				})
@@ -233,7 +305,7 @@ func fleetCases(dests []netip.Addr, names []string) []fleetCase {
 				}
 				return encodeGlobal(out, sess)
 			},
-			func(vps []*VantagePoint, drain func()) map[string][]byte {
+			func(vps, _ []*VantagePoint, drain func()) map[string][]byte {
 				out := make(map[string][]byte)
 				sess := trace.NewSession(nil)
 				for w, wave := range waves {
@@ -273,7 +345,11 @@ func injected(n *netsim.Network) uint64 { return n.CounterMap()["host.inject"] }
 // exactly as many probes and leaves every replica clock where that
 // engine's stopped. The merged
 // Doubletree stop set must match too, which holds only if each wave's
-// deltas are merged after the wave ends.
+// deltas are merged after the wave ends. Journaled, each primitive's
+// run is restored from its journal by a fresh fleet without a probe
+// sent (one with no codec, traceroute, re-executes instead) to the same
+// bytes, and resumed from its journal cut after the first batch to the
+// same bytes again.
 func TestParallelCampaignMatchesSequential(t *testing.T) {
 	faults := []struct {
 		name string
@@ -289,26 +365,21 @@ func TestParallelCampaignMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var dests []netip.Addr
-		for _, d := range world.Dests[:40] {
-			dests = append(dests, d.Addr)
-		}
-		var names []string
-		for _, v := range world.VPs {
-			names = append(names, v.Name)
-		}
-		for _, c := range fleetCases(dests, names) {
-			// The reference: one engine, the roster's prober IDs.
+		for _, c := range fleetCases(world) {
+			// The reference: one engine, the rosters' prober IDs.
 			ref, err := topology.Build(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			eng := ref.Net.Engine()
-			var vps []*VantagePoint
+			var vps, clouds []*VantagePoint
 			for i, v := range ref.VPs {
 				vps = append(vps, NewVantagePoint(v.Name, v.Host, eng, uint16(0x4000+i)))
 			}
-			want := c.ref(vps, eng.Run)
+			for i, v := range ref.CloudVPs {
+				clouds = append(clouds, NewVantagePoint(v.Name, v.Host, eng, uint16(0x4000+i)))
+			}
+			want := c.ref(vps, clouds, eng.Run)
 			for _, k := range []int{1, 2, 4} {
 				t.Run(fmt.Sprintf("%s/%s/K=%d", f.name, c.name, k), func(t *testing.T) {
 					pc := testFleet(t, cfg, k)
@@ -344,6 +415,65 @@ func TestParallelCampaignMatchesSequential(t *testing.T) {
 					}
 					if got := len(pc.Metrics("m").Shards); got != want {
 						t.Errorf("Metrics captured %d replicas at K=%d, want %d", got, k, want)
+					}
+
+					dir := t.TempDir()
+					journaled := func(path string, open func(string, JournalMeta) (*Journal, error)) (map[string][]byte, int, uint64) {
+						meta := testMeta()
+						meta.Shards = k
+						j, err := open(path, meta)
+						if err != nil {
+							t.Fatal(err)
+						}
+						defer j.Close()
+						pc := testFleet(t, cfg, k)
+						pc.AttachJournal(j)
+						out := c.run(pc)
+						var sent uint64
+						for _, rep := range pc.replicas {
+							sent += injected(rep.Net)
+						}
+						return out, j.Archived(), sent
+					}
+					path, cut := filepath.Join(dir, "j.jsonl"), filepath.Join(dir, "cut.jsonl")
+					fresh, _, _ := journaled(path, CreateJournal)
+					data, err := os.ReadFile(path)
+					if err != nil {
+						t.Fatal(err)
+					}
+					restored, archived, sent := journaled(path, ResumeJournal)
+					if !maps.EqualFunc(restored, fresh, bytes.Equal) {
+						t.Error("restored from its journal, the primitive returns other results")
+					}
+					// Traceroute has no codec: it archives nothing and is
+					// re-executed.
+					if strings.HasSuffix(c.name, "traceroute-all") {
+						if archived != 0 {
+							t.Errorf("traceroute archived %d batches, want none", archived)
+						}
+					} else if archived == 0 || sent > 0 {
+						t.Errorf("restored from %d archived batches, the fleet sent %d probes; want some batches and no probe", archived, sent)
+					}
+
+					// Killed after its first batch was journaled, the run
+					// resumes to the same results and journals each batch
+					// once.
+					first := bytes.Index(data, []byte(`{"t":"vp"`))
+					if first < 0 {
+						return
+					}
+					if err := os.WriteFile(cut, data[:first+bytes.IndexByte(data[first:], '\n')+1], 0o644); err != nil {
+						t.Fatal(err)
+					}
+					if resumed, _, _ := journaled(cut, ResumeJournal); !maps.EqualFunc(resumed, fresh, bytes.Equal) {
+						t.Error("resumed from a journal cut after its first batch, the primitive returns other results")
+					}
+					_, whole, err := ReadJournal(path)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if _, again, err := ReadJournal(cut); err != nil || len(again) != len(whole) {
+						t.Errorf("the resumed journal holds %d batches (%v), the uninterrupted one %d", len(again), err, len(whole))
 					}
 				})
 			}
@@ -429,7 +559,7 @@ func TestDoubletreeJournalCutResumes(t *testing.T) {
 // TestParallelCampaignShardFailureAborts is the fail-fast contract, at
 // K=1 inline and at K=3: a replica that panics mid-primitive makes the
 // primitive panic on the caller's goroutine with a ShardError naming it
-// and its VPs, after the other replicas finished — their batches are
+// and the VPs the phase placed on it, after the other replicas finished — their batches are
 // journaled — and every later primitive raises the same failure again.
 func TestParallelCampaignShardFailureAborts(t *testing.T) {
 	for _, k := range []int{1, 3} {
@@ -505,6 +635,15 @@ func TestParallelCampaignShardFailureAborts(t *testing.T) {
 			if again := raised(func() { par.PingAll(dests[:3], 1, opts) }); again.Shard != se.Shard || again.Err != se.Err {
 				t.Errorf("later primitive raised %v, want the first failure again", again)
 			}
+
+			// A pooled phase runs every VP on replica 0, so its failure
+			// there names them all.
+			pooled := testFleet(t, testConfig(), k)
+			pooled.init()
+			pooled.replicas[0].Eng.Schedule(0, func() { panic("injected shard fault") })
+			if se := raised(func() { pooled.PingRROneEngine(dests, opts, nil) }); se.Shard != 0 || !slices.Equal(se.VPs, names) {
+				t.Errorf("pooled phase raised shard %d VPs %v, want shard 0 VPs %v", se.Shard, se.VPs, names)
+			}
 		})
 	}
 }
@@ -521,7 +660,7 @@ func TestParallelCampaignShardClamp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, par := range []*ParallelCampaign{from, NewFleet(NewCampaign(topo, topo.VPs), 10000)} {
+	for _, par := range []*ParallelCampaign{from, NewFleet(NewCampaign(topo, topo.VPs), NewCampaign(topo, nil), 10000)} {
 		if got := par.NumShards(); got != len(topo.VPs) {
 			t.Errorf("NumShards before init = %d, want clamp to %d VPs", got, len(topo.VPs))
 		}

@@ -195,6 +195,70 @@ func TestChaosDoubletreeKillResumes(t *testing.T) {
 	}
 }
 
+// TestChaosFig5KillResumes: a shard replica of a fig5 job dies as its
+// first Figure 5 batch reaches the journal. Figure 5 probes on the
+// job's journaled fleet, so the retry resumes both Table 1 and the
+// Figure 5 batches the other replica archived, renders what an
+// unfaulted run renders, and leaves each Figure 5 VP batch in the
+// journal exactly once.
+func TestChaosFig5KillResumes(t *testing.T) {
+	var armed atomic.Bool
+	prev := measure.WriteShim
+	measure.WriteShim = func(_ string, f *os.File) io.Writer {
+		return writerFunc(func(p []byte) (int, error) {
+			if bytes.Contains(p, []byte(`"kind":"ttl-ping-rr-all","vp":`)) && armed.CompareAndSwap(true, false) {
+				panic("chaos: killing a shard at its first Figure 5 batch")
+			}
+			return f.Write(p)
+		})
+	}
+	t.Cleanup(func() { measure.WriteShim = prev })
+
+	dir := t.TempDir()
+	s := newTestServer(t, Config{DataDir: dir, Workers: 1, QueueCap: 4, MaxRetries: 2, RetryBackoff: time.Millisecond})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	// fig5Batches runs a fig5 job and counts each Figure 5 VP batch its
+	// journal holds.
+	fig5Batches := func() (Status, []byte, map[string]int) {
+		id := submit(t, ts, JobSpec{Experiment: "fig5", Scale: 0.1, Rate: 200, ShuffleSeed: 7, Shards: 2})
+		st := waitTerminal(t, ts, id)
+		_, render := get(t, ts, "/jobs/"+id+"/render")
+		_, batches, err := measure.ReadJournal(filepath.Join(dir, id+".jsonl"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen := make(map[string]int)
+		for _, b := range batches {
+			if b.Kind == "ttl-ping-rr-all" {
+				seen[b.Key]++
+			}
+		}
+		return st, render, seen
+	}
+	base, baseline, want := fig5Batches()
+	if base.State != StateDone || len(want) == 0 {
+		t.Fatalf("baseline settled as %+v with %d Figure 5 batches journaled", base, len(want))
+	}
+
+	armed.Store(true)
+	st, render, got := fig5Batches()
+	if st.State != StateDone || st.Attempts != 2 {
+		t.Fatalf("job settled as %+v, want done on attempt 2", st)
+	}
+	if !bytes.Equal(render, baseline) {
+		t.Errorf("retried render differs from unfaulted run:\n--- retried ---\n%s--- baseline ---\n%s", render, baseline)
+	}
+	for vp := range want {
+		if got[vp] != 1 {
+			t.Errorf("Figure 5 batch of %s journaled %d times, want once", vp, got[vp])
+		}
+	}
+	if len(got) != len(want) {
+		t.Errorf("retried journal holds Figure 5 batches of %d VPs, the unfaulted one %d", len(got), len(want))
+	}
+}
+
 // writerFunc adapts a function to io.Writer.
 type writerFunc func(p []byte) (int, error)
 

@@ -120,7 +120,7 @@ func (s *Study) RunDoubletree(destCap, rounds int) *DoubletreeResult {
 		}
 		return m
 	}
-	fleet := s.Fleet()
+	fleet := s.campaign()
 	res := &DoubletreeResult{
 		VPs: len(vpNames), Dests: len(dests), Rounds: rounds, DestCap: destCap,
 	}

@@ -161,7 +161,7 @@ func TestCloneEquivalenceProperty(t *testing.T) {
 					// engine: the clones are stamped out only afterwards,
 					// off an engine that has already run, and must come
 					// out pristine regardless.
-					seq := measure.NewFleet(s.Camp, 1).PingRRAll(dests, opts.probeOpts(), s.Shuffler())
+					seq := measure.NewFleet(s.Camp, s.CloudCamp, 1).PingRRAll(dests, opts.probeOpts(), s.Shuffler())
 					par := s.Fleet().PingRRAll(dests, opts.probeOpts(), s.Shuffler())
 					if errs := s.Fleet().ShardErrors(); len(errs) > 0 {
 						t.Fatalf("shard errors: %v", errs)

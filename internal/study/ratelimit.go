@@ -3,7 +3,6 @@ package study
 import (
 	"fmt"
 	"io"
-	"net/netip"
 	"sort"
 
 	"recordroute/internal/probe"
@@ -69,23 +68,13 @@ func (s *Study) RunRateLimit(r *Responsiveness, sampleCap int) *RateLimitResult 
 		}
 		return n
 	}
-	for _, rate := range []float64{10, 100} {
-		opts := probe.Options{Rate: rate, Timeout: s.Opts.timeout()}
-		perVP := s.one().fleet.PingRRAll(targets, opts, s.Shuffler())
-		for vp, rs := range perVP {
-			v := res.PerVP[vp]
-			if v == nil {
-				v = &RateLimitVP{}
-				res.PerVP[vp] = v
-			}
-			if rate == 10 {
-				v.At10 = count(rs)
-			} else {
-				v.At100 = count(rs)
-			}
-		}
+	at := func(rate float64) map[string][]probe.Result {
+		return s.campaign().PingRROneEngine(targets, probe.Options{Rate: rate, Timeout: s.Opts.timeout()}, s.Shuffler())
 	}
-	for vp, v := range res.PerVP {
+	at10, at100 := at(10), at(100)
+	for vp, rs := range at10 {
+		v := &RateLimitVP{At10: count(rs), At100: count(at100[vp])}
+		res.PerVP[vp] = v
 		if v.DropFrac() > 0.25 {
 			res.DrasticDrop = append(res.DrasticDrop, vp)
 		}
@@ -110,13 +99,4 @@ func (rl *RateLimitResult) Render(w io.Writer) {
 	}
 	fmt.Fprintf(w, "\nVPs with >25%% response drop at 100pps: %d %v (paper: 8 of 79)\n",
 		len(rl.DrasticDrop), rl.DrasticDrop)
-}
-
-// addrsOnly is a tiny helper used by tests.
-func addrsOnly(rs []probe.Result) []netip.Addr {
-	out := make([]netip.Addr, len(rs))
-	for i, r := range rs {
-		out[i] = r.Dst
-	}
-	return out
 }

@@ -129,7 +129,7 @@ func (s *Study) resolveAliases(r *Responsiveness) (*alias.Sets, int) {
 	// fleet's replicas: an IP-ID is a function of the device and the
 	// time it answers, so it does not matter which replica samples it.
 	var rs []probe.Result
-	for _, g := range s.Fleet().PingBatchVP(s.Origin.Name, cands, 5, s.Opts.probeOpts()) {
+	for _, g := range s.campaign().PingBatchVP(s.Origin.Name, cands, 5, s.Opts.probeOpts()) {
 		rs = append(rs, g...)
 	}
 	sets := alias.Resolve(alias.SeriesFrom(rs), pairs, alias.Config{})
@@ -154,7 +154,7 @@ func (s *Study) runRRUDP(r *Responsiveness) int {
 	for _, vp := range s.Camp.VPs {
 		perVP[vp.Name] = targets
 	}
-	results := s.Fleet().PingRRUDPAll(perVP, s.Opts.probeOpts())
+	results := s.campaign().PingRRUDPAll(perVP, s.Opts.probeOpts())
 	return analysis.ApplyRRUDP(r.Stats, results)
 }
 

@@ -95,7 +95,7 @@ var registry = []Experiment{
 // table1Batches counts Table 1's checkpoints: one ping-RR batch per VP
 // plus one range of the origin's destination-sharded ping phase per
 // replica (DESIGN.md §15).
-func table1Batches(s *Study) int { return len(s.Topo.VPs) + s.Fleet().NumShards() }
+func table1Batches(s *Study) int { return len(s.Topo.VPs) + s.campaign().NumShards() }
 
 // runChaos runs the fault sweep against worlds built from the study's
 // own config and options; the recovery budget is p's, not s.Opts'.

@@ -66,9 +66,10 @@ func runWalk(t *testing.T, fc *netsim.FaultConfig, shards int, journal string, r
 // unjournaled one: its phases are quantized) — as do the merged metrics
 // of every engine the study ran; and a journaled walk killed mid-run
 // (its journal cut to a prefix, mid-line) and resumed renders what the
-// uninterrupted one did. The single-engine experiments are where the
-// fault plan bites: its drops are drawn from the virtual clock, so one
-// probing an engine a campaign had already run would see other weather.
+// uninterrupted one did. Every entry probes the study's one fleet, so
+// under the fault plan, whose drops are drawn from the virtual clock,
+// the cells hold only because each phase starts every replica at the
+// same synced clock and sequence base.
 func TestRegistryShardInvariance(t *testing.T) {
 	faults := []struct {
 		name string

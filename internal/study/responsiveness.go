@@ -42,7 +42,7 @@ func (s *Study) RunResponsiveness() *Responsiveness {
 
 	// The experiment is shard-invariant (each VP's probe stream is
 	// independent), so it probes through the fleet.
-	fleet := s.Fleet()
+	fleet := s.campaign()
 
 	// Phase 1: three plain pings per destination from the origin host
 	// (the paper's USC machine). Routed through the fleet's single-VP

@@ -85,7 +85,7 @@ func (s *Study) RunRRvsTR(r *Responsiveness, perVPCap int) *RRvsTRResult {
 	}
 
 	sess := trace.NewSession(s.stopSetPrefixOf)
-	rounds := s.Fleet().DoubletreeAll(perVP, sess,
+	rounds := s.campaign().DoubletreeAll(perVP, sess,
 		trace.Options{Timeout: s.Opts.timeout(), Exhaustive: true})
 
 	res := &RRvsTRResult{PerVPCap: perVPCap}

@@ -32,49 +32,35 @@ func (s *Study) RunSourceRouteCheck(r *Responsiveness, perVPCap int) *SourceRout
 	}
 	res := &SourceRouteResult{}
 
-	// Choose per-VP targets with a known first hop from that VP.
-	type target struct {
-		dst, via netip.Addr
-	}
-	perVP := make(map[string][]target)
+	// Per VP, the targets with a known first hop from that VP, as one
+	// ping-RR and one ping-LSRR batch started together.
+	batches := make(map[string][][]probe.Spec)
 	for vp, results := range r.PerVP {
-		var mine []target
+		var rr, lsrr []probe.Spec
 		for _, pr := range results {
 			if pr.Type != probe.EchoReply || !pr.HasRR || len(pr.RR) == 0 {
 				continue
 			}
-			mine = append(mine, target{dst: pr.Dst, via: pr.RR[0]})
-			if len(mine) == perVPCap {
+			rr = append(rr, probe.Spec{Dst: pr.Dst, Kind: probe.PingRR})
+			lsrr = append(lsrr, probe.Spec{Dst: pr.Dst, Kind: probe.PingLSRR, Via: []netip.Addr{pr.RR[0]}})
+			if len(rr) == perVPCap {
 				break
 			}
 		}
-		perVP[vp] = mine
+		if len(rr) > 0 {
+			batches[vp] = [][]probe.Spec{rr, lsrr}
+			res.Probed += len(rr)
+		}
 	}
-
-	roster := s.one().vps
-	for _, vp := range roster.VPs {
-		targets := perVP[vp.Name]
-		if len(targets) == 0 {
-			continue
-		}
-		rrSpecs := make([]probe.Spec, len(targets))
-		lsrrSpecs := make([]probe.Spec, len(targets))
-		for i, t := range targets {
-			rrSpecs[i] = probe.Spec{Dst: t.dst, Kind: probe.PingRR}
-			lsrrSpecs[i] = probe.Spec{Dst: t.dst, Kind: probe.PingLSRR, Via: []netip.Addr{t.via}}
-		}
-		res.Probed += len(targets)
-		count := func(rs []probe.Result, into *int) {
-			for _, pr := range rs {
+	for _, groups := range s.campaign().SpecBatchesAll(batches, s.Opts.probeOpts()) {
+		for i, into := range []*int{&res.RRResponses, &res.LSRRResponses} {
+			for _, pr := range groups[i] {
 				if pr.Type == probe.EchoReply {
 					*into++
 				}
 			}
 		}
-		vp.Prober.StartBatch(rrSpecs, s.Opts.probeOpts(), func(rs []probe.Result) { count(rs, &res.RRResponses) })
-		vp.Prober.StartBatch(lsrrSpecs, s.Opts.probeOpts(), func(rs []probe.Result) { count(rs, &res.LSRRResponses) })
 	}
-	roster.Eng.Run()
 	return res
 }
 

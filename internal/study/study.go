@@ -52,12 +52,10 @@ type Options struct {
 	// 6298-style EWMA, clamped to Timeout), so retransmissions fire as
 	// soon as the path's own RTT history says the attempt is lost.
 	Adaptive bool
-	// Shards is the replica count Table 1, Figure 1, Figure 2 and the
-	// traceroute experiments spread their VPs over: 0 picks
-	// runtime.GOMAXPROCS, 1 = one replica on the study's own engine, >1
-	// that many cloned replicas. Their renders are the same at any
-	// count. The experiments that measure on one engine (Figures 3–5,
-	// the §3.5 audit, atlas, LSRR) ignore it.
+	// Shards is the replica count every experiment spreads its VPs
+	// over: 0 picks runtime.GOMAXPROCS, 1 = one replica on the study's
+	// own engine, >1 that many cloned replicas. Renders are the same at
+	// any count; Figure 4 puts every VP on replica 0.
 	Shards int
 	// Scale replaces the roster/prefix/VP sizing of the passed Config
 	// with a named profile's (topology.ProfileConfig) while keeping its
@@ -105,7 +103,7 @@ type Study struct {
 
 	// Camp and CloudCamp are the platform (M-Lab + PlanetLab) and cloud
 	// VP rosters on the study's own engine: what direct probes use, and
-	// at one shard Table 1's replica.
+	// at one shard the fleet's replica.
 	Camp      *measure.Campaign
 	CloudCamp *measure.Campaign
 
@@ -116,18 +114,9 @@ type Study struct {
 
 	table1   *Responsiveness // Table1's memo
 	fleet    *measure.ParallelCampaign
-	single   *singleEngine
 	observer *obs.Observer
 	journal  *measure.Journal
 	ctx      context.Context
-}
-
-// singleEngine is the engine the single-engine experiments probe on:
-// one pristine replica of the study's plane, its platform and cloud
-// rosters, and a one-replica executor over each.
-type singleEngine struct {
-	vps, clouds       *measure.Campaign
-	fleet, cloudFleet *measure.ParallelCampaign
 }
 
 // New builds the simulated Internet for cfg and wires up the campaign.
@@ -179,14 +168,17 @@ func NewFromTopology(topo *topology.Topology, opts Options) (*Study, error) {
 	return s, nil
 }
 
-// Fleet returns the executor the shard-invariant experiments probe
-// through: the study's platform roster on Opts' replica count, made on
+// Fleet returns the executor every experiment probes through: the
+// study's platform and cloud rosters on Opts' replica count, made on
 // first use. One replica is the study's own engine, run inline with no
 // clone, journaled or not; more are clones of this study's topology
 // snapshot, so the Build New already paid is never repeated.
-func (s *Study) Fleet() measure.Fleet {
+func (s *Study) Fleet() measure.Fleet { return s.campaign() }
+
+// campaign is Fleet's executor.
+func (s *Study) campaign() *measure.ParallelCampaign {
 	if s.fleet == nil {
-		s.fleet = measure.NewFleet(s.Camp, s.Opts.shards())
+		s.fleet = measure.NewFleet(s.Camp, s.CloudCamp, s.Opts.shards())
 		s.fleet.AttachJournal(s.journal)
 		s.fleet.SetContext(s.ctx)
 		s.fleet.Observe(s.observer)
@@ -207,41 +199,16 @@ func (s *Study) Table1() *Responsiveness {
 // Table1Memo returns Table1's measurement if it has run, else nil.
 func (s *Study) Table1Memo() *Responsiveness { return s.table1 }
 
-// one returns the engine the single-engine experiments probe on,
-// cloning it from the study's plane on first use. It is never an engine
-// a fleet has run — neither a clone nor, at one shard, the study's own —
-// so those experiments measure the same world at any shard count. That
-// matters for the ones measuring cross-VP contention at shared policers
-// (Figure 4), which need every VP on one engine, and for all of them
-// under a fault plan, whose drops are drawn from the virtual clock.
-func (s *Study) one() *singleEngine {
-	if s.single == nil {
-		topo := topology.SnapshotOf(s.Topo).Clone()
-		e := &singleEngine{vps: measure.NewCampaign(topo, topo.VPs), clouds: measure.NewCampaign(topo, topo.CloudVPs)}
-		e.fleet, e.cloudFleet = measure.NewFleet(e.vps, 1), measure.NewFleet(e.clouds, 1)
-		e.vps.Observe(s.observer)
-		e.clouds.Observe(s.observer)
-		s.single = e
-		s.SetContext(s.ctx) // arms the new executors
-	}
-	return s.single
-}
-
-// SetContext arms cooperative cancellation on every executor the study
-// probes through: once ctx is done, the next deterministic boundary — a
-// primitive start or a per-VP checkpoint — aborts the campaign with a
-// measure.Canceled panic the caller classifies via
-// measure.CanceledFrom. The campaign-service daemon uses this for job
+// SetContext arms cooperative cancellation on the study's fleet: once
+// ctx is done, the next deterministic boundary — a primitive start or a
+// per-VP checkpoint — aborts the campaign with a measure.Canceled panic
+// the caller classifies via measure.CanceledFrom. The campaign-service daemon uses this for job
 // deadlines and DELETE /jobs/{id}; aborting only at those boundaries
 // keeps every journaled batch resume-safe (DESIGN.md §13).
 func (s *Study) SetContext(ctx context.Context) {
 	s.ctx = ctx
 	if s.fleet != nil {
 		s.fleet.SetContext(ctx)
-	}
-	if s.single != nil {
-		s.single.fleet.SetContext(ctx)
-		s.single.cloudFleet.SetContext(ctx)
 	}
 }
 
@@ -308,15 +275,6 @@ func EpochSeed(base uint64, epoch int) uint64 {
 	h *= 0x94d049bb133111eb
 	h ^= h >> 31
 	return h
-}
-
-// MustNew is New for known-good configurations.
-func MustNew(cfg topology.Config, opts Options) *Study {
-	s, err := New(cfg, opts)
-	if err != nil {
-		panic(err)
-	}
-	return s
 }
 
 // Shuffler returns a deterministic per-VP destination permutation,

@@ -141,17 +141,15 @@ func WithProbeRate(pps float64) Option { return func(o *options) { o.rate = pps 
 // WithTimeout sets the per-probe timeout (default 2s of virtual time).
 func WithTimeout(d time.Duration) Option { return func(o *options) { o.timeout = d } }
 
-// WithShards sets how many simulator replicas the shard-invariant
-// experiments (Table 1, Figure 1, Figure 2, the traceroute experiments)
-// spread their vantage points over: 0 (default) uses one per
+// WithShards sets how many simulator replicas the experiments spread
+// their vantage points over: 0 (default) uses one per
 // runtime.GOMAXPROCS, 1 = one replica on the study's own engine, k > 1
 // runs k cloned replicas on a worker pool. Sharding applies to the
 // per-VP fan-out and to the single-VP origin phases (responsiveness
 // pings, alias IP-ID series), whose destination lists fan across the
 // replicas in contiguous ranges. Results are identical either way; see
 // DESIGN.md "Parallel execution model" and "Destination-sharded origin
-// phases". The single-engine experiments (Figures 3–5, the stamping
-// audit, atlas, LSRR) always run on one pristine replica, whatever k.
+// phases".
 func WithShards(k int) Option { return func(o *options) { o.shards = k } }
 
 // WithFaults installs a deterministic fault-injection plan over the
