@@ -35,11 +35,12 @@ rrbench-smoke:
 	$(GO) -C benchmark test ./...
 
 # Race-check the concurrent layers: the sharded campaign executor, the
-# simulator substrate it runs replicas of, and the campaign service.
+# simulator substrate it runs replicas of, the topology build that
+# routes beside its wiring, and the campaign service.
 # Race instrumentation allocates, so the allocation pins (Test…Allocs)
 # are skipped here and in chaos.
 race:
-	$(GO) test -race -skip 'Allocs$$' ./internal/measure/... ./internal/netsim/... ./internal/study/... ./internal/probe/... ./internal/server/...
+	$(GO) test -race -skip 'Allocs$$' ./internal/measure/... ./internal/netsim/... ./internal/study/... ./internal/probe/... ./internal/server/... ./internal/topology/...
 
 # Service-level chaos harness (DESIGN.md §13): deterministic fault
 # injection — workers killed mid-phase, journal writes failing at the

@@ -326,7 +326,3 @@ func (in *Internet) ClassifyDestination(dst netip.Addr) Classification {
 	}
 	return c
 }
-
-// InstalledFaults describes the fault plan WithFaults installed on
-// this Internet ("links=… lossy=… …"); all zeros without WithFaults.
-func (in *Internet) InstalledFaults() string { return in.st.Topo.Faults.String() }

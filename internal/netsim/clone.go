@@ -1,13 +1,13 @@
 package netsim
 
-// Freeze compacts the network's plane and marks it as one that clones
+// Freeze lays out the network's plane and marks it as one that clones
 // may share. It is idempotent and must be called (directly or via the
 // first Clone) before any concurrent cloning: after it, Clone only reads
 // the source. A frozen network keeps working — a later mutator on it, or
 // on a clone, first takes that network a private copy (Network.mutable).
 func (n *Network) Freeze() {
 	if !n.shared {
-		n.p.compact()
+		n.p.layout()
 		n.shared = true
 	}
 }

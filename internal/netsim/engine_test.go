@@ -160,7 +160,6 @@ type recvFunc func(pkt []byte)
 
 func (recvFunc) Name() string                   { return "recv" }
 func (f recvFunc) Receive(pkt []byte, _ *Iface) { f(pkt) }
-func (recvFunc) addIface(*Iface)                {}
 
 // TestEngineOrderIsAtThenSeq runs a random self-scheduling program —
 // same-instant ties, short deliveries, the fixed two-second timers that

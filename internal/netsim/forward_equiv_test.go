@@ -131,8 +131,7 @@ type tap struct {
 	got  []string // "<at> <hex bytes>"
 }
 
-func (t *tap) Name() string    { return t.name }
-func (t *tap) addIface(*Iface) {}
+func (t *tap) Name() string { return t.name }
 func (t *tap) Receive(pkt []byte, on *Iface) {
 	t.got = append(t.got, fmt.Sprintf("%v %x", on.net.Now(), pkt))
 }

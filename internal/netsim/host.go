@@ -163,8 +163,6 @@ func (n *Network) sniffer(hi int32) SnifferFunc {
 // Uplink returns the host's uplink interface, or nil if unconnected.
 func (h *Host) Uplink() *Iface { return h.net.iface(h.rec().uplink) }
 
-func (h *Host) addIface(*Iface) {} // Link already told the record
-
 // Inject transmits a raw, already-serialized IPv4 datagram out the
 // uplink, as a raw-socket prober would: pkt is copied into a pooled
 // buffer and stays the caller's (adopting the caller's slice would grow

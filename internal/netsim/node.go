@@ -21,8 +21,6 @@ type Node interface {
 	Name() string
 	// Receive handles a serialized IPv4 datagram arriving on iface.
 	Receive(pkt []byte, on *Iface)
-	// addIface tells a node of a new interface during Connect.
-	addIface(i *Iface)
 }
 
 // Iface is one end of a point-to-point link.
@@ -497,10 +495,7 @@ func (n *Network) nodeID(node Node) NodeID {
 // applies in both directions. It returns the two interfaces.
 func (n *Network) Connect(a, b Node, addrA, addrB netip.Addr, delay time.Duration) (*Iface, *Iface) {
 	ia, ib := n.Link(n.nodeID(a), n.nodeID(b), addrA, addrB, delay)
-	ha, hb := n.iface(ia), n.iface(ib)
-	a.addIface(ha)
-	b.addIface(hb)
-	return ha, hb
+	return n.iface(ia), n.iface(ib)
 }
 
 // Link is Connect by id, returning the interfaces' ids: what a generator
@@ -514,26 +509,22 @@ func (n *Network) Link(a, b NodeID, addrA, addrB netip.Addr, delay time.Duration
 	p.ifaces = append(p.ifaces,
 		ifaceRec{addr: ka, owner: p.nodes[a], peer: ib, faults: -1, delay: delay},
 		ifaceRec{addr: kb, owner: p.nodes[b], peer: ia, faults: -1, delay: delay})
-	n.attach(ia, kb)
-	n.attach(ib, ka)
+	n.attach(ia)
+	n.attach(ib)
 	return ia, ib
 }
 
 // attach tells its owner of a new interface. A host's first becomes its
-// uplink; a router adds the address to its local set and learns a
-// connected host route to the link peer, as real routers do.
-func (n *Network) attach(id IfaceID, peer uint32) {
-	rec := &n.p.ifaces[id]
-	switch idx := rec.owner.idx(); rec.owner.kind() {
+// uplink. A router forgets its memo, and the plane's next layout files
+// the interface in its tables: its local set, and a connected host route
+// to the link peer, as real routers learn.
+func (n *Network) attach(id IfaceID) {
+	switch o := n.p.ifaces[id].owner; o.kind() {
 	case kindHost:
-		if h := &n.p.hosts[idx]; h.uplink == NoIface {
+		if h := &n.p.hosts[o.idx()]; h.uplink == NoIface {
 			h.uplink = id
 		}
 	case kindRouter:
-		r := &n.p.routers[idx]
-		r.ifaces = append(r.ifaces, id)
-		r.local = append(r.local, rec.addr)
-		r.fib.add(peer, 32, id)
-		n.rs[idx].memo.reset()
+		n.rs[o.idx()].memo.reset()
 	}
 }

@@ -47,9 +47,8 @@ type ifaceRec struct {
 	loss   float64 // per-direction drop probability (Iface.SetLoss)
 }
 
-// routerRec is a router's plane record. compact carves its slices from
-// shared arenas, capped at their length: an append reallocates instead
-// of writing where another network reads.
+// routerRec is a router's plane record. Its slices are filed by layout
+// from the interface table, and may lie in arrays other planes read.
 type routerRec struct {
 	node     NodeID
 	faults   int32 // index into plane.routerFaults, -1 for none
@@ -80,6 +79,7 @@ type plane struct {
 	routers []routerRec
 	hosts   []hostRec
 	ifaces  []ifaceRec // by IfaceID
+	laid    int        // ifaces[:laid] are filed in their routers' tables
 	haddrs  []uint32   // host address runs
 
 	linkFaults   []linkFaults
@@ -110,39 +110,67 @@ func (p *plane) nameBytes(id NodeID) []byte {
 	return p.names[start:p.nameEnd[id]]
 }
 
-// compact moves every router's slices into three arenas, so that a
-// plane holds a fixed number of heap objects however many routers. Each
-// arena is allocated once, at its final size.
-func (p *plane) compact() {
-	ni, nr := 0, 0
-	for i := range p.routers {
-		ni, nr = ni+len(p.routers[i].ifaces), nr+len(p.routers[i].fib.routes)
+// layout files the interfaces linked since the last layout into their
+// routers' tables, in attachment order: the interface, its address in
+// the local set, and a connected /32 route to the link peer, as real
+// routers learn. A router given new interfaces gets its three slices
+// anew, carved from arenas allocated once at their final size — a build
+// laid out at Freeze makes three objects however many routers — and
+// nothing is written where another plane reads.
+func (p *plane) layout() {
+	if p.laid == len(p.ifaces) {
+		return
+	}
+	grow, ni, nr := make([]int, len(p.routers)), 0, 0
+	for _, f := range p.ifaces[p.laid:] {
+		if r := f.owner.idx(); f.owner.kind() == kindRouter {
+			if grow[r] == 0 { // the router's tables move
+				ni, nr = ni+len(p.routers[r].ifaces), nr+len(p.routers[r].fib.routes)
+			}
+			grow[r], ni, nr = grow[r]+1, ni+1, nr+1
+		}
 	}
 	ifaces, local, routes := make([]IfaceID, 0, ni), make([]uint32, 0, ni), make([]fibRoute, 0, nr)
-	for i := range p.routers {
-		r := &p.routers[i]
-		r.ifaces, r.local, r.fib.routes = carve(&ifaces, r.ifaces), carve(&local, r.local), carve(&routes, r.fib.routes)
+	for i, g := range grow {
+		if r := &p.routers[i]; g > 0 {
+			r.ifaces, r.local, r.fib.routes = carve(&ifaces, r.ifaces, g), carve(&local, r.local, g), carve(&routes, r.fib.routes, g)
+		}
 	}
+	for id := p.laid; id < len(p.ifaces); id++ {
+		if f := &p.ifaces[id]; f.owner.kind() == kindRouter {
+			r := &p.routers[f.owner.idx()]
+			r.ifaces = append(r.ifaces, IfaceID(id))
+			r.local = append(r.local, f.addr)
+			r.fib.add(p.ifaces[f.peer].addr, 32, IfaceID(id))
+		}
+	}
+	p.laid = len(p.ifaces)
 }
 
-// carve appends s to an arena with room for it and returns the copy,
-// capped at its length: an append to it reallocates instead of writing
-// over its neighbour in the arena.
-func carve[T any](arena *[]T, s []T) []T {
-	a := append(*arena, s...)
-	*arena = a
-	return a[len(a)-len(s) : len(a) : len(a)]
+// carve copies s into an arena, followed by room for n more elements,
+// and returns the copy with capacity for exactly those.
+func carve[T any](arena *[]T, s []T, n int) []T {
+	start := len(*arena)
+	*arena = append(*arena, s...)[:start+len(s)+n]
+	return (*arena)[start : start+len(s) : start+len(s)+n]
 }
 
 // clone returns a private copy of a shared plane. The routers' slices
-// still point into the shared arenas: appends to them reallocate, and
-// the one in-place write, FIB.Add over an existing prefix, copies first.
+// still point into the shared arrays, clipped to their length: appends
+// to them reallocate, and the one in-place write, FIB.Add over an
+// existing prefix, copies first.
 func (p *plane) clone() *plane {
+	routers := slices.Clone(p.routers)
+	for i := range routers {
+		r := &routers[i]
+		r.ifaces, r.local, r.fib.routes = slices.Clip(r.ifaces), slices.Clip(r.local), slices.Clip(r.fib.routes)
+	}
 	return &plane{
 		nodes:        slices.Clone(p.nodes),
-		routers:      slices.Clone(p.routers),
+		routers:      routers,
 		hosts:        slices.Clone(p.hosts),
 		ifaces:       slices.Clone(p.ifaces),
+		laid:         p.laid,
 		haddrs:       slices.Clone(p.haddrs),
 		linkFaults:   slices.Clone(p.linkFaults),
 		routerFaults: slices.Clone(p.routerFaults),

@@ -73,7 +73,12 @@ func (n *Network) AddRouterNode(name string, behavior RouterBehavior) NodeID {
 	return id
 }
 
-func (r *Router) rec() *routerRec { return &r.net.p.routers[r.idx] }
+// rec returns the router's record, every interface linked so far filed
+// in its tables (plane.layout).
+func (r *Router) rec() *routerRec {
+	r.net.p.layout()
+	return &r.net.p.routers[r.idx]
+}
 
 // optionsLimiter returns the router's slow-path policer, nil for none.
 func (n *Network) optionsLimiter(ri int32) *TokenBucket {
@@ -130,7 +135,8 @@ func (r *Router) FIB() *FIB { return &r.rec().fib }
 
 // AddRoute installs a route for prefix via the given interface.
 func (r *Router) AddRoute(prefix netip.Prefix, via *Iface) {
-	r.net.mutable().routers[r.idx].fib.Add(prefix, via.id)
+	r.net.mutable()
+	r.rec().fib.Add(prefix, via.id)
 	r.net.rs[r.idx].memo.reset()
 }
 
@@ -226,8 +232,6 @@ func (rec *routerRec) ownsAddr(addr uint32) bool {
 	return false
 }
 
-func (r *Router) addIface(*Iface) {} // Link already told the record
-
 // ipid returns the IP identifier node stamps on a packet it originates
 // now (ipidAt).
 func (n *Network) ipid(node NodeID) uint16 { return ipidAt(n.p.nameBytes(node), n.Now()) }
@@ -242,6 +246,9 @@ func (r *Router) Receive(pkt []byte, on *Iface) { r.net.routerReceive(r.idx, pkt
 // the router itself is decoded: answering it originates a new packet.
 func (n *Network) routerReceive(ri int32, pkt []byte, on IfaceID) {
 	p := n.p
+	if p.laid != len(p.ifaces) {
+		p.layout() // a network wired since it last forwarded
+	}
 	rec := &p.routers[ri]
 	if rec.faults >= 0 && p.routerFaults[rec.faults].offline.active(n.Now()) {
 		n.countAt(rec.node, cChaosOffline)

@@ -73,6 +73,10 @@ func (s *Study) RunReachability(r *Responsiveness) *Reachability {
 	return re
 }
 
+// aliasRounds is how many pings resolveAliases sends each candidate: the
+// most any ping phase sends one address (Table 1's origin phase sends 3).
+const aliasRounds = 5
+
 // resolveAliases runs MIDAR-style resolution for destinations that are
 // RR-responsive but unreachable, pairing each with the addresses its own
 // responses recorded, then applies the upgrades.
@@ -125,11 +129,11 @@ func (s *Study) resolveAliases(r *Responsiveness) (*alias.Sets, int) {
 	}
 	sort.Slice(cands, func(i, j int) bool { return cands[i].Less(cands[j]) })
 
-	// Five interleaved rounds over the candidates, fanned across the
-	// fleet's replicas: an IP-ID is a function of the device and the
-	// time it answers, so it does not matter which replica samples it.
+	// Interleaved rounds over the candidates, fanned across the fleet's
+	// replicas: an IP-ID is a function of the device and the time it
+	// answers, so it does not matter which replica samples it.
 	var rs []probe.Result
-	for _, g := range s.campaign().PingBatchVP(s.Origin.Name, cands, 5, s.Opts.probeOpts()) {
+	for _, g := range s.campaign().PingBatchVP(s.Origin.Name, cands, aliasRounds, s.Opts.probeOpts()) {
 		rs = append(rs, g...)
 	}
 	sets := alias.Resolve(alias.SeriesFrom(rs), pairs, alias.Config{})

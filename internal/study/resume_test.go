@@ -8,6 +8,7 @@ import (
 	"slices"
 	"testing"
 
+	"recordroute/internal/measure"
 	"recordroute/internal/netsim"
 	"recordroute/internal/probe"
 	"recordroute/internal/topology"
@@ -241,6 +242,56 @@ func TestResumeEqualsUninterrupted(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// TestSlowJournaledCampaignResumes runs Table 1 journaled at 0.1 probes
+// per second, where the origin phase alone drains for hours of virtual
+// time: the journal's phase quantum must be sized to fit it, and the
+// journal, cut after its first VP record, must resume to the same render.
+func TestSlowJournaledCampaignResumes(t *testing.T) {
+	run := func(path string, resume bool) (render []byte, archived int) {
+		s, err := New(topology.DefaultConfig(topology.Epoch2016).Scale(0.1), Options{Rate: 0.1, Shards: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		j, err := s.AttachJournal(path, resume)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if j.Quantum() <= measure.DefaultQuantum {
+			t.Fatalf("quantum %v: the origin phase alone drains for longer than %v", j.Quantum(), measure.DefaultQuantum)
+		}
+		var buf bytes.Buffer
+		s.RunResponsiveness().Render(&buf)
+		archived = j.Archived()
+		if err := s.CloseJournal(); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes(), archived
+	}
+	dir := t.TempDir()
+	full, cut := filepath.Join(dir, "full.jsonl"), filepath.Join(dir, "cut.jsonl")
+	want, _ := run(full, false)
+
+	data, err := os.ReadFile(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	end := bytes.Index(data, []byte(`{"t":"vp"`))
+	if end < 0 {
+		t.Fatal("the journal holds no VP record")
+	}
+	end += bytes.IndexByte(data[end:], '\n') + 1
+	if err := os.WriteFile(cut, data[:end], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, archived := run(cut, true)
+	if archived != 1 {
+		t.Errorf("resume replayed %d batches, want the one the cut kept", archived)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("resumed render differs from uninterrupted:\n--- uninterrupted ---\n%s\n--- resumed ---\n%s", want, got)
 	}
 }
 

@@ -7,8 +7,6 @@ import (
 	"net/netip"
 
 	"recordroute/internal/analysis"
-	"recordroute/internal/probe"
-	"recordroute/internal/topology"
 	"recordroute/internal/trace"
 )
 
@@ -53,36 +51,10 @@ func (s *Study) RunRRvsTR(r *Responsiveness, perVPCap int) *RRvsTRResult {
 	}
 	rng := rand.New(rand.NewPCG(s.Opts.ShuffleSeed^0x7274, 0x5254))
 
-	// Index this VP's RR results by destination for pairing.
-	rrByVPDst := make(map[string]map[netip.Addr]probe.Result)
-	for vp, rs := range r.PerVP {
-		m := make(map[netip.Addr]probe.Result)
-		for _, res := range rs {
-			m[res.Dst] = res
-		}
-		rrByVPDst[vp] = m
-	}
-
+	rrByVPDst := r.rrByDst()
 	// Each M-Lab VP traces a random capped sample of the destinations
 	// that stamped RR for it.
-	perVP := make(map[string][]netip.Addr)
-	for _, name := range s.vpNamesOfKind(topology.MLab) {
-		var mine []netip.Addr
-		for _, d := range r.Dests {
-			st := r.Stats[d]
-			if st == nil {
-				continue
-			}
-			if slot, ok := st.SlotsByVP[name]; ok && slot > 0 {
-				mine = append(mine, d)
-			}
-		}
-		rng.Shuffle(len(mine), func(i, j int) { mine[i], mine[j] = mine[j], mine[i] })
-		if len(mine) > perVPCap {
-			mine = mine[:perVPCap]
-		}
-		perVP[name] = mine
-	}
+	perVP := s.rrSample(r, rng, perVPCap)
 
 	sess := trace.NewSession(s.stopSetPrefixOf)
 	rounds := s.campaign().DoubletreeAll(perVP, sess,

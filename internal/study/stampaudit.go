@@ -32,35 +32,8 @@ func (s *Study) RunStampAudit(r *Responsiveness, perVPCap int) *StampAuditResult
 	}
 	rng := rand.New(rand.NewPCG(s.Opts.ShuffleSeed^0x5a5a, 0x3c3c))
 
-	// Index this VP's RR results by destination for pairing.
-	rrByVPDst := make(map[string]map[netip.Addr]probe.Result)
-	for vp, rs := range r.PerVP {
-		m := make(map[netip.Addr]probe.Result)
-		for _, res := range rs {
-			m[res.Dst] = res
-		}
-		rrByVPDst[vp] = m
-	}
-
-	// Choose each M-Lab VP's reachable destinations.
-	perVP := make(map[string][]netip.Addr)
-	for _, name := range s.vpNamesOfKind(topology.MLab) {
-		var mine []netip.Addr
-		for _, d := range r.Dests {
-			st := r.Stats[d]
-			if st == nil {
-				continue
-			}
-			if slot, ok := st.SlotsByVP[name]; ok && slot > 0 {
-				mine = append(mine, d)
-			}
-		}
-		rng.Shuffle(len(mine), func(i, j int) { mine[i], mine[j] = mine[j], mine[i] })
-		if len(mine) > perVPCap {
-			mine = mine[:perVPCap]
-		}
-		perVP[name] = mine
-	}
+	rrByVPDst := r.rrByDst()
+	perVP := s.rrSample(r, rng, perVPCap)
 
 	traces := s.campaign().TracerouteAll(perVP, measure.TraceOptions{
 		StartRate: s.Opts.rate(),
@@ -100,4 +73,34 @@ func (sa *StampAuditResult) Render(w io.Writer) {
 	if len(sa.Audit.Never) > 0 {
 		fmt.Fprintf(w, "  suspected AS-wide no-stamp policies: %v\n", sa.Audit.Never)
 	}
+}
+
+// rrByDst indexes each VP's ping-RR results by destination.
+func (r *Responsiveness) rrByDst() map[string]map[netip.Addr]probe.Result {
+	out := make(map[string]map[netip.Addr]probe.Result)
+	for vp, rs := range r.PerVP {
+		m := make(map[netip.Addr]probe.Result)
+		for _, res := range rs {
+			m[res.Dst] = res
+		}
+		out[vp] = m
+	}
+	return out
+}
+
+// rrSample gives each M-Lab VP a random sample, at most perVPCap long,
+// of the destinations that stamped RR in their replies to it.
+func (s *Study) rrSample(r *Responsiveness, rng *rand.Rand, perVPCap int) map[string][]netip.Addr {
+	perVP := make(map[string][]netip.Addr)
+	for _, name := range s.vpNamesOfKind(topology.MLab) {
+		var mine []netip.Addr
+		for _, d := range r.Dests {
+			if st := r.Stats[d]; st != nil && st.SlotsByVP[name] > 0 {
+				mine = append(mine, d)
+			}
+		}
+		rng.Shuffle(len(mine), func(i, j int) { mine[i], mine[j] = mine[j], mine[i] })
+		perVP[name] = mine[:min(len(mine), perVPCap)]
+	}
+	return perVP
 }

@@ -228,7 +228,7 @@ func (s *Study) AttachJournal(path string, resume bool) (*measure.Journal, error
 	meta := measure.JournalMeta{
 		Digest:      s.Topo.Cfg.Digest(),
 		Shards:      s.Opts.shards(),
-		Quantum:     measure.DefaultQuantum,
+		Quantum:     journalQuantum(len(s.Data.Hitlist), s.Opts.rate(), s.Opts.timeout(), s.Opts.Retries),
 		Rate:        s.Opts.rate(),
 		Timeout:     s.Opts.timeout(),
 		ShuffleSeed: s.Opts.ShuffleSeed,
@@ -250,6 +250,16 @@ func (s *Study) AttachJournal(path string, resume bool) (*measure.Journal, error
 	}
 	s.journal = j
 	return j, nil
+}
+
+// journalQuantum sizes a journaled phase's slot of virtual time to what
+// bounds its drain: dests destinations sent the most pings a phase sends
+// one (aliasRounds) at rate per second, then the last one's timeout on
+// every attempt. Whole hours, never below measure.DefaultQuantum: a run
+// an hour held keeps its quantum and its journals. endPhase checks it.
+func journalQuantum(dests int, rate float64, timeout time.Duration, retries int) time.Duration {
+	drain := time.Duration(float64(dests*aliasRounds)/rate*float64(time.Second)) + timeout*time.Duration(retries+1)
+	return max(measure.DefaultQuantum, (drain + time.Hour - 1).Truncate(time.Hour))
 }
 
 // CloseJournal flushes and closes the attached journal, if any.

@@ -42,7 +42,8 @@ type asPlan struct {
 	infra uint32 // next infrastructure address offset (counts down)
 	// owner[s] is the router (its index in the AS) that was given
 	// infrastructure slot s, the address at offset infraTop-s.
-	owner []int32
+	owner         []int32
+	vps, gateways int // VP hosts and policed VP gateways placed so far
 }
 
 func newASPlan(asIdx int) asPlan {
@@ -72,12 +73,12 @@ func (p *asPlan) DestAddr(j int, octet uint8) netip.Addr {
 // ".129" of the same /24 — a second interface of the same device).
 func (p *asPlan) AliasAddr(j int) netip.Addr { return u32Addr(p.base + uint32(j)<<8 + 129) }
 
-// VPAddr returns the k'th vantage-point host address in the AS.
-func (p *asPlan) VPAddr(k int) netip.Addr {
-	if k < 0 || k >= 250 {
+// NextVP allocates the AS's next vantage-point host address.
+func (p *asPlan) NextVP() netip.Addr {
+	if p.vps++; p.vps > 250 {
 		panic("topology: VP slot out of range")
 	}
-	return u32Addr(p.base + vpSlot<<8 + uint32(k) + 1)
+	return u32Addr(p.base + vpSlot<<8 + uint32(p.vps))
 }
 
 // NextInfra allocates a fresh infrastructure (link) address, for an

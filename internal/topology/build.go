@@ -24,7 +24,7 @@ func Builds() uint64 { return builds.Load() }
 // Build generates the AS graph, computes policy routes, and expands
 // everything into a packet-level netsim network with vantage points,
 // destinations, and behaviour assignments. The network comes back frozen
-// (netsim.Network.Freeze): compact, and safe to clone.
+// (netsim.Network.Freeze): laid out, and safe to clone.
 func Build(cfg Config) (*Topology, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -33,15 +33,18 @@ func Build(cfg Config) (*Topology, error) {
 
 	ases, graph := generateASLevel(cfg, rng)
 	assignPolicies(cfg, ases, rng)
+	// AS routing reads only the graph, and wiring never reads routes:
+	// compute them while the routers are wired.
+	routes := make(chan *Routes, 1)
+	go func() { routes <- ComputeRoutes(graph) }()
 
 	t := &Topology{
-		Cfg:    cfg,
-		Net:    netsim.New(),
-		Graph:  graph,
-		Routes: ComputeRoutes(graph),
-		ASes:   ases,
+		Cfg:   cfg,
+		Net:   netsim.New(),
+		Graph: graph,
+		ASes:  ases,
 	}
-	t.oracle = &oracle{numASes: len(ases), routes: t.Routes}
+	t.oracle = &oracle{numASes: len(ases)}
 
 	plans := make([]asPlan, len(ases))
 	for i := range plans {
@@ -56,6 +59,8 @@ func Build(cfg Config) (*Topology, error) {
 	t.buildVPs(t.VPs, plans, rng)
 	t.buildVPs(t.CloudVPs, plans, rng)
 	t.indexInfra(plans)
+	t.Routes = <-routes
+	t.oracle.routes = t.Routes
 	t.Net.SetRouteFunc(t.route)
 	t.bindRouters()
 	t.installFaults()
@@ -64,11 +69,12 @@ func Build(cfg Config) (*Topology, error) {
 	return t, nil
 }
 
-// nodeName names AS as's j'th router ("-r") or destination host ("-d");
-// it is fmt.Sprintf("as%d%s%d") at a fifth of the cost, 10⁵ times a build.
-func nodeName(as int, kind string, j int) string {
-	b := strconv.AppendInt(append(make([]byte, 0, 24), "as"...), int64(as), 10)
-	return string(strconv.AppendInt(append(b, kind...), int64(j), 10))
+// appendNodeName appends the name of AS as's j'th router ("-r") or
+// destination host ("-d"): fmt.Sprintf("as%d%s%d") at a fifth of the
+// cost, 10⁵ times a build, into a buffer Build reuses.
+func appendNodeName(b []byte, as int, kind string, j int) []byte {
+	b = strconv.AppendInt(append(b, "as"...), int64(as), 10)
+	return strconv.AppendInt(append(b, kind...), int64(j), 10)
 }
 
 // gatewayName names a rate-limited VP's dedicated gateway router.
@@ -81,9 +87,10 @@ func gatewayName(v *VP) string { return fmt.Sprintf("as%d-vpgw-%s", v.ASIdx, v.N
 // counted at the length of the longest.
 func (t *Topology) reserve() {
 	routers, hosts, names, adjs := 0, 0, 0, 0
+	var name [32]byte // room for any node name
 	for i, a := range t.ASes {
 		routers, hosts, adjs = routers+a.NumRouters, hosts+a.NumPrefixes, adjs+len(t.Graph.Neighbors(i))
-		names += a.NumRouters*len(nodeName(i, "-r", a.NumRouters)) + a.NumPrefixes*len(nodeName(i, "-d", a.NumPrefixes))
+		names += a.NumRouters*len(appendNodeName(name[:0], i, "-r", a.NumRouters)) + a.NumPrefixes*len(appendNodeName(name[:0], i, "-d", a.NumPrefixes))
 	}
 	for _, v := range slices.Concat(t.VPs, t.CloudVPs) {
 		hosts, names = hosts+1, names+len(v.Name)
@@ -163,9 +170,11 @@ func (t *Topology) buildRouters(rng *rand.Rand) {
 			panic("topology: routers must be the network's first nodes")
 		}
 	}
+	var name []byte
 	for i, a := range t.ASes {
 		for j := 0; j < a.NumRouters; j++ {
-			add(i, nodeName(i, "-r", j), t.routerBehavior(a, rng))
+			name = appendNodeName(name[:0], i, "-r", j)
+			add(i, string(name), t.routerBehavior(a, rng))
 		}
 		// Dedicated first-hop gateways, each carrying one rate-limited VP;
 		// buildVPs wires them in.
@@ -309,6 +318,7 @@ func (t *Topology) buildDests(plans []asPlan, rng *rand.Rand) {
 	block := make([]Dest, t.destBase[len(t.ASes)])
 	t.Dests = make([]*Dest, len(block))
 	t.dest = make([]hostRow, len(block))
+	var name []byte
 	for i, a := range t.ASes {
 		typ := a.Type()
 		for j := 0; j < a.NumPrefixes; j++ {
@@ -336,7 +346,8 @@ func (t *Topology) buildDests(plans []asPlan, rng *rand.Rand) {
 			d.GTUDPResponsive = hb.UDPResponsive
 			t.Dests[k] = d
 
-			host := t.Net.AddHostNode(nodeName(i, "-d", j), hb, d.Addr, d.GTAlias)
+			name = appendNodeName(name[:0], i, "-d", j)
+			host := t.Net.AddHostNode(string(name), hb, d.Addr, d.GTAlias)
 			attach := rng.IntN(a.NumRouters)
 			gwAddr := plans[i].NextInfra(attach)
 			delay := time.Duration(1+rng.IntN(5)) * time.Millisecond
@@ -376,23 +387,17 @@ func planVPs(cfg Config, ases []*AS) (vps, clouds []*VP) {
 // buildVPs creates the planned vantage points' hosts at their AS's hub;
 // a rate-limited VP sits behind its own policed gateway router instead.
 func (t *Topology) buildVPs(vps []*VP, plans []asPlan, rng *rand.Rand) {
-	gateways := map[int]int{} // by AS: how many of its gateways are wired in
 	for _, v := range vps {
-		slot := 0 // next VP host slot of the AS
-		for _, row := range t.vps {
-			if asOfKey(row.addr, t.numASes) == v.ASIdx {
-				slot++
-			}
-		}
-		v.Addr = plans[v.ASIdx].VPAddr(slot)
+		p := &plans[v.ASIdx]
+		v.Addr = p.NextVP()
 		host := t.Net.AddHostNode(v.Name, netsim.DefaultHostBehavior(), v.Addr)
 		attach := 0
 		if v.SourceRateLimited {
-			attach = t.ASes[v.ASIdx].NumRouters + gateways[v.ASIdx] // made by buildRouters
-			gateways[v.ASIdx]++
+			attach = t.ASes[v.ASIdx].NumRouters + p.gateways // made by buildRouters
+			p.gateways++
 			t.attachChild(plans, rng, v.ASIdx, attach, 0)
 		}
-		gwAddr := plans[v.ASIdx].NextInfra(attach)
+		gwAddr := p.NextInfra(attach)
 		gw, _ := t.Net.Link(t.node(v.ASIdx, attach), host, gwAddr, v.Addr, time.Millisecond)
 		t.vps = append(t.vps, vpRow{addrU32(v.Addr), host, hostRow{gw: gw, attach: uint16(attach)}})
 		v.Host = t.Net.Host(host)

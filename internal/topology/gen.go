@@ -43,33 +43,25 @@ func generateASLevel(cfg Config, rng *rand.Rand) ([]*AS, *Graph) {
 	}
 
 	var tier1s, transits, access, enterprise, content, unknown, clouds []int
-	for i := 0; i < cfg.NumTier1; i++ {
-		a := add(RoleTier1, fmt.Sprintf("t1-%d", i), cfg.RoutersPerTier1, jitter(cfg.PrefixesPerTransit))
-		tier1s = append(tier1s, a.Index)
-	}
-	for i := 0; i < cfg.NumTransit; i++ {
-		a := add(RoleTransit, fmt.Sprintf("transit-%d", i), cfg.RoutersPerTransit, jitter(cfg.PrefixesPerTransit))
-		transits = append(transits, a.Index)
-	}
-	for i := 0; i < cfg.NumAccess; i++ {
-		a := add(RoleAccess, fmt.Sprintf("access-%d", i), cfg.RoutersPerAccess, jitter(cfg.PrefixesPerAccess))
-		access = append(access, a.Index)
-	}
-	for i := 0; i < cfg.NumEnterprise; i++ {
-		a := add(RoleEnterprise, fmt.Sprintf("ent-%d", i), cfg.RoutersPerStub, jitter(cfg.PrefixesPerEnterprise))
-		enterprise = append(enterprise, a.Index)
-	}
-	for i := 0; i < cfg.NumContent; i++ {
-		a := add(RoleContent, fmt.Sprintf("content-%d", i), cfg.RoutersPerStub, jitter(cfg.PrefixesPerContent))
-		content = append(content, a.Index)
-	}
-	for i := 0; i < cfg.NumUnknown; i++ {
-		a := add(RoleUnknownStub, fmt.Sprintf("unk-%d", i), cfg.RoutersPerStub, jitter(cfg.PrefixesPerUnknown))
-		unknown = append(unknown, a.Index)
+	for _, r := range []struct {
+		role                 Role
+		name                 string // format of the i'th AS's name
+		n, routers, prefixes int
+		index                *[]int
+	}{
+		{RoleTier1, "t1-%d", cfg.NumTier1, cfg.RoutersPerTier1, cfg.PrefixesPerTransit, &tier1s},
+		{RoleTransit, "transit-%d", cfg.NumTransit, cfg.RoutersPerTransit, cfg.PrefixesPerTransit, &transits},
+		{RoleAccess, "access-%d", cfg.NumAccess, cfg.RoutersPerAccess, cfg.PrefixesPerAccess, &access},
+		{RoleEnterprise, "ent-%d", cfg.NumEnterprise, cfg.RoutersPerStub, cfg.PrefixesPerEnterprise, &enterprise},
+		{RoleContent, "content-%d", cfg.NumContent, cfg.RoutersPerStub, cfg.PrefixesPerContent, &content},
+		{RoleUnknownStub, "unk-%d", cfg.NumUnknown, cfg.RoutersPerStub, cfg.PrefixesPerUnknown, &unknown},
+	} {
+		for i := 0; i < r.n; i++ {
+			*r.index = append(*r.index, add(r.role, fmt.Sprintf(r.name, i), r.routers, jitter(r.prefixes)).Index)
+		}
 	}
 	for _, name := range cfg.CloudNames {
-		a := add(RoleCloud, name, cfg.RoutersPerCloud, 2)
-		clouds = append(clouds, a.Index)
+		clouds = append(clouds, add(RoleCloud, name, cfg.RoutersPerCloud, 2).Index)
 	}
 
 	g := NewGraph(len(ases))

@@ -187,7 +187,10 @@ func TestLargePlaneBudget(t *testing.T) {
 
 // What building a large plane allocates in all, garbage included: the
 // route kernel's scratch and the network's build tables, which Build
-// reserves at their final size so that none is copied as it grows.
+// reserves at their final size so that none is copied as it grows. The
+// count pins that nothing is allocated per host or per router: names go
+// straight into the name arena, and the routers' tables are laid out
+// once, at Freeze.
 func TestLargeBuildAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the large profile")
@@ -197,9 +200,12 @@ func TestLargeBuildAllocs(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	profileTopology(t, ScaleLarge)
 	runtime.ReadMemStats(&after)
-	total := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20)
-	t.Logf("large build: %.1f MB in %d allocations", total, after.Mallocs-before.Mallocs)
+	total, allocs := float64(after.TotalAlloc-before.TotalAlloc)/(1<<20), after.Mallocs-before.Mallocs
+	t.Logf("large build: %.1f MB in %d allocations", total, allocs)
 	if total > 70 {
 		t.Errorf("a large build allocates %.1f MB, budget 70 MB", total)
+	}
+	if allocs > 40000 {
+		t.Errorf("a large build makes %d allocations, budget 40,000", allocs)
 	}
 }

@@ -330,18 +330,6 @@ func (in *Internet) revtrRanker() func(netip.Addr, []*measure.VantagePoint) []*m
 	}
 }
 
-// SourceRateLimitedVPs lists VPs behind source-proximate options
-// policers (ground truth; useful for demos and tests).
-func (in *Internet) SourceRateLimitedVPs() []string {
-	var out []string
-	for _, vp := range in.st.Topo.VPs {
-		if vp.SourceRateLimited {
-			out = append(out, vp.Name)
-		}
-	}
-	return out
-}
-
 // VPKind reports a platform VP's kind ("mlab", "planetlab", "cloud").
 func (in *Internet) VPKind(name string) (string, error) {
 	if vp := in.st.Topo.VPByName(name); vp != nil {
