@@ -30,18 +30,21 @@ func countRound(net *netsim.Network, st trace.Stats) {
 }
 
 // DoubletreeAll runs one traceroute round: every VP with targets in
-// perVP traces them sequentially inside its own replica under sess's
-// stop sets (or exhaustively when opts.Exhaustive), against the frozen
-// sess.Global; after every replica drains, the per-VP deltas are
-// unioned into sess.Global — so the next round's forward probing stops
-// on everything this round discovered. Journaled, each completed VP
-// round is checkpointed as its traces (stop-set effects replay from
+// perVP traces them sequentially under sess's stop sets (or
+// exhaustively when opts.Exhaustive), against the frozen sess.Global,
+// dealt round-robin over the replicas (a round is often a subset of VPs
+// that share a home); after every replica drains, the per-VP deltas
+// are unioned into sess.Global — so the next round's forward probing
+// stops on everything this round discovered. Journaled, each completed
+// VP round is checkpointed as its traces (stop-set effects replay from
 // them via trace.Rebuild) and the merged set's codec bytes seal the
 // phase.
 func (pc *ParallelCampaign) DoubletreeAll(perVP map[string][]netip.Addr, sess *trace.Session, opts trace.Options) map[string]*trace.VPRound {
+	var dealt []string
 	for _, name := range pc.vpNames {
 		if len(perVP[name]) > 0 {
 			sess.State(name) // pre-create while single-threaded
+			dealt = append(dealt, name)
 		}
 	}
 	rounds := &batchCodec[*trace.VPRound]{
@@ -56,7 +59,7 @@ func (pc *ParallelCampaign) DoubletreeAll(perVP map[string][]netip.Addr, sess *t
 			j.recordTraces(phase, kind, name, r.Traces)
 		},
 	}
-	return collect(pc, "doubletree-all", home, rounds, func(rep *replica, vp *VantagePoint, done func(*trace.VPRound)) {
+	return collect(pc, "doubletree-all", placement{deal: dealt}, rounds, func(rep *replica, vp *VantagePoint, done func(*trace.VPRound)) {
 		if ds := perVP[vp.Name]; len(ds) > 0 {
 			trace.Run(vp.Name, vp.Prober, sess.State(vp.Name), sess.Global, sess.PrefixOf, ds, opts, func(r *trace.VPRound) {
 				countRound(rep.Net, r.Stats)

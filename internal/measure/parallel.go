@@ -105,7 +105,7 @@ type replica struct {
 
 	// ghosts are lazily created stand-ins for VPs homed on other
 	// replicas, used by the destination-sharded single-VP phase
-	// (PingBatchVP) and the pooled placement: the same named host on this replica,
+	// (PingBatchVP) and the pooled and dealt placements: the same named host on this replica,
 	// driven by a prober with the VP's campaign ID so wire images match
 	// one engine's byte-for-byte. Safe because the VP's home prober lives
 	// in a different replica engine — IDs never clash within one engine —
@@ -472,27 +472,32 @@ var (
 )
 
 // placement is where a phase's VPs run: home puts each platform VP on
-// its home replica, clouds each cloud VP on its own, and pooled every
-// platform VP on replica 0, as a ghost (shardVP) where it is not home.
-type placement uint8
+// its home replica, clouds each cloud VP on its own, pooled every
+// platform VP on replica 0, and a deal its platform VPs round-robin
+// over the replicas, in order. Pooled and dealt VPs run as ghosts
+// (shardVP) where they are not home.
+type placement struct {
+	clouds, pooled bool
+	deal           []string
+}
 
-const (
-	home placement = iota
-	clouds
-	pooled
-)
+var home, clouds, pooled = placement{}, placement{clouds: true}, placement{pooled: true}
 
 // placed returns the VPs rep runs in a phase placed at, in campaign order.
 func (pc *ParallelCampaign) placed(rep *replica, at placement) (vps []*VantagePoint) {
 	switch {
-	case at == home:
-		return rep.VPs
-	case at == clouds:
+	case at.clouds:
 		return rep.clouds.VPs
-	case rep.idx == 0:
+	case at.pooled && rep.idx == 0:
 		for _, name := range pc.vpNames {
 			vps = append(vps, pc.shardVP(rep, name))
 		}
+	case at.deal != nil:
+		for i := rep.idx; i < len(at.deal); i += len(pc.replicas) {
+			vps = append(vps, pc.shardVP(rep, at.deal[i]))
+		}
+	case !at.pooled:
+		return rep.VPs
 	}
 	return vps
 }
@@ -511,7 +516,7 @@ func (pc *ParallelCampaign) placed(rep *replica, at placement) (vps []*VantagePo
 func collect[T any](pc *ParallelCampaign, kind string, at placement, codec *batchCodec[T], start func(rep *replica, vp *VantagePoint, done func(T)), seal func(out map[string]T, phase int, journaled bool)) map[string]T {
 	phase, journaled := pc.beginPhase(kind)
 	names := pc.vpNames
-	if at == clouds {
+	if at.clouds {
 		names = pc.cloudNames
 	}
 	out := make(map[string]T, len(names))
@@ -523,7 +528,7 @@ func collect[T any](pc *ParallelCampaign, kind string, at placement, codec *batc
 			}
 		}
 	}
-	restore := at != pooled || len(archived) == len(names)
+	restore := !at.pooled || len(archived) == len(names)
 	var mu sync.Mutex
 	pc.eachShard(func(rep *replica) []*VantagePoint { return pc.placed(rep, at) }, func(rep *replica) {
 		for _, vp := range pc.placed(rep, at) {

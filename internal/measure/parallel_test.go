@@ -556,6 +556,40 @@ func TestDoubletreeJournalCutResumes(t *testing.T) {
 	}
 }
 
+// TestDoubletreeWaveUsesEveryReplica runs a Doubletree round over two
+// VPs that share home replica 0 at K = 2: dealt over the replicas, the
+// round injects probes on both, and returns K = 1's bytes.
+func TestDoubletreeWaveUsesEveryReplica(t *testing.T) {
+	round := func(k int) ([]byte, []uint64) {
+		pc := testFleet(t, testConfig(), k)
+		names := pc.VPNames()
+		var dests []netip.Addr
+		for _, d := range pc.replicas[0].topo.Dests[:16] {
+			dests = append(dests, d.Addr)
+		}
+		sess := trace.NewSession(nil)
+		rounds := pc.DoubletreeAll(map[string][]netip.Addr{names[0]: dests, names[2]: dests}, sess, trace.Options{})
+		out := jsonOf([]*trace.VPRound{rounds[names[0]], rounds[names[2]]})
+		global, err := sess.Global.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sent []uint64
+		for _, rep := range pc.replicas {
+			sent = append(sent, injected(rep.Net))
+		}
+		return append(out, global...), sent
+	}
+	want, _ := round(1)
+	got, sent := round(2)
+	if slices.Contains(sent, 0) {
+		t.Errorf("probes injected per replica %v: a replica sat the round out", sent)
+	}
+	if !bytes.Equal(got, want) {
+		t.Error("dealt over two replicas, the round differs from one engine's")
+	}
+}
+
 // TestParallelCampaignShardFailureAborts is the fail-fast contract, at
 // K=1 inline and at K=3: a replica that panics mid-primitive makes the
 // primitive panic on the caller's goroutine with a ShardError naming it

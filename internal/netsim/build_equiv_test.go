@@ -3,7 +3,6 @@ package netsim_test
 import (
 	"reflect"
 	"runtime"
-	"slices"
 	"testing"
 
 	"recordroute/internal/netsim"
@@ -13,7 +12,7 @@ import (
 // TestPipelinedBuildIsOnePlane builds the same configs on one processor
 // and on four. AS routing runs beside the router wiring, on as many
 // workers as there are processors, and neither may change what Build
-// returns: the route matrix row by row, and every table of the frozen
+// returns: every AS's next hop toward every other, and every table of the frozen
 // plane — nodes, names, hosts, interfaces, and each router's
 // interfaces, local set and FIB.
 func TestPipelinedBuildIsOnePlane(t *testing.T) {
@@ -34,12 +33,11 @@ func TestPipelinedBuildIsOnePlane(t *testing.T) {
 				return topology.MustBuild(cfg)
 			}
 			one, four := build(1), build(4)
-			if len(one.Routes.Next) != len(four.Routes.Next) {
-				t.Fatalf("%d route rows, want %d", len(four.Routes.Next), len(one.Routes.Next))
-			}
-			for d := range one.Routes.Next {
-				if !slices.Equal(one.Routes.Next[d], four.Routes.Next[d]) {
-					t.Fatalf("route row %d differs", d)
+			for d := range one.ASes {
+				for a := range one.ASes {
+					if got, want := four.Routes.NextHop(a, d), one.Routes.NextHop(a, d); got != want {
+						t.Fatalf("NextHop(%d, %d) = %d, want %d", a, d, got, want)
+					}
 				}
 			}
 			want, got := netsim.FrozenTables(one.Net), netsim.FrozenTables(four.Net)

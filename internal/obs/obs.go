@@ -32,15 +32,6 @@ import (
 // is deterministic because encoding/json sorts map keys.
 type Counters map[string]uint64
 
-// clone returns a copy of c.
-func (c Counters) clone() Counters {
-	out := make(Counters, len(c))
-	for k, v := range c {
-		out[k] = v
-	}
-	return out
-}
-
 // ShardMetrics is one engine's (one shard replica's) counter state.
 type ShardMetrics struct {
 	// Shard labels the engine: "shard0".."shardN" for campaign

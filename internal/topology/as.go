@@ -18,7 +18,6 @@ const (
 	TypeContent
 	// TypeUnknown is an AS the classifier could not label.
 	TypeUnknown
-	numASTypes
 )
 
 // String returns the dataset label for the type.
@@ -59,7 +58,6 @@ const (
 	// RoleCloud is a large cloud provider (classified Content) with
 	// very broad peering in the 2016 epoch.
 	RoleCloud
-	numRoles
 )
 
 // String names the role.

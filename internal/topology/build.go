@@ -1,10 +1,10 @@
 package topology
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand/v2"
 	"slices"
-	"sort"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -235,39 +235,31 @@ func (t *Topology) attachChild(plans []asPlan, rng *rand.Rand, i, j, p int) {
 	r.down, r.up = t.Net.Link(t.node(i, p), t.node(i, j), parentAddr, childAddr, delay)
 }
 
-// borderCandidates lists an AS's routers eligible to host inter-AS
+// borderCandidates lists AS i's routers eligible to host inter-AS
 // links: backbone routers near the root — core networks spread borders
 // a level deeper (lengthening transit crossings), edge networks keep
-// them shallow so their aggregation tails stay destination-only.
-func (t *Topology) borderCandidates(i int) []int {
-	maxDepth := 1
+// them shallow so their aggregation tails stay destination-only. deep
+// lists those eligible for cloud private interconnects: anywhere in the
+// upper two-thirds of the AS tree.
+func (t *Topology) borderCandidates(i int) (shallow, deep []int) {
+	limit := 1
 	if r := t.ASes[i].Role; r == RoleTier1 || r == RoleTransit {
-		maxDepth = 2
+		limit = 2
 	}
-	return t.routersWithin(i, maxDepth)
-}
-
-// routersWithin lists AS i's routers no deeper than maxDepth in its tree.
-func (t *Topology) routersWithin(i, maxDepth int) []int {
-	var out []int
-	for j := 0; j < t.ASes[i].NumRouters; j++ {
-		if t.depthOf(i, j) <= maxDepth {
-			out = append(out, j)
+	depth := make([]int, t.ASes[i].NumRouters)
+	for j := 1; j < len(depth); j++ {
+		depth[j] = depth[t.rtr[t.router(i, j)].parent] + 1 // a parent precedes its children
+	}
+	deepLimit := max(1, 2*slices.Max(depth)/3)
+	for j, d := range depth {
+		if d <= limit {
+			shallow = append(shallow, j)
+		}
+		if d <= deepLimit {
+			deep = append(deep, j)
 		}
 	}
-	return out
-}
-
-// deepBorderCandidates lists routers eligible for cloud private
-// interconnects: anywhere in the upper two-thirds of the AS tree.
-func (t *Topology) deepBorderCandidates(i int) []int {
-	maxDepth := 0
-	for j := 0; j < t.ASes[i].NumRouters; j++ {
-		if d := t.depthOf(i, j); d > maxDepth {
-			maxDepth = d
-		}
-	}
-	return t.routersWithin(i, max(1, 2*maxDepth/3))
+	return shallow, deep
 }
 
 // buildInterLinks realizes each AS adjacency as one router-level link
@@ -276,8 +268,7 @@ func (t *Topology) buildInterLinks(plans []asPlan, rng *rand.Rand) {
 	borders := make([][]int, len(t.ASes))
 	deepBorders := make([][]int, len(t.ASes))
 	for i := range t.ASes {
-		borders[i] = t.borderCandidates(i)
-		deepBorders[i] = t.deepBorderCandidates(i)
+		borders[i], deepBorders[i] = t.borderCandidates(i)
 	}
 	// pickBorder chooses AS i's router for its link to AS j. Cloud
 	// private interconnects land deep inside access networks (metro
@@ -290,6 +281,13 @@ func (t *Topology) buildInterLinks(plans []asPlan, rng *rand.Rand) {
 		}
 		return cands[rng.IntN(len(cands))]
 	}
+	// One run of rows per AS, sized by its degree, then sorted.
+	t.borderBase = make([]int32, len(t.ASes)+1)
+	for a := range t.ASes {
+		t.borderBase[a+1] = t.borderBase[a] + int32(len(t.Graph.Neighbors(a)))
+	}
+	t.border = make([]borderRow, t.borderBase[len(t.ASes)])
+	fill := slices.Clone(t.borderBase[:len(t.ASes)])
 	for a := 0; a < t.Graph.N(); a++ {
 		for _, nb := range t.Graph.Neighbors(a) {
 			b := nb.To
@@ -301,10 +299,14 @@ func (t *Topology) buildInterLinks(plans []asPlan, rng *rand.Rand) {
 			addrA, addrB := plans[a].NextInfra(ra), plans[b].NextInfra(rb)
 			delay := time.Duration(3+rng.IntN(13)) * time.Millisecond
 			ia, ib := t.Net.Link(t.node(a, ra), t.node(b, rb), addrA, addrB, delay)
-			t.border = append(t.border, borderRow{borderKey(a, b), int32(ra), ia}, borderRow{borderKey(b, a), int32(rb), ib})
+			t.border[fill[a]], t.border[fill[b]] = borderRow{int32(b), int32(ra), ia}, borderRow{int32(a), int32(rb), ib}
+			fill[a]++
+			fill[b]++
 		}
 	}
-	sort.Slice(t.border, func(x, y int) bool { return t.border[x].key < t.border[y].key })
+	for a := range t.ASes {
+		slices.SortFunc(t.border[t.borderBase[a]:t.borderBase[a+1]], func(x, y borderRow) int { return cmp.Compare(x.nbr, y.nbr) })
+	}
 }
 
 // buildDests creates one destination host per advertised prefix, with

@@ -461,3 +461,12 @@ func TestForwardStampPathMatchesMeasurement(t *testing.T) {
 		}
 	}
 }
+
+// depthOf returns a router's depth in its AS tree (root = 0).
+func (o *oracle) depthOf(as, j int) int {
+	d := 0
+	for p := o.rtr[o.router(as, j)].parent; p >= 0; p = o.rtr[o.router(as, int(p))].parent {
+		d++
+	}
+	return d
+}

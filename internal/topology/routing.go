@@ -28,20 +28,6 @@ const (
 	RelProvider
 )
 
-// String names the relationship.
-func (r Rel) String() string {
-	switch r {
-	case RelCustomer:
-		return "customer"
-	case RelPeer:
-		return "peer"
-	case RelProvider:
-		return "provider"
-	default:
-		return "rel(?)"
-	}
-}
-
 // Neighbor is one adjacency in the AS graph.
 type Neighbor struct {
 	To  int
@@ -109,13 +95,18 @@ type relAdj struct {
 	to  []int32
 }
 
-func splitByRel(g *Graph) *relAdj {
+// splitByRel returns the relAdj of g's subgraph over the ASes with a
+// rank in cidx (-1 drops an AS), renumbered by rank.
+func splitByRel(g *Graph, cidx []int32) *relAdj {
 	s := &relAdj{off: make([]int32, 1, 3*g.n+1)}
-	for _, l := range g.adj {
+	for a, l := range g.adj {
+		if cidx[a] < 0 {
+			continue
+		}
 		for r := RelCustomer; r <= RelProvider; r++ {
 			for _, nb := range l {
-				if nb.Rel == r {
-					s.to = append(s.to, int32(nb.To))
+				if nb.Rel == r && cidx[nb.To] >= 0 {
+					s.to = append(s.to, cidx[nb.To])
 				}
 			}
 			s.off = append(s.off, int32(len(s.to)))
@@ -230,45 +221,64 @@ func (k *routeKernel) push(d, a int32) {
 	k.buckets[d] = append(k.buckets[d], a)
 }
 
-// Routes is the all-pairs next-hop matrix: Next[d][a] is a's next hop
-// toward destination d.
+// Routes holds every AS's policy next hop toward every other. Only the
+// core is tabulated: a leaf — one provider, no customers, no peers —
+// routes wherever its provider does, through it, and is reached through
+// it alone. No core route passes through a leaf, so the core's table is
+// the whole graph's, row for row.
 type Routes struct {
-	g    *Graph
-	Next [][]int32
+	via  []int32 // the core AS whose routes an AS takes: itself, or a leaf's provider
+	cidx []int32 // a core AS's rank among the core ASes, ascending with index; -1 for a leaf
+	m    int     // the core AS count
+	// next[cidx[d]*m+cidx[a]] is core AS a's next hop toward core AS d,
+	// as an AS index: d at d itself, -1 where a has no route.
+	next []int32
 }
 
-// ComputeRoutes builds the full next-hop matrix. All rows share one flat
-// n×n backing array — one allocation instead of n — and rows are
-// computed on a bounded worker pool sized to the host (each destination
-// row is independent; see ComputeRoutesParallel).
+// ComputeRoutes builds the routes on a bounded worker pool sized to the
+// host (each destination row is independent; see ComputeRoutesParallel).
 func ComputeRoutes(g *Graph) *Routes {
 	return ComputeRoutesParallel(g, 0)
 }
 
 // ComputeRoutesParallel is ComputeRoutes with an explicit worker count
-// (workers <= 0 selects min(GOMAXPROCS, NumCPU)). Per-destination rows
-// are independent — each worker owns a kernel and writes only the rows
-// it takes from a shared counter — so the result is bit-identical to the
-// serial build regardless of worker count or scheduling.
+// (workers <= 0 selects min(GOMAXPROCS, NumCPU)). The kernel runs over
+// the core graph, whose ranks ascend with AS index, so its lowest next
+// hop tie-break compares the pairs it would over the whole graph. Each
+// worker owns a kernel and writes only the rows it takes from a shared
+// counter, so the result is bit-identical at any worker count.
 func ComputeRoutesParallel(g *Graph, workers int) *Routes {
-	r := &Routes{g: g, Next: make([][]int32, g.n)}
-	flat := make([]int32, g.n*g.n)
-	for d := range r.Next {
-		r.Next[d] = flat[d*g.n : (d+1)*g.n : (d+1)*g.n]
+	r := &Routes{via: make([]int32, g.n), cidx: make([]int32, g.n)}
+	var core []int32 // rank → AS index
+	for a, l := range g.adj {
+		if len(l) == 1 && l[0].Rel == RelProvider {
+			r.via[a], r.cidx[a] = int32(l[0].To), -1
+		} else {
+			r.via[a], r.cidx[a] = int32(a), int32(len(core))
+			core = append(core, int32(a))
+		}
 	}
+	m := len(core)
+	r.m, r.next = m, make([]int32, m*m)
+	adj := splitByRel(g, r.cidx)
 	if workers <= 0 {
 		workers = min(runtime.GOMAXPROCS(0), runtime.NumCPU())
 	}
-	adj := splitByRel(g)
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < min(workers, g.n); w++ {
+	for w := 0; w < min(workers, m); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			k := newRouteKernel(adj, g.n)
-			for d := int(next.Add(1)) - 1; d < g.n; d = int(next.Add(1)) - 1 {
-				k.row(int32(d), r.Next[d])
+			k := newRouteKernel(adj, m)
+			for d := int(next.Add(1)) - 1; d < m; d = int(next.Add(1)) - 1 {
+				row := r.next[d*m : (d+1)*m]
+				k.row(int32(d), row)
+				for a, h := range row {
+					if h >= 0 {
+						row[a] = core[h]
+					}
+				}
 			}
 		}()
 	}
@@ -279,29 +289,33 @@ func ComputeRoutesParallel(g *Graph, workers int) *Routes {
 // Path returns the AS-level path from src to dst (inclusive of both), or
 // nil if unreachable.
 func (r *Routes) Path(src, dst int) []int {
-	if src == dst {
-		return []int{src}
-	}
 	path := []int{src}
-	cur := src
-	for cur != dst {
-		next := r.Next[dst][cur]
-		if next < 0 {
+	for cur := src; cur != dst; {
+		if cur = r.NextHop(cur, dst); cur < 0 {
 			return nil
 		}
-		cur = int(next)
 		path = append(path, cur)
-		if len(path) > r.g.n {
+		if len(path) > len(r.via) {
 			return nil // routing loop; must not happen
 		}
 	}
 	return path
 }
 
-// NextHop returns a's next-hop AS toward dst, or -1.
+// NextHop returns a's next-hop AS toward dst, or -1. A leaf goes to its
+// provider wherever the provider has a route; toward a leaf, its
+// provider hands over and everyone else heads for the provider.
 func (r *Routes) NextHop(a, dst int) int {
 	if a == dst {
 		return dst
 	}
-	return int(r.Next[dst][a])
+	src, d := int(r.via[a]), int(r.via[dst])
+	hop := dst // src is dst itself or dst's provider
+	if src != d {
+		hop = int(r.next[int(r.cidx[d])*r.m+int(r.cidx[src])])
+	}
+	if src != a && hop >= 0 {
+		return src
+	}
+	return hop
 }

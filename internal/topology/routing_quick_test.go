@@ -104,7 +104,7 @@ func TestQuickRoutesValleyFree(t *testing.T) {
 func TestQuickRoutesPreferCustomer(t *testing.T) {
 	f := func(seed int64) bool {
 		g := randomHierarchy(seed)
-		k := newRouteKernel(splitByRel(g), g.N())
+		k := newRouteKernel(wholeAdj(g), g.N())
 		nh := make([]int32, g.N())
 		for d := 0; d < g.N(); d++ {
 			k.row(int32(d), nh)

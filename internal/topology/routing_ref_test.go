@@ -140,8 +140,9 @@ func asGraph(cfg Config) *Graph {
 	return g
 }
 
-// TestRoutesMatchReference holds the route kernel to the reference, row
-// by row: the textbook graph, random hierarchies, the small and medium
+// TestRoutesMatchReference holds the routes to the reference run over
+// the whole graph, every source of each sampled destination row — so
+// leaf rows and leaf columns are both checked: the textbook graph, random hierarchies, the small and medium
 // profiles in full, and every 16th row of the large profile at three
 // seeds.
 func TestRoutesMatchReference(t *testing.T) {
@@ -150,7 +151,7 @@ func TestRoutesMatchReference(t *testing.T) {
 		g      *Graph
 		stride int
 	}
-	cases := []tc{{"textbook", buildTestGraph(), 1}}
+	cases := []tc{{"textbook", buildTestGraph(), 1}, {"leaves", leafGraph(), 1}}
 	for seed := int64(1); seed <= 16; seed++ {
 		cases = append(cases, tc{fmt.Sprintf("hierarchy/seed=%d", seed), randomHierarchy(seed), 1})
 	}
@@ -179,8 +180,8 @@ func TestRoutesMatchReference(t *testing.T) {
 		for d := 0; d < c.g.N(); d += c.stride {
 			want, _, _ := referenceNextHops(c.g, d)
 			for a := range want {
-				if got.Next[d][a] != want[a] {
-					t.Fatalf("%s: Next[%d][%d] = %d, reference %d", c.name, d, a, got.Next[d][a], want[a])
+				if hop := got.NextHop(a, d); hop != int(want[a]) {
+					t.Fatalf("%s: NextHop(%d, %d) = %d, reference %d", c.name, a, d, hop, want[a])
 				}
 			}
 		}

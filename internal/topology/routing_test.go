@@ -183,7 +183,7 @@ func TestGraphHasLink(t *testing.T) {
 
 func TestNextHopsClassAndDist(t *testing.T) {
 	g := buildTestGraph()
-	k := newRouteKernel(splitByRel(g), g.N())
+	k := newRouteKernel(wholeAdj(g), g.N())
 	nh := make([]int32, g.N())
 	k.row(7, nh) // dst = E3
 	class, dist := k.class, k.dist
@@ -205,10 +205,20 @@ func TestNextHopsClassAndDist(t *testing.T) {
 	}
 }
 
+// wholeAdj is g's relAdj over every AS, leaves included: the graph the
+// kernel would route without the core reduction.
+func wholeAdj(g *Graph) *relAdj {
+	rank := make([]int32, g.N())
+	for a := range rank {
+		rank[a] = int32(a)
+	}
+	return splitByRel(g, rank)
+}
+
 // TestComputeRoutesParallelMatchesSerial pins the parallel route build's
-// determinism contract: every worker count produces the exact matrix the
-// serial build does, row for row, on both the textbook graph and random
-// well-formed hierarchies.
+// determinism contract: every worker count produces the exact routes
+// the serial build does, pair for pair, on both the textbook graph and
+// random well-formed hierarchies.
 func TestComputeRoutesParallelMatchesSerial(t *testing.T) {
 	graphs := []*Graph{buildTestGraph()}
 	for seed := int64(1); seed <= 4; seed++ {
@@ -218,17 +228,73 @@ func TestComputeRoutesParallelMatchesSerial(t *testing.T) {
 		want := ComputeRoutesParallel(g, 1)
 		for _, workers := range []int{2, 3, 4, 8, 0} {
 			got := ComputeRoutesParallel(g, workers)
-			if len(got.Next) != len(want.Next) {
-				t.Fatalf("graph %d workers=%d: %d rows, want %d", gi, workers, len(got.Next), len(want.Next))
-			}
-			for d := range want.Next {
-				for a := range want.Next[d] {
-					if got.Next[d][a] != want.Next[d][a] {
-						t.Fatalf("graph %d workers=%d: Next[%d][%d] = %d, want %d",
-							gi, workers, d, a, got.Next[d][a], want.Next[d][a])
+			for d := range g.N() {
+				for a := range g.N() {
+					if hop := got.NextHop(a, d); hop != want.NextHop(a, d) {
+						t.Fatalf("graph %d workers=%d: NextHop(%d, %d) = %d, want %d", gi, workers, a, d, hop, want.NextHop(a, d))
 					}
 				}
 			}
 		}
+	}
+}
+
+// leafGraph is a small graph whose stubs exercise the leaf derivation
+// (TestRoutesMatchReference also holds it to the whole-graph reference):
+//
+//	        T(0)
+//	       /    \
+//	    P1(1)   P2(2) ──peer── X(6)
+//	    /  \      |  \         |
+//	L1(3) L2(4) L3(5) S(7)──peer
+//
+// L1, L2 and L3 are leaves; S is a stub with a provider and a peer,
+// which is not. X reaches P2 and its customers over the peering, and
+// P1's side not at all, so X and the leaves under P1 are mutually
+// unreachable.
+func leafGraph() *Graph {
+	g := NewGraph(8)
+	g.AddLink(0, 1, RelCustomer)
+	g.AddLink(0, 2, RelCustomer)
+	g.AddLink(1, 3, RelCustomer)
+	g.AddLink(1, 4, RelCustomer)
+	g.AddLink(2, 5, RelCustomer)
+	g.AddLink(2, 6, RelPeer)
+	g.AddLink(2, 7, RelCustomer)
+	g.AddLink(7, 6, RelPeer)
+	return g
+}
+
+func TestRoutesLeaves(t *testing.T) {
+	g := leafGraph()
+	r := ComputeRoutes(g)
+	for _, c := range []struct {
+		name      string
+		a, d, hop int
+	}{
+		{"leaf to its provider", 3, 1, 1},
+		{"provider to its leaf", 1, 3, 3},
+		{"leaf to a sibling leaf", 3, 4, 1},
+		{"provider between its leaves", 1, 4, 4},
+		{"leaf to a leaf across the core", 3, 5, 1},
+		{"core toward a leaf across the core", 0, 5, 2},
+		{"no route to the leaf's provider", 6, 3, -1},
+		{"leaf with no route out", 3, 6, -1},
+		{"peered stub takes its peer", 7, 6, 6},
+		{"peer toward the peered stub", 6, 7, 7},
+		{"peer toward a leaf behind its peer", 6, 5, 2},
+	} {
+		if got := r.NextHop(c.a, c.d); got != c.hop {
+			t.Errorf("%s: NextHop(%d, %d) = %d, want %d", c.name, c.a, c.d, got, c.hop)
+		}
+	}
+	if got := r.Path(3, 5); !pathEq(got, 3, 1, 0, 2, 5) {
+		t.Errorf("leaf to leaf path = %v", got)
+	}
+	if got := r.Path(4, 3); !pathEq(got, 4, 1, 3) {
+		t.Errorf("sibling leaf path = %v", got)
+	}
+	if got := r.Path(6, 4); got != nil {
+		t.Errorf("unreachable leaf path = %v", got)
 	}
 }

@@ -170,9 +170,10 @@ func TestLargePlaneBudget(t *testing.T) {
 		t.Skip("builds the large profile")
 	}
 	topo, bytes, objects, _ := heapDelta(func() *Topology { return profileTopology(t, ScaleLarge) })
-	t.Logf("plane: %d nodes, %.1f MB in %d objects", topo.Net.NumNodes(), float64(bytes)/(1<<20), objects)
-	if bytes > 60<<20 || objects > 80_000 {
-		t.Errorf("large plane holds %.1f MB in %d objects, budget 60 MB in 80000", float64(bytes)/(1<<20), objects)
+	t.Logf("plane: %d nodes, %.1f MB in %d objects; routes: %d of %d ASes in the core, a %.1f MB table",
+		topo.Net.NumNodes(), float64(bytes)/(1<<20), objects, topo.Routes.m, len(topo.ASes), float64(4*len(topo.Routes.next))/(1<<20))
+	if bytes > 36<<20 || objects > 80_000 {
+		t.Errorf("large plane holds %.1f MB in %d objects, budget 36 MB in 80000", float64(bytes)/(1<<20), objects)
 	}
 	snap := SnapshotOf(topo)
 	clone, bytes, _, mallocs := heapDelta(snap.Clone)
@@ -202,8 +203,8 @@ func TestLargeBuildAllocs(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	total, allocs := float64(after.TotalAlloc-before.TotalAlloc)/(1<<20), after.Mallocs-before.Mallocs
 	t.Logf("large build: %.1f MB in %d allocations", total, allocs)
-	if total > 70 {
-		t.Errorf("a large build allocates %.1f MB, budget 70 MB", total)
+	if total > 42 {
+		t.Errorf("a large build allocates %.1f MB, budget 42 MB", total)
 	}
 	if allocs > 40000 {
 		t.Errorf("a large build makes %d allocations, budget 40,000", allocs)

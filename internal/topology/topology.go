@@ -7,9 +7,10 @@
 package topology
 
 import (
+	"cmp"
 	"fmt"
 	"net/netip"
-	"sort"
+	"slices"
 
 	"recordroute/internal/netsim"
 )
@@ -118,12 +119,10 @@ type vpRow struct {
 
 // borderRow is one inter-AS link seen from one side.
 type borderRow struct {
-	key    uint64         // borderKey of this AS and the neighbouring one
+	nbr    int32          // the neighbouring AS
 	router int32          // this AS's border router for it
 	out    netsim.IfaceID // that router's interface on the link
 }
-
-func borderKey(as, nbr int) uint64 { return uint64(as)<<32 | uint64(nbr) }
 
 // oracle is the routing oracle and every address index of a topology:
 // dense, pointer-free arrays addressed by the address plan's arithmetic
@@ -150,7 +149,10 @@ type oracle struct {
 	infraBase []int32
 	infraRtr  []int32
 
-	border []borderRow // inter-AS links, sorted by key
+	// Inter-AS links: AS a's side of each of its links is a row of
+	// border[borderBase[a]:borderBase[a+1]], sorted by neighbour.
+	borderBase []int32
+	border     []borderRow
 }
 
 // router returns AS as's router j's row and netsim index; node, its id.
@@ -189,10 +191,9 @@ func (o *oracle) routerAt(as int, v uint32) (int, bool) {
 
 // borderTo returns AS as's side of its link to the neighbouring AS nbr.
 func (o *oracle) borderTo(as, nbr int) (borderRow, bool) {
-	key := borderKey(as, nbr)
-	i := sort.Search(len(o.border), func(i int) bool { return o.border[i].key >= key })
-	if i < len(o.border) && o.border[i].key == key {
-		return o.border[i], true
+	run := o.border[o.borderBase[as]:o.borderBase[as+1]]
+	if i, ok := slices.BinarySearchFunc(run, int32(nbr), func(b borderRow, n int32) int { return cmp.Compare(b.nbr, n) }); ok {
+		return run[i], true
 	}
 	return borderRow{}, false
 }
@@ -252,15 +253,6 @@ func (o *oracle) intraToward(as, j, tgt int) netsim.IfaceID {
 		}
 	}
 	return rows[j].up
-}
-
-// depthOf returns a router's depth in its AS tree (root = 0).
-func (o *oracle) depthOf(as, j int) int {
-	d := 0
-	for p := o.rtr[o.router(as, j)].parent; p >= 0; p = o.rtr[o.router(as, int(p))].parent {
-		d++
-	}
-	return d
 }
 
 // RouterByAddr returns the router owning an infrastructure address, or

@@ -186,12 +186,6 @@ func (in *Internet) PingRRWithTTL(vp string, dst netip.Addr, ttl uint8) (Reply, 
 	return in.probeOnce(vp, probe.Spec{Dst: dst, Kind: probe.TTLPingRR, TTL: ttl})
 }
 
-// PingRRUDP sends a Record Route UDP probe to a high closed port; the
-// port-unreachable error's quoted option is recovered into the Reply.
-func (in *Internet) PingRRUDP(vp string, dst netip.Addr) (Reply, error) {
-	return in.probeOnce(vp, probe.Spec{Dst: dst, Kind: probe.PingRRUDP})
-}
-
 // TimestampEntry is one recorded (hop, milliseconds) pair from an
 // Internet Timestamp probe.
 type TimestampEntry struct {
