@@ -65,14 +65,15 @@ TENANT_QUOTA ?= 0
 serve:
 	$(GO) run ./cmd/rrstudyd -workers $(WORKERS) -tenant-quota $(TENANT_QUOTA)
 
-# Short fuzzing passes over the packet decoders, the forward path, the
-# FIB, the event order, the stop-set codec, the result encoder, and the
-# service's job lifecycle.
+# Short fuzzing passes over the packet decoders, the header editors'
+# checksum, the forward path, the FIB, the event order, the stop-set
+# codec, the result encoder, and the service's job lifecycle.
 fuzz:
 	$(GO) test ./internal/packet -fuzz FuzzParsedDecode -fuzztime 30s
 	$(GO) test ./internal/packet -fuzz FuzzRecordRouteDecode -fuzztime 15s
 	$(GO) test ./internal/packet -fuzz FuzzTimestampDecode -fuzztime 15s
 	$(GO) test ./internal/packet -fuzz FuzzDecodeICMPQuoted -fuzztime 30s
+	$(GO) test ./internal/packet -fuzz FuzzChecksumUpdate -fuzztime 30s
 	$(GO) test ./internal/netsim -fuzz FuzzForwardEquivalence -fuzztime 30s
 	$(GO) test ./internal/netsim -fuzz FuzzFIBLookup -fuzztime 30s
 	$(GO) test ./internal/netsim -fuzz FuzzEngineOrder -fuzztime 30s

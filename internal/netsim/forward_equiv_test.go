@@ -212,7 +212,8 @@ func fixUp(data []byte, fix uint8) []byte {
 		}
 	}
 	if fix&2 != 0 && hdrLen >= 20 && hdrLen <= len(data) {
-		packet.SetHeaderChecksum(data[:hdrLen])
+		data[10], data[11] = 0, 0
+		binary.BigEndian.PutUint16(data[10:], packet.Checksum(data[:hdrLen]))
 	}
 	return data
 }

@@ -75,7 +75,7 @@ func BenchmarkRouterRouteLookup(b *testing.B) {
 	b.Run("uncached", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if n.lookupRouteSlow(r.idx, dst) == NoIface {
+			if via, _ := n.lookupRouteSlow(r.idx, dst); via == NoIface {
 				b.Fatal("no route")
 			}
 		}

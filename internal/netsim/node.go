@@ -83,10 +83,13 @@ func (n *Network) send(i *ifaceRec, pkt []byte) {
 
 // deliver hands a packet that crossed a link to the owner of the
 // interface it arrives on; the engine calls it for every delivery event.
+// The buffer goes back to the pool unless a router kept it to forward.
 func (n *Network) deliver(pkt []byte, on IfaceID) {
 	switch o := n.p.ifaces[on].owner; o.kind() {
 	case kindRouter:
-		n.routerReceive(o.idx(), pkt, on)
+		if n.routerReceive(o.idx(), pkt, on) {
+			return
+		}
 	case kindHost:
 		n.hostReceive(o.idx(), pkt)
 	default:
@@ -138,10 +141,10 @@ func ipidAt(name []byte, t time.Duration) uint16 {
 
 // routerState is a router's overlay: what traffic through it changes.
 type routerState struct {
-	// memo memoizes lookupRoute4 per destination (negative results
-	// included): the oracle recomputes a policy path on every call, and
-	// forwarding asks the same for every probe of a campaign. Emptied
-	// whenever routing changes.
+	// memo memoizes lookupRoute4 (negative results included): the
+	// oracle recomputes a policy path on every call, and forwarding asks
+	// the same for every probe of a campaign — toward a remote AS, one
+	// entry for all its addresses. Emptied whenever routing changes.
 	memo routeMemo
 	// Policers are made on first use: a fresh bucket starts full and
 	// refills clamp at burst, so one born at virtual time t equals one
@@ -208,9 +211,9 @@ const bufSlabSize = 256 * bufCap
 
 // getBuf returns an empty buffer for packet serialization: a recycled
 // one, or a fresh one carved from the arena. Buffers flow getBuf →
-// AppendTo → Iface.Send → delivery → putBuf; receivers must never retain
-// delivered bytes beyond Receive (the Send/sniffer contract), which is
-// what makes the recycling safe (DESIGN.md §12).
+// AppendTo → Iface.Send → delivery (a router sends it on) → putBuf; no
+// receiver retains delivered bytes beyond Receive (the Send/sniffer
+// contract), which is what makes the recycling safe (DESIGN.md §12).
 func (n *Network) getBuf() []byte {
 	if len(n.bufs) == 0 {
 		if len(n.bufSlab) < bufCap {

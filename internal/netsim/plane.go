@@ -71,8 +71,9 @@ type hostRec struct {
 
 // RouteFunc is a routing oracle consulted before a router's FIB: the
 // egress interface at router (an index in AddRouter order) toward the
-// packed IPv4 destination dst, or NoIface to fall back to the FIB.
-type RouteFunc func(router int, dst uint32) IfaceID
+// packed IPv4 destination dst, or NoIface to fall back to the FIB; wide
+// if it holds for every destination in dst's /16 (a remote AS's block).
+type RouteFunc func(router int, dst uint32) (via IfaceID, wide bool)
 
 type plane struct {
 	nodes   []nodeRef // by NodeID

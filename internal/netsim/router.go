@@ -161,7 +161,10 @@ func (n *Network) lookupRoute(ri int32, dst netip.Addr) IfaceID {
 	return n.lookupRoute4(ri, k)
 }
 
-// lookupRoute4 is lookupRoute for a packed destination, as read off the wire.
+// lookupRoute4 is lookupRoute for a packed destination, as read off the
+// wire. A wide answer is memoized for dst's /16, any other for dst, and
+// the router's own /16 (in a generated topology its AS, never wide) by
+// address only: only a remote destination is looked up by block.
 func (n *Network) lookupRoute4(ri int32, dst uint32) IfaceID {
 	rec, st := &n.p.routers[ri], &n.rs[ri]
 	if rec.faults >= 0 {
@@ -175,39 +178,52 @@ func (n *Network) lookupRoute4(ri int32, dst uint32) IfaceID {
 			}
 		}
 	}
-	if v := st.memo.get(dst); v != 0 {
+	remote := len(rec.local) == 0 || rec.local[0]>>16 != dst>>16
+	if remote {
+		if v := st.memo.get(dst>>16, byBlock); v != 0 {
+			return IfaceID(v - memoBase)
+		}
+	}
+	if v := st.memo.get(dst, byAddr); v != 0 {
 		return IfaceID(v - memoBase)
 	}
-	via := n.lookupRouteSlow(ri, dst)
+	via, wide := n.lookupRouteSlow(ri, dst)
 	if st.memo.n >= routeCacheMax {
 		st.memo.reset()
 	}
-	st.memo.put(dst, int32(via)+memoBase)
+	key, sp := dst, byAddr
+	if wide && remote {
+		key, sp = dst>>16, byBlock
+	}
+	st.memo.put(key, sp, int32(via)+memoBase)
 	return via
 }
 
-// lookupRouteSlow is the uncached resolution path.
-func (n *Network) lookupRouteSlow(ri int32, dst uint32) IfaceID {
+// lookupRouteSlow is the uncached resolution path. The answer is wide if
+// the oracle says so and the router has no per-prefix fault.
+func (n *Network) lookupRouteSlow(ri int32, dst uint32) (via IfaceID, wide bool) {
 	rec := &n.p.routers[ri]
+	prefixFault := false
 	if rec.faults >= 0 {
 		f := &n.p.routerFaults[rec.faults]
+		prefixFault = f.prefix.IsValid() || f.churnPrefix.IsValid()
 		if f.prefix.IsValid() && f.prefix.Contains(addrOf(dst)) && f.withdraw.active(n.Now()) {
-			return NoIface
+			return NoIface, false
 		}
 		// Epoch churn: the churned prefix is blackholed for the whole of
 		// any epoch whose (seed, epoch) draw fires. Constant within an
 		// epoch, so the memoized result stays valid until SetFaultEpoch.
 		if f.churnPrefix.IsValid() && f.churnPrefix.Contains(addrOf(dst)) && f.churned(n.faultEpoch) {
 			n.countAt(rec.node, cChaosChurn)
-			return NoIface
+			return NoIface, false
 		}
 	}
 	if n.p.oracle != nil {
-		if via := n.p.oracle(int(ri), dst); via != NoIface {
-			return via
+		if via, wide := n.p.oracle(int(ri), dst); via != NoIface {
+			return via, wide && !prefixFault
 		}
 	}
-	return rec.fib.lookup4(dst)
+	return rec.fib.lookup4(dst), false
 }
 
 // Interfaces returns the router's interfaces in attachment order.
@@ -236,15 +252,21 @@ func (rec *routerRec) ownsAddr(addr uint32) bool {
 // now (ipidAt).
 func (n *Network) ipid(node NodeID) uint16 { return ipidAt(n.p.nameBytes(node), n.Now()) }
 
-// Receive implements Node.
-func (r *Router) Receive(pkt []byte, on *Iface) { r.net.routerReceive(r.idx, pkt, on.id) }
+// Receive implements Node. pkt stays the caller's: the router works on
+// a pooled copy.
+func (r *Router) Receive(pkt []byte, on *Iface) {
+	if b := append(r.net.getBuf(), pkt...); !r.net.routerReceive(r.idx, b, on.id) {
+		r.net.putBuf(b)
+	}
+}
 
 // routerReceive is the router's forwarding path, and it works on the
 // datagram in wire form: the header is validated (checksum included) but
-// never decoded, the bytes are copied into a pooled buffer, and TTL,
-// option slots and checksum are edited there. Only a packet addressed to
-// the router itself is decoded: answering it originates a new packet.
-func (n *Network) routerReceive(ri int32, pkt []byte, on IfaceID) {
+// never decoded, and TTL, option slots and checksum are edited in pkt, a
+// pooled buffer, which is then sent on; kept reports that it was, else
+// the caller recycles it. Only a packet addressed to the router itself
+// is decoded: answering it originates a new packet.
+func (n *Network) routerReceive(ri int32, pkt []byte, on IfaceID) (kept bool) {
 	p := n.p
 	if p.laid != len(p.ifaces) {
 		p.layout() // a network wired since it last forwarded
@@ -256,12 +278,12 @@ func (n *Network) routerReceive(ri int32, pkt []byte, on IfaceID) {
 			// The header is not validated yet; the event carries no addresses.
 			n.tracer(n.Now(), n.nodeName(rec.node), "chaos.router.offline", netip.Addr{}, netip.Addr{})
 		}
-		return
+		return false
 	}
 	w, err := packet.ParseWire(pkt)
 	if err != nil {
 		n.countName(rec.node, "router.drop.parse")
-		return
+		return false
 	}
 	hasOpts := w.HasOptions()
 	b := &rec.behavior
@@ -271,11 +293,11 @@ func (n *Network) routerReceive(ri int32, pkt []byte, on IfaceID) {
 	if hasOpts {
 		if b.DropOptions {
 			n.event(rec.node, cRouterDropFilter, pkt)
-			return
+			return false
 		}
 		if lim := n.optionsLimiter(ri); lim != nil && !lim.Allow(n.Now()) {
 			n.event(rec.node, cRouterDropRatelimit, pkt)
-			return
+			return false
 		}
 		n.event(rec.node, cRouterSlowpath, pkt)
 	}
@@ -286,14 +308,14 @@ func (n *Network) routerReceive(ri int32, pkt []byte, on IfaceID) {
 		if err != nil {
 			// Unreachable: ParseWire accepts exactly what Decode accepts.
 			n.countName(rec.node, "router.drop.parse")
-			return
+			return false
 		}
 		if found, err := n.ip.SourceRouteOption(&n.sr); found && err == nil && !n.sr.Exhausted() {
 			n.forwardSourceRouted(ri, payload)
-			return
+			return false
 		}
 		n.deliverLocal(ri, payload)
-		return
+		return false
 	}
 
 	// TTL handling. An "anonymous" router forwards without decrementing.
@@ -304,43 +326,42 @@ func (n *Network) routerReceive(ri int32, pkt []byte, on IfaceID) {
 			n.countName(rec.node, "router.drop.ttl.silent")
 		}
 		n.event(rec.node, cRouterTTLExpired, pkt)
-		return
+		return false
 	}
 
 	via := n.lookupRoute4(ri, dst)
 	if via == NoIface {
 		n.event(rec.node, cRouterDropNoRoute, pkt)
-		return
+		return false
 	}
 	egress := &p.ifaces[via]
 
-	out, hdrLen := w.AppendTo(n.getBuf(), pkt)
+	pkt = w.Canonicalize(pkt)
+	hdr := pkt[:w.HdrLen]
 	if !b.NoTTLDecrement {
-		out[8]--
+		packet.DecrementTTL(hdr)
 	}
 	// Stamp Record Route with the outgoing interface address (RFC 791:
 	// "its own internet address as known in the environment into which
 	// this datagram is being forwarded"). An option that is full or
 	// malformed travels on untouched.
 	if hasOpts && !b.NoStampRR {
-		var a4 [4]byte
-		binary.BigEndian.PutUint32(a4[:], egress.addr)
-		if w.RR != 0 && packet.StampRecordRoute(out[w.RR:hdrLen], a4) {
+		if w.RR != 0 && packet.StampRecordRoute(hdr, w.RR, egress.addr) {
 			n.event(rec.node, cRouterStamped, pkt)
 		}
 		// The Internet Timestamp option is processed on the same slow
 		// path; a full option increments its overflow counter.
-		if w.TS != 0 && packet.StampTimestamp(out[w.TS:hdrLen], a4, uint32(n.Now().Milliseconds())) {
+		if w.TS != 0 && packet.StampTimestamp(hdr, w.TS, egress.addr, uint32(n.Now().Milliseconds())) {
 			n.event(rec.node, cRouterTS, pkt)
 		}
 	}
-	packet.SetHeaderChecksum(out[:hdrLen])
 	n.countAt(rec.node, cRouterFwd)
 	if hasOpts && b.SlowPathDelay > 0 {
-		n.engine.Schedule(b.SlowPathDelay, func() { n.send(egress, out) })
-		return
+		n.engine.Schedule(b.SlowPathDelay, func() { n.send(egress, pkt) })
+		return true
 	}
-	n.send(egress, out)
+	n.send(egress, pkt)
+	return true
 }
 
 // forwardSourceRouted handles a source-routed packet (decoded in n.ip and

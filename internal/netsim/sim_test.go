@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"bytes"
 	"fmt"
 	"net/netip"
 	"testing"
@@ -592,5 +593,54 @@ func TestPacketPoolIsBoundedByPacketsInFlight(t *testing.T) {
 	}
 	if got := c.net.Counter("router.rr.stamped"); got != 6*1001 {
 		t.Fatalf("router.rr.stamped = %d, want %d: the round trips did not complete", got, 6*1001)
+	}
+}
+
+// TestPacketPoolIntegrity drives a chain through every path that takes
+// a buffer out of flight — in-place forwards, link loss, chaos link-down
+// drops, chaos duplication, the slow-path delay, Time Exceeded drops,
+// and Router.Receive handed a caller's slice — and checks, once nothing
+// is in flight, that no buffer is in the free list twice: a double free
+// would hand one buffer to two packets.
+func TestPacketPoolIntegrity(t *testing.T) {
+	c := buildChain(4, func(i int) RouterBehavior {
+		if i == 1 {
+			return RouterBehavior{SlowPathDelay: 3 * time.Millisecond}
+		}
+		return RouterBehavior{}
+	}, DefaultHostBehavior())
+	c.vp.SetSniffer(nil)
+	egressTo(c.routers[0], a(destAddrStr)).SetLoss(0.2)
+	egressTo(c.routers[1], a(destAddrStr)).setFaults(linkFaults{salt: 1, dup: 0.5})
+	egressTo(c.routers[2], a(destAddrStr)).setFaults(linkFaults{salt: 2,
+		down: faultWindow{period: 50 * time.Millisecond, duty: 10 * time.Millisecond}})
+	external := makePingRR(t, a(vpAddrStr), a(destAddrStr), 9, 9, 64, 9)
+	kept := append([]byte(nil), external...)
+	for i := range 400 {
+		ttl := uint8(2 + i%5) // some expire on the way
+		pkt := makePingRR(t, a(vpAddrStr), a(destAddrStr), 7, uint16(i), ttl, 9*(i%2))
+		c.net.Engine().At(time.Duration(i)*time.Millisecond, func() {
+			c.vp.Inject(pkt)
+			if i%50 == 0 {
+				c.routers[0].Receive(external, egressTo(c.routers[0], a(vpAddrStr)))
+			}
+		})
+	}
+	c.net.Engine().Run()
+	for _, name := range []string{"link.loss", "chaos.link.down", "chaos.link.dup", "router.slowpath", "router.ttl.expired", "router.fwd"} {
+		if c.net.Counter(name) == 0 {
+			t.Errorf("%s never happened", name)
+		}
+	}
+	if !bytes.Equal(external, kept) {
+		t.Errorf("Router.Receive wrote the caller's slice")
+	}
+	seen := map[*byte]bool{}
+	for _, b := range c.net.bufs {
+		p := &b[:1][0]
+		if seen[p] {
+			t.Fatalf("a buffer is in the free list twice (%d buffers pooled)", len(c.net.bufs))
+		}
+		seen[p] = true
 	}
 }

@@ -2,6 +2,7 @@ package packet
 
 import (
 	"encoding/binary"
+	"math/bits"
 	"net/netip"
 )
 
@@ -47,6 +48,36 @@ func foldChecksum(acc uint32) uint16 {
 		acc = (acc & 0xffff) + acc>>16
 	}
 	return ^uint16(acc)
+}
+
+// patch8 writes v over hdr[off], updating hdr's checksum per RFC 1624
+// eqn. 3, HC' = ~(~HC + ~m + m'), m and m' the sums of the edited octets
+// before and after. From a checksum a full computation gives, that is
+// again the full computation's: the sum holds ~HC ≠ 0, so it never folds
+// to the 0xFFFF a full computation cannot give.
+func patch8(hdr []byte, off int, v byte) {
+	sh := 8 * (1 - uint(off)%2) // an even offset is a word's high octet
+	old := uint32(hdr[off]) << sh
+	hdr[off] = v
+	adjustChecksum(hdr, 0xffff-old+uint32(v)<<sh)
+}
+
+// patch32 is patch8 for the big-endian v at hdr[off:off+4], which sums
+// at an odd offset as the four octets rotated by one do at an even one.
+func patch32(hdr []byte, off int, v uint32) {
+	r := 8 * (off % 2)
+	old := bits.RotateLeft32(binary.BigEndian.Uint32(hdr[off:]), r)
+	binary.BigEndian.PutUint32(hdr[off:], v)
+	v = bits.RotateLeft32(v, r)
+	adjustChecksum(hdr, 2*0xffff-(old>>16+old&0xffff)+(v>>16+v&0xffff))
+}
+
+// adjustChecksum adds d, m' - m made positive by multiples of 0xFFFF,
+// to the sum hdr's checksum complements.
+func adjustChecksum(hdr []byte, d uint32) {
+	acc := uint32(^binary.BigEndian.Uint16(hdr[10:])) + d
+	acc = acc&0xffff + acc>>16
+	binary.BigEndian.PutUint16(hdr[10:], ^uint16(acc+acc>>16))
 }
 
 // pseudoHeaderSum returns the unfolded checksum contribution of the IPv4

@@ -79,25 +79,33 @@ func quotedErrorSeeds(t interface{ Fatal(...any) }) [][]byte {
 	return seeds
 }
 
-// TestUpdateQuotedFuzzCorpus rewrites the committed seed corpus for
-// FuzzDecodeICMPQuoted (run with -updatecorpus after changing the seed
-// builders). The files use the standard `go test fuzz v1` encoding, so
-// both plain `go test` runs and -fuzz campaigns pick them up.
+// TestUpdateQuotedFuzzCorpus rewrites the committed seed corpora for
+// FuzzDecodeICMPQuoted and FuzzChecksumUpdate (run with -updatecorpus
+// after changing the seed builders). The files use the standard `go test
+// fuzz v1` encoding, so both plain `go test` runs and -fuzz campaigns
+// pick them up.
 func TestUpdateQuotedFuzzCorpus(t *testing.T) {
 	if !*updateCorpus {
 		t.Skip("run with -updatecorpus to rewrite testdata/fuzz seeds")
 	}
-	dir := filepath.Join("testdata", "fuzz", "FuzzDecodeICMPQuoted")
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	for i, s := range quotedErrorSeeds(t) {
-		body := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", s)
-		path := filepath.Join(dir, fmt.Sprintf("seed-%02d", i))
-		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+	write := func(target string, i int, body string) {
+		dir := filepath.Join("testdata", "fuzz", target)
+		if err := os.MkdirAll(dir, 0o755); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("wrote %s (%d wire bytes)", path, len(s))
+		path := filepath.Join(dir, fmt.Sprintf("seed-%02d", i))
+		if err := os.WriteFile(path, []byte("go test fuzz v1\n"+body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %s", path)
+	}
+	for i, s := range quotedErrorSeeds(t) {
+		write("FuzzDecodeICMPQuoted", i, fmt.Sprintf("[]byte(%q)\n", s))
+	}
+	// Each header with its options at the first octet past the fixed
+	// header and at an odd offset, a Timestamp pointer's turn or not.
+	for i, s := range checksumSeeds(t) {
+		write("FuzzChecksumUpdate", i, fmt.Sprintf("[]byte(%q)\nbyte(%q)\nuint32(%d)\nuint32(%d)\n", s, byte(i%2), 0xc0000201, 1000*i+i%4/2))
 	}
 }
 

@@ -9,14 +9,15 @@ import (
 // a datagram — TTL, the next free slot of a Record Route or Timestamp
 // option, and the checksum — so it edits the serialized bytes in place
 // instead of decoding them into an IPv4 struct and re-encoding. Wire
-// accepts exactly the datagrams IPv4.Decode accepts, and its copy plus
-// the Stamp editors produce exactly the bytes Decode → Record →
+// accepts exactly the datagrams IPv4.Decode accepts, and Canonicalize
+// plus the editors below produce exactly the bytes Decode → Record →
 // SetRecordRoute/SetTimestamp → AppendTo produces
 // (FuzzForwardEquivalence in internal/netsim holds the two together).
+// The editors update the checksum incrementally (FuzzChecksumUpdate).
 
 // Wire is the validated layout of a serialized IPv4 datagram.
 type Wire struct {
-	// HdrLen is the header length the datagram arrived with (IHL*4).
+	// HdrLen is the header length (IHL*4).
 	HdrLen int
 	// Total is the header's TotalLength; bytes beyond it are not part
 	// of the datagram.
@@ -73,45 +74,47 @@ walk:
 // (padding NOPs count, as they do in IPv4.Options).
 func (w Wire) HasOptions() bool { return w.OptEnd > ipv4FixedLen }
 
-// AppendTo appends the datagram to b in the form IPv4.AppendTo
-// serializes it: options kept up to the end-of-list octet and zero
+// Canonicalize rewrites data, the datagram w was parsed from, in place
+// into the form IPv4.AppendTo serializes, returning it (it only shrinks)
+// and updating w: options kept up to the end-of-list octet and zero
 // padded to a 4-octet boundary (IHL and TotalLength shrink with them
-// when the sender padded more), bytes beyond TotalLength dropped. It
-// returns the extended buffer and the copy's header length. The copy's
-// checksum is that of the original; call SetHeaderChecksum once the
-// header edits are done.
-func (w Wire) AppendTo(b, data []byte) ([]byte, int) {
-	start := len(b)
+// when the sender padded more), bytes beyond TotalLength dropped. The
+// checksum is recomputed only if a header byte changed or it reads
+// 0xFFFF (valid, but never what a full computation gives).
+func (w *Wire) Canonicalize(data []byte) []byte {
 	hdrLen := ipv4FixedLen + (w.OptEnd-ipv4FixedLen+3)&^3
-	if hdrLen == w.HdrLen {
-		b = append(b, data[:w.Total]...)
-		clear(b[start+w.OptEnd : start+hdrLen])
-		return b, hdrLen
+	dirty := binary.BigEndian.Uint16(data[10:]) == 0xffff
+	for _, c := range data[w.OptEnd:hdrLen] {
+		dirty = dirty || c != 0
 	}
-	b = append(b, data[:w.OptEnd]...)
-	for len(b)-start < hdrLen {
-		b = append(b, byte(OptEndOfList))
+	clear(data[w.OptEnd:hdrLen])
+	if hdrLen != w.HdrLen {
+		w.Total = hdrLen + copy(data[hdrLen:], data[w.HdrLen:w.Total])
+		w.HdrLen, dirty = hdrLen, true
+		data[0] = 4<<4 | byte(hdrLen/4)
+		binary.BigEndian.PutUint16(data[2:], uint16(w.Total))
 	}
-	b = append(b, data[w.HdrLen:w.Total]...)
-	b[start] = 4<<4 | byte(hdrLen/4)
-	binary.BigEndian.PutUint16(b[start+2:], uint16(len(b)-start))
-	return b, hdrLen
+	if dirty {
+		data[10], data[11] = 0, 0
+		binary.BigEndian.PutUint16(data[10:], Checksum(data[:hdrLen]))
+	}
+	return data[:w.Total]
 }
 
-// SetHeaderChecksum recomputes the checksum of the serialized header
-// hdr (exactly the header, options included) in place.
-func SetHeaderChecksum(hdr []byte) {
-	hdr[10], hdr[11] = 0, 0
-	binary.BigEndian.PutUint16(hdr[10:], Checksum(hdr))
-}
+// DecrementTTL decrements the TTL of the serialized header hdr, keeping
+// its checksum right.
+func DecrementTTL(hdr []byte) { patch8(hdr, 8, hdr[8]-1) }
 
 // StampRecordRoute is the router-side Record Route operation on wire
-// bytes: opt starts at the option's type octet (Wire.RR). It writes
-// addr into the slot the pointer names and advances the pointer,
-// reporting false — and leaving opt untouched — when the option is full
-// or fails the validation DecodeRecordRoute applies (whole 4-octet
-// slots, pointer at least 4 and slot-aligned).
-func StampRecordRoute(opt []byte, addr [4]byte) bool {
+// bytes: the option starts at hdr[at] (Wire.RR) of the serialized
+// header hdr. It writes addr (an IPv4 address, packed big-endian) into
+// the slot the pointer names, advances
+// the pointer and updates the checksum, reporting false — and leaving
+// hdr untouched — when the option is full or fails the validation
+// DecodeRecordRoute applies (whole 4-octet slots, pointer at least 4 and
+// slot-aligned).
+func StampRecordRoute(hdr []byte, at int, addr uint32) bool {
+	opt := hdr[at:]
 	if len(opt) < rrFixedLen {
 		return false
 	}
@@ -122,19 +125,22 @@ func StampRecordRoute(opt []byte, addr [4]byte) bool {
 	if p < rrFirstPointer || (p-rrFirstPointer)%4 != 0 || p > olen {
 		return false
 	}
-	copy(opt[p-1:p+3], addr[:])
-	opt[2] = byte(p + 4)
+	patch32(hdr, at+p-1, addr)
+	patch8(hdr, at+2, byte(p+4))
 	return true
 }
 
 // StampTimestamp is the router-side Internet Timestamp operation on
-// wire bytes: opt starts at the option's type octet (Wire.TS). It
-// registers the hop as Timestamp.Record does — timestamp only, address
-// and timestamp, or timestamp at a matching prespecified address; a
-// full option bumps the overflow nibble (saturating at 15) instead. It
-// reports false, leaving opt untouched, only when the option fails the
-// validation DecodeTimestamp applies.
-func StampTimestamp(opt []byte, addr [4]byte, millis uint32) bool {
+// wire bytes: the option starts at hdr[at] (Wire.TS) of the serialized
+// header hdr. It registers the hop at addr (packed as in
+// StampRecordRoute) as Timestamp.Record does — timestamp only, address
+// and timestamp, or timestamp at a matching prespecified address; a full
+// option bumps the overflow nibble (saturating at 15)
+// instead — and updates the checksum. It reports false, leaving hdr
+// untouched, only when the option fails the validation DecodeTimestamp
+// applies.
+func StampTimestamp(hdr []byte, at int, addr, millis uint32) bool {
+	opt := hdr[at:]
 	if len(opt) < tsFixedLen {
 		return false
 	}
@@ -152,23 +158,22 @@ func StampTimestamp(opt []byte, addr [4]byte, millis uint32) bool {
 	}
 	if p > olen {
 		if opt[3]>>4 < 15 {
-			opt[3] += 1 << 4
+			patch8(hdr, at+3, opt[3]+0x10)
 		}
 		return true
 	}
-	at := opt[p-1:]
-	switch flag {
+	switch s := at + p - 1; flag {
 	case TSOnly:
-		binary.BigEndian.PutUint32(at, millis)
+		patch32(hdr, s, millis)
 	case TSAddr:
-		copy(at, addr[:])
-		binary.BigEndian.PutUint32(at[4:], millis)
+		patch32(hdr, s, addr)
+		patch32(hdr, s+4, millis)
 	case TSPrespecified:
-		if [4]byte(at) != addr {
+		if binary.BigEndian.Uint32(hdr[s:]) != addr {
 			return true // not this hop's turn: no pointer movement
 		}
-		binary.BigEndian.PutUint32(at[4:], millis)
+		patch32(hdr, s+4, millis)
 	}
-	opt[2] = byte(p + slot)
+	patch8(hdr, at+2, byte(p+slot))
 	return true
 }

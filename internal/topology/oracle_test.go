@@ -206,7 +206,7 @@ func checkOracle(t *testing.T, topo *Topology, stride, offset int) {
 				want = e.Addr
 			}
 			var got netip.Addr
-			if id := topo.route(router, addrU32(a)); id != netsim.NoIface {
+			if id, _ := topo.route(router, addrU32(a)); id != netsim.NoIface {
 				got, _, _ = topo.Net.IfaceInfo(id)
 			}
 			if got != want {

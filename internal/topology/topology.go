@@ -200,41 +200,42 @@ func (o *oracle) borderTo(as, nbr int) (borderRow, bool) {
 
 // route is the shared routing oracle (a netsim.RouteFunc): the egress
 // interface for a packet at a router toward dst, or NoIface to fall back
-// to the router's FIB.
-func (o *oracle) route(router int, dst uint32) netsim.IfaceID {
+// to the router's FIB. Toward another AS it depends on dst's AS alone,
+// whose addresses are its /16 (addr.go): the answer is wide.
+func (o *oracle) route(router int, dst uint32) (netsim.IfaceID, bool) {
 	as := int(o.rtr[router].as)
 	j := router - int(o.rtrBase[as])
 	dstAS := asOfKey(dst, o.numASes)
 	if dstAS < 0 {
-		return netsim.NoIface
+		return netsim.NoIface, false
 	}
 	if dstAS == as {
 		// Intra-AS delivery: find the target router, then walk the tree.
 		if h := o.hostAt(as, dst); h != nil {
 			if int(h.attach) == j {
-				return h.gw
+				return h.gw, false
 			}
-			return o.intraToward(as, j, int(h.attach))
+			return o.intraToward(as, j, int(h.attach)), false
 		}
 		if tgt, ok := o.routerAt(as, dst); ok {
-			return o.intraToward(as, j, tgt) // NoIface when local to this router
+			return o.intraToward(as, j, tgt), false // NoIface when local to this router
 		}
-		return netsim.NoIface
+		return netsim.NoIface, false
 	}
 	nh := o.routes.NextHop(as, dstAS)
 	if nh < 0 {
-		return netsim.NoIface
+		return netsim.NoIface, false
 	}
 	// Route toward the border with the next-hop AS. When there is no
 	// direct adjacency (shouldn't happen with consistent routes), drop.
 	b, ok := o.borderTo(as, nh)
 	if !ok {
-		return netsim.NoIface
+		return netsim.NoIface, false
 	}
 	if int(b.router) == j {
-		return b.out
+		return b.out, true
 	}
-	return o.intraToward(as, j, int(b.router))
+	return o.intraToward(as, j, int(b.router)), true
 }
 
 // intraToward returns the next interface from router j toward router tgt
@@ -283,7 +284,7 @@ func (t *Topology) ForwardStampPath(src, dst netip.Addr) []netip.Addr {
 	_, _, cur := t.Net.IfaceInfo(h.gw)
 	var stamps []netip.Addr
 	for hop := 0; hop < 64; hop++ {
-		egress := t.route(cur, addrU32(dst))
+		egress, _ := t.route(cur, addrU32(dst))
 		if egress == netsim.NoIface {
 			// Local delivery to this router itself.
 			if j, ok := t.routerAt(dstAS, addrU32(dst)); ok && cur == t.router(dstAS, j) {

@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"time"
 
-	"recordroute/internal/netsim"
 	"recordroute/internal/topology"
 )
 
@@ -50,69 +49,6 @@ type options struct {
 	timeout time.Duration
 	shards  int
 	retries int
-	faults  *FaultProfile
-}
-
-// FaultProfile parameterizes deterministic fault injection ("chaos")
-// over the simulated Internet: link loss, jitter, duplication, flaps,
-// router outages, ICMP-error suppression, and transient route
-// withdrawals, all drawn from the seed so equal seeds give identical
-// weather. The zero value injects nothing. Fields mirror the internal
-// netsim.FaultConfig; *Frac fields select the afflicted fraction of
-// candidates (0 means all, when the matching probability is set).
-type FaultProfile struct {
-	// Seed drives the fault draws; 0 inherits the Internet's seed.
-	Seed uint64
-	// LossProb drops packets per direction on LossFrac of links.
-	LossProb, LossFrac float64
-	// JitterMax adds up to that much extra one-way delay on JitterFrac
-	// of links (jittered links may reorder).
-	JitterMax  time.Duration
-	JitterFrac float64
-	// DupProb duplicates packets on DupFrac of links.
-	DupProb, DupFrac float64
-	// FlapFrac of links go down FlapDown out of every FlapPeriod.
-	FlapFrac             float64
-	FlapPeriod, FlapDown time.Duration
-	// OutageFrac of routers suffer one OutageFor outage starting within
-	// OutageSpread.
-	OutageFrac              float64
-	OutageSpread, OutageFor time.Duration
-	// SuppressFrac of routers mute ICMP errors SuppressFor out of every
-	// SuppressPeriod.
-	SuppressFrac                float64
-	SuppressPeriod, SuppressFor time.Duration
-	// WithdrawFrac of destination prefixes are transiently withdrawn at
-	// their attachment router WithdrawFor out of every WithdrawPeriod.
-	WithdrawFrac                float64
-	WithdrawPeriod, WithdrawFor time.Duration
-	// ChurnFrac of destination prefixes join the long-horizon churn
-	// pool: each pooled prefix is withdrawn for a whole fault epoch
-	// (the recurring-campaign cadence; see EpochsLive) with per-epoch
-	// probability ChurnProb.
-	ChurnFrac, ChurnProb float64
-}
-
-// faultConfig converts the profile to the internal fault config.
-func (p *FaultProfile) faultConfig(seed uint64) *netsim.FaultConfig {
-	if p == nil {
-		return nil
-	}
-	fc := netsim.FaultConfig{
-		Seed:     p.Seed,
-		LossProb: p.LossProb, LossFrac: p.LossFrac,
-		JitterMax: p.JitterMax, JitterFrac: p.JitterFrac,
-		DupProb: p.DupProb, DupFrac: p.DupFrac,
-		FlapFrac: p.FlapFrac, FlapPeriod: p.FlapPeriod, FlapDown: p.FlapDown,
-		OutageFrac: p.OutageFrac, OutageSpread: p.OutageSpread, OutageFor: p.OutageFor,
-		SuppressFrac: p.SuppressFrac, SuppressPeriod: p.SuppressPeriod, SuppressFor: p.SuppressFor,
-		WithdrawFrac: p.WithdrawFrac, WithdrawPeriod: p.WithdrawPeriod, WithdrawFor: p.WithdrawFor,
-		ChurnFrac: p.ChurnFrac, ChurnProb: p.ChurnProb,
-	}
-	if fc.Seed == 0 {
-		fc.Seed = seed
-	}
-	return &fc
 }
 
 // Option configures New.
@@ -152,17 +88,9 @@ func WithTimeout(d time.Duration) Option { return func(o *options) { o.timeout =
 // phases".
 func WithShards(k int) Option { return func(o *options) { o.shards = k } }
 
-// WithFaults installs a deterministic fault-injection plan over the
-// built network (see FaultProfile). Faults are part of the seed: equal
-// seeds and profiles give identical weather, so faulted runs stay
-// byte-reproducible.
-func WithFaults(p FaultProfile) Option { return func(o *options) { o.faults = &p } }
-
 // WithRetries gives every probe up to n retransmissions with
 // exponential backoff and RTT-adaptive timeouts (default 0: the
-// paper's single-shot probing). Useful together with WithFaults to
-// measure how much of the fault-induced classification loss retrying
-// recovers.
+// paper's single-shot probing).
 func WithRetries(n int) Option { return func(o *options) { o.retries = n } }
 
 // buildConfig resolves options into a topology configuration.
@@ -182,7 +110,6 @@ func buildConfig(opts []Option) (topology.Config, options) {
 	if o.seed != 0 {
 		cfg.Seed = o.seed
 	}
-	cfg.Faults = o.faults.faultConfig(cfg.Seed)
 	return cfg, o
 }
 

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"recordroute/internal/study"
+	"recordroute/internal/topology"
 )
 
 // smallInternet builds a fast test Internet.
@@ -305,6 +306,49 @@ func TestTimeoutOptionApplies(t *testing.T) {
 	}
 	if dead == "" {
 		t.Skip("every destination responded")
+	}
+}
+
+// TestEpochOptionBuilds2011: WithEpoch(Epoch2011) builds the
+// sparse-peering world, whose vantage points are the 2011 mix — few
+// M-Lab sites, PlanetLab dominating — where 2016's are mostly M-Lab.
+func TestEpochOptionBuilds2011(t *testing.T) {
+	in := MustNew(WithScale(0.15), WithEpoch(Epoch2011))
+	if got := in.st.Topo.Cfg.Epoch; got != topology.Epoch2011 {
+		t.Fatalf("built the %v world", got)
+	}
+	for _, c := range []struct {
+		in   *Internet
+		want topology.Config
+	}{
+		{in, topology.DefaultConfig(topology.Epoch2011).Scale(0.15)},
+		{MustNew(WithScale(0.15)), topology.DefaultConfig(topology.Epoch2016).Scale(0.15)},
+	} {
+		if m, p := len(c.in.MLabVPs()), len(c.in.PlanetLabVPs()); m != c.want.NumMLab || p != c.want.NumPlanetLab {
+			t.Errorf("%v: %d M-Lab and %d PlanetLab VPs, want %d and %d", c.want.Epoch, m, p, c.want.NumMLab, c.want.NumPlanetLab)
+		}
+	}
+	if m, p := len(in.MLabVPs()), len(in.PlanetLabVPs()); m >= p {
+		t.Errorf("2011 world has %d M-Lab VPs and %d PlanetLab: not the 2011 mix", m, p)
+	}
+}
+
+// TestRetriesOptionRetransmits: WithRetries(n) gives the campaign's
+// probes n retransmissions, which the probes that time out use; without
+// the option nothing is sent twice.
+func TestRetriesOptionRetransmits(t *testing.T) {
+	for _, n := range []int{0, 2} {
+		in := MustNew(WithScale(0.15), WithProbeRate(200), WithShards(1), WithRetries(n))
+		if err := in.Run("table1", io.Discard, Params{}); err != nil {
+			t.Fatal(err)
+		}
+		var resent uint64
+		for _, vp := range in.st.Camp.VPs {
+			resent += vp.Prober.Retransmits()
+		}
+		if (resent > 0) != (n > 0) {
+			t.Errorf("WithRetries(%d): Table 1 retransmitted %d probes", n, resent)
+		}
 	}
 }
 
