@@ -71,7 +71,6 @@ serve:
 fuzz:
 	$(GO) test ./internal/packet -fuzz FuzzParsedDecode -fuzztime 30s
 	$(GO) test ./internal/packet -fuzz FuzzRecordRouteDecode -fuzztime 15s
-	$(GO) test ./internal/packet -fuzz FuzzTimestampDecode -fuzztime 15s
 	$(GO) test ./internal/packet -fuzz FuzzDecodeICMPQuoted -fuzztime 30s
 	$(GO) test ./internal/packet -fuzz FuzzChecksumUpdate -fuzztime 30s
 	$(GO) test ./internal/netsim -fuzz FuzzForwardEquivalence -fuzztime 30s

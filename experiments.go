@@ -295,7 +295,7 @@ func (in *Internet) ClassifyDestination(dst netip.Addr) Classification {
 	probeAll := func(kind probe.Kind) map[string][]probe.Result {
 		perVP := make(map[string][]probe.Result)
 		for _, vp := range in.st.Camp.VPs {
-			vp.Prober.StartOne(probe.Spec{Dst: dst, Kind: kind}, in.opts.timeout, func(r probe.Result) {
+			vp.Prober.StartOneWith(probe.Spec{Dst: dst, Kind: kind}, in.st.Opts.ProbeOpts(), func(r probe.Result) {
 				perVP[vp.Name] = append(perVP[vp.Name], r)
 			})
 		}

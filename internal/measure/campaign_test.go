@@ -95,22 +95,6 @@ func TestCampaignEmptyPerVPMapsSkip(t *testing.T) {
 	}
 }
 
-func TestPingTSBatchDirect(t *testing.T) {
-	topo := testTopo(t)
-	dests := responsiveDests(topo, 3)
-	raws := rrCapableVPs(t, topo, dests[0], 1)
-	if len(raws) == 0 {
-		t.Skip("no capable VP")
-	}
-	vp := NewVantagePoint("tsvp", raws[0].Host, topo.Net.Engine(), 0x5100)
-	var got []probe.Result
-	vp.Batch(dests, probe.PingTS, probe.Options{Rate: 500}, func(rs []probe.Result) { got = rs })
-	topo.Net.Engine().Run()
-	if len(got) != 3 {
-		t.Fatalf("results = %d", len(got))
-	}
-}
-
 func TestTraceOptionsDefaults(t *testing.T) {
 	var o TraceOptions
 	if o.maxTTL() != 30 || o.gapLimit() != 4 || o.startRate() != 20 {

@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"recordroute/internal/packet"
 	"recordroute/internal/probe"
 	"recordroute/internal/results"
 )
@@ -30,9 +29,9 @@ func formatBatch() []probe.Result {
 		},
 		{Spec: probe.Spec{Dst: a("10.6.6.6"), Kind: probe.Ping}, SentAt: 5 * time.Second, Type: probe.NoResponse, Attempts: 3},
 		{
-			Spec: probe.Spec{Dst: a("10.4.4.4"), Kind: probe.PingTS},
-			Type: probe.SendError, TS: []packet.TSEntry{{Addr: a("10.4.0.1"), Millis: 4001}},
-			Err: errors.New(`send <failed> & "quoted"`),
+			Spec: probe.Spec{Dst: a("10.4.4.4"), Kind: probe.PingLSRR, Via: []netip.Addr{a("10.4.0.1")}},
+			Type: probe.SendError,
+			Err:  errors.New(`send <failed> & "quoted"`),
 		},
 	}
 }

@@ -30,8 +30,8 @@ func NewVantagePoint(name string, host *netsim.Host, eng *netsim.Engine, id uint
 	}
 }
 
-// Batch sends one probe of the given kind to every destination — ping-RR,
-// ping-RRudp (§3.3's reclassification probe), Internet Timestamp. The
+// Batch sends one probe of the given kind to every destination — ping-RR
+// or ping-RRudp (§3.3's reclassification probe). The
 // specs are generated as they are launched (probe.Batch), not built into
 // a slice per VP per phase.
 func (vp *VantagePoint) Batch(dsts []netip.Addr, kind probe.Kind, opts probe.Options, done func([]probe.Result)) {

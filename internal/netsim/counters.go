@@ -152,7 +152,6 @@ var (
 	cRouterFwd      = CounterID("router.fwd")
 	cRouterSlowpath = CounterID("router.slowpath")
 	cRouterStamped  = CounterID("router.rr.stamped")
-	cRouterTS       = CounterID("router.ts.stamped")
 	cHostInject     = CounterID("host.inject")
 	cHostEchoReply  = CounterID("host.echo.reply")
 	cHostUDPUnreach = CounterID("host.udp.unreach")

@@ -1,7 +1,9 @@
 package netsim
 
 import (
+	"bytes"
 	"net/netip"
+	"slices"
 	"testing"
 	"time"
 
@@ -195,47 +197,39 @@ func TestHostDropsUnexhaustedSourceRoute(t *testing.T) {
 	}
 }
 
+// TestRRAndTimestampInOnePacket: a datagram carrying Record Route and an
+// Internet Timestamp option (type 68) takes the options slow path at
+// every router, and the routers stamp Record Route only: the Timestamp
+// option reaches the destination byte for byte as sent, and the echo
+// reply carries Record Route alone.
 func TestRRAndTimestampInOnePacket(t *testing.T) {
-	// Both options ride the same probe: every forwarding router stamps
-	// both; the destination copies and completes both in its reply.
 	c := buildChain(3, nil, DefaultHostBehavior())
-	hdr := packet.IPv4{TTL: 64, ID: 9, Protocol: packet.ProtocolICMP, Src: a(vpAddrStr), Dst: a(destAddrStr)}
-	// Both options must fit the 40-octet area: RR(3)=15 + TS(2)=20.
-	if err := hdr.SetRecordRoute(packet.NewRecordRoute(3)); err != nil {
-		t.Fatal(err)
-	}
-	if err := hdr.SetTimestamp(packet.NewTimestamp(packet.TSAddr, 2)); err != nil {
-		t.Fatal(err)
-	}
-	wire, err := hdr.Marshal(packet.NewEchoRequest(9, 1, nil).Marshal())
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.vp.Inject(wire)
+	ts := tsOpt(13, 1, make([]byte, 16)...)
+	var delivered []byte
+	c.dest.SetSniffer(func(_ time.Duration, pkt []byte) { delivered = bytes.Clone(pkt) })
+	c.vp.Inject(fixUp(rawDatagram(64, a(destAddrStr), append(rrOpt(3, 4), ts...), 0), 3))
 	c.net.Engine().Run()
+
+	var req packet.IPv4
+	if _, err := req.Decode(delivered); err != nil {
+		t.Fatalf("request at the destination: %v", err)
+	}
+	var rr packet.RecordRoute
+	if found, _ := req.RecordRouteOption(&rr); !found || !slices.Equal(rr.Recorded(), c.fwdAddrs) {
+		t.Errorf("request's RR = %v, want the forward path %v", rr.Recorded(), c.fwdAddrs)
+	}
+	if len(req.Options) != 2 || req.Options[1].Type != 68 || !bytes.Equal(req.Options[1].Data, ts[2:]) {
+		t.Errorf("request's options = %v, want RR then the Timestamp option as sent", req.Options)
+	}
+	// Three routers out, three back: the reply's RR keeps it on the slow path.
+	if got := c.net.Counter("router.slowpath"); got != 6 {
+		t.Errorf("router.slowpath = %d, want 6", got)
+	}
 	if len(c.replies) != 1 {
 		t.Fatalf("replies = %d", len(c.replies))
 	}
 	ip, _ := decodeReply(t, c.replies[0].raw)
-	var rr packet.RecordRoute
-	if found, _ := ip.RecordRouteOption(&rr); !found {
-		t.Fatal("RR missing from reply")
-	}
-	var ts packet.Timestamp
-	if found, _ := ip.TimestampOption(&ts); !found {
-		t.Fatal("TS missing from reply")
-	}
-	// RR: the 3 fwd routers fill all 3 slots; TS: first 2 fwd stamps.
-	if rr.RecordedCount() != 3 {
-		t.Errorf("rr recorded = %d, want 3", rr.RecordedCount())
-	}
-	if ts.RecordedCount() != 2 {
-		t.Errorf("ts recorded = %d, want 2", ts.RecordedCount())
-	}
-	// The shared prefix of stamped addresses must agree.
-	for i := 0; i < 2; i++ {
-		if rr.Recorded()[i] != ts.Recorded()[i].Addr {
-			t.Errorf("slot %d: rr %v vs ts %v", i, rr.Recorded()[i], ts.Recorded()[i].Addr)
-		}
+	if len(ip.Options) != 1 || ip.Options[0].Type != packet.OptRecordRoute {
+		t.Errorf("reply's options = %v, want Record Route alone", ip.Options)
 	}
 }

@@ -88,16 +88,6 @@ func (r *Router) receiveReference(pkt []byte, on *Iface) {
 			r.count(cRouterStamped)
 			trace("router.rr.stamped")
 		}
-		var ts packet.Timestamp
-		if found, err := r.net.ip.TimestampOption(&ts); found && err == nil {
-			ts.Record(egress.Addr, uint32(r.net.Now().Milliseconds()))
-			if err := r.net.ip.SetTimestamp(&ts); err != nil {
-				r.countName("router.drop.tsencode")
-				return
-			}
-			r.count(cRouterTS)
-			trace("router.ts.stamped")
-		}
 	}
 	out, err := r.net.ip.AppendTo(r.net.getBuf(), payload)
 	if err != nil {
@@ -261,8 +251,10 @@ func rrOpt(slots int, pointer byte) []byte {
 	return append([]byte{byte(packet.OptRecordRoute), byte(3 + 4*slots), pointer}, make([]byte, 4*slots)...)
 }
 
-func tsOpt(flag packet.TSFlag, overflow, pointer byte, body ...byte) []byte {
-	return append([]byte{byte(packet.OptTimestamp), byte(4 + len(body)), pointer, overflow<<4 | byte(flag)}, body...)
+// tsOpt is an Internet Timestamp option (type 68), which routers carry
+// as opaque bytes: pointer, overflow/flag octet, body.
+func tsOpt(pointer, flags byte, body ...byte) []byte {
+	return append([]byte{68, byte(4 + len(body)), pointer, flags}, body...)
 }
 
 // FuzzForwardEquivalence holds the wire-level forward path to the
@@ -287,24 +279,26 @@ func FuzzForwardEquivalence(f *testing.F) {
 		rawDatagram(64, far, cat(nops(5), rrOpt(2, 8)), 0),               // NOP run
 		rawDatagram(64, far, cat(rrOpt(1, 4), nops(2), []byte{0}), 0xee), // non-zero bytes after EOL, same word
 		rawDatagram(64, far, cat(nops(1), []byte{0}), 0xee),
-		rawDatagram(64, far, cat(tsOpt(packet.TSOnly, 0, 5, make([]byte, 8)...), []byte{0}), 0xee),
+		rawDatagram(64, far, cat(tsOpt(5, 0, make([]byte, 8)...), []byte{0}), 0xee),
 		rawDatagram(64, far, cat(rrOpt(1, 4), []byte{0, 0xee, 0xee, 0xee, 0xee, 0xee}), 0xee), // EOL words before the end: header shrinks
 		rawDatagram(64, far, []byte{0, 7, 7, 4}, 0xee),                                        // EOL first: options vanish
 		rawDatagram(64, far, nops(4), 0),                                                      // NOPs only
-		rawDatagram(64, far, tsOpt(packet.TSOnly, 0, 5, make([]byte, 8)...), 0),
-		rawDatagram(64, far, tsOpt(packet.TSAddr, 0, 13, make([]byte, 16)...), 0),
-		rawDatagram(64, far, tsOpt(packet.TSPrespecified, 0, 5, 10, 9, 0, 1, 0, 0, 0, 0, 10, 0, 0, 1, 0, 0, 0, 0), 0), // our turn, then not
-		rawDatagram(64, far, tsOpt(packet.TSPrespecified, 0, 5, 1, 2, 3, 4, 0, 0, 0, 0), 0),                           // not our turn
-		rawDatagram(64, far, tsOpt(packet.TSAddr, 3, 13, make([]byte, 8)...), 0),                                      // full: overflow 3 → 4
-		rawDatagram(64, far, tsOpt(packet.TSOnly, 15, 9, make([]byte, 4)...), 0),                                      // full, overflow saturated
-		rawDatagram(64, far, tsOpt(2, 0, 5, make([]byte, 8)...), 0),                                                   // unknown flag
-		rawDatagram(64, far, tsOpt(packet.TSAddr, 0, 7, make([]byte, 8)...), 0),                                       // misaligned pointer
-		rawDatagram(64, far, tsOpt(packet.TSAddr, 0, 5, make([]byte, 6)...), 0),                                       // ragged body
-		rawDatagram(64, far, cat(rrOpt(4, 8), tsOpt(packet.TSAddr, 0, 5, make([]byte, 16)...)), 0),                    // RR + TS
-		rawDatagram(64, far, []byte{7, 1, 4}, 0),                                                                      // option length below 2
-		rawDatagram(64, far, []byte{7, 60, 4}, 0),                                                                     // option overruns the header
-		rawDatagram(64, far, []byte{1, 1, 1, 7}, 0),                                                                   // option type with no length octet
-		rawDatagram(1, far, rrOpt(9, 8), 0),                                                                           // expires here
+		// Timestamp options in each mode, full and malformed: the slow
+		// path carries them unchanged.
+		rawDatagram(64, far, tsOpt(5, 0, make([]byte, 8)...), 0),
+		rawDatagram(64, far, tsOpt(13, 1, make([]byte, 16)...), 0),
+		rawDatagram(64, far, tsOpt(5, 3, 10, 9, 0, 1, 0, 0, 0, 0, 10, 0, 0, 1, 0, 0, 0, 0), 0),
+		rawDatagram(64, far, tsOpt(5, 3, 1, 2, 3, 4, 0, 0, 0, 0), 0),
+		rawDatagram(64, far, tsOpt(13, 0x31, make([]byte, 8)...), 0),
+		rawDatagram(64, far, tsOpt(9, 0xf0, make([]byte, 4)...), 0),
+		rawDatagram(64, far, tsOpt(5, 2, make([]byte, 8)...), 0),
+		rawDatagram(64, far, tsOpt(7, 1, make([]byte, 8)...), 0),
+		rawDatagram(64, far, tsOpt(5, 1, make([]byte, 6)...), 0),
+		rawDatagram(64, far, cat(rrOpt(4, 8), tsOpt(5, 1, make([]byte, 16)...)), 0), // RR + TS
+		rawDatagram(64, far, []byte{7, 1, 4}, 0),                                    // option length below 2
+		rawDatagram(64, far, []byte{7, 60, 4}, 0),                                   // option overruns the header
+		rawDatagram(64, far, []byte{1, 1, 1, 7}, 0),                                 // option type with no length octet
+		rawDatagram(1, far, rrOpt(9, 8), 0),                                         // expires here
 		rawDatagram(0, far, rrOpt(9, 8), 0),
 		rawDatagram(2, far, rrOpt(9, 8), 0),
 		rawDatagram(255, far, rrOpt(9, 8), 0),

@@ -246,27 +246,15 @@ func (n *Network) hostReceiveICMP(h *hostRec, raw, payload []byte) {
 	if h.stamp != 0 {
 		stamp = addrOf(h.stamp)
 	}
-	// n.rr and n.ts are scratch copies of the request's options, so the
-	// reply's are recorded and serialized in place.
+	// n.rr is a scratch copy of the request's option, so the reply's is
+	// recorded and serialized in place.
 	if found, err := n.ip.RecordRouteOption(&n.rr); found && err == nil && h.b.copyRR {
 		if h.b.honorRR {
 			n.rr.Record(stamp) // no-op when already full
 		}
-		opt, err := n.rr.AppendOption(n.replyOptData[0][:0])
+		opt, err := n.rr.AppendOption(n.replyOptData[:0])
 		if err != nil {
 			n.countName(h.node, "host.drop.rrencode")
-			return
-		}
-		hdr.Options = append(hdr.Options, opt)
-	}
-	// Timestamp options are copied and completed under the same policy.
-	if found, err := n.ip.TimestampOption(&n.ts); found && err == nil && h.b.copyRR {
-		if h.b.honorRR {
-			n.ts.Record(stamp, uint32(n.Now().Milliseconds()))
-		}
-		opt, err := n.ts.AppendOption(n.replyOptData[1][:0])
-		if err != nil {
-			n.countName(h.node, "host.drop.tsencode")
 			return
 		}
 		hdr.Options = append(hdr.Options, opt)

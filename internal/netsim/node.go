@@ -188,9 +188,8 @@ type Network struct {
 	ip           packet.IPv4
 	rr           packet.RecordRoute
 	sr           packet.SourceRoute
-	ts           packet.Timestamp
-	replyOpts    [2]packet.Option
-	replyOptData [2][packet.MaxOptionsLen]byte
+	replyOpts    [1]packet.Option
+	replyOptData [packet.MaxOptionsLen]byte
 
 	// Observability (obs.go): off by default, a nil check per packet.
 	tracer     TraceFunc
@@ -199,7 +198,7 @@ type Network struct {
 }
 
 // bufCap is the capacity of pooled packet buffers: 128 bytes covers an
-// IPv4 header, a 40-byte RR/TS option, and every payload the simulator
+// IPv4 header, a 40-byte RR option, and every payload the simulator
 // generates. A packet that outgrows it leaves the arena on its growth
 // append (AppendTo copies to a fresh heap slice).
 const bufCap = 128

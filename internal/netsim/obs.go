@@ -14,11 +14,11 @@ import (
 // reorder, delay, or add virtual-time events — observed runs stay
 // byte-identical to unobserved ones.
 
-// TraceFunc observes node-level packet events: per-hop Record Route /
-// Timestamp stamps, slow-path admissions, rate-limit and filter
-// verdicts, TTL expiries, and end-host responses. at is the virtual
-// clock, node the emitting router or host, event the counter-style
-// event name (e.g. "router.rr.stamped"), and src/dst the decoded
+// TraceFunc observes node-level packet events: per-hop Record Route
+// stamps, slow-path admissions, rate-limit and filter verdicts, TTL
+// expiries, and end-host responses. at is the virtual clock, node the
+// emitting router or host, event the counter-style event name (e.g.
+// "router.rr.stamped"), and src/dst the decoded
 // addresses of the packet being processed (zero when the event fires
 // before the header is decoded, e.g. a chaos-offline drop).
 type TraceFunc func(at time.Duration, node, event string, src, dst netip.Addr)

@@ -345,15 +345,8 @@ func (n *Network) routerReceive(ri int32, pkt []byte, on IfaceID) (kept bool) {
 	// "its own internet address as known in the environment into which
 	// this datagram is being forwarded"). An option that is full or
 	// malformed travels on untouched.
-	if hasOpts && !b.NoStampRR {
-		if w.RR != 0 && packet.StampRecordRoute(hdr, w.RR, egress.addr) {
-			n.event(rec.node, cRouterStamped, pkt)
-		}
-		// The Internet Timestamp option is processed on the same slow
-		// path; a full option increments its overflow counter.
-		if w.TS != 0 && packet.StampTimestamp(hdr, w.TS, egress.addr, uint32(n.Now().Milliseconds())) {
-			n.event(rec.node, cRouterTS, pkt)
-		}
+	if hasOpts && !b.NoStampRR && w.RR != 0 && packet.StampRecordRoute(hdr, w.RR, egress.addr) {
+		n.event(rec.node, cRouterStamped, pkt)
 	}
 	n.countAt(rec.node, cRouterFwd)
 	if hasOpts && b.SlowPathDelay > 0 {
@@ -429,7 +422,7 @@ func (n *Network) deliverLocal(ri int32, payload []byte) {
 		if !rec.behavior.NoStampRR {
 			n.rr.Record(n.ip.Dst)
 		}
-		opt, err := n.rr.AppendOption(n.replyOptData[0][:0])
+		opt, err := n.rr.AppendOption(n.replyOptData[:0])
 		if err != nil {
 			return
 		}

@@ -5,6 +5,13 @@ import (
 	"testing"
 )
 
+// tsOption is an Internet Timestamp option (type 68), which the toolkit
+// carries as opaque bytes like any option but Record Route: pointer,
+// overflow/flag octet, body, then pad zero octets.
+func tsOption(pointer, flags byte, pad int, body ...byte) Option {
+	return Option{Type: 68, Data: append(append([]byte{pointer, flags}, body...), make([]byte, pad)...)}
+}
+
 // seedPackets builds a varied corpus of valid packets for the fuzzers.
 func seedPackets(t interface{ Fatal(...any) }) [][]byte {
 	var seeds [][]byte
@@ -27,13 +34,9 @@ func seedPackets(t interface{ Fatal(...any) }) [][]byte {
 	}
 	add(withRR.Marshal(NewEchoRequest(3, 4, nil).Marshal()))
 
-	ts := NewTimestamp(TSAddr, 4)
-	ts.Record(netip.MustParseAddr("192.0.2.9"), 123)
-	withTS := &IPv4{TTL: 16, Protocol: ProtocolICMP, Src: src, Dst: dst}
-	if err := withTS.SetTimestamp(ts); err != nil {
-		t.Fatal(err)
-	}
-	add(withTS.Marshal(NewEchoRequest(5, 6, nil).Marshal()))
+	opaque := &IPv4{TTL: 16, Protocol: ProtocolICMP, Src: src, Dst: dst,
+		Options: []Option{tsOption(13, 1, 24, 192, 0, 2, 9, 0, 0, 0, 123)}}
+	add(opaque.Marshal(NewEchoRequest(5, 6, nil).Marshal()))
 
 	udp := &UDP{SrcPort: 1000, DstPort: 2000, Payload: []byte("u")}
 	uw, err := udp.Marshal(src, dst)
@@ -100,28 +103,6 @@ func FuzzRecordRouteDecode(f *testing.F) {
 		}
 		if back.RecordedCount() > back.NumSlots() {
 			t.Fatalf("recorded %d > slots %d", back.RecordedCount(), back.NumSlots())
-		}
-		if _, err := back.Option(); err != nil {
-			t.Fatalf("accepted option fails to re-encode: %v", err)
-		}
-	})
-}
-
-// FuzzTimestampDecode mirrors FuzzRecordRouteDecode for the Timestamp
-// option.
-func FuzzTimestampDecode(f *testing.F) {
-	ts := NewTimestamp(TSAddr, 2)
-	ts.Record(netip.MustParseAddr("10.0.0.1"), 42)
-	opt, _ := ts.Option()
-	f.Add(opt.Data)
-	f.Add([]byte{5, 0, 0, 0, 0, 0})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		var back Timestamp
-		if err := back.DecodeTimestamp(Option{Type: OptTimestamp, Data: data}); err != nil {
-			return
-		}
-		if back.RecordedCount() > len(back.Entries) {
-			t.Fatalf("recorded %d > entries %d", back.RecordedCount(), len(back.Entries))
 		}
 		if _, err := back.Option(); err != nil {
 			t.Fatalf("accepted option fails to re-encode: %v", err)

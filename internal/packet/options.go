@@ -18,9 +18,6 @@ const (
 	// OptRecordRoute asks each router to record its address. Copied flag
 	// clear, class 0, number 7.
 	OptRecordRoute OptionType = 7
-	// OptTimestamp is the Internet Timestamp option (recognized during
-	// parsing; the toolkit does not otherwise process it).
-	OptTimestamp OptionType = 68
 )
 
 // Limits imposed by the IPv4 header format.
@@ -49,8 +46,6 @@ func (t OptionType) String() string {
 		return "nop"
 	case OptRecordRoute:
 		return "rr"
-	case OptTimestamp:
-		return "ts"
 	default:
 		return fmt.Sprintf("opt(%d)", uint8(t))
 	}

@@ -222,7 +222,7 @@ func TestAppendOptionsPadsToWordBoundary(t *testing.T) {
 }
 
 func TestAppendOptionsOverflow(t *testing.T) {
-	big := Option{Type: OptTimestamp, Data: make([]byte, 39)}
+	big := Option{Type: 68, Data: make([]byte, 39)}
 	if _, err := appendOptions(nil, []Option{big}); !errors.Is(err, ErrOptionSpace) {
 		t.Errorf("err = %v, want ErrOptionSpace", err)
 	}

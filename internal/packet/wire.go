@@ -6,12 +6,12 @@ import (
 )
 
 // Wire-level header access: a forwarding router changes three things in
-// a datagram — TTL, the next free slot of a Record Route or Timestamp
-// option, and the checksum — so it edits the serialized bytes in place
+// a datagram — TTL, the next free slot of a Record Route option, and
+// the checksum — so it edits the serialized bytes in place
 // instead of decoding them into an IPv4 struct and re-encoding. Wire
 // accepts exactly the datagrams IPv4.Decode accepts, and Canonicalize
 // plus the editors below produce exactly the bytes Decode → Record →
-// SetRecordRoute/SetTimestamp → AppendTo produces
+// SetRecordRoute → AppendTo produces
 // (FuzzForwardEquivalence in internal/netsim holds the two together).
 // The editors update the checksum incrementally (FuzzChecksumUpdate).
 
@@ -26,9 +26,9 @@ type Wire struct {
 	// end-of-list octet (or HdrLen when there is none); 20 means the
 	// header carries no options.
 	OptEnd int
-	// RR and TS are the offsets of the first Record Route and Timestamp
-	// options' type octets, 0 when absent.
-	RR, TS int
+	// RR is the offset of the first Record Route option's type octet,
+	// 0 when absent.
+	RR int
 }
 
 // ParseWire validates the datagram as IPv4.Decode does — version, IHL,
@@ -58,8 +58,6 @@ walk:
 			}
 			if t == OptRecordRoute && w.RR == 0 {
 				w.RR = i
-			} else if t == OptTimestamp && w.TS == 0 {
-				w.TS = i
 			}
 			i += olen
 		}
@@ -127,53 +125,5 @@ func StampRecordRoute(hdr []byte, at int, addr uint32) bool {
 	}
 	patch32(hdr, at+p-1, addr)
 	patch8(hdr, at+2, byte(p+4))
-	return true
-}
-
-// StampTimestamp is the router-side Internet Timestamp operation on
-// wire bytes: the option starts at hdr[at] (Wire.TS) of the serialized
-// header hdr. It registers the hop at addr (packed as in
-// StampRecordRoute) as Timestamp.Record does — timestamp only, address
-// and timestamp, or timestamp at a matching prespecified address; a full
-// option bumps the overflow nibble (saturating at 15)
-// instead — and updates the checksum. It reports false, leaving hdr
-// untouched, only when the option fails the validation DecodeTimestamp
-// applies.
-func StampTimestamp(hdr []byte, at int, addr, millis uint32) bool {
-	opt := hdr[at:]
-	if len(opt) < tsFixedLen {
-		return false
-	}
-	olen, p := int(opt[1]), int(opt[2])
-	if olen < tsFixedLen || olen > len(opt) {
-		return false
-	}
-	flag := TSFlag(opt[3] & 0xf)
-	if flag != TSOnly && flag != TSAddr && flag != TSPrespecified {
-		return false
-	}
-	slot := flag.slotSize()
-	if (olen-tsFixedLen)%slot != 0 || p < tsFixedLen+1 || (p-tsFixedLen-1)%slot != 0 {
-		return false
-	}
-	if p > olen {
-		if opt[3]>>4 < 15 {
-			patch8(hdr, at+3, opt[3]+0x10)
-		}
-		return true
-	}
-	switch s := at + p - 1; flag {
-	case TSOnly:
-		patch32(hdr, s, millis)
-	case TSAddr:
-		patch32(hdr, s, addr)
-		patch32(hdr, s+4, millis)
-	case TSPrespecified:
-		if binary.BigEndian.Uint32(hdr[s:]) != addr {
-			return true // not this hop's turn: no pointer movement
-		}
-		patch32(hdr, s+4, millis)
-	}
-	patch8(hdr, at+2, byte(p+slot))
 	return true
 }

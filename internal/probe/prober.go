@@ -119,7 +119,6 @@ type Prober struct {
 	parsed packet.Parsed
 	quoted packet.IPv4
 	rr     packet.RecordRoute
-	ts     packet.Timestamp
 }
 
 // sink is where a probe's result goes: to its own callback, or into
@@ -240,10 +239,13 @@ func (p *Prober) Outstanding() int { return p.pending.n }
 // (traceroute) that chain probes from callbacks. No retransmission: the
 // probe gets exactly one attempt.
 func (p *Prober) StartOne(spec Spec, timeout time.Duration, done func(Result)) {
-	if timeout <= 0 {
-		timeout = DefaultTimeout
-	}
-	oi, _ := p.newOp(spec, sink{done: done}, 1, timeout)
+	p.StartOneWith(spec, Options{Timeout: timeout}, done)
+}
+
+// StartOneWith is StartOne under opts: its timeout, retransmissions with
+// backoff and adaptive first-attempt timeout (Rate has nothing to pace).
+func (p *Prober) StartOneWith(spec Spec, opts Options, done func(Result)) {
+	oi, _ := p.newOp(spec, sink{done: done}, opts.attempts(), p.adaptiveTimeout(opts))
 	p.sendAttempt(oi)
 }
 
@@ -743,8 +745,7 @@ func quotedDstMatches(spec *Spec, quotedDst netip.Addr) bool {
 	return false
 }
 
-// extractRR copies the Record Route and Timestamp contents out of hdr
-// into res.
+// extractRR copies the Record Route contents out of hdr into res.
 func (p *Prober) extractRR(hdr *packet.IPv4, res *Result, quoted bool) {
 	if found, err := hdr.RecordRouteOption(&p.rr); found && err == nil {
 		res.HasRR = true
@@ -752,10 +753,6 @@ func (p *Prober) extractRR(hdr *packet.IPv4, res *Result, quoted bool) {
 		res.RR = p.keepRR(p.rr.Recorded())
 		res.RRTotalSlots = p.rr.NumSlots()
 		res.RRFull = p.rr.Full()
-	}
-	if found, err := hdr.TimestampOption(&p.ts); found && err == nil {
-		res.TS = append([]packet.TSEntry(nil), p.ts.Recorded()...)
-		res.TSOverflow = p.ts.Overflow
 	}
 }
 

@@ -432,3 +432,34 @@ func TestIndexedBatchShardsEqualUnsplit(t *testing.T) {
 		t.Error("no unresponsive destination exercised the retransmit path")
 	}
 }
+
+// TestPingLSRRRefusedOnModernInternet sends a loose-source-routed ping
+// through an observed router hop: on the default (modern) topology no
+// router honors it, reproducing the 2005 "IP options are not an
+// option" result for source routing — in contrast to ping-RR.
+func TestPingLSRRRefusedOnModernInternet(t *testing.T) {
+	topo, p, _ := testbed(t)
+	d := pickDests(topo, 1)[0]
+	// Learn a router on the path via ping-RR first.
+	var rr *Result
+	p.StartOne(Spec{Dst: d.Addr, Kind: PingRR}, time.Second, func(r Result) { rr = &r })
+	topo.Net.Engine().Run()
+	if rr == nil || !rr.HasRR || len(rr.RR) == 0 {
+		t.Fatal("no RR hops to route through")
+	}
+	via := rr.RR[0]
+	var res *Result
+	p.StartOne(Spec{Dst: d.Addr, Kind: PingLSRR, Via: []netip.Addr{via}}, time.Second, func(r Result) { res = &r })
+	topo.Net.Engine().Run()
+	if res == nil {
+		t.Fatal("probe unresolved")
+	}
+	if res.Type == EchoReply {
+		// Only possible if the via router is one of the rare legacy
+		// honorers; the default config has none.
+		t.Errorf("source-routed ping succeeded via %v", via)
+	}
+	if got := topo.Net.Counter("router.drop.sourceroute"); got == 0 {
+		t.Error("no source-route refusal recorded")
+	}
+}

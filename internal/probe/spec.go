@@ -25,14 +25,11 @@ const (
 	TTLPing
 	// TTLPingRR is a TTL-limited ping-RR (§4.2's low-impact probe).
 	TTLPingRR
-	// PingTS is an echo request carrying an Internet Timestamp option
-	// in address+timestamp mode (four slots) — the companion IP-options
-	// primitive the paper's related work measures with.
-	PingTS
 	// PingLSRR is an echo request loose-source-routed through Via to
 	// the destination — the 2005 tech report's unusable primitive,
-	// kept for the historical contrast with Record Route.
-	PingLSRR
+	// kept for the historical contrast with Record Route. Journals
+	// record a kind as its number, and they hold 6 for this one.
+	PingLSRR Kind = 6
 )
 
 // String names the probe kind.
@@ -48,8 +45,6 @@ func (k Kind) String() string {
 		return "ttl-ping"
 	case TTLPingRR:
 		return "ttl-ping-rr"
-	case PingTS:
-		return "ping-ts"
 	case PingLSRR:
 		return "ping-lsrr"
 	default:
@@ -142,9 +137,6 @@ func (s Spec) build(b []byte, src netip.Addr, id, seq uint16) ([]byte, error) {
 	case PingRRUDP:
 		hdr.Protocol = packet.ProtocolUDP
 		opts[0] = packet.EmptyRecordRouteOption(optData[:0], s.rrSlots())
-	case PingTS:
-		// TSAddr mode fits at most four (address, timestamp) pairs.
-		opts[0] = packet.EmptyTimestampOption(optData[:0], packet.TSAddr, 4)
 	case PingLSRR:
 		if len(s.Via) == 0 {
 			return nil, fmt.Errorf("probe: ping-lsrr needs at least one via hop")
@@ -261,11 +253,6 @@ type Result struct {
 	// QuotedRR reports that RR came from a quoted header rather than
 	// the response's own header.
 	QuotedRR bool
-	// TS holds recovered Internet Timestamp entries (PingTS probes).
-	TS []packet.TSEntry
-	// TSOverflow is the option's overflow counter: hops that could not
-	// register a timestamp.
-	TSOverflow uint8
 	// Attempts is how many times the probe was transmitted (1 plus the
 	// retransmissions used); 0 for a SendError before any transmission.
 	Attempts int

@@ -19,7 +19,6 @@ func TestKindStringsAndProperties(t *testing.T) {
 		{PingRRUDP, "ping-rr-udp", true},
 		{TTLPing, "ttl-ping", false},
 		{TTLPingRR, "ttl-ping-rr", true},
-		{PingTS, "ping-ts", false},
 		{PingLSRR, "ping-lsrr", false},
 	}
 	for _, c := range cases {
@@ -32,6 +31,23 @@ func TestKindStringsAndProperties(t *testing.T) {
 	}
 	if Kind(99).String() == "" {
 		t.Error("unknown kind has empty string")
+	}
+}
+
+// TestKindJournalNumbers pins each kind's number: journals and result
+// streams record a probe's kind as an int, so renumbering one would make
+// journals already written read back as a different probe. Number 5 is
+// unused.
+func TestKindJournalNumbers(t *testing.T) {
+	for _, c := range []struct {
+		k    Kind
+		want int
+	}{
+		{Ping, 0}, {PingRR, 1}, {PingRRUDP, 2}, {TTLPing, 3}, {TTLPingRR, 4}, {PingLSRR, 6},
+	} {
+		if int(c.k) != c.want {
+			t.Errorf("%v = %d, want %d", c.k, int(c.k), c.want)
+		}
 	}
 }
 
@@ -115,12 +131,6 @@ func TestSpecBuildWireShapes(t *testing.T) {
 				t.Errorf("rr slots = %d", rr.NumSlots())
 			}
 		}},
-		{"ts", Spec{Dst: dst, Kind: PingTS}, func(t *testing.T, h *packet.IPv4) {
-			var ts packet.Timestamp
-			if found, _ := h.TimestampOption(&ts); !found || ts.Flag != packet.TSAddr {
-				t.Errorf("ts option missing or wrong flag")
-			}
-		}},
 		{"lsrr", Spec{Dst: dst, Kind: PingLSRR, Via: []netip.Addr{via}}, func(t *testing.T, h *packet.IPv4) {
 			if h.Dst != via {
 				t.Errorf("lsrr initial dst = %v, want via %v", h.Dst, via)
@@ -189,11 +199,6 @@ func buildReference(s Spec, src netip.Addr, id, seq uint16) ([]byte, error) {
 			return nil, err
 		}
 	}
-	if s.Kind == PingTS {
-		if err := hdr.SetTimestamp(packet.NewTimestamp(packet.TSAddr, 4)); err != nil {
-			return nil, err
-		}
-	}
 	if s.Kind == PingLSRR {
 		sr, err := packet.NewSourceRoute(false, append(append([]netip.Addr(nil), s.Via[1:]...), s.Dst))
 		if err != nil {
@@ -230,7 +235,6 @@ func TestSpecBuildMatchesStructEncoders(t *testing.T) {
 		{Dst: dst, Kind: PingRRUDP, RRSlots: 4, UDPDstPort: 33434},
 		{Dst: dst, Kind: TTLPing, TTL: 3},
 		{Dst: dst, Kind: TTLPingRR, TTL: 255, RRSlots: 8},
-		{Dst: dst, Kind: PingTS},
 		{Dst: dst, Kind: PingLSRR, Via: via},
 	}
 	for _, s := range specs {

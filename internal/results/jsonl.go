@@ -15,7 +15,6 @@ import (
 	"net/netip"
 	"time"
 
-	"recordroute/internal/packet"
 	"recordroute/internal/probe"
 )
 
@@ -36,21 +35,19 @@ type Wire struct {
 	UDPDstPort uint16       `json:"udp_port,omitempty"`
 	Via        []netip.Addr `json:"via,omitempty"`
 
-	Seq            uint16           `json:"seq,omitempty"`
-	SentAt         int64            `json:"sent_ns"`
-	RcvdAt         int64            `json:"rcvd_ns,omitempty"`
-	Type           int              `json:"type"`
-	From           netip.Addr       `json:"from"`
-	ReplyIPID      uint16           `json:"ipid,omitempty"`
-	HasRR          bool             `json:"has_rr,omitempty"`
-	RR             []netip.Addr     `json:"rr,omitempty"`
-	RRTotalSlots   int              `json:"rr_total,omitempty"`
-	RRFull         bool             `json:"rr_full,omitempty"`
-	QuotedRR       bool             `json:"quoted_rr,omitempty"`
-	TS             []packet.TSEntry `json:"ts,omitempty"`
-	TSOverflow     uint8            `json:"ts_overflow,omitempty"`
-	Attempts       int              `json:"attempts,omitempty"`
-	MatchedAttempt int              `json:"matched,omitempty"`
+	Seq            uint16       `json:"seq,omitempty"`
+	SentAt         int64        `json:"sent_ns"`
+	RcvdAt         int64        `json:"rcvd_ns,omitempty"`
+	Type           int          `json:"type"`
+	From           netip.Addr   `json:"from"`
+	ReplyIPID      uint16       `json:"ipid,omitempty"`
+	HasRR          bool         `json:"has_rr,omitempty"`
+	RR             []netip.Addr `json:"rr,omitempty"`
+	RRTotalSlots   int          `json:"rr_total,omitempty"`
+	RRFull         bool         `json:"rr_full,omitempty"`
+	QuotedRR       bool         `json:"quoted_rr,omitempty"`
+	Attempts       int          `json:"attempts,omitempty"`
+	MatchedAttempt int          `json:"matched,omitempty"`
 	// Err is the Result.Err message; decoding reconstructs an
 	// errors.New value, which compares equal under reflect.DeepEqual to
 	// the errors the prober produces.
@@ -79,8 +76,6 @@ func ToWire(r probe.Result) Wire {
 		RRTotalSlots:   r.RRTotalSlots,
 		RRFull:         r.RRFull,
 		QuotedRR:       r.QuotedRR,
-		TS:             r.TS,
-		TSOverflow:     r.TSOverflow,
 		Attempts:       r.Attempts,
 		MatchedAttempt: r.MatchedAttempt,
 	}
@@ -112,8 +107,6 @@ func (w Wire) Result() probe.Result {
 		RRTotalSlots:   w.RRTotalSlots,
 		RRFull:         w.RRFull,
 		QuotedRR:       w.QuotedRR,
-		TS:             w.TS,
-		TSOverflow:     w.TSOverflow,
 		Attempts:       w.Attempts,
 		MatchedAttempt: w.MatchedAttempt,
 	}

@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"recordroute/internal/packet"
 	"recordroute/internal/probe"
 )
 
@@ -49,11 +48,10 @@ func wireSamples() []probe.Result {
 			Attempts: 1, MatchedAttempt: 1,
 		},
 		{
-			Spec: probe.Spec{Dst: a("10.4.4.4"), Kind: probe.PingTS},
+			Spec: probe.Spec{Dst: a("10.4.4.4"), Kind: probe.Ping},
 			Seq:  41, SentAt: 4 * time.Second, RcvdAt: 4*time.Second + time.Millisecond,
-			Type: probe.EchoReply, From: a("10.4.4.4"),
-			TS:       []packet.TSEntry{{Addr: a("10.4.0.1"), Millis: 4001}},
-			Attempts: 1, MatchedAttempt: 1, TSOverflow: 2,
+			Type: probe.EchoReply, From: a("10.4.4.4"), ReplyIPID: 4001,
+			Attempts: 2, MatchedAttempt: 2,
 		},
 		{
 			Spec: probe.Spec{Dst: a("10.6.6.6"), Kind: probe.PingLSRR,
@@ -70,7 +68,7 @@ func wireSamples() []probe.Result {
 
 // TestJSONLRoundTrip pins the full-fidelity contract: per-VP streams
 // come back reflect.DeepEqual to what went in — including SentAt, Seq,
-// Via, TS, attempt metadata, and error causes, all of which the pipe
+// Via, attempt metadata, and error causes, all of which the pipe
 // format drops.
 func TestJSONLRoundTrip(t *testing.T) {
 	in := map[string][]probe.Result{

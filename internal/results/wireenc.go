@@ -5,7 +5,6 @@ import (
 	"net/netip"
 	"strconv"
 
-	"recordroute/internal/packet"
 	"recordroute/internal/probe"
 )
 
@@ -61,12 +60,6 @@ func AppendWireFields(dst []byte, r *probe.Result) []byte {
 	}
 	if r.QuotedRR {
 		dst = append(dst, `,"quoted_rr":true`...)
-	}
-	if len(r.TS) > 0 {
-		dst = appendTS(dst, r.TS)
-	}
-	if r.TSOverflow != 0 {
-		dst = appendInt(dst, `,"ts_overflow":`, int64(r.TSOverflow))
 	}
 	if r.Attempts != 0 {
 		dst = appendInt(dst, `,"attempts":`, int64(r.Attempts))
@@ -140,16 +133,6 @@ func appendAddrs(dst []byte, key string, as []netip.Addr) []byte {
 	dst = append(dst, key...)
 	for i, a := range as {
 		dst = appendAddr(append(dst, sep(i)), a)
-	}
-	return append(dst, ']')
-}
-
-func appendTS(dst []byte, ts []packet.TSEntry) []byte {
-	dst = append(dst, `,"ts":`...)
-	for i, e := range ts {
-		dst = appendAddr(append(append(dst, sep(i)), `{"Addr":`...), e.Addr)
-		dst = appendInt(dst, `,"Millis":`, int64(e.Millis))
-		dst = append(dst, '}')
 	}
 	return append(dst, ']')
 }

@@ -16,7 +16,6 @@ import (
 	"time"
 	"unicode/utf8"
 
-	"recordroute/internal/packet"
 	"recordroute/internal/probe"
 )
 
@@ -44,14 +43,13 @@ func edgeSamples() []probe.Result {
 	a := netip.MustParseAddr
 	return []probe.Result{
 		{},
-		{Spec: probe.Spec{Via: []netip.Addr{}}, RR: []netip.Addr{}, TS: []packet.TSEntry{}, Err: errors.New("")},
+		{Spec: probe.Spec{Via: []netip.Addr{}}, RR: []netip.Addr{}, Err: errors.New("")},
 		{
 			Spec: probe.Spec{Dst: a("2001:db8::1"), Kind: -3, TTL: 255, RRSlots: -1, UDPDstPort: 65535,
 				Via: []netip.Addr{a("fe80::1%eth0"), {}, a("::ffff:10.1.2.3"), a(`fe80::2%<"z&>\`)}},
 			Seq: 1, SentAt: -5, RcvdAt: 1<<63 - 1, Type: -1, From: a("fe80::1%eth0"), ReplyIPID: 65535,
-			HasRR: true, RR: []netip.Addr{{}, a("::")}, RRTotalSlots: 1 << 40, RRFull: true, QuotedRR: true,
-			TS:         []packet.TSEntry{{}, {Addr: a("fe80::3%\u2028"), Millis: 1<<32 - 1}},
-			TSOverflow: 255, Attempts: -7, MatchedAttempt: 9,
+			HasRR: true, RR: []netip.Addr{{}, a("::"), a("fe80::3%\u2028")}, RRTotalSlots: 1 << 40, RRFull: true, QuotedRR: true,
+			Attempts: -7, MatchedAttempt: 9,
 			Err: errors.New("<b>&\"quoted\"\\ \x00\x1f\x7f tab\t nl\n caf\u00e9 \u2028\u2029 \xff\xfe bad utf8"),
 		},
 	}
@@ -151,10 +149,7 @@ func (s *fuzzSrc) result(zone, errMsg string) probe.Result {
 		Seq: s.u16(), SentAt: time.Duration(s.i64()), RcvdAt: time.Duration(s.i64()),
 		Type: probe.ResponseType(s.i64()), From: s.addr(zone), ReplyIPID: s.u16(),
 		HasRR: s.bool(), RR: s.addrs(zone), RRTotalSlots: int(s.i64()), RRFull: s.bool(), QuotedRR: s.bool(),
-		TSOverflow: s.byte(), Attempts: int(s.i64()), MatchedAttempt: int(s.i64()),
-	}
-	for n := s.count(3); n > 0; n-- {
-		r.TS = append(r.TS, packet.TSEntry{Addr: s.addr(zone), Millis: uint32(s.i64())})
+		Attempts: int(s.i64()), MatchedAttempt: int(s.i64()),
 	}
 	if s.bool() {
 		r.Err = errors.New(errMsg)

@@ -48,12 +48,12 @@ func (s *Study) RunResponsiveness() *Responsiveness {
 	// (the paper's USC machine). Routed through the fleet's single-VP
 	// batch primitive: the destination list fans across the replicas in
 	// contiguous ranges (DESIGN.md §15).
-	grouped := fleet.PingBatchVP(s.Origin.Name, r.Dests, 3, s.Opts.probeOpts())
+	grouped := fleet.PingBatchVP(s.Origin.Name, r.Dests, 3, s.Opts.ProbeOpts())
 	r.PingResp = analysis.PingResponsive(r.Dests, grouped)
 
 	// Phase 2: one ping-RR per destination from every VP, each VP in
 	// its own randomized order.
-	perVP := fleet.PingRRAll(r.Dests, s.Opts.probeOpts(), s.Shuffler())
+	perVP := fleet.PingRRAll(r.Dests, s.Opts.ProbeOpts(), s.Shuffler())
 	r.PerVP = perVP
 	r.Stats = analysis.AggregateRR(perVP)
 	for _, rs := range perVP {

@@ -52,7 +52,7 @@ func (s *Study) RunSourceRouteCheck(r *Responsiveness, perVPCap int) *SourceRout
 			res.Probed += len(rr)
 		}
 	}
-	for _, groups := range s.campaign().SpecBatchesAll(batches, s.Opts.probeOpts()) {
+	for _, groups := range s.campaign().SpecBatchesAll(batches, s.Opts.ProbeOpts()) {
 		for i, into := range []*int{&res.RRResponses, &res.LSRRResponses} {
 			for _, pr := range groups[i] {
 				if pr.Type == probe.EchoReply {

@@ -84,7 +84,8 @@ func (o Options) timeout() time.Duration {
 	return o.Timeout
 }
 
-func (o Options) probeOpts() probe.Options {
+// ProbeOpts are the per-probe options every campaign probe is sent with.
+func (o Options) ProbeOpts() probe.Options {
 	return probe.Options{Rate: o.rate(), Timeout: o.timeout(), Retries: o.Retries, Adaptive: o.Adaptive}
 }
 

@@ -85,7 +85,7 @@ func (s *Study) RunTTLStudy(r *Responsiveness, perVPCap int) *TTLResult {
 		probes += len(dsts)
 	}
 
-	results := s.campaign().TTLPingRRAll(perVPdst, perVPttl, s.Opts.probeOpts())
+	results := s.campaign().TTLPingRRAll(perVPdst, perVPttl, s.Opts.ProbeOpts())
 
 	type bucket struct{ sent, replied int }
 	reach := make(map[uint8]*bucket)

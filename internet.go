@@ -142,14 +142,15 @@ func (in *Internet) vpOrErr(name string) (*measure.VantagePoint, error) {
 }
 
 // probeOnce sends one probe synchronously (running the virtual clock
-// until the response or timeout resolves).
+// until the response or timeout resolves), with the campaign's timeout,
+// retries and adaptive timeouts.
 func (in *Internet) probeOnce(vpName string, spec probe.Spec) (Reply, error) {
 	vp, err := in.vpOrErr(vpName)
 	if err != nil {
 		return Reply{}, err
 	}
 	var res probe.Result
-	vp.Prober.StartOne(spec, in.opts.timeout, func(r probe.Result) { res = r })
+	vp.Prober.StartOneWith(spec, in.st.Opts.ProbeOpts(), func(r probe.Result) { res = r })
 	in.st.Camp.Eng.Run()
 	return replyFrom(res, spec.Dst), nil
 }
@@ -184,40 +185,6 @@ func (in *Internet) PingRR(vp string, dst netip.Addr) (Reply, error) {
 // an expiry error's quoted Record Route is recovered into the Reply.
 func (in *Internet) PingRRWithTTL(vp string, dst netip.Addr, ttl uint8) (Reply, error) {
 	return in.probeOnce(vp, probe.Spec{Dst: dst, Kind: probe.TTLPingRR, TTL: ttl})
-}
-
-// TimestampEntry is one recorded (hop, milliseconds) pair from an
-// Internet Timestamp probe.
-type TimestampEntry struct {
-	Addr   netip.Addr
-	Millis uint32
-}
-
-// TimestampReply extends Reply with Internet Timestamp contents.
-type TimestampReply struct {
-	Reply
-	// Entries are the recorded (address, timestamp) pairs, in hop order.
-	Entries []TimestampEntry
-	// Overflow counts hops that found the option full.
-	Overflow uint8
-}
-
-// PingTS sends an echo request carrying an Internet Timestamp option in
-// address+timestamp mode (four slots) — the companion IP-options
-// measurement primitive.
-func (in *Internet) PingTS(vpName string, dst netip.Addr) (TimestampReply, error) {
-	vp, err := in.vpOrErr(vpName)
-	if err != nil {
-		return TimestampReply{}, err
-	}
-	var res probe.Result
-	vp.Prober.StartOne(probe.Spec{Dst: dst, Kind: probe.PingTS}, in.opts.timeout, func(r probe.Result) { res = r })
-	in.st.Camp.Eng.Run()
-	out := TimestampReply{Reply: replyFrom(res, dst), Overflow: res.TSOverflow}
-	for _, e := range res.TS {
-		out.Entries = append(out.Entries, TimestampEntry{Addr: e.Addr, Millis: e.Millis})
-	}
-	return out, nil
 }
 
 // Hop is one traceroute step.

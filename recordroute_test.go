@@ -335,7 +335,8 @@ func TestEpochOptionBuilds2011(t *testing.T) {
 
 // TestRetriesOptionRetransmits: WithRetries(n) gives the campaign's
 // probes n retransmissions, which the probes that time out use; without
-// the option nothing is sent twice.
+// the option nothing is sent twice. The facade's direct probes get the
+// same budget: a ping-RR that nothing answers is sent n more times.
 func TestRetriesOptionRetransmits(t *testing.T) {
 	for _, n := range []int{0, 2} {
 		in := MustNew(WithScale(0.15), WithProbeRate(200), WithShards(1), WithRetries(n))
@@ -349,31 +350,18 @@ func TestRetriesOptionRetransmits(t *testing.T) {
 		if (resent > 0) != (n > 0) {
 			t.Errorf("WithRetries(%d): Table 1 retransmitted %d probes", n, resent)
 		}
+		vp := in.st.Camp.VPs[0]
+		before := vp.Prober.Retransmits()
+		if r, err := in.PingRR(vp.Name, mustAddr("198.51.100.1")); err != nil || r.Responded {
+			t.Fatalf("ping-RR to an address nothing owns: %+v, %v", r, err)
+		}
+		if got := vp.Prober.Retransmits() - before; got != uint64(n) {
+			t.Errorf("WithRetries(%d): an unanswered PingRR was retransmitted %d times", n, got)
+		}
 	}
 }
 
 func mustAddr(s string) netip.Addr { return netip.MustParseAddr(s) }
-
-func TestPingTSFacade(t *testing.T) {
-	in := smallInternet(t)
-	vp := in.MLabVPs()[len(in.MLabVPs())-1]
-	reply, _ := respondingDest(t, in, vp)
-	tsr, err := in.PingTS(vp, reply.From)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !tsr.Responded {
-		t.Fatal("ping-ts unanswered by a ping-RR-responsive destination")
-	}
-	if len(tsr.Entries) == 0 {
-		t.Fatal("no timestamp entries")
-	}
-	for i := 1; i < len(tsr.Entries); i++ {
-		if tsr.Entries[i].Millis < tsr.Entries[i-1].Millis {
-			t.Errorf("timestamps regress: %+v", tsr.Entries)
-		}
-	}
-}
 
 func TestFacadeErrorPaths(t *testing.T) {
 	in := smallInternet(t)
@@ -386,9 +374,6 @@ func TestFacadeErrorPaths(t *testing.T) {
 	}
 	if _, err := in.ReversePath("no-such-vp", dst); err == nil {
 		t.Error("ReversePath accepted unknown VP")
-	}
-	if _, err := in.PingTS("no-such-vp", dst); err == nil {
-		t.Error("PingTS accepted unknown VP")
 	}
 }
 
