@@ -25,9 +25,9 @@ func ASPath(hops []netip.Addr, asnOf func(netip.Addr) int) []int {
 // TraceRRPair is one destination's traceroute and ping-RR measured from
 // the same vantage point, the unit of §3.5's stamping audit.
 type TraceRRPair struct {
-	Dst       netip.Addr
-	TraceHops []netip.Addr // responding traceroute hops, in order
-	RRHops    []netip.Addr // recorded RR slots, in order
+	Dst            netip.Addr
+	TracerouteHops []netip.Addr // responding traceroute hops, in order
+	RRHops         []netip.Addr // recorded RR slots, in order
 }
 
 // StampStats counts, per AS, how often it appeared in a traceroute and
@@ -56,7 +56,7 @@ func AuditStamping(pairs []TraceRRPair, asnOf func(netip.Addr) int) *StampAudit 
 	audit := &StampAudit{PerAS: make(map[int]*StampStats)}
 	for _, p := range pairs {
 		destASN := asnOf(p.Dst)
-		tracePath := ASPath(p.TraceHops, asnOf)
+		tracePath := ASPath(p.TracerouteHops, asnOf)
 		rrSet := make(map[int]bool)
 		for _, asn := range ASPath(p.RRHops, asnOf) {
 			rrSet[asn] = true

@@ -38,14 +38,14 @@ func TestAuditStampingCategories(t *testing.T) {
 	// AS 1 always stamps, AS 2 never, AS 3 sometimes. Dest is in AS 9.
 	pairs := []TraceRRPair{
 		{
-			Dst:       a("10.9.0.1"),
-			TraceHops: []netip.Addr{a("10.1.0.1"), a("10.2.0.1"), a("10.3.0.1")},
-			RRHops:    []netip.Addr{a("10.1.0.5"), a("10.3.0.5"), a("10.9.0.1")},
+			Dst:            a("10.9.0.1"),
+			TracerouteHops: []netip.Addr{a("10.1.0.1"), a("10.2.0.1"), a("10.3.0.1")},
+			RRHops:         []netip.Addr{a("10.1.0.5"), a("10.3.0.5"), a("10.9.0.1")},
 		},
 		{
-			Dst:       a("10.9.0.2"),
-			TraceHops: []netip.Addr{a("10.1.0.1"), a("10.2.0.1"), a("10.3.0.1")},
-			RRHops:    []netip.Addr{a("10.1.0.5")},
+			Dst:            a("10.9.0.2"),
+			TracerouteHops: []netip.Addr{a("10.1.0.1"), a("10.2.0.1"), a("10.3.0.1")},
+			RRHops:         []netip.Addr{a("10.1.0.5")},
 		},
 	}
 	audit := AuditStamping(pairs, asnBySecondOctet)

@@ -18,8 +18,8 @@ import (
 	"net/netip"
 	"sort"
 
-	"recordroute/internal/measure"
 	"recordroute/internal/probe"
+	"recordroute/internal/trace"
 )
 
 // Source is a bitmask of measurement kinds that observed an interface
@@ -100,7 +100,7 @@ func (a *Atlas) observeLink(from, to netip.Addr, src Source) {
 // AddTraceroute merges a completed traceroute. Consecutive responding
 // hops become links; silent hops break adjacency (the gap could hide
 // any number of routers).
-func (a *Atlas) AddTraceroute(tr measure.Trace) {
+func (a *Atlas) AddTraceroute(tr trace.Result) {
 	var prev netip.Addr
 	havePrev := false
 	for _, h := range tr.Hops {

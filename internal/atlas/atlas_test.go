@@ -8,20 +8,21 @@ import (
 	"recordroute/internal/measure"
 	"recordroute/internal/probe"
 	"recordroute/internal/topology"
+	"recordroute/internal/trace"
 )
 
 func a(s string) netip.Addr { return netip.MustParseAddr(s) }
 
-func mkTrace(dst string, hops ...string) measure.Trace {
-	tr := measure.Trace{Dst: a(dst), Reached: true}
+func mkTrace(dst string, hops ...string) trace.Result {
+	tr := trace.Result{Dst: a(dst), Reached: true}
 	for i, h := range hops {
 		if h == "*" {
-			tr.Hops = append(tr.Hops, measure.TraceHop{TTL: uint8(i + 1)})
+			tr.Hops = append(tr.Hops, trace.Hop{TTL: uint8(i + 1)})
 			continue
 		}
-		tr.Hops = append(tr.Hops, measure.TraceHop{TTL: uint8(i + 1), Addr: a(h)})
+		tr.Hops = append(tr.Hops, trace.Hop{TTL: uint8(i + 1), Addr: a(h)})
 	}
-	tr.Hops = append(tr.Hops, measure.TraceHop{TTL: uint8(len(hops) + 1), Addr: a(dst), Final: true})
+	tr.Hops = append(tr.Hops, trace.Hop{TTL: uint8(len(hops) + 1), Addr: a(dst), Final: true})
 	return tr
 }
 
@@ -140,8 +141,8 @@ func TestAtlasFindsAnonymousRoutersInSim(t *testing.T) {
 	var rrResults []probe.Result
 	m.Batch(dsts, probe.PingRR, probe.Options{Rate: 500}, func(rs []probe.Result) { rrResults = rs })
 	topo.Net.Engine().Run()
-	var traces []measure.Trace
-	m.TracerouteBatch(dsts, measure.TraceOptions{StartRate: 200}, func(ts []measure.Trace) { traces = ts })
+	var traces []trace.Result
+	trace.Each(m.Name, m.Prober, dsts, 200, trace.Options{}, func(ts []trace.Result) { traces = ts })
 	topo.Net.Engine().Run()
 
 	for _, r := range rrResults {

@@ -87,17 +87,10 @@ func TestCampaignTTLPingRRAll(t *testing.T) {
 func TestCampaignEmptyPerVPMapsSkip(t *testing.T) {
 	topo := testTopo(t)
 	c := NewFleet(NewCampaign(topo, topo.VPs[:2]), NewCampaign(topo, nil), 1)
-	if got := c.TracerouteAll(nil, TraceOptions{}); len(got) != 0 {
+	if got := c.TracerouteAll(nil, probe.Options{}); len(got) != 0 {
 		t.Errorf("traceroutes from empty map: %d", len(got))
 	}
 	if got := c.PingRRUDPAll(nil, probe.Options{}); len(got) != 0 {
 		t.Errorf("udp from empty map: %d", len(got))
-	}
-}
-
-func TestTraceOptionsDefaults(t *testing.T) {
-	var o TraceOptions
-	if o.maxTTL() != 30 || o.gapLimit() != 4 || o.startRate() != 20 {
-		t.Errorf("defaults: %d %d %v", o.maxTTL(), o.gapLimit(), o.startRate())
 	}
 }

@@ -55,8 +55,8 @@ func (pc *ParallelCampaign) DoubletreeAll(perVP map[string][]netip.Addr, sess *t
 			}
 			return trace.Rebuild(name, sess.State(name), sess.PrefixOf, trs, opts), true
 		},
-		record: func(j *Journal, phase int, kind, name, _ string, r *trace.VPRound) {
-			j.recordTraces(phase, kind, name, r.Traces)
+		record: func(j *Journal, phase int, kind, name, sinkVP string, r *trace.VPRound) {
+			j.recordTraces(phase, kind, name, sinkVP, r.Traces)
 		},
 	}
 	return collect(pc, "doubletree-all", placement{deal: dealt}, rounds, func(rep *replica, vp *VantagePoint, done func(*trace.VPRound)) {

@@ -52,12 +52,12 @@ type JournalMeta struct {
 // journalLine is one JSONL record of a campaign journal. The first
 // line is always the meta record; each journaled phase writes one
 // phase record when it begins, and one vp record per completed VP
-// batch — the incremental result sink. Doubletree phases carry their
-// traces in Traces (the stop-set effects are replayed from them, see
-// trace.Rebuild) and end with one stopset record checkpointing the
-// merged global set through the canonical codec, so a resumed run can
-// verify it reconverged byte-for-byte. A killed campaign leaves a
-// journal that is valid up to its last complete line.
+// batch — the incremental result sink. Trace phases carry their traces
+// in Traces. Doubletree replays its stop-set effects from them (see
+// trace.Rebuild), and ends each phase with one stopset record
+// checkpointing the merged global set through the canonical codec, so a
+// resumed run can verify it reconverged byte-for-byte. A killed campaign
+// leaves a journal that is valid up to its last complete line.
 type journalLine struct {
 	T       string           `json:"t"` // "meta" | "phase" | "vp" | "stopset"
 	Meta    *JournalMeta     `json:"meta,omitempty"`
@@ -73,8 +73,7 @@ type journalLine struct {
 // JournalBatch is one completed batch of a campaign journal: the phase
 // and primitive kind it belongs to, its archive key — a VP name, or
 // "vp#shard" for one replica's range of a destination-sharded phase —
-// and its contents: flat results, per-destination groups, or a
-// Doubletree round's traces.
+// and its contents: flat results, per-destination groups, or traces.
 type JournalBatch struct {
 	Phase   int
 	Kind    string
@@ -431,8 +430,8 @@ func (j *Journal) recordResults(phase int, kind, key, sinkVP string, rs []probe.
 	j.finishVP(e, sinkVP)
 }
 
-// archivedTraces returns the completed traceroute round for
-// (phase, vp) from a resumed journal, if present.
+// archivedTraces returns the completed traces for (phase, vp) from a
+// resumed journal, if present.
 func (j *Journal) archivedTraces(phase int, vp string) ([]trace.Result, bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -443,13 +442,13 @@ func (j *Journal) archivedTraces(phase int, vp string) ([]trace.Result, bool) {
 	return a.Traces, true
 }
 
-// recordTraces journals one freshly completed per-VP traceroute
-// round. The streaming sink is not fed: it speaks probe.Result, and
-// traceroute rounds are consumed through their renders, not streamed.
-func (j *Journal) recordTraces(phase int, kind, vp string, trs []trace.Result) {
+// recordTraces journals one VP's freshly completed traces under key.
+// The streaming sink is not fed: it speaks probe.Result, and traces are
+// consumed through their renders, not streamed.
+func (j *Journal) recordTraces(phase int, kind, key, _ string, trs []trace.Result) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.encode(journalLine{T: "vp", Phase: phase, Kind: kind, VP: vp, Traces: trs})
+	j.encode(journalLine{T: "vp", Phase: phase, Kind: kind, VP: key, Traces: trs})
 }
 
 // checkStopSet closes a doubletree phase: on a fresh phase it

@@ -1,8 +1,8 @@
 // Package measure implements the study's measurement primitives on top
-// of the probe engine: ping, ping-RR, ping-RRudp, TTL-limited ping-RR,
-// and traceroute, issued per vantage point, plus the campaign executor
-// (ParallelCampaign) that fans a batch across every vantage point
-// concurrently, over one or more simulator replicas.
+// of the probe engine: ping, ping-RR, ping-RRudp and TTL-limited ping-RR,
+// issued per vantage point, plus the campaign executor (ParallelCampaign)
+// that fans a batch, or internal/trace's traces, across every vantage
+// point concurrently, over one or more simulator replicas.
 package measure
 
 import (

@@ -135,77 +135,6 @@ func TestPingBatchGroupsRepeats(t *testing.T) {
 	}
 }
 
-func TestTracerouteReachesAndOrdersHops(t *testing.T) {
-	topo := testTopo(t)
-	raw := unlimitedVPs(topo)[0]
-	vp := NewVantagePoint(raw.Name, raw.Host, topo.Net.Engine(), 0x5002)
-	dst := responsiveDests(topo, 1)[0]
-	var tr *Trace
-	vp.Traceroute(dst, TraceOptions{}, func(t Trace) { tr = &t })
-	topo.Net.Engine().Run()
-	if tr == nil || !tr.Reached {
-		t.Fatalf("trace did not reach %v: %+v", dst, tr)
-	}
-	if tr.DestTTL == 0 || int(tr.DestTTL) != len(tr.Hops) {
-		t.Errorf("DestTTL=%d hops=%d", tr.DestTTL, len(tr.Hops))
-	}
-	last := tr.Hops[len(tr.Hops)-1]
-	if !last.Final || last.Addr != dst {
-		t.Errorf("final hop = %+v", last)
-	}
-	for _, h := range tr.HopAddrs() {
-		if topo.ASOf(h) < 0 {
-			t.Errorf("hop %v outside address plan", h)
-		}
-	}
-}
-
-func TestTracerouteGapLimitStopsDeadTrace(t *testing.T) {
-	topo := testTopo(t)
-	raw := unlimitedVPs(topo)[0]
-	vp := NewVantagePoint(raw.Name, raw.Host, topo.Net.Engine(), 0x5003)
-	// An address inside the plan's space but in no AS: first hops
-	// answer, then silence. Use a dest AS's unused prefix slot.
-	dead := netip.MustParseAddr("100.0.200.1")
-	var tr *Trace
-	vp.Traceroute(dead, TraceOptions{GapLimit: 3, MaxTTL: 25}, func(t Trace) { tr = &t })
-	topo.Net.Engine().Run()
-	if tr == nil {
-		t.Fatal("trace never completed")
-	}
-	if tr.Reached {
-		t.Fatal("reached a nonexistent destination")
-	}
-	silent := 0
-	for i := len(tr.Hops) - 1; i >= 0 && !tr.Hops[i].Responded(); i-- {
-		silent++
-	}
-	if silent != 3 {
-		t.Errorf("trailing silent hops = %d, want gap limit 3", silent)
-	}
-}
-
-func TestTracerouteBatchCompletes(t *testing.T) {
-	topo := testTopo(t)
-	raw := unlimitedVPs(topo)[0]
-	vp := NewVantagePoint(raw.Name, raw.Host, topo.Net.Engine(), 0x5004)
-	dests := responsiveDests(topo, 8)
-	var out []Trace
-	vp.TracerouteBatch(dests, TraceOptions{StartRate: 100}, func(ts []Trace) { out = ts })
-	topo.Net.Engine().Run()
-	if len(out) != len(dests) {
-		t.Fatalf("traces = %d, want %d", len(out), len(dests))
-	}
-	for i, tr := range out {
-		if tr.Dst != dests[i] {
-			t.Errorf("trace %d for %v, want %v", i, tr.Dst, dests[i])
-		}
-		if !tr.Reached {
-			t.Errorf("trace to %v did not reach", tr.Dst)
-		}
-	}
-}
-
 func TestTTLPingRRBatchPanicsOnLengthMismatch(t *testing.T) {
 	topo := testTopo(t)
 	raw := unlimitedVPs(topo)[0]

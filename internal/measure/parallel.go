@@ -14,6 +14,7 @@ import (
 	"recordroute/internal/obs"
 	"recordroute/internal/probe"
 	"recordroute/internal/topology"
+	"recordroute/internal/trace"
 )
 
 // Fleet is the executor as callers outside the study layer see it
@@ -457,18 +458,18 @@ func (pc *ParallelCampaign) endPhase(phase int, journaled bool) {
 
 // batchCodec journals one primitive's batches: archived restores a batch
 // a resumed journal holds under key, and record journals a fresh one
-// under key (streaming it as sinkVP). A primitive with no codec is
-// re-executed on resume.
+// under key (streaming it as sinkVP).
 type batchCodec[T any] struct {
 	archived func(j *Journal, phase int, key string) (T, bool)
 	record   func(j *Journal, phase int, kind, key, sinkVP string, v T)
 }
 
-// flatBatches and groupedBatches are the codecs of flat result lists and
-// of per-destination result groups.
+// flatBatches, groupedBatches and traceBatches are the codecs of flat
+// result lists, of per-destination result groups and of traces.
 var (
 	flatBatches    = &batchCodec[[]probe.Result]{(*Journal).archivedResults, (*Journal).recordResults}
 	groupedBatches = &batchCodec[[][]probe.Result]{(*Journal).archivedGroups, (*Journal).recordGroups}
+	traceBatches   = &batchCodec[[]trace.Result]{(*Journal).archivedTraces, (*Journal).recordTraces}
 )
 
 // placement is where a phase's VPs run: home puts each platform VP on
@@ -521,7 +522,7 @@ func collect[T any](pc *ParallelCampaign, kind string, at placement, codec *batc
 	}
 	out := make(map[string]T, len(names))
 	archived := make(map[string]bool)
-	if journaled && codec != nil {
+	if journaled {
 		for _, name := range names {
 			if v, ok := codec.archived(pc.journal, phase, name); ok {
 				out[name], archived[name] = v, true
@@ -540,7 +541,7 @@ func collect[T any](pc *ParallelCampaign, kind string, at placement, codec *batc
 				out[vp.Name] = v
 				mu.Unlock()
 				pc.checkpoint(func(j *Journal) {
-					if codec != nil && !archived[vp.Name] {
+					if !archived[vp.Name] {
 						codec.record(j, phase, kind, vp.Name, vp.Name, v)
 					}
 				})
@@ -606,21 +607,22 @@ func (pc *ParallelCampaign) TTLPingRRAll(perVP map[string][]netip.Addr, ttls map
 	}, nil)
 }
 
-// TracerouteAll traces each platform VP's listed targets. Traces have
-// no journal codec, so a resumed campaign re-executes the phase.
-func (pc *ParallelCampaign) TracerouteAll(perVP map[string][]netip.Addr, opts TraceOptions) map[string][]Trace {
+// TracerouteAll classically traces each platform VP's listed targets
+// (trace.Each), starting opts.Rate traces a second, every hop one probe
+// under opts.Timeout.
+func (pc *ParallelCampaign) TracerouteAll(perVP map[string][]netip.Addr, opts probe.Options) map[string][]trace.Result {
 	return pc.traceroute("traceroute-all", home, perVP, opts)
 }
 
 // CloudTracerouteAll is TracerouteAll from the cloud roster.
-func (pc *ParallelCampaign) CloudTracerouteAll(perCloud map[string][]netip.Addr, opts TraceOptions) map[string][]Trace {
+func (pc *ParallelCampaign) CloudTracerouteAll(perCloud map[string][]netip.Addr, opts probe.Options) map[string][]trace.Result {
 	return pc.traceroute("cloud-traceroute-all", clouds, perCloud, opts)
 }
 
-func (pc *ParallelCampaign) traceroute(kind string, at placement, perVP map[string][]netip.Addr, opts TraceOptions) map[string][]Trace {
-	return collect(pc, kind, at, nil, func(_ *replica, vp *VantagePoint, done func([]Trace)) {
+func (pc *ParallelCampaign) traceroute(kind string, at placement, perVP map[string][]netip.Addr, opts probe.Options) map[string][]trace.Result {
+	return collect(pc, kind, at, traceBatches, func(_ *replica, vp *VantagePoint, done func([]trace.Result)) {
 		if ds := perVP[vp.Name]; len(ds) > 0 {
-			vp.TracerouteBatch(ds, opts, done)
+			trace.Each(vp.Name, vp.Prober, ds, opts.Rate, trace.Options{Timeout: opts.Timeout}, done)
 		}
 	}, nil)
 }

@@ -162,7 +162,8 @@ func fleetCases(world *topology.Topology) []fleetCase {
 		}
 		specs[name] = [][]probe.Spec{rr, lsrr}
 	}
-	tropts := TraceOptions{StartRate: 50}
+	tropts := probe.Options{Rate: 50}
+	traces := func(ts []trace.Result) []byte { return jsonOf(ts) }
 	origin, series := names[1], dests[:24]
 	waves := make([]map[string][]netip.Addr, 2)
 	for i, name := range names {
@@ -233,12 +234,12 @@ func fleetCases(world *topology.Topology) []fleetCase {
 			}},
 		{"traceroute-all",
 			func(pc *ParallelCampaign) map[string][]byte {
-				return wireMap(pc.TracerouteAll(traced, tropts), func(ts []Trace) []byte { return jsonOf(ts) })
+				return wireMap(pc.TracerouteAll(traced, tropts), traces)
 			},
 			func(vps, _ []*VantagePoint, drain func()) map[string][]byte {
 				return each(vps, drain, func(vp *VantagePoint, done func([]byte)) {
 					if ds := traced[vp.Name]; len(ds) > 0 {
-						vp.TracerouteBatch(ds, tropts, func(ts []Trace) { done(jsonOf(ts)) })
+						trace.Each(vp.Name, vp.Prober, ds, tropts.Rate, trace.Options{}, func(ts []trace.Result) { done(traces(ts)) })
 					}
 				})
 			}},
@@ -253,11 +254,11 @@ func fleetCases(world *topology.Topology) []fleetCase {
 			}},
 		{"cloud-traceroute-all",
 			func(pc *ParallelCampaign) map[string][]byte {
-				return wireMap(pc.CloudTracerouteAll(cloudTraced, tropts), func(ts []Trace) []byte { return jsonOf(ts) })
+				return wireMap(pc.CloudTracerouteAll(cloudTraced, tropts), traces)
 			},
 			func(_, clouds []*VantagePoint, drain func()) map[string][]byte {
 				return each(clouds, drain, func(vp *VantagePoint, done func([]byte)) {
-					vp.TracerouteBatch(cloudTraced[vp.Name], tropts, func(ts []Trace) { done(jsonOf(ts)) })
+					trace.Each(vp.Name, vp.Prober, cloudTraced[vp.Name], tropts.Rate, trace.Options{}, func(ts []trace.Result) { done(traces(ts)) })
 				})
 			}},
 		{"spec-batches-all",
@@ -347,9 +348,8 @@ func injected(n *netsim.Network) uint64 { return n.CounterMap()["host.inject"] }
 // Doubletree stop set must match too, which holds only if each wave's
 // deltas are merged after the wave ends. Journaled, each primitive's
 // run is restored from its journal by a fresh fleet without a probe
-// sent (one with no codec, traceroute, re-executes instead) to the same
-// bytes, and resumed from its journal cut after the first batch to the
-// same bytes again.
+// sent to the same bytes, and resumed from its journal cut after the
+// first batch to the same bytes again.
 func TestParallelCampaignMatchesSequential(t *testing.T) {
 	faults := []struct {
 		name string
@@ -445,13 +445,7 @@ func TestParallelCampaignMatchesSequential(t *testing.T) {
 					if !maps.EqualFunc(restored, fresh, bytes.Equal) {
 						t.Error("restored from its journal, the primitive returns other results")
 					}
-					// Traceroute has no codec: it archives nothing and is
-					// re-executed.
-					if strings.HasSuffix(c.name, "traceroute-all") {
-						if archived != 0 {
-							t.Errorf("traceroute archived %d batches, want none", archived)
-						}
-					} else if archived == 0 || sent > 0 {
+					if archived == 0 || sent > 0 {
 						t.Errorf("restored from %d archived batches, the fleet sent %d probes; want some batches and no probe", archived, sent)
 					}
 

@@ -6,7 +6,6 @@ import (
 	"net/netip"
 
 	"recordroute/internal/atlas"
-	"recordroute/internal/measure"
 	"recordroute/internal/topology"
 )
 
@@ -57,9 +56,7 @@ func (s *Study) RunAtlas(r *Responsiveness, perVPCap int) *AtlasResult {
 		perVP[name] = mine
 		traced += len(mine)
 	}
-	traces := s.campaign().TracerouteAll(perVP, measure.TraceOptions{
-		StartRate: s.Opts.rate(), Timeout: s.Opts.timeout(),
-	})
+	traces := s.campaign().TracerouteAll(perVP, s.Opts.ProbeOpts())
 	for _, ts := range traces {
 		for _, tr := range ts {
 			at.AddTraceroute(tr)

@@ -7,8 +7,8 @@ import (
 	"sort"
 
 	"recordroute/internal/analysis"
-	"recordroute/internal/measure"
 	"recordroute/internal/topology"
+	"recordroute/internal/trace"
 )
 
 // CloudResult is the §3.6 / Figure 3 experiment: hop-count distance
@@ -53,14 +53,12 @@ func (s *Study) RunCloudDistance(r *Responsiveness, sampleCap int) *CloudResult 
 		responsiveOnly = responsiveOnly[:sampleCap]
 	}
 
-	topts := measure.TraceOptions{StartRate: s.Opts.rate(), Timeout: s.Opts.timeout(), MaxTTL: 30}
-
 	// Cloud traceroutes to both sets.
 	perCloud := make(map[string][]netip.Addr)
 	for _, vp := range s.CloudCamp.VPs {
 		perCloud[vp.Name] = append(append([]netip.Addr(nil), reachable...), responsiveOnly...)
 	}
-	cloudTraces := s.campaign().CloudTracerouteAll(perCloud, topts)
+	cloudTraces := s.campaign().CloudTracerouteAll(perCloud, s.Opts.ProbeOpts())
 
 	// M-Lab traceroutes to the reachable set: each destination traced
 	// from its closest M-Lab VP (matching the paper's per-VP usage).
@@ -84,7 +82,7 @@ func (s *Study) RunCloudDistance(r *Responsiveness, sampleCap int) *CloudResult 
 			perMLab[best] = append(perMLab[best], d)
 		}
 	}
-	mlabTraces := s.campaign().TracerouteAll(perMLab, topts)
+	mlabTraces := s.campaign().TracerouteAll(perMLab, s.Opts.ProbeOpts())
 
 	res := &CloudResult{
 		Figure3: &analysis.Figure{
@@ -103,7 +101,7 @@ func (s *Study) RunCloudDistance(r *Responsiveness, sampleCap int) *CloudResult 
 		reachSet[d] = true
 	}
 
-	hopCounts := func(traces []measure.Trace, filter func(netip.Addr) bool) []int {
+	hopCounts := func(traces []trace.Result, filter func(netip.Addr) bool) []int {
 		var out []int
 		for _, tr := range traces {
 			if tr.Reached && filter(tr.Dst) {

@@ -3,19 +3,22 @@ package study
 import (
 	"bytes"
 	"compress/gzip"
+	"encoding/json"
 	"io"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"recordroute/internal/measure"
 	"recordroute/internal/topology"
+	"recordroute/internal/trace"
 )
 
 // compatRun runs the registry entry experiment on the world a checked-in
 // journal belongs to — one shard, so the journal's line order is
-// deterministic — journaled at path, and returns the render and how many
-// batches the journal carried in.
-func compatRun(t *testing.T, path string, resume bool, scale float64, experiment string) (render []byte, archived int) {
+// deterministic — journaled at path, and returns the render, how many
+// batches the journal carried in and the study it ran on.
+func compatRun(t *testing.T, path string, resume bool, scale float64, experiment string) (render []byte, archived int, s *Study) {
 	t.Helper()
 	x, err := Lookup(experiment)
 	if err != nil {
@@ -23,7 +26,7 @@ func compatRun(t *testing.T, path string, resume bool, scale float64, experiment
 	}
 	cfg := topology.DefaultConfig(topology.Epoch2016).Scale(scale)
 	cfg.Seed = 5
-	s, err := New(cfg, Options{Rate: 200, ShuffleSeed: 7, Shards: 1})
+	s, err = New(cfg, Options{Rate: 200, ShuffleSeed: 7, Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +47,7 @@ func compatRun(t *testing.T, path string, resume bool, scale float64, experiment
 	if err := s.CloseJournal(); err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes(), archived
+	return buf.Bytes(), archived, s
 }
 
 // TestResumeJournalWrittenBeforeAppendEncoder: journals written by the
@@ -66,13 +69,13 @@ func TestResumeJournalWrittenBeforeAppendEncoder(t *testing.T) {
 		t.Fatal(err)
 	}
 	fullPath := filepath.Join(dir, "full.jsonl")
-	wantRender, _ := compatRun(t, fullPath, false, 0.02, "table1")
+	wantRender, _, _ := compatRun(t, fullPath, false, 0.02, "table1")
 	full, err := os.ReadFile(fullPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	render, archived := compatRun(t, path, true, 0.02, "table1")
+	render, archived, _ := compatRun(t, path, true, 0.02, "table1")
 	if archived != 2 {
 		t.Fatalf("resume archived %d batches of the old journal's 2", archived)
 	}
@@ -94,7 +97,7 @@ func TestResumeJournalWrittenBeforeAppendEncoder(t *testing.T) {
 	if got, want := bytes.Count(resumed, []byte("\n")), bytes.Count(full, []byte("\n")); got != want {
 		t.Errorf("continued journal holds %d records, the uninterrupted one %d", got, want)
 	}
-	render, archived = compatRun(t, path, true, 0.02, "table1")
+	render, archived, _ = compatRun(t, path, true, 0.02, "table1")
 	if want := bytes.Count(full, []byte(`"t":"vp"`)); archived != want || !bytes.Equal(render, wantRender) {
 		t.Errorf("the finished two-writer journal archived %d of %d batches (render equal: %v)",
 			archived, want, bytes.Equal(render, wantRender))
@@ -130,7 +133,7 @@ func TestResumeLSRRJournalKeepsKindNumbers(t *testing.T) {
 		t.Fatal(err)
 	}
 	fullPath := filepath.Join(dir, "full.jsonl")
-	wantRender, _ := compatRun(t, fullPath, false, 0.1, "lsrr")
+	wantRender, _, _ := compatRun(t, fullPath, false, 0.1, "lsrr")
 	full, err := os.ReadFile(fullPath)
 	if err != nil {
 		t.Fatal(err)
@@ -140,7 +143,7 @@ func TestResumeLSRRJournalKeepsKindNumbers(t *testing.T) {
 		t.Fatal("this commit's uninterrupted journal does not begin with the fixture's records")
 	}
 
-	render, archived := compatRun(t, path, true, 0.1, "lsrr")
+	render, archived, _ := compatRun(t, path, true, 0.1, "lsrr")
 	if want := bytes.Count(kept, []byte(`"t":"vp"`)); archived != want {
 		t.Errorf("resume archived %d batches of the fixture's %d", archived, want)
 	}
@@ -149,5 +152,86 @@ func TestResumeLSRRJournalKeepsKindNumbers(t *testing.T) {
 	}
 	if resumed, err := os.ReadFile(path); err != nil || !bytes.Equal(resumed, full) {
 		t.Errorf("the resumed journal differs from the uninterrupted one (read error %v)", err)
+	}
+}
+
+// TestFig3ResumesInsideTraceroute: fig3's traceroute phases resume from
+// the journal like every other phase. Its one-shard scale-0.1 journal,
+// cut as a kill leaves it after the second of its three traceroute-all
+// records (two M-Lab VPs' traces archived, one to probe), resumes
+// to the uninterrupted render, and the resumed run probes exactly the
+// traces the journal lacked: the archived VPs send nothing, and the
+// probes sent are the hops of the traces it journals.
+func TestFig3ResumesInsideTraceroute(t *testing.T) {
+	type record struct {
+		T      string         `json:"t"`
+		Kind   string         `json:"kind"`
+		VP     string         `json:"vp"`
+		Traces []trace.Result `json:"traces"`
+	}
+	// traced returns the journal's traceroute-all records, with the
+	// index of the line each one ends.
+	traced := func(data []byte) (recs []record, ends []int) {
+		for i, l := range bytes.SplitAfter(data, []byte("\n")) {
+			var r record
+			if json.Unmarshal(l, &r) == nil && r.T == "vp" && r.Kind == "traceroute-all" {
+				recs, ends = append(recs, r), append(ends, i+1)
+			}
+		}
+		return recs, ends
+	}
+	dir := t.TempDir()
+	fullPath, path := filepath.Join(dir, "full.jsonl"), filepath.Join(dir, "cut.jsonl")
+	wantRender, _, _ := compatRun(t, fullPath, false, 0.1, "fig3")
+	full, err := os.ReadFile(fullPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const keep = 2
+	recs, ends := traced(full)
+	if len(recs) <= keep {
+		t.Fatalf("the journal holds %d traceroute-all records; the cut needs %d", len(recs), keep+1)
+	}
+	lines := bytes.SplitAfter(full, []byte("\n"))
+	end := ends[keep-1]
+	cut := bytes.Join(lines[:end], nil)
+	cut = append(cut, lines[end][:len(lines[end])/2]...) // the torn final write
+	if err := os.WriteFile(path, cut, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	render, archived, s := compatRun(t, path, true, 0.1, "fig3")
+	if !bytes.Equal(render, wantRender) {
+		t.Errorf("render resumed inside traceroute-all differs from the uninterrupted one:\n--- resumed ---\n%s--- uninterrupted ---\n%s", render, wantRender)
+	}
+	if want := bytes.Count(bytes.Join(lines[:end], nil), []byte(`{"t":"vp"`)); archived != want {
+		t.Errorf("resume archived %d batches of the cut journal's %d", archived, want)
+	}
+	sent := make(map[string]uint64)
+	var total uint64
+	for _, vp := range append(append([]*measure.VantagePoint(nil), s.Camp.VPs...), s.CloudCamp.VPs...) {
+		n, _, _, _ := vp.Prober.Stats()
+		sent[vp.Name] = n
+		total += n
+	}
+	for _, r := range recs[:keep] {
+		if sent[r.VP] != 0 {
+			t.Errorf("archived VP %s sent %d probes on resume", r.VP, sent[r.VP])
+		}
+	}
+	resumed, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hops uint64
+	got, _ := traced(resumed)
+	for _, r := range got[keep:] {
+		for _, tr := range r.Traces {
+			hops += uint64(len(tr.Hops))
+		}
+	}
+	if len(got) != len(recs) || total != hops {
+		t.Errorf("resumed journal holds %d traceroute-all records of %d; the run sent %d probes for %d fresh hops",
+			len(got), len(recs), total, hops)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"net/netip"
 
 	"recordroute/internal/analysis"
-	"recordroute/internal/measure"
 	"recordroute/internal/probe"
 	"recordroute/internal/topology"
 )
@@ -35,10 +34,7 @@ func (s *Study) RunStampAudit(r *Responsiveness, perVPCap int) *StampAuditResult
 	rrByVPDst := r.rrByDst()
 	perVP := s.rrSample(r, rng, perVPCap)
 
-	traces := s.campaign().TracerouteAll(perVP, measure.TraceOptions{
-		StartRate: s.Opts.rate(),
-		Timeout:   s.Opts.timeout(),
-	})
+	traces := s.campaign().TracerouteAll(perVP, s.Opts.ProbeOpts())
 
 	var pairs []analysis.TraceRRPair
 	for vp, ts := range traces {
@@ -48,9 +44,9 @@ func (s *Study) RunStampAudit(r *Responsiveness, perVPCap int) *StampAuditResult
 				continue
 			}
 			pairs = append(pairs, analysis.TraceRRPair{
-				Dst:       tr.Dst,
-				TraceHops: tr.HopAddrs(),
-				RRHops:    rrRes.RR,
+				Dst:            tr.Dst,
+				TracerouteHops: tr.HopAddrs(),
+				RRHops:         rrRes.RR,
 			})
 		}
 	}

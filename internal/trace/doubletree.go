@@ -7,13 +7,15 @@ import (
 	"recordroute/internal/probe"
 )
 
+// A trace probes at most maxTTL hops, and a probing phase ends after
+// gapLimit consecutive silent hops.
+const (
+	maxTTL   = 30
+	gapLimit = 4
+)
+
 // Options controls a traceroute round.
 type Options struct {
-	// MaxTTL bounds the probed hop count; 0 means 30.
-	MaxTTL uint8
-	// GapLimit ends a probing phase after this many consecutive
-	// silent hops; 0 means 4.
-	GapLimit int
 	// Timeout is the per-probe wait; 0 means the prober default.
 	Timeout time.Duration
 	// FirstHop is the forward phase's starting TTL before the VP has
@@ -24,23 +26,6 @@ type Options struct {
 	// classically from TTL 1 — the naive arm doubletree is measured
 	// against, and the mode path-comparison experiments use.
 	Exhaustive bool
-	// RR carries the record-route option on every probe (TTLPingRR
-	// instead of TTLPing), so hop discovery doubles as RR stamping.
-	RR bool
-}
-
-func (o Options) maxTTL() uint8 {
-	if o.MaxTTL == 0 {
-		return 30
-	}
-	return o.MaxTTL
-}
-
-func (o Options) gapLimit() int {
-	if o.GapLimit == 0 {
-		return 4
-	}
-	return o.GapLimit
 }
 
 func (o Options) firstHop() uint8 {
@@ -48,13 +33,6 @@ func (o Options) firstHop() uint8 {
 		return 6
 	}
 	return o.FirstHop
-}
-
-func (o Options) kind() probe.Kind {
-	if o.RR {
-		return probe.TTLPingRR
-	}
-	return probe.TTLPing
 }
 
 // Hop is one probe of a trace, in probe order (forward phase first,
@@ -139,8 +117,8 @@ func (s *Stats) Add(other Stats) {
 }
 
 // VPRound is one VP's completed round: its traces, the global-set
-// delta it contributes to the between-rounds merge, and its probe
-// accounting.
+// delta it contributes to the between-rounds merge (nil when
+// exhaustive), and its probe accounting.
 type VPRound struct {
 	VP     string
 	Traces []Result
@@ -153,8 +131,10 @@ type VPRound struct {
 // frozen global set on the forward phase and st.Local on the backward
 // phase, then calls done with the completed round. Everything runs on
 // the prober's transport event context; the caller drains the engine.
+// An exhaustive round reads neither stop set nor prefixOf (all may be
+// nil) and leaves Delta nil.
 func Run(vp string, p *probe.Prober, st *VPState, global *GlobalSet, prefixOf func(netip.Addr) netip.Prefix, dsts []netip.Addr, opts Options, done func(*VPRound)) {
-	round := &VPRound{VP: vp, Delta: NewGlobalSet()}
+	round := newRound(vp, opts)
 	if len(dsts) == 0 {
 		p.Schedule(0, func() { done(round) })
 		return
@@ -162,10 +142,45 @@ func Run(vp string, p *probe.Prober, st *VPState, global *GlobalSet, prefixOf fu
 	r := &runner{
 		p: p, st: st, global: global, prefixOf: prefixOf, dsts: dsts, opts: opts, done: done,
 		round: round,
-		hops:  make([]Hop, 0, opts.maxTTL()),
+		hops:  make([]Hop, 0, maxTTL),
 	}
 	r.onForward, r.onBackward = r.forwardReply, r.backwardReply
 	r.traceNext()
+}
+
+// newRound returns an empty round; only a doubletree round has a delta.
+func newRound(vp string, opts Options) *VPRound {
+	round := &VPRound{VP: vp}
+	if !opts.Exhaustive {
+		round.Delta = NewGlobalSet()
+	}
+	return round
+}
+
+// Each is classic traceroute: one exhaustive single-destination Run per
+// destination, trace i starting i/rate after the call (rate ≤ 0 means
+// 20), so traces overlap while each one's probes stay sequential. done
+// receives the traces in destination order.
+func Each(vp string, p *probe.Prober, dsts []netip.Addr, rate float64, opts Options, done func([]Result)) {
+	if len(dsts) == 0 {
+		p.Schedule(0, func() { done(nil) })
+		return
+	}
+	if rate <= 0 {
+		rate = 20
+	}
+	opts.Exhaustive = true
+	out, left := make([]Result, len(dsts)), len(dsts)
+	interval := time.Duration(float64(time.Second) / rate)
+	for i := range dsts {
+		p.Schedule(time.Duration(i)*interval, func() {
+			Run(vp, p, nil, nil, nil, dsts[i:i+1], opts, func(r *VPRound) {
+				if out[i], left = r.Traces[0], left-1; left == 0 {
+					done(out)
+				}
+			})
+		})
+	}
 }
 
 // runner is one Run in progress. Traces are sequential and a trace has
@@ -204,15 +219,12 @@ func (r *runner) traceNext() {
 	dst := r.dsts[r.next]
 	r.next++
 	r.res = Result{VP: r.round.VP, Dst: dst}
-	r.prefix = r.prefixOf(dst)
 	r.hops = r.hops[:0]
 	r.gaps = 0
 	r.h = 1
 	if !r.opts.Exhaustive {
-		r.h = r.st.midTTL(r.opts)
-		if max := r.opts.maxTTL(); r.h > max {
-			r.h = max
-		}
+		r.prefix = r.prefixOf(dst)
+		r.h = min(r.st.midTTL(r.opts), maxTTL)
 	}
 	r.send(r.h, r.onForward)
 }
@@ -220,7 +232,7 @@ func (r *runner) traceNext() {
 // send probes the current destination at ttl.
 func (r *runner) send(ttl uint8, cb func(probe.Result)) {
 	r.ttl = ttl
-	r.p.StartOne(probe.Spec{Dst: r.res.Dst, Kind: r.opts.kind(), TTL: ttl}, r.opts.Timeout, cb)
+	r.p.StartOne(probe.Spec{Dst: r.res.Dst, Kind: probe.TTLPing, TTL: ttl}, r.opts.Timeout, cb)
 }
 
 // hop records the outcome of the probe in flight; silence leaves Addr
@@ -282,7 +294,7 @@ func (r *runner) forwardReply(pr probe.Result) {
 		r.finish()
 		return
 	}
-	if t >= r.opts.maxTTL() || r.gaps >= r.opts.gapLimit() {
+	if t >= maxTTL || r.gaps >= gapLimit {
 		r.endForward()
 		return
 	}
@@ -311,7 +323,7 @@ func (r *runner) backwardReply(pr probe.Result) {
 	case probe.NoResponse:
 		r.hop(pr, false)
 		r.gaps++
-		if r.gaps >= r.opts.gapLimit() {
+		if r.gaps >= gapLimit {
 			r.finish()
 			return
 		}
@@ -334,7 +346,7 @@ func (r *runner) backwardReply(pr probe.Result) {
 // journal-resume path. absorb is a pure function of (prior state,
 // result), so replay order equals live order.
 func Rebuild(vp string, st *VPState, prefixOf func(netip.Addr) netip.Prefix, traces []Result, opts Options) *VPRound {
-	round := &VPRound{VP: vp, Delta: NewGlobalSet()}
+	round := newRound(vp, opts)
 	for _, res := range traces {
 		absorb(st, round, res, prefixOf, opts)
 	}

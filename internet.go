@@ -12,6 +12,7 @@ import (
 	"recordroute/internal/revtr"
 	"recordroute/internal/study"
 	"recordroute/internal/topology"
+	"recordroute/internal/trace"
 )
 
 // Internet is a simulated Internet with vantage points and probe
@@ -209,8 +210,8 @@ func (in *Internet) Traceroute(vpName string, dst netip.Addr) (TraceResult, erro
 	if err != nil {
 		return TraceResult{}, err
 	}
-	var tr measure.Trace
-	vp.Traceroute(dst, measure.TraceOptions{Timeout: in.opts.timeout}, func(t measure.Trace) { tr = t })
+	var tr trace.Result
+	trace.Each(vp.Name, vp.Prober, []netip.Addr{dst}, 0, trace.Options{Timeout: in.opts.timeout}, func(ts []trace.Result) { tr = ts[0] })
 	in.st.Camp.Eng.Run()
 	out := TraceResult{Dst: dst, Reached: tr.Reached}
 	for _, h := range tr.Hops {
