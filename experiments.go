@@ -3,10 +3,7 @@ package recordroute
 import (
 	"fmt"
 	"io"
-	"net/netip"
 
-	"recordroute/internal/analysis"
-	"recordroute/internal/probe"
 	"recordroute/internal/study"
 )
 
@@ -273,56 +270,4 @@ type SourceRouteSummary struct {
 	// 2005-report-vs-this-paper contrast.
 	Probed           int
 	RRRate, LSRRRate float64
-}
-
-// Classification names a destination's §3.1 class ("unresponsive",
-// "ping-responsive", "rr-responsive", "rr-reachable",
-// "reverse-measurable") with the best RR slot it occupied.
-type Classification struct {
-	Class    string
-	BestSlot int
-	// FalseNegativeSignal marks the §3.3 signature: responses with free
-	// RR slots but no destination stamp, worth re-testing via alias
-	// resolution or ping-RRudp.
-	FalseNegativeSignal bool
-}
-
-// ClassifyDestination applies the paper's full per-destination
-// methodology to dst: a plain ping and a ping-RR from every vantage
-// point, plus a ping-RRudp when the first pass shows the false-negative
-// signature, all folded through the §3.1 decision rules.
-func (in *Internet) ClassifyDestination(dst netip.Addr) Classification {
-	probeAll := func(kind probe.Kind) map[string][]probe.Result {
-		perVP := make(map[string][]probe.Result)
-		for _, vp := range in.st.Camp.VPs {
-			vp.Prober.StartOneWith(probe.Spec{Dst: dst, Kind: kind}, in.st.Opts.ProbeOpts(), func(r probe.Result) {
-				perVP[vp.Name] = append(perVP[vp.Name], r)
-			})
-		}
-		in.st.Camp.Eng.Run()
-		return perVP
-	}
-	pings := probeAll(probe.Ping)
-	st := analysis.AggregateRR(probeAll(probe.PingRR))[dst]
-	if st == nil { // no ping-RR was answered
-		for _, rs := range pings {
-			if rs[0].Type == probe.EchoReply {
-				return Classification{Class: "ping-responsive"}
-			}
-		}
-		return Classification{Class: "unresponsive"}
-	}
-	if st.SawFreeSlots && !st.RRReachable() {
-		analysis.ApplyRRUDP(map[netip.Addr]*analysis.RRDestStat{dst: st}, probeAll(probe.PingRRUDP))
-	}
-	c := Classification{Class: "ping-responsive", BestSlot: st.MinDestSlot, FalseNegativeSignal: st.SawFreeSlots}
-	switch {
-	case st.WithinHops(8):
-		c.Class = "reverse-measurable"
-	case st.RRReachable():
-		c.Class = "rr-reachable"
-	case st.RRResponsive():
-		c.Class = "rr-responsive"
-	}
-	return c
 }

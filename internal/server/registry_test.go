@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"net/http/httptest"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
 
+	"recordroute/internal/netsim"
 	"recordroute/internal/study"
 )
 
@@ -19,14 +21,14 @@ func registrySpec(name string) JobSpec {
 
 // journaledRender is the in-process twin of a job: the same world and
 // options, journaled as the daemon journals, running the same entry at
-// its defaults.
-func journaledRender(t *testing.T, spec JobSpec, e study.Experiment) []byte {
+// its defaults. It returns the render and the study that ran it.
+func journaledRender(t *testing.T, spec JobSpec, e study.Experiment) ([]byte, *study.Study) {
 	t.Helper()
-	cfg, err := spec.config()
+	cfg, opts, err := spec.Resolve()
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := study.New(cfg, study.Options{Rate: spec.Rate, ShuffleSeed: spec.ShuffleSeed, Shards: spec.Shards})
+	st, err := study.New(cfg, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +42,7 @@ func journaledRender(t *testing.T, spec JobSpec, e study.Experiment) []byte {
 	}
 	var b bytes.Buffer
 	res.Render(&b)
-	return b.Bytes()
+	return b.Bytes(), st
 }
 
 // TestServeEveryExperiment: the daemon serves the whole registry. Every
@@ -83,7 +85,7 @@ func TestServeEveryExperiment(t *testing.T) {
 			if code != 200 {
 				t.Fatalf("render: status %d", code)
 			}
-			if want := journaledRender(t, registrySpec(e.Name), e); !bytes.Equal(render, want) {
+			if want, _ := journaledRender(t, registrySpec(e.Name), e); !bytes.Equal(render, want) {
 				t.Errorf("daemon render differs from the in-process journaled run:\n--- daemon ---\n%s\n--- in-process ---\n%s", render, want)
 			}
 		})
@@ -98,5 +100,44 @@ func TestServeEveryExperiment(t *testing.T) {
 	if _, err := s.CreateSchedule("", ScheduleSpec{Job: registrySpec("fig5"), Epochs: 2}); err == nil ||
 		!strings.Contains(err.Error(), "table1 only") {
 		t.Errorf("a fig5 schedule: err = %v, want refused as table1 only", err)
+	}
+}
+
+// TestJobRetriesReachProbes: a job's retries reach its probes. A table1
+// job with retries 2 under a lossy fault plan renders what the facade's
+// path (Resolve, then study.New) renders for the same spec, its stream
+// carries retransmitted probes, and the in-process twin's probers
+// count retransmissions.
+func TestJobRetriesReachProbes(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1, QueueCap: 2})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	spec := JobSpec{Experiment: "table1", Scale: 0.15, Rate: 200, ShuffleSeed: 7, Shards: 1, Retries: 2,
+		Faults: &netsim.FaultConfig{LossProb: 0.2, LossFrac: 0.5}}
+	id := submit(t, ts, spec)
+	if st := waitDone(t, ts, id); st.State != StateDone {
+		t.Fatalf("job %s: %+v", id, st)
+	}
+	_, render := get(t, ts, "/jobs/"+id+"/render")
+	_, stream := get(t, ts, "/jobs/"+id+"/stream")
+
+	e, err := study.Lookup(spec.Experiment)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, st := journaledRender(t, spec, e)
+	if !bytes.Equal(render, want) {
+		t.Errorf("daemon render differs from the in-process run of the same spec:\n--- daemon ---\n%s\n--- in-process ---\n%s", render, want)
+	}
+	var resent uint64
+	for _, vp := range st.Camp.VPs {
+		resent += vp.Prober.Retransmits()
+	}
+	if resent == 0 {
+		t.Error("the in-process twin retransmitted nothing under 20% loss with retries 2")
+	}
+	if !regexp.MustCompile(`"attempts":[2-9]`).Match(stream) {
+		t.Error("the job's stream holds no probe sent more than once")
 	}
 }

@@ -119,7 +119,7 @@ func (s *Server) CreateSchedule(tenant string, spec ScheduleSpec) (*Schedule, er
 	if spec.Job.Experiment != "table1" {
 		return nil, fmt.Errorf("schedule experiment %q: schedules run table1 only, because an epoch diff is Table 1's RR-reachable set", spec.Job.Experiment)
 	}
-	cfg, err := spec.Job.config()
+	cfg, _, err := spec.Job.Resolve()
 	if err != nil {
 		return nil, err
 	}
@@ -217,7 +217,7 @@ func (s *Server) loadSchedules() error {
 		if !ok {
 			continue
 		}
-		cfg, err := rec.Spec.Job.config()
+		cfg, _, err := rec.Spec.Job.Resolve()
 		if err != nil {
 			return fmt.Errorf("schedule restore %s: %w", path, err)
 		}

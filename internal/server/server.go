@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"recordroute/internal/measure"
-	"recordroute/internal/netsim"
 	"recordroute/internal/obs"
 	"recordroute/internal/study"
 	"recordroute/internal/topology"
@@ -127,80 +126,11 @@ func (c Config) backoffFor(retry int) time.Duration {
 	return min(d, maxRetryBackoff)
 }
 
-// JobSpec is the submit body: which experiment against which world,
-// with which campaign options. The zero value of each field means its
-// study default.
-type JobSpec struct {
-	// Experiment names a registered experiment (study.Lookup; the names
-	// rrstudy -experiment takes), run at its default parameters.
-	Experiment string `json:"experiment"`
-	// Scale multiplies the default topology sizing (1.0 ≈ 1/100 of the
-	// paper's probing volume). Mutually exclusive with Profile.
-	Scale float64 `json:"scale,omitempty"`
-	// Profile selects a named topology size (small|medium|large)
-	// instead of a numeric Scale.
-	Profile string `json:"profile,omitempty"`
-	// Seed overrides the world seed (0 = built-in default).
-	Seed uint64 `json:"seed,omitempty"`
-	// Epoch is 2016 (default) or 2011.
-	Epoch int `json:"epoch,omitempty"`
-	// Faults installs a deterministic fault plan over the topology
-	// (chaos weather, long-horizon churn). Part of the plane-cache key:
-	// jobs with different fault plans never share a plane.
-	Faults *netsim.FaultConfig `json:"faults,omitempty"`
-	// Shards, Rate, ShuffleSeed mirror study.Options.
-	Shards      int     `json:"shards,omitempty"`
-	Rate        float64 `json:"rate,omitempty"`
-	ShuffleSeed uint64  `json:"shuffle_seed,omitempty"`
-	// FaultEpoch pins the churn clock (study.Options.FaultEpoch): the
-	// schedule's virtual-epoch cadence sets it per epoch. Deliberately
-	// outside the topology config, so every epoch of a schedule keys
-	// the same cached plane.
-	FaultEpoch int `json:"fault_epoch,omitempty"`
-	// Journal overrides the journal path (default: DataDir/<job>.jsonl);
-	// with Resume set, completed batches found there are skipped and
-	// the run picks up where the journal stops.
-	Journal string `json:"journal,omitempty"`
-	Resume  bool   `json:"resume,omitempty"`
-}
-
-// config resolves the spec into the topology configuration that keys
-// the frozen-plane cache.
-func (sp JobSpec) config() (topology.Config, error) {
-	epoch := topology.Epoch2016
-	switch sp.Epoch {
-	case 0, 2016:
-	case 2011:
-		epoch = topology.Epoch2011
-	default:
-		return topology.Config{}, fmt.Errorf("unknown epoch %d (want 2016 or 2011)", sp.Epoch)
-	}
-	cfg := topology.DefaultConfig(epoch)
-	if sp.Scale < 0 || sp.Scale > 100 {
-		return topology.Config{}, fmt.Errorf("scale %v out of range (0, 100]", sp.Scale)
-	}
-	if sp.Profile != "" {
-		if sp.Scale != 0 {
-			return topology.Config{}, fmt.Errorf("profile %q and scale %v are mutually exclusive", sp.Profile, sp.Scale)
-		}
-		pcfg, err := topology.ProfileConfig(epoch, topology.ScaleProfile(sp.Profile))
-		if err != nil {
-			return topology.Config{}, err
-		}
-		cfg = pcfg
-	}
-	if sp.Scale > 0 && sp.Scale != 1 {
-		cfg = cfg.Scale(sp.Scale)
-	}
-	if sp.Seed != 0 {
-		cfg.Seed = sp.Seed
-	}
-	// The fault plan is plane state (it edits routing weather at build
-	// time), so it rides in the Config — and therefore in the digest
-	// that keys the frozen-plane cache.
-	cfg.Faults = sp.Faults
-	return cfg, nil
-}
+// JobSpec is the submit body: study.Spec, the one run contract the
+// facade resolves too. Its Journal and Resume fields are the daemon's:
+// the journal path (default DataDir/<job>.jsonl) and whether completed
+// batches found there are skipped.
+type JobSpec = study.Spec
 
 // Job states.
 const (
@@ -424,7 +354,7 @@ func (s *Server) SubmitAs(tenant string, spec JobSpec) (*Job, error) {
 	if _, err := study.Lookup(spec.Experiment); err != nil {
 		return nil, err
 	}
-	cfg, err := spec.config()
+	cfg, _, err := spec.Resolve()
 	if err != nil {
 		return nil, err
 	}
@@ -538,7 +468,7 @@ func (s *Server) runOnce(ctx context.Context, job *Job) (out attemptOutcome) {
 	if err != nil {
 		return failure(ClassSpec, "%v", err)
 	}
-	cfg, err := job.Spec.config()
+	cfg, opts, err := job.Spec.Resolve()
 	if err != nil {
 		return failure(ClassSpec, "%v", err)
 	}
@@ -550,12 +480,7 @@ func (s *Server) runOnce(ctx context.Context, job *Job) (out attemptOutcome) {
 	job.cacheHit = hit
 	s.mu.Unlock()
 
-	st, err := study.NewFromTopology(topo, study.Options{
-		Rate:        job.Spec.Rate,
-		ShuffleSeed: job.Spec.ShuffleSeed,
-		Shards:      job.Spec.Shards,
-		FaultEpoch:  job.Spec.FaultEpoch,
-	})
+	st, err := study.NewFromTopology(topo, opts)
 	if err != nil {
 		return failure(ClassSpec, "%v", err)
 	}

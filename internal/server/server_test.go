@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"recordroute/internal/results"
-	"recordroute/internal/study"
 	"recordroute/internal/topology"
 )
 
@@ -565,19 +564,5 @@ func TestSubmitValidation(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("spec %+v: status %d, want 400", spec, resp.StatusCode)
 		}
-	}
-}
-
-// TestServiceScaleProfileRefused pins the NewFromTopology contract the
-// cache path depends on: a profile cannot resize an already-built
-// world, so the study constructor must refuse it rather than silently
-// probing the wrong topology.
-func TestServiceScaleProfileRefused(t *testing.T) {
-	topo, err := topology.Build(topology.DefaultConfig(topology.Epoch2016).Scale(0.15))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := study.NewFromTopology(topo, study.Options{Scale: "large"}); err == nil {
-		t.Fatal("NewFromTopology accepted an unresolved scale profile")
 	}
 }

@@ -87,7 +87,6 @@ type Chaos struct {
 func chaosArm(ctx context.Context, cfg topology.Config, opts Options, fc *netsim.FaultConfig, retries int, armLabel string) (ChaosArm, map[netip.Addr]bool, netsim.FaultSummary, *obs.Snapshot, error) {
 	cfg.Faults = fc
 	opts.Retries = retries
-	opts.Adaptive = retries > 0
 	s, err := New(cfg, opts)
 	if err != nil {
 		return ChaosArm{}, nil, netsim.FaultSummary{}, nil, err

@@ -81,7 +81,7 @@ func TestChaosShardEquivalence(t *testing.T) {
 	cfg := chaosTestConfig()
 	cfg.Faults = &netsim.FaultConfig{Seed: cfg.Seed, LossProb: 0.10, LossFrac: 0.25,
 		FlapFrac: 0.2, OutageFrac: 0.1, SuppressFrac: 0.2, WithdrawFrac: 0.2}
-	opts := Options{Rate: 200, ShuffleSeed: 7, Retries: 2, Adaptive: true}
+	opts := Options{Rate: 200, ShuffleSeed: 7, Retries: 2}
 
 	render := func(shards int) []byte {
 		opts := opts

@@ -99,9 +99,11 @@ func TestDoubletreeCompletenessProperty(t *testing.T) {
 			if cell.heavy && (testing.Short() || raceEnabled) {
 				t.Skip("medium profile: skipped in -short/-race runs")
 			}
-			cfg := topology.DefaultConfig(topology.Epoch2016)
-			cfg.Seed = 11
-			s, err := New(cfg, Options{Rate: 200, ShuffleSeed: 7, Shards: 2, Scale: cell.profile})
+			cfg, opts, err := Spec{Profile: string(cell.profile), Seed: 11, Rate: 200, ShuffleSeed: 7, Shards: 2}.Resolve()
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := New(cfg, opts)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -25,9 +25,8 @@ type EpochComparison struct {
 
 // RunEpochComparison builds and measures both epochs. cfg2016 seeds the
 // roster; the 2011 topology shares it but re-derives the peering and VP
-// populations of that era. opts.Scale must be empty: pass an already
-// resolved config, such as a built study's Topo.Cfg. Both epochs probe
-// under ctx (Study.SetContext), and abort on the caller's goroutine.
+// populations of that era. Both epochs probe under ctx
+// (Study.SetContext), and abort on the caller's goroutine.
 func RunEpochComparison(ctx context.Context, cfg2016 topology.Config, opts Options) (*EpochComparison, error) {
 	cfg2011 := topology.DefaultConfig(topology.Epoch2011)
 	cfg2011.Seed = cfg2016.Seed

@@ -145,10 +145,11 @@ func TestCloneEquivalenceProperty(t *testing.T) {
 					if cell.heavy && (testing.Short() || raceEnabled) {
 						t.Skip("large profile: skipped in -short/-race runs")
 					}
-					cfg := topology.DefaultConfig(topology.Epoch2016)
-					cfg.Seed = 11
-					cfg.Faults = f.fc
-					opts := Options{Rate: 200, ShuffleSeed: 7, Shards: k, Scale: cell.profile}
+					cfg, opts, err := Spec{Profile: string(cell.profile), Seed: 11, Faults: f.fc,
+						Rate: 200, ShuffleSeed: 7, Shards: k}.Resolve()
+					if err != nil {
+						t.Fatal(err)
+					}
 					s, err := New(cfg, opts)
 					if err != nil {
 						t.Fatal(err)

@@ -31,10 +31,9 @@ type journaledRun struct {
 // flat per-VP phases (ping-RRudp) after the archived destination-sharded
 // ones (alias pings).
 type resumeCell struct {
-	fc       *netsim.FaultConfig
-	retries  int
-	adaptive bool
-	reach    bool
+	fc      *netsim.FaultConfig
+	retries int
+	reach   bool
 }
 
 // runJournaled builds a study identical to runSharded's cells, attaches
@@ -45,7 +44,7 @@ func runJournaled(t *testing.T, seed uint64, c resumeCell, shards int, path stri
 	cfg := topology.DefaultConfig(topology.Epoch2016).Scale(0.15)
 	cfg.Seed = seed
 	cfg.Faults = c.fc
-	s, err := New(cfg, Options{Rate: 200, ShuffleSeed: 7, Shards: shards, Retries: c.retries, Adaptive: c.adaptive})
+	s, err := New(cfg, Options{Rate: 200, ShuffleSeed: 7, Shards: shards, Retries: c.retries})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +182,7 @@ func TestResumeEqualsUninterrupted(t *testing.T) {
 	// and Figure 1: what chaos and the facade's WithRetries turn on. A
 	// prober entering a fresh phase after archived ones must hold the
 	// same sequence counter and RTT estimate as in the uninterrupted run.
-	lossy := resumeCell{fc: &netsim.FaultConfig{LossProb: 0.2, LossFrac: 0.5}, retries: 2, adaptive: true, reach: true}
+	lossy := resumeCell{fc: &netsim.FaultConfig{LossProb: 0.2, LossFrac: 0.5}, retries: 2, reach: true}
 	rows := []struct {
 		name string
 		c    resumeCell

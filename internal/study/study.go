@@ -46,21 +46,15 @@ type Options struct {
 	// Retries is the per-probe retransmission budget: each probe is
 	// retransmitted up to Retries times with exponential backoff before
 	// it is declared lost. 0 disables retries (the paper's single-shot
-	// probing).
+	// probing). Retries also turn on RTT-adaptive per-attempt timeouts
+	// (RFC 6298-style EWMA, clamped to Timeout), so retransmissions fire
+	// as soon as the path's own RTT history says the attempt is lost.
 	Retries int
-	// Adaptive turns on RTT-adaptive per-attempt timeouts (RFC
-	// 6298-style EWMA, clamped to Timeout), so retransmissions fire as
-	// soon as the path's own RTT history says the attempt is lost.
-	Adaptive bool
 	// Shards is the replica count every experiment spreads its VPs
 	// over: 0 picks runtime.GOMAXPROCS, 1 = one replica on the study's
 	// own engine, >1 that many cloned replicas. Renders are the same at
 	// any count; Figure 4 puts every VP on replica 0.
 	Shards int
-	// Scale replaces the roster/prefix/VP sizing of the passed Config
-	// with a named profile's (topology.ProfileConfig) while keeping its
-	// Seed, Epoch, and Faults. Empty means: use the Config as given.
-	Scale topology.ScaleProfile
 	// FaultEpoch pins the long-horizon churn clock
 	// (netsim.SetFaultEpoch) for the whole run: epoch-churned prefixes
 	// (FaultConfig.ChurnProb) are present or withdrawn as a pure
@@ -86,7 +80,7 @@ func (o Options) timeout() time.Duration {
 
 // ProbeOpts are the per-probe options every campaign probe is sent with.
 func (o Options) ProbeOpts() probe.Options {
-	return probe.Options{Rate: o.rate(), Timeout: o.timeout(), Retries: o.Retries, Adaptive: o.Adaptive}
+	return probe.Options{Rate: o.rate(), Timeout: o.timeout(), Retries: o.Retries, Adaptive: o.Retries > 0}
 }
 
 func (o Options) shards() int {
@@ -122,15 +116,6 @@ type Study struct {
 
 // New builds the simulated Internet for cfg and wires up the campaign.
 func New(cfg topology.Config, opts Options) (*Study, error) {
-	if opts.Scale != "" {
-		pcfg, err := topology.ProfileConfig(cfg.Epoch, opts.Scale)
-		if err != nil {
-			return nil, err
-		}
-		pcfg.Seed, pcfg.Faults = cfg.Seed, cfg.Faults
-		cfg = pcfg
-		opts.Scale = ""
-	}
 	topo, err := topology.Build(cfg)
 	if err != nil {
 		return nil, err
@@ -140,13 +125,8 @@ func New(cfg topology.Config, opts Options) (*Study, error) {
 
 // NewFromTopology wires a study over an already-built topology — the
 // campaign-service path, where a frozen-plane cache hands out one Build
-// per distinct config and each job gets a clone. opts.Scale must be
-// empty: a profile resizes the Config, which is impossible after the
-// world is built.
+// per distinct config and each job gets a clone.
 func NewFromTopology(topo *topology.Topology, opts Options) (*Study, error) {
-	if opts.Scale != "" {
-		return nil, fmt.Errorf("study: scale profile %q must be resolved before the topology is built", opts.Scale)
-	}
 	s := &Study{
 		Topo: topo,
 		Data: dataset.FromTopology(topo),
@@ -234,7 +214,7 @@ func (s *Study) AttachJournal(path string, resume bool) (*measure.Journal, error
 		Timeout:     s.Opts.timeout(),
 		ShuffleSeed: s.Opts.ShuffleSeed,
 		Retries:     s.Opts.Retries,
-		Adaptive:    s.Opts.Adaptive,
+		Adaptive:    s.Opts.Retries > 0,
 		FaultEpoch:  s.Opts.FaultEpoch,
 	}
 	var (

@@ -20,15 +20,6 @@ const (
 	ScaleLarge ScaleProfile = "large"
 )
 
-// ParseScale maps a profile name to its constant.
-func ParseScale(name string) (ScaleProfile, error) {
-	switch ScaleProfile(name) {
-	case ScaleSmall, ScaleMedium, ScaleLarge:
-		return ScaleProfile(name), nil
-	}
-	return "", fmt.Errorf("topology: unknown scale profile %q (want small, medium, or large)", name)
-}
-
 // ProfileConfig returns the calibrated configuration for a profile at
 // the given epoch. An empty profile means medium.
 func ProfileConfig(epoch Epoch, p ScaleProfile) (Config, error) {

@@ -19,8 +19,7 @@ import (
 // targets. It is not safe for concurrent use: the underlying
 // discrete-event engine is single-threaded.
 type Internet struct {
-	st   *study.Study
-	opts options
+	st *study.Study
 
 	rep    Report       // summaries of the experiments run so far
 	obsCfg obs.Observer // accumulated observability config (see obs.go)
@@ -28,27 +27,19 @@ type Internet struct {
 
 // New builds a simulated Internet.
 func New(opts ...Option) (*Internet, error) {
-	cfg, o := buildConfig(opts)
-	if err := validateScale(o.scale); err != nil {
-		return nil, err
+	var spec study.Spec
+	for _, fn := range opts {
+		fn(&spec)
 	}
-	var profile topology.ScaleProfile
-	if o.profile != "" {
-		p, err := topology.ParseScale(o.profile)
-		if err != nil {
-			return nil, err
-		}
-		profile = p
-	}
-	st, err := study.New(cfg, study.Options{
-		Rate: o.rate, Timeout: o.timeout, Shards: o.shards,
-		Retries: o.retries, Adaptive: o.retries > 0,
-		Scale: profile,
-	})
+	cfg, so, err := spec.Resolve()
 	if err != nil {
 		return nil, err
 	}
-	return &Internet{st: st, opts: o}, nil
+	st, err := study.New(cfg, so)
+	if err != nil {
+		return nil, err
+	}
+	return &Internet{st: st}, nil
 }
 
 // MustNew is New, panicking on error; for examples and tests.
@@ -211,7 +202,7 @@ func (in *Internet) Traceroute(vpName string, dst netip.Addr) (TraceResult, erro
 		return TraceResult{}, err
 	}
 	var tr trace.Result
-	trace.Each(vp.Name, vp.Prober, []netip.Addr{dst}, 0, trace.Options{Timeout: in.opts.timeout}, func(ts []trace.Result) { tr = ts[0] })
+	trace.Each(vp.Name, vp.Prober, []netip.Addr{dst}, 0, trace.Options{Timeout: in.st.Opts.Timeout}, func(ts []trace.Result) { tr = ts[0] })
 	in.st.Camp.Eng.Run()
 	out := TraceResult{Dst: dst, Reached: tr.Reached}
 	for _, h := range tr.Hops {
@@ -246,7 +237,7 @@ func (in *Internet) ReversePath(vpName string, dst netip.Addr) (ReversePathResul
 		return ReversePathResult{}, err
 	}
 	sys := revtr.New(in.st.Camp.VPs, revtr.Options{
-		Timeout: in.opts.timeout,
+		Timeout: in.st.Opts.Timeout,
 		Ranker:  in.revtrRanker(),
 	})
 	var p revtr.Path
@@ -292,27 +283,13 @@ func (in *Internet) revtrRanker() func(netip.Addr, []*measure.VantagePoint) []*m
 	}
 }
 
-// VPKind reports a platform VP's kind ("mlab", "planetlab", "cloud").
-func (in *Internet) VPKind(name string) (string, error) {
-	if vp := in.st.Topo.VPByName(name); vp != nil {
-		return vp.Kind.String(), nil
-	}
-	return "", fmt.Errorf("recordroute: unknown vantage point %q", name)
-}
-
-// topoVPOfKind lists the VP names of a topology kind.
-func (in *Internet) topoVPOfKind(kind topology.VPKind) []string {
+// MLabVPs lists the M-Lab-like vantage points.
+func (in *Internet) MLabVPs() []string {
 	var out []string
 	for _, vp := range in.st.Topo.VPs {
-		if vp.Kind == kind {
+		if vp.Kind == topology.MLab {
 			out = append(out, vp.Name)
 		}
 	}
 	return out
 }
-
-// MLabVPs lists the M-Lab-like vantage points.
-func (in *Internet) MLabVPs() []string { return in.topoVPOfKind(topology.MLab) }
-
-// PlanetLabVPs lists the PlanetLab-like vantage points.
-func (in *Internet) PlanetLabVPs() []string { return in.topoVPOfKind(topology.PlanetLab) }

@@ -23,59 +23,48 @@
 package recordroute
 
 import (
-	"fmt"
 	"time"
 
-	"recordroute/internal/topology"
+	"recordroute/internal/study"
 )
 
-// Epoch selects the modeled interconnection era.
+// Epoch selects the modeled interconnection era by its year.
 type Epoch int
 
 const (
 	// Epoch2016 is the paper's measurement era (the flattened Internet).
-	Epoch2016 Epoch = iota
+	Epoch2016 Epoch = 2016
 	// Epoch2011 models the sparse-peering era of the §3.4 comparison.
-	Epoch2011
+	Epoch2011 Epoch = 2011
 )
 
-// options collects construction parameters.
-type options struct {
-	epoch   Epoch
-	scale   float64
-	profile string
-	seed    uint64
-	rate    float64
-	timeout time.Duration
-	shards  int
-	retries int
-}
-
-// Option configures New.
-type Option func(*options)
+// Option configures New: each sets one field of the run's study.Spec,
+// the contract the rrstudyd daemon's submit body fills too.
+type Option func(*study.Spec)
 
 // WithEpoch selects the interconnection era (default Epoch2016).
-func WithEpoch(e Epoch) Option { return func(o *options) { o.epoch = e } }
+func WithEpoch(e Epoch) Option { return func(s *study.Spec) { s.Epoch = int(e) } }
 
 // WithScale multiplies the default topology size (1.0 ≈ 1/100 of the
 // paper's scale; tests typically use 0.15–0.3).
-func WithScale(f float64) Option { return func(o *options) { o.scale = f } }
+func WithScale(f float64) Option { return func(s *study.Spec) { s.Scale = f } }
 
 // WithScaleProfile selects a named topology size — "small", "medium",
 // or "large" (10⁵+ advertised prefixes, approaching the paper's hitlist
-// magnitude) — overriding WithScale. Large topologies are built once
-// and replicated by snapshot cloning when sharded; see WithShards.
-func WithScaleProfile(name string) Option { return func(o *options) { o.profile = name } }
+// magnitude) — instead of WithScale: New refuses the two together.
+// Large topologies are built once and replicated by snapshot cloning
+// when sharded; see WithShards.
+func WithScaleProfile(name string) Option { return func(s *study.Spec) { s.Profile = name } }
 
 // WithSeed fixes all randomness; equal seeds give identical Internets.
-func WithSeed(seed uint64) Option { return func(o *options) { o.seed = seed } }
+func WithSeed(seed uint64) Option { return func(s *study.Spec) { s.Seed = seed } }
 
 // WithProbeRate sets the default per-VP probing rate in packets per
 // second (default 20, the paper's rate).
-func WithProbeRate(pps float64) Option { return func(o *options) { o.rate = pps } }
+func WithProbeRate(pps float64) Option { return func(s *study.Spec) { s.Rate = pps } }
 
 // WithTimeout sets the per-probe timeout (default 2s of virtual time).
-func WithTimeout(d time.Duration) Option { return func(o *options) { o.timeout = d } }
+func WithTimeout(d time.Duration) Option { return func(s *study.Spec) { s.Timeout = d } }
 
 // WithShards sets how many simulator replicas the experiments spread
 // their vantage points over: 0 (default) uses one per
@@ -86,37 +75,9 @@ func WithTimeout(d time.Duration) Option { return func(o *options) { o.timeout =
 // replicas in contiguous ranges. Results are identical either way; see
 // DESIGN.md "Parallel execution model" and "Destination-sharded origin
 // phases".
-func WithShards(k int) Option { return func(o *options) { o.shards = k } }
+func WithShards(k int) Option { return func(s *study.Spec) { s.Shards = k } }
 
 // WithRetries gives every probe up to n retransmissions with
 // exponential backoff and RTT-adaptive timeouts (default 0: the
 // paper's single-shot probing).
-func WithRetries(n int) Option { return func(o *options) { o.retries = n } }
-
-// buildConfig resolves options into a topology configuration.
-func buildConfig(opts []Option) (topology.Config, options) {
-	o := options{scale: 1, seed: 0, epoch: Epoch2016}
-	for _, fn := range opts {
-		fn(&o)
-	}
-	epoch := topology.Epoch2016
-	if o.epoch == Epoch2011 {
-		epoch = topology.Epoch2011
-	}
-	cfg := topology.DefaultConfig(epoch)
-	if o.scale > 0 && o.scale != 1 {
-		cfg = cfg.Scale(o.scale)
-	}
-	if o.seed != 0 {
-		cfg.Seed = o.seed
-	}
-	return cfg, o
-}
-
-// validateScale rejects nonsense scales early with a clear error.
-func validateScale(f float64) error {
-	if f < 0 || f > 100 {
-		return fmt.Errorf("recordroute: scale %v out of range (0, 100]", f)
-	}
-	return nil
-}
+func WithRetries(n int) Option { return func(s *study.Spec) { s.Retries = n } }

@@ -39,15 +39,25 @@ func TestInternetInventory(t *testing.T) {
 	if in.NumASes() == 0 {
 		t.Error("no ASes")
 	}
-	if len(in.MLabVPs())+len(in.PlanetLabVPs()) != len(in.VPNames()) {
-		t.Error("platform split inconsistent")
+	if m, p := platformSplit(in); m+p != len(in.VPNames()) || m != len(in.MLabVPs()) {
+		t.Errorf("platform split inconsistent: %d M-Lab and %d PlanetLab of %v", m, p, in.VPNames())
 	}
-	if kind, err := in.VPKind(in.MLabVPs()[0]); err != nil || kind != "mlab" {
-		t.Errorf("VPKind = %q, %v", kind, err)
+	if vp := in.st.Topo.VPByName(in.MLabVPs()[0]); vp == nil || vp.Kind.String() != "mlab" {
+		t.Errorf("MLabVPs()[0] is %+v", vp)
 	}
-	if _, err := in.VPKind("nope"); err == nil {
-		t.Error("unknown VP accepted")
+}
+
+// platformSplit counts the M-Lab and PlanetLab vantage points.
+func platformSplit(in *Internet) (mlab, planetlab int) {
+	for _, vp := range in.st.Topo.VPs {
+		switch vp.Kind {
+		case topology.MLab:
+			mlab++
+		case topology.PlanetLab:
+			planetlab++
+		}
 	}
+	return mlab, planetlab
 }
 
 // respondingDest finds a destination that answers ping-RR from vp.
@@ -324,11 +334,11 @@ func TestEpochOptionBuilds2011(t *testing.T) {
 		{in, topology.DefaultConfig(topology.Epoch2011).Scale(0.15)},
 		{MustNew(WithScale(0.15)), topology.DefaultConfig(topology.Epoch2016).Scale(0.15)},
 	} {
-		if m, p := len(c.in.MLabVPs()), len(c.in.PlanetLabVPs()); m != c.want.NumMLab || p != c.want.NumPlanetLab {
+		if m, p := platformSplit(c.in); m != c.want.NumMLab || p != c.want.NumPlanetLab {
 			t.Errorf("%v: %d M-Lab and %d PlanetLab VPs, want %d and %d", c.want.Epoch, m, p, c.want.NumMLab, c.want.NumPlanetLab)
 		}
 	}
-	if m, p := len(in.MLabVPs()), len(in.PlanetLabVPs()); m >= p {
+	if m, p := platformSplit(in); m >= p {
 		t.Errorf("2011 world has %d M-Lab VPs and %d PlanetLab: not the 2011 mix", m, p)
 	}
 }
@@ -411,20 +421,5 @@ func TestReportMarshalsToJSON(t *testing.T) {
 	}
 	if back.Table1 != rep.Table1 || back.Atlas != rep.Atlas {
 		t.Error("report did not round-trip through JSON")
-	}
-}
-
-func TestClassifyDestinationFacade(t *testing.T) {
-	in := smallInternet(t)
-	// A destination known reachable (from the sweep helper).
-	vp := in.MLabVPs()[len(in.MLabVPs())-1]
-	reply, addr := respondingDest(t, in, vp)
-	_ = reply
-	c := in.ClassifyDestination(mustAddr(addr))
-	if c.Class != "rr-reachable" && c.Class != "reverse-measurable" {
-		t.Errorf("class = %q for an RR-answering destination", c.Class)
-	}
-	if c.BestSlot == 0 {
-		t.Error("no best slot for a reachable destination")
 	}
 }
